@@ -10,7 +10,10 @@
 //! * `compute_csv_parse`  — `CsvReader` typed parsing of the full schema;
 //! * `record_split`       — bare record splitting (the SWAR scanner alone);
 //! * `columnar_decode`    — `read_rows_selected` with a dictionary-coded
-//!   equality predicate over a generated columnar object.
+//!   equality predicate over a generated columnar object;
+//! * `compute_sql_exec`   — the compute-side SQL executor over pre-typed
+//!   rows: ShowMapCons and a ten-column aggregate, filter + partial
+//!   aggregation + finalize as a session task runs them.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -36,12 +39,18 @@ use scoop_columnar::{ColumnarReader, ColumnarWriter};
 use scoop_csv::filter::filter_buffer;
 use scoop_csv::record::RecordSplitter;
 use scoop_csv::{CsvReader, Predicate, PushdownSpec, Value};
+use scoop_sql::exec::Aggregator;
+use scoop_sql::RowFilter;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Seed calibration of the per-byte implementation (repro_output.txt).
 const BASELINE_FILTER_MBS: f64 = 86.0;
 const BASELINE_PARSE_MBS: f64 = 43.0;
+/// The name-resolving tree walker the bound evaluator replaced, measured with
+/// this kernel at the commit before it, on the machine BENCH_hotpath.json was
+/// written on.
+const BASELINE_SQL_EXEC_MBS: f64 = 223.1;
 /// CI gate: fail when current throughput drops below 70% of the recorded one.
 const REGRESSION_FLOOR: f64 = 0.7;
 
@@ -84,7 +93,7 @@ fn main() {
     for r in &results {
         match r.speedup() {
             Some(s) => println!(
-                "  {:<20} {:>8.1} MB/s  ({:>5.1}x vs {:.0} MB/s seed)",
+                "  {:<20} {:>8.1} MB/s  ({:>5.1}x vs {:.0} MB/s baseline)",
                 r.name,
                 r.mb_per_s,
                 s,
@@ -224,6 +233,67 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         bytes: file.len() as u64,
         mb_per_s: mbs(file.len(), secs),
         baseline_mb_per_s: None,
+    });
+
+    // 5. Compute-side SQL over pre-typed rows, as a session task runs it:
+    //    bind once, then filter and fold every row into a partial aggregate,
+    //    and finalize. ShowMapCons (Table I) keeps the rows of one month and
+    //    groups them; the ten-column aggregate keeps half the meters and has
+    //    one global group. The fleet grows with `rows`, so the readings span
+    //    the same 1500 hours at either size and both queries keep the same
+    //    share of the rows in `--quick` as in a full run. The rate is per
+    //    byte of the CSV the rows came from.
+    let meters = (rows / 1500).max(2);
+    let sql_csv = scoop_workload::MeterDataset::new(&scoop_workload::GeneratorConfig {
+        seed: 7,
+        meters,
+        interval_minutes: 60,
+        ..Default::default()
+    })
+    .csv_object(rows);
+    let sql_bytes = sql_csv.len() * 2;
+    let typed: Vec<Vec<Value>> =
+        CsvReader::new(scoop_common::stream::once(sql_csv), schema.clone(), true)
+            .filter_map(|r| r.ok())
+            .collect();
+    let queries: Vec<scoop_sql::Query> = [
+        scoop_workload::table1_queries()
+            .into_iter()
+            .find(|q| q.name == "ShowMapCons")
+            .expect("ShowMapCons is in Table I")
+            .sql,
+        format!(
+            "SELECT count(vid) as n, min(date) as d0, max(date) as d1, sum(index) as s_index, \
+             sum(sumHC) as s_hc, sum(sumHP) as s_hp, min(lat) as lat0, max(long) as long1, \
+             min(city) as city0, max(state) as state1, min(region) as region0 \
+             FROM largeMeter WHERE vid < 'M{:05}'",
+            meters / 2
+        ),
+    ]
+    .iter()
+    .map(|sql| scoop_sql::parse(sql).expect("parse"))
+    .collect();
+    let secs = best_of(iters, || {
+        let mut out_rows = 0u64;
+        for query in &queries {
+            let filter =
+                RowFilter::bind(query.where_clause.as_ref(), &schema).expect("bind WHERE");
+            let agg = Aggregator::new(query, &schema).expect("bind aggregate");
+            let mut partial = agg.make_partial();
+            for row in &typed {
+                if filter.passes(row).expect("filter") {
+                    agg.update(&mut partial, row).expect("update");
+                }
+            }
+            out_rows += agg.finalize(partial).expect("finalize").len() as u64;
+        }
+        black_box(out_rows)
+    });
+    results.push(BenchResult {
+        name: "compute_sql_exec",
+        bytes: sql_bytes as u64,
+        mb_per_s: mbs(sql_bytes, secs),
+        baseline_mb_per_s: Some(BASELINE_SQL_EXEC_MBS),
     });
 
     results

@@ -16,7 +16,7 @@ use scoop_common::{Deadline, Result, ScoopError};
 use scoop_csv::{Schema, Value};
 use scoop_sql::catalyst::plan_query;
 use scoop_sql::exec::{execute_with_where, Aggregator, PartialAgg};
-use scoop_sql::{parse, ResultSet};
+use scoop_sql::{parse, ResultSet, RowFilter};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -375,6 +375,11 @@ impl Session {
         } else {
             None
         };
+        // Bound once per query, not per task or per row: the residual
+        // predicate for a source that handled the pushed filters, the full
+        // WHERE for one that did not.
+        let residual_filter = RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema)?;
+        let full_filter = RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema)?;
         let columns = plan.pushdown.columns.clone();
         let predicate = plan.pushdown.predicate.clone();
         // CollectLimit: an unsorted, non-distinct LIMIT needs only the first
@@ -401,12 +406,10 @@ impl Session {
                 columns.as_deref(),
                 predicate.as_ref(),
             )?;
-            // Effective compute-side predicate: residual when the source
-            // handled the pushed filters, the full WHERE otherwise.
-            let effective = if out.stats.filters_handled {
-                plan.residual_where.clone()
+            let filter = if out.stats.filters_handled {
+                &residual_filter
             } else {
-                query.where_clause.clone()
+                &full_filter
             };
             let mut rows_in = 0u64;
             let mut rows_kept = 0u64;
@@ -416,7 +419,7 @@ impl Session {
                     for row in out.rows {
                         let row = row?;
                         rows_in += 1;
-                        if passes(&effective, &row, &plan.scan_schema)? {
+                        if filter.passes(&row)? {
                             rows_kept += 1;
                             agg.update(&mut partial, &row)?;
                         }
@@ -435,7 +438,7 @@ impl Session {
                             }
                             let row = row?;
                             rows_in += 1;
-                            if passes(&effective, &row, &plan.scan_schema)? {
+                            if filter.passes(&row)? {
                                 if early_limit.is_some() {
                                     collected
                                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -557,17 +560,6 @@ impl Session {
                 trace,
             },
         })
-    }
-}
-
-fn passes(
-    where_clause: &Option<scoop_sql::Expr>,
-    row: &[Value],
-    schema: &Schema,
-) -> Result<bool> {
-    match where_clause {
-        None => Ok(true),
-        Some(w) => Ok(scoop_sql::exec::eval_pred(w, row, schema)? == Some(true)),
     }
 }
 

@@ -28,7 +28,7 @@
 //! delimited, and predicates read borrowed field bytes — no `String` or
 //! `Value` is allocated per field on the hot path.
 
-use crate::pushdown::{like_match, Predicate, PushdownSpec};
+use crate::pushdown::{LikePattern, Predicate, PushdownSpec};
 use crate::record::{write_field, RecordSplitter};
 use crate::scan;
 use crate::value::Value;
@@ -46,7 +46,7 @@ enum CompiledPred {
     Le(usize, Value),
     Gt(usize, Value),
     Ge(usize, Value),
-    Like(usize, String),
+    Like(usize, LikePattern),
     StartsWith(usize, String),
     EndsWith(usize, String),
     Contains(usize, String),
@@ -74,7 +74,7 @@ fn compile_pred(p: &Predicate, header: &[String]) -> Result<CompiledPred> {
         Predicate::Le(c, v) => CompiledPred::Le(resolve(header, c)?, v.clone()),
         Predicate::Gt(c, v) => CompiledPred::Gt(resolve(header, c)?, v.clone()),
         Predicate::Ge(c, v) => CompiledPred::Ge(resolve(header, c)?, v.clone()),
-        Predicate::Like(c, s) => CompiledPred::Like(resolve(header, c)?, s.clone()),
+        Predicate::Like(c, s) => CompiledPred::Like(resolve(header, c)?, LikePattern::new(s)),
         Predicate::StartsWith(c, s) => CompiledPred::StartsWith(resolve(header, c)?, s.clone()),
         Predicate::EndsWith(c, s) => CompiledPred::EndsWith(resolve(header, c)?, s.clone()),
         Predicate::Contains(c, s) => CompiledPred::Contains(resolve(header, c)?, s.clone()),
@@ -137,7 +137,7 @@ impl CompiledPred {
             }
             CompiledPred::Like(i, p) => {
                 let f = get(*i);
-                !f.is_empty() && like_match(p, &f)
+                !f.is_empty() && p.matches(f.as_bytes())
             }
             CompiledPred::StartsWith(i, p) => {
                 let f = get(*i);

@@ -98,32 +98,116 @@ impl Predicate {
 
 /// SQL `LIKE` matching with `%` (any run) and `_` (any single char),
 /// operating on Unicode scalar values.
+///
+/// Allocation-free: the pattern and the text are walked as UTF-8 bytes.
+/// `%` and `_` are ASCII, so they never occur inside a multi-byte sequence;
+/// literal bytes compare one to one; `_` and the restart after a `%` step
+/// over one whole character, which keeps both cursors on character
+/// boundaries. A wildcard in the pattern is always a wildcard, also when the
+/// text holds the same character at that position.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let pat: Vec<char> = pattern.chars().collect();
-    let txt: Vec<char> = text.chars().collect();
-    // Classic iterative wildcard matching with backtracking to the last '%'.
+    like_bytes(pattern.as_bytes(), text.as_bytes())
+}
+
+/// [`like_match`] on the UTF-8 bytes of both sides. Bytes that are not UTF-8
+/// are matched as they come; nothing is read out of bounds.
+fn like_bytes(pat: &[u8], txt: &[u8]) -> bool {
     let (mut p, mut t) = (0usize, 0usize);
-    let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-    while t < txt.len() {
-        if p < pat.len() && (pat[p] == '_' || pat[p] == txt[t]) {
-            p += 1;
-            t += 1;
-        } else if p < pat.len() && pat[p] == '%' {
-            star_p = p;
-            star_t = t;
-            p += 1;
-        } else if star_p != usize::MAX {
-            p = star_p + 1;
-            star_t += 1;
-            t = star_t;
-        } else {
-            return false;
+    // After the last `%`: the pattern index behind it and the text index its
+    // run currently ends at (classic backtracking to the last `%`).
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(&tb) = txt.get(t) {
+        match pat.get(p) {
+            Some(b'%') => {
+                p += 1;
+                star = Some((p, t));
+            }
+            Some(b'_') => {
+                p += 1;
+                t += utf8_width(tb);
+            }
+            Some(&pb) if pb == tb => {
+                p += 1;
+                t += 1;
+            }
+            _ => {
+                let Some((star_p, star_t)) = star else {
+                    return false;
+                };
+                let resume = star_t.saturating_add(txt.get(star_t).map_or(1, |&b| utf8_width(b)));
+                star = Some((star_p, resume));
+                p = star_p;
+                t = resume;
+            }
         }
     }
-    while p < pat.len() && pat[p] == '%' {
-        p += 1;
+    pat.get(p..).is_some_and(|rest| rest.iter().all(|&b| b == b'%'))
+}
+
+/// Byte length of the UTF-8 sequence a leading byte opens.
+#[inline]
+fn utf8_width(lead: u8) -> usize {
+    match lead {
+        0xF0..=0xFF => 4,
+        0xE0..=0xEF => 3,
+        0xC0..=0xDF => 2,
+        _ => 1,
     }
-    p == pat.len()
+}
+
+/// A `LIKE` pattern classified once, so matching a row does no pattern
+/// analysis: the common shapes are plain string tests, the rest runs
+/// [`like_match`]. Shared by the store-side filter and the SQL executor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LikePattern {
+    /// No wildcard: equality.
+    Exact(String),
+    /// `lit%`
+    Prefix(String),
+    /// `%lit`
+    Suffix(String),
+    /// `%lit%`
+    Contains(String),
+    /// Anything else (`_`, inner `%`).
+    General(String),
+}
+
+impl LikePattern {
+    /// Classify `pattern`.
+    pub fn new(pattern: &str) -> LikePattern {
+        let plain = |s: &str| !s.contains(['%', '_']);
+        if plain(pattern) {
+            return LikePattern::Exact(pattern.to_string());
+        }
+        if let Some(body) = pattern.strip_suffix('%') {
+            if plain(body) {
+                return LikePattern::Prefix(body.to_string());
+            }
+            if let Some(inner) = body.strip_prefix('%').filter(|s| plain(s)) {
+                return LikePattern::Contains(inner.to_string());
+            }
+        }
+        match pattern.strip_prefix('%').filter(|s| plain(s)) {
+            Some(body) => LikePattern::Suffix(body.to_string()),
+            None => LikePattern::General(pattern.to_string()),
+        }
+    }
+
+    /// Does `text` (UTF-8 bytes, so a caller holding them need not
+    /// re-validate) match? Same answer as [`like_match`] on the pattern: a
+    /// UTF-8 literal can only occur in UTF-8 text on character boundaries.
+    #[inline]
+    pub fn matches(&self, text: &[u8]) -> bool {
+        match self {
+            LikePattern::Exact(p) => text == p.as_bytes(),
+            LikePattern::Prefix(p) => text.starts_with(p.as_bytes()),
+            LikePattern::Suffix(p) => text.ends_with(p.as_bytes()),
+            LikePattern::Contains(p) => {
+                p.is_empty() || text.windows(p.len()).any(|w| w == p.as_bytes())
+            }
+            LikePattern::General(p) => like_bytes(p.as_bytes(), text),
+        }
+    }
 }
 
 /// The full pushdown payload for one object request.
@@ -558,6 +642,90 @@ mod tests {
     fn like_unicode() {
         assert!(like_match("caf_", "café"));
         assert!(like_match("%é", "café"));
+    }
+
+    /// The matcher this module shipped before the byte matcher: collect both
+    /// sides into `Vec<char>`, backtrack to the last `%`. Kept as the
+    /// reference the differential test compares against. It tested for a
+    /// literal match before testing for `%`, so a `%` in the text consumed a
+    /// `%` in the pattern as a literal; texts without `%` are unaffected.
+    fn like_match_reference(pattern: &str, text: &str) -> bool {
+        let pat: Vec<char> = pattern.chars().collect();
+        let txt: Vec<char> = text.chars().collect();
+        let (mut p, mut t) = (0usize, 0usize);
+        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+        while t < txt.len() {
+            if p < pat.len() && (pat[p] == '_' || pat[p] == txt[t]) {
+                p += 1;
+                t += 1;
+            } else if p < pat.len() && pat[p] == '%' {
+                star_p = p;
+                star_t = t;
+                p += 1;
+            } else if star_p != usize::MAX {
+                p = star_p + 1;
+                star_t += 1;
+                t = star_t;
+            } else {
+                return false;
+            }
+        }
+        while p < pat.len() && pat[p] == '%' {
+            p += 1;
+        }
+        p == pat.len()
+    }
+
+    #[test]
+    fn percent_in_the_text_does_not_disarm_the_wildcard() {
+        // The reference consumed the pattern's `%` as a literal here.
+        assert!(like_match("%a", "%xa"));
+        assert!(!like_match_reference("%a", "%xa"));
+        assert!(like_match("50%", "50% off"));
+        assert!(like_match("%", "%"));
+    }
+
+    #[test]
+    fn like_pattern_classifies_the_common_shapes() {
+        let lit = |s: &str| s.to_string();
+        assert_eq!(LikePattern::new("Rotterdam"), LikePattern::Exact(lit("Rotterdam")));
+        assert_eq!(LikePattern::new(""), LikePattern::Exact(lit("")));
+        assert_eq!(LikePattern::new("2015-01%"), LikePattern::Prefix(lit("2015-01")));
+        assert_eq!(LikePattern::new("%"), LikePattern::Prefix(lit("")));
+        assert_eq!(LikePattern::new("%dam"), LikePattern::Suffix(lit("dam")));
+        assert_eq!(LikePattern::new("%tter%"), LikePattern::Contains(lit("tter")));
+        assert_eq!(LikePattern::new("%%"), LikePattern::Contains(lit("")));
+        for general in ["R%dam", "_otterdam", "2015-0_%", "%a%b%", "%_"] {
+            assert_eq!(LikePattern::new(general), LikePattern::General(lit(general)));
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        // Small alphabets so wildcards, repeats and multi-byte characters
+        // (2, 3 and 4 bytes) all meet often. No `%` in the text: see
+        // `like_match_reference`.
+        const PATTERN: &str = "[ab%_éß€😀]{0,8}";
+        const TEXT: &str = "[ab_éß€😀]{0,10}";
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn byte_matcher_equals_the_char_matcher(pattern in PATTERN, text in TEXT) {
+                let want = like_match_reference(&pattern, &text);
+                prop_assert_eq!(like_match(&pattern, &text), want, "{:?} ~ {:?}", pattern, text);
+                prop_assert_eq!(
+                    LikePattern::new(&pattern).matches(text.as_bytes()),
+                    want,
+                    "classified {:?} ~ {:?}",
+                    pattern,
+                    text
+                );
+            }
+        }
     }
 
     #[test]

@@ -107,6 +107,16 @@ impl SmallStr {
         }
     }
 
+    /// The string's UTF-8 bytes, without the re-validation [`Self::as_str`]
+    /// pays: what comparing, hashing and byte-wise matching should use.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            SmallStr::Inline { len, buf } => buf.get(..*len as usize).unwrap_or(&buf[..]),
+            SmallStr::Heap(s) => s.as_bytes(),
+        }
+    }
+
     /// Byte length of the string.
     #[inline]
     pub fn len(&self) -> usize {
@@ -181,7 +191,7 @@ impl AsRef<str> for SmallStr {
 impl PartialEq for SmallStr {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -211,14 +221,17 @@ impl PartialOrd for SmallStr {
 impl Ord for SmallStr {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_str().cmp(other.as_str())
+        // `str` orders by its bytes.
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
 impl Hash for SmallStr {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state)
+        // As `str` hashes: its bytes, then a terminator.
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -296,6 +309,14 @@ mod tests {
         assert_eq!(h(&inline), h(&heap));
         assert!(SmallStr::new("a") < SmallStr::new("b"));
         assert_eq!(SmallStr::new("x"), "x");
+        // Byte-wise comparison and hashing agree with `str`'s.
+        for (a, b) in [("caf\u{e9}", "cafz"), ("\u{65e5}", "\u{1f600}"), ("ab", "abc"), ("", "a")] {
+            assert_eq!(SmallStr::new(a).cmp(&SmallStr::new(b)), a.cmp(b), "{a:?} {b:?}");
+            assert_eq!(SmallStr::new(a).as_bytes(), a.as_bytes());
+        }
+        let mut st = DefaultHasher::new();
+        "abc".hash(&mut st);
+        assert_eq!(h(&inline), st.finish());
     }
 
     #[test]

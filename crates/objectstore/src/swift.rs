@@ -400,6 +400,11 @@ enum Transport {
 /// A client session bound to an account.
 #[derive(Clone)]
 pub struct SwiftClient {
+    /// Declared — and so dropped — before `cluster`: the last client may hold
+    /// the last cluster handle, and dropping the cluster joins the TCP front
+    /// end, whose workers only leave a keep-alive connection when the pool
+    /// has closed it (or its idle timeout, seconds later, has run out).
+    transport: Transport,
     cluster: Arc<SwiftCluster>,
     account: String,
     token: Option<String>,
@@ -411,7 +416,6 @@ pub struct SwiftClient {
     /// Registry mirror of `retries` (registered at assembly so a snapshot
     /// always carries the metric, even before the first retry).
     retries_global: telemetry::Counter,
-    transport: Transport,
 }
 
 /// Process-wide upload counter: tokens must be unique across every client

@@ -1,0 +1,425 @@
+//! Differential tests: the bound evaluator against the name-resolving walker
+//! it replaced ([`crate::reference`]).
+//!
+//! Random expression trees over random rows must give the same value, the
+//! same three-valued truth and fail on the same rows; whole queries must
+//! give the same result set single-pass, chunked through partial
+//! aggregation + merge, and through the reference. What the query itself
+//! gets wrong is reported at bind time, as `ScoopError::Sql`, also over an
+//! empty input.
+
+use crate::ast::{AggFunc, BinOp, Expr, Query};
+use crate::bound::{bind, RowFilter};
+use crate::exec::{execute_with_where, Aggregator, ResultSet};
+use crate::parser::parse;
+use crate::reference;
+use proptest::prelude::*;
+use proptest::rng::TestRng;
+use scoop_common::ScoopError;
+use scoop_csv::schema::{DataType, Field};
+use scoop_csv::{Schema, Value};
+
+fn pick<'a, T>(rng: &mut TestRng, from: &'a [T]) -> &'a T {
+    &from[rng.usize_in(0, from.len())]
+}
+
+// ---------------------------------------------------------------------------
+// Random expressions over random rows
+// ---------------------------------------------------------------------------
+
+const COLUMNS: [&str; 4] = ["a", "b", "c", "d"];
+
+fn expr_schema() -> Schema {
+    Schema::new(COLUMNS.iter().map(|c| Field::new(*c, DataType::Str)).collect())
+}
+
+/// NULL, Int/Float mixes (NaN, infinities, -0.0, values past 2^53) and
+/// strings: dates, numerals, non-ASCII, LIKE metacharacters, empty.
+fn gen_value(rng: &mut TestRng) -> Value {
+    const TEXT: [&str; 12] = [
+        "",
+        "2015-01-03 10:20:00",
+        "2015-02-01",
+        "Rotterdam",
+        "rotterdam",
+        "café",
+        "日本語テキスト",
+        "😀é",
+        "50%",
+        "a_b",
+        "12",
+        "-3.5",
+    ];
+    const FLOATS: [f64; 8] =
+        [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+    match rng.below(8) {
+        0 => Value::Null,
+        1 | 2 => Value::Int(rng.below(9) as i64 - 4),
+        3 => Value::Int(any::<i64>().generate(rng)),
+        4 => Value::Float(*pick(rng, &FLOATS)),
+        5 => Value::Float(any::<f64>().generate(rng)),
+        _ => Value::Str((*pick(rng, &TEXT)).into()),
+    }
+}
+
+/// A random tree. `unbindable` is set when it holds a node no row can be
+/// evaluated on — `*`, or an aggregate call — wherever that node sits.
+fn gen_expr(rng: &mut TestRng, depth: u32, unbindable: &mut bool) -> Expr {
+    const PATTERNS: [&str; 12] = [
+        "2015-01%",
+        "%dam",
+        "%tt%",
+        "Rotterdam",
+        "caf_",
+        "%é",
+        "_本%",
+        "%",
+        "",
+        "2015-0_-%",
+        "%_",
+        "😀_",
+    ];
+    const FUNCS: [&str; 14] = [
+        "substring",
+        "substr",
+        "upper",
+        "lower",
+        "length",
+        "concat",
+        "abs",
+        "round",
+        "coalesce",
+        "year",
+        "month",
+        "day",
+        "substring",
+        "nope",
+    ];
+    const OPS: [BinOp; 13] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+    ];
+    if depth == 0 || rng.below(4) == 0 {
+        let column = |rng: &mut TestRng| Expr::Column((*pick(rng, &COLUMNS)).to_string());
+        return match rng.below(40) {
+            0 => {
+                *unbindable = true;
+                Expr::Star
+            }
+            1 => {
+                *unbindable = true;
+                let arg = (rng.below(2) == 0).then(|| Box::new(column(rng)));
+                Expr::Agg { func: if arg.is_some() { AggFunc::Sum } else { AggFunc::Count }, arg }
+            }
+            2..=20 => column(rng),
+            _ => Expr::Literal(gen_value(rng)),
+        };
+    }
+    let mut sub = |rng: &mut TestRng| Box::new(gen_expr(rng, depth - 1, unbindable));
+    match rng.below(7) {
+        0 | 1 => Expr::Binary { op: *pick(rng, &OPS), left: sub(rng), right: sub(rng) },
+        2 => Expr::Not(sub(rng)),
+        3 => Expr::Like {
+            expr: sub(rng),
+            pattern: (*pick(rng, &PATTERNS)).to_string(),
+            negated: rng.below(2) == 0,
+        },
+        4 => Expr::InList {
+            expr: sub(rng),
+            list: (0..rng.below(4)).map(|_| *sub(rng)).collect(),
+            negated: rng.below(2) == 0,
+        },
+        5 => Expr::IsNull { expr: sub(rng), negated: rng.below(2) == 0 },
+        _ => {
+            let name = *pick(rng, &FUNCS);
+            let args = if name.starts_with("subs") && rng.below(4) != 0 {
+                // Literal bounds (the pre-parsed node), negative and zero
+                // starts and lengths included; sometimes a NULL or a string.
+                let bound = |rng: &mut TestRng| match rng.below(8) {
+                    0 => Expr::Literal(gen_value(rng)),
+                    _ => Expr::Literal(Value::Int(rng.below(25) as i64 - 8)),
+                };
+                vec![*sub(rng), bound(rng), bound(rng)]
+            } else {
+                (0..rng.below(4)).map(|_| *sub(rng)).collect()
+            };
+            Expr::Func { name: name.to_string(), args }
+        }
+    }
+}
+
+/// An expression tree of every node kind, and whether it is unbindable.
+struct ExprTree;
+
+impl Strategy for ExprTree {
+    type Value = (Expr, bool);
+    fn generate(&self, rng: &mut TestRng) -> (Expr, bool) {
+        let mut unbindable = false;
+        (gen_expr(rng, 4, &mut unbindable), unbindable)
+    }
+}
+
+/// Rows of zero to five values under a four-column schema: a short row reads
+/// NULL past its end, a long one has a value nothing names.
+struct Rows;
+
+impl Strategy for Rows {
+    type Value = Vec<Vec<Value>>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<Vec<Value>> {
+        (0..rng.usize_in(1, 7))
+            .map(|_| (0..rng.usize_in(0, 6)).map(|_| gen_value(rng)).collect())
+            .collect()
+    }
+}
+
+/// Identity, not SQL equality: `Int(2)` is not `Float(2.0)`, NaN is itself.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, Value::Null) => true,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Str(x), Value::Str(y)) => x == y,
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    #[test]
+    fn bound_evaluation_equals_the_reference_walker((expr, unbindable) in ExprTree, rows in Rows) {
+        let schema = expr_schema();
+        let bound = match bind(&expr, &schema) {
+            Ok(bound) => bound,
+            Err(e) => {
+                prop_assert!(unbindable && matches!(e, ScoopError::Sql(_)), "{expr}: {e}");
+                return Ok(());
+            }
+        };
+        prop_assert!(!unbindable, "{expr} must not bind");
+        for row in &rows {
+            match (bound.eval(row, &[]), reference::eval(&expr, row, &schema)) {
+                (Ok(got), Ok(want)) => prop_assert!(
+                    same_value(&got, &want),
+                    "{expr} on {row:?}: {got:?}, reference {want:?}"
+                ),
+                (Err(_), Err(_)) => {}
+                (got, want) => prop_assert!(false, "{expr} on {row:?}: {got:?}, reference {want:?}"),
+            }
+            match (bound.test(row, &[]), reference::eval_pred(&expr, row, &schema)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{} on {:?}", expr, row),
+                (Err(_), Err(_)) => {}
+                (got, want) => prop_assert!(false, "{expr} on {row:?}: {got:?}, reference {want:?}"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whole queries: single pass ≡ partial + merge ≡ reference
+// ---------------------------------------------------------------------------
+
+fn meter_schema() -> Schema {
+    use DataType::{Float, Str};
+    Schema::new(
+        [
+            ("vid", Str),
+            ("date", Str),
+            ("index", Float),
+            ("sumHC", Float),
+            ("sumHP", Float),
+            ("lat", Float),
+            ("long", Float),
+            ("city", Str),
+            ("state", Str),
+            ("region", Str),
+        ]
+        .into_iter()
+        .map(|(name, dtype)| Field::new(name, dtype))
+        .collect(),
+    )
+}
+
+/// The seven Table I shapes (`scoop_workload::table1_queries`, which this
+/// crate cannot depend on), the ten-column low-selectivity aggregate, and
+/// aggregates in arithmetic, `HAVING` and `ORDER BY`.
+const QUERIES: [&str; 11] = [
+    "SELECT vid, sum(index) as max, first_value(lat) as lat, first_value(long) as long, \
+     first_value(state) as state FROM largeMeter WHERE date LIKE '2015-01%' \
+     GROUP BY SUBSTRING(date, 0, 7), vid ORDER BY SUBSTRING(date, 0, 7), vid",
+    "SELECT vid, sum(index) as max, first_value(city) as city, first_value(lat) as lat, \
+     first_value(long) as long, first_value(state) as state \
+     FROM largeMeter WHERE date LIKE '2015-01%' \
+     GROUP BY SUBSTRING(date, 0, 7), vid ORDER BY SUBSTRING(date, 0, 7), vid",
+    "SELECT SUBSTRING(date, 0, 10) as sDate, sum(index) as max, first_value(lat) as lat, \
+     first_value(long) as long FROM largeMeter WHERE date LIKE '2015-01%' \
+     GROUP BY SUBSTRING(date, 0, 10), vid ORDER BY SUBSTRING(date, 0, 10), vid",
+    "SELECT SUBSTRING(date, 0, 10) as sDate, sum(index) as max, vid \
+     FROM largeMeter WHERE city LIKE 'Rotterdam' AND date LIKE '2015-01-%' \
+     GROUP BY SUBSTRING(date, 0, 10), vid ORDER BY SUBSTRING(date, 0, 10), vid",
+    "SELECT SUBSTRING(date, 0, 10) as sDate, state as vid, sum(index) as max \
+     FROM largeMeter WHERE state LIKE 'U%' AND date LIKE '2015-01-%' \
+     GROUP BY SUBSTRING(date, 0, 10), state ORDER BY SUBSTRING(date, 0, 10), state",
+    "SELECT SUBSTRING(date, 0, 10) as sDate, vid, min(sumHC) as minHC, max(sumHC) as maxHC, \
+     min(sumHP) as minHP, max(sumHP) as maxHP \
+     FROM largeMeter WHERE state LIKE 'FRA' AND date LIKE '2015-01-%' \
+     GROUP BY SUBSTRING(date, 0, 10), vid ORDER BY SUBSTRING(date, 0, 10), vid",
+    "SELECT SUBSTRING(date, 0, 13) as sDate, sum(index) as max, vid \
+     FROM largeMeter WHERE city LIKE 'Rotterdam' AND date LIKE '2015-01-%' \
+     GROUP BY SUBSTRING(date, 0, 13), vid ORDER BY SUBSTRING(date, 0, 13), vid",
+    "SELECT count(vid) as n, min(date) as d0, max(date) as d1, sum(index) as s_index, \
+     sum(sumHC) as s_hc, sum(sumHP) as s_hp, min(lat) as lat0, max(long) as long1, \
+     min(city) as city0, max(state) as state1, min(region) as region0 \
+     FROM largeMeter WHERE vid < 'M00002'",
+    "SELECT count(*) as n, avg(index) as mean, sum(index) / count(*) as mean2 FROM largeMeter",
+    "SELECT vid, count(*) as n FROM largeMeter GROUP BY vid \
+     HAVING sum(index) >= 0 ORDER BY max(index) DESC, vid",
+    "SELECT DISTINCT state, upper(city) as c FROM largeMeter \
+     WHERE index IS NOT NULL ORDER BY c, state LIMIT 5",
+];
+
+/// Meter-like rows, clustered so groups repeat. Every number is a multiple of
+/// one half, so float sums are exact in any order and partial + merge can be
+/// held to equality rather than to a tolerance.
+fn meter_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    let half = |range: std::ops::Range<i32>| {
+        proptest::option::of(range).prop_map(|h| match h {
+            Some(h) => Value::Float(f64::from(h) / 2.0),
+            None => Value::Null,
+        })
+    };
+    let place = prop_oneof![
+        Just(("Rotterdam", "NLD")),
+        Just(("Paris", "FRA")),
+        Just(("Utica", "USA")),
+        Just(("Zürich", "CHE")),
+    ];
+    let row = (0u32..4, (1u32..3, 1u32..4, 0u32..3), (half(-200..200), half(0..50)), place)
+        .prop_map(|(vid, (month, day, hour), (index, small), (city, state))| {
+            let s = |text: String| Value::Str(text.into());
+            vec![
+                s(format!("M{vid:05}")),
+                s(format!("2015-{month:02}-{day:02} {hour:02}:00:00")),
+                index,
+                small.clone(),
+                small,
+                Value::Float(f64::from(vid) + 0.5),
+                Value::Float(f64::from(vid) - 0.5),
+                s(city.to_string()),
+                s(state.to_string()),
+                s("EU".to_string()),
+            ]
+        });
+    proptest::collection::vec(row, 0..60)
+}
+
+/// WHERE per chunk, partial aggregate per chunk, merge, finalize: what the
+/// compute session does with one task per chunk.
+fn two_phase(query: &Query, schema: &Schema, rows: &[Vec<Value>], chunk: usize) -> ResultSet {
+    let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
+    let agg = Aggregator::new(query, schema).unwrap();
+    let mut merged = agg.make_partial();
+    for part in rows.chunks(chunk) {
+        let mut partial = agg.make_partial();
+        for row in part {
+            if filter.passes(row).unwrap() {
+                agg.update(&mut partial, row).unwrap();
+            }
+        }
+        agg.merge(&mut merged, partial);
+    }
+    agg.finalize(merged).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn single_pass_equals_two_phase_equals_reference(rows in meter_rows(), chunk in 1usize..20) {
+        let schema = meter_schema();
+        for sql in QUERIES {
+            let query = parse(sql).unwrap();
+            let wh = query.where_clause.as_ref();
+            let feed = || rows.clone().into_iter().map(Ok);
+            let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
+            let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
+            prop_assert_eq!(&single, &want, "{}", sql);
+            if query.is_aggregate() {
+                prop_assert_eq!(&two_phase(&query, &schema, &rows, chunk), &want, "{}", sql);
+            }
+        }
+    }
+}
+
+#[test]
+fn global_aggregate_over_zero_rows_agrees_everywhere() {
+    let schema = meter_schema();
+    for sql in QUERIES.iter().filter(|q| !q.contains("GROUP BY") && !q.contains("DISTINCT")) {
+        let query = parse(sql).unwrap();
+        let wh = query.where_clause.as_ref();
+        let single = execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
+        let want = reference::execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
+        assert_eq!(single.rows.len(), 1, "{sql}");
+        assert_eq!(single, want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4), want, "{sql}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Errors of the query itself: at bind, before the first row
+// ---------------------------------------------------------------------------
+
+#[test]
+fn query_errors_surface_at_bind_as_sql_errors_even_over_no_rows() {
+    let schema = meter_schema();
+    let is_sql = |e: &ScoopError| matches!(e, ScoopError::Sql(_));
+    for sql in [
+        "SELECT ghost FROM t",
+        "SELECT vid FROM t WHERE ghost > 1",
+        "SELECT vid FROM t ORDER BY ghost",
+        "SELECT vid, count(*) FROM t GROUP BY ghost",
+        "SELECT sum(ghost) FROM t",
+        "SELECT count(*) FROM t HAVING ghost > 1",
+        "SELECT vid FROM t WHERE sum(index) > 1",
+        "SELECT count(*) FROM t WHERE count(*) > 1",
+        "SELECT sum(sum(index)) FROM t",
+        "SELECT *, sum(index) FROM t",
+    ] {
+        let query = parse(sql).unwrap();
+        let wh = query.where_clause.as_ref();
+        let err = execute_with_where(&query, &schema, wh, std::iter::empty())
+            .expect_err(&format!("{sql} must not execute"));
+        assert!(is_sql(&err), "{sql}: {err}");
+        // One row would have been enough for the reference to notice; it
+        // took a row, and this does not.
+        let row = vec![Value::Null; 10];
+        assert!(
+            reference::execute_with_where(&query, &schema, wh, std::iter::once(Ok(row))).is_err(),
+            "{sql}"
+        );
+    }
+    // `*` anywhere but a bare select item or COUNT(*).
+    let star = Expr::Binary {
+        op: BinOp::Add,
+        left: Box::new(Expr::Star),
+        right: Box::new(Expr::Literal(Value::Int(1))),
+    };
+    assert!(is_sql(&bind(&star, &schema).unwrap_err()));
+    assert!(is_sql(&RowFilter::bind(Some(&star), &schema).unwrap_err()));
+    // An aggregate in a per-row position, and one as another's argument.
+    let agg = Expr::Agg { func: AggFunc::Sum, arg: Some(Box::new(Expr::Column("index".into()))) };
+    assert!(is_sql(&RowFilter::bind(Some(&agg), &schema).unwrap_err()));
+    let query = parse("SELECT vid FROM t WHERE vid IN ('a', ghost)").unwrap();
+    assert!(is_sql(&RowFilter::bind(query.where_clause.as_ref(), &schema).unwrap_err()));
+}

@@ -8,17 +8,18 @@
 //!   partition's rows into a [`PartialAgg`] (map-side combine), the driver
 //!   merges partials and finalizes. The compute crate drives this.
 //!
-//! NULL handling follows SQL three-valued logic, arranged to agree exactly
-//! with the raw-field evaluation in `scoop_csv::filter` so pushdown is
-//! transparent.
+//! Both go through one evaluator: every expression is bound to the scan
+//! schema once per query ([`crate::bound`]) and only evaluated per row.
 
-use crate::ast::{BinOp, Expr, Query, SelectItem};
-use crate::functions::{eval_scalar, AggState};
+use crate::ast::{AggFunc, Expr, Query, SelectItem};
+use crate::bound::{bind, bind_output, AggCalls, Bound, RowFilter};
+use crate::functions::AggState;
 use scoop_common::{Result, ScoopError};
-use scoop_csv::pushdown::like_match;
 use scoop_csv::{Schema, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,211 +73,72 @@ impl ResultSet {
 }
 
 // ---------------------------------------------------------------------------
-// Expression evaluation
-// ---------------------------------------------------------------------------
-
-/// Evaluate a scalar expression against a row. Aggregate nodes are an error
-/// here; aggregated queries substitute them before calling.
-pub fn eval(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Value> {
-    match expr {
-        Expr::Column(name) => {
-            let idx = schema.resolve(name)?;
-            Ok(row.get(idx).cloned().unwrap_or(Value::Null))
-        }
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Star => Err(ScoopError::Sql("'*' outside COUNT(*)".into())),
-        Expr::Agg { .. } => Err(ScoopError::Sql(
-            "aggregate used outside aggregation context".into(),
-        )),
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(a, row, schema))
-                .collect::<Result<_>>()?;
-            eval_scalar(name, &vals)
-        }
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And | BinOp::Or => Ok(tri_to_value(eval_pred(expr, row, schema)?)),
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                Ok(tri_to_value(eval_pred(expr, row, schema)?))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = eval(left, row, schema)?;
-                let r = eval(right, row, schema)?;
-                Ok(arith(*op, &l, &r))
-            }
-        },
-        Expr::Not(_) | Expr::Like { .. } | Expr::InList { .. } | Expr::IsNull { .. } => {
-            Ok(tri_to_value(eval_pred(expr, row, schema)?))
-        }
-    }
-}
-
-fn tri_to_value(t: Option<bool>) -> Value {
-    match t {
-        None => Value::Null,
-        Some(true) => Value::Int(1),
-        Some(false) => Value::Int(0),
-    }
-}
-
-/// Arithmetic with SQL NULL propagation; non-numeric operands yield NULL
-/// (matching Spark's permissive casts on semi-structured data).
-fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
-    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-        return Value::Null;
-    };
-    let both_int = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Mod if both_int => {
-            let (x, y) = (a as i64, b as i64);
-            match op {
-                BinOp::Add => Value::Int(x.wrapping_add(y)),
-                BinOp::Sub => Value::Int(x.wrapping_sub(y)),
-                BinOp::Mul => Value::Int(x.wrapping_mul(y)),
-                BinOp::Mod => {
-                    if y == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(x % y)
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        BinOp::Add => Value::Float(a + b),
-        BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
-        BinOp::Div => {
-            if b == 0.0 {
-                Value::Null
-            } else {
-                Value::Float(a / b)
-            }
-        }
-        BinOp::Mod => {
-            if b == 0.0 {
-                Value::Null
-            } else {
-                Value::Float(a % b)
-            }
-        }
-        _ => unreachable!("arith called with comparison op"),
-    }
-}
-
-/// Three-valued predicate evaluation (Kleene logic for AND/OR/NOT).
-pub fn eval_pred(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Option<bool>> {
-    match expr {
-        Expr::Binary { op: BinOp::And, left, right } => {
-            let l = eval_pred(left, row, schema)?;
-            let r = eval_pred(right, row, schema)?;
-            Ok(match (l, r) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            })
-        }
-        Expr::Binary { op: BinOp::Or, left, right } => {
-            let l = eval_pred(left, row, schema)?;
-            let r = eval_pred(right, row, schema)?;
-            Ok(match (l, r) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            })
-        }
-        Expr::Not(inner) => Ok(eval_pred(inner, row, schema)?.map(|b| !b)),
-        Expr::Binary {
-            op: op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
-            left,
-            right,
-        } => {
-            let l = eval(left, row, schema)?;
-            let r = eval(right, row, schema)?;
-            Ok(l.sql_cmp(&r).map(|ord| match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::Ne => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            }))
-        }
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, row, schema)?;
-            Ok(match v {
-                Value::Null => None,
-                other => {
-                    let text = match &other {
-                        Value::Str(s) => s.clone(),
-                        v => v.to_string().into(),
-                    };
-                    Some(like_match(pattern, &text) != *negated)
-                }
-            })
-        }
-        Expr::InList { expr, list, negated } => {
-            let v = eval(expr, row, schema)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let candidate = eval(item, row, schema)?;
-                if candidate.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&candidate) {
-                    return Ok(Some(!negated));
-                }
-            }
-            Ok(if saw_null { None } else { Some(*negated) })
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, schema)?;
-            Ok(Some(v.is_null() != *negated))
-        }
-        other => {
-            // Fallback: numeric truthiness of the evaluated value.
-            let v = eval(other, row, schema)?;
-            Ok(match v {
-                Value::Null => None,
-                v => v.as_f64().map(|f| f != 0.0),
-            })
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
 
+/// What `COUNT(*)` folds in for every row.
+static ONE: Value = Value::Int(1);
+
 /// Per-group accumulated state.
 #[derive(Debug, Clone)]
-pub struct GroupState {
-    /// One accumulator per collected aggregate call.
-    pub states: Vec<AggState>,
+struct GroupState {
+    /// One accumulator per distinct aggregate call.
+    states: Vec<AggState>,
     /// First row of the group — evaluates non-aggregate expressions
     /// (functionally dependent on the key in well-formed queries).
-    pub rep_row: Vec<Value>,
+    rep_row: Vec<Value>,
 }
 
 /// Partial aggregation result (one worker's contribution).
 #[derive(Debug, Clone, Default)]
 pub struct PartialAgg {
-    /// group key → state.
-    pub groups: HashMap<Vec<Value>, GroupState>,
+    /// group key → state, for queries with a `GROUP BY`.
+    groups: HashMap<Vec<Value>, GroupState>,
+    /// The one group of a global aggregate: no key, nothing to hash.
+    global: Option<GroupState>,
+    /// Scratch the current row's key is built in; a key is only allocated
+    /// for a group's first row.
+    key: Vec<Value>,
     /// Rows folded in (for accounting).
     pub rows_seen: u64,
 }
 
-/// Drives grouping + two-phase aggregation for one query.
+/// Where an `ORDER BY` key comes from.
+#[derive(Debug, Clone)]
+enum OrderKey {
+    /// A select item (named by alias, or the same expression): its output.
+    Output(usize),
+    /// Anything else: evaluated on the row (the group's representative row,
+    /// with aggregates, for an aggregated query).
+    Expr(Bound),
+}
+
+impl OrderKey {
+    fn value(&self, out_row: &[Value], row: &[Value], slots: &[Value]) -> Result<Value> {
+        match self {
+            OrderKey::Output(i) => Ok(out_row.get(*i).cloned().unwrap_or(Value::Null)),
+            OrderKey::Expr(e) => e.eval(row, slots).map(Cow::into_owned),
+        }
+    }
+}
+
+/// The select item an `ORDER BY` column names by alias.
+fn aliased_item(query: &Query, expr: &Expr) -> Option<usize> {
+    let Expr::Column(name) = expr else { return None };
+    query.items.iter().position(|it| it.alias.as_deref() == Some(name.as_str()))
+}
+
+/// Drives grouping + two-phase aggregation for one query. Every expression
+/// is bound here, once; `update` and `finalize` only evaluate.
 pub struct Aggregator {
     query: Query,
-    schema: Schema,
-    /// Deduplicated aggregate calls appearing anywhere in the output/order.
-    agg_calls: Vec<Expr>,
+    group_by: Vec<Bound>,
+    /// Function and argument of each distinct aggregate call appearing
+    /// anywhere in the output, `HAVING` or `ORDER BY`.
+    calls: Vec<(AggFunc, Option<Bound>)>,
+    items: Vec<Bound>,
+    having: Option<Bound>,
+    order_by: Vec<OrderKey>,
 }
 
 impl Aggregator {
@@ -288,17 +150,38 @@ impl Aggregator {
         if query.items.iter().any(|i| matches!(i.expr, Expr::Star)) {
             return Err(ScoopError::Sql("SELECT * cannot be aggregated".into()));
         }
-        let mut agg_calls = Vec::new();
-        for item in &query.items {
-            collect_agg_calls(&item.expr, &mut agg_calls);
-        }
-        if let Some(h) = &query.having {
-            collect_agg_calls(h, &mut agg_calls);
-        }
-        for o in &query.order_by {
-            collect_agg_calls(&o.expr, &mut agg_calls);
-        }
-        Ok(Aggregator { query: query.clone(), schema: schema.clone(), agg_calls })
+        let mut aggs = AggCalls::default();
+        let items = query
+            .items
+            .iter()
+            .map(|item| bind_output(&item.expr, schema, &mut aggs))
+            .collect::<Result<_>>()?;
+        let having =
+            query.having.as_ref().map(|h| bind_output(h, schema, &mut aggs)).transpose()?;
+        // ORDER BY: alias or identical select expression first, else
+        // evaluated on the group's representative row.
+        let order_by = query
+            .order_by
+            .iter()
+            .map(|o| {
+                let item = aliased_item(query, &o.expr)
+                    .or_else(|| query.items.iter().position(|it| it.expr == o.expr));
+                Ok(match item {
+                    Some(i) => OrderKey::Output(i),
+                    None => OrderKey::Expr(bind_output(&o.expr, schema, &mut aggs)?),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let group_by =
+            query.group_by.iter().map(|g| bind(g, schema)).collect::<Result<_>>()?;
+        Ok(Aggregator {
+            query: query.clone(),
+            group_by,
+            calls: aggs.calls,
+            items,
+            having,
+            order_by,
+        })
     }
 
     /// Fresh empty partial.
@@ -306,236 +189,121 @@ impl Aggregator {
         PartialAgg::default()
     }
 
+    fn new_group(&self, rep_row: &[Value]) -> GroupState {
+        GroupState {
+            states: self.calls.iter().map(|(func, _)| AggState::new(*func)).collect(),
+            rep_row: rep_row.to_vec(),
+        }
+    }
+
     /// Fold one (already WHERE-filtered) row into a partial.
     pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
         partial.rows_seen += 1;
-        let key: Vec<Value> = self
-            .query
-            .group_by
-            .iter()
-            .map(|g| eval(g, row, &self.schema))
-            .collect::<Result<_>>()?;
-        let entry = partial.groups.entry(key).or_insert_with(|| GroupState {
-            states: self
-                .agg_calls
-                .iter()
-                .map(|c| match c {
-                    Expr::Agg { func, .. } => AggState::new(*func),
-                    _ => unreachable!("agg_calls holds Agg nodes"),
-                })
-                .collect(),
-            rep_row: row.to_vec(),
-        });
-        for (call, state) in self.agg_calls.iter().zip(entry.states.iter_mut()) {
-            let Expr::Agg { arg, .. } = call else { unreachable!() };
-            let v = match arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(a) => eval(a, row, &self.schema)?,
-            };
-            state.update(&v);
+        if self.group_by.is_empty() {
+            let group = partial.global.get_or_insert_with(|| self.new_group(row));
+            return self.fold(group, row);
+        }
+        partial.key.clear();
+        for g in &self.group_by {
+            partial.key.push(g.eval(row, &[])?.into_owned());
+        }
+        match partial.groups.get_mut(partial.key.as_slice()) {
+            Some(group) => self.fold(group, row),
+            None => {
+                let group = partial.groups.entry(partial.key.clone());
+                self.fold(group.or_insert_with(|| self.new_group(row)), row)
+            }
+        }
+    }
+
+    fn fold(&self, group: &mut GroupState, row: &[Value]) -> Result<()> {
+        for ((_, arg), state) in self.calls.iter().zip(group.states.iter_mut()) {
+            match arg {
+                None => state.update(&ONE),
+                Some(a) => state.update(&*a.eval(row, &[])?),
+            }
         }
         Ok(())
     }
 
-    /// Merge another partial into `into` (driver-side reduce).
+    /// Merge another partial into `into` (driver-side reduce). A group keeps
+    /// the representative row it saw first.
     pub fn merge(&self, into: &mut PartialAgg, other: PartialAgg) {
+        fn fold(dst: &mut GroupState, src: &GroupState) {
+            for (a, b) in dst.states.iter_mut().zip(&src.states) {
+                a.merge(b);
+            }
+        }
         into.rows_seen += other.rows_seen;
-        for (key, state) in other.groups {
+        if let Some(src) = other.global {
+            match &mut into.global {
+                Some(dst) => fold(dst, &src),
+                None => into.global = Some(src),
+            }
+        }
+        for (key, src) in other.groups {
             match into.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(state);
+                Entry::Vacant(v) => {
+                    v.insert(src);
                 }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let dst = o.get_mut();
-                    for (a, b) in dst.states.iter_mut().zip(state.states.iter()) {
-                        a.merge(b);
-                    }
-                    // rep_row keeps the first-seen representative.
-                }
+                Entry::Occupied(mut o) => fold(o.get_mut(), &src),
             }
         }
     }
 
     /// Finalize: evaluate output expressions per group, sort, limit.
-    pub fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
+    pub fn finalize(&self, partial: PartialAgg) -> Result<ResultSet> {
         let columns: Vec<String> =
             self.query.items.iter().map(SelectItem::output_name).collect();
-        // SQL: a global aggregate (no GROUP BY) over zero rows still yields
-        // one row — COUNT is 0, the other aggregates NULL.
-        if self.query.group_by.is_empty() && partial.groups.is_empty() {
-            partial.groups.insert(
-                Vec::new(),
-                GroupState {
-                    states: self
-                        .agg_calls
-                        .iter()
-                        .map(|c| match c {
-                            Expr::Agg { func, .. } => AggState::new(*func),
-                            _ => unreachable!("agg_calls holds Agg nodes"),
-                        })
-                        .collect(),
-                    rep_row: Vec::new(),
-                },
-            );
-        }
+        // SQL: a global aggregate over zero rows still yields one row —
+        // COUNT is 0, the other aggregates NULL.
+        let global = self
+            .group_by
+            .is_empty()
+            .then(|| partial.global.unwrap_or_else(|| self.new_group(&[])));
         let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> =
-            Vec::with_capacity(partial.groups.len());
-        for state in partial.groups.into_values() {
-            let agg_values: Vec<Value> =
-                state.states.iter().map(AggState::finish).collect();
-            let out_row: Vec<Value> = self
-                .query
-                .items
-                .iter()
-                .map(|item| {
-                    eval_with_aggs(
-                        &item.expr,
-                        &self.agg_calls,
-                        &agg_values,
-                        &state.rep_row,
-                        &self.schema,
-                    )
-                })
-                .collect::<Result<_>>()?;
-            // HAVING: post-aggregation filter, evaluated with aggregates
-            // substituted (truthy = keep).
-            if let Some(h) = &self.query.having {
-                let v = eval_with_aggs(h, &self.agg_calls, &agg_values, &state.rep_row, &self.schema)?;
-                let keep = matches!(v.as_f64(), Some(f) if f != 0.0);
-                if !keep {
+            Vec::with_capacity(partial.groups.len() + 1);
+        for group in global.into_iter().chain(partial.groups.into_values()) {
+            let slots: Vec<Value> = group.states.iter().map(AggState::finish).collect();
+            let row = group.rep_row.as_slice();
+            // HAVING: post-aggregation filter (truthy = keep).
+            if let Some(h) = &self.having {
+                if !matches!(h.eval(row, &slots)?.as_f64(), Some(f) if f != 0.0) {
                     continue;
                 }
             }
-            let sort_key: Vec<Value> = self
-                .query
+            let out_row: Vec<Value> = self
+                .items
+                .iter()
+                .map(|item| item.eval(row, &slots).map(Cow::into_owned))
+                .collect::<Result<_>>()?;
+            let sort_key = self
                 .order_by
                 .iter()
-                .map(|o| {
-                    self.order_value(&o.expr, &out_row, &state.rep_row, &agg_values)
-                })
+                .map(|o| o.value(&out_row, row, &slots))
                 .collect::<Result<_>>()?;
             keyed_rows.push((sort_key, out_row));
         }
-        if self.query.distinct {
-            dedup_rows(&mut keyed_rows);
-        }
-        sort_and_trim(&mut keyed_rows, &self.query);
-        Ok(ResultSet { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() })
-    }
-
-    /// Resolve an ORDER BY expression for an aggregated query: alias or
-    /// identical select expression first, else evaluate on the group's
-    /// representative row (with aggregates substituted).
-    fn order_value(
-        &self,
-        expr: &Expr,
-        out_row: &[Value],
-        rep_row: &[Value],
-        agg_values: &[Value],
-    ) -> Result<Value> {
-        if let Expr::Column(name) = expr {
-            if let Some(i) = self
-                .query
-                .items
-                .iter()
-                .position(|it| it.alias.as_deref() == Some(name.as_str()))
-            {
-                return Ok(out_row[i].clone());
-            }
-        }
-        if let Some(i) = self.query.items.iter().position(|it| &it.expr == expr) {
-            return Ok(out_row[i].clone());
-        }
-        eval_with_aggs(expr, &self.agg_calls, agg_values, rep_row, &self.schema)
+        Ok(finish_rows(&self.query, columns, keyed_rows))
     }
 }
 
-fn collect_agg_calls(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Agg { .. } => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_agg_calls(left, out);
-            collect_agg_calls(right, out);
-        }
-        Expr::Not(e) | Expr::Like { expr: e, .. } | Expr::IsNull { expr: e, .. } => {
-            collect_agg_calls(e, out)
-        }
-        Expr::InList { expr: e, list, .. } => {
-            collect_agg_calls(e, out);
-            for i in list {
-                collect_agg_calls(i, out);
-            }
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_agg_calls(a, out);
-            }
-        }
-        Expr::Column(_) | Expr::Literal(_) | Expr::Star => {}
+/// DISTINCT, ORDER BY and LIMIT over `(sort key, output row)` pairs.
+fn finish_rows(
+    query: &Query,
+    columns: Vec<String>,
+    mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)>,
+) -> ResultSet {
+    if query.distinct {
+        // Keep the first occurrence of each output row.
+        let mut seen: HashSet<Vec<Value>> = HashSet::new();
+        keyed_rows.retain(|(_, row)| seen.insert(row.clone()));
     }
-}
-
-/// Evaluate an expression substituting aggregate calls with finished values.
-fn eval_with_aggs(
-    expr: &Expr,
-    agg_calls: &[Expr],
-    agg_values: &[Value],
-    rep_row: &[Value],
-    schema: &Schema,
-) -> Result<Value> {
-    if let Some(i) = agg_calls.iter().position(|c| c == expr) {
-        return Ok(agg_values[i].clone());
-    }
-    match expr {
-        Expr::Binary { op, left, right } => {
-            let substituted = Expr::Binary {
-                op: *op,
-                left: Box::new(substitute(left, agg_calls, agg_values)),
-                right: Box::new(substitute(right, agg_calls, agg_values)),
-            };
-            eval(&substituted, rep_row, schema)
-        }
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_with_aggs(a, agg_calls, agg_values, rep_row, schema))
-                .collect::<Result<_>>()?;
-            eval_scalar(name, &vals)
-        }
-        other => eval(other, rep_row, schema),
-    }
-}
-
-/// Replace aggregate sub-expressions with literal finished values.
-fn substitute(expr: &Expr, agg_calls: &[Expr], agg_values: &[Value]) -> Expr {
-    if let Some(i) = agg_calls.iter().position(|c| c == expr) {
-        return Expr::Literal(agg_values[i].clone());
-    }
-    match expr {
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, agg_calls, agg_values)),
-            right: Box::new(substitute(right, agg_calls, agg_values)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| substitute(a, agg_calls, agg_values)).collect(),
-        },
-        other => other.clone(),
-    }
-}
-
-fn sort_and_trim(keyed_rows: &mut Vec<(Vec<Value>, Vec<Value>)>, query: &Query) {
     if !query.order_by.is_empty() {
-        let descs: Vec<bool> = query.order_by.iter().map(|o| o.desc).collect();
         keyed_rows.sort_by(|(a, _), (b, _)| {
-            for ((x, y), desc) in a.iter().zip(b.iter()).zip(&descs) {
+            for ((x, y), o) in a.iter().zip(b.iter()).zip(&query.order_by) {
                 let ord = x.total_cmp(y);
-                let ord = if *desc { ord.reverse() } else { ord };
+                let ord = if o.desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
                 }
@@ -546,6 +314,7 @@ fn sort_and_trim(keyed_rows: &mut Vec<(Vec<Value>, Vec<Value>)>, query: &Query) 
     if let Some(n) = query.limit {
         keyed_rows.truncate(n);
     }
+    ResultSet { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() }
 }
 
 // ---------------------------------------------------------------------------
@@ -569,83 +338,57 @@ pub fn execute_with_where(
     where_clause: Option<&Expr>,
     rows: impl Iterator<Item = Result<Vec<Value>>>,
 ) -> Result<ResultSet> {
+    let filter = RowFilter::bind(where_clause, schema)?;
     if query.is_aggregate() {
         let agg = Aggregator::new(query, schema)?;
         let mut partial = agg.make_partial();
         for row in rows {
             let row = row?;
-            if passes(where_clause, &row, schema)? {
+            if filter.passes(&row)? {
                 agg.update(&mut partial, &row)?;
             }
         }
         return agg.finalize(partial);
     }
-    // Non-aggregate path.
+    // Non-aggregate path. `SELECT *` hands the row through as it is.
     let has_star = query.items.iter().any(|i| matches!(i.expr, Expr::Star));
-    let columns: Vec<String> = if has_star {
-        schema.names().iter().map(|s| s.to_string()).collect()
+    let (columns, items): (Vec<String>, Option<Vec<Bound>>) = if has_star {
+        (schema.names().iter().map(|s| s.to_string()).collect(), None)
     } else {
-        query.items.iter().map(SelectItem::output_name).collect()
+        (
+            query.items.iter().map(SelectItem::output_name).collect(),
+            Some(query.items.iter().map(|i| bind(&i.expr, schema)).collect::<Result<_>>()?),
+        )
     };
+    let order_by: Vec<OrderKey> = query
+        .order_by
+        .iter()
+        .map(|o| {
+            Ok(match aliased_item(query, &o.expr) {
+                Some(i) => OrderKey::Output(i),
+                None => OrderKey::Expr(bind(&o.expr, schema)?),
+            })
+        })
+        .collect::<Result<_>>()?;
     let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
     for row in rows {
         let row = row?;
-        if !passes(where_clause, &row, schema)? {
+        if !filter.passes(&row)? {
             continue;
         }
-        let out_row: Vec<Value> = if has_star {
-            row.clone()
-        } else {
-            query
-                .items
-                .iter()
-                .map(|i| eval(&i.expr, &row, schema))
-                .collect::<Result<_>>()?
-        };
-        let sort_key: Vec<Value> = query
-            .order_by
+        let projected: Option<Vec<Value>> = items
+            .as_ref()
+            .map(|items| {
+                items.iter().map(|i| i.eval(&row, &[]).map(Cow::into_owned)).collect()
+            })
+            .transpose()?;
+        let sort_key = order_by
             .iter()
-            .map(|o| order_value_plain(query, &o.expr, &out_row, &row, schema))
+            .map(|o| o.value(projected.as_deref().unwrap_or(&row), &row, &[]))
             .collect::<Result<_>>()?;
-        keyed_rows.push((sort_key, out_row));
+        keyed_rows.push((sort_key, projected.unwrap_or(row)));
     }
-    if query.distinct {
-        dedup_rows(&mut keyed_rows);
-    }
-    sort_and_trim(&mut keyed_rows, query);
-    Ok(ResultSet { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() })
-}
-
-/// SELECT DISTINCT: keep the first occurrence of each output row.
-fn dedup_rows(keyed_rows: &mut Vec<(Vec<Value>, Vec<Value>)>) {
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    keyed_rows.retain(|(_, row)| seen.insert(row.clone()));
-}
-
-fn order_value_plain(
-    query: &Query,
-    expr: &Expr,
-    out_row: &[Value],
-    row: &[Value],
-    schema: &Schema,
-) -> Result<Value> {
-    if let Expr::Column(name) = expr {
-        if let Some(i) = query
-            .items
-            .iter()
-            .position(|it| it.alias.as_deref() == Some(name.as_str()))
-        {
-            return Ok(out_row[i].clone());
-        }
-    }
-    eval(expr, row, schema)
-}
-
-fn passes(where_clause: Option<&Expr>, row: &[Value], schema: &Schema) -> Result<bool> {
-    match where_clause {
-        None => Ok(true),
-        Some(w) => Ok(eval_pred(w, row, schema)? == Some(true)),
-    }
+    Ok(finish_rows(query, columns, keyed_rows))
 }
 
 #[cfg(test)]
@@ -804,6 +547,7 @@ mod tests {
         let single = execute(&q, &schema, rows().into_iter().map(Ok)).unwrap();
 
         let agg = Aggregator::new(&q, &schema).unwrap();
+        let filter = RowFilter::bind(q.where_clause.as_ref(), &schema).unwrap();
         // Split rows into 2 partitions, update separately, merge, finalize.
         let all = rows();
         let mut merged = agg.make_partial();
@@ -811,7 +555,7 @@ mod tests {
             let mut partial = agg.make_partial();
             for row in part {
                 // WHERE applied before partial agg, as workers do.
-                if passes(q.where_clause.as_ref(), row, &schema).unwrap() {
+                if filter.passes(row).unwrap() {
                     agg.update(&mut partial, row).unwrap();
                 }
             }

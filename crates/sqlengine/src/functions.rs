@@ -2,7 +2,8 @@
 
 use crate::ast::AggFunc;
 use scoop_common::{Result, ScoopError};
-use scoop_csv::Value;
+use scoop_csv::{SmallStr, Value};
+use std::borrow::Cow;
 
 /// Evaluate a scalar function.
 ///
@@ -23,10 +24,6 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             if s.is_null() || start.is_null() || len.is_null() {
                 return Ok(Value::Null);
             }
-            let text = match s {
-                Value::Str(t) => t.clone(),
-                other => other.to_string().into(),
-            };
             let start = start
                 .as_f64()
                 .ok_or_else(|| ScoopError::Sql("substring start must be numeric".into()))?
@@ -35,19 +32,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
                 .as_f64()
                 .ok_or_else(|| ScoopError::Sql("substring length must be numeric".into()))?
                 as i64;
-            // Spark: 1-based, start 0 behaves like 1; negative counts from end.
-            let chars: Vec<char> = text.chars().collect();
-            let n = chars.len() as i64;
-            let begin = if start > 0 {
-                start - 1
-            } else if start == 0 {
-                0
-            } else {
-                (n + start).max(0)
-            };
-            let begin = begin.clamp(0, n) as usize;
-            let take = len.max(0) as usize;
-            Ok(Value::Str(chars[begin..].iter().take(take).collect::<String>().into()))
+            Ok(substring(&text_of(s), start, len))
         }
         "upper" => unary_str(name, args, |s| s.to_uppercase()),
         "lower" => unary_str(name, args, |s| s.to_lowercase()),
@@ -77,7 +62,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             };
             Ok(match v {
                 Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.abs()),
+                Value::Int(i) => Value::Int(i.wrapping_abs()),
                 Value::Float(f) => Value::Float(f.abs()),
                 other => {
                     return Err(ScoopError::Sql(format!("abs on non-numeric {other}")))
@@ -114,6 +99,39 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         "day" => date_part(args, 8, 2),
         other => Err(ScoopError::Sql(format!("unknown function '{other}'"))),
     }
+}
+
+/// The text a string function sees, as UTF-8 bytes: a string as it is
+/// (borrowed, not re-validated), anything else as rendered.
+pub(crate) fn text_of(v: &Value) -> Cow<'_, [u8]> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s.as_bytes()),
+        other => Cow::Owned(other.to_string().into_bytes()),
+    }
+}
+
+/// `SUBSTRING(text, start, len)` in characters. Spark: 1-based, start 0
+/// behaves like 1, a negative start counts from the end.
+pub(crate) fn substring(text: &[u8], start: i64, len: i64) -> Value {
+    let window = |n: usize| {
+        let n = n as i64;
+        let begin = match start {
+            1.. => start - 1,
+            0 => 0,
+            _ => (n + start).max(0),
+        };
+        let begin = begin.clamp(0, n) as usize;
+        (begin, begin.saturating_add(len.max(0) as usize))
+    };
+    if text.is_ascii() {
+        // Characters are bytes: slice, no char walk, nothing to validate.
+        let (begin, end) = window(text.len());
+        let piece = text.get(begin..end.min(text.len())).unwrap_or_default();
+        return Value::Str(SmallStr::from_utf8_lossy(piece));
+    }
+    let text = String::from_utf8_lossy(text);
+    let (begin, end) = window(text.chars().count());
+    Value::Str(text.chars().skip(begin).take(end - begin).collect::<String>().into())
 }
 
 fn unary_str(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> Result<Value> {

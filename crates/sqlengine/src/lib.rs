@@ -13,19 +13,26 @@
 //!    [`scoop_csv::PushdownSpec`] plus the residual (non-pushable) predicate.
 //! 3. **Execution** over row streams, including two-phase aggregation
 //!    (worker-side partial + driver-side final merge) mirroring Spark's
-//!    map-side combine — [`exec`], [`functions`].
+//!    map-side combine — [`exec`], [`functions`] — with every expression
+//!    bound to the scan schema once per query — [`bound`].
 //!
 //! The transparency invariant — pushdown + residual ≡ full query — is what
 //! makes Scoop safe, and is property-tested across the workspace.
 
 pub mod ast;
+pub mod bound;
 pub mod catalyst;
+#[cfg(test)]
+mod differential;
 pub mod exec;
 pub mod functions;
 pub mod lexer;
 pub mod parser;
+#[cfg(test)]
+mod reference;
 
 pub use ast::{AggFunc, BinOp, Expr, OrderItem, Query, SelectItem};
 pub use catalyst::{plan_query, PlannedQuery};
+pub use bound::RowFilter;
 pub use exec::{execute, ResultSet};
 pub use parser::parse;

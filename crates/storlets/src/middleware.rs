@@ -395,10 +395,7 @@ impl StorletMiddleware {
             scoop_common::headers::SCANNED_BYTES,
             scanned_bytes.to_string(),
         );
-        out.headers.set(
-            scoop_common::headers::SKIPPED_BYTES,
-            stats.covered_len().saturating_sub(scanned_bytes).to_string(),
-        );
+        out.headers.set(scoop_common::headers::SKIPPED_BYTES, plan.bytes_skipped.to_string());
         Ok(Some(out))
     }
 
@@ -862,6 +859,43 @@ mod tests {
             }
             assert_eq!(combined, whole, "split={split}");
         }
+    }
+
+    #[test]
+    fn eight_tasks_over_one_object_skip_it_once() {
+        let (cluster, engine, data) = indexed_fixture();
+        let client = cluster.anonymous_client("AUTH_gp");
+        let len = data.len() as u64;
+        let block = 512;
+        let spec = eq_index_spec(123);
+        let (mut scanned, mut skipped) = (0u64, 0u64);
+        let splits = scoop_csv::split::plan_splits(len, len.div_ceil(8));
+        assert_eq!(splits.len(), 8);
+        for &(s, e) in &splits {
+            let req = pushdown_get(&spec).with_header(
+                headers::STORLET_RANGE,
+                ByteRange { start: s, end: Some(e - 1) }.to_header(),
+            );
+            let resp = client.request(req).unwrap();
+            let header = |name: &str| resp.headers.get(name).unwrap().parse::<u64>().unwrap();
+            scanned += header(scoop_common::headers::SCANNED_BYTES);
+            skipped += header(scoop_common::headers::SKIPPED_BYTES);
+            resp.read_body().unwrap();
+        }
+        // Skipped bytes partition the pruned part of the object; a scan
+        // reads its surviving blocks whole, so it may overshoot its window
+        // by less than a block.
+        assert!(skipped < len, "skipped {skipped} of {len} bytes");
+        assert!(skipped + scanned >= len, "skipped {skipped} + scanned {scanned} < {len}");
+        assert!(skipped + scanned < len + 8 * block, "skipped {skipped} + scanned {scanned}");
+        assert_eq!(engine.skip_stats().bytes_skipped(), skipped);
+        // What a single whole-object GET skips, give or take a boundary byte
+        // a task: a block's last byte can lie in the window after the one
+        // that owns its records.
+        let whole = client.request(pushdown_get(&spec)).unwrap();
+        let whole: u64 =
+            whole.headers.get(scoop_common::headers::SKIPPED_BYTES).unwrap().parse().unwrap();
+        assert!((whole..=whole + 8).contains(&skipped), "{skipped} against {whole}");
     }
 
     #[test]

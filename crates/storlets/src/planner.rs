@@ -37,7 +37,10 @@ pub struct BlockPlan {
     pub blocks_scanned: u64,
     /// Blocks eliminated (zone-map pruned or outside the request window).
     pub blocks_pruned: u64,
-    /// Object bytes the surviving ranges avoid reading.
+    /// Bytes of the request's own window `[start, end]` that lie in blocks
+    /// this plan does not scan. The rest of such a block is another task's
+    /// window to account for, so the tasks of one query over one object sum
+    /// to its unscanned bytes once.
     pub bytes_skipped: u64,
 }
 
@@ -70,7 +73,10 @@ pub fn plan_ranges(
             }
         } else {
             plan.blocks_pruned += 1;
-            plan.bytes_skipped += b.end.saturating_sub(b.start);
+            // Clipped to the window: nothing for a block outside it, and a
+            // block that straddles two windows is split between them.
+            let clip_end = hi.map_or(b.end, |h| b.end.min(h));
+            plan.bytes_skipped += clip_end.saturating_sub(b.start.max(start));
         }
     }
     plan
@@ -283,6 +289,49 @@ mod tests {
         let plan = plan_ranges(&s, Some(&pred_gt("index", 0.0)), 0, None);
         assert_eq!(plan.ranges, vec![(0, 30)]);
         assert_eq!(plan.bytes_skipped, 0);
+    }
+
+    #[test]
+    fn bytes_skipped_counts_each_pruned_byte_in_one_window_only() {
+        // 40 ten-byte records, one block each; `index` = 0, 10, 20, ...
+        let mut b = StatsBuilder::new(vec!["vid".into(), "index".into()], false, 2);
+        for i in 0..40 {
+            b.record(&["m", &(i * 10).to_string()], 10);
+        }
+        let s = b.finish("e".into());
+        let len = s.covered_len();
+        assert_eq!(len, 400);
+        let pred = pred_gt("index", 295.0); // prunes the first 30 blocks
+        let whole = plan_ranges(&s, Some(&pred), 0, None);
+        assert_eq!(whole.bytes_skipped, 300);
+        // Eight tasks, windows that cut blocks in two (400 / 8 = 50, but a
+        // window of 53 bytes never ends on a block boundary).
+        for window in [50u64, 53, 7, 400] {
+            let (mut skipped, mut kept, mut pruned_blocks) = (0, 0, 0);
+            let mut start = 0;
+            while start < len {
+                let end = (start + window).min(len) - 1;
+                let plan = plan_ranges(&s, Some(&pred), start, Some(end));
+                skipped += plan.bytes_skipped;
+                kept += plan
+                    .ranges
+                    .iter()
+                    .map(|&(rs, re)| re.min(end + 1).saturating_sub(rs.max(start)))
+                    .sum::<u64>();
+                pruned_blocks += plan.blocks_pruned;
+                start = end + 1;
+            }
+            assert_eq!(skipped + kept, len, "window {window}");
+            // A surviving block's first byte may fall in the window before
+            // the one that owns its records, which then skips that byte.
+            let tasks = len.div_ceil(window);
+            assert!(
+                (whole.bytes_skipped..=whole.bytes_skipped + tasks).contains(&skipped),
+                "window {window}: {skipped}"
+            );
+            // Blocks outside a window still count as pruned for that task.
+            assert!(pruned_blocks >= whole.blocks_pruned, "window {window}");
+        }
     }
 
     #[test]

@@ -162,3 +162,27 @@ fn empty_results_and_empty_containers() {
     // partials with zero matching rows).
     assert!(p.result.len() <= 1);
 }
+
+/// The context's client may hold the last cluster handle. It has to close its
+/// keep-alive sockets before the cluster joins the TCP front end, or every
+/// server worker sits out its idle timeout — five seconds a teardown.
+#[test]
+fn dropping_a_tcp_context_that_served_a_get_is_prompt() {
+    let ctx = ScoopContext::new(ScoopConfig { transport_tcp: true, ..Default::default() })
+        .expect("deploy over tcp");
+    let data = bytes::Bytes::from_static(b"vid,index\nm1,1.0\n");
+    ctx.upload_csv("meters", vec![("part-0.csv".into(), data.clone())], None).expect("upload");
+    let body = ctx
+        .client()
+        .get_object("meters", "part-0.csv")
+        .and_then(|resp| resp.read_body())
+        .expect("GET over tcp");
+    assert_eq!(body, data);
+    let pool = ctx.client().transport_pool().expect("tcp client has a pool").snapshot();
+    assert!(pool.idle > 0, "the GET must leave a keep-alive connection behind: {pool:?}");
+
+    let started = std::time::Instant::now();
+    drop(ctx);
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "teardown took {took:?}");
+}
