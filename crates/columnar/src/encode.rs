@@ -366,40 +366,112 @@ impl DecodedColumn {
         }
     }
 
-    /// Dictionary code of `needle` when dict-encoded: `Some(Some(code))` when
-    /// present, `Some(None)` when the dictionary proves no row can match, and
-    /// `None` when the chunk is not dictionary-encoded.
-    pub fn dict_code(&self, needle: &str) -> Option<Option<u32>> {
-        match &self.data {
-            ColumnData::Dict { dict, .. } => {
-                Some(dict.iter().position(|s| s == needle).map(|i| i as u32))
+    /// True when no row is NULL, so a row's index is its dense index.
+    fn is_dense(&self) -> bool {
+        let entries = match &self.data {
+            ColumnData::Int(v) => v.len(),
+            ColumnData::Float(v) => v.len(),
+            ColumnData::Str(v) => v.len(),
+            ColumnData::Dict { codes, .. } => codes.len(),
+        };
+        entries == self.n_rows
+    }
+
+    /// Materialize the cells of `rows` (ascending row indices), NULLs
+    /// included. Only these cells become a [`Value`]; the dense cursor walks
+    /// the validity bitmap between them.
+    pub fn gather<'s>(
+        &'s self,
+        rows: impl IntoIterator<Item = usize> + 's,
+    ) -> impl Iterator<Item = Value> + 's {
+        let dense = self.is_dense();
+        // `k` counts the non-null rows before row `at`.
+        let (mut at, mut k) = (0usize, 0usize);
+        rows.into_iter().map(move |row| {
+            if dense {
+                return self.dense_value(row);
             }
-            _ => None,
+            while at < row {
+                k += usize::from(self.is_valid(at));
+                at += 1;
+            }
+            if self.is_valid(row) {
+                self.dense_value(k)
+            } else {
+                Value::Null
+            }
+        })
+    }
+
+    /// One flag per row: `test` of the cell, `false` for a NULL. A
+    /// dictionary chunk runs `test` once per dictionary entry and maps the
+    /// answers through the codes; the other encodings run it on the typed
+    /// slice, borrowing strings. No cell becomes a [`Value`].
+    pub fn test_rows(&self, test: impl Fn(Cell<'_>) -> bool) -> Vec<bool> {
+        match &self.data {
+            ColumnData::Int(v) => self.spread(v.iter().map(|&i| test(Cell::Int(i)))),
+            ColumnData::Float(v) => self.spread(v.iter().map(|&f| test(Cell::Float(f)))),
+            ColumnData::Str(v) => self.spread(v.iter().map(|s| test(Cell::Str(s)))),
+            ColumnData::Dict { dict, codes } => {
+                let hits: Vec<bool> = dict.iter().map(|s| test(Cell::Str(s))).collect();
+                if !hits.contains(&true) {
+                    return vec![false; self.n_rows];
+                }
+                self.spread(codes.iter().map(|&c| hits.get(c as usize).copied().unwrap_or(false)))
+            }
         }
     }
 
-    /// The dense dictionary codes when dict-encoded.
-    pub fn codes(&self) -> Option<&[u32]> {
-        match &self.data {
-            ColumnData::Dict { codes, .. } => Some(codes),
-            _ => None,
+    /// Re-interleave NULL rows, as `false`, into one flag per dense entry.
+    fn spread(&self, mut entries: impl Iterator<Item = bool>) -> Vec<bool> {
+        if self.is_dense() {
+            return entries.collect();
         }
+        (0..self.n_rows)
+            .map(|row| self.is_valid(row) && entries.next().unwrap_or(false))
+            .collect()
     }
 
     /// Re-interleave NULLs and materialize every cell — the row-at-a-time
     /// compatibility shape.
     pub fn to_values(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.n_rows);
-        let mut k = 0usize;
-        for row in 0..self.n_rows {
-            if self.is_valid(row) {
-                out.push(self.dense_value(k));
-                k += 1;
-            } else {
-                out.push(Value::Null);
-            }
+        self.gather(0..self.n_rows).collect()
+    }
+}
+
+/// One non-null cell, borrowed from a decoded chunk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// A cell of a [`ColumnData::Int`] chunk.
+    Int(i64),
+    /// A cell of a [`ColumnData::Float`] chunk.
+    Float(f64),
+    /// A cell of a [`ColumnData::Str`] chunk or a dictionary entry.
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    /// [`Value::sql_cmp`] of the cell against a literal, without building
+    /// the cell's `Value`: strings in byte order, numbers as `f64`, anything
+    /// against NULL or across the two kinds incomparable.
+    pub fn sql_cmp(&self, literal: &Value) -> Option<std::cmp::Ordering> {
+        match (*self, literal) {
+            (Cell::Str(a), Value::Str(b)) => Some(a.as_bytes().cmp(b.as_bytes())),
+            (Cell::Int(i), _) => (i as f64).partial_cmp(&literal.as_f64()?),
+            (Cell::Float(f), _) => f.partial_cmp(&literal.as_f64()?),
+            (Cell::Str(_), _) => None,
         }
-        out
+    }
+
+    /// The text a string operator sees: a string as it is, a number as
+    /// [`Value`] renders it.
+    pub fn text(&self) -> std::borrow::Cow<'a, [u8]> {
+        use std::borrow::Cow;
+        match *self {
+            Cell::Str(s) => Cow::Borrowed(s.as_bytes()),
+            Cell::Int(i) => Cow::Owned(Value::Int(i).to_string().into_bytes()),
+            Cell::Float(f) => Cow::Owned(Value::Float(f).to_string().into_bytes()),
+        }
     }
 }
 
@@ -586,9 +658,11 @@ mod tests {
         assert_eq!(enc[0], Encoding::DictRle as u8);
         let col = decode_column_batch(&enc).unwrap();
         assert_eq!(col.len(), 5);
-        assert_eq!(col.dict_code("b"), Some(Some(1)));
-        assert_eq!(col.dict_code("ghost"), Some(None));
-        assert_eq!(col.codes(), Some(&[0u32, 1, 0, 0, 2][..]));
+        let ColumnData::Dict { dict, codes } = col.data() else {
+            panic!("not dictionary-decoded: {:?}", col.data());
+        };
+        assert_eq!(dict, &["a", "b", "c"]);
+        assert_eq!(codes, &[0u32, 1, 0, 0, 2]);
         assert_eq!(col.to_values(), values);
     }
 

@@ -15,8 +15,10 @@
 //!   NULLs.
 //! * [`writer`] / [`reader`] — write typed rows, read back with **column
 //!   pruning** (only selected chunks are fetched — the reader works over a
-//!   range-fetch callback so it composes with ranged object-store GETs) and
-//!   optional row-group skipping on min/max stats.
+//!   range-fetch callback so it composes with ranged object-store GETs, and
+//!   adjacent chunks share one), row selection on the decoded arrays before
+//!   any row is materialized, and optional row-group skipping on min/max
+//!   stats.
 
 pub mod encode;
 pub mod format;

@@ -4,14 +4,22 @@
 //! local buffers and ranged object-store GETs. It counts the bytes it
 //! actually fetched — the quantity the Fig. 8 Scoop-vs-Parquet comparison
 //! turns on (compressed, column-pruned transfer vs storlet-filtered CSV).
+//!
+//! Every read is the one group-at-a-time loop in `ColumnarReader::scan`:
+//! plan the group's I/O from the footer, decode the predicate's columns,
+//! build the row selection on the typed arrays, and turn only the surviving
+//! rows' projected cells into [`Value`]s. A predicate decides what is
+//! *materialised*, never what is *fetched*: only chunk statistics, when the
+//! caller asks for them, skip a group's bytes.
 
-use crate::encode::{decode_column_batch, DecodedColumn};
-use crate::format::{Footer, MAGIC};
+use crate::encode::{decode_column_batch, Cell, Cursor, DecodedColumn};
+use crate::format::{Footer, RowGroupMeta, MAGIC};
 use bytes::Bytes;
 use scoop_common::{Result, ScoopError};
+use scoop_csv::pushdown::LikePattern;
 use scoop_csv::{Predicate, Schema, Value};
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::Cell as Counter;
+use std::cmp::Ordering;
 
 /// Fetch `[start, end)` of the underlying object.
 pub type FetchFn<'a> = Box<dyn Fn(u64, u64) -> Result<Bytes> + 'a>;
@@ -20,29 +28,45 @@ pub type FetchFn<'a> = Box<dyn Fn(u64, u64) -> Result<Bytes> + 'a>;
 pub struct ColumnarReader<'a> {
     fetch: FetchFn<'a>,
     footer: Footer,
-    bytes_fetched: Cell<u64>,
+    bytes_fetched: Counter<u64>,
+}
+
+/// One ranged read that must deliver exactly `[start, end)`: a peer that
+/// answers with fewer bytes (a truncated GET, an object shorter than its
+/// footer claims) is an error here, not an out-of-bounds slice later.
+fn fetch_exact(fetch: &FetchFn<'_>, start: u64, end: u64) -> Result<Bytes> {
+    let data = fetch(start, end)?;
+    if data.len() as u64 != end.saturating_sub(start) {
+        return Err(ScoopError::Corrupt(format!(
+            "ranged read [{start}, {end}) returned {} bytes",
+            data.len()
+        )));
+    }
+    Ok(data)
+}
+
+fn to_usize(v: u64) -> Result<usize> {
+    usize::try_from(v).map_err(|_| ScoopError::Corrupt(format!("length {v} exceeds the address space")))
 }
 
 impl<'a> ColumnarReader<'a> {
     /// Open via a range-fetch callback over an object of `total_len` bytes.
     pub fn open(total_len: u64, fetch: FetchFn<'a>) -> Result<ColumnarReader<'a>> {
-        if total_len < 8 {
-            return Err(ScoopError::Columnar("object too small".into()));
-        }
-        let tail = fetch(total_len - 8, total_len)?;
-        let mut fetched = tail.len() as u64;
-        if &tail[4..8] != MAGIC {
+        let tail_at = total_len
+            .checked_sub(8)
+            .ok_or_else(|| ScoopError::Columnar("object too small".into()))?;
+        let tail = fetch_exact(&fetch, tail_at, total_len)?;
+        let mut trailer = Cursor::new(&tail);
+        let footer_len = u64::from(trailer.u32()?);
+        if trailer.take_pub(4)? != MAGIC {
             return Err(ScoopError::Columnar("missing SCOL magic".into()));
         }
-        let footer_len =
-            u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as u64;
-        if footer_len + 8 > total_len {
-            return Err(ScoopError::Columnar("footer length exceeds object".into()));
-        }
-        let footer_bytes = fetch(total_len - 8 - footer_len, total_len - 8)?;
-        fetched += footer_bytes.len() as u64;
-        let footer = Footer::decode(&footer_bytes)?;
-        Ok(ColumnarReader { fetch, footer, bytes_fetched: Cell::new(fetched) })
+        let footer_at = tail_at
+            .checked_sub(footer_len)
+            .ok_or_else(|| ScoopError::Columnar("footer length exceeds object".into()))?;
+        let footer = Footer::decode(&fetch_exact(&fetch, footer_at, tail_at)?)?;
+        let fetched = footer_len.saturating_add(8);
+        Ok(ColumnarReader { fetch, footer, bytes_fetched: Counter::new(fetched) })
     }
 
     /// Open over an in-memory buffer.
@@ -79,267 +103,251 @@ impl<'a> ColumnarReader<'a> {
     }
 
     fn fetch_range(&self, start: u64, end: u64) -> Result<Bytes> {
-        let data = (self.fetch)(start, end)?;
-        self.bytes_fetched.set(self.bytes_fetched.get() + data.len() as u64);
+        let data = fetch_exact(&self.fetch, start, end)?;
+        self.bytes_fetched.set(self.bytes_fetched.get().saturating_add(data.len() as u64));
         Ok(data)
     }
 
     /// Read full rows, pruning to `columns` when given (output column order
     /// follows the request). Returns rows in file order.
     pub fn read_rows(&self, columns: Option<&[String]>) -> Result<Vec<Vec<Value>>> {
-        self.read_rows_filtered(columns, None)
+        self.scan(columns, None, None)
     }
 
     /// Like [`ColumnarReader::read_rows`], additionally skipping row groups
     /// whose min/max statistics prove the predicate can never hold (the
-    /// Parquet-style stats-pruning extension; selection *within* surviving
-    /// groups still happens compute-side, as in the paper's comparison).
+    /// Parquet-style stats-pruning extension). Every row of a surviving
+    /// group is returned.
     pub fn read_rows_filtered(
         &self,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<Vec<Vec<Value>>> {
-        let schema = &self.footer.schema;
-        let col_indices: Vec<usize> = match columns {
-            None => (0..schema.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.resolve(c))
-                .collect::<Result<_>>()?,
-        };
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for group in &self.footer.row_groups {
-            if let Some(pred) = predicate {
-                if group_provably_empty(schema, group, pred) {
-                    continue;
-                }
-            }
-            let cols = self.decode_group_columns(group, &col_indices)?;
-            let n = group.rows as usize;
-            // Per-column dense cursors: each cell materializes exactly once.
-            let mut dense = vec![0usize; cols.len()];
-            for r in 0..n {
-                let mut row = Vec::with_capacity(cols.len());
-                for (k, col) in cols.iter().enumerate() {
-                    if col.is_valid(r) {
-                        row.push(col.dense_value(dense[k]));
-                        dense[k] += 1;
-                    } else {
-                        row.push(Value::Null);
-                    }
-                }
-                rows.push(row);
-            }
-        }
-        Ok(rows)
+        self.scan(columns, predicate, None)
     }
 
-    /// Like [`ColumnarReader::read_rows_filtered`], but additionally applies
-    /// the predicate *row-wise inside* surviving groups, evaluated on the
-    /// batch-decoded columns before any row is materialized. Equality against
-    /// a string literal on a dictionary-encoded chunk compares dictionary
-    /// codes — one integer compare per row, no string materialization — and a
-    /// literal absent from the dictionary drops the whole group outright.
+    /// What a query runs: every group's chunks are fetched, the predicate is
+    /// evaluated on the batch-decoded columns, and only rows it may hold for
+    /// are materialized. The selection is two-valued (a comparison with NULL
+    /// is false), a superset of the rows SQL's three-valued WHERE keeps, so
+    /// the caller still applies its WHERE to what comes back. With
+    /// `skip_groups`, chunk statistics also skip whole groups' bytes, as in
+    /// [`ColumnarReader::read_rows_filtered`].
     pub fn read_rows_selected(
         &self,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
+        skip_groups: bool,
+    ) -> Result<Vec<Vec<Value>>> {
+        self.scan(columns, predicate.filter(|_| skip_groups), predicate)
+    }
+
+    /// The reader loop, one row group at a time. `prune` skips a group (and
+    /// its bytes) on chunk statistics; `select` drops rows of a fetched
+    /// group before they are materialized.
+    fn scan(
+        &self,
+        columns: Option<&[String]>,
+        prune: Option<&Predicate>,
+        select: Option<&Predicate>,
     ) -> Result<Vec<Vec<Value>>> {
         let schema = &self.footer.schema;
-        let col_indices: Vec<usize> = match columns {
+        let project: Vec<usize> = match columns {
             None => (0..schema.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.resolve(c))
-                .collect::<Result<_>>()?,
+            Some(cols) => cols.iter().map(|c| schema.resolve(c)).collect::<Result<_>>()?,
         };
-        // Predicate columns may not be projected; decode the union.
-        let mut needed = col_indices.clone();
-        if let Some(pred) = predicate {
-            for c in pred.columns() {
-                needed.push(schema.resolve(&c)?);
-            }
+        let mut tested = Vec::new();
+        for c in select.map(Predicate::columns).unwrap_or_default() {
+            tested.push(schema.resolve(&c)?);
         }
+        // The chunks a group is read for, by schema position: the projection
+        // and whatever else the selection reads.
+        let mut needed: Vec<usize> = project.iter().chain(&tested).copied().collect();
         needed.sort_unstable();
         needed.dedup();
+
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for group in &self.footer.row_groups {
-            if let Some(pred) = predicate {
-                if group_provably_empty(schema, group, pred) {
-                    continue;
-                }
-            }
-            let decoded = self.decode_group_columns(group, &needed)?;
-            let by_index: HashMap<usize, &DecodedColumn> =
-                needed.iter().copied().zip(decoded.iter()).collect();
-            let n = group.rows as usize;
-            let select = match predicate {
-                None => vec![true; n],
-                Some(pred) => selection(schema, &by_index, n, pred)?,
-            };
-            if !select.iter().any(|&b| b) {
+            if prune.is_some_and(|p| group_provably_empty(schema, group, p)) {
                 continue;
             }
-            let proj: Vec<&DecodedColumn> = col_indices
-                .iter()
-                .map(|ci| {
-                    by_index.get(ci).copied().ok_or_else(|| {
-                        ScoopError::Columnar("projected chunk not decoded".into())
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut dense = vec![0usize; proj.len()];
-            for r in 0..n {
-                if select.get(r).copied().unwrap_or(false) {
-                    rows.push(
-                        proj.iter()
-                            .zip(&dense)
-                            .map(|(col, &k)| {
-                                if col.is_valid(r) {
-                                    col.dense_value(k)
-                                } else {
-                                    Value::Null
-                                }
-                            })
-                            .collect(),
-                    );
+            let n = to_usize(group.rows)?;
+            let chunks = self.fetch_chunks(group, &needed)?;
+            let decode = |chunk: &Bytes| -> Result<DecodedColumn> {
+                let col = decode_column_batch(chunk)?;
+                if col.len() != n {
+                    return Err(ScoopError::Corrupt(format!(
+                        "chunk of {} rows in a group of {n}",
+                        col.len()
+                    )));
                 }
-                for (k, col) in proj.iter().enumerate() {
-                    if col.is_valid(r) {
-                        dense[k] += 1;
-                    }
+                Ok(col)
+            };
+            // The selection's columns first; the rest only for a survivor.
+            let mut cols: Vec<Option<DecodedColumn>> = needed
+                .iter()
+                .zip(&chunks)
+                .map(|(column, chunk)| tested.contains(column).then(|| decode(chunk)).transpose())
+                .collect::<Result<_>>()?;
+            let kept: Vec<usize> = match select {
+                None => (0..n).collect(),
+                Some(pred) => {
+                    let flags = selection(pred, &|name| decoded(&needed, &cols, schema.resolve(name)?))?;
+                    flags.iter().enumerate().filter_map(|(row, &keep)| keep.then_some(row)).collect()
+                }
+            };
+            if kept.is_empty() {
+                continue;
+            }
+            for (col, chunk) in cols.iter_mut().zip(&chunks) {
+                if col.is_none() {
+                    *col = Some(decode(chunk)?);
                 }
             }
+            let mut out: Vec<Vec<Value>> =
+                kept.iter().map(|_| Vec::with_capacity(project.len())).collect();
+            for &column in &project {
+                let col = decoded(&needed, &cols, column)?;
+                for (row, value) in out.iter_mut().zip(col.gather(kept.iter().copied())) {
+                    row.push(value);
+                }
+            }
+            rows.append(&mut out);
         }
         Ok(rows)
     }
 
-    /// Fetch and batch-decode the chunks of `indices` for one row group.
-    fn decode_group_columns(
-        &self,
-        group: &crate::format::RowGroupMeta,
-        indices: &[usize],
-    ) -> Result<Vec<DecodedColumn>> {
-        let mut cols = Vec::with_capacity(indices.len());
-        for &ci in indices {
-            let chunk = group.chunks.get(ci).ok_or_else(|| {
-                ScoopError::Columnar("column index out of range".into())
-            })?;
-            let data = self.fetch_range(chunk.offset, chunk.offset + chunk.length)?;
-            cols.push(decode_column_batch(&data)?);
-        }
-        Ok(cols)
-    }
-}
-
-/// Row-selection bitmap for `pred` over one group's decoded columns. NULL
-/// cells never satisfy a comparison (SQL three-valued logic collapsed to
-/// false), matching the CSV-side filter semantics.
-fn selection(
-    schema: &Schema,
-    cols: &HashMap<usize, &DecodedColumn>,
-    n: usize,
-    pred: &Predicate,
-) -> Result<Vec<bool>> {
-    use std::cmp::Ordering;
-    let col = |name: &str| -> Result<&DecodedColumn> {
-        let i = schema.resolve(name)?;
-        cols.get(&i).copied().ok_or_else(|| {
-            ScoopError::Columnar(format!("predicate column '{name}' not decoded"))
-        })
-    };
-    Ok(match pred {
-        Predicate::And(a, b) => {
-            let (a, b) = (selection(schema, cols, n, a)?, selection(schema, cols, n, b)?);
-            a.iter().zip(&b).map(|(&x, &y)| x && y).collect()
-        }
-        Predicate::Or(a, b) => {
-            let (a, b) = (selection(schema, cols, n, a)?, selection(schema, cols, n, b)?);
-            a.iter().zip(&b).map(|(&x, &y)| x || y).collect()
-        }
-        Predicate::Not(p) => selection(schema, cols, n, p)?
+    /// One group's chunks for `columns` (schema positions), one `Bytes` per
+    /// column in that order. The I/O is planned from the footer: the chunk
+    /// ranges are sorted, *exactly* adjacent ones merged, and each merged run
+    /// fetched once and handed out as zero-copy slices — the same bytes as a
+    /// fetch per chunk, in fewer requests.
+    fn fetch_chunks(&self, group: &RowGroupMeta, columns: &[usize]) -> Result<Vec<Bytes>> {
+        let mut spans = columns
             .iter()
-            .map(|&x| !x)
-            .collect(),
-        Predicate::IsNull(c) => {
-            let col = col(c)?;
-            (0..n).map(|r| !col.is_valid(r)).collect()
+            .enumerate()
+            .map(|(slot, &column)| {
+                let chunk = group.chunks.get(column).ok_or_else(|| {
+                    ScoopError::Corrupt(format!("row group has no chunk for column {column}"))
+                })?;
+                let end = chunk
+                    .offset
+                    .checked_add(chunk.length)
+                    .ok_or_else(|| ScoopError::Corrupt("chunk range overflows".into()))?;
+                Ok(Span { slot, start: chunk.offset, end })
+            })
+            .collect::<Result<Vec<Span>>>()?;
+        spans.sort_unstable_by_key(|span| span.start);
+        let mut runs: Vec<Run> = Vec::new();
+        for span in spans {
+            match runs.last_mut() {
+                Some(run) if run.end == span.start => {
+                    run.end = span.end;
+                    run.members.push(span);
+                }
+                _ => runs.push(Run { start: span.start, end: span.end, members: vec![span] }),
+            }
         }
-        Predicate::IsNotNull(c) => {
-            let col = col(c)?;
-            (0..n).map(|r| col.is_valid(r)).collect()
-        }
-        Predicate::Eq(c, v) => {
-            let column = col(c)?;
-            // The dictionary fast path: resolve a string literal to a code
-            // once, then compare codes — one integer compare per row. A
-            // literal absent from the dictionary drops every row.
-            if let Value::Str(s) = v {
-                match column.dict_code(s) {
-                    Some(Some(code)) => {
-                        let codes = column.codes().unwrap_or(&[]);
-                        return Ok(dense_map(column, n, |k| codes.get(k) == Some(&code)));
-                    }
-                    Some(None) => return Ok(vec![false; n]),
-                    None => {}
+        let mut chunks = vec![Bytes::new(); columns.len()];
+        for run in runs {
+            let data = self.fetch_range(run.start, run.end)?;
+            for span in run.members {
+                // A member lies inside its run and `data` is the whole run.
+                let range = to_usize(span.start.saturating_sub(run.start))?
+                    ..to_usize(span.end.saturating_sub(run.start))?;
+                if let Some(chunk) = chunks.get_mut(span.slot) {
+                    *chunk = data.slice(range);
                 }
             }
-            leaf(column, n, |x| x.sql_cmp(v) == Some(Ordering::Equal))
         }
-        Predicate::Ne(c, v) => leaf(col(c)?, n, |x| {
-            matches!(x.sql_cmp(v), Some(o) if o != Ordering::Equal)
-        }),
-        Predicate::Lt(c, v) => leaf(col(c)?, n, |x| x.sql_cmp(v) == Some(Ordering::Less)),
-        Predicate::Le(c, v) => leaf(col(c)?, n, |x| {
-            matches!(x.sql_cmp(v), Some(Ordering::Less | Ordering::Equal))
-        }),
-        Predicate::Gt(c, v) => {
-            leaf(col(c)?, n, |x| x.sql_cmp(v) == Some(Ordering::Greater))
-        }
-        Predicate::Ge(c, v) => leaf(col(c)?, n, |x| {
-            matches!(x.sql_cmp(v), Some(Ordering::Greater | Ordering::Equal))
-        }),
-        Predicate::Like(c, pat) => {
-            leaf(col(c)?, n, |x| scoop_csv::pushdown::like_match(pat, &text_of(x)))
-        }
-        Predicate::StartsWith(c, p) => leaf(col(c)?, n, |x| text_of(x).starts_with(p.as_str())),
-        Predicate::EndsWith(c, p) => leaf(col(c)?, n, |x| text_of(x).ends_with(p.as_str())),
-        Predicate::Contains(c, p) => leaf(col(c)?, n, |x| text_of(x).contains(p.as_str())),
-        Predicate::In(c, vals) => leaf(col(c)?, n, |x| {
-            vals.iter().any(|v| x.sql_cmp(v) == Some(Ordering::Equal))
-        }),
-    })
-}
-
-/// Per-row evaluation over the dense entries; NULL rows are false.
-fn dense_map(
-    col: &DecodedColumn,
-    n: usize,
-    mut test: impl FnMut(usize) -> bool,
-) -> Vec<bool> {
-    let mut out = Vec::with_capacity(n);
-    let mut k = 0usize;
-    for r in 0..n {
-        if col.is_valid(r) {
-            out.push(test(k));
-            k += 1;
-        } else {
-            out.push(false);
-        }
+        Ok(chunks)
     }
-    out
 }
 
-/// Generic leaf: materialize each non-null cell and apply `test`.
-fn leaf(col: &DecodedColumn, n: usize, mut test: impl FnMut(&Value) -> bool) -> Vec<bool> {
-    dense_map(col, n, |k| test(&col.dense_value(k)))
+/// A group's decoded column by schema position: `cols` runs parallel to the
+/// sorted `needed`, and holds `None` until the chunk is decoded.
+fn decoded<'c>(
+    needed: &[usize],
+    cols: &'c [Option<DecodedColumn>],
+    column: usize,
+) -> Result<&'c DecodedColumn> {
+    let slot = needed.binary_search(&column).ok();
+    slot.and_then(|slot| cols.get(slot)?.as_ref())
+        .ok_or_else(|| ScoopError::Internal(format!("column {column} not decoded")))
 }
 
-/// The string a predicate's text operators see for a cell.
-fn text_of(v: &Value) -> String {
-    match v {
-        Value::Str(s) => s.as_str().to_owned(),
-        other => other.to_string(),
+/// The byte range of one wanted chunk, and its place in the caller's order.
+struct Span {
+    slot: usize,
+    start: u64,
+    end: u64,
+}
+
+/// Chunks that follow one another without a gap: one ranged read.
+struct Run {
+    start: u64,
+    end: u64,
+    members: Vec<Span>,
+}
+
+/// One flag per row of a group: may `pred` hold for the row? Evaluated on
+/// the decoded columns `column` hands out, two-valued: a leaf is false on a
+/// NULL cell, which keeps every row SQL's three-valued logic keeps and some
+/// it does not (`NOT (x < 1)` on a NULL `x`).
+///
+/// A leaf answers as the SQL executor would on the same cell and literal:
+/// comparisons through [`Cell::sql_cmp`], string operators on
+/// [`Cell::text`]. `Eq` against a string literal is also what `LIKE` without
+/// a wildcard is pushed as, so a numeric cell is compared as its text there.
+fn selection<'c>(
+    pred: &Predicate,
+    column: &impl Fn(&str) -> Result<&'c DecodedColumn>,
+) -> Result<Vec<bool>> {
+    fn cmp(col: &DecodedColumn, literal: &Value, holds: impl Fn(Ordering) -> bool) -> Vec<bool> {
+        col.test_rows(|cell| cell.sql_cmp(literal).is_some_and(&holds))
+    }
+    fn like(col: &DecodedColumn, pattern: LikePattern) -> Vec<bool> {
+        col.test_rows(|cell| pattern.matches(&cell.text()))
+    }
+    match pred {
+        Predicate::And(a, b) => {
+            let mut flags = selection(a, column)?;
+            if flags.contains(&true) {
+                for (flag, other) in flags.iter_mut().zip(selection(b, column)?) {
+                    *flag &= other;
+                }
+            }
+            Ok(flags)
+        }
+        Predicate::Or(a, b) => {
+            let mut flags = selection(a, column)?;
+            for (flag, other) in flags.iter_mut().zip(selection(b, column)?) {
+                *flag |= other;
+            }
+            Ok(flags)
+        }
+        Predicate::Not(p) => Ok(selection(p, column)?.iter().map(|&flag| !flag).collect()),
+        Predicate::IsNull(c) => {
+            let col = column(c)?;
+            Ok((0..col.len()).map(|row| !col.is_valid(row)).collect())
+        }
+        Predicate::IsNotNull(c) => Ok(column(c)?.test_rows(|_| true)),
+        Predicate::Eq(c, literal) => Ok(column(c)?.test_rows(|cell| match (cell, literal) {
+            (Cell::Int(_) | Cell::Float(_), Value::Str(text)) => *cell.text() == *text.as_bytes(),
+            _ => cell.sql_cmp(literal) == Some(Ordering::Equal),
+        })),
+        Predicate::Ne(c, v) => Ok(cmp(column(c)?, v, Ordering::is_ne)),
+        Predicate::Lt(c, v) => Ok(cmp(column(c)?, v, Ordering::is_lt)),
+        Predicate::Le(c, v) => Ok(cmp(column(c)?, v, Ordering::is_le)),
+        Predicate::Gt(c, v) => Ok(cmp(column(c)?, v, Ordering::is_gt)),
+        Predicate::Ge(c, v) => Ok(cmp(column(c)?, v, Ordering::is_ge)),
+        Predicate::In(c, literals) => Ok(column(c)?.test_rows(|cell| {
+            literals.iter().any(|v| cell.sql_cmp(v) == Some(Ordering::Equal))
+        })),
+        Predicate::Like(c, pattern) => Ok(like(column(c)?, LikePattern::new(pattern))),
+        Predicate::StartsWith(c, prefix) => Ok(like(column(c)?, LikePattern::Prefix(prefix.clone()))),
+        Predicate::EndsWith(c, suffix) => Ok(like(column(c)?, LikePattern::Suffix(suffix.clone()))),
+        Predicate::Contains(c, inner) => Ok(like(column(c)?, LikePattern::Contains(inner.clone()))),
     }
 }
 
@@ -347,13 +355,11 @@ fn text_of(v: &Value) -> String {
 /// Conservative: unknown shapes return false (cannot skip).
 fn group_provably_empty(
     schema: &Schema,
-    group: &crate::format::RowGroupMeta,
+    group: &RowGroupMeta,
     pred: &Predicate,
 ) -> bool {
-    use std::cmp::Ordering;
     let stats = |col: &str| -> Option<(&Value, &Value)> {
-        let i = schema.index_of(col)?;
-        let c = &group.chunks[i];
+        let c = group.chunks.get(schema.index_of(col)?)?;
         if c.min.is_null() || c.max.is_null() {
             return None;
         }
@@ -366,14 +372,16 @@ fn group_provably_empty(
             }
             None => false,
         },
+        // Incomparable bounds (a NaN maximum, a literal of the other kind)
+        // prove nothing.
         Predicate::Lt(c, v) => {
-            matches!(stats(c), Some((min, _)) if min.sql_cmp(v) != Some(Ordering::Less))
+            matches!(stats(c), Some((min, _)) if min.sql_cmp(v).is_some_and(Ordering::is_ge))
         }
         Predicate::Le(c, v) => {
             matches!(stats(c), Some((min, _)) if min.sql_cmp(v) == Some(Ordering::Greater))
         }
         Predicate::Gt(c, v) => {
-            matches!(stats(c), Some((_, max)) if max.sql_cmp(v) != Some(Ordering::Greater))
+            matches!(stats(c), Some((_, max)) if max.sql_cmp(v).is_some_and(Ordering::is_le))
         }
         Predicate::Ge(c, v) => {
             matches!(stats(c), Some((_, max)) if max.sql_cmp(v) == Some(Ordering::Less))
@@ -493,17 +501,18 @@ mod tests {
             .read_rows_selected(
                 Some(&["vid".to_string(), "index".to_string()]),
                 Some(&pred),
+                false,
             )
             .unwrap();
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|row| row[0] == Value::Str("m2".into())));
         // A literal absent from every dictionary yields nothing.
         let pred = Predicate::Eq("vid".into(), Value::Str("ghost".into()));
-        assert!(r.read_rows_selected(None, Some(&pred)).unwrap().is_empty());
+        assert!(r.read_rows_selected(None, Some(&pred), false).unwrap().is_empty());
         // Numeric comparison selects row-wise, not group-wise.
         let pred = Predicate::Gt("index".into(), Value::Float(24.5));
         let rows = r
-            .read_rows_selected(Some(&["index".to_string()]), Some(&pred))
+            .read_rows_selected(Some(&["index".to_string()]), Some(&pred), false)
             .unwrap();
         assert_eq!(rows.len(), 5);
     }
@@ -517,9 +526,155 @@ mod tests {
             .into_iter()
             .filter(|row| row[1] == Value::Str("2015-02-01".into()))
             .collect();
-        let selected = r.read_rows_selected(None, Some(&pred)).unwrap();
+        let selected = r.read_rows_selected(None, Some(&pred), true).unwrap();
         assert_eq!(selected, manual);
         assert_eq!(selected.len(), 10);
+    }
+
+    /// The meter table's ten columns over three row groups.
+    fn meter_like() -> Bytes {
+        let text = |name| Field::new(name, DataType::Str);
+        let num = |name| Field::new(name, DataType::Float);
+        let schema = Schema::new(vec![
+            text("vid"),
+            text("date"),
+            num("index"),
+            num("sumHC"),
+            num("sumHP"),
+            num("lat"),
+            num("long"),
+            text("city"),
+            text("state"),
+            text("region"),
+        ]);
+        let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
+        for i in 0..25 {
+            let f = Value::Float(i as f64 / 4.0);
+            w.write_row(&[
+                Value::Str(format!("m{}", i % 4).into()),
+                Value::Str(format!("2015-{:02}-01", i / 10 + 1).into()),
+                f.clone(),
+                f.clone(),
+                f.clone(),
+                Value::Float(51.9),
+                Value::Float(4.5),
+                Value::Str("Rotterdam".into()),
+                Value::Str("NLD".into()),
+                Value::Str("EU".into()),
+            ]);
+        }
+        w.finish()
+    }
+
+    /// Open `data` through a fetch that records every call and answers it
+    /// with `answer`.
+    fn recording<'a>(
+        data: &'a Bytes,
+        calls: &'a std::cell::RefCell<Vec<(u64, u64)>>,
+        answer: impl Fn(&Bytes, u64, u64) -> Bytes + 'a,
+    ) -> Result<ColumnarReader<'a>> {
+        ColumnarReader::open(
+            data.len() as u64,
+            Box::new(move |s, e| {
+                calls.borrow_mut().push((s, e));
+                Ok(answer(data, s, e))
+            }),
+        )
+    }
+
+    fn exact(data: &Bytes, s: u64, e: u64) -> Bytes {
+        data.slice(s as usize..e as usize)
+    }
+
+    #[test]
+    fn adjacent_chunks_are_fetched_in_one_request() {
+        let data = meter_like();
+        let calls = std::cell::RefCell::new(Vec::new());
+        let reader = recording(&data, &calls, exact).unwrap();
+        // ShowMapCons: vid, date, index | lat, long | state.
+        let cols: Vec<String> =
+            ["vid", "date", "index", "lat", "long", "state"].map(String::from).to_vec();
+        let pred = Predicate::StartsWith("date".into(), "2015-01".into());
+        let rows = reader.read_rows_selected(Some(&cols), Some(&pred), false).unwrap();
+        assert_eq!(rows.len(), 10);
+
+        // Two reads to open, three merged runs in each of three groups.
+        let calls = calls.borrow().clone();
+        assert_eq!(calls.len(), 2 + 9, "{calls:?}");
+        let mut ranges = calls.clone();
+        ranges.sort_unstable();
+        for pair in ranges.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "overlap: {pair:?}");
+        }
+        assert!(ranges.iter().all(|&(s, e)| s < e && e <= data.len() as u64));
+
+        // The same bytes as one fetch per chunk: trailer, footer, and the
+        // projected chunks of every group — selection skipped none of them.
+        let footer = reader.footer();
+        let footer_len = u32::from_le_bytes(data[data.len() - 8..data.len() - 4].try_into().unwrap());
+        let chunk_bytes: u64 = footer
+            .row_groups
+            .iter()
+            .flat_map(|g| [0, 1, 2, 5, 6, 8].map(|c| g.chunks[c].length))
+            .sum();
+        assert_eq!(reader.bytes_fetched(), 8 + footer_len as u64 + chunk_bytes);
+        assert_eq!(calls.iter().map(|(s, e)| e - s).sum::<u64>(), reader.bytes_fetched());
+
+        // A full read is one run per group.
+        let calls = std::cell::RefCell::new(Vec::new());
+        let reader = recording(&data, &calls, exact).unwrap();
+        assert_eq!(reader.read_rows(None).unwrap().len(), 25);
+        assert_eq!(calls.borrow().len(), 2 + 3);
+    }
+
+    #[test]
+    fn a_short_fetch_is_an_error_not_a_panic() {
+        let data = meter_like();
+        let len = data.len() as u64;
+        // Truncate, in turn, the trailer, the footer and a chunk read.
+        for victim in 0..3 {
+            let calls = std::cell::RefCell::new(Vec::new());
+            let seen = std::cell::Cell::new(0);
+            let short = |data: &Bytes, s: u64, e: u64| {
+                let n = seen.replace(seen.get() + 1);
+                exact(data, s, if n == victim { e - 1 } else { e })
+            };
+            let read = recording(&data, &calls, short).and_then(|r| r.read_rows(None));
+            assert!(matches!(read, Err(ScoopError::Corrupt(_))), "victim {victim}: {read:?}");
+        }
+        // A peer that answers every range with nothing.
+        let empty = ColumnarReader::open(len, Box::new(|_, _| Ok(Bytes::new())));
+        assert!(empty.is_err());
+    }
+
+    #[test]
+    fn footer_offsets_are_checked() {
+        use crate::format::ChunkMeta;
+        let schema = Schema::new(vec![Field::new("n", DataType::Int)]);
+        for (offset, length) in [(u64::MAX - 1, 10), (0, u64::MAX), (1 << 40, 16)] {
+            let chunk = ChunkMeta { offset, length, min: Value::Null, max: Value::Null };
+            let footer = Footer {
+                schema: schema.clone(),
+                row_groups: vec![RowGroupMeta { rows: 1, chunks: vec![chunk] }],
+            };
+            let mut file = vec![0u8; 32];
+            footer.write_trailer(&mut file);
+            let reader = ColumnarReader::open_bytes(Bytes::from(file)).unwrap();
+            let read = reader.read_rows(None);
+            assert!(matches!(read, Err(ScoopError::Corrupt(_))), "{offset}+{length}: {read:?}");
+        }
+        // A group with fewer chunks than the schema has columns. The footer
+        // decoder reads one chunk per column, so this only arises in memory;
+        // the stats lookup and the I/O plan still answer without indexing.
+        let footer = Footer { schema, row_groups: vec![RowGroupMeta { rows: 1, chunks: vec![] }] };
+        let pred = Predicate::Eq("n".into(), Value::Int(1));
+        assert!(!group_provably_empty(&footer.schema, &footer.row_groups[0], &pred));
+        let reader = ColumnarReader {
+            fetch: Box::new(|_, _| Ok(Bytes::new())),
+            footer,
+            bytes_fetched: Counter::new(0),
+        };
+        assert!(matches!(reader.read_rows_filtered(None, Some(&pred)), Err(ScoopError::Corrupt(_))));
     }
 
     #[test]

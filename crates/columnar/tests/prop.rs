@@ -1,7 +1,8 @@
-//! Property tests: columnar encode∘decode = id; pruned reads match full reads.
+//! Property tests: columnar encode∘decode = id; pruned reads match full reads;
+//! batch evaluation and gathering match the per-cell shapes.
 
 use proptest::prelude::*;
-use scoop_columnar::encode::{decode_column, encode_column};
+use scoop_columnar::encode::{decode_column, decode_column_batch, encode_column, Cell};
 use scoop_columnar::{ColumnarReader, ColumnarWriter};
 use scoop_csv::schema::{DataType, Field, Schema};
 use scoop_csv::Value;
@@ -57,6 +58,40 @@ proptest! {
                 (a, b) => prop_assert!(false, "mismatch {:?} vs {:?}", a, b),
             }
         }
+    }
+
+    /// `test_rows` (once per dictionary entry, typed slices, borrowed
+    /// strings) answers as the same test run on every materialized cell, and
+    /// `gather` yields the cells `to_values` does at the rows asked for.
+    #[test]
+    fn batch_evaluation_equals_per_cell(
+        values in column_strategy(),
+        needle in "[a-zR]{0,2}",
+        bound in -50i64..50,
+        stride in 1usize..7,
+    ) {
+        let col = decode_column_batch(&encode_column(&values)).unwrap();
+        let cells = col.to_values();
+        let flags = col.test_rows(|cell| match cell {
+            Cell::Int(i) => i < bound,
+            Cell::Float(f) => f < bound as f64,
+            Cell::Str(s) => s.contains(needle.as_str()),
+        });
+        let want: Vec<bool> = cells
+            .iter()
+            .map(|v| match v {
+                Value::Null => false,
+                Value::Int(i) => *i < bound,
+                Value::Float(f) => *f < bound as f64,
+                Value::Str(s) => s.contains(needle.as_str()),
+            })
+            .collect();
+        prop_assert_eq!(flags, want);
+
+        let rows: Vec<usize> = (0..cells.len()).step_by(stride).collect();
+        let gathered: Vec<Value> = col.gather(rows.iter().copied()).collect();
+        let want: Vec<Value> = rows.iter().map(|&r| cells[r].clone()).collect();
+        prop_assert_eq!(gathered, want);
     }
 
     #[test]

@@ -763,7 +763,9 @@ pub struct QueryEvent {
     pub total_us: u64,
     /// Bytes moved across the storage→compute boundary.
     pub bytes: u64,
-    /// Rows delivered to compute.
+    /// Rows handed to the SQL executor (`JobMetrics::rows_to_compute`): what
+    /// the scans yielded, so on a columnar table the rows the scan's
+    /// selection kept, not the rows it decoded.
     pub rows: u64,
     /// Task-level + client-level retries observed during the query.
     pub retries: u64,

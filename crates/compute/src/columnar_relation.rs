@@ -3,8 +3,12 @@
 //! Column pruning happens at read time (only projected chunks are fetched);
 //! selection filtering stays compute-side exactly as the paper describes for
 //! Parquet ("Spark is in charge of carrying out the tasks of (de)compressing
-//! data and discarding columns"). Row-group stats skipping is available as an
-//! opt-in extension and is never reported as fully-handled filtering.
+//! data and discarding columns"): the pushed predicate is evaluated on the
+//! decoded column arrays and decides which rows become [`scoop_csv::Value`]s,
+//! never which bytes are fetched. Row-group stats skipping is available as an
+//! opt-in extension. Neither is reported as fully-handled filtering: the
+//! scan's selection is two-valued, so the executor applies the WHERE to the
+//! rows it is handed.
 
 use crate::connector::StorageConnector;
 use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
@@ -25,7 +29,8 @@ pub struct ColumnarRelation {
 }
 
 impl ColumnarRelation {
-    /// Open a relation; the schema comes from the first object's footer.
+    /// Open a relation, inferring the schema from the first object's footer
+    /// (one listing and two ranged reads).
     pub fn open(
         connector: Arc<dyn StorageConnector>,
         location: &str,
@@ -47,13 +52,25 @@ impl ColumnarRelation {
             )?;
             reader.schema().clone()
         };
-        Ok(ColumnarRelation {
+        Ok(Self::with_schema(connector, location, prefix, stats_pruning, schema))
+    }
+
+    /// A relation over a table whose schema is already known: no request is
+    /// made until partitions are discovered.
+    pub fn with_schema(
+        connector: Arc<dyn StorageConnector>,
+        location: &str,
+        prefix: Option<&str>,
+        stats_pruning: bool,
+        schema: Schema,
+    ) -> ColumnarRelation {
+        ColumnarRelation {
             connector,
             location: location.to_string(),
             prefix: prefix.map(str::to_string),
             schema,
             stats_pruning,
-        })
+        }
     }
 
     fn read(
@@ -73,14 +90,13 @@ impl ColumnarRelation {
             partition.object_size,
             Box::new(move |s, e| conn.fetch_range(&loc, &name, s, e)),
         )?;
-        let pred = if self.stats_pruning { predicate } else { None };
-        let rows = reader.read_rows_filtered(columns, pred)?;
+        let rows = reader.read_rows_selected(columns, predicate, self.stats_pruning)?;
         let stream: RowStream = Box::new(rows.into_iter().map(Ok));
         Ok(ScanOutput {
             schema: scan_schema,
             rows: stream,
-            // Stats skipping is row-group-granular; the executor must still
-            // apply the full predicate.
+            // The rows are a superset of what SQL's three-valued WHERE
+            // keeps; the executor must still apply the full predicate.
             stats: ScanStats { filters_handled: false },
         })
     }

@@ -76,7 +76,11 @@ pub struct JobMetrics {
     pub tasks: usize,
     /// Bytes that crossed the storage→compute boundary.
     pub bytes_transferred: u64,
-    /// Rows materialized at the compute side (post-store-filtering).
+    /// Rows handed to the SQL executor: exactly what the scans' row streams
+    /// yielded. On a CSV table that is every record that reached compute
+    /// (all of them on the vanilla arm, the store filter's survivors under
+    /// pushdown); on a columnar table it is the rows the scan's selection
+    /// kept, not the rows it decoded.
     pub rows_to_compute: u64,
     /// Rows surviving compute-side filtering (input to agg/projection).
     pub rows_after_filter: u64,
@@ -203,6 +207,24 @@ impl Session {
             .ok_or_else(|| ScoopError::Sql(format!("unknown table '{name}'")))
     }
 
+    /// The columnar relation of `def`: inferred from the first object's
+    /// footer the first time, built from the cached schema — no request —
+    /// afterwards, as the CSV arm does.
+    fn columnar_relation(&self, def: &TableDef) -> Result<ColumnarRelation> {
+        let (location, prefix) = (&def.location, def.prefix.as_deref());
+        let connector = self.connector.clone();
+        match &def.schema {
+            Some(schema) => Ok(ColumnarRelation::with_schema(
+                connector,
+                location,
+                prefix,
+                self.stats_pruning,
+                schema.clone(),
+            )),
+            None => ColumnarRelation::open(connector, location, prefix, self.stats_pruning),
+        }
+    }
+
     /// Explain how a query would execute, without running it: the extracted
     /// pushdown, the residual predicate, the scan schema and the partition
     /// plan — the reproduction's equivalent of `EXPLAIN` over a Spark plan.
@@ -225,12 +247,7 @@ impl Session {
                 }
             }
             TableFormat::Columnar => {
-                let rel = ColumnarRelation::open(
-                    self.connector.clone(),
-                    &def.location,
-                    def.prefix.as_deref(),
-                    self.stats_pruning,
-                )?;
+                let rel = self.columnar_relation(&def)?;
                 {
                     use crate::datasource::TableScan;
                     (rel.schema()?, rel.partitions(self.chunk_size)?, "columnar")
@@ -339,13 +356,7 @@ impl Session {
                 (Arc::new(rel), mode)
             }
             TableFormat::Columnar => {
-                let rel = ColumnarRelation::open(
-                    self.connector.clone(),
-                    &def.location,
-                    def.prefix.as_deref(),
-                    self.stats_pruning,
-                )?;
-                (Arc::new(rel), ExecutionMode::Columnar)
+                (Arc::new(self.columnar_relation(&def)?), ExecutionMode::Columnar)
             }
         };
         let schema = relation.schema()?;
@@ -713,11 +724,13 @@ mod retry_tests {
 
     /// A connector whose reads fail with a retryable error the first
     /// `failures` times they are opened — the session should absorb those
-    /// through task re-execution.
+    /// through task re-execution. It also counts listings and ranged reads.
     struct FlakyConnector {
         inner: Arc<MemoryConnector>,
         remaining: AtomicU64,
         faults: AtomicU64,
+        lists: AtomicU64,
+        fetches: AtomicU64,
     }
 
     impl FlakyConnector {
@@ -726,6 +739,8 @@ mod retry_tests {
                 inner,
                 remaining: AtomicU64::new(failures),
                 faults: AtomicU64::new(0),
+                lists: AtomicU64::new(0),
+                fetches: AtomicU64::new(0),
             })
         }
 
@@ -746,6 +761,7 @@ mod retry_tests {
 
     impl StorageConnector for FlakyConnector {
         fn list(&self, location: &str, prefix: Option<&str>) -> Result<Vec<ObjectInfo>> {
+            self.lists.fetch_add(1, Ordering::Relaxed);
             self.inner.list(location, prefix)
         }
 
@@ -769,6 +785,7 @@ mod retry_tests {
         }
 
         fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
+            self.fetches.fetch_add(1, Ordering::Relaxed);
             self.inner.fetch_range(location, object, start, end)
         }
 
@@ -808,6 +825,39 @@ mod retry_tests {
 
     const QUERY: &str =
         "SELECT vid, sum(index) as total FROM largemeter GROUP BY vid ORDER BY vid";
+
+    /// The first query on a columnar table infers its schema (a listing and
+    /// the first object's trailer + footer); later ones build the relation
+    /// from the cached schema: one listing, and only the scans' reads.
+    #[test]
+    fn columnar_queries_after_the_first_reuse_the_cached_schema() {
+        let mem = MemoryConnector::new();
+        let schema = Schema::new(vec![
+            scoop_csv::schema::Field::new("vid", scoop_csv::schema::DataType::Str),
+            scoop_csv::schema::Field::new("index", scoop_csv::schema::DataType::Float),
+        ]);
+        for obj in 0..2 {
+            let mut w = scoop_columnar::ColumnarWriter::with_row_group_rows(schema.clone(), 20);
+            for i in 0..50 {
+                w.write_row(&[Value::Str(format!("m{}", i % 5).into()), Value::Float(i as f64)]);
+            }
+            mem.put("cols", &format!("part-{obj}.scol"), w.finish());
+        }
+        let conn = FlakyConnector::new(mem, 0);
+        let s = Session::new(conn.clone(), 2);
+        s.register_table("largemeter", "cols", None, TableFormat::Columnar, None);
+        let calls = || (conn.lists.swap(0, Ordering::Relaxed), conn.fetches.swap(0, Ordering::Relaxed));
+
+        let first = s.sql(QUERY).unwrap();
+        // Per object: trailer, footer, and one run (both columns) in each of
+        // three groups. The first query reads one footer twice.
+        assert_eq!(calls(), (2, 2 + 2 * (2 + 3)));
+        let second = s.sql(QUERY).unwrap();
+        assert_eq!(calls(), (1, 2 * (2 + 3)));
+        assert_eq!(first.result, second.result);
+        assert!(s.explain(QUERY).unwrap().contains("2 partitions"));
+        assert_eq!(calls(), (1, 0));
+    }
 
     #[test]
     fn task_retry_recovers_transient_read_failures() {
