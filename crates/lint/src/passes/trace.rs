@@ -8,15 +8,14 @@
 //! or finishes its response with the trailer decoded. This pass checks the
 //! three obligations as call-graph properties. All findings deny.
 //!
-//! 1. **`no-trace-attach`** — every transport-egress site (`send_raw`,
-//!    `send_pipelined`, or `pool.send(..)`) outside the net plane must be
-//!    in a function that *attaches* the trace header (a `.set(..)` call
-//!    with `headers::TRACE` in its arguments, directly or via a resolved
-//!    callee such as `raw_headers`), or that visibly *forwards* a caller's
-//!    request (signature mentions `Request` or `Headers`) — in which case
-//!    every resolved caller must satisfy the same obligation recursively.
-//!    A forwarding function with no resolved callers cannot be proven and
-//!    denies.
+//! 1. **`no-trace-attach`** — every transport-egress site (the pool's one
+//!    way onto the wire, `pool.send(..)`) outside the net plane must be in
+//!    a function that *attaches* the trace header (a `.set(..)` call with
+//!    `headers::TRACE` in its arguments, directly or via a resolved
+//!    callee), or that visibly *forwards* a caller's request (signature
+//!    mentions `Request` or `Headers`) — in which case every resolved
+//!    caller must satisfy the same obligation recursively. A forwarding
+//!    function with no resolved callers cannot be proven and denies.
 //! 2. **`completion-without-span-merge`** — response-completion sites
 //!    (`checkin` / `evict` calls) must be balanced by server-span decodes
 //!    (`merge_server_spans` / `take_server_spans` calls) in the same
@@ -42,8 +41,8 @@ pub fn run(graph: &Graph<'_>) -> Vec<Finding> {
     let in_scope: Vec<bool> =
         (0..n_nodes).map(|n| graph.file(n).path.starts_with(SCOPE_PREFIX)).collect();
 
-    // Attach facts, propagated bottom-up (raw_headers attaches, so its
-    // callers attach too).
+    // Attach facts, propagated bottom-up (a callee that attaches makes
+    // its callers attach too).
     let mut attach_seed: Vec<std::collections::BTreeSet<&str>> =
         vec![std::collections::BTreeSet::new(); n_nodes];
     for (n, s) in attach_seed.iter_mut().enumerate() {
@@ -75,17 +74,13 @@ pub fn run(graph: &Graph<'_>) -> Vec<Finding> {
         // Rule 1: egress sites outside the net plane.
         if !pf.path.contains("/net/") {
             for c in &graph.calls[n] {
-                let egress = match c.name.as_str() {
-                    "send_raw" | "send_pipelined" => true,
-                    // Bare `send` only as the pool transport's literal
-                    // `pool.send(..)` — channel sends share the name.
-                    "send" => {
-                        c.at >= 2
-                            && matches!(toks.get(c.at - 1).map(|t| &t.tok), Some(Tok::Punct('.')))
-                            && matches!(toks.get(c.at - 2).map(|t| &t.tok), Some(Tok::Ident(r)) if r == "pool")
-                    }
-                    _ => false,
-                };
+                // `send` only as the pool transport's literal
+                // `pool.send(..)` — channel sends share the name.
+                let tok_before = |back: usize| toks.get(c.at - back).map(|t| &t.tok);
+                let egress = c.name == "send"
+                    && c.at >= 2
+                    && matches!(tok_before(1), Some(Tok::Punct('.')))
+                    && matches!(tok_before(2), Some(Tok::Ident(r)) if r == "pool");
                 if !egress || allowed(pf, c.line) {
                     continue;
                 }

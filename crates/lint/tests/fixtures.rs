@@ -143,8 +143,6 @@ fn trace_propagation_fixture_produces_exactly_the_expected_findings() {
             "trace-propagation|crates/objectstore/src/client_paths.rs|untraced_send|no-trace-attach:send",
             // Forwarding function with no resolved callers: unprovable.
             "trace-propagation|crates/objectstore/src/client_paths.rs|orphan_forward|no-trace-attach:send",
-            // send_raw egress caught by name.
-            "trace-propagation|crates/objectstore/src/client_paths.rs|bare_raw_push|no-trace-attach:send_raw",
             // The response path that skips the trailer decode.
             "trace-propagation|crates/objectstore/src/client_paths.rs|finish_leaky|completion-without-span-merge",
             // Response head without the span trailer.
@@ -152,7 +150,8 @@ fn trace_propagation_fixture_produces_exactly_the_expected_findings() {
             // Negatives: `traced_send` (attaches directly), `forward_send`
             // (obligation discharged by its attaching caller), the exempt
             // `Pool::checkin` primitive, the balanced `finish_clean`,
-            // `reply_clean`, and the allowed `metrics_push`.
+            // `reply_clean`, the allowed `metrics_push`, and `channel_push`
+            // (a `send` whose receiver is not the pool is not egress).
         ],
     );
 }
@@ -229,8 +228,8 @@ fn seeded_read_timeout_regression_turns_the_gate_red() {
 
 #[test]
 fn seeded_trailer_skip_regression_turns_the_gate_red() {
-    // Drop one merge_server_spans call from HttpPool::exchange: one of its
-    // two completion paths now finishes without decoding the span trailer.
+    // Drop the merge_server_spans call from HttpPool::exchange: its eager
+    // completion path now finishes without decoding the span trailer.
     let mut files = workspace_files();
     let pool = files
         .iter_mut()

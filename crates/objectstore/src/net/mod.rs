@@ -10,11 +10,12 @@
 //!
 //! * [`wire`] — the HTTP/1.1 codec over the existing `Request`/`Response`
 //!   types; every `x-scoop-*` header crosses byte-identically.
-//! * [`server`] — accept loop + worker pool in front of the proxies, with
-//!   keep-alive, slowloris guarding, and `Deadline`-derived socket windows.
-//! * [`pool`] — the client transport: checkout/checkin, idle reaping,
-//!   keep-alive reuse, pipelined range-GETs, and the wire→taxonomy error
-//!   mapping.
+//! * [`server`] — accept loop + worker pool in front of the cluster's
+//!   router, with keep-alive, slowloris guarding, and `Deadline`-derived
+//!   socket windows.
+//! * [`pool`] — the client transport: one `send` for every method and
+//!   target, checkout/checkin, idle reaping, keep-alive reuse, and the
+//!   wire→taxonomy error mapping.
 //! * [`chaos`] — wire-level fault application (RST, partial+stall,
 //!   slowloris, garbage frames, half-close) at the socket boundary, driven
 //!   by the cluster's [`FaultInjector`].

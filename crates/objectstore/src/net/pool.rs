@@ -1,8 +1,8 @@
 //! The client-side pooled HTTP/1.1 transport.
 //!
 //! [`HttpPool`] owns keep-alive connections to one TCP front end
-//! ([`super::server::NetServer`]) and exchanges [`Request`]/[`Response`]
-//! frames over them. Pool invariants (DESIGN.md §13):
+//! ([`super::server::NetServer`]) and exchanges request frames for
+//! [`Response`]s over them. Pool invariants (DESIGN.md §13):
 //!
 //! * **checkout/checkin** — a connection is either in the idle list or
 //!   owned by exactly one in-flight exchange; lazy response bodies carry
@@ -22,12 +22,13 @@
 //!
 //! Transport-level retry: if a *reused* keep-alive connection fails before
 //! a response head parses, the request is re-sent once on a fresh
-//! connection — but only for idempotent GET/HEAD. A PUT failure surfaces as
+//! connection — but only for idempotent GET/HEAD, whatever they address
+//! (an object, a listing, an endpoint). A PUT failure surfaces as
 //! retryable I/O to the caller, whose re-dispatch rides the
 //! `x-upload-token` dedup, so a replayed PUT can never double-store.
 
 use crate::net::wire;
-use crate::request::{Headers, Method, Request, Response};
+use crate::request::{Headers, Method, Response};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scoop_common::telemetry::{self, names};
@@ -285,25 +286,36 @@ impl HttpPool {
         drop(conn);
     }
 
-    /// Exchange one request for one response over the pool.
+    /// Exchange one request for one response over the pool — the only way
+    /// onto the wire, for object requests, container ops and the
+    /// observability endpoints alike.
     ///
     /// Reused-connection failures before a parsed response head are re-sent
     /// once on a fresh dial — for idempotent GET/HEAD only. Everything else
     /// surfaces to the caller's retry policy with the taxonomy intact.
-    pub fn send(self: &Arc<Self>, req: &Request) -> Result<Response> {
-        let idempotent = matches!(req.method, Method::Get | Method::Head);
-        let mut attempt = 0u32;
+    pub fn send(
+        self: &Arc<Self>,
+        method: Method,
+        target: &wire::Target,
+        headers_map: &Headers,
+        body: Option<&Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        let frame =
+            wire::encode_frame(method, &wire::encode_target(target), headers_map, body, deadline)?;
+        let trace = headers_map.get(headers::TRACE);
+        let idempotent = matches!(method, Method::Get | Method::Head);
+        let mut redialed = false;
         loop {
             let conn = self.checkout()?;
             let was_reused = conn.reused;
-            match self.exchange(conn, req) {
+            match self.exchange(conn, &frame, trace, deadline) {
                 Ok(resp) => return Ok(resp),
-                Err(Exchange::NoResponse(e)) if was_reused && idempotent && attempt == 0 => {
-                    // The keep-alive peer hung up (or reset) before
-                    // answering: a stale pooled socket, not a request
-                    // problem. One fresh dial, then give up to the caller.
-                    attempt += 1;
-                    let _ = e;
+                // The keep-alive peer hung up (or reset) before answering:
+                // a stale pooled socket, not a request problem. One fresh
+                // dial, then give up to the caller.
+                Err(Exchange::NoResponse(_)) if was_reused && idempotent && !redialed => {
+                    redialed = true;
                 }
                 Err(Exchange::NoResponse(e)) | Err(Exchange::Fatal(e)) => return Err(e),
             }
@@ -311,16 +323,20 @@ impl HttpPool {
     }
 
     /// Run one request/response exchange on `conn`.
-    fn exchange(self: &Arc<Self>, mut conn: Conn, req: &Request) -> std::result::Result<Response, Exchange> {
-        let deadline = req.deadline;
+    fn exchange(
+        self: &Arc<Self>,
+        mut conn: Conn,
+        frame: &[u8],
+        trace: Option<&str>,
+        deadline: Deadline,
+    ) -> std::result::Result<Response, Exchange> {
         // The observation window for remote-span skew correction opens
         // before the request hits the wire — every server-side span of this
         // exchange must land inside it.
         let window_start_us = telemetry::now_us();
-        let trace = req.headers.get(headers::TRACE).map(str::to_string);
+        let trace = trace.map(str::to_string);
         conn.tighten(self.cfg.io_timeout, deadline, "pool dispatch").map_err(Exchange::Fatal)?;
-        let frame = wire::encode_request(req).map_err(Exchange::Fatal)?;
-        if let Err(e) = conn.write.write_all(&frame).and_then(|_| conn.write.flush()) {
+        if let Err(e) = conn.write.write_all(frame).and_then(|_| conn.write.flush()) {
             return Err(Exchange::NoResponse(map_wire_err(
                 ScoopError::Io(e),
                 deadline,
@@ -348,19 +364,11 @@ impl HttpPool {
         let framing =
             wire::FrameReader::<TcpStream>::body_framing(&head).map_err(Exchange::Fatal)?;
 
-        // Error responses carry the exact error kind; rebuild the variant so
-        // the caller's taxonomy (retryable vs not) is transport-independent.
-        if let Some(kind) = head.headers.get(headers::ERROR_KIND).map(str::to_string) {
-            let body = self
-                .drain_body(&mut conn, framing, deadline)
-                .map_err(Exchange::Fatal)?;
-            merge_server_spans(&mut conn, trace.as_deref(), window_start_us);
-            self.checkin(conn);
-            let msg = String::from_utf8_lossy(&body).into_owned();
-            return Err(Exchange::Fatal(wire::error_from_kind(&kind, msg)));
-        }
-
-        if (status == 200 || status == 206) && framing == wire::BodyFraming::Chunked {
+        let error_kind = head.headers.get(headers::ERROR_KIND).map(str::to_string);
+        if error_kind.is_none()
+            && (status == 200 || status == 206)
+            && framing == wire::BodyFraming::Chunked
+        {
             // Stream large bodies lazily; the connection rides inside the
             // stream and is pooled again at the chunked terminator (which is
             // also where the span trailer arrives and merges).
@@ -376,15 +384,24 @@ impl HttpPool {
             return Ok(Response { status, headers: head.headers, body });
         }
 
-        // Acks, redirections, 416s, HEAD responses: tiny bodies, drained
-        // eagerly so the connection pools immediately even if the caller
-        // never touches the body.
+        // Errors, acks, redirections, 416s, HEAD responses: tiny bodies,
+        // drained eagerly so the connection pools immediately even if the
+        // caller never touches the body.
         let body = self
             .drain_body(&mut conn, framing, deadline)
             .map_err(Exchange::Fatal)?;
         merge_server_spans(&mut conn, trace.as_deref(), window_start_us);
         self.checkin(conn);
-        Ok(wire::response_from_parts(status, head.headers, body))
+        match error_kind {
+            // Error responses carry the exact error kind; rebuild the variant
+            // so the caller's taxonomy (retryable vs not) is
+            // transport-independent.
+            Some(kind) => Err(Exchange::Fatal(wire::error_from_kind(
+                &kind,
+                String::from_utf8_lossy(&body).into_owned(),
+            ))),
+            None => Ok(wire::response_from_parts(status, head.headers, body)),
+        }
     }
 
     /// Read a whole response body off `conn` eagerly.
@@ -411,116 +428,6 @@ impl HttpPool {
                 }
             }
         }
-    }
-
-    /// Pipeline a batch of idempotent GET/HEAD requests on one connection:
-    /// all frames are written back-to-back, then the responses are read in
-    /// order. One round trip of latency for the whole batch — the ranged
-    /// multi-GET pattern the connector uses for record-aligned splits.
-    pub fn send_pipelined(self: &Arc<Self>, reqs: &[Request]) -> Result<Vec<Response>> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if reqs.iter().any(|r| !matches!(r.method, Method::Get | Method::Head)) {
-            return Err(ScoopError::InvalidRequest(
-                "pipelining is restricted to idempotent GET/HEAD".into(),
-            ));
-        }
-        let deadline = reqs.iter().fold(Deadline::none(), |d, r| d.earliest(r.deadline));
-        let window_start_us = telemetry::now_us();
-        let mut conn = self.checkout()?;
-        conn.tighten(self.cfg.io_timeout, deadline, "pipelined dispatch")?;
-        let mut frames = Vec::new();
-        for req in reqs {
-            frames.extend_from_slice(&wire::encode_request(req)?);
-        }
-        conn.write
-            .write_all(&frames)
-            .and_then(|_| conn.write.flush())
-            .map_err(|e| map_wire_err(ScoopError::Io(e), deadline, "pipelined write"))?;
-
-        let mut responses = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            conn.tighten(self.cfg.io_timeout, req.deadline, "pipelined read")?;
-            let head = match conn.reader.read_head() {
-                Ok(Some(head)) => head,
-                Ok(None) => {
-                    return Err(ScoopError::Io(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "connection closed mid-pipeline",
-                    )))
-                }
-                Err(e) => return Err(map_wire_err(e, req.deadline, "pipelined head read")),
-            };
-            let wire::StartLine::Status(status) = head.start else {
-                return Err(ScoopError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "malformed frame: request line where a status was expected",
-                )));
-            };
-            let framing = wire::FrameReader::<TcpStream>::body_framing(&head)?;
-            let body = self.drain_body(&mut conn, framing, req.deadline)?;
-            merge_server_spans(
-                &mut conn,
-                req.headers.get(headers::TRACE),
-                window_start_us,
-            );
-            if let Some(kind) = head.headers.get(headers::ERROR_KIND) {
-                return Err(wire::error_from_kind(
-                    kind,
-                    String::from_utf8_lossy(&body).into_owned(),
-                ));
-            }
-            responses.push(wire::response_from_parts(status, head.headers, body));
-        }
-        self.checkin(conn);
-        Ok(responses)
-    }
-
-    /// Send a non-object request (container ops, `/info`) built from raw
-    /// parts; the response body is drained eagerly.
-    pub fn send_raw(
-        self: &Arc<Self>,
-        method: Method,
-        target: &str,
-        headers_map: Headers,
-        deadline: Deadline,
-    ) -> Result<(u16, Headers, Bytes)> {
-        let window_start_us = telemetry::now_us();
-        let mut conn = self.checkout()?;
-        conn.tighten(self.cfg.io_timeout, deadline, "raw dispatch")?;
-        let frame = wire::encode_raw_request(method, target, &headers_map, None, deadline)?;
-        conn.write
-            .write_all(&frame)
-            .and_then(|_| conn.write.flush())
-            .map_err(|e| map_wire_err(ScoopError::Io(e), deadline, "raw write"))?;
-        let head = match conn.reader.read_head() {
-            Ok(Some(head)) => head,
-            Ok(None) => {
-                return Err(ScoopError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "connection closed before response",
-                )))
-            }
-            Err(e) => return Err(map_wire_err(e, deadline, "raw head read")),
-        };
-        let wire::StartLine::Status(status) = head.start else {
-            return Err(ScoopError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "malformed frame: request line where a status was expected",
-            )));
-        };
-        let framing = wire::FrameReader::<TcpStream>::body_framing(&head)?;
-        let body = self.drain_body(&mut conn, framing, deadline)?;
-        merge_server_spans(&mut conn, headers_map.get(headers::TRACE), window_start_us);
-        self.checkin(conn);
-        if let Some(kind) = head.headers.get(headers::ERROR_KIND) {
-            return Err(wire::error_from_kind(
-                kind,
-                String::from_utf8_lossy(&body).into_owned(),
-            ));
-        }
-        Ok((status, head.headers, body))
     }
 }
 

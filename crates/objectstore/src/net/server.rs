@@ -1,11 +1,11 @@
 //! The HTTP/1.1-over-TCP front end of the proxy tier.
 //!
-//! [`NetServer::serve`] binds a loopback listener in front of a set of
-//! [`ProxyServer`]s and spawns an accept loop plus a fixed worker pool.
-//! Each worker owns one connection at a time and runs its keep-alive loop:
-//! decode a request frame, dispatch it through the round-robin proxy choice
-//! (the same "HAProxy stand-in" rule as the in-process path), stream the
-//! response back chunked. Timeouts:
+//! `NetServer::serve` binds a loopback listener in front of the cluster's
+//! router and spawns an accept loop plus a fixed worker pool. Each worker
+//! owns one connection at a time and runs its keep-alive loop: decode a
+//! request frame, hand it to the router (the very function in-process
+//! clients call — what a target means is not this module's business),
+//! stream the response back chunked. Timeouts:
 //!
 //! * every socket gets a read/write timeout at accept time (no raw
 //!   `TcpStream` read ever blocks forever — `scoop-lint` invariant 5);
@@ -23,14 +23,14 @@
 use crate::fault::{FaultInjector, WireFault};
 use crate::net::chaos::FaultWriter;
 use crate::net::wire;
-use crate::proxy::{ContainerService, ProxyServer};
 use crate::request::{Headers, Method, Response};
+use crate::swift::Router;
 use bytes::Bytes;
 use scoop_common::telemetry::{self, names};
 use scoop_common::{headers, Result, ScoopError};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,33 +92,21 @@ impl Drop for NetHandle {
 
 /// The TCP data-plane server: everything a worker needs to serve requests.
 pub struct NetServer {
-    proxies: Vec<Arc<ProxyServer>>,
-    containers: Arc<ContainerService>,
+    router: Arc<Router>,
     fault: Option<Arc<FaultInjector>>,
     opts: NetOptions,
-    next_proxy: AtomicUsize,
 }
 
 impl NetServer {
     /// Bind a loopback listener and start the accept loop + worker pool.
-    pub fn serve(
-        proxies: Vec<Arc<ProxyServer>>,
-        containers: Arc<ContainerService>,
+    pub(crate) fn serve(
+        router: Arc<Router>,
         fault: Option<Arc<FaultInjector>>,
         opts: NetOptions,
     ) -> Result<NetHandle> {
-        if proxies.is_empty() {
-            return Err(ScoopError::InvalidRequest("cannot serve zero proxies".into()));
-        }
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(ScoopError::Io)?;
         let addr = listener.local_addr().map_err(ScoopError::Io)?;
-        let server = Arc::new(NetServer {
-            proxies,
-            containers,
-            fault,
-            opts: opts.clone(),
-            next_proxy: AtomicUsize::new(0),
-        });
+        let server = Arc::new(NetServer { router, fault, opts: opts.clone() });
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
@@ -166,14 +154,6 @@ impl NetServer {
         });
 
         Ok(NetHandle { addr, shutdown, accept_thread: Some(accept_thread), workers })
-    }
-
-    fn pick_proxy(&self) -> Arc<ProxyServer> {
-        let i = self.next_proxy.fetch_add(1, Ordering::Relaxed) % self.proxies.len();
-        self.proxies.get(i).cloned().unwrap_or_else(|| {
-            // Unreachable (serve() rejects empty proxy sets); index 0 exists.
-            self.proxies[0].clone() // lint:allow(guarded by serve() precondition)
-        })
     }
 
     /// Serve one connection's keep-alive loop until close/fault/idle.
@@ -286,7 +266,9 @@ impl NetServer {
         Ok(clean && !out.poisoned())
     }
 
-    /// Route a decoded request to the proxy tier / container service.
+    /// Hand a decoded request to the cluster's router, with this
+    /// connection's write window derived from the propagated budget:
+    /// pushing bytes past the query's deadline is wasted work on both ends.
     fn dispatch(
         &self,
         method: Method,
@@ -295,78 +277,22 @@ impl NetServer {
         body: Option<Bytes>,
         write_half: &TcpStream,
     ) -> Result<Response> {
-        match wire::decode_target(target)? {
-            wire::Target::Info => {
-                if method != Method::Get {
-                    return Err(ScoopError::InvalidRequest("info endpoint is GET-only".into()));
-                }
-                Ok(self.pick_proxy().info())
+        let routed = wire::decode_target(target)?;
+        let deadline = wire::take_deadline(&mut headers_map)?;
+        let window = match deadline.remaining() {
+            Some(rem) if rem.is_zero() => {
+                return Err(ScoopError::DeadlineExceeded(format!(
+                    "server received {} {target} with exhausted budget",
+                    wire::method_name(method),
+                )))
             }
-            wire::Target::Metrics => {
-                if method != Method::Get {
-                    return Err(ScoopError::InvalidRequest("metrics endpoint is GET-only".into()));
-                }
-                let text = telemetry::snapshot().to_prometheus();
-                Ok(Response::ok(scoop_common::stream::once(Bytes::from(text)))
-                    .with_header("content-type", "text/plain; version=0.0.4"))
-            }
-            wire::Target::Trace(id) => {
-                if method != Method::Get {
-                    return Err(ScoopError::InvalidRequest("trace endpoint is GET-only".into()));
-                }
-                let json = telemetry::trace_to_json(&id);
-                Ok(Response::ok(scoop_common::stream::once(Bytes::from(json)))
-                    .with_header("content-type", "application/json"))
-            }
-            wire::Target::Events => {
-                if method != Method::Get {
-                    return Err(ScoopError::InvalidRequest("events endpoint is GET-only".into()));
-                }
-                let json = telemetry::events_to_json(&telemetry::query_events());
-                Ok(Response::ok(scoop_common::stream::once(Bytes::from(json)))
-                    .with_header("content-type", "application/json"))
-            }
-            wire::Target::Container { account, container } => {
-                let prefix = headers_map.remove(headers::LIST_PREFIX);
-                match method {
-                    Method::Put => {
-                        self.containers.create_container(&account, &container);
-                        Ok(Response::created())
-                    }
-                    Method::Get => {
-                        let records =
-                            self.containers.list_objects(&account, &container, prefix.as_deref())?;
-                        let listing = wire::encode_listing(&records);
-                        Ok(Response::ok(scoop_common::stream::once(Bytes::from(listing))))
-                    }
-                    _ => Err(ScoopError::InvalidRequest(format!(
-                        "unsupported container method {}",
-                        wire::method_name(method)
-                    ))),
-                }
-            }
-            wire::Target::Object(path) => {
-                let req = wire::request_from_parts(method, path, headers_map, body)?;
-                // Derive this connection's write window from the propagated
-                // budget: pushing bytes past the query's deadline is wasted
-                // work on both ends.
-                let window = match req.deadline.remaining() {
-                    Some(rem) if rem.is_zero() => {
-                        return Err(ScoopError::DeadlineExceeded(format!(
-                            "server received {} {} with exhausted budget",
-                            wire::method_name(method),
-                            req.path
-                        )))
-                    }
-                    Some(rem) => rem.min(self.opts.io_timeout),
-                    None => self.opts.io_timeout,
-                };
-                let _ = write_half.set_write_timeout(Some(window.max(Duration::from_millis(1))));
-                let resp = self.pick_proxy().handle(req);
-                let _ = write_half.set_write_timeout(Some(self.opts.io_timeout));
-                resp
-            }
-        }
+            Some(rem) => rem.min(self.opts.io_timeout),
+            None => self.opts.io_timeout,
+        };
+        let _ = write_half.set_write_timeout(Some(window.max(Duration::from_millis(1))));
+        let resp = self.router.route(method, routed, headers_map, body, deadline);
+        let _ = write_half.set_write_timeout(Some(self.opts.io_timeout));
+        resp
     }
 }
 
@@ -431,17 +357,10 @@ fn write_response(out: &mut impl Write, resp: Response, trace: Option<&str>) -> 
 /// request failed still ship in the trailer — a failed query is exactly the
 /// one whose timeline is worth reading.
 fn write_error(out: &mut impl Write, err: &ScoopError, trace: Option<&str>) -> std::io::Result<()> {
-    let mut headers_map = Headers::new();
-    headers_map.set(headers::ERROR_KIND, err.kind());
-    let head = wire::encode_response_head(wire::status_for_kind(err.kind()), &headers_map)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    out.write_all(&head)?;
-    wire::write_chunk(out, err.to_string().as_bytes())?;
-    match server_span_trailer(trace) {
-        Some(spans) => wire::finish_chunks_with_trailers(out, &[spans])?,
-        None => wire::finish_chunks(out)?,
-    }
-    out.flush()
+    let body = scoop_common::stream::once(Bytes::from(err.to_string()));
+    let resp = Response { status: wire::status_for_kind(err.kind()), headers: Headers::new(), body }
+        .with_header(headers::ERROR_KIND, err.kind());
+    write_response(out, resp, trace)
 }
 
 /// The server's read side: a [`TcpStream`] with (a) an optional total-time

@@ -221,31 +221,27 @@ fn is_request_framing_header(name: &str) -> bool {
     name == "content-length" || name == headers::DEADLINE_MS
 }
 
-/// Serialize a request with `Content-Length` framing. The deadline crosses
-/// as a remaining-budget header; framing headers in the map are replaced by
-/// canonical values derived from the actual body and deadline.
+/// Serialize an object request: the frame encoder addressed at the
+/// request's own path.
 pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
-    encode_raw_request(
-        req.method,
-        &encode_path(&req.path),
-        &req.headers,
-        req.body.as_ref(),
-        req.deadline,
-    )
+    let target = encode_path(&req.path);
+    encode_frame(req.method, &target, &req.headers, req.body.as_ref(), req.deadline)
 }
 
-/// Serialize a request frame from raw parts — the shared encoder behind
-/// [`encode_request`] and the non-object endpoints (container ops, `/info`)
-/// whose targets are not three-segment [`ObjectPath`]s. `target` must
-/// already be percent-encoded.
-pub fn encode_raw_request(
+/// Serialize a request frame with `Content-Length` framing — the one
+/// request encoder, for object paths and the non-object targets (container
+/// ops, the observability endpoints) alike. `target` is the request-line
+/// form `encode_target` renders. The deadline crosses as a
+/// remaining-budget header; framing headers in the map are replaced by
+/// canonical values derived from the actual body and deadline.
+pub(crate) fn encode_frame(
     method: Method,
     target: &str,
     headers_map: &Headers,
     body: Option<&Bytes>,
     deadline: Deadline,
 ) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(256 + body.map_or(0, |b| b.len()));
+    let mut out = Vec::with_capacity(256);
     out.extend_from_slice(method_name(method).as_bytes());
     out.push(b' ');
     out.extend_from_slice(target.as_bytes());
@@ -272,6 +268,21 @@ pub fn encode_raw_request(
         out.extend_from_slice(body);
     }
     Ok(out)
+}
+
+/// Render a target in its percent-encoded request-line form — the inverse
+/// of [`decode_target`].
+pub(crate) fn encode_target(target: &Target) -> String {
+    match target {
+        Target::Info => "/info".into(),
+        Target::Metrics => "/metrics".into(),
+        Target::Events => "/events".into(),
+        Target::Trace(id) => format!("/trace/{}", encode_segment(id)),
+        Target::Container { account, container } => {
+            format!("/{}/{}", encode_segment(account), encode_segment(container))
+        }
+        Target::Object(path) => encode_path(path),
+    }
 }
 
 /// Serialize the head of a chunked response; the body follows via
@@ -664,7 +675,7 @@ fn parse_start_line(line: &str) -> Result<StartLine> {
 ///
 /// The top-level segments `info`, `metrics`, `events` and `trace` are
 /// reserved endpoint namespaces and never parse as account names.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Target {
     /// `GET /info`: the telemetry snapshot endpoint (plain text).
     Info,
@@ -737,24 +748,29 @@ pub fn decode_target(target: &str) -> Result<Target> {
     }
 }
 
-/// Assemble a [`Request`] from a decoded object-targeted head + body. The
-/// deadline budget header is converted back into a live [`Deadline`] and
-/// removed from the map (it is framing metadata, not a request header).
+/// Convert a decoded head's deadline budget header back into a live
+/// [`Deadline`], removing it from the map (it is framing metadata, not a
+/// request header).
+pub(crate) fn take_deadline(headers_map: &mut Headers) -> Result<Deadline> {
+    match headers_map.remove(headers::DEADLINE_MS) {
+        Some(ms) => {
+            let ms: u64 = ms
+                .parse()
+                .map_err(|_| malformed("unparseable deadline budget"))?;
+            Ok(Deadline::within(Duration::from_millis(ms)))
+        }
+        None => Ok(Deadline::none()),
+    }
+}
+
+/// Assemble a [`Request`] from a decoded object-targeted head + body.
 pub fn request_from_parts(
     method: Method,
     path: ObjectPath,
     mut headers_map: Headers,
     body: Option<Bytes>,
 ) -> Result<Request> {
-    let deadline = match headers_map.remove(headers::DEADLINE_MS) {
-        Some(ms) => {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| malformed("unparseable deadline budget"))?;
-            Deadline::within(Duration::from_millis(ms))
-        }
-        None => Deadline::none(),
-    };
+    let deadline = take_deadline(&mut headers_map)?;
     Ok(Request { method, path, headers: headers_map, body, deadline })
 }
 

@@ -16,12 +16,12 @@ use crate::objserver::{ObjectServer, UPLOAD_TOKEN_HEADER};
 use crate::path::ObjectPath;
 use crate::proxy::{ContainerService, ObjectRecord, ProxyServer};
 use crate::replication::{RepairReport, Replicator};
-use crate::request::{ByteRange, Headers, Method, Request, Response};
+use crate::request::{Headers, Method, Request, Response};
 use crate::ring::{DeviceId, Ring, RingBuilder};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use scoop_common::telemetry::{self, names};
-use scoop_common::{Deadline, Result, RetryPolicy, ScoopError};
+use scoop_common::{headers, stream, Deadline, Result, RetryPolicy, ScoopError};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -111,10 +111,8 @@ pub struct SwiftCluster {
     config: SwiftConfig,
     ring: Arc<RwLock<Ring>>,
     servers: Arc<HashMap<u32, Arc<ObjectServer>>>,
-    proxies: Vec<Arc<ProxyServer>>,
-    containers: Arc<ContainerService>,
+    router: Arc<Router>,
     auth: Arc<AuthService>,
-    next_proxy: AtomicUsize,
     fault_injector: Option<Arc<FaultInjector>>,
     health: Option<Arc<NodeHealth>>,
     /// Lazily-started TCP front end (one per cluster, shared by every
@@ -187,10 +185,8 @@ impl SwiftCluster {
             config,
             ring,
             servers,
-            proxies,
-            containers,
+            router: Arc::new(Router { proxies, containers, turn: AtomicUsize::new(0) }),
             auth,
-            next_proxy: AtomicUsize::new(0),
             fault_injector,
             health,
             net: Mutex::new(None),
@@ -210,8 +206,7 @@ impl SwiftCluster {
             return Ok(h.clone());
         }
         let handle = Arc::new(NetServer::serve(
-            self.proxies.clone(),
-            self.containers.clone(),
+            self.router.clone(),
             self.fault_injector.clone(),
             opts,
         )?);
@@ -238,7 +233,8 @@ impl SwiftCluster {
 
     /// Total read failovers to another replica, summed over all proxies.
     pub fn replica_failovers(&self) -> u64 {
-        self.proxies
+        self.router
+            .proxies
             .iter()
             .map(|p| p.stats.replica_failovers.get())
             .sum()
@@ -256,7 +252,8 @@ impl SwiftCluster {
 
     /// Hedge requests launched, summed over all proxies.
     pub fn hedged_gets(&self) -> u64 {
-        self.proxies
+        self.router
+            .proxies
             .iter()
             .map(|p| p.stats.hedged_gets.get())
             .sum()
@@ -265,7 +262,8 @@ impl SwiftCluster {
     /// Hedged reads won by a hedge (not the first replica), summed over
     /// all proxies.
     pub fn hedge_wins(&self) -> u64 {
-        self.proxies
+        self.router
+            .proxies
             .iter()
             .map(|p| p.stats.hedge_wins.get())
             .sum()
@@ -283,7 +281,7 @@ impl SwiftCluster {
 
     /// The shared container service.
     pub fn containers(&self) -> &ContainerService {
-        &self.containers
+        &self.router.containers
     }
 
     /// The object ring.
@@ -305,7 +303,7 @@ impl SwiftCluster {
 
     /// All proxies.
     pub fn proxies(&self) -> &[Arc<ProxyServer>] {
-        &self.proxies
+        &self.router.proxies
     }
 
     /// Install an object-stage middleware pipeline on every object server.
@@ -317,26 +315,25 @@ impl SwiftCluster {
 
     /// Install a proxy-stage middleware pipeline on every proxy.
     pub fn set_proxy_pipeline(&self, pipeline: Pipeline) {
-        for p in &self.proxies {
+        for p in &self.router.proxies {
             p.set_pipeline(pipeline.clone());
         }
     }
 
     /// Round-robin proxy selection (stands in for the testbed's HAProxy
     /// load balancer).
-    pub fn next_proxy(&self) -> Arc<ProxyServer> {
-        let i = self.next_proxy.fetch_add(1, Ordering::Relaxed) % self.proxies.len();
-        self.proxies[i].clone()
+    pub fn next_proxy(&self) -> Result<Arc<ProxyServer>> {
+        self.router.next_proxy().cloned()
     }
 
     /// Handle a raw request through the load balancer.
     pub fn handle(&self, req: Request) -> Result<Response> {
-        self.next_proxy().handle(req)
+        self.router.next_proxy()?.handle(req)
     }
 
     /// Run a replication audit/repair pass.
     pub fn repair(&self) -> Result<RepairReport> {
-        Replicator::new(self.ring.clone(), self.servers.clone(), self.containers.clone())
+        Replicator::new(self.ring.clone(), self.servers.clone(), self.router.containers.clone())
             .repair()
     }
 
@@ -381,10 +378,83 @@ impl SwiftCluster {
 impl std::fmt::Debug for SwiftCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwiftCluster")
-            .field("proxies", &self.proxies.len())
+            .field("proxies", &self.router.proxies.len())
             .field("object_servers", &self.servers.len())
             .field("replicas", &self.config.replicas)
             .finish()
+    }
+}
+
+/// The cluster's front door: the one place that knows how each request
+/// target is served. In-process clients and the TCP server's workers both
+/// route through it, behind the same round-robin proxy choice.
+pub(crate) struct Router {
+    proxies: Vec<Arc<ProxyServer>>,
+    containers: Arc<ContainerService>,
+    turn: AtomicUsize,
+}
+
+impl Router {
+    fn next_proxy(&self) -> Result<&Arc<ProxyServer>> {
+        let turn = self.turn.fetch_add(1, Ordering::Relaxed);
+        turn.checked_rem(self.proxies.len())
+            .and_then(|i| self.proxies.get(i))
+            .ok_or_else(|| ScoopError::Internal("cluster has no proxies".into()))
+    }
+
+    /// Serve one request, whatever it addresses: an object goes to the next
+    /// proxy, a container is created or listed, an observability endpoint
+    /// renders the live telemetry (read-only: anything but GET is refused).
+    pub(crate) fn route(
+        &self,
+        method: Method,
+        target: wire::Target,
+        mut headers_map: Headers,
+        body: Option<Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        use wire::Target;
+        let text = |body: String, content_type: &str| {
+            let body = stream::once(Bytes::from(body));
+            Ok(Response::ok(body).with_header("content-type", content_type))
+        };
+        match target {
+            Target::Object(path) => self.next_proxy()?.handle(Request {
+                method,
+                path,
+                headers: headers_map,
+                body,
+                deadline,
+            }),
+            Target::Container { account, container } => match method {
+                Method::Put => {
+                    self.containers.create_container(&account, &container);
+                    Ok(Response::created())
+                }
+                Method::Get => {
+                    let prefix = headers_map.remove(headers::LIST_PREFIX);
+                    let records =
+                        self.containers.list_objects(&account, &container, prefix.as_deref())?;
+                    Ok(Response::ok(stream::once(Bytes::from(wire::encode_listing(&records)))))
+                }
+                _ => Err(ScoopError::InvalidRequest(format!(
+                    "unsupported container method {}",
+                    wire::method_name(method)
+                ))),
+            },
+            endpoint if method != Method::Get => Err(ScoopError::InvalidRequest(format!(
+                "{} is GET-only",
+                wire::encode_target(&endpoint)
+            ))),
+            Target::Info => Ok(self.next_proxy()?.info()),
+            Target::Metrics => {
+                text(telemetry::snapshot().to_prometheus(), "text/plain; version=0.0.4")
+            }
+            Target::Trace(id) => text(telemetry::trace_to_json(&id), "application/json"),
+            Target::Events => {
+                text(telemetry::events_to_json(&telemetry::query_events()), "application/json")
+            }
+        }
     }
 }
 
@@ -429,14 +499,13 @@ impl SwiftClient {
         // so the existing e2e suites run unmodified over real sockets. A
         // failed listener bind falls back to in-process rather than
         // panicking inside test setup.
-        let transport = if std::env::var("SCOOP_TRANSPORT").map(|v| v == "tcp").unwrap_or(false) {
-            match cluster.serve_net(NetOptions::default()) {
-                Ok(h) => Transport::Tcp(HttpPool::new(h.addr(), PoolConfig::default())),
-                Err(_) => Transport::InProcess,
-            }
-        } else {
-            Transport::InProcess
-        };
+        let transport = std::env::var("SCOOP_TRANSPORT")
+            .is_ok_and(|v| v == "tcp")
+            .then(|| cluster.serve_net(NetOptions::default()).ok())
+            .flatten()
+            .map_or(Transport::InProcess, |h| {
+                Transport::Tcp(HttpPool::new(h.addr(), PoolConfig::default()))
+            });
         SwiftClient {
             cluster,
             account: account.to_string(),
@@ -472,15 +541,7 @@ impl SwiftClient {
     pub fn transport_pool(&self) -> Option<&Arc<HttpPool>> {
         match &self.transport {
             Transport::Tcp(pool) => Some(pool),
-            Transport::InProcess => None,
-        }
-    }
-
-    /// One request/response exchange over whichever transport is in force.
-    fn dispatch(&self, req: Request) -> Result<Response> {
-        match &self.transport {
-            Transport::InProcess => self.cluster.handle(req),
-            Transport::Tcp(pool) => pool.send(&req),
+            _ => None,
         }
     }
 
@@ -536,117 +597,93 @@ impl SwiftClient {
     /// (if set) is stamped on the request, bounds backoff sleeps, and stops
     /// re-dispatch once expired — the last real error surfaces, not a
     /// synthetic timeout.
-    pub fn request(&self, mut req: Request) -> Result<Response> {
-        if let Some(tok) = &self.token {
-            req.headers.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
-        }
-        let trace = self.trace.lock().clone();
-        if let Some(t) = &trace {
-            req.headers.set(scoop_common::headers::TRACE, t.clone());
-        }
-        let _span = telemetry::span(
-            trace.as_deref(),
-            telemetry::layers::CLIENT,
-            format!("{:?} {}", req.method, req.path.ring_key()),
-        );
-        req.deadline = req.deadline.earliest(*self.deadline.lock());
-        let deadline = req.deadline;
-        deadline.check("client dispatch")?;
-        let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
-        let mut attempt = 0u32;
-        loop {
-            match self.dispatch(req.clone()) {
-                Ok(resp) => return Ok(resp),
-                Err(e)
-                    if e.is_retryable()
-                        && attempt + 1 < self.retry.max_attempts
-                        && !deadline.expired() =>
-                {
-                    std::thread::sleep(deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)));
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.retries_global.inc();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Stamp auth token and trace on a raw (non-object) request's headers.
-    fn raw_headers(&self) -> Headers {
-        let mut h = Headers::new();
-        if let Some(tok) = &self.token {
-            h.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
-        }
-        if let Some(t) = self.trace.lock().as_ref() {
-            h.set(scoop_common::headers::TRACE, t.clone());
-        }
-        h
+    pub fn request(&self, req: Request) -> Result<Response> {
+        let target = wire::Target::Object(req.path);
+        self.exchange(req.method, &target, req.headers, req.body, req.deadline)
     }
 
     /// Snapshot the client's deadline. The guard is scoped to this frame,
-    /// so callers can sleep or dispatch on sockets without holding
+    /// so the exchange sleeps and dispatches on sockets without holding
     /// `SwiftClient.deadline` across the blocking call.
     fn current_deadline(&self) -> Deadline {
         *self.deadline.lock()
     }
 
-    /// One raw (non-object) exchange under the client's retry policy.
-    /// Container creates and listings are idempotent, so re-dispatch after
-    /// a retryable wire failure is always safe.
-    fn raw_retrying(
+    /// The one way out of the client: every operation — object, container,
+    /// observability endpoint — is a method on a target, stamped with the
+    /// auth token, the trace and the tighter of its own and the client's
+    /// deadline, wrapped in one client span, retried under the client's
+    /// policy, and only then handed to whichever transport is in force.
+    fn exchange(
         &self,
-        pool: &Arc<HttpPool>,
         method: Method,
-        target: &str,
-        headers: Headers,
-    ) -> Result<(u16, Headers, bytes::Bytes)> {
-        let deadline = self.current_deadline();
-        deadline.check("raw dispatch")?;
-        let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
-        let mut attempt = 0u32;
-        loop {
-            match pool.send_raw(method, target, headers.clone(), deadline) {
-                Ok(out) => return Ok(out),
-                Err(e)
-                    if e.is_retryable()
-                        && attempt + 1 < self.retry.max_attempts
-                        && !deadline.expired() =>
-                {
-                    std::thread::sleep(deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)));
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.retries_global.inc();
-                }
-                Err(e) => return Err(e),
-            }
+        target: &wire::Target,
+        mut headers_map: Headers,
+        body: Option<Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        if let Some(tok) = &self.token {
+            headers_map.set(headers::AUTH_TOKEN, tok.clone());
         }
+        let trace = self.trace.lock().clone();
+        if let Some(t) = &trace {
+            headers_map.set(headers::TRACE, t.clone());
+        }
+        let _span = telemetry::span(
+            trace.as_deref(),
+            telemetry::layers::CLIENT,
+            match target {
+                wire::Target::Object(path) => format!("{method:?} {}", path.ring_key()),
+                other => format!("{method:?} {}", wire::encode_target(other)),
+            },
+        );
+        let deadline = deadline.earliest(self.current_deadline());
+        let mut attempts = 0u32;
+        let dispatch = || {
+            if attempts > 0 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.retries_global.inc();
+            }
+            attempts += 1;
+            match &self.transport {
+                Transport::InProcess => self.cluster.router.route(
+                    method,
+                    target.clone(),
+                    headers_map.clone(),
+                    body.clone(),
+                    deadline,
+                ),
+                Transport::Tcp(pool) => {
+                    pool.send(method, target, &headers_map, body.as_ref(), deadline)
+                }
+            }
+        };
+        let (resp, _) = self.retry.run_with_deadline(deadline, "client dispatch", dispatch)?;
+        Ok(resp)
+    }
+
+    /// A bodyless exchange on a non-object target; anything but the
+    /// method's success status (`201` for PUT, else `200`) is an error.
+    fn control(&self, method: Method, target: wire::Target, headers_map: Headers) -> Result<Bytes> {
+        let resp = self.exchange(method, &target, headers_map, None, Deadline::none())?;
+        let expected = if method == Method::Put { 201 } else { 200 };
+        if resp.status != expected {
+            return Err(ScoopError::Internal(format!(
+                "{method:?} {} answered unexpected status {}",
+                wire::encode_target(&target),
+                resp.status
+            )));
+        }
+        resp.read_body()
+    }
+
+    fn container(&self, container: &str) -> wire::Target {
+        wire::Target::Container { account: self.account.clone(), container: container.to_string() }
     }
 
     /// Create a container.
     pub fn create_container(&self, container: &str) -> Result<()> {
-        match &self.transport {
-            Transport::InProcess => {
-                self.cluster.containers.create_container(&self.account, container);
-                Ok(())
-            }
-            Transport::Tcp(pool) => {
-                let target = format!(
-                    "/{}/{}",
-                    wire::encode_segment(&self.account),
-                    wire::encode_segment(container)
-                );
-                let (status, _, _) =
-                    self.raw_retrying(pool, Method::Put, &target, self.raw_headers())?;
-                if status == 201 {
-                    Ok(())
-                } else {
-                    Err(ScoopError::Internal(format!(
-                        "container create answered unexpected status {status}"
-                    )))
-                }
-            }
-        }
+        self.control(Method::Put, self.container(container), Headers::new()).map(drop)
     }
 
     /// Store an object. Each upload carries a unique idempotency token, so a
@@ -670,95 +707,6 @@ impl SwiftClient {
         self.request(Request::delete(path))
     }
 
-    /// `GET /info`: the telemetry snapshot served by whichever proxy the
-    /// load balancer picks — the Swift recon/info analogue, no auth (the
-    /// snapshot carries operational counters, not object data). On the TCP
-    /// transport a wire failure degrades to `503` rather than erroring: the
-    /// snapshot is best-effort operational data.
-    pub fn info(&self) -> Response {
-        match &self.transport {
-            Transport::InProcess => self.cluster.next_proxy().info(),
-            Transport::Tcp(pool) => {
-                match pool.send_raw(Method::Get, "/info", self.raw_headers(), *self.deadline.lock())
-                {
-                    Ok((status, headers, body)) => {
-                        wire::response_from_parts(status, headers, body)
-                    }
-                    Err(_) => Response::unavailable(),
-                }
-            }
-        }
-    }
-
-    /// `GET /metrics`: the live Prometheus text rendering of the telemetry
-    /// registry. In-process transports render the local snapshot directly;
-    /// over TCP the request crosses the wire so the text reflects whichever
-    /// proxy answered. Best-effort like [`SwiftClient::info`].
-    pub fn metrics_text(&self) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::snapshot().to_prometheus()),
-            Transport::Tcp(pool) => {
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    "/metrics",
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/metrics answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
-    }
-
-    /// `GET /trace/{id}`: the JSON span dump for one trace. Over TCP the
-    /// spans come from the server's store; the caller's own client-side
-    /// spans for the same trace live in the local store (`trace_spans`).
-    pub fn trace_json(&self, trace: &str) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::trace_to_json(trace)),
-            Transport::Tcp(pool) => {
-                let target = format!("/trace/{}", wire::encode_segment(trace));
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    &target,
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/trace answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
-    }
-
-    /// `GET /events`: the wide-event (slow-query) ring as JSON.
-    pub fn events_json(&self) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::events_to_json(&telemetry::query_events())),
-            Transport::Tcp(pool) => {
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    "/events",
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/events answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
-    }
-
     /// Object metadata.
     pub fn head_object(&self, container: &str, object: &str) -> Result<Response> {
         let path = ObjectPath::new(self.account.clone(), container, object)?;
@@ -767,90 +715,44 @@ impl SwiftClient {
 
     /// Container listing.
     pub fn list(&self, container: &str, prefix: Option<&str>) -> Result<Vec<ObjectRecord>> {
-        match &self.transport {
-            Transport::InProcess => {
-                self.cluster.containers.list_objects(&self.account, container, prefix)
-            }
-            Transport::Tcp(pool) => {
-                let target = format!(
-                    "/{}/{}",
-                    wire::encode_segment(&self.account),
-                    wire::encode_segment(container)
-                );
-                let mut headers = self.raw_headers();
-                if let Some(p) = prefix {
-                    headers.set(scoop_common::headers::LIST_PREFIX, p.to_string());
-                }
-                let (_, _, body) = self.raw_retrying(pool, Method::Get, &target, headers)?;
-                wire::decode_listing(&body)
-            }
+        let mut headers_map = Headers::new();
+        if let Some(p) = prefix {
+            headers_map.set(headers::LIST_PREFIX, p.to_string());
         }
+        wire::decode_listing(&self.control(Method::Get, self.container(container), headers_map)?)
     }
 
-    /// Fetch several byte ranges of one object. Over TCP the batch is
-    /// *pipelined*: every GET frame is written back-to-back on one pooled
-    /// connection and the responses are read in order — one round trip of
-    /// latency for the whole batch. In-process the ranges dispatch
-    /// sequentially (there is no wire to amortize). Retryable wire failures
-    /// re-dispatch the whole batch under the client's [`RetryPolicy`]
-    /// (GETs are idempotent, so a replayed batch is safe).
-    pub fn get_ranges(
-        &self,
-        container: &str,
-        object: &str,
-        ranges: &[ByteRange],
-    ) -> Result<Vec<Response>> {
-        let path = ObjectPath::new(self.account.clone(), container, object)?;
-        match &self.transport {
-            Transport::InProcess => ranges
-                .iter()
-                .map(|r| self.request(Request::get(path.clone()).with_range(*r)))
-                .collect(),
-            Transport::Tcp(pool) => {
-                let deadline = self.current_deadline();
-                deadline.check("pipelined dispatch")?;
-                let trace = self.trace.lock().clone();
-                let _span = telemetry::span(
-                    trace.as_deref(),
-                    telemetry::layers::CLIENT,
-                    format!("pipelined GET x{} {}", ranges.len(), path.ring_key()),
-                );
-                let reqs: Vec<Request> = ranges
-                    .iter()
-                    .map(|r| {
-                        let mut req =
-                            Request::get(path.clone()).with_range(*r).with_deadline(deadline);
-                        if let Some(tok) = &self.token {
-                            req.headers.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
-                        }
-                        if let Some(t) = &trace {
-                            req.headers.set(scoop_common::headers::TRACE, t.clone());
-                        }
-                        req
-                    })
-                    .collect();
-                let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
-                let mut attempt = 0u32;
-                loop {
-                    match pool.send_pipelined(&reqs) {
-                        Ok(responses) => return Ok(responses),
-                        Err(e)
-                            if e.is_retryable()
-                                && attempt + 1 < self.retry.max_attempts
-                                && !deadline.expired() =>
-                        {
-                            std::thread::sleep(
-                                deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)),
-                            );
-                            attempt += 1;
-                            self.retries.fetch_add(1, Ordering::Relaxed);
-                            self.retries_global.inc();
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
+    /// `GET /info`: the telemetry snapshot served by whichever proxy the
+    /// load balancer picks — the Swift recon/info analogue, no auth (the
+    /// snapshot carries operational counters, not object data). A failed
+    /// exchange degrades to `503` rather than erroring: the snapshot is
+    /// best-effort operational data.
+    pub fn info(&self) -> Response {
+        self.exchange(Method::Get, &wire::Target::Info, Headers::new(), None, Deadline::none())
+            .unwrap_or_else(|_| Response::unavailable())
+    }
+
+    /// `GET /metrics`: the live Prometheus text rendering of the telemetry
+    /// registry of whichever process answered.
+    pub fn metrics_text(&self) -> Result<String> {
+        self.endpoint_text(wire::Target::Metrics)
+    }
+
+    /// `GET /trace/{id}`: the JSON span dump for one trace. Over TCP the
+    /// spans come from the server's store; the caller's own client-side
+    /// spans for the same trace live in the local store (`trace_spans`).
+    pub fn trace_json(&self, trace: &str) -> Result<String> {
+        self.endpoint_text(wire::Target::Trace(trace.to_string()))
+    }
+
+    /// `GET /events`: the wide-event (slow-query) ring as JSON.
+    pub fn events_json(&self) -> Result<String> {
+        self.endpoint_text(wire::Target::Events)
+    }
+
+    fn endpoint_text(&self, target: wire::Target) -> Result<String> {
+        let body = self.control(Method::Get, target, Headers::new())?;
+        Ok(String::from_utf8_lossy(&body).into_owned())
     }
 }
 
@@ -970,9 +872,36 @@ mod tests {
     #[test]
     fn round_robin_spreads_over_proxies() {
         let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
-        let a = cluster.next_proxy().id;
-        let b = cluster.next_proxy().id;
+        let a = cluster.next_proxy().unwrap().id;
+        let b = cluster.next_proxy().unwrap().id;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn observability_endpoints_are_get_only_for_every_transport() {
+        // Both transports route here, so this is the one place to check.
+        let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
+        let endpoints = [
+            wire::Target::Info,
+            wire::Target::Metrics,
+            wire::Target::Trace("t1".into()),
+            wire::Target::Events,
+        ];
+        for target in endpoints {
+            for method in [Method::Put, Method::Post, Method::Delete, Method::Head] {
+                let err = cluster
+                    .router
+                    .route(method, target.clone(), Headers::new(), None, Deadline::none())
+                    .err()
+                    .unwrap_or_else(|| panic!("{method:?} {target:?} was served"));
+                assert_eq!(err.kind(), "invalid_request", "{method:?} {target:?}: {err}");
+            }
+            let resp = cluster
+                .router
+                .route(Method::Get, target, Headers::new(), None, Deadline::none())
+                .unwrap();
+            assert_eq!(resp.status, 200);
+        }
     }
 
     #[test]

@@ -11,14 +11,14 @@
 
 use crate::api::{InvocationContext, InvocationMetrics};
 use crate::engine::StorletEngine;
-use crate::planner::plan_ranges;
+use crate::planner::{plan_ranges, BlockPlan};
 use crate::policy::{PolicyStore, Tier};
 use scoop_common::zonestats::ObjectStats;
 use scoop_common::{stream, ByteStream, Result, ScoopError};
 use scoop_csv::PushdownSpec;
 use scoop_objectstore::middleware::{Handler, Middleware};
 use scoop_objectstore::objserver::{STAGE_HEADER, STAGE_OBJECT, STAGE_PROXY};
-use scoop_objectstore::request::{ByteRange, Method, Request, Response};
+use scoop_objectstore::request::{ByteRange, Headers, Method, Request, Response};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -99,6 +99,26 @@ pub fn decode_params(header: &str) -> Result<HashMap<String, String>> {
     Ok(map)
 }
 
+/// What one storlet GET reads: byte windows in object order and, when they
+/// came from the object's zone maps, the evidence behind them.
+struct GetPlan {
+    /// Inclusive `[first, last]` windows; `last == None` reads to EOF.
+    windows: Vec<(u64, Option<u64>)>,
+    /// The block plan when the windows came from fresh stats; `None` marks
+    /// the trivial plan.
+    blocks: Option<BlockPlan>,
+    /// The HEAD's headers, which a stats plan answers with (it may have no
+    /// window to take them from).
+    headers: Option<Headers>,
+}
+
+impl GetPlan {
+    /// The full scan: one open-ended window from the request's start.
+    fn trivial(start: u64) -> GetPlan {
+        GetPlan { windows: vec![(start, None)], blocks: None, headers: None }
+    }
+}
+
 /// The middleware. Install one instance (sharing the engine) on both the
 /// proxy and object-server pipelines.
 pub struct StorletMiddleware {
@@ -174,8 +194,12 @@ impl StorletMiddleware {
             .collect()
     }
 
-    /// GET with storlet: resolve ranges, fetch (open-ended when record
-    /// alignment is needed), and wrap the response body in the filter stream.
+    /// GET with storlet — the one path. Every read is a plan: byte windows
+    /// fetched in object order, each run through the head storlet with its
+    /// own record-ownership window, the outputs chained and handed to the
+    /// rest of the pipeline. A full scan is the *trivial plan* (one window,
+    /// open-ended so the lazy filter stream can stop pulling early); fresh
+    /// zone-map stats yield a few bounded windows instead.
     fn run_get(
         &self,
         names: &[String],
@@ -190,12 +214,15 @@ impl StorletMiddleware {
         let Some(permit) = self.engine.try_admit() else {
             return Ok(Response::unavailable().with_header(headers::DEGRADED, names.join(",")));
         };
+        let (head_name, rest) = names
+            .split_first()
+            .ok_or_else(|| ScoopError::Storlet("empty storlet pipeline".into()))?;
         let _span = scoop_common::telemetry::span(
             req.headers.get(scoop_common::headers::TRACE),
             scoop_common::telemetry::layers::STORLET,
             format!("GET pipeline [{}]", names.join(",")),
         );
-        let mut ctx = Self::build_context(&req)?;
+        let ctx = Self::build_context(&req)?;
         // Logical range: X-Storlet-Range wins, else a plain Range is promoted
         // to a storlet-handled (record-aligned) range.
         let logical = match req.headers.remove(headers::STORLET_RANGE) {
@@ -203,200 +230,157 @@ impl StorletMiddleware {
             None => req.range()?,
         };
         req.headers.remove("range");
-        // Store-side data skipping: when the object carries fresh zone-map
-        // stats, serve the pushdown from a few bounded ranged GETs over the
-        // surviving blocks instead of one open-ended scan. Any reason the
-        // plan can't be trusted falls through to the classic path below.
-        if let Some(mut planned) = self.try_planned_get(names, &req, next, &ctx, logical)? {
-            planned.body = permit.attach(planned.body);
-            planned.headers.set(headers::INVOKED, names.join(","));
-            return Ok(planned);
-        }
-        if let Some(r) = logical {
-            ctx.range_start = r.start;
-            ctx.range_end = r.end;
-            // Backend serves from the range start to EOF; the storlet's lazy
-            // stream stops pulling once past the logical end.
-            req.headers
-                .set("range", ByteRange { start: r.start, end: None }.to_header());
-        }
         // Don't re-run downstream.
-        let invoked = names.join(",");
         req.headers.remove(headers::RUN_STORLET);
         req.headers.remove(headers::PARAMETERS);
         req.headers.remove(headers::RUN_ON);
-        let resp = next.call(req)?;
-        if !resp.is_success() {
-            return Ok(resp);
-        }
-        // Guard the raw body before it enters the filter: a backend that cut
-        // the stream short would otherwise just look like an early EOF and
-        // silently drop records from the filtered output. `enforce_length`
-        // turns that into a retryable error; lazy early termination by the
-        // range-aligned filter is unaffected (it stops pulling, which never
-        // trips the check).
-        let body = match resp
-            .headers
-            .get("content-length")
-            .and_then(|l| l.parse::<u64>().ok())
-        {
-            Some(expected) => stream::enforce_length(resp.body, expected),
-            None => resp.body,
+        let (start, end) = logical.map_or((0, None), |r| (r.start, r.end));
+
+        let skip = self.engine.skip_stats();
+        let mut plan = self.plan_get(head_name, &req, next, &ctx, start, end);
+        let (parts, headers, scanned_bytes) = 'plan: loop {
+            let mut parts: Vec<ByteStream> = Vec::new();
+            let mut headers = plan.headers.take();
+            let mut scanned_bytes = 0u64;
+            for (first, last) in std::mem::take(&mut plan.windows) {
+                let mut get = req.clone();
+                // A whole-object read nobody ranged goes out as the plain
+                // GET it is; everything else names its window.
+                if logical.is_some() || last.is_some() {
+                    get.headers.set("range", ByteRange { start: first, end: last }.to_header());
+                }
+                let resp = match next.call(get) {
+                    Ok(resp) if resp.is_success() => resp,
+                    // A stats plan that cannot be read is abandoned — once —
+                    // for the trivial plan, which has no fallback of its own.
+                    _ if plan.blocks.is_some() => {
+                        skip.record_fallback();
+                        plan = GetPlan::trivial(start);
+                        continue 'plan;
+                    }
+                    other => return other,
+                };
+                // Guard the raw body before it enters the filter: a backend
+                // that cut the stream short would otherwise look like an
+                // early EOF and silently drop records. `enforce_length`
+                // turns that into a retryable error; the filter stopping
+                // early never trips it. A bounded window knows its length,
+                // an open-ended one trusts what the backend advertised.
+                let expected = match last {
+                    Some(last) => {
+                        let len = last.saturating_add(1).saturating_sub(first);
+                        scanned_bytes += len;
+                        Some(len)
+                    }
+                    None => resp.headers.get("content-length").and_then(|l| l.parse::<u64>().ok()),
+                };
+                let body = match expected {
+                    Some(len) => stream::enforce_length(resp.body, len),
+                    None => resp.body,
+                };
+                // The window's share of the logical range. A window cut at a
+                // block boundary past the request start begins at a record
+                // it *owns*: alignment discard would lose it.
+                let window_ctx = InvocationContext {
+                    range_start: first,
+                    range_end: match (last, end) {
+                        (Some(last), Some(end)) => Some(last.min(end)),
+                        (last, end) => last.or(end),
+                    },
+                    pre_aligned: first > start,
+                    metrics: Arc::new(InvocationMetrics::default()),
+                    ..ctx.clone()
+                };
+                parts.push(self.engine.invoke(head_name, body, window_ctx)?);
+                headers.get_or_insert(resp.headers);
+            }
+            break (parts, headers.unwrap_or_default(), scanned_bytes);
         };
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let body = permit.attach(self.engine.invoke_pipeline(&name_refs, body, &ctx)?);
-        let mut out = Response { status: 200, headers: resp.headers, body };
+        // Downstream stages see one concatenated derived stream, whatever
+        // the plan was.
+        let chained: ByteStream = Box::new(parts.into_iter().flatten());
+        let body = if rest.is_empty() {
+            chained
+        } else {
+            let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+            self.engine.invoke_pipeline(&rest, chained, &ctx)?
+        };
+        let mut out = Response { status: 200, headers, body: permit.attach(body) };
         // Filtered length is unknown until the stream is consumed.
         out.headers.remove("content-length");
         out.headers.remove("content-range");
-        out.headers.set(headers::INVOKED, invoked);
+        if let Some(blocks) = &plan.blocks {
+            skip.record_plan(blocks.blocks_pruned, blocks.blocks_scanned, blocks.bytes_skipped);
+            out.headers.set(scoop_common::headers::SCANNED_BYTES, scanned_bytes.to_string());
+            out.headers.set(scoop_common::headers::SKIPPED_BYTES, blocks.bytes_skipped.to_string());
+        }
+        out.headers.set(headers::INVOKED, names.join(","));
         Ok(out)
     }
 
-    /// Attempt the block-skipping GET path.
-    ///
-    /// Applicable when the pipeline head is `csvfilter` with a parseable
-    /// spec, and a HEAD shows the object carries zone-map stats that are
-    /// fresh (etag and length match) and consistent with the query's schema.
-    /// Returns `Ok(None)` whenever the plan cannot be trusted — the caller
-    /// then runs the classic full-scan path, so a bad or stale index is
-    /// never a correctness event, only a performance one.
-    fn try_planned_get(
+    /// Decide the windows a storlet GET reads. Block skipping applies when
+    /// the pipeline head is `csvfilter` with a parseable spec, and a HEAD
+    /// shows the object carries zone-map stats that are fresh and consistent
+    /// with the query's schema. Otherwise the answer is the trivial plan, so
+    /// a bad or stale index is never a correctness event, only a performance
+    /// one (an unparseable spec fails there with the invocation error).
+    fn plan_get(
         &self,
-        names: &[String],
+        head_name: &str,
         req: &Request,
         next: &dyn Handler,
         ctx: &InvocationContext,
-        logical: Option<ByteRange>,
-    ) -> Result<Option<Response>> {
-        if names.first().map(String::as_str) != Some("csvfilter") {
-            return Ok(None);
+        start: u64,
+        end: Option<u64>,
+    ) -> GetPlan {
+        let trivial = GetPlan::trivial(start);
+        if head_name != "csvfilter" {
+            return trivial;
         }
-        // An unparseable spec/schema goes down the classic path and fails
-        // there with the proper invocation error.
-        let Some(spec) = ctx
-            .params
-            .get("spec")
-            .and_then(|h| PushdownSpec::from_header(h).ok())
+        let Some(spec) = ctx.params.get("spec").and_then(|h| PushdownSpec::from_header(h).ok())
         else {
-            return Ok(None);
+            return trivial;
         };
         let Some(schema) = ctx.params.get("schema") else {
-            return Ok(None);
+            return trivial;
         };
-        let trace = req.headers.get(scoop_common::headers::TRACE).map(str::to_string);
-        let mut head = Request::head(req.path.clone()).with_deadline(req.deadline);
-        if let Some(t) = &trace {
-            head = head.with_header(scoop_common::headers::TRACE, t.as_str());
-        }
-        let Ok(head_resp) = next.call(head) else {
-            return Ok(None); // backend trouble: let the classic path surface it
+        // Backend trouble on the HEAD: let the read itself surface it.
+        let head = Request { method: Method::Head, ..req.clone() };
+        let head = match next.call(head) {
+            Ok(resp) if resp.is_success() => resp.headers,
+            _ => return trivial,
         };
-        if !head_resp.is_success() {
-            return Ok(None);
-        }
         let skip = self.engine.skip_stats();
-        let stats = match ObjectStats::from_metadata(head_resp.headers.iter()) {
-            Ok(Some(s)) => s,
-            // Absent, undecodable, or corrupt stats: full scan.
-            Ok(None) | Err(_) => {
-                skip.record_fallback();
-                return Ok(None);
-            }
+        // Absent, undecodable, or corrupt stats: full scan.
+        let Ok(Some(stats)) = ObjectStats::from_metadata(head.iter()) else {
+            skip.record_fallback();
+            return trivial;
         };
         // Freshness: the stats must describe exactly the stored bytes
         // (overwrites change the etag, truncations change the length), and
         // the query must agree with the indexed schema — pruning evidence is
         // positional, so a different column layout would be unsound.
-        let object_len = head_resp
-            .headers
-            .get("content-length")
-            .and_then(|l| l.parse::<u64>().ok());
-        let schema_matches = schema.split(',').map(str::trim).eq(stats
-            .columns
-            .iter()
-            .map(String::as_str));
-        if head_resp.headers.get("etag") != Some(stats.etag.as_str())
+        let object_len = head.get("content-length").and_then(|l| l.parse::<u64>().ok());
+        let schema_matches =
+            schema.split(',').map(str::trim).eq(stats.columns.iter().map(String::as_str));
+        if head.get("etag") != Some(stats.etag.as_str())
             || object_len != Some(stats.covered_len())
             || !schema_matches
             || spec.has_header != stats.has_header
         {
             skip.record_fallback();
-            return Ok(None);
+            return trivial;
         }
-
-        let (start, end) = logical.map(|r| (r.start, r.end)).unwrap_or((0, None));
-        let plan = plan_ranges(&stats, spec.predicate.as_ref(), start, end);
-        // Fetch every surviving coalesced range eagerly with a *bounded*
-        // GET (the handler borrow cannot escape into the lazy body), then
-        // chain the per-range filter streams lazily.
-        let mut parts: Vec<ByteStream> = Vec::new();
-        let mut scanned_bytes = 0u64;
-        for &(rs, re) in &plan.ranges {
-            // The first surviving block may begin before the requested
-            // start; fetch from the start and let newline alignment drop
-            // the unowned prefix, exactly like the classic path.
-            let fetch_start = rs.max(start);
-            let range_last = re.saturating_sub(1);
-            let mut get = Request::get(req.path.clone())
-                .with_deadline(req.deadline)
-                .with_range(ByteRange { start: fetch_start, end: Some(range_last) });
-            if let Some(t) = &trace {
-                get = get.with_header(scoop_common::headers::TRACE, t.as_str());
-            }
-            let Ok(resp) = next.call(get) else {
-                skip.record_fallback();
-                return Ok(None);
-            };
-            if !resp.is_success() {
-                skip.record_fallback();
-                return Ok(None);
-            }
-            let expected = re.saturating_sub(fetch_start);
-            scanned_bytes += expected;
-            let body = stream::enforce_length(resp.body, expected);
-            // A range cut at a block boundary past the request start begins
-            // at a record the range *owns*: alignment discard would lose it.
-            let range_ctx = InvocationContext {
-                range_start: fetch_start,
-                range_end: Some(end.map_or(range_last, |e| e.min(range_last))),
-                pre_aligned: fetch_start > start,
-                metrics: Arc::new(InvocationMetrics::default()),
-                ..ctx.clone()
-            };
-            parts.push(self.engine.invoke("csvfilter", body, range_ctx)?);
-        }
-        let chained: ByteStream = Box::new(parts.into_iter().flatten());
-        // Downstream pipeline stages see one concatenated derived stream,
-        // same as the classic path.
-        let rest: Vec<&str> = names
-            .get(1..)
-            .unwrap_or(&[])
+        let blocks = plan_ranges(&stats, spec.predicate.as_ref(), start, end);
+        // The first surviving block may begin before the requested start;
+        // fetch from the start and let newline alignment drop the unowned
+        // prefix, exactly like the trivial plan.
+        let windows = blocks
+            .ranges
             .iter()
-            .map(String::as_str)
+            .map(|&(rs, re)| (rs.max(start), Some(re.saturating_sub(1))))
             .collect();
-        let body = if rest.is_empty() {
-            chained
-        } else {
-            let down_ctx = InvocationContext {
-                range_start: 0,
-                range_end: None,
-                pre_aligned: false,
-                metrics: Arc::new(InvocationMetrics::default()),
-                ..ctx.clone()
-            };
-            self.engine.invoke_pipeline(&rest, chained, &down_ctx)?
-        };
-        skip.record_plan(plan.blocks_pruned, plan.blocks_scanned, plan.bytes_skipped);
-        let mut out = Response { status: 200, headers: head_resp.headers, body };
-        out.headers.remove("content-length");
-        out.headers.remove("content-range");
-        out.headers.set(
-            scoop_common::headers::SCANNED_BYTES,
-            scanned_bytes.to_string(),
-        );
-        out.headers.set(scoop_common::headers::SKIPPED_BYTES, plan.bytes_skipped.to_string());
-        Ok(Some(out))
+        GetPlan { windows, blocks: Some(blocks), headers: Some(head) }
     }
 
     /// PUT with storlet (ETL path): transform the body once, then store the
@@ -935,6 +919,136 @@ mod tests {
             scoop_csv::filter::filter_buffer(&spec, &header, new_data, true).unwrap();
         assert_eq!(resp.read_body().unwrap(), reference);
         assert_eq!(engine.skip_stats().fallbacks(), before + 1);
+    }
+
+    /// Fails GETs with a bounded range (the stats plan's windows) from the
+    /// second one on — and, with `all`, every other GET too; counts both.
+    #[derive(Default)]
+    struct FailGets {
+        bounded: std::sync::atomic::AtomicU32,
+        other: std::sync::atomic::AtomicU32,
+        all: bool,
+    }
+
+    impl Middleware for FailGets {
+        fn name(&self) -> &str {
+            "fail-gets"
+        }
+
+        fn handle(&self, req: Request, next: &dyn Handler) -> Result<Response> {
+            use std::sync::atomic::Ordering::Relaxed;
+            let fail = match (req.method, req.range()?) {
+                (Method::Get, Some(ByteRange { end: Some(_), .. })) => {
+                    self.bounded.fetch_add(1, Relaxed) >= 1
+                }
+                (Method::Get, _) => {
+                    self.other.fetch_add(1, Relaxed);
+                    self.all
+                }
+                _ => false,
+            };
+            if fail {
+                return Err(ScoopError::Io(std::io::Error::other("injected read failure")));
+            }
+            next.call(req)
+        }
+    }
+
+    /// Run `req`; report its body (or error kind) and how far the skip
+    /// counters `[plans, fallbacks, blocks_pruned, blocks_scanned]` moved.
+    fn observe(
+        engine: &StorletEngine,
+        client: &scoop_objectstore::SwiftClient,
+        req: Request,
+    ) -> (std::result::Result<Vec<u8>, &'static str>, [u64; 4]) {
+        let counters = || {
+            let s = engine.skip_stats();
+            [s.plans(), s.fallbacks(), s.blocks_pruned(), s.blocks_scanned()]
+        };
+        let before = counters();
+        let got = client.request(req).and_then(|resp| {
+            assert!(resp.headers.get(scoop_common::headers::SKIPPED_BYTES).is_none());
+            assert!(resp.headers.get(headers::INVOKED).is_some());
+            resp.read_body()
+        });
+        let moved = counters();
+        let got = got.map(|body| body.to_vec()).map_err(|e| e.kind());
+        (got, std::array::from_fn(|i| moved[i] - before[i]))
+    }
+
+    /// Every reason the stats plan is not used lands on the same loop with
+    /// the trivial plan: the bytes of the reference full scan, and the skip
+    /// counters moving exactly as that reason always moved them.
+    #[test]
+    fn every_trivial_plan_reason_reads_like_the_full_scan() {
+        use std::sync::atomic::Ordering;
+        const SCHEMA: &str = "vid,date,index,city";
+        let spec = eq_index_spec(123);
+        let get = |run: &str, params: &[(&str, &str)]| {
+            let p = params.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+            Request::get(path())
+                .with_header(headers::RUN_STORLET, run)
+                .with_header(headers::PARAMETERS, encode_params(&p))
+        };
+        let full_scan = |schema: &str, data: &[u8]| {
+            let header: Vec<String> = schema.split(',').map(str::to_string).collect();
+            scoop_csv::filter::filter_buffer(&spec, &header, data, true).unwrap().0
+        };
+        let (cluster, engine, data) = indexed_fixture();
+        let client = cluster.anonymous_client("AUTH_gp");
+        let spec_h = spec.to_header();
+
+        // Schema mismatch: the query names the columns differently.
+        let other = "vid,date,index,town";
+        let req = get("csvfilter", &[("spec", &spec_h), ("schema", other)]);
+        assert_eq!(observe(&engine, &client, req), (Ok(full_scan(other, &data)), [0, 1, 0, 0]));
+        // A pipeline head other than csvfilter never asks for a plan.
+        let req = get("linegrep", &[("pattern", "m123,")]);
+        let m123 = b"m123,2015-01-12,123,city4\n".to_vec();
+        assert_eq!(observe(&engine, &client, req), (Ok(m123), [0, 0, 0, 0]));
+        // An unparseable spec still fails with the invocation error.
+        let req = get("csvfilter", &[("spec", "pred=(((("), ("schema", SCHEMA)]);
+        assert_eq!(observe(&engine, &client, req), (Err("invalid_request"), [0, 0, 0, 0]));
+
+        // A range read failing mid-plan (two far-apart surviving blocks, the
+        // second window's GET fails): one fallback, one full scan, no loop.
+        let two_blocks = PushdownSpec {
+            predicate: Some(Predicate::Or(
+                Box::new(Predicate::Eq("index".into(), scoop_csv::Value::Int(5))),
+                Box::new(Predicate::Eq("index".into(), scoop_csv::Value::Int(395))),
+            )),
+            ..spec.clone()
+        };
+        let header: Vec<String> = SCHEMA.split(',').map(str::to_string).collect();
+        let (expected, _) =
+            scoop_csv::filter::filter_buffer(&two_blocks, &header, &data, true).unwrap();
+        for all in [false, true] {
+            let failer = Arc::new(FailGets { all, ..Default::default() });
+            let mut pipe = Pipeline::new();
+            pipe.push(Arc::new(StorletMiddleware::new(engine.clone())));
+            pipe.push(failer.clone());
+            cluster.set_object_pipeline(pipe);
+            let seen = observe(&engine, &client, pushdown_get(&two_blocks));
+            let gets = |c: &std::sync::atomic::AtomicU32| c.load(Ordering::Relaxed);
+            if all {
+                // The trivial plan has no fallback of its own: its failure
+                // surfaces once the proxy has tried each replica.
+                let replicas = cluster.config().replicas as u64;
+                assert_eq!(seen, (Err("io"), [0, replicas, 0, 0]));
+                assert_eq!(gets(&failer.other) as u64, replicas);
+            } else {
+                assert_eq!(seen, (Ok(expected.clone()), [0, 1, 0, 0]));
+                assert_eq!((gets(&failer.bounded), gets(&failer.other)), (2, 1));
+            }
+        }
+
+        // An object nobody indexed: the HEAD finds no stats.
+        let (cluster, engine, _) = cluster_with_storlets();
+        let client = cluster.anonymous_client("AUTH_gp");
+        client.create_container("meters").unwrap();
+        client.put_object("meters", "jan.csv", Bytes::from(data.clone())).unwrap();
+        let seen = observe(&engine, &client, pushdown_get(&spec));
+        assert_eq!(seen, (Ok(full_scan(SCHEMA, &data)), [0, 1, 0, 0]));
     }
 
     #[test]
