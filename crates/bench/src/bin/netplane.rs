@@ -4,7 +4,10 @@
 //! HTTP/1.1 framing, connection pooling, keep-alive reuse — at 1, 8 and 32
 //! concurrent clients pulling a multi-megabyte object over loopback. The
 //! numbers gate the wire codec and pool against throughput regressions the
-//! same way `hotpath` gates the CSV scan.
+//! same way `hotpath` gates the CSV scan. One more row gates the
+//! per-request path the columnar arm lives on: back-to-back 64 KiB ranged
+//! GETs on one keep-alive connection, where a request's fixed cost — not
+//! the stream's bandwidth — sets the rate.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin netplane                 # table
@@ -19,7 +22,8 @@
 //! Throughputs are decimal MB/s of body bytes delivered to clients.
 
 use bytes::Bytes;
-use scoop_objectstore::{SwiftCluster, SwiftConfig};
+use scoop_objectstore::request::{ByteRange, Request};
+use scoop_objectstore::{ObjectPath, SwiftCluster, SwiftConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,6 +32,8 @@ const REGRESSION_FLOOR: f64 = 0.5;
 
 const DEFAULT_JSON: &str = "BENCH_netplane.json";
 const CLIENTS: &[usize] = &[1, 8, 32];
+/// Size of one ranged GET in the per-request row.
+const RANGE_BYTES: usize = 64 * 1024;
 
 struct BenchResult {
     name: String,
@@ -53,7 +59,10 @@ fn main() {
     // halve it, and each configuration reports the best of several passes
     // (hotpath's `best_of` discipline, applied per thread group).
     let object_bytes = 4 << 20;
-    let (total_gets, passes) = if quick { (32, 2) } else { (96, 2) };
+    // Sized for a plane that moves ~2 GB/s: 128 GETs of 4 MiB keep a
+    // quick window near 0.3 s (at 32 it had shrunk to 0.08 s once the plane
+    // got five times faster, and one blip on a shared runner halved it).
+    let (total_gets, passes) = if quick { (128, 2) } else { (384, 2) };
     let results = run_benches(object_bytes, total_gets, passes);
 
     println!("net-plane GET throughput ({} mode):", if quick { "quick" } else { "full" });
@@ -120,7 +129,41 @@ fn run_benches(object_bytes: usize, total_gets: usize, passes: usize) -> Vec<Ben
             mb_per_s: mbs,
         });
     }
+    let mbs = (0..passes.max(1))
+        .map(|_| measure_ranges(&cluster, object_bytes, total_gets))
+        .fold(0.0f64, f64::max);
+    results.push(BenchResult {
+        name: "tcp_range64k_1_clients".to_string(),
+        bytes: (total_gets * object_bytes) as u64,
+        mb_per_s: mbs,
+    });
     results
+}
+
+/// MB/s of one pooled TCP client walking the object `sweeps` times in
+/// [`RANGE_BYTES`] ranged GETs, one after the other on one keep-alive
+/// connection. One untimed GET warms the dial.
+fn measure_ranges(cluster: &Arc<SwiftCluster>, object_bytes: usize, sweeps: usize) -> f64 {
+    let client = cluster.anonymous_client("AUTH_bench").over_tcp().expect("tcp transport");
+    let path = ObjectPath::new("AUTH_bench", "bench", "blob").expect("object path");
+    let range = |at: usize| {
+        let req = Request::get(path.clone())
+            .with_range(ByteRange { start: at as u64, end: Some((at + RANGE_BYTES - 1) as u64) });
+        let body = client.request(req).and_then(|r| r.read_body()).expect("ranged GET");
+        assert_eq!(body.len(), RANGE_BYTES.min(object_bytes - at), "ranged body truncated");
+        body.len()
+    };
+    range(0);
+
+    let t0 = Instant::now();
+    let mut delivered = 0usize;
+    for _ in 0..sweeps {
+        delivered += (0..object_bytes).step_by(RANGE_BYTES).map(range).sum::<usize>();
+    }
+    assert_eq!(delivered, sweeps * object_bytes, "bytes went missing");
+    let pool = client.transport_pool().expect("tcp client has a pool").snapshot();
+    assert_eq!(pool.dials, 1, "ranged GETs must ride one keep-alive connection: {pool:?}");
+    delivered as f64 / 1e6 / t0.elapsed().as_secs_f64().max(1e-9)
 }
 
 /// Aggregate MB/s across `n` threads, each with its own pooled TCP client

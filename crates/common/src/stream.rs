@@ -58,7 +58,27 @@ pub fn error(err: crate::ScoopError) -> ByteStream {
 
 /// Drain a stream into one contiguous buffer.
 pub fn collect(stream: ByteStream) -> Result<Bytes> {
-    let mut out: Vec<u8> = Vec::new();
+    collect_sized(stream, 0)
+}
+
+/// Largest allocation [`collect_sized`] makes on the strength of a hint
+/// alone; past it the buffer grows with the bytes that actually arrive.
+const MAX_COLLECT_RESERVE: usize = 64 * 1024 * 1024;
+
+/// [`collect`] for a caller that knows about how long the stream is (a
+/// response's `content-length`): a one-chunk stream is returned as is, no
+/// copy, and a longer one is gathered into a buffer reserved once from
+/// `expected_len` instead of grown from empty. The hint is advisory — it
+/// may come from a peer, so a wrong one costs at most a reallocation or
+/// 64 MiB of address space, never correctness.
+pub fn collect_sized(mut stream: ByteStream, expected_len: usize) -> Result<Bytes> {
+    let Some(first) = stream.next().transpose()? else { return Ok(Bytes::new()) };
+    let Some(second) = stream.next().transpose()? else { return Ok(first) };
+    let mut out: Vec<u8> = Vec::with_capacity(
+        expected_len.min(MAX_COLLECT_RESERVE).max(first.len().saturating_add(second.len())),
+    );
+    out.extend_from_slice(&first);
+    out.extend_from_slice(&second);
     for chunk in stream {
         out.extend_from_slice(&chunk?);
     }

@@ -316,11 +316,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// The shared cell, for stream wrappers that count via `Arc<AtomicU64>`.
-    pub fn cell(&self) -> Arc<AtomicU64> {
-        self.cell.clone()
-    }
 }
 
 impl std::fmt::Debug for Counter {

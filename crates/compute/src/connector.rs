@@ -34,6 +34,17 @@ pub trait StorageConnector: Send + Sync {
     /// consumers that stop early must not pay for the tail.
     fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream>;
 
+    /// [`StorageConnector::read_from`] for a consumer that expects to stop
+    /// before offset `stop` (a split knows its end; [`SPLIT_SLACK`] past it
+    /// covers the record that straddles it). Same stream, same laziness —
+    /// it keeps delivering past `stop` for as long as it is pulled — but a
+    /// connector whose requests are better bounded can ask the store for
+    /// `[start, stop)` and come back for more only when pulled further.
+    /// The default is the open-ended read.
+    fn read_bounded(&self, location: &str, object: &str, start: u64, _stop: u64) -> Result<ByteStream> {
+        self.read_from(location, object, start)
+    }
+
     /// Open a pushdown read: the store applies `spec` to the (record-aligned)
     /// logical range `[start, end_exclusive)` and streams filtered records.
     /// `file_schema` is the object's column list in file order.
@@ -92,6 +103,13 @@ pub trait StorageConnector: Send + Sync {
     /// Reset the transfer counter (between experiment runs).
     fn reset_transfer_counter(&self);
 }
+
+/// How far past its logical end a split bounds its plain read: the split
+/// owns the record that straddles its end, so it needs bytes up to that
+/// record's newline. One object-server response chunk — what a split used
+/// to overshoot by at worst when it abandoned an open-ended read; a record
+/// that runs further costs one more request.
+pub const SPLIT_SLACK: u64 = 4 * 1024;
 
 /// Wrap a stream so consumed bytes are added to a shared counter — only
 /// consumed chunks cross the "wire".

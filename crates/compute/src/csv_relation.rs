@@ -7,7 +7,7 @@
 //! tier (the vanilla ingest-then-compute path). Both paths produce rows under
 //! the same projected schema so the executor upstream is oblivious.
 
-use crate::connector::StorageConnector;
+use crate::connector::{StorageConnector, SPLIT_SLACK};
 use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
 use crate::partition::{discover, InputPartition};
 use scoop_common::{Result, ScoopError};
@@ -78,15 +78,21 @@ impl CsvRelation {
     }
 
     /// The vanilla path: full-range ingest, client-side alignment + pruning.
+    /// The read is bounded just past the split's end — the record reader
+    /// stops there, and an open-ended GET abandoned mid-body would cost the
+    /// connector its pooled connection.
     fn scan_vanilla(
         &self,
         partition: &InputPartition,
         columns: Option<&[String]>,
     ) -> Result<ScanOutput> {
         let scan_schema = self.projected_schema(columns)?;
-        let stream =
-            self.connector
-                .read_from(&self.location, &partition.object, partition.start)?;
+        let stream = self.connector.read_bounded(
+            &self.location,
+            &partition.object,
+            partition.start,
+            partition.end.saturating_add(SPLIT_SLACK),
+        )?;
         let records = RangedRecordStream::new(stream, partition.start, Some(partition.end));
         let full_schema = self.schema.clone();
         let indices: Option<Vec<usize>> = match columns {

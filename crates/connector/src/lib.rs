@@ -9,7 +9,8 @@
 //! [`SwiftConnector`] implements the compute framework's
 //! [`StorageConnector`] seam over a `SwiftCluster` client:
 //!
-//! * plain reads — ranged GETs, lazily consumed;
+//! * plain reads — ranged GETs, lazily consumed, bounded when the caller
+//!   knows where it will stop;
 //! * pushdown reads — GETs tagged with `X-Run-Storlet: csvfilter`,
 //!   `X-Storlet-Parameters` (the serialized [`PushdownSpec`] + file schema)
 //!   and `X-Storlet-Range` (the record-aligned logical split);
@@ -22,7 +23,7 @@ use bytes::Bytes;
 use scoop_common::rng::XorShift64;
 use scoop_common::telemetry::{self, names};
 use scoop_common::{stream, ByteStream, Result, RetryPolicy, ScoopError};
-use scoop_compute::connector::{count_consumed, ObjectInfo, StorageConnector};
+use scoop_compute::connector::{ObjectInfo, StorageConnector, SPLIT_SLACK};
 use scoop_csv::PushdownSpec;
 use scoop_objectstore::request::{ByteRange, Request, Response};
 use scoop_objectstore::{ObjectPath, SwiftClient};
@@ -53,14 +54,35 @@ pub struct SwiftConnector {
     client: SwiftClient,
     run_on: RunOn,
     pushdown_supported: bool,
-    transferred: Arc<AtomicU64>,
-    resumes: Arc<AtomicU64>,
+    reads: ReadLedger,
     fallbacks: Arc<AtomicU64>,
     skipped: Arc<AtomicU64>,
-    transferred_global: telemetry::Counter,
-    resumes_global: telemetry::Counter,
     fallbacks_global: telemetry::Counter,
     skipped_global: telemetry::Counter,
+}
+
+/// The two ledgers a plain read writes to as it runs — bytes delivered and
+/// mid-stream resumes, each a per-connector atomic plus its registry
+/// mirror. A [`ResumingStream`] carries a clone, because it outlives the
+/// call that opened it.
+#[derive(Clone)]
+struct ReadLedger {
+    transferred: Arc<AtomicU64>,
+    transferred_global: telemetry::Counter,
+    resumes: Arc<AtomicU64>,
+    resumes_global: telemetry::Counter,
+}
+
+impl ReadLedger {
+    fn delivered(&self, bytes: usize) {
+        self.transferred.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.transferred_global.add(bytes as u64);
+    }
+
+    fn resumed(&self) {
+        self.resumes.fetch_add(1, Ordering::Relaxed);
+        self.resumes_global.inc();
+    }
 }
 
 impl SwiftConnector {
@@ -84,12 +106,14 @@ impl SwiftConnector {
             client,
             run_on,
             pushdown_supported,
-            transferred: Arc::new(AtomicU64::new(0)),
-            resumes: Arc::new(AtomicU64::new(0)),
+            reads: ReadLedger {
+                transferred: Arc::new(AtomicU64::new(0)),
+                transferred_global: telemetry::counter(names::CONNECTOR_BYTES_TRANSFERRED),
+                resumes: Arc::new(AtomicU64::new(0)),
+                resumes_global: telemetry::counter(names::CONNECTOR_STREAM_RESUMES),
+            },
             fallbacks: Arc::new(AtomicU64::new(0)),
             skipped: Arc::new(AtomicU64::new(0)),
-            transferred_global: telemetry::counter(names::CONNECTOR_BYTES_TRANSFERRED),
-            resumes_global: telemetry::counter(names::CONNECTOR_STREAM_RESUMES),
             fallbacks_global: telemetry::counter(names::CONNECTOR_PUSHDOWN_FALLBACKS),
             skipped_global: telemetry::counter(names::CONNECTOR_BYTES_SKIPPED),
         })
@@ -98,10 +122,12 @@ impl SwiftConnector {
     /// Wrap a stream so consumed bytes land in both ledgers: the
     /// per-connector counter and the process-wide registry mirror.
     fn count(&self, inner: ByteStream) -> ByteStream {
-        count_consumed(
-            count_consumed(inner, self.transferred.clone()),
-            self.transferred_global.cell(),
-        )
+        let ledger = self.reads.clone();
+        Box::new(inner.inspect(move |item| {
+            if let Ok(chunk) = item {
+                ledger.delivered(chunk.len());
+            }
+        }))
     }
 
     /// The client session behind this connector.
@@ -112,7 +138,7 @@ impl SwiftConnector {
     /// Mid-stream resumes: plain reads re-issued as ranged GETs from the
     /// last consumed byte after a retryable stream failure.
     pub fn stream_resumes(&self) -> u64 {
-        self.resumes.load(Ordering::Relaxed)
+        self.reads.resumes.load(Ordering::Relaxed)
     }
 
     /// Pushdown reads that the store shed for overload (`503` +
@@ -137,6 +163,26 @@ impl SwiftConnector {
 
     fn path(&self, location: &str, object: &str) -> Result<ObjectPath> {
         ObjectPath::new(self.client.account(), location, object)
+    }
+
+    /// Open a resumable plain read from `start`, bounded at `stop` when the
+    /// caller knows where it will stop. Every byte it delivers is counted.
+    fn read_plain(
+        &self,
+        location: &str,
+        object: &str,
+        start: u64,
+        stop: Option<u64>,
+    ) -> Result<ByteStream> {
+        let trace = self.client.trace();
+        let _span = telemetry::span(
+            trace.as_deref(),
+            telemetry::layers::CONNECTOR,
+            format!("read {location}/{object} from {start}"),
+        );
+        let path = self.path(location, object)?;
+        let stream = ResumingStream::open(&self.client, path, start, stop, self.reads.clone())?;
+        Ok(Box::new(stream))
     }
 
     /// Apply `spec` compute-side over a raw byte stream starting at `start`,
@@ -183,51 +229,64 @@ impl SwiftConnector {
 /// Truncated bodies are detected by length-checking each GET against the
 /// store's `x-object-length` header: a stream that ends early surfaces a
 /// retryable error instead of silently passing short data to the query.
+///
+/// With a `stop` offset the same stream asks for `[offset, stop)` instead of
+/// `[offset, EOF)`: the caller expects to be done by then, and a body read
+/// to its terminator returns its connection to the pool where an abandoned
+/// one costs it. Pulled past `stop`, the stream continues with the next
+/// [`SPLIT_SLACK`] bytes from the current offset — the re-issue a failure
+/// triggers, minus the failure. Dropped within that slack of `stop`, it
+/// reads the remainder out first.
 struct ResumingStream {
     client: SwiftClient,
     path: ObjectPath,
     /// Absolute offset of the next byte to deliver.
     offset: u64,
+    /// Where the current GET's range ends, for a bounded read.
+    stop: Option<u64>,
+    /// The object's size, once a response has reported it.
+    total: Option<u64>,
     inner: Option<ByteStream>,
     policy: RetryPolicy,
     rng: XorShift64,
     /// Consecutive failures without delivering a byte.
     failures: u32,
-    resumes: Arc<AtomicU64>,
-    resumes_global: telemetry::Counter,
+    ledger: ReadLedger,
     done: bool,
 }
 
 impl ResumingStream {
     fn open(
         client: &SwiftClient,
-        path: &ObjectPath,
+        path: ObjectPath,
         start: u64,
-        resumes: Arc<AtomicU64>,
-        resumes_global: telemetry::Counter,
+        stop: Option<u64>,
+        ledger: ReadLedger,
     ) -> Result<ResumingStream> {
         let mut s = ResumingStream {
             client: client.clone(),
-            path: path.clone(),
+            path,
             offset: start,
+            stop,
+            total: None,
             inner: None,
             policy: client.retry_policy().clone(),
             rng: XorShift64::new(client.retry_policy().seed ^ 0x9E37_79B9_7F4A_7C15),
             failures: 0,
-            resumes,
-            resumes_global,
+            ledger,
             done: false,
         };
         s.inner = Some(s.issue()?);
         Ok(s)
     }
 
-    /// GET from the current offset, length-checked against the whole-object
-    /// size advertised by the store.
-    fn issue(&self) -> Result<ByteStream> {
+    /// GET from the current offset (to `stop`, when bounded), length-checked
+    /// against the whole-object size advertised by the store.
+    fn issue(&mut self) -> Result<ByteStream> {
         let mut req = Request::get(self.path.clone());
-        if self.offset > 0 {
-            req = req.with_range(ByteRange { start: self.offset, end: None });
+        if self.offset > 0 || self.stop.is_some() {
+            let end = self.stop.map(|stop| stop.saturating_sub(1));
+            req = req.with_range(ByteRange { start: self.offset, end });
         }
         let resp = self.client.request(req)?;
         if !resp.is_success() {
@@ -236,23 +295,49 @@ impl ResumingStream {
                 self.path, resp.status
             ))));
         }
-        Ok(checked_body(resp, self.offset))
+        self.total = object_length(&resp);
+        match (self.total, self.stop) {
+            // A short body (relative to the store's `x-object-length`)
+            // errors instead of ending silently.
+            (Some(total), stop) => Ok(stream::enforce_length(
+                resp.body,
+                total.min(stop.unwrap_or(u64::MAX)).saturating_sub(self.offset),
+            )),
+            (None, None) => Ok(resp.body),
+            // Without the size, the end of a bounded body cannot be told
+            // from the end of the object: refuse rather than truncate.
+            (None, Some(_)) => Err(ScoopError::Internal(format!(
+                "bounded GET {} answered without {}",
+                self.path,
+                scoop_common::headers::OBJECT_LENGTH
+            ))),
+        }
     }
 
     /// Whether a mid-stream failure still has resume budget.
     fn can_resume(&self, e: &ScoopError) -> bool {
         e.is_retryable() && self.failures + 1 < self.policy.max_attempts
     }
+
+    /// Back off and count one resume after a retryable failure.
+    fn back_off(&mut self) {
+        std::thread::sleep(self.policy.backoff(self.failures, &mut self.rng));
+        self.failures += 1;
+        self.ledger.resumed();
+    }
+}
+
+/// The whole-object size a GET response advertises.
+fn object_length(resp: &Response) -> Option<u64> {
+    resp.headers
+        .get(scoop_common::headers::OBJECT_LENGTH)
+        .and_then(|l| l.parse::<u64>().ok())
 }
 
 /// Wrap a GET response body so that a short body (relative to the store's
 /// `x-object-length`) errors instead of ending silently.
 fn checked_body(resp: Response, start: u64) -> ByteStream {
-    match resp
-        .headers
-        .get(scoop_common::headers::OBJECT_LENGTH)
-        .and_then(|l| l.parse::<u64>().ok())
-    {
+    match object_length(&resp) {
         Some(total) => stream::enforce_length(resp.body, total.saturating_sub(start)),
         None => resp.body,
     }
@@ -266,56 +351,69 @@ impl Iterator for ResumingStream {
             if self.done {
                 return None;
             }
-            if self.inner.is_none() {
-                // Re-open after a failure; dispatch errors count against the
-                // same resume budget as stream errors.
+            let Some(inner) = self.inner.as_mut() else {
+                // Re-open after a failure, or past the stop of a bounded
+                // read; dispatch errors count against the same resume
+                // budget as stream errors.
                 match self.issue() {
                     Ok(s) => self.inner = Some(s),
-                    Err(e) if self.can_resume(&e) => {
-                        std::thread::sleep(self.policy.backoff(self.failures, &mut self.rng));
-                        self.failures += 1;
-                        self.resumes.fetch_add(1, Ordering::Relaxed);
-                        self.resumes_global.inc();
-                        continue;
-                    }
+                    Err(e) if self.can_resume(&e) => self.back_off(),
                     Err(e) => {
                         self.done = true;
                         return Some(Err(e));
                     }
                 }
-            }
-            let Some(inner) = self.inner.as_mut() else {
-                // `open_at` above either set `self.inner` or bailed; surface
-                // a classified error rather than panicking mid-read if that
-                // invariant ever breaks.
-                self.done = true;
-                return Some(Err(ScoopError::Internal(
-                    "resumable stream lost its inner reader".into(),
-                )));
+                continue;
             };
             match inner.next() {
                 Some(Ok(chunk)) => {
                     self.offset += chunk.len() as u64;
+                    self.ledger.delivered(chunk.len());
                     // Progress resets the failure budget: a long object may
                     // legitimately hit more transient faults than one open.
                     self.failures = 0;
                     return Some(Ok(chunk));
                 }
                 Some(Err(e)) if self.can_resume(&e) => {
-                    std::thread::sleep(self.policy.backoff(self.failures, &mut self.rng));
-                    self.failures += 1;
-                    self.resumes.fetch_add(1, Ordering::Relaxed);
-                    self.resumes_global.inc();
+                    self.back_off();
                     self.inner = None;
                 }
                 Some(Err(e)) => {
                     self.done = true;
                     return Some(Err(e));
                 }
-                None => {
-                    self.done = true;
-                    return None;
-                }
+                None => match (self.stop, self.total) {
+                    // The bounded body ended at its stop, not at the end of
+                    // the object, and the consumer wants more.
+                    (Some(stop), Some(total)) if stop < total => {
+                        self.stop = Some(self.offset.saturating_add(SPLIT_SLACK));
+                        self.inner = None;
+                    }
+                    _ => {
+                        self.done = true;
+                        return None;
+                    }
+                },
+            }
+        }
+    }
+}
+
+impl Drop for ResumingStream {
+    /// A bounded read abandoned within its slack has a few KiB of body
+    /// left: read them (they are delivered, so they are counted) and the
+    /// pooled connection checks back in at the terminator, where dropping
+    /// the body mid-frame would have it closed and re-dialed.
+    fn drop(&mut self) {
+        let Some(stop) = self.stop else { return };
+        let left = stop.min(self.total.unwrap_or(u64::MAX)).saturating_sub(self.offset);
+        if self.done || left > SPLIT_SLACK {
+            return;
+        }
+        for chunk in self.inner.take().into_iter().flatten() {
+            match chunk {
+                Ok(chunk) => self.ledger.delivered(chunk.len()),
+                Err(_) => return,
             }
         }
     }
@@ -332,20 +430,17 @@ impl StorageConnector for SwiftConnector {
     }
 
     fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStreamAlias> {
-        let trace = self.client.trace();
-        let _span = telemetry::span(
-            trace.as_deref(),
-            telemetry::layers::CONNECTOR,
-            format!("read {location}/{object} from {start}"),
-        );
-        let stream = ResumingStream::open(
-            &self.client,
-            &self.path(location, object)?,
-            start,
-            self.resumes.clone(),
-            self.resumes_global.clone(),
-        )?;
-        Ok(self.count(Box::new(stream)))
+        self.read_plain(location, object, start, None)
+    }
+
+    fn read_bounded(
+        &self,
+        location: &str,
+        object: &str,
+        start: u64,
+        stop: u64,
+    ) -> Result<ByteStreamAlias> {
+        self.read_plain(location, object, start, Some(stop))
     }
 
     fn read_pushdown(
@@ -401,14 +496,8 @@ impl StorageConnector for SwiftConnector {
             // query still completes with identical results.
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
             self.fallbacks_global.inc();
-            let plain = ResumingStream::open(
-                &self.client,
-                &self.path(location, object)?,
-                start,
-                self.resumes.clone(),
-                self.resumes_global.clone(),
-            )?;
-            let raw = self.count(Box::new(plain));
+            let stop = end_exclusive.map(|end| end.saturating_add(SPLIT_SLACK));
+            let raw = self.read_plain(location, object, start, stop)?;
             return Self::filter_client_side(raw, start, end_exclusive, spec, file_schema);
         }
         if !resp.is_success() {
@@ -456,9 +545,7 @@ impl StorageConnector for SwiftConnector {
             ))));
         }
         let data = resp.read_body()?;
-        self.transferred
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.transferred_global.add(data.len() as u64);
+        self.reads.delivered(data.len());
         Ok(data)
     }
 
@@ -511,11 +598,11 @@ impl StorageConnector for SwiftConnector {
     }
 
     fn bytes_transferred(&self) -> u64 {
-        self.transferred.load(Ordering::Relaxed)
+        self.reads.transferred.load(Ordering::Relaxed)
     }
 
     fn reset_transfer_counter(&self) {
-        self.transferred.store(0, Ordering::Relaxed);
+        self.reads.transferred.store(0, Ordering::Relaxed);
     }
 }
 

@@ -8,9 +8,10 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use scoop_common::{stream, RetryPolicy};
-use scoop_compute::connector::StorageConnector;
+use scoop_compute::connector::{StorageConnector, SPLIT_SLACK};
 use scoop_connector::SwiftConnector;
-use scoop_csv::split::plan_splits;
+use scoop_csv::record::split_records;
+use scoop_csv::split::{aligned_slice, plan_splits, RangedRecordStream};
 use scoop_csv::PushdownSpec;
 use scoop_objectstore::middleware::Pipeline;
 use scoop_objectstore::{FaultPlan, SwiftCluster, SwiftConfig};
@@ -123,6 +124,43 @@ proptest! {
         let start = (data.len() as u64) * start_frac / 100;
         let body = stream::collect(conn.read_from("c", "o.csv", start).unwrap()).unwrap();
         prop_assert_eq!(body, data.slice(start as usize..));
+    }
+
+    /// A split's bounded plain read — `[start, end + slack)`, then one
+    /// continuation GET per further slack it is pulled through — hands the
+    /// record reader exactly the records the split owns: the same as
+    /// slicing the object in memory, every record once across the splits.
+    /// Records longer than the slack force continuations; an object without
+    /// a trailing newline ends on a record no newline closes; the faults
+    /// make bounded GETs resume mid-body like open-ended ones.
+    #[test]
+    fn bounded_split_reads_yield_each_record_exactly_once(
+        record_lens in proptest::collection::vec(
+            prop_oneof![0usize..60, 0usize..60, 4_000usize..10_000],
+            1..20,
+        ),
+        trailing_newline in any::<bool>(),
+        chunk in 1u64..12_000,
+        seed in 0u64..1_000,
+    ) {
+        let mut data = build_data(&record_lens);
+        if !trailing_newline {
+            data = data.slice(..data.len() - 1);
+        }
+        let plan = FaultPlan::quiet(seed)
+            .with_error_rate(0.1)
+            .with_truncate_rate(0.1);
+        let (_cluster, conn) = connector_over(data.clone(), plan);
+        let mut across_splits = Vec::new();
+        for (s, e) in plan_splits(data.len() as u64, chunk) {
+            let body = conn.read_bounded("c", "o.csv", s, e + SPLIT_SLACK).unwrap();
+            let records: Vec<Vec<u8>> = RangedRecordStream::new(body, s, Some(e))
+                .collect::<scoop_common::Result<_>>()
+                .unwrap();
+            prop_assert_eq!(&records, &split_records(aligned_slice(&data, s, e)), "split [{}, {})", s, e);
+            across_splits.extend(records);
+        }
+        prop_assert_eq!(across_splits, split_records(&data));
     }
 }
 

@@ -32,12 +32,14 @@
 //!
 //! Sinks inside functions *named* `read` / `write` / `flush` / `peek` are
 //! exempt: those are `Read`/`Write` trait adapters (`PacedStream::read`)
-//! whose timeouts are their callers' responsibility by construction. For
-//! the same reason, a *root* whose signature takes a generic writer or
-//! reader (`impl Write`, `W: Write`) is exempt — serialization helpers
-//! are routinely driven against `Vec<u8>` buffers; when a real caller
-//! hands them a socket, that caller's own frames are still on the walked
-//! path and still checked.
+//! whose timeouts are their callers' responsibility by construction — and
+//! so are the sinks of the helpers such an adapter calls: a walk that ends
+//! at an adapter *root* has only run out of resolvable callers (the trait
+//! call into it is not an edge), not of callers. For the same reason, a
+//! *root* whose signature takes a generic writer or reader (`impl Write`,
+//! `W: Write`) is exempt — serialization helpers are routinely driven
+//! against `Vec<u8>` buffers; when a real caller hands them a socket, that
+//! caller's own frames are still on the walked path and still checked.
 //!
 //! This is a may-analysis at function granularity: establishment anywhere
 //! in a frame covers the whole frame (token order inside a body is not
@@ -53,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 const SCOPE: &[&str] = &["net/server.rs", "net/pool.rs", "net/wire.rs"];
 
 /// Trait-adapter function names whose sinks are exempt.
-const ADAPTERS: &[&str] = &["read", "write", "flush", "peek"];
+const ADAPTERS: &[&str] = &["read", "write", "write_vectored", "flush", "peek"];
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
@@ -84,7 +86,7 @@ pub fn run(graph: &Graph<'_>) -> Vec<Finding> {
     let mut estab_seed: Vec<BTreeSet<Kind>> = vec![BTreeSet::new(); n_nodes];
     let mut flow_seed: Vec<BTreeSet<Kind>> = vec![BTreeSet::new(); n_nodes];
     let mut avail = vec![false; n_nodes];
-    let mut io_generic = vec![false; n_nodes];
+    let mut exempt_root = vec![false; n_nodes];
     for n in 0..n_nodes {
         avail[n] = graph
             .sig_toks(n)
@@ -92,13 +94,15 @@ pub fn run(graph: &Graph<'_>) -> Vec<Finding> {
             .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "Deadline"))
             || has_deadline_value(graph.body_toks(n));
         // `fn f(w: &mut impl Write)` / `<W: Write>` — a serialization
-        // helper over a caller-supplied writer. Its sinks are checked
-        // through every real caller; the helper itself is never the frame
-        // responsible for the timeout.
-        io_generic[n] = graph
-            .sig_toks(n)
-            .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "Write" || s == "Read"));
+        // helper over a caller-supplied writer — or a `Read`/`Write` trait
+        // adapter, entered through a trait call the graph has no edge for.
+        // Its sinks are checked through every real caller; as a root it is
+        // never the frame responsible for the timeout.
+        exempt_root[n] = ADAPTERS.contains(&graph.func(n).name.as_str())
+            || graph
+                .sig_toks(n)
+                .iter()
+                .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "Write" || s == "Read"));
         for kind in [Kind::Read, Kind::Write] {
             if graph.calls_name(n, kind.setter()) {
                 estab_seed[n].insert(kind);
@@ -157,14 +161,14 @@ pub fn run(graph: &Graph<'_>) -> Vec<Finding> {
             }
             // Rule 1: every path to this sink must establish the timeout.
             for root in bad_roots(graph, n, |m| estab[m].contains(&kind)) {
-                if io_generic[root] {
+                if exempt_root[root] {
                     continue;
                 }
                 found.entry((n, kind, "unbounded", root)).or_insert(c.line);
             }
             // Rule 2: paths with a deadline available must flow it in.
             for root in unflowed_roots(graph, n, &avail, |m| deadline_estab[m].contains(&kind)) {
-                if io_generic[root] {
+                if exempt_root[root] {
                     continue;
                 }
                 found.entry((n, kind, "deadline-unflowed", root)).or_insert(c.line);
@@ -218,7 +222,8 @@ fn has_deadline_value(toks: &[crate::lexer::Token]) -> bool {
 /// Classify the call at `at` as a socket sink. Only method calls count
 /// (`.read(buf)`, not a free `read(..)`), `read`/`write` need at least one
 /// argument (zero-arg forms are the lock-acquisition grammar), and
-/// `write_all`/`flush`/`peek` count unconditionally.
+/// `write_all`/`write_vectored`/`flush`/`peek`/`read_from` count
+/// unconditionally.
 fn sink_kind(toks: &[crate::lexer::Token], at: usize, name: &str) -> Option<Kind> {
     let method = at >= 1 && matches!(toks.get(at - 1).map(|t| &t.tok), Some(Tok::Punct('.')));
     if !method {
@@ -227,8 +232,11 @@ fn sink_kind(toks: &[crate::lexer::Token], at: usize, name: &str) -> Option<Kind
     let has_args = !matches!(toks.get(at + 2).map(|t| &t.tok), Some(Tok::Punct(')')));
     match name {
         "read" | "peek" if name == "peek" || has_args => Some(Kind::Read),
+        // `BytesMut::read_from(&mut socket, ..)`: the frame reader's one
+        // read, made on its behalf inside the buffer type.
+        "read_from" => Some(Kind::Read),
         "write" if has_args => Some(Kind::Write),
-        "write_all" | "flush" => Some(Kind::Write),
+        "write_all" | "write_vectored" | "flush" => Some(Kind::Write),
         _ => None,
     }
 }

@@ -120,8 +120,8 @@ fn deadline_flow_fixture_produces_exactly_the_expected_findings() {
             "deadline-flow|crates/objectstore/src/net/wire.rs|plain_dial|unbounded-connect",
             // Negatives riding along: `fetch` (deadline established two
             // frames above the sink via `tighten_for` -> `recv_into`),
-            // the `Conn::read` trait adapter, the generic `encode_frame`
-            // root, `careful_dial` (connect_timeout) and the allowed
+            // the `Conn::read` trait adapter, `spill` (a helper only the
+            // `Conn::write` adapter calls), the generic `encode_frame` root, `careful_dial` (connect_timeout) and the allowed
             // `probed_poll` all stay silent.
         ],
     );

@@ -115,6 +115,16 @@ impl Write for FaultWriter<'_> {
         }
     }
 
+    /// Without a write fault armed, two buffers still leave in one
+    /// syscall; a fault counts bytes, so it takes them through
+    /// [`Self::write`] one buffer at a time.
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self.fault {
+            WireFault::None | WireFault::Slowloris if !self.dead => self.inner.write_vectored(bufs),
+            _ => self.write(bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| &**b)),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         if self.dead {
             return Ok(());

@@ -16,9 +16,11 @@
 //!   a burst of queries does not leak sockets forever;
 //! * **bounded reads** — every dialed socket gets a read/write timeout
 //!   before its first use, tightened per read to the request's remaining
-//!   [`Deadline`] budget. A read timeout with the budget exhausted is the
-//!   *deadline* error (non-retryable, fail fast); with budget left it is
-//!   retryable I/O — the peer may just be slow.
+//!   [`Deadline`] budget (the budget is checked before every read; the
+//!   socket option is re-set only when the window it yields has changed).
+//!   A read timeout with the budget exhausted is the *deadline* error
+//!   (non-retryable, fail fast); with budget left it is retryable I/O —
+//!   the peer may just be slow.
 //!
 //! Transport-level retry: if a *reused* keep-alive connection fails before
 //! a response head parses, the request is re-sent once on a fresh
@@ -95,6 +97,8 @@ struct PoolCounters {
 struct Conn {
     write: TcpStream,
     reader: wire::FrameReader<TcpStream>,
+    /// The read/write timeout the socket currently carries.
+    window: Duration,
     idle_since: Instant,
     reused: bool,
     /// Checked out (owned by an exchange) rather than parked idle. Kept on
@@ -118,15 +122,21 @@ impl Drop for Conn {
 impl Conn {
     /// Bound the next reads/writes by the tighter of the io timeout and the
     /// request's remaining budget. An already-exhausted budget fails here,
-    /// before any syscall, with the non-retryable deadline error.
-    fn tighten(&self, io_timeout: Duration, deadline: Deadline, label: &str) -> Result<()> {
+    /// before any syscall, with the non-retryable deadline error. The
+    /// socket is touched only when the window differs from the one it
+    /// already carries — never without a deadline, nor while the remaining
+    /// budget exceeds the io timeout.
+    fn tighten(&mut self, io_timeout: Duration, deadline: Deadline, label: &str) -> Result<()> {
         deadline.check(label)?;
         let window = match deadline.remaining() {
             Some(rem) => rem.min(io_timeout).max(Duration::from_millis(1)),
             None => io_timeout,
         };
-        self.write.set_read_timeout(Some(window)).map_err(ScoopError::Io)?;
-        self.write.set_write_timeout(Some(window)).map_err(ScoopError::Io)?;
+        if window != self.window {
+            self.write.set_read_timeout(Some(window)).map_err(ScoopError::Io)?;
+            self.write.set_write_timeout(Some(window)).map_err(ScoopError::Io)?;
+            self.window = window;
+        }
         Ok(())
     }
 }
@@ -250,6 +260,7 @@ impl HttpPool {
         Ok(Conn {
             write,
             reader: wire::FrameReader::new(stream),
+            window: self.cfg.io_timeout,
             idle_since: Instant::now(),
             reused: false,
             in_flight: false,
@@ -301,15 +312,21 @@ impl HttpPool {
         body: Option<&Bytes>,
         deadline: Deadline,
     ) -> Result<Response> {
-        let frame =
-            wire::encode_frame(method, &wire::encode_target(target), headers_map, body, deadline)?;
+        let head = wire::encode_frame(
+            method,
+            &wire::encode_target(target),
+            headers_map,
+            body.map(Bytes::len),
+            deadline,
+        )?;
+        let body = body.map(Bytes::as_slice).unwrap_or_default();
         let trace = headers_map.get(headers::TRACE);
         let idempotent = matches!(method, Method::Get | Method::Head);
         let mut redialed = false;
         loop {
             let conn = self.checkout()?;
             let was_reused = conn.reused;
-            match self.exchange(conn, &frame, trace, deadline) {
+            match self.exchange(conn, &head, body, trace, deadline) {
                 Ok(resp) => return Ok(resp),
                 // The keep-alive peer hung up (or reset) before answering:
                 // a stale pooled socket, not a request problem. One fresh
@@ -322,11 +339,13 @@ impl HttpPool {
         }
     }
 
-    /// Run one request/response exchange on `conn`.
+    /// Run one request/response exchange on `conn`: the frame `head` and
+    /// its `body` leave in one vectored write, neither copied.
     fn exchange(
         self: &Arc<Self>,
         mut conn: Conn,
-        frame: &[u8],
+        head: &[u8],
+        body: &[u8],
         trace: Option<&str>,
         deadline: Deadline,
     ) -> std::result::Result<Response, Exchange> {
@@ -336,7 +355,7 @@ impl HttpPool {
         let window_start_us = telemetry::now_us();
         let trace = trace.map(str::to_string);
         conn.tighten(self.cfg.io_timeout, deadline, "pool dispatch").map_err(Exchange::Fatal)?;
-        if let Err(e) = conn.write.write_all(frame).and_then(|_| conn.write.flush()) {
+        if let Err(e) = wire::write_pair(&mut conn.write, head, body).and_then(|_| conn.write.flush()) {
             return Err(Exchange::NoResponse(map_wire_err(
                 ScoopError::Io(e),
                 deadline,

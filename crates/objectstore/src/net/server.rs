@@ -16,6 +16,16 @@
 //!   [`scoop_common::Deadline`] budget, so a server never keeps pushing bytes for a query
 //!   whose budget is already gone.
 //!
+//! Each of these is a socket option, set at accept and re-set only when the
+//! window it should carry differs from the one it has ([`PacedStream`] and
+//! `WriteHalf` remember theirs) — a keep-alive request with no deadline
+//! and equal phase timeouts costs no `setsockopt` at all.
+//!
+//! Responses leave through a [`wire::CoalescingWriter`] over a buffer the
+//! connection owns: one socket write per [`wire::IO_BUFFER`] bytes of
+//! frames, not several per stream item (DESIGN.md §13, "copy-and-syscall
+//! budget").
+//!
 //! Wire faults from the cluster's [`crate::fault::FaultInjector`] are applied here, at
 //! the socket boundary, via [`FaultWriter`] — the proxy and object servers
 //! underneath are untouched, exactly as a real network fault would behave.
@@ -161,7 +171,11 @@ impl NetServer {
         let requests = telemetry::counter(names::NET_SERVER_REQUESTS);
         let wire_faults = telemetry::counter(names::NET_WIRE_FAULTS);
         let Ok(write_half) = stream.try_clone() else { return };
-        let mut reader = wire::FrameReader::new(PacedStream::new(stream));
+        let mut write_half = WriteHalf { stream: write_half, window: self.opts.io_timeout };
+        // The connection's response buffer: allocated now that it is live,
+        // reused by every exchange on it.
+        let mut out_buf = Vec::with_capacity(wire::IO_BUFFER);
+        let mut reader = wire::FrameReader::new(PacedStream::new(stream, self.opts.io_timeout));
         loop {
             // Wait for the first byte of the next request *before* deciding
             // this exchange's wire fault. An idle keep-alive connection must
@@ -217,20 +231,21 @@ impl NetServer {
 
             // An Err means the write side failed mid-response: hang up.
             let keep_alive = self
-                .serve_exchange(&write_half, &mut reader, head, fault, stall)
+                .serve_exchange(&mut write_half, &mut out_buf, &mut reader, head, fault, stall)
                 .unwrap_or(false);
             if !keep_alive {
                 break;
             }
         }
-        let _ = write_half.shutdown(Shutdown::Both);
+        let _ = write_half.stream.shutdown(Shutdown::Both);
     }
 
     /// Decode one request, dispatch it, write the response through the
     /// armed fault. Returns whether the connection stays usable.
     fn serve_exchange(
         &self,
-        write_half: &TcpStream,
+        write_half: &mut WriteHalf,
+        out_buf: &mut Vec<u8>,
         reader: &mut wire::FrameReader<PacedStream>,
         head: wire::Head,
         fault: WireFault,
@@ -256,26 +271,31 @@ impl NetServer {
         let trace = head.headers.get(headers::TRACE).map(str::to_string);
 
         let outcome = self.dispatch(method, &target, head.headers, body, write_half);
-        let mut out = FaultWriter::new(write_half, fault, stall);
+        // The fault sits between the coalescing buffer and the socket: it
+        // sees the response's bytes at the offsets they have on the wire.
+        let mut faulty = FaultWriter::new(&write_half.stream, fault, stall);
+        let mut out = wire::CoalescingWriter::new(&mut faulty, out_buf);
         let clean = match outcome {
             Ok(resp) => write_response(&mut out, resp, trace.as_deref()).is_ok(),
             Err(err) => write_error(&mut out, &err, trace.as_deref()).is_ok(),
         };
         // A fired write fault or a mid-stream body error leaves the peer
         // mid-frame: the connection must die, not serve another exchange.
-        Ok(clean && !out.poisoned())
+        Ok(clean && !faulty.poisoned())
     }
 
     /// Hand a decoded request to the cluster's router, with this
     /// connection's write window derived from the propagated budget:
     /// pushing bytes past the query's deadline is wasted work on both ends.
+    /// The window stays in force while the response streams out; the next
+    /// request on the connection derives its own.
     fn dispatch(
         &self,
         method: Method,
         target: &str,
         mut headers_map: Headers,
         body: Option<Bytes>,
-        write_half: &TcpStream,
+        write_half: &mut WriteHalf,
     ) -> Result<Response> {
         let routed = wire::decode_target(target)?;
         let deadline = wire::take_deadline(&mut headers_map)?;
@@ -289,10 +309,8 @@ impl NetServer {
             Some(rem) => rem.min(self.opts.io_timeout),
             None => self.opts.io_timeout,
         };
-        let _ = write_half.set_write_timeout(Some(window.max(Duration::from_millis(1))));
-        let resp = self.router.route(method, routed, headers_map, body, deadline);
-        let _ = write_half.set_write_timeout(Some(self.opts.io_timeout));
-        resp
+        write_half.set_window(window.max(Duration::from_millis(1)));
+        self.router.route(method, routed, headers_map, body, deadline)
     }
 }
 
@@ -363,26 +381,54 @@ fn write_error(out: &mut impl Write, err: &ScoopError, trace: Option<&str>) -> s
     write_response(out, resp, trace)
 }
 
+/// The server's write side of one connection, remembering the write
+/// timeout the socket carries so it is re-set only when it changes.
+struct WriteHalf {
+    stream: TcpStream,
+    window: Duration,
+}
+
+impl WriteHalf {
+    fn set_window(&mut self, window: Duration) {
+        if window != self.window && self.stream.set_write_timeout(Some(window)).is_ok() {
+            self.window = window;
+        }
+    }
+}
+
 /// The server's read side: a [`TcpStream`] with (a) an optional total-time
 /// guard over the header phase and (b) an optional slowloris dribble that
 /// delivers one byte per delay, simulating a byte-at-a-time peer.
 pub struct PacedStream {
     inner: TcpStream,
+    /// The read timeout the socket currently carries.
+    window: Duration,
     /// Wall-clock cutoff for the current header phase.
     header_cutoff: Option<Instant>,
     dribble: Option<Duration>,
 }
 
 impl PacedStream {
-    fn new(inner: TcpStream) -> Self {
-        PacedStream { inner, header_cutoff: None, dribble: None }
+    /// Wrap an accepted socket whose read timeout is `window`.
+    fn new(inner: TcpStream, window: Duration) -> Self {
+        PacedStream { inner, window, header_cutoff: None, dribble: None }
+    }
+
+    /// Bound the next reads by `window`, touching the socket only when it
+    /// carries a different one.
+    fn set_window(&mut self, window: Duration) -> std::io::Result<()> {
+        if window != self.window {
+            self.inner.set_read_timeout(Some(window))?;
+            self.window = window;
+        }
+        Ok(())
     }
 
     /// Block until the next request's first byte is waiting (`Ok(true)`),
     /// the peer closed (`Ok(false)`), or the idle window lapsed (`Err`).
     /// The byte stays in the kernel buffer for the real head read.
     fn wait_for_request(&mut self, idle_timeout: Duration) -> std::io::Result<bool> {
-        self.inner.set_read_timeout(Some(idle_timeout))?;
+        self.set_window(idle_timeout)?;
         let mut probe = [0u8; 1];
         Ok(self.inner.peek(&mut probe)? > 0)
     }
@@ -392,14 +438,14 @@ impl PacedStream {
     fn arm(&mut self, header_timeout: Duration, dribble: Option<Duration>) {
         self.header_cutoff = Some(Instant::now() + header_timeout);
         self.dribble = dribble;
-        let _ = self.inner.set_read_timeout(Some(header_timeout));
+        let _ = self.set_window(header_timeout);
     }
 
     /// Leave the header phase; body reads run under the plain io timeout.
     fn disarm(&mut self, io_timeout: Duration) {
         self.header_cutoff = None;
         self.dribble = None;
-        let _ = self.inner.set_read_timeout(Some(io_timeout));
+        let _ = self.set_window(io_timeout);
     }
 }
 
@@ -422,5 +468,156 @@ impl Read for PacedStream {
             }
             None => self.inner.read(buf),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The copy-and-syscall budget of the response path (DESIGN.md §13),
+    //! counted on wrapper types — the codec is generic over `Write`/`Read`,
+    //! so no socket is needed to count the calls one would cost.
+    use super::*;
+    use scoop_common::stream;
+    use std::io::{Cursor, IoSlice};
+
+    /// Records what reaches the "socket" and in how many calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves bytes like a socket with everything already arrived: each
+    /// `read` fills as much of the caller's buffer as there is data for.
+    struct CountingReader {
+        bytes: Cursor<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    fn items(total: usize, item: usize) -> Vec<Bytes> {
+        let body: Bytes = (0..total).map(|i| (i * 31 % 251) as u8).collect();
+        (0..total).step_by(item).map(|at| body.slice(at..(at + item).min(total))).collect()
+    }
+
+    fn ranged_response(items: &[Bytes]) -> Response {
+        let len: usize = items.iter().map(Bytes::len).sum();
+        let mut resp = Response::ok(stream::from_chunks(items.to_vec()))
+            .with_header("content-length", len.to_string())
+            .with_header("content-range", format!("bytes 4096-{}/8060928", 4095 + len))
+            .with_header("etag", "5f2b0c6d9a3e4b17")
+            .with_header(headers::OBJECT_LENGTH, "8060928");
+        resp.status = 206;
+        resp
+    }
+
+    /// The frame grammar, written the way the parent wrote it: one frame
+    /// per item straight onto the wire, no coalescing.
+    fn golden(resp: Response, trailers: &[(&str, String)]) -> Vec<u8> {
+        let mut wire_bytes = wire::encode_response_head(resp.status, &resp.headers).unwrap();
+        for item in resp.body {
+            wire::write_chunk(&mut wire_bytes, &item.unwrap()).unwrap();
+        }
+        wire::finish_chunks_with_trailers(&mut wire_bytes, trailers).unwrap();
+        wire_bytes
+    }
+
+    /// `write_response` through the connection's coalescing buffer.
+    fn coalesced(resp: Response) -> (std::io::Result<()>, CountingWriter) {
+        let mut socket = CountingWriter::default();
+        let mut buf = Vec::with_capacity(wire::IO_BUFFER);
+        let outcome = write_response(&mut wire::CoalescingWriter::new(&mut socket, &mut buf), resp, None);
+        (outcome, socket)
+    }
+
+    /// Decode one chunked response, returning its chunks.
+    fn decode(reader: &mut wire::FrameReader<CountingReader>) -> Vec<Bytes> {
+        let head = reader.read_head().unwrap().expect("a response head");
+        assert!(matches!(head.start, wire::StartLine::Status(206)));
+        std::iter::from_fn(|| reader.read_chunk().unwrap()).collect()
+    }
+
+    #[test]
+    fn a_55_kb_ranged_get_is_one_write_and_at_most_two_reads() {
+        let items = items(55_000, 4096);
+        let (outcome, socket) = coalesced(ranged_response(&items));
+        outcome.unwrap();
+        assert_eq!(socket.writes, 1, "a ranged GET that fits the buffer is one syscall");
+        assert_eq!(socket.bytes, golden(ranged_response(&items), &[]), "the wire changed");
+
+        let mut reader =
+            wire::FrameReader::new(CountingReader { bytes: Cursor::new(socket.bytes), reads: 0 });
+        assert_eq!(decode(&mut reader), items, "one chunk per item, boundaries intact");
+        assert!(reader.is_drained());
+        assert!(reader.inner_mut().reads <= 2, "{} reads", reader.inner_mut().reads);
+    }
+
+    #[test]
+    fn a_2_mib_body_in_4_kib_items_costs_one_call_per_buffer_not_four_per_item() {
+        let items = items(2 << 20, 4096);
+        let (outcome, socket) = coalesced(ranged_response(&items));
+        outcome.unwrap();
+        let budget = socket.bytes.len().div_ceil(wire::IO_BUFFER) + 2;
+        assert!(socket.writes <= budget, "{} writes for a budget of {budget}", socket.writes);
+        assert_eq!(socket.bytes, golden(ranged_response(&items), &[]), "the wire changed");
+
+        let mut reader =
+            wire::FrameReader::new(CountingReader { bytes: Cursor::new(socket.bytes), reads: 0 });
+        assert_eq!(decode(&mut reader), items, "one chunk per item, boundaries intact");
+        assert!(reader.inner_mut().reads <= budget, "{} reads", reader.inner_mut().reads);
+    }
+
+    #[test]
+    fn an_item_as_large_as_the_buffer_leaves_uncopied_with_what_is_pending() {
+        // Head and the item's size line are pending when the item arrives:
+        // they and the item are one vectored write; its CRLF, the small
+        // item behind it and the terminator are the flush.
+        let items = vec![items(100_000, 100_000).remove(0), Bytes::from_static(b"tail")];
+        let (outcome, socket) = coalesced(ranged_response(&items));
+        outcome.unwrap();
+        assert_eq!(socket.writes, 2);
+        assert_eq!(socket.bytes, golden(ranged_response(&items), &[]), "the wire changed");
+    }
+
+    #[test]
+    fn a_body_that_fails_mid_stream_still_ends_on_the_same_error_trailer() {
+        let failure = || ScoopError::Io(std::io::Error::other("disk went away"));
+        let failing = || {
+            let mut resp = ranged_response(&[]);
+            resp.body = Box::new(
+                items(10_000, 4096).into_iter().map(Ok).chain(std::iter::once(Err(failure()))),
+            );
+            resp
+        };
+        let (outcome, socket) = coalesced(failing());
+        assert!(outcome.is_err(), "the connection must not be kept");
+        assert_eq!(socket.writes, 1);
+        let mut expected = failing();
+        expected.body = stream::from_chunks(items(10_000, 4096));
+        assert_eq!(socket.bytes, golden(expected, &[wire::stream_error_trailer(&failure())]));
     }
 }

@@ -29,9 +29,9 @@
 
 use crate::path::ObjectPath;
 use crate::request::{Headers, Method, Request, Response};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use scoop_common::{headers, stream, ByteStream, Deadline, Result, ScoopError};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::time::Duration;
 
 /// Cap on the head (start line + headers) of any frame.
@@ -41,6 +41,15 @@ pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 pub const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
 /// Cap on a single response chunk accepted by the decoder.
 pub const MAX_CHUNK_BYTES: usize = 16 * 1024 * 1024;
+/// The unit of the data plane's syscall budget (DESIGN.md §13): a
+/// [`CoalescingWriter`] hands the socket this many bytes per write, and a
+/// [`FrameReader`] offers every read at least this much room. A constant,
+/// not a knob — one `write` then carries a whole 55 KB ranged GET, and a
+/// 2 MB body is ~33 writes and fewer reads instead of ~2 000 of each.
+pub const IO_BUFFER: usize = 64 * 1024;
+/// What a [`FrameReader`] allocates up front: two reads' worth, so the
+/// partial frame a read ends on never forces the buffer to grow.
+const READ_BUFFER: usize = 2 * IO_BUFFER;
 
 fn malformed(what: &str) -> ScoopError {
     // A garbage or truncated frame is a transport-level event: the bytes on
@@ -222,23 +231,29 @@ fn is_request_framing_header(name: &str) -> bool {
 }
 
 /// Serialize an object request: the frame encoder addressed at the
-/// request's own path.
+/// request's own path, head and body in one buffer.
 pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
     let target = encode_path(&req.path);
-    encode_frame(req.method, &target, &req.headers, req.body.as_ref(), req.deadline)
+    let body = req.body.as_deref();
+    let mut out = encode_frame(req.method, &target, &req.headers, body.map(<[u8]>::len), req.deadline)?;
+    out.extend_from_slice(body.unwrap_or_default());
+    Ok(out)
 }
 
-/// Serialize a request frame with `Content-Length` framing — the one
-/// request encoder, for object paths and the non-object targets (container
-/// ops, the observability endpoints) alike. `target` is the request-line
-/// form `encode_target` renders. The deadline crosses as a
-/// remaining-budget header; framing headers in the map are replaced by
-/// canonical values derived from the actual body and deadline.
+/// Serialize the head of a request frame with `Content-Length` framing —
+/// the one request encoder, for object paths and the non-object targets
+/// (container ops, the observability endpoints) alike. `target` is the
+/// request-line form `encode_target` renders; the `body_len` bytes of body
+/// follow the head on the wire and are the caller's to send (the pool
+/// writes head and body with one vectored write, so a PUT body is never
+/// copied into the frame). The deadline crosses as a remaining-budget
+/// header; framing headers in the map are replaced by canonical values
+/// derived from the actual body and deadline.
 pub(crate) fn encode_frame(
     method: Method,
     target: &str,
     headers_map: &Headers,
-    body: Option<&Bytes>,
+    body_len: Option<usize>,
     deadline: Deadline,
 ) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(256);
@@ -260,13 +275,10 @@ pub(crate) fn encode_frame(
         out.extend_from_slice(headers::DEADLINE_MS.as_bytes());
         out.extend_from_slice(format!(": {}\r\n", rem.as_millis()).as_bytes());
     }
-    if let Some(body) = body {
-        out.extend_from_slice(format!("content-length: {}\r\n", body.len()).as_bytes());
+    if let Some(len) = body_len {
+        out.extend_from_slice(format!("content-length: {len}\r\n").as_bytes());
     }
     out.extend_from_slice(b"\r\n");
-    if let Some(body) = body {
-        out.extend_from_slice(body);
-    }
     Ok(out)
 }
 
@@ -356,6 +368,81 @@ pub fn finish_chunks_with_error(w: &mut impl Write, err: &ScoopError) -> std::io
     finish_chunks_with_trailers(w, &[stream_error_trailer(err)])
 }
 
+/// Write `first` then `second` as one vectored write, repeated until both
+/// are out — two buffers leave in one syscall without being joined.
+pub(crate) fn write_pair(w: &mut impl Write, mut first: &[u8], mut second: &[u8]) -> std::io::Result<()> {
+    while !first.is_empty() {
+        let n = match w.write_vectored(&[IoSlice::new(first), IoSlice::new(second)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let of_first = n.min(first.len());
+        first = first.get(of_first..).unwrap_or_default();
+        second = second.get(n.saturating_sub(of_first)..).unwrap_or_default();
+    }
+    w.write_all(second)
+}
+
+/// Coalesces the frames of one response into few socket writes. Frames are
+/// unchanged — [`write_chunk`] still emits one per stream item, and the
+/// bytes that reach `out` are exactly the bytes written here, in order —
+/// only the *syscalls* are merged: everything is appended to `buf` and
+/// handed to `out` [`IO_BUFFER`] bytes at a time, the remainder on
+/// [`Write::flush`]. A single write of at least `IO_BUFFER` bytes (a large
+/// body item) is not copied: it leaves with what is pending in one
+/// vectored write.
+///
+/// `buf` belongs to the connection (allocated once when it goes live and
+/// reused by every response on it); `out` is whatever the bytes must pass
+/// on their way to the socket — the server's `FaultWriter` sits *below*
+/// this writer, so a wire fault counts the same byte offsets whether or
+/// not the bytes were coalesced.
+pub struct CoalescingWriter<'a, W: Write> {
+    out: &'a mut W,
+    buf: &'a mut Vec<u8>,
+}
+
+impl<'a, W: Write> CoalescingWriter<'a, W> {
+    /// Start a response on `out`, staging through the connection's `buf`
+    /// (whatever an aborted response left in it is discarded).
+    pub fn new(out: &'a mut W, buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        CoalescingWriter { out, buf }
+    }
+
+    fn drain(&mut self) -> std::io::Result<()> {
+        self.out.write_all(self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+impl<W: Write> Write for CoalescingWriter<'_, W> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        if data.len() >= IO_BUFFER {
+            write_pair(self.out, self.buf, data)?;
+            self.buf.clear();
+            return Ok(data.len());
+        }
+        let room = IO_BUFFER.saturating_sub(self.buf.len());
+        let taken = data.get(..data.len().min(room)).unwrap_or_default();
+        self.buf.extend_from_slice(taken);
+        if self.buf.len() >= IO_BUFFER {
+            self.drain()?;
+        }
+        Ok(taken.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if !self.buf.is_empty() {
+            self.drain()?;
+        }
+        self.out.flush()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
@@ -401,13 +488,18 @@ pub enum BodyFraming {
 
 /// Incremental frame reader over any byte stream. Keeps leftover bytes
 /// across frames, so back-to-back (pipelined) responses on one connection
-/// decode cleanly; reads from the underlying stream are buffered in
-/// `chunk`-sized slabs.
+/// decode cleanly.
+///
+/// Reads land straight in the spare capacity of one reusable buffer, at
+/// least [`IO_BUFFER`] bytes of room per read, and chunks are handed out
+/// as zero-copy splits of it. The allocation is reused for as long as the
+/// consumer has dropped every chunk by the time the next read is due —
+/// which a streaming consumer has; one that holds on keeps its bytes and
+/// the reader moves to a fresh allocation.
 pub struct FrameReader<R> {
     inner: R,
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`.
-    pos: usize,
+    /// Bytes read off the stream and not yet handed out.
+    buf: BytesMut,
     /// Raw `x-scoop-server-spans` trailer value of the most recently
     /// terminated chunked body, parked for [`Self::take_server_spans`].
     server_spans: Option<String>,
@@ -416,7 +508,7 @@ pub struct FrameReader<R> {
 impl<R: Read> FrameReader<R> {
     /// Wrap a byte stream.
     pub fn new(inner: R) -> Self {
-        FrameReader { inner, buf: Vec::new(), pos: 0, server_spans: None }
+        FrameReader { inner, buf: BytesMut::with_capacity(READ_BUFFER), server_spans: None }
     }
 
     /// Take the `x-scoop-server-spans` trailer value the last chunked body
@@ -442,75 +534,48 @@ impl<R: Read> FrameReader<R> {
     /// True when no leftover bytes are buffered (the connection is at a
     /// clean frame boundary and safe to pool).
     pub fn is_drained(&self) -> bool {
-        self.pos >= self.buf.len()
+        self.buf.is_empty()
     }
 
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+    /// One read from the stream into the buffer, with room for `missing`
+    /// bytes and never less than [`IO_BUFFER`]; `Ok(0)` at EOF.
+    fn fill(&mut self, missing: usize) -> std::io::Result<usize> {
+        self.buf.reserve(missing.max(IO_BUFFER));
+        self.buf.read_from(&mut self.inner, usize::MAX)
     }
 
-    /// Pull more bytes from the stream; `Ok(0)` at EOF.
-    fn fill(&mut self) -> std::io::Result<usize> {
-        self.compact();
-        let mut chunk = [0u8; 8 * 1024];
-        let n = self.inner.read(&mut chunk)?;
-        self.buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        Ok(n)
-    }
-
-    /// Read until the `\r\n\r\n` head terminator; `Ok(None)` on clean EOF
-    /// before any byte (the peer closed an idle connection).
-    fn read_head_bytes(&mut self) -> Result<Option<Vec<u8>>> {
-        loop {
-            let window = self.buf.get(self.pos..).unwrap_or_default();
-            if let Some(end) = find_head_end(window) {
-                let head = window.get(..end).unwrap_or_default().to_vec();
-                self.pos += end + 4;
-                return Ok(Some(head));
+    /// Read until `n` bytes are buffered.
+    fn fill_to(&mut self, n: usize, eof: &str) -> Result<()> {
+        while self.buf.len() < n {
+            let missing = n.saturating_sub(self.buf.len());
+            if self.fill(missing).map_err(ScoopError::Io)? == 0 {
+                return Err(malformed(eof));
             }
-            if window.len() > MAX_HEAD_BYTES {
+        }
+        Ok(())
+    }
+
+    /// Decode a frame head. `Ok(None)` when the peer closed cleanly between
+    /// frames (EOF before any byte of a head).
+    pub fn read_head(&mut self) -> Result<Option<Head>> {
+        let end = loop {
+            let window = self.buf.get(..self.buf.len().min(MAX_HEAD_BYTES)).unwrap_or_default();
+            if let Some(end) = find_head_end(window) {
+                break end;
+            }
+            if self.buf.len() >= MAX_HEAD_BYTES {
                 return Err(malformed("frame head exceeds cap"));
             }
-            let had = self.buf.len() - self.pos;
-            if self.fill().map_err(ScoopError::Io)? == 0 {
-                if had == 0 {
+            if self.fill(1).map_err(ScoopError::Io)? == 0 {
+                if self.buf.is_empty() {
                     return Ok(None);
                 }
                 return Err(malformed("EOF inside frame head"));
             }
-        }
-    }
-
-    /// Decode a frame head. `Ok(None)` when the peer closed cleanly between
-    /// frames.
-    pub fn read_head(&mut self) -> Result<Option<Head>> {
-        let Some(bytes) = self.read_head_bytes()? else { return Ok(None) };
-        let text = std::str::from_utf8(&bytes).map_err(|_| malformed("head is not UTF-8"))?;
-        let mut lines = text.split("\r\n");
-        let start_line = lines.next().ok_or_else(|| malformed("empty head"))?;
-        let start = parse_start_line(start_line)?;
-        let mut headers_map = Headers::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| malformed("header line without ':'"))?;
-            headers_map.set(name.trim(), value.trim().to_string());
-        }
-        // transfer-encoding is pure framing: strip it so the decoded
-        // header map mirrors what the encoder was handed (round-trip
-        // byte-identity), and remember the fact on the head.
-        let chunked = match headers_map.remove("transfer-encoding") {
-            Some(v) if v.eq_ignore_ascii_case("chunked") => true,
-            Some(_) => return Err(malformed("unsupported transfer-encoding")),
-            None => false,
         };
-        Ok(Some(Head { start, headers: headers_map, chunked }))
+        let head = parse_head(self.buf.get(..end).unwrap_or_default());
+        self.buf.advance(end.saturating_add(HEAD_END.len()));
+        head.map(Some)
     }
 
     /// Body framing declared by a head.
@@ -541,60 +606,80 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Read exactly `n` body bytes.
+    /// Read exactly `n` body bytes into an allocation of their own: a
+    /// content-length body is a PUT payload the store keeps, and must not
+    /// pin this connection's read buffer. What is already buffered is
+    /// copied over; the rest is read from the stream straight into place.
     pub fn read_exact_body(&mut self, n: usize) -> Result<Bytes> {
-        while self.buf.len() - self.pos < n {
-            if self.fill().map_err(ScoopError::Io)? == 0 {
+        let buffered = self.buf.len().min(n);
+        let mut body = BytesMut::with_capacity(n.min(READ_BUFFER));
+        body.extend_from_slice(self.buf.get(..buffered).unwrap_or_default());
+        self.buf.advance(buffered);
+        while body.len() < n {
+            let missing = n.saturating_sub(body.len());
+            // Grow geometrically and never past `n`: memory follows the
+            // bytes that arrived, not the length the peer announced.
+            body.reserve(missing.min(body.len().max(IO_BUFFER)));
+            if body.read_from(&mut self.inner, missing).map_err(ScoopError::Io)? == 0 {
                 return Err(malformed("EOF inside content-length body"));
             }
         }
-        let body = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .unwrap_or_default()
-            .to_vec();
-        self.pos += n;
-        Ok(Bytes::from(body))
+        Ok(body.freeze())
     }
 
-    fn read_line_capped(&mut self, cap: usize, what: &str) -> Result<String> {
+    /// Buffer one CRLF-terminated line of at most `cap` bytes and return
+    /// its length; the line stays in the buffer for the caller to parse in
+    /// place and then [`Self::consume_line`].
+    fn buffer_line(&mut self, cap: usize, too_long: &str) -> Result<usize> {
+        let limit = cap.saturating_add(CRLF.len());
         loop {
-            let window = self.buf.get(self.pos..).unwrap_or_default();
-            if let Some(i) = window.windows(2).position(|w| w == b"\r\n") {
-                let line = window.get(..i).unwrap_or_default().to_vec();
-                self.pos += i + 2;
-                return String::from_utf8(line).map_err(|_| malformed("chunk line not UTF-8"));
+            let window = self.buf.get(..self.buf.len().min(limit)).unwrap_or_default();
+            if let Some(len) = window.windows(CRLF.len()).position(|w| w == CRLF) {
+                return Ok(len);
             }
-            if window.len() > cap {
-                return Err(malformed(what));
+            if window.len() >= limit {
+                return Err(malformed(too_long));
             }
-            if self.fill().map_err(ScoopError::Io)? == 0 {
+            if self.fill(1).map_err(ScoopError::Io)? == 0 {
                 return Err(malformed("EOF inside chunk framing"));
             }
         }
     }
 
-    fn read_line(&mut self) -> Result<String> {
-        self.read_line_capped(32, "chunk size line too long")
+    fn consume_line(&mut self, len: usize) {
+        self.buf.advance(len.saturating_add(CRLF.len()));
+    }
+
+    fn read_chunk_size(&mut self) -> Result<usize> {
+        let len = self.buffer_line(32, "chunk size line too long")?;
+        let size = std::str::from_utf8(self.buf.get(..len).unwrap_or_default())
+            .ok()
+            .and_then(|line| usize::from_str_radix(line.trim(), 16).ok())
+            .ok_or_else(|| malformed("unparseable chunk size"))?;
+        self.consume_line(len);
+        if size > MAX_CHUNK_BYTES {
+            return Err(malformed("chunk exceeds cap"));
+        }
+        Ok(size)
     }
 
     fn read_trailer_line(&mut self) -> Result<String> {
         // Wide enough for a full span trailer (`telemetry::MAX_ENCODED_SPANS`
         // value bytes plus the name) with headroom.
-        self.read_line_capped(16_384, "chunk trailer line too long")
+        let len = self.buffer_line(16_384, "chunk trailer line too long")?;
+        let line = std::str::from_utf8(self.buf.get(..len).unwrap_or_default())
+            .map(str::to_owned)
+            .map_err(|_| malformed("chunk line not UTF-8"));
+        self.consume_line(len);
+        line
     }
 
     /// Read the next chunk of a chunked body; `Ok(None)` after the
     /// terminating zero-chunk. Chunk boundaries are preserved: each framed
-    /// chunk surfaces as one `Bytes`, so re-encoding reproduces the exact
-    /// wire bytes.
+    /// chunk surfaces as one `Bytes` (a split of the read buffer, not a
+    /// copy), so re-encoding reproduces the exact wire bytes.
     pub fn read_chunk(&mut self) -> Result<Option<Bytes>> {
-        let size_line = self.read_line()?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| malformed("unparseable chunk size"))?;
-        if size > MAX_CHUNK_BYTES {
-            return Err(malformed("chunk exceeds cap"));
-        }
+        let size = self.read_chunk_size()?;
         if size == 0 {
             // Trailer section: usually just the terminating CRLF, but two
             // trailers may precede it — a body that failed mid-stream ends
@@ -629,17 +714,50 @@ impl<R: Read> FrameReader<R> {
             }
             return Ok(None);
         }
-        let data = self.read_exact_body(size)?;
-        let crlf = self.read_line()?;
-        if !crlf.is_empty() {
+        self.fill_to(size.saturating_add(CRLF.len()), "EOF inside chunk framing")?;
+        let data = self.buf.split_to(size).freeze();
+        if !self.buf.starts_with(CRLF) {
             return Err(malformed("chunk not CRLF-terminated"));
         }
+        self.buf.advance(CRLF.len());
         Ok(Some(data))
     }
 }
 
+const CRLF: &[u8] = b"\r\n";
+const HEAD_END: &[u8] = b"\r\n\r\n";
+
+/// Parse the bytes of a frame head (start line and header lines, without
+/// the terminating blank line).
+fn parse_head(bytes: &[u8]) -> Result<Head> {
+    let text = std::str::from_utf8(bytes).map_err(|_| malformed("head is not UTF-8"))?;
+    let mut lines = text.split("\r\n");
+    let start_line = lines.next().ok_or_else(|| malformed("empty head"))?;
+    let start = parse_start_line(start_line)?;
+    let mut headers_map = Headers::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| malformed("header line without ':'"))?;
+        headers_map.set(name.trim(), value.trim().to_string());
+    }
+    // transfer-encoding is pure framing: strip it so the decoded
+    // header map mirrors what the encoder was handed (round-trip
+    // byte-identity), and remember the fact on the head.
+    let chunked = match headers_map.remove("transfer-encoding") {
+        Some(v) if v.eq_ignore_ascii_case("chunked") => true,
+        Some(_) => return Err(malformed("unsupported transfer-encoding")),
+        None => false,
+    };
+    Ok(Head { start, headers: headers_map, chunked })
+}
+
+/// Offset of the blank line that ends a frame head, if it is in `buf`.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    buf.windows(HEAD_END.len()).position(|w| w == HEAD_END)
 }
 
 fn parse_start_line(line: &str) -> Result<StartLine> {

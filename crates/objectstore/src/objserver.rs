@@ -16,9 +16,11 @@ use scoop_common::telemetry::{self, names, ScopedCounter};
 use scoop_common::{stream, Result, ScoopError};
 
 /// GET response chunk size. Small (like Hadoop's 4 KB I/O buffer) so lazy
-/// consumers that stop at a record boundary overshoot by at most this much;
-/// chunks are zero-copy `Bytes` slices, so small chunks cost only iterator
-/// overhead.
+/// consumers that stop at a record boundary overshoot by at most this much.
+/// Small chunks cost only iterator overhead: in process they are zero-copy
+/// `Bytes` slices, and over TCP each is still its own frame but not its own
+/// syscalls — the server coalesces frames into `net::wire::IO_BUFFER`-sized
+/// writes and the client splits them back out of reads at least that large.
 pub const RESPONSE_CHUNK: usize = 4 * 1024;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -335,9 +335,15 @@ impl Response {
         (200..300).contains(&self.status)
     }
 
-    /// Drain the body into one buffer (test/convenience helper).
+    /// Drain the body into one buffer, sized once from `content-length`
+    /// when the response carries it (a one-chunk body is returned as is).
     pub fn read_body(self) -> Result<Bytes> {
-        stream::collect(self.body)
+        let expected = self
+            .headers
+            .get("content-length")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        stream::collect_sized(self.body, expected)
     }
 }
 
