@@ -14,7 +14,10 @@
 //!   bound WHERE on the survivors, per byte the reader fetched;
 //! * `compute_sql_exec`   — the compute-side SQL executor over pre-typed
 //!   rows: ShowMapCons and a ten-column aggregate, filter + partial
-//!   aggregation + finalize as a session task runs them.
+//!   aggregation + finalize as a session task runs them;
+//! * `compute_csv_scan`   — the vanilla CSV scan a query runs: ShowMapCons'
+//!   projection and pushed predicate through `CsvRelation` (select on raw
+//!   fields, type the survivors), then the bound WHERE, per byte of CSV.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -37,6 +40,9 @@
 
 use bytes::Bytes;
 use scoop_columnar::{ColumnarReader, ColumnarWriter};
+use scoop_compute::csv_relation::CsvRelation;
+use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
+use scoop_compute::MemoryConnector;
 use scoop_csv::filter::filter_buffer;
 use scoop_csv::record::RecordSplitter;
 use scoop_csv::{CsvReader, Predicate, PushdownSpec, Value};
@@ -56,6 +62,11 @@ const BASELINE_SQL_EXEC_MBS: f64 = 223.1;
 /// (every projected cell of every row made a `Value`) and the bound WHERE on
 /// all of them; same kernel, commit and machine rule as above.
 const BASELINE_COLUMNAR_MBS: f64 = 177.7;
+/// What `CsvRelation`'s vanilla scan ran before it selected on raw fields:
+/// every record of the split tokenised to the projection and typed, the
+/// pushed predicate ignored, the bound WHERE on all of them; same kernel,
+/// commit and machine rule as above.
+const BASELINE_CSV_SCAN_MBS: f64 = 304.7;
 /// CI gate: fail when current throughput drops below 70% of the recorded one.
 const REGRESSION_FLOOR: f64 = 0.7;
 
@@ -232,7 +243,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
     })
     .csv_object(rows);
     let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), (rows / 15).max(1));
-    for row in CsvReader::new(scoop_common::stream::once(daily), schema.clone(), true) {
+    for row in CsvReader::new(scoop_common::stream::once(daily.clone()), schema.clone(), true) {
         w.write_row(&row.expect("generated CSV parses"));
     }
     let file = w.finish();
@@ -322,6 +333,41 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         bytes: sql_bytes as u64,
         mb_per_s: mbs(sql_bytes, secs),
         baseline_mb_per_s: Some(BASELINE_SQL_EXEC_MBS),
+    });
+
+    // 6. The vanilla CSV scan of the same query over the CSV the columnar
+    //    file was written from, as a session task runs it: `CsvRelation`
+    //    over a `MemoryConnector` in 1 MiB splits (the `queryplane` split),
+    //    ShowMapCons' projection and pushed predicate, then the bound WHERE
+    //    on what each split's scan yields. The rate is per byte of CSV.
+    let conn = MemoryConnector::new();
+    conn.put("meters", "daily.csv", daily.clone());
+    let relation = CsvRelation::open(conn, "meters", None, true, Some(schema.clone()), false)
+        .expect("open the CSV relation");
+    let splits = relation.partitions(1 << 20).expect("partitions");
+    let secs = best_of(iters, || {
+        let mut kept = 0u64;
+        for split in &splits {
+            let out = relation
+                .scan_pruned_filtered(
+                    split,
+                    plan.pushdown.columns.as_deref(),
+                    plan.pushdown.predicate.as_ref(),
+                )
+                .expect("vanilla scan");
+            for row in out.rows {
+                if filter.passes(&row.expect("row")).expect("filter") {
+                    kept += 1;
+                }
+            }
+        }
+        black_box(kept)
+    });
+    results.push(BenchResult {
+        name: "compute_csv_scan",
+        bytes: daily.len() as u64,
+        mb_per_s: mbs(daily.len(), secs),
+        baseline_mb_per_s: Some(BASELINE_CSV_SCAN_MBS),
     });
 
     results

@@ -759,8 +759,8 @@ pub struct QueryEvent {
     /// Bytes moved across the storage→compute boundary.
     pub bytes: u64,
     /// Rows handed to the SQL executor (`JobMetrics::rows_to_compute`): what
-    /// the scans yielded, so on a columnar table the rows the scan's
-    /// selection kept, not the rows it decoded.
+    /// the scans yielded — on every arm the pushed predicate's survivors,
+    /// not the records or rows the scan read.
     pub rows: u64,
     /// Task-level + client-level retries observed during the query.
     pub retries: u64,

@@ -3,16 +3,18 @@
 //! Implements all three Data Sources flavors. With pushdown enabled and a
 //! capable connector, `scan_pruned_filtered` delegates projection+selection
 //! to the store (the Scoop path); otherwise the partition's raw byte range is
-//! ingested, record-aligned client-side, parsed, and pruned in the compute
-//! tier (the vanilla ingest-then-compute path). Both paths produce rows under
-//! the same projected schema so the executor upstream is oblivious.
+//! ingested, record-aligned client-side, selected, parsed and pruned in the
+//! compute tier (the vanilla ingest-then-compute path). Both paths produce
+//! rows under the same projected schema so the executor upstream is
+//! oblivious, and both select with the same raw-field evaluator.
 
 use crate::connector::{StorageConnector, SPLIT_SLACK};
 use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
 use crate::partition::{discover, InputPartition};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::split::RangedRecordStream;
-use scoop_csv::{CsvReader, Predicate, PushdownSpec, Schema};
+use scoop_csv::{CompiledSpec, CsvReader, FieldBuf, Predicate, PushdownSpec, Schema, Value};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A CSV table stored as one or more objects under a location.
@@ -77,63 +79,49 @@ impl CsvRelation {
         }
     }
 
-    /// The vanilla path: full-range ingest, client-side alignment + pruning.
-    /// The read is bounded just past the split's end — the record reader
-    /// stops there, and an open-ended GET abandoned mid-body would cost the
-    /// connector its pooled connection.
+    /// The vanilla path: full-range ingest, client-side alignment, selection
+    /// and pruning. The read is bounded just past the split's end — the
+    /// record reader stops there, and an open-ended GET abandoned mid-body
+    /// would cost the connector its pooled connection.
+    ///
+    /// The pushed predicate selects on raw field bytes with the store's own
+    /// evaluator ([`CompiledSpec`]), and only the survivors are typed — the
+    /// late materialisation the columnar arm has. The selection keeps a
+    /// superset of the rows SQL keeps, so the executor still applies the
+    /// whole WHERE (`filters_handled` stays false).
     fn scan_vanilla(
         &self,
         partition: &InputPartition,
         columns: Option<&[String]>,
+        predicate: Option<&Predicate>,
     ) -> Result<ScanOutput> {
         let scan_schema = self.projected_schema(columns)?;
+        let selection = CompiledSpec::compile(
+            &PushdownSpec { columns: None, predicate: predicate.cloned(), has_header: false },
+            &self.file_columns,
+        )?;
+        let projection: Vec<usize> = match columns {
+            None => (0..self.schema.len()).collect(),
+            Some(cols) => cols.iter().map(|c| self.schema.resolve(c)).collect::<Result<_>>()?,
+        };
+        // Type no further than the last field the projection reads.
+        let type_bound = projection.iter().max().map_or(0, |&i| i.saturating_add(1));
         let stream = self.connector.read_bounded(
             &self.location,
             &partition.object,
             partition.start,
             partition.end.saturating_add(SPLIT_SLACK),
         )?;
-        let records = RangedRecordStream::new(stream, partition.start, Some(partition.end));
-        let full_schema = self.schema.clone();
-        let indices: Option<Vec<usize>> = match columns {
-            None => None,
-            Some(cols) => Some(
-                cols.iter()
-                    .map(|c| full_schema.resolve(c))
-                    .collect::<Result<_>>()?,
-            ),
-        };
-        let mut skip_header = self.has_header && partition.start == 0;
-        // Parse no further than the last field anything references: the full
-        // schema width without projection, the highest projected index with.
-        let parse_bound = match &indices {
-            None => full_schema.len(),
-            Some(idx) => idx.iter().max().map_or(0, |&i| i + 1),
-        };
-        let mut fields = scoop_csv::view::FieldBuf::default();
-        let rows: RowStream = Box::new(records.filter_map(move |record| {
-            let record = match record {
-                Ok(r) => r,
-                Err(e) => return Some(Err(e)),
-            };
-            if skip_header {
-                skip_header = false;
-                return None;
-            }
-            let view = fields.parse_bounded(&record, parse_bound);
-            Some(Ok(match &indices {
-                None => full_schema.parse_view(&view),
-                Some(idx) => idx
-                    .iter()
-                    .map(|&i| match view.text(i) {
-                        Some(raw) => {
-                            scoop_csv::Value::parse_typed(&raw, full_schema.fields[i].dtype)
-                        }
-                        None => scoop_csv::Value::Null,
-                    })
-                    .collect(),
-            }))
-        }));
+        let rows: RowStream = Box::new(SelectedRows {
+            records: RangedRecordStream::new(stream, partition.start, Some(partition.end)),
+            selection,
+            schema: self.schema.clone(),
+            projection,
+            type_bound,
+            fields: FieldBuf::default(),
+            skip_header: self.has_header && partition.start == 0,
+            survivors: VecDeque::new(),
+        });
         Ok(ScanOutput {
             schema: scan_schema,
             rows,
@@ -173,6 +161,73 @@ impl CsvRelation {
     }
 }
 
+/// The vanilla scan's rows: each input chunk's records tokenised as far as
+/// the selection reads, tested on their borrowed bytes, and the survivors
+/// tokenised on to the projection and typed.
+struct SelectedRows {
+    records: RangedRecordStream,
+    selection: CompiledSpec,
+    /// The relation's full schema; `projection` indexes into it.
+    schema: Schema,
+    projection: Vec<usize>,
+    type_bound: usize,
+    fields: FieldBuf,
+    skip_header: bool,
+    /// Typed survivors of the last chunk, handed out in record order.
+    survivors: VecDeque<Vec<Value>>,
+}
+
+impl SelectedRows {
+    /// Select and type the records of the next input chunk; false once the
+    /// split has no more.
+    fn fill(&mut self) -> Result<bool> {
+        let SelectedRows {
+            records,
+            selection,
+            schema,
+            projection,
+            type_bound,
+            fields,
+            skip_header,
+            survivors,
+            ..
+        } = self;
+        let select_bound = selection.parse_bound();
+        records.next_chunk(|record| {
+            if std::mem::take(skip_header) {
+                return;
+            }
+            let view = fields.parse_bounded(record, select_bound);
+            if !selection.matches_view(&view) {
+                return;
+            }
+            let view = if *type_bound > select_bound {
+                fields.parse_bounded(record, *type_bound)
+            } else {
+                view
+            };
+            survivors.push_back(schema.parse_view_projected(&view, projection));
+        })
+    }
+}
+
+impl Iterator for SelectedRows {
+    type Item = Result<Vec<Value>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(row) = self.survivors.pop_front() {
+                return Some(Ok(row));
+            }
+            match self.fill() {
+                Err(e) => return Some(Err(e)),
+                Ok(false) if self.survivors.is_empty() => return None,
+                Ok(_) => {}
+            }
+        }
+    }
+}
+
 impl TableScan for CsvRelation {
     fn schema(&self) -> Result<Schema> {
         Ok(self.schema.clone())
@@ -188,13 +243,13 @@ impl TableScan for CsvRelation {
     }
 
     fn scan(&self, partition: &InputPartition) -> Result<ScanOutput> {
-        self.scan_vanilla(partition, None)
+        self.scan_vanilla(partition, None, None)
     }
 }
 
 impl PrunedScan for CsvRelation {
     fn scan_pruned(&self, partition: &InputPartition, columns: &[String]) -> Result<ScanOutput> {
-        self.scan_vanilla(partition, Some(columns))
+        self.scan_vanilla(partition, Some(columns), None)
     }
 }
 
@@ -208,7 +263,7 @@ impl PrunedFilteredScan for CsvRelation {
         if self.pushdown_enabled && self.connector.supports_pushdown() {
             self.scan_pushdown(partition, columns, predicate)
         } else {
-            self.scan_vanilla(partition, columns)
+            self.scan_vanilla(partition, columns, predicate)
         }
     }
 }
@@ -285,13 +340,10 @@ mod tests {
                 let out = vanilla_rel
                     .scan_pruned_filtered(v, Some(&cols), Some(&pred))
                     .unwrap();
+                // Vanilla selects on the raw fields but leaves the WHERE to
+                // the executor; a Str = Str predicate selects exactly.
                 assert!(!out.stats.filters_handled);
-                // Vanilla did not filter: emulate the executor's re-filter.
-                for row in collect(out) {
-                    if row[0] != Value::Str("m2".into()) {
-                        vanilla_rows.push(row);
-                    }
-                }
+                vanilla_rows.extend(collect(out));
                 let out = pushdown_rel
                     .scan_pruned_filtered(p, Some(&cols), Some(&pred))
                     .unwrap();
@@ -301,6 +353,26 @@ mod tests {
             assert_eq!(vanilla_rows, pushdown_rows, "chunk={chunk}");
             assert_eq!(pushdown_rows.len(), 2);
         }
+    }
+
+    #[test]
+    fn vanilla_selection_and_projection_read_different_fields() {
+        let (_, rel) = relation(false);
+        let parts = rel.partitions(1 << 20).unwrap();
+        // The predicate reads field 0 only; the projection reads on to 2.
+        let pred = Predicate::StartsWith("vid".into(), "m3".into());
+        let cols = vec!["city".to_string(), "index".to_string()];
+        let out = rel.scan_pruned_filtered(&parts[0], Some(&cols), Some(&pred)).unwrap();
+        assert_eq!(collect(out), vec![vec![Value::Str("Rotterdam".into()), Value::Float(7.5)]]);
+        // The predicate reads past the projection.
+        let pred = Predicate::Eq("city".into(), Value::Str("Paris".into()));
+        let out = rel
+            .scan_pruned_filtered(&parts[0], Some(&["vid".to_string()]), Some(&pred))
+            .unwrap();
+        assert_eq!(collect(out), vec![vec![Value::Str("m2".into())]]);
+        // An unknown predicate column fails the scan, as it fails at the store.
+        let ghost = Predicate::IsNull("ghost".into());
+        assert!(rel.scan_pruned_filtered(&parts[0], None, Some(&ghost)).is_err());
     }
 
     #[test]

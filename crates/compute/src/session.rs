@@ -77,10 +77,10 @@ pub struct JobMetrics {
     /// Bytes that crossed the storage→compute boundary.
     pub bytes_transferred: u64,
     /// Rows handed to the SQL executor: exactly what the scans' row streams
-    /// yielded. On a CSV table that is every record that reached compute
-    /// (all of them on the vanilla arm, the store filter's survivors under
-    /// pushdown); on a columnar table it is the rows the scan's selection
-    /// kept, not the rows it decoded.
+    /// yielded, which on every arm is the survivors of the pushed
+    /// predicate — selected by the store under pushdown, by the scan itself
+    /// on the vanilla and columnar arms — not the records or rows the scan
+    /// read. With the WHERE fully pushed it equals `rows_after_filter`.
     pub rows_to_compute: u64,
     /// Rows surviving compute-side filtering (input to agg/projection).
     pub rows_after_filter: u64,
@@ -631,7 +631,12 @@ mod tests {
             pushed.metrics.bytes_transferred,
             vanilla.metrics.bytes_transferred
         );
-        assert!(pushed.metrics.rows_to_compute < vanilla.metrics.rows_to_compute);
+        // Both arms hand the executor the selection's survivors only; with
+        // the WHERE fully pushed those are exactly the rows it keeps.
+        for arm in [&vanilla, &pushed] {
+            assert_eq!(arm.metrics.residual_conjuncts, 0);
+            assert_eq!(arm.metrics.rows_to_compute, arm.metrics.rows_after_filter);
+        }
         assert!(vanilla.metrics.tasks > 1);
     }
 

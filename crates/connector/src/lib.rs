@@ -197,20 +197,29 @@ impl SwiftConnector {
         file_schema: &[String],
     ) -> Result<ByteStream> {
         let compiled = scoop_csv::filter::CompiledSpec::compile(spec, file_schema)?;
-        let records = scoop_csv::split::RangedRecordStream::new(raw, start, end_exclusive);
+        let mut records = scoop_csv::split::RangedRecordStream::new(raw, start, end_exclusive);
         let mut skip_header = spec.has_header && start == 0;
-        let filtered = records.filter_map(move |record| match record {
-            Err(e) => Some(Err(e)),
-            Ok(record) => {
-                if skip_header {
-                    skip_header = false;
-                    return None;
+        let mut fields = scoop_csv::FieldBuf::default();
+        // One output buffer for the whole split: each input chunk's
+        // survivors leave as one `Bytes`.
+        let mut out = Vec::new();
+        let filtered = std::iter::from_fn(move || loop {
+            let more = records.next_chunk(|record| {
+                if !std::mem::take(&mut skip_header) {
+                    compiled.filter_record_buf(record, &mut fields, &mut out);
                 }
-                let mut out = Vec::new();
-                if compiled.filter_record(&record, &mut out) {
-                    Some(Ok(Bytes::from(out)))
-                } else {
-                    None
+            });
+            match more {
+                Err(e) => return Some(Err(e)),
+                Ok(more) => {
+                    if !out.is_empty() {
+                        let chunk = Bytes::copy_from_slice(&out);
+                        out.clear();
+                        return Some(Ok(chunk));
+                    }
+                    if !more {
+                        return None;
+                    }
                 }
             }
         });

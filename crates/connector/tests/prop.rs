@@ -154,9 +154,9 @@ proptest! {
         let mut across_splits = Vec::new();
         for (s, e) in plan_splits(data.len() as u64, chunk) {
             let body = conn.read_bounded("c", "o.csv", s, e + SPLIT_SLACK).unwrap();
-            let records: Vec<Vec<u8>> = RangedRecordStream::new(body, s, Some(e))
-                .collect::<scoop_common::Result<_>>()
-                .unwrap();
+            let mut reader = RangedRecordStream::new(body, s, Some(e));
+            let mut records = Vec::new();
+            while reader.next_chunk(|r| records.push(r.to_vec())).unwrap() {}
             prop_assert_eq!(&records, &split_records(aligned_slice(&data, s, e)), "split [{}, {})", s, e);
             across_splits.extend(records);
         }

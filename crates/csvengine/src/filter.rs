@@ -233,6 +233,13 @@ impl CompiledSpec {
         Ok(CompiledSpec { projection, pred, parse_bound, has_header: spec.has_header })
     }
 
+    /// How many leading fields of a record selection and projection read:
+    /// a [`FieldBuf::parse_bounded`] to this bound is all
+    /// [`CompiledSpec::matches_view`] needs.
+    pub fn parse_bound(&self) -> usize {
+        self.parse_bound
+    }
+
     /// Evaluate the selection on parsed fields.
     pub fn matches(&self, fields: &[Cow<'_, str>]) -> bool {
         self.pred.as_ref().is_none_or(|p| {
@@ -280,12 +287,6 @@ impl CompiledSpec {
             }
         }
         true
-    }
-
-    /// One-shot variant of [`CompiledSpec::filter_record_buf`].
-    pub fn filter_record(&self, record: &[u8], out: &mut Vec<u8>) -> bool {
-        let mut buf = FieldBuf::default();
-        self.filter_record_buf(record, &mut buf, out)
     }
 }
 

@@ -130,16 +130,24 @@ impl Schema {
     /// instead of allocating a fresh row — the block-decode form used by
     /// [`crate::CsvReader`]'s flat row queue.
     pub fn parse_view_into(&self, view: &crate::view::RecordView<'_, '_>, out: &mut Vec<Value>) {
-        out.extend(self.fields.iter().enumerate().map(|(i, f)| {
-            // Unquoted fields skip the Cow wrapper entirely.
-            if let Some(raw) = view.plain_bytes(i) {
-                return Value::parse_field_bytes(raw, f.dtype);
-            }
-            match view.bytes(i) {
-                Some(raw) => Value::parse_field_bytes(&raw, f.dtype),
+        out.extend(self.fields.iter().enumerate().map(|(i, f)| typed_field(view, i, f.dtype)));
+    }
+
+    /// [`Schema::parse_view`] of the columns at `indices` only, in that
+    /// order — a projected scan's row. An index past the schema reads as
+    /// NULL.
+    pub fn parse_view_projected(
+        &self,
+        view: &crate::view::RecordView<'_, '_>,
+        indices: &[usize],
+    ) -> Vec<Value> {
+        indices
+            .iter()
+            .map(|&i| match self.fields.get(i) {
+                Some(f) => typed_field(view, i, f.dtype),
                 None => Value::Null,
-            }
-        }));
+            })
+            .collect()
     }
 
     /// Parse a typed row straight off a quote-free record and its comma
@@ -233,6 +241,20 @@ impl Schema {
             })
             .collect();
         Schema::new(fields)
+    }
+}
+
+/// Field `i` of `view` typed as `dtype`; NULL when the record has no such
+/// field.
+#[inline]
+fn typed_field(view: &crate::view::RecordView<'_, '_>, i: usize, dtype: DataType) -> Value {
+    // Unquoted fields skip the Cow wrapper entirely.
+    if let Some(raw) = view.plain_bytes(i) {
+        return Value::parse_field_bytes(raw, dtype);
+    }
+    match view.bytes(i) {
+        Some(raw) => Value::parse_field_bytes(&raw, dtype),
+        None => Value::Null,
     }
 }
 

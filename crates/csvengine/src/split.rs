@@ -80,20 +80,32 @@ pub fn plan_splits(total_len: u64, chunk_size: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Streaming record iterator over a byte stream that starts at absolute
+/// Streaming record reader over a byte stream that starts at absolute
 /// object offset `start`, honouring the split-ownership contract above and
 /// **stopping the input early** once past `end` — the client-side (Hadoop
 /// `LineRecordReader`) counterpart of the storlet's ranged execution.
+///
+/// Records come out one input chunk at a time, borrowed, through the
+/// callback of [`RangedRecordStream::next_chunk`] — the shape of
+/// [`crate::record::RecordSplitter::push`]. A record wholly inside a chunk is
+/// a slice of that chunk; only a record straddling two chunks is copied, into
+/// one carry buffer that is reused for the whole split.
 pub struct RangedRecordStream {
+    /// `None` once the range is exhausted (end passed, input ended or
+    /// failed): the rest of the body is never pulled.
     input: Option<scoop_common::ByteStream>,
-    buf: Vec<u8>,
-    /// Absolute offset of `buf[0]`.
+    /// The head of an owned record whose newline has not arrived yet.
+    carry: Vec<u8>,
+    /// Absolute object offset of the first byte of the next input chunk.
     offset: u64,
+    /// Past the newline that ends the record a split starting mid-object
+    /// does not own.
     aligned: bool,
-    /// Inclusive end of the logical range (None = EOF).
+    /// Exclusive logical end of the range (None = EOF).
     end: Option<u64>,
-    queue: std::collections::VecDeque<Vec<u8>>,
-    done: bool,
+    /// Records already split off but not yet handed out by the
+    /// record-at-a-time [`Iterator`] form.
+    pending: std::collections::VecDeque<Vec<u8>>,
 }
 
 impl RangedRecordStream {
@@ -104,118 +116,114 @@ impl RangedRecordStream {
     pub fn new(input: scoop_common::ByteStream, start: u64, end: Option<u64>) -> Self {
         RangedRecordStream {
             input: Some(input),
-            buf: Vec::new(),
+            carry: Vec::new(),
             offset: start,
             aligned: start == 0,
             end,
-            queue: std::collections::VecDeque::new(),
-            done: false,
+            pending: std::collections::VecDeque::new(),
         }
     }
 
-    /// Drain complete records from `buf` into the queue. Returns true when
-    /// the range end has been passed.
-    ///
-    /// Scans with an index cursor and drains the consumed prefix **once** at
-    /// the end — the old per-record `Vec::drain` made this loop quadratic in
-    /// records-per-chunk.
-    fn drain(&mut self) -> bool {
-        let mut pos = 0usize;
-        let mut past_end = false;
+    /// Pull one input chunk and hand every owned record it completes to
+    /// `emit` — without its line terminator (`\n` or `\r\n`), blank lines
+    /// skipped. Returns `Ok(true)` while more records may follow and
+    /// `Ok(false)` once the range is exhausted: the split's last record has
+    /// been emitted and the input dropped unread past it. An input error is
+    /// returned once and also exhausts the range.
+    pub fn next_chunk(&mut self, mut emit: impl FnMut(&[u8])) -> scoop_common::Result<bool> {
+        let Some(input) = self.input.as_mut() else {
+            return Ok(false);
+        };
+        match input.next() {
+            Some(Ok(chunk)) => {
+                if self.push(&chunk, &mut emit) {
+                    self.input = None;
+                }
+            }
+            Some(Err(e)) => {
+                self.input = None;
+                return Err(e);
+            }
+            None => {
+                // The object ended inside an owned record: it ends there.
+                self.input = None;
+                emit_line(&self.carry, &mut emit);
+                self.carry.clear();
+            }
+        }
+        Ok(self.input.is_some())
+    }
+
+    /// Split one chunk, emitting the records it completes. Returns true once
+    /// a record starting past the range end is reached.
+    fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(&[u8])) -> bool {
+        self.offset = self.offset.saturating_add(chunk.len() as u64);
+        let mut rest = chunk;
+        if !self.carry.is_empty() {
+            // Finish the straddling record first; it was owned when it began.
+            let Some(nl) = scan::find_byte(rest, b'\n') else {
+                self.carry.extend_from_slice(rest);
+                return false;
+            };
+            let (line, tail) = rest.split_at(nl);
+            self.carry.extend_from_slice(line);
+            emit_line(&self.carry, emit);
+            self.carry.clear();
+            rest = tail.get(1..).unwrap_or_default();
+        }
+        if !self.aligned {
+            // Everything up to the first newline precedes the first owned
+            // record.
+            let Some(nl) = scan::find_byte(rest, b'\n') else {
+                return false;
+            };
+            rest = rest.get(nl.saturating_add(1)..).unwrap_or_default();
+            self.aligned = true;
+        }
         loop {
-            if !self.aligned {
-                match scan::find_byte(&self.buf[pos..], b'\n') {
-                    Some(nl) => {
-                        pos += nl + 1;
-                        self.aligned = true;
-                    }
-                    None => {
-                        // Everything so far precedes our first owned record.
-                        pos = self.buf.len();
-                        break;
-                    }
-                }
-                continue;
+            // Absolute offset of the record starting at `rest`.
+            let record_start = self.offset.saturating_sub(rest.len() as u64);
+            if self.end.is_some_and(|end| record_start > end) {
+                return true;
             }
-            // Absolute offset of the record starting at the cursor.
-            let rec_off = self.offset + pos as u64;
-            if let Some(end) = self.end {
-                if rec_off > end {
-                    past_end = true;
-                    break;
-                }
-            }
-            match scan::find_byte(&self.buf[pos..], b'\n') {
-                None => break,
-                Some(nl) => {
-                    let mut rec_end = pos + nl;
-                    if rec_end > pos && self.buf[rec_end - 1] == b'\r' {
-                        rec_end -= 1;
-                    }
-                    if rec_end > pos {
-                        self.queue.push_back(self.buf[pos..rec_end].to_vec());
-                    }
-                    pos += nl + 1;
-                }
-            }
+            let Some(nl) = scan::find_byte(rest, b'\n') else {
+                self.carry.extend_from_slice(rest);
+                return false;
+            };
+            let (line, tail) = rest.split_at(nl);
+            emit_line(line, emit);
+            rest = tail.get(1..).unwrap_or_default();
         }
-        self.offset += pos as u64;
-        if pos > 0 {
-            self.buf.drain(..pos);
-        }
-        past_end
-    }
-
-    fn drain_tail(&mut self) {
-        if self.buf.is_empty() || !self.aligned {
-            self.buf.clear();
-            return;
-        }
-        if let Some(end) = self.end {
-            if self.offset > end {
-                self.buf.clear();
-                return;
-            }
-        }
-        let mut rec_end = self.buf.len();
-        if self.buf[rec_end - 1] == b'\r' {
-            rec_end -= 1;
-        }
-        if rec_end > 0 {
-            self.queue.push_back(self.buf[..rec_end].to_vec());
-        }
-        self.buf.clear();
     }
 }
 
+/// Hand a line to `emit` as a record: a trailing `\r` is part of the line
+/// terminator, and a blank line is no record.
+fn emit_line(line: &[u8], emit: &mut impl FnMut(&[u8])) {
+    let record = line.strip_suffix(b"\r").unwrap_or(line);
+    if !record.is_empty() {
+        emit(record);
+    }
+}
+
+/// The record-at-a-time form: each record is copied out of its chunk. The
+/// scans use [`RangedRecordStream::next_chunk`]; this form serves callers
+/// that want owned records, such as the `queryplane` benchmark's probes.
 impl Iterator for RangedRecordStream {
     type Item = scoop_common::Result<Vec<u8>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(r) = self.queue.pop_front() {
-                return Some(Ok(r));
+            if let Some(record) = self.pending.pop_front() {
+                return Some(Ok(record));
             }
-            if self.done {
-                return None;
-            }
-            match self.input.as_mut().and_then(Iterator::next) {
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(chunk)) => {
-                    self.buf.extend_from_slice(&chunk);
-                    if self.drain() {
-                        self.done = true;
-                        self.input = None;
-                    }
-                }
-                None => {
-                    self.drain_tail();
-                    self.done = true;
-                    self.input = None;
-                }
+            let mut pending = std::mem::take(&mut self.pending);
+            let more = self.next_chunk(|record| pending.push_back(record.to_vec()));
+            self.pending = pending;
+            match more {
+                Err(e) => return Some(Err(e)),
+                Ok(false) if self.pending.is_empty() => return None,
+                Ok(_) => {}
             }
         }
     }
@@ -226,6 +234,18 @@ mod tests {
     use super::*;
     use crate::record::split_records;
 
+    /// Every record of the range, through the chunk-at-a-time callback.
+    fn drain(mut stream: RangedRecordStream) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while stream.next_chunk(|r| out.push(r.to_vec())).unwrap() {}
+        out
+    }
+
+    /// The object bytes from `s` on, in chunks of `chunk`.
+    fn from(data: &[u8], s: u64, chunk: usize) -> scoop_common::ByteStream {
+        scoop_common::stream::chunked(bytes::Bytes::from(data[s as usize..].to_vec()), chunk)
+    }
+
     #[test]
     fn ranged_stream_matches_aligned_slice() {
         let data: Vec<u8> = (0..50)
@@ -234,15 +254,27 @@ mod tests {
         for chunk in [8u64, 17, 40, 200] {
             for (s, e) in plan_splits(data.len() as u64, chunk) {
                 let reference = split_records(aligned_slice(&data, s, e));
-                let stream = scoop_common::stream::chunked(
-                    bytes::Bytes::from(data[s as usize..].to_vec()),
-                    13,
-                );
-                let got: Vec<Vec<u8>> = RangedRecordStream::new(stream, s, Some(e))
+                for read in [1, 5, 13, 4096] {
+                    let got = drain(RangedRecordStream::new(from(&data, s, read), s, Some(e)));
+                    assert_eq!(got, reference, "split=({s},{e}) chunk={chunk} read={read}");
+                }
+                // The record-at-a-time form hands out the same records.
+                let owned: Vec<Vec<u8>> = RangedRecordStream::new(from(&data, s, 13), s, Some(e))
                     .collect::<scoop_common::Result<_>>()
                     .unwrap();
-                assert_eq!(got, reference, "split=({s},{e}) chunk={chunk}");
+                assert_eq!(owned, reference, "split=({s},{e}) chunk={chunk}");
             }
+        }
+    }
+
+    #[test]
+    fn crlf_blank_lines_and_an_unterminated_last_record() {
+        let data = b"a,1\r\n\r\nb,2\n\nc,3\r";
+        for read in 1..=data.len() {
+            let got = drain(RangedRecordStream::new(from(data, 0, read), 0, None));
+            assert_eq!(got, vec![b"a,1".to_vec(), b"b,2".to_vec(), b"c,3".to_vec()], "read={read}");
+            let got = drain(RangedRecordStream::new(from(data, 2, read), 2, Some(9)));
+            assert_eq!(got, vec![b"b,2".to_vec()], "read={read}");
         }
     }
 
@@ -254,11 +286,17 @@ mod tests {
         let (stream, counter) = scoop_common::stream::StreamExt::counted(
             scoop_common::stream::chunked(bytes::Bytes::from(data), 512),
         );
-        let rows: Vec<Vec<u8>> = RangedRecordStream::new(stream, 0, Some(100))
-            .collect::<scoop_common::Result<_>>()
-            .unwrap();
+        let rows = drain(RangedRecordStream::new(stream, 0, Some(100)));
         assert!(!rows.is_empty());
         assert!(counter.get() < 5_000, "consumed {} bytes", counter.get());
+    }
+
+    #[test]
+    fn an_input_error_is_returned_once() {
+        let failing = scoop_common::stream::error(scoop_common::ScoopError::NotFound("x".into()));
+        let mut stream = RangedRecordStream::new(failing, 0, None);
+        assert!(stream.next_chunk(|_| {}).is_err());
+        assert!(!stream.next_chunk(|_| panic!("no records after an error")).unwrap());
     }
 
     fn lines(data: &[u8], splits: &[(u64, u64)]) -> Vec<Vec<u8>> {

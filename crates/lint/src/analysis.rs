@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// `impl HttpPool` is unambiguous no matter how common `send` is.
 pub const COMMON_NAMES: &[&str] = &[
     "add", "all", "any", "apply", "as_mut", "as_ref", "as_str", "call", "ceil", "clear", "clone",
-    "close", "cmp", "collect", "contains", "count", "dec", "default", "div", "drop", "end",
+    "close", "cmp", "collect", "contains", "count", "dec", "default", "div", "drain", "drop", "end",
     "entry", "eq", "err", "expect", "extend", "filter", "find", "first", "floor", "flush", "fmt",
     "fold", "from", "get", "get_mut", "handle", "hash", "inc", "index", "init", "insert", "into",
     "is_empty", "iter", "join", "last", "len", "load", "lock", "main", "map", "max", "min", "mul",

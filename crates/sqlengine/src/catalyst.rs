@@ -14,10 +14,25 @@
 //! `NOT` is never pushed: the raw-field filter is two-valued while SQL is
 //! three-valued, and they disagree on `NOT <null comparison>` (real Catalyst
 //! has the same restriction on nullable columns).
+//!
+//! A leaf is pushed only where the store's raw-field semantics
+//! (`scoop_csv::filter`) agree with SQL's over the *typed* column
+//! (`crate::bound`), which the column's type decides:
+//!
+//! * a `Str` column with `Str` literals — both compare the text;
+//! * a `Float` column with numeric literals — both parse the field as a
+//!   number, and a field that does not parse fails both;
+//! * `IS [NOT] NULL` on any column — both read an empty field as NULL.
+//!
+//! Everything else stays residual. A numeric column against a `Str`
+//! literal, and `LIKE` on one, would compare the raw spelling (`2.50`,
+//! `1e3`) where SQL compares, or renders, the parsed number (`2.5`,
+//! `1000.0`). An `Int` column types a field such as `2.5` as a string,
+//! which SQL never orders against a number while the store parses it as one.
 
 use crate::ast::{BinOp, Expr, Query};
 use scoop_common::Result;
-use scoop_csv::{Predicate, PushdownSpec, Schema, Value};
+use scoop_csv::{DataType, Predicate, PushdownSpec, Schema, Value};
 
 /// A query analyzed for pushdown execution.
 #[derive(Debug, Clone)]
@@ -67,7 +82,7 @@ pub fn plan_query(query: &Query, schema: &Schema, has_header: bool) -> Result<Pl
     let mut residual: Vec<Expr> = Vec::new();
     if let Some(w) = &query.where_clause {
         for conjunct in split_conjuncts(w) {
-            match to_predicate(&conjunct) {
+            match to_predicate(&conjunct, schema) {
                 Some(p) => pushed.push(p),
                 None => residual.push(conjunct),
             }
@@ -112,18 +127,35 @@ pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
     }
 }
 
-/// Try to express an expression in the Data-Sources filter language.
-fn to_predicate(expr: &Expr) -> Option<Predicate> {
+/// The type of column `name` in `schema`.
+fn column_type(schema: &Schema, name: &str) -> Option<DataType> {
+    let i = schema.index_of(name)?;
+    schema.fields.get(i).map(|f| f.dtype)
+}
+
+/// Whether the store compares column values of type `dtype` with `lit`
+/// exactly as SQL does (module docs). A NULL literal never qualifies:
+/// `col = NULL` is never true, and stays residual.
+fn comparable(dtype: DataType, lit: &Value) -> bool {
+    matches!(
+        (dtype, lit),
+        (DataType::Str, Value::Str(_)) | (DataType::Float, Value::Int(_) | Value::Float(_))
+    )
+}
+
+/// Try to express an expression in the Data-Sources filter language, with
+/// the store's semantics equal to SQL's over `schema`'s typed columns.
+fn to_predicate(expr: &Expr, schema: &Schema) -> Option<Predicate> {
     match expr {
         Expr::Binary { op, left, right } => {
             match op {
                 BinOp::And => Some(Predicate::And(
-                    Box::new(to_predicate(left)?),
-                    Box::new(to_predicate(right)?),
+                    Box::new(to_predicate(left, schema)?),
+                    Box::new(to_predicate(right, schema)?),
                 )),
                 BinOp::Or => Some(Predicate::Or(
-                    Box::new(to_predicate(left)?),
-                    Box::new(to_predicate(right)?),
+                    Box::new(to_predicate(left, schema)?),
+                    Box::new(to_predicate(right, schema)?),
                 )),
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                     // column <op> literal, possibly flipped.
@@ -132,8 +164,8 @@ fn to_predicate(expr: &Expr) -> Option<Predicate> {
                         (Expr::Literal(v), Expr::Column(c)) => (c, v, flip(*op)),
                         _ => return None,
                     };
-                    if lit.is_null() {
-                        return None; // `col = NULL` is never true; leave residual
+                    if !comparable(column_type(schema, col)?, lit) {
+                        return None;
                     }
                     Some(match op {
                         BinOp::Eq => Predicate::Eq(col.clone(), lit.clone()),
@@ -149,7 +181,7 @@ fn to_predicate(expr: &Expr) -> Option<Predicate> {
             }
         }
         Expr::Like { expr, pattern, negated: false } => match &**expr {
-            Expr::Column(c) => {
+            Expr::Column(c) if column_type(schema, c)? == DataType::Str => {
                 // Specialize anchored patterns (Spark emits StringStartsWith
                 // and friends for these).
                 let inner = &pattern[..];
@@ -181,10 +213,11 @@ fn to_predicate(expr: &Expr) -> Option<Predicate> {
         },
         Expr::InList { expr, list, negated: false } => match &**expr {
             Expr::Column(c) => {
+                let dtype = column_type(schema, c)?;
                 let mut values = Vec::with_capacity(list.len());
                 for item in list {
                     match item {
-                        Expr::Literal(v) if !v.is_null() => values.push(v.clone()),
+                        Expr::Literal(v) if comparable(dtype, v) => values.push(v.clone()),
                         _ => return None,
                     }
                 }
@@ -356,6 +389,50 @@ mod tests {
         let p = plan("SELECT vid FROM t WHERE index IS NULL AND lat IS NOT NULL");
         assert!(p.fully_pushed());
         assert_eq!(p.pushed_conjuncts, 2);
+    }
+
+    #[test]
+    fn pushes_only_where_raw_and_typed_semantics_agree() {
+        let schema = Schema::new(vec![
+            Field::new("vid", DataType::Str),
+            Field::new("index", DataType::Float),
+            Field::new("n", DataType::Int),
+        ]);
+        let pushed = |sql: &str| {
+            let p = plan_query(&parse(sql).unwrap(), &schema, true).unwrap();
+            assert_eq!(p.pushed_conjuncts + p.residual_conjuncts, 1, "{sql}");
+            p.pushed_conjuncts == 1
+        };
+        for sql in [
+            "SELECT vid FROM t WHERE vid = 'm1'",
+            "SELECT vid FROM t WHERE vid >= 'm1'",
+            "SELECT vid FROM t WHERE vid LIKE 'm_%'",
+            "SELECT vid FROM t WHERE vid IN ('m1', 'm2')",
+            "SELECT vid FROM t WHERE index > 2",
+            "SELECT vid FROM t WHERE 2.5 <> index",
+            "SELECT vid FROM t WHERE index IN (1, 2.5)",
+            "SELECT vid FROM t WHERE n IS NULL",
+            "SELECT vid FROM t WHERE index IS NOT NULL OR vid = 'm1'",
+        ] {
+            assert!(pushed(sql), "{sql} should push");
+        }
+        for sql in [
+            // The store would compare the spelling; SQL the parsed number.
+            "SELECT vid FROM t WHERE index = '2.5'",
+            "SELECT vid FROM t WHERE index LIKE '2.5'",
+            "SELECT vid FROM t WHERE index LIKE '1000%'",
+            "SELECT vid FROM t WHERE index IN (2.5, '2.5')",
+            // SQL never orders a string field against a number.
+            "SELECT vid FROM t WHERE vid = 5",
+            "SELECT vid FROM t WHERE vid IN ('m1', 5)",
+            // An Int column holds `2.5` as a string; the store parses it.
+            "SELECT vid FROM t WHERE n > 2",
+            "SELECT vid FROM t WHERE n IN (1, 2)",
+            "SELECT vid FROM t WHERE n LIKE '1%'",
+            "SELECT vid FROM t WHERE vid = 'm1' OR index = '2.5'",
+        ] {
+            assert!(!pushed(sql), "{sql} should stay residual");
+        }
     }
 
     #[test]

@@ -1,16 +1,50 @@
 //! Property-based full-stack transparency: random queries over real data in
 //! the real store must return identical results with and without pushdown —
-//! the system-level version of the `scoop-sql` unit property.
+//! the system-level version of the `scoop-sql` unit property. Both arms
+//! select with the store's raw-field filter, so each is also held against an
+//! independent third: every record typed by `CsvReader`, then the query.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use scoop_compute::ExecutionMode;
 use scoop_core::ScoopContext;
+use scoop_csv::{CsvReader, Schema};
 use scoop_integration::deploy;
+use scoop_sql::{execute, parse, ResultSet};
 use std::sync::{Arc, OnceLock};
 
 fn ctx() -> &'static Arc<ScoopContext> {
     static CTX: OnceLock<Arc<ScoopContext>> = OnceLock::new();
     CTX.get_or_init(|| deploy(30, 2, 1_200, 24 * 1024).0)
+}
+
+/// The table's objects in name order, and the schema the relation infers
+/// from the first one (its first 256 KiB, 100 sample rows).
+fn objects() -> &'static (Vec<Bytes>, Schema) {
+    static OBJECTS: OnceLock<(Vec<Bytes>, Schema)> = OnceLock::new();
+    OBJECTS.get_or_init(|| {
+        let client = ctx().client();
+        let mut names: Vec<String> =
+            client.list("largemeter", None).unwrap().into_iter().map(|o| o.name).collect();
+        names.sort();
+        let bodies: Vec<Bytes> = names
+            .iter()
+            .map(|n| client.get_object("largemeter", n).unwrap().read_body().unwrap())
+            .collect();
+        let head = bodies[0].slice(..bodies[0].len().min(256 * 1024));
+        let schema = scoop_csv::reader::infer_schema(&head, 100).unwrap();
+        (bodies, schema)
+    })
+}
+
+/// The query over every record of every object, typed and filtered by the
+/// executor alone.
+fn reference(sql: &str) -> ResultSet {
+    let (bodies, schema) = objects();
+    let rows = bodies.iter().flat_map(|body| {
+        CsvReader::new(scoop_common::stream::once(body.clone()), schema.clone(), true)
+    });
+    execute(&parse(sql).unwrap(), schema, rows).unwrap()
 }
 
 fn where_strategy() -> impl Strategy<Value = String> {
@@ -25,6 +59,14 @@ fn where_strategy() -> impl Strategy<Value = String> {
         Just("SUBSTRING(date, 12, 2) = '00'".to_string()),
         Just("sumHC IS NOT NULL".to_string()),
         Just("lat >= 45.0 OR long < 4.0".to_string()),
+        // Across types: a numeric column against text compares (and for
+        // LIKE renders) the parsed number, never the `%.2f` spelling; a
+        // text column never orders against a number.
+        Just("index LIKE '%0'".to_string()),
+        Just("sumHC LIKE '1%'".to_string()),
+        Just("index <> 'x'".to_string()),
+        Just("state IN ('FRA', 1)".to_string()),
+        Just("vid > 5".to_string()),
     ]
 }
 
@@ -73,6 +115,14 @@ proptest! {
             sql,
             vanilla.result.rows.len(),
             pushed.result.rows.len()
+        );
+        let want = reference(&sql);
+        prop_assert!(
+            vanilla.result.approx_eq(&want, 1e-9),
+            "vanilla differs from the typed reference for: {}\nvanilla: {:?}\nreference: {:?}",
+            sql,
+            vanilla.result.rows.len(),
+            want.rows.len()
         );
         prop_assert!(
             pushed.metrics.bytes_transferred <= vanilla.metrics.bytes_transferred,
