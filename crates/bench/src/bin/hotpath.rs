@@ -17,7 +17,11 @@
 //!   aggregation + finalize as a session task runs them;
 //! * `compute_csv_scan`   — the vanilla CSV scan a query runs: ShowMapCons'
 //!   projection and pushed predicate through `CsvRelation` (select on raw
-//!   fields, type the survivors), then the bound WHERE, per byte of CSV.
+//!   fields, type the survivors), then the bound WHERE, per byte of CSV;
+//! * `zoneindex_put`      — the PUT-path `zoneindex` storlet over the 2 MB
+//!   object a `queryplane` ingest round offers, 64 KiB blocks;
+//! * `etag_fingerprint`   — `fingerprint_hex`, the etag every object server
+//!   computes for what it stores, over the same object.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -40,6 +44,7 @@
 
 use bytes::Bytes;
 use scoop_columnar::{ColumnarReader, ColumnarWriter};
+use scoop_common::hash::fingerprint_hex;
 use scoop_compute::csv_relation::CsvRelation;
 use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
 use scoop_compute::MemoryConnector;
@@ -48,6 +53,8 @@ use scoop_csv::record::RecordSplitter;
 use scoop_csv::{CsvReader, Predicate, PushdownSpec, Value};
 use scoop_sql::exec::Aggregator;
 use scoop_sql::RowFilter;
+use scoop_storlets::{InvocationContext, StorletEngine};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -67,6 +74,13 @@ const BASELINE_COLUMNAR_MBS: f64 = 177.7;
 /// pushed predicate ignored, the bound WHERE on all of them; same kernel,
 /// commit and machine rule as above.
 const BASELINE_CSV_SCAN_MBS: f64 = 304.7;
+/// The indexer before it ran on the fused record-and-field scanner (a
+/// byte-at-a-time record walk, an owned field vector per record,
+/// `str::parse::<f64>` on every field); same kernel, commit and machine
+/// rule as above (median of five runs).
+const BASELINE_ZONEINDEX_MBS: f64 = 101.6;
+/// `fingerprint_hex` as two full passes, one per seed; same rule.
+const BASELINE_ETAG_MBS: f64 = 1570.7;
 /// CI gate: fail when current throughput drops below 70% of the recorded one.
 const REGRESSION_FLOOR: f64 = 0.7;
 
@@ -368,6 +382,50 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         bytes: daily.len() as u64,
         mb_per_s: mbs(daily.len(), secs),
         baseline_mb_per_s: Some(BASELINE_CSV_SCAN_MBS),
+    });
+
+    // 7. The PUT-path indexer as the proxy runs it: `zoneindex` through the
+    //    storlet engine over the object a `queryplane` ingest round offers
+    //    (its fleet, 200 meters reporting daily, and seed; 25 000 rows,
+    //    about 2 MB), in one chunk as the middleware hands it over, with
+    //    64 KiB blocks. The same object in `--quick`. Per byte indexed.
+    let put_object = scoop_workload::MeterDataset::new(&scoop_workload::GeneratorConfig {
+        seed: 42,
+        meters: 200,
+        interval_minutes: 1440,
+        ..Default::default()
+    })
+    .csv_object(25_000);
+    let engine = StorletEngine::with_builtin_filters();
+    let params = HashMap::from([
+        ("schema".to_string(), header.join(",")),
+        ("header".to_string(), "1".to_string()),
+        ("block".to_string(), "65536".to_string()),
+    ]);
+    let secs = best_of(iters, || {
+        let ctx = InvocationContext::new(params.clone());
+        let out = engine
+            .invoke("zoneindex", scoop_common::stream::once(put_object.clone()), ctx)
+            .expect("zoneindex");
+        black_box(scoop_common::stream::collect(out).expect("indexed").len()) as u64
+    });
+    results.push(BenchResult {
+        name: "zoneindex_put",
+        bytes: put_object.len() as u64,
+        mb_per_s: mbs(put_object.len(), secs),
+        baseline_mb_per_s: Some(BASELINE_ZONEINDEX_MBS),
+    });
+
+    // 8. The etag of that object; one sample is several fingerprints.
+    const ETAGS: usize = 8;
+    let secs = best_of(iters, || {
+        (0..ETAGS).map(|_| black_box(fingerprint_hex(&put_object)).len() as u64).sum()
+    });
+    results.push(BenchResult {
+        name: "etag_fingerprint",
+        bytes: (put_object.len() * ETAGS) as u64,
+        mb_per_s: mbs(put_object.len() * ETAGS, secs),
+        baseline_mb_per_s: Some(BASELINE_ETAG_MBS),
     });
 
     results

@@ -26,6 +26,22 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
+/// Fold one mixed 8-byte lane into an accumulator.
+#[inline(always)]
+fn absorb(acc: u64, mixed_lane: u64) -> u64 {
+    (acc ^ mixed_lane).rotate_left(27).wrapping_mul(PRIME_1).wrapping_add(PRIME_2)
+}
+
+/// Fold the final `< 8` bytes byte-wise and avalanche.
+#[inline]
+fn finish(mut acc: u64, tail: &[u8]) -> u64 {
+    for (i, &b) in tail.iter().enumerate() {
+        acc ^= (b as u64).wrapping_mul(PRIME_3) << (i as u32).wrapping_mul(8);
+        acc = acc.rotate_left(11).wrapping_mul(PRIME_1);
+    }
+    mix(acc)
+}
+
 /// Hash a byte slice to 64 bits with the given seed.
 ///
 /// Processes 8-byte lanes with multiply-rotate mixing and finishes the tail
@@ -33,18 +49,11 @@ fn mix(mut x: u64) -> u64 {
 /// bit (verified statistically in the tests below).
 pub fn hash64_seeded(data: &[u8], seed: u64) -> u64 {
     let mut acc = seed ^ (data.len() as u64).wrapping_mul(PRIME_1);
-    let mut chunks = data.chunks_exact(8);
-    for lane in &mut chunks {
-        // lint:allow(chunks_exact(8) yields exactly 8-byte lanes)
-        let v = u64::from_le_bytes(lane.try_into().expect("8-byte lane"));
-        acc ^= mix(v);
-        acc = acc.rotate_left(27).wrapping_mul(PRIME_1).wrapping_add(PRIME_2);
+    let (lanes, tail) = data.as_chunks::<8>();
+    for lane in lanes {
+        acc = absorb(acc, mix(u64::from_le_bytes(*lane)));
     }
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        acc ^= (b as u64).wrapping_mul(PRIME_3) << ((i as u32 % 8) * 8);
-        acc = acc.rotate_left(11).wrapping_mul(PRIME_1);
-    }
-    mix(acc)
+    finish(acc, tail)
 }
 
 /// Hash a byte slice to 64 bits with the default seed.
@@ -53,84 +62,26 @@ pub fn hash64(data: &[u8]) -> u64 {
     hash64_seeded(data, 0)
 }
 
+/// The two seeds of [`fingerprint_hex`].
+const ETAG_SEED_A: u64 = 0x5C00_75C0_0750_0F00;
+const ETAG_SEED_B: u64 = 0x0DDC_0FFE_EBAD_F00D;
+
 /// 128-bit fingerprint rendered as 32 lowercase hex characters.
 ///
 /// Used as the object-store ETag, mirroring Swift's MD5-hex ETags in shape.
+/// It is [`hash64_seeded`] under two seeds, computed in one sweep: a lane's
+/// `mix` does not depend on the seed, so each lane is mixed once and folded
+/// into both accumulators.
 pub fn fingerprint_hex(data: &[u8]) -> String {
-    let a = hash64_seeded(data, 0x5C00_75C0_0750_0F00);
-    let b = hash64_seeded(data, 0x0DDC_0FFE_EBAD_F00D);
-    format!("{a:016x}{b:016x}")
-}
-
-/// A streaming variant for data that arrives in chunks.
-///
-/// `Hasher64::finish` over concatenated chunks equals `hash64` over the whole
-/// buffer only when chunk boundaries align to 8 bytes; the streaming hasher is
-/// therefore its own stable function and is used where incremental hashing is
-/// required (ETag computation on PUT streams).
-#[derive(Debug, Clone)]
-pub struct Hasher64 {
-    acc: u64,
-    len: u64,
-    /// Buffered tail bytes (< 8) awaiting a full lane.
-    tail: [u8; 8],
-    tail_len: usize,
-}
-
-impl Default for Hasher64 {
-    fn default() -> Self {
-        Self::with_seed(0)
+    let len = (data.len() as u64).wrapping_mul(PRIME_1);
+    let (mut a, mut b) = (ETAG_SEED_A ^ len, ETAG_SEED_B ^ len);
+    let (lanes, tail) = data.as_chunks::<8>();
+    for lane in lanes {
+        let mixed = mix(u64::from_le_bytes(*lane));
+        a = absorb(a, mixed);
+        b = absorb(b, mixed);
     }
-}
-
-impl Hasher64 {
-    /// Create a streaming hasher with an explicit seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Hasher64 { acc: seed ^ PRIME_2, len: 0, tail: [0u8; 8], tail_len: 0 }
-    }
-
-    /// Feed more bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.len += data.len() as u64;
-        if self.tail_len > 0 {
-            let need = 8 - self.tail_len;
-            let take = need.min(data.len());
-            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&data[..take]);
-            self.tail_len += take;
-            data = &data[take..];
-            if self.tail_len == 8 {
-                self.consume_lane(u64::from_le_bytes(self.tail));
-                self.tail_len = 0;
-            } else {
-                // Input exhausted without completing a lane; keep buffering.
-                return;
-            }
-        }
-        let mut chunks = data.chunks_exact(8);
-        for lane in &mut chunks {
-            // lint:allow(chunks_exact(8) yields exactly 8-byte lanes)
-            self.consume_lane(u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
-        }
-        let rem = chunks.remainder();
-        self.tail[..rem.len()].copy_from_slice(rem);
-        self.tail_len = rem.len();
-    }
-
-    #[inline]
-    fn consume_lane(&mut self, v: u64) {
-        self.acc ^= mix(v);
-        self.acc = self.acc.rotate_left(27).wrapping_mul(PRIME_1).wrapping_add(PRIME_2);
-    }
-
-    /// Produce the final 64-bit digest.
-    pub fn finish(&self) -> u64 {
-        let mut acc = self.acc ^ self.len.wrapping_mul(PRIME_1);
-        for (i, &b) in self.tail[..self.tail_len].iter().enumerate() {
-            acc ^= (b as u64).wrapping_mul(PRIME_3) << ((i as u32 % 8) * 8);
-            acc = acc.rotate_left(11).wrapping_mul(PRIME_1);
-        }
-        mix(acc)
-    }
+    format!("{:016x}{:016x}", finish(a, tail), finish(b, tail))
 }
 
 #[cfg(test)]
@@ -159,17 +110,37 @@ mod tests {
         assert_ne!(fp, fingerprint_hex(b"hello worlD"));
     }
 
+    /// What `fingerprint_hex` computed as two full passes, one per seed.
+    fn two_pass(data: &[u8]) -> String {
+        let (a, b) = (hash64_seeded(data, ETAG_SEED_A), hash64_seeded(data, ETAG_SEED_B));
+        format!("{a:016x}{b:016x}")
+    }
+
+    /// Stored etags must not move: these are the values the two-pass
+    /// fingerprint gave before the one-sweep rewrite.
     #[test]
-    fn streaming_matches_itself_regardless_of_chunking() {
-        let data: Vec<u8> = (0..1000u32).flat_map(|v| v.to_le_bytes()).collect();
-        let mut whole = Hasher64::default();
-        whole.update(&data);
-        for chunk_size in [1usize, 3, 7, 8, 13, 64, 999] {
-            let mut h = Hasher64::default();
-            for c in data.chunks(chunk_size) {
-                h.update(c);
-            }
-            assert_eq!(h.finish(), whole.finish(), "chunk size {chunk_size}");
+    fn fingerprint_known_answers() {
+        assert_eq!(fingerprint_hex(b""), "7015cdd4e070e7ecf9e0646227ca4b42");
+        assert_eq!(fingerprint_hex(b"hello world"), "72cf68d3a45e3f100e10f7559141c389");
+        let data: Vec<u8> = (0..1000u32).map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8).collect();
+        assert_eq!(fingerprint_hex(&data), "8e45be4977adf987476a5af132c36577");
+    }
+
+    #[test]
+    fn one_sweep_matches_two_passes_at_every_short_length() {
+        let data: Vec<u8> = (0..64u64).map(|i| (mix(i) >> 7) as u8).collect();
+        for len in 0..=data.len() {
+            let d = &data[..len];
+            assert_eq!(fingerprint_hex(d), two_pass(d), "length {len}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_sweep_matches_two_passes(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..600),
+        ) {
+            proptest::prop_assert_eq!(fingerprint_hex(&data), two_pass(&data));
         }
     }
 

@@ -97,14 +97,23 @@ pub fn bloom_mask(value: &str) -> u64 {
 
 impl ColumnStats {
     /// Fold one field value (raw bytes, already unquoted) into the stats.
-    /// `distinct` is the builder-side scratch set for bloom construction.
-    pub fn observe(&mut self, field: &str, distinct: &mut Vec<String>) {
+    /// `scratch` is this column's working state for the same open block.
+    /// Nothing is allocated once the block's min and max buffers exist,
+    /// except when a new distinct value joins the set.
+    #[inline]
+    pub fn observe(&mut self, field: &str, scratch: &mut ColumnScratch) {
         if field.is_empty() {
             self.has_null = true;
             return;
         }
+        // A value the open block has already folded changes nothing. The
+        // distinct set can tell while it is under its ceiling; past it every
+        // value is folded again.
+        if scratch.seen(field) {
+            return;
+        }
         self.has_value = true;
-        if let Ok(v) = field.parse::<f64>() {
+        if let Some(v) = parse_number(field) {
             if !v.is_nan() {
                 self.num = Some(match self.num {
                     None => (v, v),
@@ -112,20 +121,21 @@ impl ColumnStats {
                 });
             }
         }
-        if self.str_min.as_deref().is_none_or(|m| field < m) {
+        let word = prefix_word(field.as_bytes());
+        if self.str_min.as_deref().is_none_or(|m| less(field, word, m, scratch.min_word)) {
             // Eager truncation is sound for the *min*: a prefix only lowers
-            // the bound further.
-            self.str_min = Some(truncate_prefix(field));
+            // the bound further. It keeps at least the first
+            // `MAX_STRING_STAT - 3` bytes, so the field's word is its word.
+            replace(&mut self.str_min, truncate_prefix(field));
+            scratch.min_word = word;
         }
         // The max is tracked exactly while the block is open — truncating
         // here would be unsound (a prefix is below the true max), and
         // poisoning to `None` here could be undone by a later smaller value.
         // [`Self::seal`] drops overlong maxima once the block closes.
-        if self.str_max.as_deref().is_none_or(|m| field > m) {
-            self.str_max = Some(field.to_string());
-        }
-        if distinct.len() <= BLOOM_MAX_DISTINCT && !distinct.iter().any(|d| d == field) {
-            distinct.push(field.to_string());
+        if self.str_max.as_deref().is_none_or(|m| less(m, scratch.max_word, field, word)) {
+            replace(&mut self.str_max, field);
+            scratch.max_word = word;
         }
     }
 
@@ -139,16 +149,270 @@ impl ColumnStats {
     }
 }
 
-/// Truncate to a char-boundary prefix of at most [`MAX_STRING_STAT`] bytes.
-fn truncate_prefix(s: &str) -> String {
-    if s.len() <= MAX_STRING_STAT {
-        return s.to_string();
+/// `a < b`, given each string's [`prefix_word`]: words that differ decide,
+/// and only a tie compares the strings.
+fn less(a: &str, a_word: u64, b: &str, b_word: u64) -> bool {
+    if a_word == b_word {
+        a < b
+    } else {
+        a_word < b_word
     }
-    let mut end = MAX_STRING_STAT;
-    while end > 0 && !s.is_char_boundary(end) {
+}
+
+/// The first 8 bytes of `b` as a big-endian integer, zero-padded. Two
+/// strings whose words differ order as their words do: they differ at a
+/// byte among the first 8, or one ends there and is a prefix of the other.
+#[inline]
+fn prefix_word(b: &[u8]) -> u64 {
+    if let Some(word) = b.first_chunk::<8>() {
+        return u64::from_be_bytes(*word);
+    }
+    match (b.first_chunk::<4>(), b.last_chunk::<4>()) {
+        // 4..=7 bytes: two overlapping halves, the second shifted to where
+        // its bytes sit.
+        (Some(lo), Some(hi)) => {
+            let shift = 64u32.wrapping_sub((b.len() as u32).wrapping_mul(8));
+            u64::from(u32::from_be_bytes(*lo)) << 32 | u64::from(u32::from_be_bytes(*hi)) << shift
+        }
+        _ => b.iter().zip([56u32, 48, 40]).fold(0, |w, (&c, shift)| w | u64::from(c) << shift),
+    }
+}
+
+/// Overwrite a string stat in place, reusing its buffer.
+fn replace(slot: &mut Option<String>, value: &str) {
+    match slot {
+        Some(s) => {
+            s.clear();
+            s.push_str(value);
+        }
+        None => *slot = Some(value.to_string()),
+    }
+}
+
+/// Truncate to a char-boundary prefix of at most [`MAX_STRING_STAT`] bytes.
+fn truncate_prefix(s: &str) -> &str {
+    let mut end = MAX_STRING_STAT.min(s.len());
+    while !s.is_char_boundary(end) {
         end = end.saturating_sub(1);
     }
-    s.get(..end).unwrap_or("").to_string()
+    s.get(..end).unwrap_or("")
+}
+
+/// `field.parse::<f64>().ok()`, bit for bit, without its cost on the fields
+/// a CSV column is made of. A field that cannot start a float (after an
+/// optional sign: a digit, `.`, or exactly `inf`, `infinity` or `nan` in
+/// any case) is rejected at once. A plain decimal of at most 8 bytes after
+/// the sign is read a word at a time: the integer its digits spell (below
+/// 10^8, so exact) divided by an exact power of ten is one correctly
+/// rounded IEEE division, hence the value the correctly rounded parser
+/// returns (Clinger's fast path). Everything else goes to the parser.
+#[inline]
+fn parse_number(field: &str) -> Option<f64> {
+    const WORDS: [&[u8]; 3] = [b"inf", b"infinity", b"nan"];
+    const POW10: [f64; 8] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
+    let bytes = field.as_bytes();
+    let (negative, body) = match bytes.first()? {
+        b'-' => (true, bytes.get(1..)?),
+        b'+' => (false, bytes.get(1..)?),
+        _ => (false, bytes),
+    };
+    match body.first()? {
+        b'0'..=b'9' | b'.' => {}
+        b'i' | b'I' | b'n' | b'N' if WORDS.iter().any(|w| body.eq_ignore_ascii_case(w)) => {}
+        _ => return None,
+    }
+    match short_decimal(body).and_then(|(m, scale)| Some((m, POW10.get(scale)?))) {
+        Some((mantissa, scale)) => {
+            let v = mantissa as f64 / scale;
+            Some(if negative { -v } else { v })
+        }
+        None => field.parse().ok(),
+    }
+}
+
+/// `b` as `(the integer its digits spell, digits after the point)` when it
+/// is at most 8 bytes of digits with at most one point among them, read a
+/// word at a time.
+#[inline]
+fn short_decimal(b: &[u8]) -> Option<(u64, usize)> {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    const HIGH4: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    const ZEROS: u64 = 0x3030_3030_3030_3030; // `0` in every lane
+    let len = b.len();
+    // Little-endian: byte i in lane i, lanes past the end zero.
+    let word = match (b.first_chunk::<8>(), b.first_chunk::<4>(), b.last_chunk::<4>()) {
+        (Some(all), _, _) if len == 8 => u64::from_le_bytes(*all),
+        (None, Some(lo), Some(hi)) => {
+            let shift = (len as u32).wrapping_sub(4).wrapping_mul(8);
+            u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << shift
+        }
+        (None, None, _) => {
+            b.iter().zip([0u32, 8, 16]).fold(0, |w, (&c, shift)| w | u64::from(c) << shift)
+        }
+        _ => return None,
+    };
+    // Lanes holding `.` (an exact, carry-free lane test).
+    let x = word ^ 0x2E2E_2E2E_2E2E_2E2E;
+    let points = !((x & LOW7).wrapping_add(LOW7) | x | LOW7);
+    let (digits, count, scale) = if points == 0 {
+        (word, len, 0)
+    } else {
+        // Close the gap: the lanes above the point move down one.
+        let at = (points.trailing_zeros() / 8) as usize;
+        let below = 1u64.wrapping_shl((at as u32).wrapping_mul(8)).wrapping_sub(1);
+        let last = len.wrapping_sub(1);
+        ((word & below) | (word >> 8 & !below), last, last.wrapping_sub(at))
+    };
+    if count == 0 {
+        return None;
+    }
+    // Right-align the digits in eight, the lanes below them `0`s.
+    let pad = 64u32.wrapping_sub((count as u32).wrapping_mul(8));
+    let aligned = digits.wrapping_shl(pad) | ZEROS & 1u64.wrapping_shl(pad).wrapping_sub(1);
+    // Every lane `0`..=`9`: a second point or any other byte fails here.
+    if aligned & HIGH4 != ZEROS || aligned.wrapping_add(0x0606_0606_0606_0606) & HIGH4 != ZEROS {
+        return None;
+    }
+    // Eight digits to an integer in three multiply steps (Lemire): lane
+    // pairs, then the four pairs weighted 10^6, 10^4, 10^2, 1.
+    const PAIRS: u64 = 0x0000_00FF_0000_00FF;
+    const HIGH_PAIRS: u64 = 0x000F_4240_0000_0064; // 100 + (10^6 << 32)
+    const LOW_PAIRS: u64 = 0x0000_2710_0000_0001; // 1 + (10^4 << 32)
+    let v = aligned.wrapping_sub(ZEROS);
+    let v = v.wrapping_mul(10).wrapping_add(v >> 8);
+    let v = (v & PAIRS)
+        .wrapping_mul(HIGH_PAIRS)
+        .wrapping_add((v >> 16 & PAIRS).wrapping_mul(LOW_PAIRS))
+        >> 32;
+    Some((v, scale))
+}
+
+/// What [`ColumnStats::observe`] keeps about one column of the open block
+/// besides the stats themselves.
+///
+/// First, the block's distinct values, for the bloom digest and to skip
+/// values already folded. Each carries a key of its length and up to three
+/// 8-byte words, which identifies any value of at most 24 bytes outright,
+/// so a lookup compares strings only for longer values whose keys match. A
+/// lookup tries the last value found first (a column that repeats itself
+/// row after row) and then one probe of a small open-addressed table, not a
+/// scan. The set stops growing one past [`BLOOM_MAX_DISTINCT`]: from then on
+/// the block has no digest, and nothing is looked up.
+///
+/// Second, the first 8 bytes of the string min and max as big-endian
+/// integers, so most comparisons against them are one integer comparison.
+#[derive(Debug, Clone)]
+pub struct ColumnScratch {
+    /// `1 + index` into `keys`/`values`, or 0 for an empty slot.
+    slots: [u8; SLOTS],
+    keys: Vec<[u64; 4]>,
+    values: Vec<String>,
+    /// Index of the value the last lookup found or added.
+    last: usize,
+    min_word: u64,
+    max_word: u64,
+}
+
+/// Table size: a power of two, well over the `BLOOM_MAX_DISTINCT + 1`
+/// values the set can hold, so a probe sequence always meets an empty slot.
+const SLOTS: usize = 64;
+
+impl Default for ColumnScratch {
+    fn default() -> Self {
+        ColumnScratch {
+            slots: [0; SLOTS],
+            keys: Vec::new(),
+            values: Vec::new(),
+            last: 0,
+            min_word: 0,
+            max_word: 0,
+        }
+    }
+}
+
+impl ColumnScratch {
+    /// True when `value` is already in the set; otherwise add it, unless
+    /// the set is past its ceiling (and then it answers `false` unasked).
+    #[inline]
+    pub(crate) fn seen(&mut self, value: &str) -> bool {
+        if self.values.len() > BLOOM_MAX_DISTINCT {
+            return false;
+        }
+        let key = value_key(value.as_bytes());
+        let exact = value.len() <= 24;
+        // Word-wise, branch-free: `==` on the arrays calls `memcmp`.
+        let same = |k: &[u64; 4]| k.iter().zip(&key).fold(0, |d, (a, b)| d | (a ^ b)) == 0;
+        let is = |i: usize| {
+            self.keys.get(i).is_some_and(same)
+                && (exact || self.values.get(i).is_some_and(|v| v == value))
+        };
+        if is(self.last) {
+            return true;
+        }
+        let hash = key.iter().zip([0u32, 0, 21, 42]).fold(0u64, |h, (&w, r)| h ^ w.rotate_left(r));
+        let mut slot = (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        for _ in 0..SLOTS {
+            let Some(entry) = self.slots.get(slot).copied() else { break };
+            let Some(i) = usize::from(entry).checked_sub(1) else {
+                self.last = self.values.len();
+                if let Some(entry) = self.slots.get_mut(slot) {
+                    *entry = u8::try_from(self.last.saturating_add(1)).unwrap_or(u8::MAX);
+                }
+                self.keys.push(key);
+                self.values.push(value.to_string());
+                return false;
+            };
+            if is(i) {
+                self.last = i;
+                return true;
+            }
+            slot = slot.wrapping_add(1) % SLOTS;
+        }
+        false
+    }
+
+    /// The bloom digest of the set, when it stayed small enough for one.
+    pub(crate) fn bloom(&self) -> Option<u64> {
+        if self.values.is_empty() || self.values.len() > BLOOM_MAX_DISTINCT {
+            return None;
+        }
+        Some(self.values.iter().fold(0u64, |m, v| m | bloom_mask(v)))
+    }
+
+    /// Reset for the next block.
+    pub(crate) fn clear(&mut self) {
+        self.slots = [0; SLOTS];
+        self.keys.clear();
+        self.values.clear();
+        self.last = 0;
+        self.min_word = 0;
+        self.max_word = 0;
+    }
+}
+
+/// `[len, words...]` of a value: under 8 bytes the bytes are packed into
+/// one word (three sampled bytes cover 1..=3, two overlapping halves cover
+/// 4..=7); from 8 bytes on, the words at the start, the middle and the end,
+/// which overlap to cover every byte up to 24.
+#[inline]
+fn value_key(b: &[u8]) -> [u64; 4] {
+    let len = b.len();
+    let at = |i: usize| b.get(i..).unwrap_or_default();
+    if let (Some(head), Some(tail)) = (b.first_chunk::<8>(), b.last_chunk::<8>()) {
+        let mid = at((len / 2).saturating_sub(4)).first_chunk::<8>().unwrap_or(head);
+        let [head, mid, tail] = [head, mid, tail].map(|w| u64::from_le_bytes(*w));
+        return [len as u64, head, mid, tail];
+    }
+    let packed = match (b.first_chunk::<4>(), b.last_chunk::<4>()) {
+        (Some(lo), Some(hi)) => {
+            u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << 32
+        }
+        _ => {
+            let byte = |i: usize| b.get(i).map_or(0, |&c| u64::from(c));
+            byte(0) | byte(len / 2) << 8 | byte(len.saturating_sub(1)) << 16
+        }
+    };
+    [len as u64, packed, 0, 0]
 }
 
 /// Incrementally builds [`ObjectStats`] as records stream through the
@@ -162,7 +426,7 @@ pub struct StatsBuilder {
     has_header: bool,
     blocks: Vec<BlockStats>,
     cur: BlockStats,
-    cur_distinct: Vec<Vec<String>>,
+    cur_scratch: Vec<ColumnScratch>,
     offset: u64,
 }
 
@@ -177,7 +441,7 @@ impl StatsBuilder {
             has_header,
             blocks: Vec::new(),
             cur: BlockStats { columns: vec![ColumnStats::default(); ncols], ..Default::default() },
-            cur_distinct: vec![Vec::new(); ncols],
+            cur_scratch: vec![ColumnScratch::default(); ncols],
             offset: 0,
         }
     }
@@ -185,25 +449,23 @@ impl StatsBuilder {
     /// Account bytes that belong to the current block but carry no data
     /// records (the header row, blank lines).
     pub fn skip_bytes(&mut self, len: u64) {
-        self.offset += len;
+        self.offset = self.offset.saturating_add(len);
     }
 
     /// Fold one data record into the current block. `fields` are the parsed
-    /// field values; `len` is the record's on-disk byte length including its
-    /// newline.
-    pub fn record(&mut self, fields: &[&str], len: u64) {
-        for (i, (col, distinct)) in self
-            .cur
-            .columns
-            .iter_mut()
-            .zip(self.cur_distinct.iter_mut())
-            .enumerate()
-        {
-            let field = fields.get(i).copied().unwrap_or("");
-            col.observe(field, distinct);
+    /// field values in column order (missing trailing fields are NULL,
+    /// extra ones are ignored); `len` is the record's on-disk byte length
+    /// including its newline.
+    pub fn record<S: AsRef<str>>(&mut self, fields: impl IntoIterator<Item = S>, len: u64) {
+        let mut fields = fields.into_iter();
+        for (col, scratch) in self.cur.columns.iter_mut().zip(self.cur_scratch.iter_mut()) {
+            match fields.next() {
+                Some(field) => col.observe(field.as_ref(), scratch),
+                None => col.observe("", scratch),
+            }
         }
-        self.cur.rows += 1;
-        self.offset += len;
+        self.cur.rows = self.cur.rows.saturating_add(1);
+        self.offset = self.offset.saturating_add(len);
         if self.offset.saturating_sub(self.cur.start) >= self.block_bytes {
             self.cut();
         }
@@ -224,12 +486,10 @@ impl StatsBuilder {
             },
         );
         done.end = self.offset;
-        for (col, distinct) in done.columns.iter_mut().zip(&mut self.cur_distinct) {
+        for (col, scratch) in done.columns.iter_mut().zip(&mut self.cur_scratch) {
             col.seal();
-            if !distinct.is_empty() && distinct.len() <= BLOOM_MAX_DISTINCT {
-                col.bloom = Some(distinct.iter().fold(0u64, |m, v| m | bloom_mask(v)));
-            }
-            distinct.clear();
+            col.bloom = scratch.bloom();
+            scratch.clear();
         }
         self.blocks.push(done);
     }
@@ -546,10 +806,10 @@ mod tests {
             32,
         );
         b.skip_bytes(15); // header row
-        b.record(&["m1", "100.5", "Rotterdam"], 20);
-        b.record(&["m2", "", "Paris"], 12);
-        b.record(&["m3", "50", "Utrecht"], 14);
-        b.record(&["m4", "75", "a|b;c,d%e"], 16);
+        b.record(["m1", "100.5", "Rotterdam"], 20);
+        b.record(["m2", "", "Paris"], 12);
+        b.record(["m3", "50", "Utrecht"], 14);
+        b.record(["m4", "75", "a|b;c,d%e"], 16);
         b.finish("etag123".into())
     }
 
@@ -589,7 +849,7 @@ mod tests {
         for i in 0..200u64 {
             let v = format!("value-{i}");
             let fields: Vec<&str> = (0..8).map(|_| v.as_str()).collect();
-            b.record(&fields, 40);
+            b.record(fields, 40);
         }
         let s = b.finish("bigetag".into());
         let meta = s.to_metadata();
@@ -628,7 +888,7 @@ mod tests {
     #[test]
     fn string_stat_truncation_is_one_sided() {
         let mut c = ColumnStats::default();
-        let mut d = Vec::new();
+        let mut d = ColumnScratch::default();
         let long = "z".repeat(40);
         c.observe(&long, &mut d);
         c.observe("aa", &mut d);
@@ -646,20 +906,46 @@ mod tests {
         assert_eq!(c.str_max.as_deref(), Some("cc"));
     }
 
+    /// Values that share their first 8 bytes (one month of dates) are
+    /// ordered past their words, and values whose keys cannot tell them
+    /// apart (25+ bytes, differing only between the sampled words) are
+    /// still distinct.
+    #[test]
+    fn string_bounds_and_distinct_values_past_the_key() {
+        let mut c = ColumnStats::default();
+        let mut d = ColumnScratch::default();
+        for v in ["2015-01-03 00:00:00", "2015-01-04 00:00:00", "2015-01-02 00:00:00"] {
+            c.observe(v, &mut d);
+        }
+        assert_eq!(c.str_min.as_deref(), Some("2015-01-02 00:00"));
+        assert_eq!(c.str_max.as_deref(), Some("2015-01-04 00:00:00"));
+
+        let low = "p".repeat(30);
+        let mut high = low.clone().into_bytes();
+        high[9] = b'z';
+        let high = String::from_utf8(high).unwrap();
+        let mut c = ColumnStats::default();
+        let mut d = ColumnScratch::default();
+        c.observe(&low, &mut d);
+        c.observe(&high, &mut d);
+        assert_eq!(c.str_min.as_deref(), Some(&low[..MAX_STRING_STAT]));
+        assert_eq!(d.values, vec![low, high]);
+    }
+
     #[test]
     fn bloom_digest_only_for_low_cardinality() {
         let mut b = StatsBuilder::new(vec!["city".into()], false, u64::MAX);
         for i in 0..100u64 {
             let v = format!("city-{i}");
-            b.record(&[v.as_str()], 10);
+            b.record([v.as_str()], 10);
         }
         let s = b.finish("e".into());
         assert_eq!(s.blocks[0].columns[0].bloom, None, "high cardinality");
 
         let mut b = StatsBuilder::new(vec!["city".into()], false, u64::MAX);
         for _ in 0..100u64 {
-            b.record(&["Rotterdam"], 10);
-            b.record(&["Paris"], 6);
+            b.record(["Rotterdam"], 10);
+            b.record(["Paris"], 6);
         }
         let s = b.finish("e".into());
         let bloom = s.blocks[0].columns[0].bloom.expect("low cardinality digest");
@@ -670,7 +956,7 @@ mod tests {
     #[test]
     fn numeric_stats_handle_infinities_and_nan() {
         let mut c = ColumnStats::default();
-        let mut d = Vec::new();
+        let mut d = ColumnScratch::default();
         c.observe("inf", &mut d);
         c.observe("-inf", &mut d);
         c.observe("NaN", &mut d);
@@ -686,5 +972,58 @@ mod tests {
             blocks: vec![BlockStats { start: 0, end: 10, rows: 4, columns: vec![c] }],
         };
         assert_eq!(ObjectStats::decode(&s.encode()).unwrap(), s);
+    }
+
+    /// The fast path must be `str::parse::<f64>` bit for bit, including the
+    /// sign of zero, and reject exactly what it rejects.
+    fn assert_parses_like_std(s: &str) {
+        let want = s.parse::<f64>().ok().map(f64::to_bits);
+        assert_eq!(parse_number(s).map(f64::to_bits), want, "{s:?}");
+    }
+
+    #[test]
+    fn number_fast_path_fixtures() {
+        for s in [
+            "", "-", "+", ".", "-.", "0", "-0", "+0", "-0.0", "5.", ".5", "+3", "-.5", "1e5",
+            "1E-3", "inf", "-INF", "Infinity", "+infinity", "NaN", "-nan", "Nice", "NLD",
+            "infinit", "1.2.3", "1,5", " 1", "1 ", "0x10", "1_000", "007.50",
+            "9007199254740992", "9007199254740993", "0.1", "0.30000000000000004",
+            "1234567890123456789", "12345678901234567890", "0.0000000000000000000001",
+            "0.00000000000000000000001", "179769313486231570000000000000000000000",
+            "3.14159265358979323846264338327950288",
+        ] {
+            assert_parses_like_std(s);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn number_fast_path_matches_std_on_decimals(
+            sign in "[+-]?",
+            int in "[0-9]{0,20}",
+            frac in proptest::option::of("[0-9]{0,24}"),
+            exp in proptest::option::of("[eE][+-]?[0-9]{1,3}"),
+        ) {
+            let mut s = format!("{sign}{int}");
+            if let Some(frac) = frac {
+                s.push('.');
+                s.push_str(&frac);
+            }
+            s.push_str(exp.as_deref().unwrap_or(""));
+            assert_parses_like_std(&s);
+        }
+
+        #[test]
+        fn number_fast_path_matches_std_on_soup(s in "[0-9.+eEinfatyIN -]{0,12}") {
+            assert_parses_like_std(&s);
+        }
+
+        /// The word-at-a-time path: up to 8 bytes of digits and points.
+        #[test]
+        fn number_fast_path_matches_std_on_short_words(s in "[+-]?[0-9.]{0,9}") {
+            assert_parses_like_std(&s);
+        }
     }
 }

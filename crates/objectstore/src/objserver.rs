@@ -282,8 +282,15 @@ impl ObjectServer {
                     .with_header("content-length", end.saturating_sub(start).to_string())
                     .with_header(scoop_common::headers::OBJECT_LENGTH, meta.size.to_string());
                 // The upload token is replica-internal bookkeeping, not
-                // user metadata — it never leaves the server.
-                for (k, v) in meta.metadata.iter().filter(|(k, _)| *k != UPLOAD_TOKEN_HEADER) {
+                // user metadata — it never leaves the server. The zone-map
+                // stats stay off GETs too: they can outgrow a response head,
+                // and a reader that wants them asks with a HEAD.
+                let stats_prefix = scoop_common::headers::SCOOP_STATS_PREFIX;
+                for (k, v) in meta
+                    .metadata
+                    .iter()
+                    .filter(|(k, _)| *k != UPLOAD_TOKEN_HEADER && !k.starts_with(stats_prefix))
+                {
                     resp.headers.set(k, v.clone());
                 }
                 if spec.is_some() {

@@ -162,6 +162,12 @@ impl Headers {
         self.0.remove(&name.to_ascii_lowercase())
     }
 
+    /// Remove every header whose (lowercase) name starts with `prefix`.
+    pub fn remove_prefix(&mut self, prefix: &str) {
+        let prefix = prefix.to_ascii_lowercase();
+        self.0.retain(|k, _| !k.starts_with(&prefix));
+    }
+
     /// True when the header is present.
     pub fn contains(&self, name: &str) -> bool {
         self.0.contains_key(&name.to_ascii_lowercase())

@@ -309,6 +309,9 @@ impl StorletMiddleware {
         // Filtered length is unknown until the stream is consumed.
         out.headers.remove("content-length");
         out.headers.remove("content-range");
+        // A stats plan answers with its HEAD's headers; like a plain GET,
+        // the response carries no zone-map stats.
+        out.headers.remove_prefix(scoop_common::headers::SCOOP_STATS_PREFIX);
         if let Some(blocks) = &plan.blocks {
             skip.record_plan(blocks.blocks_pruned, blocks.blocks_scanned, blocks.bytes_skipped);
             out.headers.set(scoop_common::headers::SCANNED_BYTES, scanned_bytes.to_string());
@@ -919,6 +922,45 @@ mod tests {
             scoop_csv::filter::filter_buffer(&spec, &header, new_data, true).unwrap();
         assert_eq!(resp.read_body().unwrap(), reference);
         assert_eq!(engine.skip_stats().fallbacks(), before + 1);
+    }
+
+    /// Zone-map stats ride HEADs only: every chunk the indexer published is
+    /// on the HEAD, and no GET — plain, ranged, trivial-plan or stats-plan
+    /// storlet — echoes any of them.
+    #[test]
+    fn stats_reach_heads_but_no_get() {
+        let (cluster, engine, data) = indexed_fixture();
+        let client = cluster.anonymous_client("AUTH_gp");
+        let stats_of = |h: &Headers| -> Vec<(String, String)> {
+            h.with_prefix(scoop_common::headers::SCOOP_STATS_PREFIX)
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        let mut params = HashMap::new();
+        params.insert("schema".to_string(), "vid,date,index,city".to_string());
+        params.insert("header".to_string(), "1".to_string());
+        params.insert("block".to_string(), "512".to_string());
+        let ctx = InvocationContext::new(params);
+        let indexed = engine.invoke("zoneindex", stream::once(Bytes::from(data)), ctx.clone());
+        stream::collect(indexed.unwrap()).unwrap();
+        let mut published = ctx.extra_meta.lock().clone();
+        published.sort();
+        assert!(published.len() > 1, "the fixture's stats span several chunks");
+
+        let head = client.request(Request::head(path())).unwrap();
+        assert_eq!(stats_of(&head.headers), published);
+
+        let ranged = Request::get(path()).with_range(ByteRange { start: 10, end: Some(99) });
+        let trivial = Request::get(path())
+            .with_header(headers::RUN_STORLET, "linegrep")
+            .with_header(headers::PARAMETERS, "pattern=m1");
+        let planned = pushdown_get(&eq_index_spec(123));
+        for req in [Request::get(path()), ranged, trivial, planned] {
+            let resp = client.request(req).unwrap();
+            assert!(resp.is_success());
+            assert_eq!(stats_of(&resp.headers), Vec::new());
+            resp.read_body().unwrap();
+        }
     }
 
     /// Fails GETs with a bounded range (the stats plan's windows) from the

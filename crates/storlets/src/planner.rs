@@ -265,9 +265,9 @@ mod tests {
             false,
             2, // tiny: cut after every record
         );
-        b.record(&["m1", "50", "Paris"], 10);
-        b.record(&["m2", "150", "Rotterdam"], 10);
-        b.record(&["m3", "250", ""], 10);
+        b.record(["m1", "50", "Paris"], 10);
+        b.record(["m2", "150", "Rotterdam"], 10);
+        b.record(["m3", "250", ""], 10);
         b.finish("e".into())
     }
 
@@ -296,7 +296,7 @@ mod tests {
         // 40 ten-byte records, one block each; `index` = 0, 10, 20, ...
         let mut b = StatsBuilder::new(vec!["vid".into(), "index".into()], false, 2);
         for i in 0..40 {
-            b.record(&["m", &(i * 10).to_string()], 10);
+            b.record(["m", &(i * 10).to_string()], 10);
         }
         let s = b.finish("e".into());
         let len = s.covered_len();
@@ -382,8 +382,8 @@ mod tests {
     fn truncated_min_and_dropped_max_stay_sound() {
         let mut b = StatsBuilder::new(vec!["s".into()], false, u64::MAX);
         let long = "b".repeat(40); // overlong: max dropped, min truncated
-        b.record(&[long.as_str()], 41);
-        b.record(&["bb"], 3);
+        b.record([long.as_str()], 41);
+        b.record(["bb"], 3);
         let s = b.finish("e".into());
         let block = &s.blocks[0];
         // Gt above any stored value: max is unknown, must NOT prune.
