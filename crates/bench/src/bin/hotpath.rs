@@ -21,7 +21,10 @@
 //! * `zoneindex_put`      — the PUT-path `zoneindex` storlet over the 2 MB
 //!   object a `queryplane` ingest round offers, 64 KiB blocks;
 //! * `etag_fingerprint`   — `fingerprint_hex`, the etag every object server
-//!   computes for what it stores, over the same object.
+//!   computes for what it stores, over the same object;
+//! * `storlet_table1_filter` — the `csvfilter` storlet through
+//!   `StorletEngine::invoke` with each Table I query's pushdown spec, in
+//!   1 MiB ranged invocations over that object, per byte scanned.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -50,12 +53,15 @@ use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
 use scoop_compute::MemoryConnector;
 use scoop_csv::filter::filter_buffer;
 use scoop_csv::record::RecordSplitter;
+use scoop_csv::split::plan_splits;
 use scoop_csv::{CsvReader, Predicate, PushdownSpec, Value};
+use scoop_objectstore::objserver::RESPONSE_CHUNK;
 use scoop_sql::exec::Aggregator;
 use scoop_sql::RowFilter;
 use scoop_storlets::{InvocationContext, StorletEngine};
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Seed calibration of the per-byte implementation (repro_output.txt).
@@ -81,6 +87,12 @@ const BASELINE_CSV_SCAN_MBS: f64 = 304.7;
 const BASELINE_ZONEINDEX_MBS: f64 = 101.6;
 /// `fingerprint_hex` as two full passes, one per seed; same rule.
 const BASELINE_ETAG_MBS: f64 = 1570.7;
+/// The `csvfilter` storlet before selection ran field by field on raw bytes
+/// (every record tokenised to the last field selection or projection reads,
+/// every leaf on `str`, each 4 KiB input chunk copied into the storlet's own
+/// buffer); same kernel, commit and machine rule as above (median of five
+/// runs alternated with the change's).
+const BASELINE_TABLE1_FILTER_MBS: f64 = 777.3;
 /// CI gate: fail when current throughput drops below 70% of the recorded one.
 const REGRESSION_FLOOR: f64 = 0.7;
 
@@ -426,6 +438,51 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         bytes: (put_object.len() * ETAGS) as u64,
         mb_per_s: mbs(put_object.len() * ETAGS, secs),
         baseline_mb_per_s: Some(BASELINE_ETAG_MBS),
+    });
+
+    // 9. The store side of the pushed-down Table I queries, as the object
+    //    server runs it: `csvfilter` through the storlet engine with each of
+    //    the seven queries' pushdown specs, in 1 MiB ranged invocations (the
+    //    `queryplane` split) over the ingest object above, fed in the object
+    //    server's 4 KiB GET chunks. The rate is per byte the storlets pulled.
+    let specs: Vec<PushdownSpec> = scoop_workload::table1_queries()
+        .iter()
+        .map(|q| {
+            let query = scoop_sql::parse(&q.sql).expect("parse");
+            let plan = scoop_sql::catalyst::plan_query(&query, &schema, true).expect("plan");
+            PushdownSpec { has_header: true, ..plan.pushdown }
+        })
+        .collect();
+    let splits = plan_splits(put_object.len() as u64, 1 << 20);
+    let mut scanned = 0u64;
+    let secs = best_of(iters, || {
+        scanned = 0;
+        let mut kept = 0u64;
+        for spec in &specs {
+            for &(start, end) in &splits {
+                let mut ctx = InvocationContext::new(HashMap::from([
+                    ("spec".to_string(), spec.to_header()),
+                    ("schema".to_string(), header.join(",")),
+                ]));
+                ctx.range_start = start;
+                ctx.range_end = Some(end - 1);
+                let metrics = ctx.metrics.clone();
+                let body = scoop_common::stream::chunked(
+                    put_object.slice(start as usize..),
+                    RESPONSE_CHUNK,
+                );
+                let out = engine.invoke("csvfilter", body, ctx).expect("csvfilter");
+                kept += scoop_common::stream::collect(out).expect("filtered").len() as u64;
+                scanned += metrics.bytes_in.load(Ordering::Relaxed);
+            }
+        }
+        black_box(kept)
+    });
+    results.push(BenchResult {
+        name: "storlet_table1_filter",
+        bytes: scanned,
+        mb_per_s: mbs(scanned as usize, secs),
+        baseline_mb_per_s: Some(BASELINE_TABLE1_FILTER_MBS),
     });
 
     results

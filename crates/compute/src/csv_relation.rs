@@ -96,16 +96,16 @@ impl CsvRelation {
         predicate: Option<&Predicate>,
     ) -> Result<ScanOutput> {
         let scan_schema = self.projected_schema(columns)?;
-        let selection = CompiledSpec::compile(
-            &PushdownSpec { columns: None, predicate: predicate.cloned(), has_header: false },
-            &self.file_columns,
-        )?;
         let projection: Vec<usize> = match columns {
             None => (0..self.schema.len()).collect(),
             Some(cols) => cols.iter().map(|c| self.schema.resolve(c)).collect::<Result<_>>()?,
         };
-        // Type no further than the last field the projection reads.
-        let type_bound = projection.iter().max().map_or(0, |&i| i.saturating_add(1));
+        // `select` tokenises survivors through the last typed column.
+        let selection = CompiledSpec::selection(
+            predicate,
+            &self.file_columns,
+            projection.iter().max().map_or(0, |&i| i.saturating_add(1)),
+        )?;
         let stream = self.connector.read_bounded(
             &self.location,
             &partition.object,
@@ -117,7 +117,6 @@ impl CsvRelation {
             selection,
             schema: self.schema.clone(),
             projection,
-            type_bound,
             fields: FieldBuf::default(),
             skip_header: self.has_header && partition.start == 0,
             survivors: VecDeque::new(),
@@ -161,16 +160,15 @@ impl CsvRelation {
     }
 }
 
-/// The vanilla scan's rows: each input chunk's records tokenised as far as
-/// the selection reads, tested on their borrowed bytes, and the survivors
-/// tokenised on to the projection and typed.
+/// The vanilla scan's rows: each input chunk's records selected on their
+/// borrowed bytes ([`CompiledSpec::select`] tokenises a record only as far as
+/// its verdict needs) and the survivors typed.
 struct SelectedRows {
     records: RangedRecordStream,
     selection: CompiledSpec,
     /// The relation's full schema; `projection` indexes into it.
     schema: Schema,
     projection: Vec<usize>,
-    type_bound: usize,
     fields: FieldBuf,
     skip_header: bool,
     /// Typed survivors of the last chunk, handed out in record order.
@@ -181,32 +179,15 @@ impl SelectedRows {
     /// Select and type the records of the next input chunk; false once the
     /// split has no more.
     fn fill(&mut self) -> Result<bool> {
-        let SelectedRows {
-            records,
-            selection,
-            schema,
-            projection,
-            type_bound,
-            fields,
-            skip_header,
-            survivors,
-            ..
-        } = self;
-        let select_bound = selection.parse_bound();
+        let SelectedRows { records, selection, schema, projection, fields, skip_header, survivors } =
+            self;
         records.next_chunk(|record| {
             if std::mem::take(skip_header) {
                 return;
             }
-            let view = fields.parse_bounded(record, select_bound);
-            if !selection.matches_view(&view) {
-                return;
+            if let Some(view) = selection.select(record, fields) {
+                survivors.push_back(schema.parse_view_projected(&view, projection));
             }
-            let view = if *type_bound > select_bound {
-                fields.parse_bounded(record, *type_bound)
-            } else {
-                view
-            };
-            survivors.push_back(schema.parse_view_projected(&view, projection));
         })
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! This is the code the CSV storlet executes at storage nodes: it resolves the
 //! [`PushdownSpec`]'s column names against the object schema, then streams
-//! records through selection + projection, emitting filtered CSV.
+//! records through selection + projection, emitting filtered CSV. The
+//! compute side's vanilla scan and the connector's fallback filter select
+//! with the same [`CompiledSpec::select`].
 //!
 //! ## NULL semantics
 //!
@@ -21,12 +23,24 @@
 //! unquoted field containing a literal `"` or a stray `\r`, or a malformed
 //! quoted field). A field holding `2` therefore ships as `2`, never `2.0`.
 //!
-//! ## Zero-copy evaluation
+//! ## Field-ordered selection
 //!
-//! Selection runs on a [`RecordView`]: the record is scanned once with the
-//! SWAR scanner, only the first `max(referenced field index) + 1` fields are
-//! delimited, and predicates read borrowed field bytes — no `String` or
-//! `Value` is allocated per field on the hot path.
+//! A record is read only as far as its verdict needs. The predicate's
+//! top-level conjuncts are tested in the order of the last field each reads,
+//! and the record is tokenised (with the SWAR scanner, into a reusable
+//! [`FieldBuf`]) only up to the field the next conjunct reads: a Table I
+//! record that fails `date LIKE '2015-01%'` is dropped after two fields,
+//! however far the projection or a second conjunct reaches. Only survivors
+//! are tokenised on to the projection. The conjuncts are side-effect free
+//! and two-valued, so their order does not change the verdict.
+//!
+//! ## Byte leaves
+//!
+//! A leaf reads a field's borrowed bytes; no `String` or `Value` is made per
+//! field. Its answer is defined on the field's *lossy* UTF-8 text, because
+//! that is what the compute side types a `Str` from: an ASCII field is its
+//! own text and is tested as it stands, and a non-ASCII field is tested
+//! through `String::from_utf8_lossy`.
 
 use crate::pushdown::{LikePattern, Predicate, PushdownSpec};
 use crate::record::{write_field, RecordSplitter};
@@ -37,22 +51,116 @@ use scoop_common::{Result, ScoopError};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
+/// The orderings a comparison accepts, one bit each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Accept(u8);
+
+impl Accept {
+    const LT: Accept = Accept(1);
+    const EQ: Accept = Accept(2);
+    const GT: Accept = Accept(4);
+    const NE: Accept = Accept(Accept::LT.0 | Accept::GT.0);
+    const LE: Accept = Accept(Accept::LT.0 | Accept::EQ.0);
+    const GE: Accept = Accept(Accept::GT.0 | Accept::EQ.0);
+
+    fn has(self, o: Ordering) -> bool {
+        let bit = match o {
+            Ordering::Less => Accept::LT,
+            Ordering::Equal => Accept::EQ,
+            Ordering::Greater => Accept::GT,
+        };
+        self.0 & bit.0 != 0
+    }
+}
+
+/// A literal in the form a field is compared with.
+#[derive(Debug, Clone)]
+enum Lit {
+    /// SQL NULL: every comparison with it is unknown, so false.
+    Null,
+    /// A number: a field compares as the `f64` it parses to, if it parses.
+    Num(f64),
+    /// A string: a field's text compares byte-wise (UTF-8 sorts as its
+    /// bytes do).
+    Str(String),
+}
+
+impl Lit {
+    fn new(v: &Value) -> Lit {
+        match v {
+            Value::Null => Lit::Null,
+            Value::Int(_) | Value::Float(_) => v.as_f64().map_or(Lit::Null, Lit::Num),
+            Value::Str(s) => Lit::Str(s.to_string()),
+        }
+    }
+
+    /// How a non-empty field's text orders against the literal; `None` is
+    /// unknown. A number is parsed from the bytes only if they are UTF-8:
+    /// lossy text that is not holds U+FFFD, which no float spelling has.
+    fn cmp(&self, text: &[u8]) -> Option<Ordering> {
+        match self {
+            Lit::Null => None,
+            Lit::Num(n) => std::str::from_utf8(text).ok()?.parse::<f64>().ok()?.partial_cmp(n),
+            Lit::Str(s) => Some(text.cmp(s.as_bytes())),
+        }
+    }
+}
+
+/// What a leaf asks of one field's text (empty = NULL).
+#[derive(Debug, Clone)]
+enum Test {
+    /// `field <op> literal`: not NULL, and ordered against the literal in
+    /// one of the accepted ways.
+    Cmp(Accept, Lit),
+    /// `LIKE`; prefix, suffix and substring tests are the literal patterns
+    /// they are.
+    Like(LikePattern),
+    /// `IN`: equal to one of the literals.
+    In(Vec<Lit>),
+    IsNull,
+    IsNotNull,
+}
+
+impl Test {
+    /// The verdict on a field's text.
+    fn on(&self, text: &[u8]) -> bool {
+        match self {
+            Test::IsNull => text.is_empty(),
+            Test::IsNotNull => !text.is_empty(),
+            // NULL fails every comparison and every match.
+            _ if text.is_empty() => false,
+            Test::Cmp(accept, lit) => lit.cmp(text).is_some_and(|o| accept.has(o)),
+            Test::Like(p) => p.matches(text),
+            Test::In(lits) => lits.iter().any(|l| l.cmp(text) == Some(Ordering::Equal)),
+        }
+    }
+}
+
+/// A test of field `field`.
+#[derive(Debug, Clone)]
+struct Leaf {
+    field: usize,
+    test: Test,
+}
+
+impl Leaf {
+    /// The verdict on a view tokenised through `field` (an absent field
+    /// reads as NULL): on the field's lossy text, which an ASCII field is
+    /// as it stands.
+    fn eval(&self, view: &RecordView<'_, '_>) -> bool {
+        let raw = view.bytes(self.field).unwrap_or(Cow::Borrowed(&[]));
+        if raw.is_ascii() {
+            self.test.on(&raw)
+        } else {
+            self.test.on(String::from_utf8_lossy(&raw).as_bytes())
+        }
+    }
+}
+
 /// A predicate with column names resolved to field indices.
 #[derive(Debug, Clone)]
 enum CompiledPred {
-    Eq(usize, Value),
-    Ne(usize, Value),
-    Lt(usize, Value),
-    Le(usize, Value),
-    Gt(usize, Value),
-    Ge(usize, Value),
-    Like(usize, LikePattern),
-    StartsWith(usize, String),
-    EndsWith(usize, String),
-    Contains(usize, String),
-    In(usize, Vec<Value>),
-    IsNull(usize),
-    IsNotNull(usize),
+    Leaf(Leaf),
     And(Box<CompiledPred>, Box<CompiledPred>),
     Or(Box<CompiledPred>, Box<CompiledPred>),
     Not(Box<CompiledPred>),
@@ -67,123 +175,61 @@ fn resolve(header: &[String], name: &str) -> Result<usize> {
 }
 
 fn compile_pred(p: &Predicate, header: &[String]) -> Result<CompiledPred> {
-    Ok(match p {
-        Predicate::Eq(c, v) => CompiledPred::Eq(resolve(header, c)?, v.clone()),
-        Predicate::Ne(c, v) => CompiledPred::Ne(resolve(header, c)?, v.clone()),
-        Predicate::Lt(c, v) => CompiledPred::Lt(resolve(header, c)?, v.clone()),
-        Predicate::Le(c, v) => CompiledPred::Le(resolve(header, c)?, v.clone()),
-        Predicate::Gt(c, v) => CompiledPred::Gt(resolve(header, c)?, v.clone()),
-        Predicate::Ge(c, v) => CompiledPred::Ge(resolve(header, c)?, v.clone()),
-        Predicate::Like(c, s) => CompiledPred::Like(resolve(header, c)?, LikePattern::new(s)),
-        Predicate::StartsWith(c, s) => CompiledPred::StartsWith(resolve(header, c)?, s.clone()),
-        Predicate::EndsWith(c, s) => CompiledPred::EndsWith(resolve(header, c)?, s.clone()),
-        Predicate::Contains(c, s) => CompiledPred::Contains(resolve(header, c)?, s.clone()),
-        Predicate::In(c, vs) => CompiledPred::In(resolve(header, c)?, vs.clone()),
-        Predicate::IsNull(c) => CompiledPred::IsNull(resolve(header, c)?),
-        Predicate::IsNotNull(c) => CompiledPred::IsNotNull(resolve(header, c)?),
-        Predicate::And(a, b) => CompiledPred::And(
-            Box::new(compile_pred(a, header)?),
-            Box::new(compile_pred(b, header)?),
-        ),
-        Predicate::Or(a, b) => CompiledPred::Or(
-            Box::new(compile_pred(a, header)?),
-            Box::new(compile_pred(b, header)?),
-        ),
-        Predicate::Not(a) => CompiledPred::Not(Box::new(compile_pred(a, header)?)),
-    })
-}
-
-/// Compare a raw field with a literal under the NULL/coercion rules above.
-fn cmp_field(field: &str, lit: &Value) -> Option<Ordering> {
-    if field.is_empty() {
-        return None;
+    let leaf = |column: &str, test: Test| {
+        Ok(CompiledPred::Leaf(Leaf { field: resolve(header, column)?, test }))
+    };
+    let cmp = |column: &str, accept, v: &Value| leaf(column, Test::Cmp(accept, Lit::new(v)));
+    let both = |a: &Predicate, b: &Predicate| -> Result<_> {
+        Ok((Box::new(compile_pred(a, header)?), Box::new(compile_pred(b, header)?)))
+    };
+    match p {
+        Predicate::Eq(c, v) => cmp(c, Accept::EQ, v),
+        Predicate::Ne(c, v) => cmp(c, Accept::NE, v),
+        Predicate::Lt(c, v) => cmp(c, Accept::LT, v),
+        Predicate::Le(c, v) => cmp(c, Accept::LE, v),
+        Predicate::Gt(c, v) => cmp(c, Accept::GT, v),
+        Predicate::Ge(c, v) => cmp(c, Accept::GE, v),
+        Predicate::Like(c, s) => leaf(c, Test::Like(LikePattern::new(s))),
+        Predicate::StartsWith(c, s) => leaf(c, Test::Like(LikePattern::Prefix(s.clone()))),
+        Predicate::EndsWith(c, s) => leaf(c, Test::Like(LikePattern::Suffix(s.clone()))),
+        Predicate::Contains(c, s) => leaf(c, Test::Like(LikePattern::Contains(s.clone()))),
+        Predicate::In(c, vs) => leaf(c, Test::In(vs.iter().map(Lit::new).collect())),
+        Predicate::IsNull(c) => leaf(c, Test::IsNull),
+        Predicate::IsNotNull(c) => leaf(c, Test::IsNotNull),
+        Predicate::And(a, b) => both(a, b).map(|(a, b)| CompiledPred::And(a, b)),
+        Predicate::Or(a, b) => both(a, b).map(|(a, b)| CompiledPred::Or(a, b)),
+        Predicate::Not(a) => Ok(CompiledPred::Not(Box::new(compile_pred(a, header)?))),
     }
-    match lit {
-        Value::Null => None,
-        Value::Int(_) | Value::Float(_) => {
-            let f = field.parse::<f64>().ok()?;
-            f.partial_cmp(&lit.as_f64()?)
-        }
-        Value::Str(s) => Some(field.cmp(s.as_str())),
-    }
-}
-
-/// Field equality under the same rules.
-fn eq_field(field: &str, lit: &Value) -> bool {
-    cmp_field(field, lit) == Some(Ordering::Equal)
 }
 
 impl CompiledPred {
-    /// Evaluate with a field accessor (absent fields read as NULL/empty).
-    /// Generic so both the legacy slice path and the zero-copy view path
-    /// monomorphize to direct code.
-    fn eval_with<'a, F>(&self, get: &F) -> bool
-    where
-        F: Fn(usize) -> Cow<'a, str>,
-    {
+    /// Evaluate on a view tokenised at least to [`CompiledPred::fields`].
+    fn eval(&self, view: &RecordView<'_, '_>) -> bool {
         match self {
-            CompiledPred::Eq(i, v) => eq_field(&get(*i), v),
-            CompiledPred::Ne(i, v) => {
-                // SQL: NULL <> x is unknown → false.
-                matches!(cmp_field(&get(*i), v), Some(o) if o != Ordering::Equal)
-            }
-            CompiledPred::Lt(i, v) => cmp_field(&get(*i), v) == Some(Ordering::Less),
-            CompiledPred::Le(i, v) => {
-                matches!(cmp_field(&get(*i), v), Some(Ordering::Less | Ordering::Equal))
-            }
-            CompiledPred::Gt(i, v) => cmp_field(&get(*i), v) == Some(Ordering::Greater),
-            CompiledPred::Ge(i, v) => {
-                matches!(cmp_field(&get(*i), v), Some(Ordering::Greater | Ordering::Equal))
-            }
-            CompiledPred::Like(i, p) => {
-                let f = get(*i);
-                !f.is_empty() && p.matches(f.as_bytes())
-            }
-            CompiledPred::StartsWith(i, p) => {
-                let f = get(*i);
-                !f.is_empty() && f.starts_with(p.as_str())
-            }
-            CompiledPred::EndsWith(i, p) => {
-                let f = get(*i);
-                !f.is_empty() && f.ends_with(p.as_str())
-            }
-            CompiledPred::Contains(i, p) => {
-                let f = get(*i);
-                !f.is_empty() && f.contains(p.as_str())
-            }
-            CompiledPred::In(i, vs) => {
-                let f = get(*i);
-                vs.iter().any(|v| eq_field(&f, v))
-            }
-            CompiledPred::IsNull(i) => get(*i).is_empty(),
-            CompiledPred::IsNotNull(i) => !get(*i).is_empty(),
-            CompiledPred::And(a, b) => a.eval_with(get) && b.eval_with(get),
-            CompiledPred::Or(a, b) => a.eval_with(get) || b.eval_with(get),
-            CompiledPred::Not(a) => !a.eval_with(get),
+            CompiledPred::Leaf(leaf) => leaf.eval(view),
+            CompiledPred::And(a, b) => a.eval(view) && b.eval(view),
+            CompiledPred::Or(a, b) => a.eval(view) || b.eval(view),
+            CompiledPred::Not(a) => !a.eval(view),
         }
     }
 
-    /// Largest field index this predicate reads.
-    fn max_index(&self, m: &mut usize) {
+    /// How many leading fields the predicate reads.
+    fn fields(&self) -> usize {
         match self {
-            CompiledPred::Eq(i, _)
-            | CompiledPred::Ne(i, _)
-            | CompiledPred::Lt(i, _)
-            | CompiledPred::Le(i, _)
-            | CompiledPred::Gt(i, _)
-            | CompiledPred::Ge(i, _)
-            | CompiledPred::Like(i, _)
-            | CompiledPred::StartsWith(i, _)
-            | CompiledPred::EndsWith(i, _)
-            | CompiledPred::Contains(i, _)
-            | CompiledPred::In(i, _)
-            | CompiledPred::IsNull(i)
-            | CompiledPred::IsNotNull(i) => *m = (*m).max(*i),
-            CompiledPred::And(a, b) | CompiledPred::Or(a, b) => {
-                a.max_index(m);
-                b.max_index(m);
+            CompiledPred::Leaf(leaf) => leaf.field.saturating_add(1),
+            CompiledPred::And(a, b) | CompiledPred::Or(a, b) => a.fields().max(b.fields()),
+            CompiledPred::Not(a) => a.fields(),
+        }
+    }
+
+    /// Append the operands of the top-level `And`s to `out`.
+    fn conjuncts(self, out: &mut Vec<CompiledPred>) {
+        match self {
+            CompiledPred::And(a, b) => {
+                a.conjuncts(out);
+                b.conjuncts(out);
             }
-            CompiledPred::Not(a) => a.max_index(m),
+            other => out.push(other),
         }
     }
 }
@@ -192,12 +238,14 @@ impl CompiledPred {
 /// record-rate evaluation.
 #[derive(Debug, Clone)]
 pub struct CompiledSpec {
-    /// Projected field indices in output order; `None` = all fields.
+    /// Projected field indices in output order; `None` = the whole record.
     projection: Option<Vec<usize>>,
-    pred: Option<CompiledPred>,
-    /// Number of leading fields selection + projection actually read; the
-    /// per-record parse stops there.
-    parse_bound: usize,
+    /// The predicate's top-level conjuncts, each with the number of leading
+    /// fields it reads, in that order.
+    conjuncts: Vec<(usize, CompiledPred)>,
+    /// Leading fields a survivor is tokenised through (none when the record
+    /// is emitted whole).
+    projected_fields: usize,
     /// Whether the object's first record is a header row.
     pub has_header: bool,
 }
@@ -213,81 +261,94 @@ impl CompiledSpec {
                     .collect::<Result<Vec<usize>>>()?,
             ),
         };
-        let pred = spec
-            .predicate
-            .as_ref()
-            .map(|p| compile_pred(p, header))
-            .transpose()?;
-        let mut max = None::<usize>;
-        if let Some(p) = &pred {
-            let mut m = 0;
-            p.max_index(&mut m);
-            max = Some(m);
+        let fields = projection.iter().flatten().max().map_or(0, |m| m.saturating_add(1));
+        let mut compiled = CompiledSpec::selection(spec.predicate.as_ref(), header, fields)?;
+        compiled.projection = projection;
+        compiled.has_header = spec.has_header;
+        Ok(compiled)
+    }
+
+    /// Resolve a predicate alone, for a caller that projects survivors
+    /// itself: [`CompiledSpec::select`] tokenises each survivor through its
+    /// first `fields` fields, and [`CompiledSpec::filter_record_buf`] emits
+    /// it whole.
+    pub fn selection(
+        predicate: Option<&Predicate>,
+        header: &[String],
+        fields: usize,
+    ) -> Result<CompiledSpec> {
+        let mut flat = Vec::new();
+        if let Some(p) = predicate {
+            compile_pred(p, header)?.conjuncts(&mut flat);
         }
-        if let Some(idx) = &projection {
-            for &i in idx {
-                max = Some(max.map_or(i, |m| m.max(i)));
+        let mut conjuncts: Vec<(usize, CompiledPred)> =
+            flat.into_iter().map(|c| (c.fields(), c)).collect();
+        conjuncts.sort_by_key(|(fields, _)| *fields);
+        Ok(CompiledSpec { projection: None, conjuncts, projected_fields: fields, has_header: false })
+    }
+
+    /// The selection on one record: `None` when it fails, else the record's
+    /// view tokenised through every field the projection reads.
+    ///
+    /// The conjuncts run in field order and the record is tokenised only as
+    /// far as the next one reads, so a record that fails early costs only
+    /// its leading fields. `buf` is the caller's reusable parse state.
+    pub fn select<'r, 'b>(
+        &self,
+        record: &'r [u8],
+        buf: &'b mut FieldBuf,
+    ) -> Option<RecordView<'r, 'b>> {
+        let mut tokenised = None;
+        for (fields, pred) in &self.conjuncts {
+            if tokenised.is_none_or(|t| *fields > t) {
+                tokenised = Some(*fields);
+                buf.parse_bounded(record, *fields);
+            }
+            if !pred.eval(&buf.view(record)) {
+                return None;
             }
         }
-        let parse_bound = max.map_or(0, |m| m.saturating_add(1));
-        Ok(CompiledSpec { projection, pred, parse_bound, has_header: spec.has_header })
+        if tokenised.is_none_or(|t| self.projected_fields > t) {
+            buf.parse_bounded(record, self.projected_fields);
+        }
+        Some(buf.view(record))
     }
 
-    /// How many leading fields of a record selection and projection read:
-    /// a [`FieldBuf::parse_bounded`] to this bound is all
-    /// [`CompiledSpec::matches_view`] needs.
-    pub fn parse_bound(&self) -> usize {
-        self.parse_bound
-    }
-
-    /// Evaluate the selection on parsed fields.
-    pub fn matches(&self, fields: &[Cow<'_, str>]) -> bool {
-        self.pred.as_ref().is_none_or(|p| {
-            p.eval_with(&|i| Cow::Borrowed(fields.get(i).map(|c| c.as_ref()).unwrap_or("")))
-        })
-    }
-
-    /// Evaluate the selection on a zero-copy record view.
-    pub fn matches_view(&self, view: &RecordView<'_, '_>) -> bool {
-        self.pred
-            .as_ref()
-            .is_none_or(|p| p.eval_with(&|i| view.text(i).unwrap_or(Cow::Borrowed(""))))
-    }
-
-    /// Parse a raw record; when it passes selection, append the projected
-    /// record to `out` and return true. Allocation-free except for malformed
-    /// (escaped/stray) fields; `buf` is the caller's reusable parse state.
+    /// Run [`CompiledSpec::select`] on a raw record; when it passes, append
+    /// the projected record to `out` and return true. Allocation-free except
+    /// for malformed (escaped/stray) fields and leaves that need the lossy
+    /// text of a non-ASCII field.
     pub fn filter_record_buf(&self, record: &[u8], buf: &mut FieldBuf, out: &mut Vec<u8>) -> bool {
-        let view = buf.parse_bounded(record, self.parse_bound);
-        if !self.matches_view(&view) {
+        let Some(view) = self.select(record, buf) else {
             return false;
-        }
-        match &self.projection {
-            None => {
-                out.extend_from_slice(record);
-                out.push(b'\n');
-            }
-            Some(idx) => {
-                // A single projected NULL field must not serialize to a
-                // blank line (readers skip those): quote it, matching
-                // `record::write_record`.
-                if idx.len() == 1
-                    && view.bytes(idx[0]).map(|b| b.is_empty()).unwrap_or(true)
-                {
-                    out.extend_from_slice(b"\"\"\n");
-                    return true;
-                }
-                for (k, &i) in idx.iter().enumerate() {
-                    if k > 0 {
-                        out.push(b',');
-                    }
-                    emit_field(&view, i, out);
-                }
-                out.push(b'\n');
-            }
-        }
+        };
+        emit_record(&view, self.projection.as_deref(), out);
         true
     }
+}
+
+/// Append a selected record to `out`: whole, or its projected fields.
+fn emit_record(view: &RecordView<'_, '_>, projection: Option<&[usize]>, out: &mut Vec<u8>) {
+    let Some(idx) = projection else {
+        out.extend_from_slice(view.raw());
+        out.push(b'\n');
+        return;
+    };
+    // A single projected NULL field must not serialize to a blank line
+    // (readers skip those): quote it, matching `record::write_record`.
+    if let &[only] = idx {
+        if view.bytes(only).is_none_or(|b| b.is_empty()) {
+            out.extend_from_slice(b"\"\"\n");
+            return;
+        }
+    }
+    for (k, &i) in idx.iter().enumerate() {
+        if k > 0 {
+            out.push(b',');
+        }
+        emit_field(view, i, out);
+    }
+    out.push(b'\n');
 }
 
 /// Append field `i` of `view` to `out`, preserving the original bytes
@@ -440,6 +501,186 @@ pub fn filter_buffer(
     f.push(data, &mut out)?;
     let stats = f.finish(&mut out);
     Ok((out, stats))
+}
+
+/// The evaluator [`CompiledSpec::select`] replaced, kept as the oracle of the
+/// differential tests: each record tokenised once to the last field the
+/// selection or the projection reads, the predicate walked in tree order,
+/// every leaf on the field's lossy UTF-8 text. Survivors go through the same
+/// `emit_record`, so byte-identical output checks that `select` tokenised
+/// them as far as the projection reads.
+#[cfg(test)]
+mod reference {
+    use super::{emit_record, resolve};
+    use crate::pushdown::{LikePattern, Predicate, PushdownSpec};
+    use crate::value::Value;
+    use crate::view::{FieldBuf, RecordView};
+    use scoop_common::Result;
+    use std::borrow::Cow;
+    use std::cmp::Ordering;
+
+    enum Pred {
+        Eq(usize, Value),
+        Ne(usize, Value),
+        Lt(usize, Value),
+        Le(usize, Value),
+        Gt(usize, Value),
+        Ge(usize, Value),
+        Like(usize, LikePattern),
+        StartsWith(usize, String),
+        EndsWith(usize, String),
+        Contains(usize, String),
+        In(usize, Vec<Value>),
+        IsNull(usize),
+        IsNotNull(usize),
+        And(Box<Pred>, Box<Pred>),
+        Or(Box<Pred>, Box<Pred>),
+        Not(Box<Pred>),
+    }
+
+    fn compile_pred(p: &Predicate, header: &[String]) -> Result<Pred> {
+        let r = |c: &str| resolve(header, c);
+        Ok(match p {
+            Predicate::Eq(c, v) => Pred::Eq(r(c)?, v.clone()),
+            Predicate::Ne(c, v) => Pred::Ne(r(c)?, v.clone()),
+            Predicate::Lt(c, v) => Pred::Lt(r(c)?, v.clone()),
+            Predicate::Le(c, v) => Pred::Le(r(c)?, v.clone()),
+            Predicate::Gt(c, v) => Pred::Gt(r(c)?, v.clone()),
+            Predicate::Ge(c, v) => Pred::Ge(r(c)?, v.clone()),
+            Predicate::Like(c, s) => Pred::Like(r(c)?, LikePattern::new(s)),
+            Predicate::StartsWith(c, s) => Pred::StartsWith(r(c)?, s.clone()),
+            Predicate::EndsWith(c, s) => Pred::EndsWith(r(c)?, s.clone()),
+            Predicate::Contains(c, s) => Pred::Contains(r(c)?, s.clone()),
+            Predicate::In(c, vs) => Pred::In(r(c)?, vs.clone()),
+            Predicate::IsNull(c) => Pred::IsNull(r(c)?),
+            Predicate::IsNotNull(c) => Pred::IsNotNull(r(c)?),
+            Predicate::And(a, b) => {
+                Pred::And(Box::new(compile_pred(a, header)?), Box::new(compile_pred(b, header)?))
+            }
+            Predicate::Or(a, b) => {
+                Pred::Or(Box::new(compile_pred(a, header)?), Box::new(compile_pred(b, header)?))
+            }
+            Predicate::Not(a) => Pred::Not(Box::new(compile_pred(a, header)?)),
+        })
+    }
+
+    fn cmp_field(field: &str, lit: &Value) -> Option<Ordering> {
+        if field.is_empty() {
+            return None;
+        }
+        match lit {
+            Value::Null => None,
+            Value::Int(_) | Value::Float(_) => field.parse::<f64>().ok()?.partial_cmp(&lit.as_f64()?),
+            Value::Str(s) => Some(field.cmp(s.as_str())),
+        }
+    }
+
+    fn eq_field(field: &str, lit: &Value) -> bool {
+        cmp_field(field, lit) == Some(Ordering::Equal)
+    }
+
+    impl Pred {
+        fn eval(&self, view: &RecordView<'_, '_>) -> bool {
+            let get = |i: usize| view.text(i).unwrap_or(Cow::Borrowed(""));
+            match self {
+                Pred::Eq(i, v) => eq_field(&get(*i), v),
+                Pred::Ne(i, v) => matches!(cmp_field(&get(*i), v), Some(o) if o != Ordering::Equal),
+                Pred::Lt(i, v) => cmp_field(&get(*i), v) == Some(Ordering::Less),
+                Pred::Le(i, v) => {
+                    matches!(cmp_field(&get(*i), v), Some(Ordering::Less | Ordering::Equal))
+                }
+                Pred::Gt(i, v) => cmp_field(&get(*i), v) == Some(Ordering::Greater),
+                Pred::Ge(i, v) => {
+                    matches!(cmp_field(&get(*i), v), Some(Ordering::Greater | Ordering::Equal))
+                }
+                Pred::Like(i, p) => {
+                    let f = get(*i);
+                    !f.is_empty() && p.matches(f.as_bytes())
+                }
+                Pred::StartsWith(i, p) => {
+                    let f = get(*i);
+                    !f.is_empty() && f.starts_with(p.as_str())
+                }
+                Pred::EndsWith(i, p) => {
+                    let f = get(*i);
+                    !f.is_empty() && f.ends_with(p.as_str())
+                }
+                Pred::Contains(i, p) => {
+                    let f = get(*i);
+                    !f.is_empty() && f.contains(p.as_str())
+                }
+                Pred::In(i, vs) => {
+                    let f = get(*i);
+                    vs.iter().any(|v| eq_field(&f, v))
+                }
+                Pred::IsNull(i) => get(*i).is_empty(),
+                Pred::IsNotNull(i) => !get(*i).is_empty(),
+                Pred::And(a, b) => a.eval(view) && b.eval(view),
+                Pred::Or(a, b) => a.eval(view) || b.eval(view),
+                Pred::Not(a) => !a.eval(view),
+            }
+        }
+
+        fn max_index(&self, m: &mut usize) {
+            match self {
+                Pred::Eq(i, _)
+                | Pred::Ne(i, _)
+                | Pred::Lt(i, _)
+                | Pred::Le(i, _)
+                | Pred::Gt(i, _)
+                | Pred::Ge(i, _)
+                | Pred::Like(i, _)
+                | Pred::StartsWith(i, _)
+                | Pred::EndsWith(i, _)
+                | Pred::Contains(i, _)
+                | Pred::In(i, _)
+                | Pred::IsNull(i)
+                | Pred::IsNotNull(i) => *m = (*m).max(*i),
+                Pred::And(a, b) | Pred::Or(a, b) => {
+                    a.max_index(m);
+                    b.max_index(m);
+                }
+                Pred::Not(a) => a.max_index(m),
+            }
+        }
+    }
+
+    /// A spec compiled the old way.
+    pub(super) struct Reference {
+        projection: Option<Vec<usize>>,
+        pred: Option<Pred>,
+        parse_bound: usize,
+    }
+
+    impl Reference {
+        pub(super) fn compile(spec: &PushdownSpec, header: &[String]) -> Result<Reference> {
+            let projection = match &spec.columns {
+                None => None,
+                Some(cols) => Some(cols.iter().map(|c| resolve(header, c)).collect::<Result<_>>()?),
+            };
+            let pred = spec.predicate.as_ref().map(|p| compile_pred(p, header)).transpose()?;
+            let mut max = pred.as_ref().map(|p| {
+                let mut m = 0;
+                p.max_index(&mut m);
+                m
+            });
+            for &i in projection.iter().flatten() {
+                max = Some(max.map_or(i, |m: usize| m.max(i)));
+            }
+            let parse_bound = max.map_or(0, |m| m + 1);
+            Ok(Reference { projection, pred, parse_bound })
+        }
+
+        /// The old `filter_record_buf`.
+        pub(super) fn filter_record(&self, record: &[u8], buf: &mut FieldBuf, out: &mut Vec<u8>) -> bool {
+            let view = buf.parse_bounded(record, self.parse_bound);
+            if !self.pred.as_ref().is_none_or(|p| p.eval(&view)) {
+                return false;
+            }
+            emit_record(&view, self.projection.as_deref(), out);
+            true
+        }
+    }
 }
 
 #[cfg(test)]
@@ -654,5 +895,261 @@ mod tests {
         // Quoted fields keep their exact original rendering (including the
         // doubled-quote escape), numerics keep leading zeros.
         assert_eq!(out, b"\"Rot,terdam\",2\n\"say \"\"hi\"\"\",007\n".to_vec());
+    }
+
+    #[test]
+    fn conjuncts_run_in_field_order_and_stop_at_the_first_false() {
+        // Written city-first; `select` tests date (field 1) first and stops
+        // there for a record from February.
+        let spec = PushdownSpec {
+            columns: Some(vec!["vid".into(), "state".into()]),
+            predicate: Some(Predicate::And(
+                Box::new(Predicate::Eq("city".into(), Value::Str("Rotterdam".into()))),
+                Box::new(Predicate::Like("date".into(), "2015-01%".into())),
+            )),
+            has_header: true,
+        };
+        let compiled = CompiledSpec::compile(&spec, &header()).unwrap();
+        let mut buf = FieldBuf::default();
+        let february = b"m3,2015-02-01 09:00:00,50.0,Rotterdam,NLD";
+        assert!(compiled.select(february, &mut buf).is_none());
+        assert_eq!(buf.view(february).len(), 2, "tokenised past the failing conjunct");
+        // A January record from Paris fails on city, after field 3.
+        let paris = b"m2,2015-01-04 11:00:00,200.0,Paris,FRA";
+        assert!(compiled.select(paris, &mut buf).is_none());
+        assert_eq!(buf.view(paris).len(), 4);
+        // A survivor is tokenised on through the projection.
+        let kept = b"m1,2015-01-03 10:00:00,100.5,Rotterdam,NLD";
+        let view = compiled.select(kept, &mut buf).unwrap();
+        assert_eq!(view.len(), 5);
+        let mut out = Vec::new();
+        assert!(compiled.filter_record_buf(kept, &mut buf, &mut out));
+        assert_eq!(out, b"m1,NLD\n");
+    }
+
+    #[test]
+    fn a_spec_without_predicate_or_projection_keeps_everything_untokenised() {
+        let compiled = CompiledSpec::compile(&PushdownSpec::passthrough(), &header()).unwrap();
+        let mut buf = FieldBuf::default();
+        // Stale spans from a longer record must not leak into the next view.
+        buf.parse(b"a,bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb,c");
+        let view = compiled.select(b"x", &mut buf).unwrap();
+        assert!(view.is_empty());
+        assert_eq!(view.raw(), b"x");
+    }
+
+    /// The cases where raw bytes and their lossy text disagree: the leaf
+    /// must answer as the text does.
+    #[test]
+    fn byte_leaves_answer_as_the_lossy_text() {
+        let header: Vec<String> = vec!["f".into()];
+        let keeps = |pred: Predicate, field: &[u8]| {
+            let spec = PushdownSpec { columns: None, predicate: Some(pred), has_header: false };
+            let compiled = CompiledSpec::compile(&spec, &header).unwrap();
+            compiled.select(field, &mut FieldBuf::default()).is_some()
+        };
+        let s = |v: &str| Value::Str(v.into());
+        // A truncated `é` sorts below 'é' as bytes, above it as text (U+FFFD).
+        assert!(!keeps(Predicate::Lt("f".into(), s("é")), b"\xC3"));
+        assert!(keeps(Predicate::Gt("f".into(), s("é")), b"\xC3"));
+        // `_` is one character: two invalid bytes are two of them.
+        assert!(!keeps(Predicate::Like("f".into(), "_".into()), b"\xFF\xFF"));
+        assert!(keeps(Predicate::Like("f".into(), "__".into()), b"\xFF\xFF"));
+        assert!(keeps(Predicate::Like("f".into(), "caf_".into()), "café".as_bytes()));
+        // A literal holding U+FFFD equals the text of an invalid byte.
+        assert!(keeps(Predicate::Eq("f".into(), s("\u{FFFD}")), b"\xFF"));
+        assert!(keeps(Predicate::StartsWith("f".into(), "a\u{FFFD}".into()), b"a\xFFb"));
+        assert!(!keeps(Predicate::Ne("f".into(), s("a\u{FFFD}")), b"a\xC3"));
+        assert!(keeps(Predicate::In("f".into(), vec![s("x"), s("\u{FFFD}")]), b"\xC3"));
+        // Multibyte and invalid fields against multibyte literals.
+        assert!(keeps(Predicate::Eq("f".into(), s("é")), "é".as_bytes()));
+        assert!(!keeps(Predicate::Eq("f".into(), s("é")), b"\xC3"));
+        assert!(keeps(Predicate::Contains("f".into(), "é".into()), b"\xFF\xC3\xA9\xFF"));
+        assert!(!keeps(Predicate::EndsWith("f".into(), "é".into()), b"\xC3\xA9\xC3"));
+        assert!(keeps(Predicate::Ne("f".into(), s("é")), b"\xFF"));
+        // Numbers never parse out of invalid UTF-8, and quoted fields unquote.
+        assert!(!keeps(Predicate::Ge("f".into(), Value::Int(0)), b"1\xFF"));
+        assert!(keeps(Predicate::Eq("f".into(), Value::Float(2.5)), b"\"2.50\""));
+        assert!(keeps(Predicate::Eq("f".into(), s("say \"hé\"")), "\"say \"\"hé\"\"\"".as_bytes()));
+    }
+
+    mod differential {
+        use super::super::reference::Reference;
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// A small deterministic generator driven by the proptest seed.
+        struct Lcg(u64);
+
+        impl Lcg {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((self.0 >> 33) % n as u64) as usize
+            }
+
+            fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+                &items[self.below(items.len())]
+            }
+        }
+
+        const COLUMNS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+        /// Field spellings as they stand in a record: ASCII, multibyte,
+        /// invalid UTF-8, U+FFFD itself, quoted, `""`-escaped, stray bytes
+        /// after a closing quote, an unterminated quote, risky unquoted bytes.
+        const FIELDS: [&[u8]; 36] = [
+            b"",
+            b"a",
+            b"ab",
+            b"Rot",
+            b"Rotterdam",
+            b"2.5",
+            b"2.50",
+            b"007",
+            b"-3",
+            b"1e3",
+            b"NaN",
+            "é".as_bytes(),
+            "café".as_bytes(),
+            "Zürich".as_bytes(),
+            "日本".as_bytes(),
+            "é_é".as_bytes(),
+            b"\xFF",
+            b"a\xFF",
+            b"\xFF\xFF",
+            b"caf\xC3",
+            b"\xC3",
+            b"\xC3\xA9\xC3",
+            b"1\xFF",
+            "\u{FFFD}".as_bytes(),
+            "a\u{FFFD}".as_bytes(),
+            b"\"x,y\"",
+            b"\"say \"\"hi\"\"\"",
+            b"\"\"",
+            b"\"a\"tail",
+            "\"é\"".as_bytes(),
+            b"\"\xFF\"",
+            b"\"2.5\"",
+            b"\"open",
+            b"a\"b",
+            b"x\ry",
+            b"\"multi\nline\"",
+        ];
+
+        fn literal(rng: &mut Lcg) -> Value {
+            match rng.below(10) {
+                0..=1 => Value::Int(*rng.pick(&[-3, 0, 2, 7])),
+                2..=3 => Value::Float(*rng.pick(&[2.5, -0.5, 1000.0, f64::NAN])),
+                4..=8 => Value::Str(
+                    (*rng.pick(&[
+                        "", "a", "Rot", "2.5", "é", "café", "caf", "\u{FFFD}", "a\u{FFFD}", "日",
+                        "x,y", "say \"hi\"", "Zürich",
+                    ]))
+                    .into(),
+                ),
+                _ => Value::Null,
+            }
+        }
+
+        fn text(rng: &mut Lcg) -> String {
+            rng.pick(&["", "a", "Rot", "é", "caf", "\u{FFFD}", "本", "2."]).to_string()
+        }
+
+        /// A random predicate: every leaf kind, nested `And` / `Or` / `Not`.
+        fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
+            if depth > 0 && rng.below(2) == 0 {
+                let a = Box::new(predicate(rng, depth - 1));
+                return match rng.below(4) {
+                    0 | 1 => Predicate::And(a, Box::new(predicate(rng, depth - 1))),
+                    2 => Predicate::Or(a, Box::new(predicate(rng, depth - 1))),
+                    _ => Predicate::Not(a),
+                };
+            }
+            let c = rng.pick(&COLUMNS).to_string();
+            match rng.below(13) {
+                0 => Predicate::Eq(c, literal(rng)),
+                1 => Predicate::Ne(c, literal(rng)),
+                2 => Predicate::Lt(c, literal(rng)),
+                3 => Predicate::Le(c, literal(rng)),
+                4 => Predicate::Gt(c, literal(rng)),
+                5 => Predicate::Ge(c, literal(rng)),
+                6 => Predicate::Like(
+                    c,
+                    rng.pick(&[
+                        "Rot%", "%é", "caf_", "_", "__", "%\u{FFFD}%", "%", "a%b", "é%", "%_%",
+                        "_é_", "2.5", "\u{FFFD}", "caf%", "%本",
+                    ])
+                    .to_string(),
+                ),
+                7 => Predicate::StartsWith(c, text(rng)),
+                8 => Predicate::EndsWith(c, text(rng)),
+                9 => Predicate::Contains(c, text(rng)),
+                10 => Predicate::In(c, (0..1 + rng.below(3)).map(|_| literal(rng)).collect()),
+                11 => Predicate::IsNull(c),
+                _ => Predicate::IsNotNull(c),
+            }
+        }
+
+        /// A record of 0 to 7 fields (empty, short, full and extra-field
+        /// rows).
+        fn record(rng: &mut Lcg) -> Vec<u8> {
+            let n = rng.below(8);
+            let mut out = Vec::new();
+            for k in 0..n {
+                if k > 0 {
+                    out.push(b',');
+                }
+                let field: &&[u8] = rng.pick(&FIELDS);
+                out.extend_from_slice(field);
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            /// `select` + `filter_record_buf` keep exactly the records the
+            /// tree-order text evaluator keeps and emit the same bytes, over
+            /// one reused `FieldBuf`.
+            #[test]
+            fn select_equals_the_tree_order_text_evaluator(seed in any::<u64>()) {
+                let mut rng = Lcg(seed);
+                let header: Vec<String> = COLUMNS.iter().map(|c| c.to_string()).collect();
+                let columns = match rng.below(3) {
+                    0 => None,
+                    _ => Some(
+                        (0..rng.below(4)).map(|_| rng.pick(&COLUMNS).to_string()).collect::<Vec<_>>(),
+                    ),
+                };
+                let predicate = match rng.below(8) {
+                    0 => None,
+                    _ => Some(predicate(&mut rng, 3)),
+                };
+                let spec = PushdownSpec { columns, predicate, has_header: false };
+                let compiled = CompiledSpec::compile(&spec, &header).unwrap();
+                let reference = Reference::compile(&spec, &header).unwrap();
+                let (mut buf, mut ref_buf) = (FieldBuf::default(), FieldBuf::default());
+                for _ in 0..16 {
+                    let record = record(&mut rng);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let kept = compiled.filter_record_buf(&record, &mut buf, &mut got);
+                    prop_assert_eq!(
+                        kept,
+                        reference.filter_record(&record, &mut ref_buf, &mut want),
+                        "{} on {:?}",
+                        spec,
+                        String::from_utf8_lossy(&record)
+                    );
+                    prop_assert_eq!(
+                        &got,
+                        &want,
+                        "{} on {:?}",
+                        spec,
+                        String::from_utf8_lossy(&record)
+                    );
+                    prop_assert_eq!(compiled.select(&record, &mut buf).is_some(), kept);
+                }
+            }
+        }
     }
 }

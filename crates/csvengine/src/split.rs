@@ -82,8 +82,10 @@ pub fn plan_splits(total_len: u64, chunk_size: u64) -> Vec<(u64, u64)> {
 
 /// Streaming record reader over a byte stream that starts at absolute
 /// object offset `start`, honouring the split-ownership contract above and
-/// **stopping the input early** once past `end` — the client-side (Hadoop
-/// `LineRecordReader`) counterpart of the storlet's ranged execution.
+/// **stopping the input early** once past `end`. It is the one
+/// implementation of that contract on a stream: the `csvfilter` storlet's
+/// ranged invocations, the vanilla scan's splits and the connector's
+/// fallback filter all read through it.
 ///
 /// Records come out one input chunk at a time, borrowed, through the
 /// callback of [`RangedRecordStream::next_chunk`] — the shape of
@@ -122,6 +124,18 @@ impl RangedRecordStream {
             end,
             pending: std::collections::VecDeque::new(),
         }
+    }
+
+    /// Like [`RangedRecordStream::new`] over a window that starts on a
+    /// record boundary it owns, such as one the block planner cut: the
+    /// record at `start` is kept even when `start > 0`.
+    pub fn pre_aligned(input: scoop_common::ByteStream, start: u64, end: Option<u64>) -> Self {
+        RangedRecordStream { aligned: true, ..RangedRecordStream::new(input, start, end) }
+    }
+
+    /// Absolute object offset one past the last input byte pulled.
+    pub fn offset(&self) -> u64 {
+        self.offset
     }
 
     /// Pull one input chunk and hand every owned record it completes to
@@ -275,6 +289,19 @@ mod tests {
             assert_eq!(got, vec![b"a,1".to_vec(), b"b,2".to_vec(), b"c,3".to_vec()], "read={read}");
             let got = drain(RangedRecordStream::new(from(data, 2, read), 2, Some(9)));
             assert_eq!(got, vec![b"b,2".to_vec()], "read={read}");
+        }
+    }
+
+    #[test]
+    fn a_pre_aligned_window_keeps_its_first_record() {
+        let data = b"aa\nbb\ncc\ndd\n";
+        for read in 1..=data.len() {
+            // "bb" starts at 3: a plain split from 3 leaves it to the split
+            // before; a pre-aligned window from 3 owns it.
+            let plain = RangedRecordStream::new(from(data, 3, read), 3, Some(6));
+            assert_eq!(drain(plain), vec![b"cc".to_vec()], "read={read}");
+            let window = RangedRecordStream::pre_aligned(from(data, 3, read), 3, Some(6));
+            assert_eq!(drain(window), vec![b"bb".to_vec(), b"cc".to_vec()], "read={read}");
         }
     }
 

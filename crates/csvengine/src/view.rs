@@ -160,6 +160,13 @@ impl FieldBuf {
         RecordView { record, spans: &self.spans }
     }
 
+    /// The view of `record` as the last parse left it. `record` must be the
+    /// record that parse saw: the spans index into it.
+    #[inline]
+    pub(crate) fn view<'r>(&self, record: &'r [u8]) -> RecordView<'r, '_> {
+        RecordView { record, spans: &self.spans }
+    }
+
     /// Fused single-pass field scan for records containing no `"` byte:
     /// one SWAR sweep yields every comma position (all lanes of each word,
     /// via the exact lane test) instead of one `find_byte` call — with its

@@ -13,7 +13,7 @@ use crate::request::{Method, Request, Response};
 use crate::ring::DeviceId;
 use parking_lot::RwLock;
 use scoop_common::telemetry::{self, names, ScopedCounter};
-use scoop_common::{stream, Result, ScoopError};
+use scoop_common::{stream, ByteStream, Result, ScoopError};
 
 /// GET response chunk size. Small (like Hadoop's 4 KB I/O buffer) so lazy
 /// consumers that stop at a record boundary overshoot by at most this much.
@@ -52,8 +52,12 @@ pub struct ServerStats {
     pub puts: ScopedCounter,
     /// Payload bytes written by PUTs.
     pub bytes_in: ScopedCounter,
-    /// Payload bytes read by GETs (before any middleware filtering).
-    pub bytes_out: ScopedCounter,
+    /// Payload bytes GET bodies delivered (before any middleware
+    /// filtering): counted as each body's chunks are pulled, so a reader
+    /// that stops early is charged only what it read. A body publishes its
+    /// count once, when it is dropped, so a snapshot taken while a body is
+    /// still alive leaves that body out.
+    pub bytes_out: Arc<ScopedCounter>,
     /// Re-dispatched PUTs acked idempotently via their upload token.
     pub deduped_puts: ScopedCounter,
 }
@@ -64,7 +68,7 @@ impl Default for ServerStats {
             gets: ScopedCounter::new(names::OBJSERVER_GETS),
             puts: ScopedCounter::new(names::OBJSERVER_PUTS),
             bytes_in: ScopedCounter::new(names::OBJSERVER_BYTES_IN),
-            bytes_out: ScopedCounter::new(names::OBJSERVER_BYTES_OUT),
+            bytes_out: Arc::new(ScopedCounter::new(names::OBJSERVER_BYTES_OUT)),
             deduped_puts: ScopedCounter::new(names::OBJSERVER_DEDUPED_PUTS),
         }
     }
@@ -91,7 +95,7 @@ pub struct StatsSnapshot {
     pub puts: u64,
     /// Payload bytes written.
     pub bytes_in: u64,
-    /// Payload bytes read.
+    /// Payload bytes GET bodies delivered.
     pub bytes_out: u64,
     /// Re-dispatched PUTs acked idempotently via their upload token.
     pub deduped_puts: u64,
@@ -276,8 +280,12 @@ impl ObjectServer {
                 };
                 let data = backend.get_range(&key, start, end)?;
                 stats.gets.inc();
-                stats.bytes_out.add(data.len() as u64);
-                let mut resp = Response::ok(stream::chunked(data, RESPONSE_CHUNK))
+                let body = ServedBody {
+                    chunks: stream::chunked(data, RESPONSE_CHUNK),
+                    pulled: 0,
+                    bytes_out: stats.bytes_out.clone(),
+                };
+                let mut resp = Response::ok(Box::new(body))
                     .with_header("etag", meta.etag)
                     .with_header("content-length", end.saturating_sub(start).to_string())
                     .with_header(scoop_common::headers::OBJECT_LENGTH, meta.size.to_string());
@@ -342,6 +350,33 @@ impl ObjectServer {
                 Ok(Response::no_content())
             }
         }
+    }
+}
+
+/// A GET body that counts the bytes pulled from it and adds them to the
+/// server's `bytes_out` when dropped: one atomic add per body, not per
+/// chunk.
+struct ServedBody {
+    chunks: ByteStream,
+    pulled: u64,
+    bytes_out: Arc<ScopedCounter>,
+}
+
+impl Iterator for ServedBody {
+    type Item = Result<bytes::Bytes>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let chunk = self.chunks.next();
+        if let Some(Ok(c)) = &chunk {
+            self.pulled = self.pulled.saturating_add(c.len() as u64);
+        }
+        chunk
+    }
+}
+
+impl Drop for ServedBody {
+    fn drop(&mut self) {
+        self.bytes_out.add(self.pulled);
     }
 }
 
@@ -538,13 +573,35 @@ mod tests {
         let s = server();
         s.handle(DeviceId(0), Request::put(path(), Bytes::from_static(b"abcde")))
             .unwrap();
-        s.handle(DeviceId(0), Request::get(path())).unwrap();
-        s.handle(DeviceId(0), Request::get(path())).unwrap();
+        for _ in 0..2 {
+            let got = s.handle(DeviceId(0), Request::get(path())).unwrap();
+            assert_eq!(got.read_body().unwrap(), "abcde");
+        }
         let st = s.stats();
         assert_eq!(st.puts, 1);
         assert_eq!(st.gets, 2);
         assert_eq!(st.bytes_in, 5);
         assert_eq!(st.bytes_out, 10);
+    }
+
+    #[test]
+    fn bytes_out_counts_what_a_body_delivered() {
+        let s = server();
+        let data: Bytes = (0..10 * RESPONSE_CHUNK).map(|i| i as u8).collect::<Vec<u8>>().into();
+        s.handle(DeviceId(0), Request::put(path(), data)).unwrap();
+        // A reader that stops after two chunks is charged two chunks.
+        let mut body = s.handle(DeviceId(0), Request::get(path())).unwrap().body;
+        let pulled: usize = body.by_ref().take(2).map(|c| c.unwrap().len()).sum();
+        assert_eq!(pulled, 2 * RESPONSE_CHUNK);
+        drop(body);
+        assert_eq!(s.stats().bytes_out, pulled as u64);
+        // A body nobody reads costs nothing; a ranged one read to its end
+        // costs its range.
+        drop(s.handle(DeviceId(0), Request::get(path())).unwrap());
+        let ranged = Request::get(path()).with_range(ByteRange { start: 5, end: Some(104) });
+        assert_eq!(s.handle(DeviceId(0), ranged).unwrap().read_body().unwrap().len(), 100);
+        assert_eq!(s.stats().bytes_out, pulled as u64 + 100);
+        assert_eq!(s.stats().gets, 3);
     }
 
     #[test]

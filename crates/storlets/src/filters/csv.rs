@@ -8,20 +8,22 @@
 //!
 //! The filter is **byte-range aware** with Hadoop `LineRecordReader`
 //! ownership semantics (see `scoop_csv::split`): when invoked with
-//! `range_start > 0` it discards bytes through the first newline, and it owns
-//! records starting at offsets `p` with `range_start < p <= range_end`,
-//! reading past `range_end` to finish the final owned record and then
-//! **stopping the input stream early** — the laziness that keeps a ranged
-//! invocation from scanning the rest of the object.
+//! `range_start > 0` it discards bytes through the first newline (unless the
+//! window is pre-aligned), and it owns records starting at offsets `p` with
+//! `range_start < p <= range_end`, reading past `range_end` to finish the
+//! final owned record and then **stopping the input stream early** — the
+//! laziness that keeps a ranged invocation from scanning the rest of the
+//! object. The ownership rules are [`RangedRecordStream`]'s; this storlet is
+//! a thin adapter that selects each record inside the input chunk it arrived
+//! in.
 
 use crate::api::{InvocationContext, InvocationMetrics, Storlet};
 use bytes::Bytes;
 use scoop_common::{ByteStream, Result, ScoopError};
 use scoop_csv::filter::CompiledSpec;
-use scoop_csv::scan;
+use scoop_csv::split::RangedRecordStream;
 use scoop_csv::view::FieldBuf;
 use scoop_csv::PushdownSpec;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,205 +50,82 @@ impl Storlet for CsvFilterStorlet {
             "csvfilter: range_start={} range_end={:?} cols={:?}",
             ctx.range_start, ctx.range_end, spec.columns
         ));
+        // ctx.range_end is the inclusive HTTP-style end byte; ownership uses
+        // the exclusive split end (records with start <= end+1 belong to this
+        // range — see scoop_csv::split). Saturating: a suffix-style
+        // `bytes=0-18446744073709551615` end is a legal header, and u64::MAX
+        // already means "own everything", so the clamp loses nothing.
+        let end = ctx.range_end.map(|e| e.saturating_add(1));
+        let records = if ctx.pre_aligned {
+            RangedRecordStream::pre_aligned(input, ctx.range_start, end)
+        } else {
+            RangedRecordStream::new(input, ctx.range_start, end)
+        };
         Ok(Box::new(RangedCsvFilterStream {
-            input: Some(input),
+            records,
             compiled,
             fields: FieldBuf::default(),
-            buf: Vec::new(),
-            offset: ctx.range_start,
-            aligned: ctx.range_start == 0 || ctx.pre_aligned,
             header_pending: ctx.range_start == 0 && spec.has_header,
-            // ctx.range_end is the inclusive HTTP-style end byte; ownership
-            // uses the exclusive split end (records with start <= end+1
-            // belong to this range — see scoop_csv::split). Saturating: a
-            // suffix-style `bytes=0-18446744073709551615` end is a legal
-            // header, and u64::MAX already means "own everything", so the
-            // clamp loses nothing.
-            end: ctx.range_end.map(|e| e.saturating_add(1)),
             metrics: ctx.metrics,
-            done: false,
         }))
     }
 }
 
 /// Lazy stream: pulls input chunks, emits filtered record bytes.
 struct RangedCsvFilterStream {
-    input: Option<ByteStream>,
+    records: RangedRecordStream,
     compiled: CompiledSpec,
     /// Reusable per-record parse state (field span table).
     fields: FieldBuf,
-    /// Unprocessed input bytes; `offset` is the absolute object offset of
-    /// `buf[0]`.
-    buf: Vec<u8>,
-    offset: u64,
-    /// False until the partial first record of a mid-object range is dropped.
-    aligned: bool,
     /// True while the object's header record is still to be consumed.
     header_pending: bool,
-    /// Exclusive end of the logical split (`None` = to EOF): owned records
-    /// have start offsets `p <= end`.
-    end: Option<u64>,
     metrics: Arc<InvocationMetrics>,
-    done: bool,
-}
-
-impl RangedCsvFilterStream {
-    /// Process complete records in `buf` into `out`. Returns true when the
-    /// range end has been passed (caller should stop reading input).
-    ///
-    /// Scans with an index cursor (SWAR newline search) and drains the
-    /// consumed prefix once at the end; the old per-record `Vec::drain` made
-    /// this quadratic in records-per-chunk.
-    fn drain_records(&mut self, out: &mut Vec<u8>) -> bool {
-        let mut pos = 0usize;
-        let mut past_end = false;
-        loop {
-            if !self.aligned {
-                // Discard through the first newline (Hadoop semantics).
-                match scan::find_byte(&self.buf[pos..], b'\n') {
-                    Some(nl) => {
-                        pos += nl + 1;
-                        self.aligned = true;
-                    }
-                    None => {
-                        pos = self.buf.len();
-                        break; // need more input
-                    }
-                }
-                continue;
-            }
-            let record_start = self.offset + pos as u64;
-            if let Some(end) = self.end {
-                // Records are owned while their start offset p satisfies
-                // p <= end (p > range_start is guaranteed by alignment).
-                if record_start > end {
-                    past_end = true;
-                    break;
-                }
-            }
-            match scan::find_byte(&self.buf[pos..], b'\n') {
-                None => break,
-                Some(nl) => {
-                    let mut rec_end = pos + nl;
-                    if rec_end > pos && self.buf[rec_end - 1] == b'\r' {
-                        rec_end -= 1;
-                    }
-                    if rec_end > pos {
-                        // Non-blank record.
-                        if self.header_pending {
-                            self.header_pending = false;
-                        } else {
-                            self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
-                            if self.compiled.filter_record_buf(
-                                &self.buf[pos..rec_end],
-                                &mut self.fields,
-                                out,
-                            ) {
-                                self.metrics.records_out.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    pos += nl + 1;
-                }
-            }
-        }
-        self.offset += pos as u64;
-        if pos > 0 {
-            self.buf.drain(..pos);
-        }
-        past_end
-    }
-
-    /// Handle the final (newline-less) record at EOF.
-    fn drain_tail(&mut self, out: &mut Vec<u8>) {
-        if self.buf.is_empty() || !self.aligned {
-            self.buf.clear();
-            return;
-        }
-        let record_start = self.offset;
-        if let Some(end) = self.end {
-            if record_start > end {
-                self.buf.clear();
-                return;
-            }
-        }
-        let mut rec_end = self.buf.len();
-        if self.buf[rec_end - 1] == b'\r' {
-            rec_end -= 1;
-        }
-        if rec_end > 0 {
-            if self.header_pending {
-                self.header_pending = false;
-            } else {
-                self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
-                if self
-                    .compiled
-                    .filter_record_buf(&self.buf[..rec_end], &mut self.fields, out)
-                {
-                    self.metrics.records_out.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.buf.clear();
-    }
 }
 
 impl Iterator for RangedCsvFilterStream {
     type Item = Result<Bytes>;
 
+    /// Filter input chunks until a chunk of output is ready or the range is
+    /// exhausted. The counters are summed here and published once per call.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
         let started = Instant::now();
+        let read_from = self.records.offset();
+        let (mut records_in, mut records_out) = (0u64, 0u64);
         let mut out = Vec::new();
-        loop {
-            let chunk = match self.input.as_mut().and_then(Iterator::next) {
-                Some(Ok(c)) => Some(c),
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
+        let mut failed = None;
+        while out.len() < scoop_common::stream::DEFAULT_CHUNK {
+            let RangedCsvFilterStream { records, compiled, fields, header_pending, .. } = self;
+            let pulled = records.next_chunk(|record| {
+                if std::mem::take(header_pending) {
+                    return;
                 }
-                None => None,
-            };
-            match chunk {
-                Some(c) => {
-                    self.metrics.bytes_in.fetch_add(c.len() as u64, Ordering::Relaxed);
-                    self.buf.extend_from_slice(&c);
-                    if self.drain_records(&mut out) {
-                        // Passed range end: stop reading input early.
-                        self.done = true;
-                        self.input = None;
-                        break;
-                    }
-                    // Yield once we have a reasonable chunk of output.
-                    if out.len() >= scoop_common::stream::DEFAULT_CHUNK {
-                        break;
-                    }
+                records_in += 1;
+                if compiled.filter_record_buf(record, fields, &mut out) {
+                    records_out += 1;
                 }
-                None => {
-                    self.drain_tail(&mut out);
-                    self.done = true;
-                    self.input = None;
+            });
+            match pulled {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    failed = Some(e);
                     break;
                 }
             }
         }
-        self.metrics
-            .busy_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if out.is_empty() {
-            if self.done {
-                None
-            } else {
-                self.next()
-            }
-        } else {
-            self.metrics
-                .bytes_out
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-            Some(Ok(Bytes::from(out)))
+        let m = &self.metrics;
+        m.add(&m.bytes_in, self.records.offset().saturating_sub(read_from));
+        m.add(&m.records_in, records_in);
+        m.add(&m.records_out, records_out);
+        m.add(&m.busy_ns, started.elapsed().as_nanos() as u64);
+        if let Some(e) = failed {
+            return Some(Err(e));
         }
+        if out.is_empty() {
+            return None;
+        }
+        m.add(&m.bytes_out, out.len() as u64);
+        Some(Ok(Bytes::from(out)))
     }
 }
 
@@ -258,6 +137,7 @@ mod tests {
     use scoop_csv::split::{aligned_slice, plan_splits};
     use scoop_csv::{Predicate, Value};
     use std::collections::HashMap;
+    use std::sync::atomic::Ordering;
 
     const SCHEMA: &str = "vid,date,index,city";
     const DATA: &[u8] = b"vid,date,index,city\n\
@@ -274,29 +154,41 @@ mod tests {
         }
     }
 
-    fn invoke_range(
-        data: &'static [u8],
+    /// Invoke on the bytes of `data` from `start` on, read in chunks of
+    /// `read`: the filtered output and the invocation's counters.
+    fn invoke(
+        data: &[u8],
         spec: &PushdownSpec,
         start: u64,
         end: Option<u64>,
-        chunk: usize,
-    ) -> (String, Arc<InvocationMetrics>) {
+        pre_aligned: bool,
+        read: usize,
+    ) -> (Vec<u8>, Arc<InvocationMetrics>) {
         let mut params = HashMap::new();
         params.insert("spec".to_string(), spec.to_header());
         params.insert("schema".to_string(), SCHEMA.to_string());
         let mut ctx = InvocationContext::new(params);
         ctx.range_start = start;
         ctx.range_end = end;
+        ctx.pre_aligned = pre_aligned;
         let metrics = ctx.metrics.clone();
         // The middleware feeds the storlet bytes from range_start onward.
-        let body = Bytes::from_static(&data[start as usize..]);
+        let body = Bytes::copy_from_slice(&data[start as usize..]);
         let out = CsvFilterStorlet
-            .invoke(stream::chunked(body, chunk), ctx)
+            .invoke(stream::chunked(body, read), ctx)
             .unwrap();
-        (
-            String::from_utf8(stream::collect(out).unwrap().to_vec()).unwrap(),
-            metrics,
-        )
+        (stream::collect(out).unwrap().to_vec(), metrics)
+    }
+
+    fn invoke_range(
+        data: &[u8],
+        spec: &PushdownSpec,
+        start: u64,
+        end: Option<u64>,
+        chunk: usize,
+    ) -> (String, Arc<InvocationMetrics>) {
+        let (out, metrics) = invoke(data, spec, start, end, false, chunk);
+        (String::from_utf8(out).unwrap(), metrics)
     }
 
     #[test]
@@ -316,35 +208,104 @@ mod tests {
         assert_eq!(out.as_bytes(), &reference[..]);
     }
 
-    /// The key contract: for any split plan, concatenating ranged storlet
-    /// outputs equals filtering each record exactly once — identical to the
-    /// `aligned_slice` reference implementation.
+    /// `DATA` with CRLF and bare LF terminators, blank lines, and a last
+    /// record with no newline (only its CR).
+    const RAGGED: &[u8] = b"vid,date,index,city\r\n\
+        m1,2015-01-03,100.5,Rotterdam\r\n\r\n\
+        m2,2015-01-04,200.0,Paris\n\n\
+        m3,2015-02-01,50.0,Utrecht\r\n\
+        m4,2015-01-09,75.0,Rotterdam\n\
+        m5,2015-01-10,5.0,Rotterdam\r";
+
+    /// The key contract: for any split plan and any input chunking,
+    /// concatenating ranged storlet outputs equals filtering each record
+    /// exactly once — identical to the `aligned_slice` reference
+    /// implementation, and to planner-cut pre-aligned windows.
     #[test]
     fn ranged_invocations_match_aligned_slices() {
         let header: Vec<String> = SCHEMA.split(',').map(str::to_string).collect();
         let spec = spec();
-        for chunk_size in [16u64, 23, 40, 64, 200] {
-            let mut combined = String::new();
-            let mut reference = Vec::new();
-            for (s, e) in plan_splits(DATA.len() as u64, chunk_size) {
-                // Reference: aligned slice, filtered (header only in split 0).
-                let slice = aligned_slice(DATA, s, e);
-                let spec_for_split = PushdownSpec {
-                    has_header: spec.has_header && s == 0,
-                    ..spec.clone()
-                };
-                let (r, _) = filter_buffer(&spec_for_split, &header, slice, true).unwrap();
-                reference.extend_from_slice(&r);
-                // Storlet: inclusive-end range [s, e-1].
-                let (out, _) = invoke_range(DATA, &spec, s, Some(e - 1), 11);
-                combined.push_str(&out);
+        let mut seed = 7u64;
+        let mut read = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            1 + (seed >> 33) as usize % 48
+        };
+        for data in [DATA, RAGGED] {
+            let (whole, _) = filter_buffer(&spec, &header, data, true).unwrap();
+            for chunk_size in [16u64, 23, 40, 64, 200] {
+                let mut combined = Vec::new();
+                let mut reference = Vec::new();
+                for (s, e) in plan_splits(data.len() as u64, chunk_size) {
+                    // Reference: aligned slice, filtered (header only in split 0).
+                    let slice = aligned_slice(data, s, e);
+                    let spec_for_split = PushdownSpec {
+                        has_header: spec.has_header && s == 0,
+                        ..spec.clone()
+                    };
+                    let (r, _) = filter_buffer(&spec_for_split, &header, slice, true).unwrap();
+                    reference.extend_from_slice(&r);
+                    // Storlet: inclusive-end range [s, e-1].
+                    let (out, _) = invoke(data, &spec, s, Some(e - 1), false, read());
+                    combined.extend_from_slice(&out);
+                }
+                assert_eq!(combined, reference, "chunk_size={chunk_size}");
+                assert_eq!(combined, whole, "chunk_size={chunk_size}");
             }
-            assert_eq!(
-                combined.as_bytes(),
-                &reference[..],
-                "chunk_size={chunk_size}"
+            // Windows cut on record starts, as the block planner cuts them:
+            // each past the first is pre-aligned and owns its first record.
+            let starts: Vec<usize> = std::iter::once(0)
+                .chain((1..data.len()).filter(|&i| data[i - 1] == b'\n'))
+                .collect();
+            for every in 1..=3 {
+                let mut cuts: Vec<usize> = starts.iter().step_by(every).copied().collect();
+                cuts.push(data.len());
+                let mut combined = Vec::new();
+                for w in cuts.windows(2) {
+                    let (a, b) = (w[0], w[1]);
+                    let (out, _) =
+                        invoke(&data[..b], &spec, a as u64, Some(b as u64 - 1), a > 0, read());
+                    combined.extend_from_slice(&out);
+                }
+                assert_eq!(combined, whole, "every {every}th record start");
+            }
+        }
+    }
+
+    /// The counters of ranged invocations over a 400-record object, pinned
+    /// to what the storlet published when it split records itself.
+    #[test]
+    fn invocation_metrics_are_pinned() {
+        let mut data = b"vid,date,index,city\n".to_vec();
+        for i in 0..400 {
+            let city = ["Rotterdam", "Paris", "Utrecht"][i % 3];
+            data.extend_from_slice(
+                format!("m{i},2015-0{}-{:02},{i}.5,{city}\n", 1 + i % 3, 1 + i % 28).as_bytes(),
             );
         }
+        let spec = PushdownSpec {
+            columns: Some(vec!["vid".into(), "index".into()]),
+            predicate: Some(Predicate::And(
+                Box::new(Predicate::Eq("city".into(), Value::Str("Rotterdam".into()))),
+                Box::new(Predicate::Like("date".into(), "2015-01%".into())),
+            )),
+            has_header: true,
+        };
+        let counters: Vec<[u64; 4]> = [(0, None), (0, Some(4999)), (3000, Some(8999)), (9000, None)]
+            .into_iter()
+            .map(|(start, end)| {
+                let (_, m) = invoke(&data, &spec, start, end, false, 4096);
+                [&m.records_in, &m.records_out, &m.bytes_in, &m.bytes_out]
+                    .map(|c| c.load(Ordering::Relaxed))
+            })
+            .collect();
+        // [records_in, records_out, bytes_in, bytes_out] per range.
+        let pinned = [
+            [400, 134, 11802, 1398],
+            [174, 58, 8192, 562],
+            [200, 67, 8192, 737],
+            [93, 31, 2802, 341],
+        ];
+        assert_eq!(counters, pinned);
     }
 
     #[test]

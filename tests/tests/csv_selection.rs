@@ -8,8 +8,11 @@
 //! SQL's over the typed column. Random Data-Sources predicates over `Str`,
 //! `Int` and `Float` columns whose fields hold the spellings that tell the
 //! two apart — `2.50`, `007`, `1e3`, text in a numeric column, empty and
-//! quoted fields, short rows, CRLF, no final newline — cut into random
-//! splits and read in random chunk sizes:
+//! quoted fields, short rows, CRLF, no final newline — and the ones that
+//! tell raw bytes from their lossy text — `é`, invalid UTF-8 (`\xFF`, a
+//! truncated `\xC3`), U+FFFD itself, in fields, literals and `LIKE`
+//! patterns with `_` — cut into random splits and read in random chunk
+//! sizes:
 //!
 //! * selected scan, then WHERE ≡ full typed scan (`CsvReader`, no
 //!   `CompiledSpec` anywhere), then WHERE ≡ pushdown, then residual;
@@ -45,21 +48,64 @@ fn schema() -> Schema {
 }
 
 /// Field spellings per column type, as they stand in the file.
-const STR_FIELDS: [&str; 12] = [
-    "", "a", "ab", "Rot", "2.5", "2.50", "007", "5", "\"x,y\"", "\"say \"\"hi\"\"\"", "\"\"",
-    "\"a\"",
+const STR_FIELDS: [&[u8]; 19] = [
+    b"",
+    b"a",
+    b"ab",
+    b"Rot",
+    b"2.5",
+    b"2.50",
+    b"007",
+    b"5",
+    b"\"x,y\"",
+    b"\"say \"\"hi\"\"\"",
+    b"\"\"",
+    b"\"a\"",
+    "é".as_bytes(),
+    "café".as_bytes(),
+    "\"é,\"".as_bytes(),
+    "\u{FFFD}".as_bytes(),
+    b"\xFF",
+    b"caf\xC3",
+    b"\xC3\xA9\xFF",
 ];
-const INT_FIELDS: [&str; 10] =
-    ["", "2", "007", "-3", "1000", "2.50", "1e3", "abc", "\"12\"", "99999999999999999999"];
-const FLOAT_FIELDS: [&str; 11] =
-    ["", "2.5", "2.50", "1e3", "1000", "007", "-0.5", "abc", "\"2.5\"", "\"1,5\"", "NaN"];
+const INT_FIELDS: [&[u8]; 12] = [
+    b"",
+    b"2",
+    b"007",
+    b"-3",
+    b"1000",
+    b"2.50",
+    b"1e3",
+    b"abc",
+    b"\"12\"",
+    b"99999999999999999999",
+    b"2\xFF",
+    "é".as_bytes(),
+];
+const FLOAT_FIELDS: [&[u8]; 13] = [
+    b"",
+    b"2.5",
+    b"2.50",
+    b"1e3",
+    b"1000",
+    b"007",
+    b"-0.5",
+    b"abc",
+    b"\"2.5\"",
+    b"\"1,5\"",
+    b"NaN",
+    b"\xC3",
+    "2.5\u{FFFD}".as_bytes(),
+];
 
 /// A CSV object with a header and up to 24 records: mostly full rows, some
 /// short, some with an extra field, `\n` or `\r\n` per line, and the last
 /// line's terminator sometimes missing.
 fn object(rng: &mut Lcg) -> Bytes {
-    let eol = |rng: &mut Lcg| if rng.below(3) == 0 { "\r\n" } else { "\n" };
-    let mut out = format!("s,t,i,f{}", eol(rng));
+    let eol = |rng: &mut Lcg| -> &[u8] { if rng.below(3) == 0 { b"\r\n" } else { b"\n" } };
+    let mut out = b"s,t,i,f".to_vec();
+    out.extend_from_slice(eol(rng));
     for _ in 0..rng.below(25) {
         let mut fields = vec![
             *rng.pick(&STR_FIELDS),
@@ -69,15 +115,16 @@ fn object(rng: &mut Lcg) -> Bytes {
         ];
         match rng.below(8) {
             0 => fields.truncate(1 + rng.below(3)),
-            1 => fields.push("extra"),
+            1 => fields.push(b"extra"),
             _ => {}
         }
-        out.push_str(&fields.join(","));
-        out.push_str(eol(rng));
+        out.extend_from_slice(&fields.join(&b","[..]));
+        out.extend_from_slice(eol(rng));
     }
     if rng.below(3) == 0 {
-        let trimmed = out.trim_end_matches(['\r', '\n']).len();
-        out.truncate(trimmed);
+        while out.last().is_some_and(|b| matches!(b, b'\r' | b'\n')) {
+            out.pop();
+        }
     }
     Bytes::from(out)
 }
@@ -87,8 +134,11 @@ fn literal(rng: &mut Lcg) -> Value {
         0..=2 => Value::Int(*rng.pick(&[-3, 0, 2, 7, 1000])),
         3..=5 => Value::Float(*rng.pick(&[2.5, -0.5, 1000.0, 7.0, f64::NAN])),
         6..=8 => Value::Str(
-            (*rng.pick(&["", "a", "2.5", "2.50", "007", "1e3", "x,y", "Rot", "1000.0", "say \"hi\""]))
-                .into(),
+            (*rng.pick(&[
+                "", "a", "2.5", "2.50", "007", "1e3", "x,y", "Rot", "1000.0", "say \"hi\"", "é",
+                "café", "\u{FFFD}", "caf\u{FFFD}", "é,",
+            ]))
+            .into(),
         ),
         _ => Value::Null,
     }
@@ -106,7 +156,9 @@ fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
         };
     }
     let c = rng.pick(&COLUMNS).to_string();
-    let text = |rng: &mut Lcg| rng.pick(&["a", "2.5", "1", "0", "Rot", "x,y", ""]).to_string();
+    let text = |rng: &mut Lcg| {
+        rng.pick(&["a", "2.5", "1", "0", "Rot", "x,y", "", "é", "caf", "\u{FFFD}"]).to_string()
+    };
     match rng.below(13) {
         0 => Predicate::Eq(c, literal(rng)),
         1 => Predicate::Ne(c, literal(rng)),
@@ -114,7 +166,14 @@ fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
         3 => Predicate::Le(c, literal(rng)),
         4 => Predicate::Gt(c, literal(rng)),
         5 => Predicate::Ge(c, literal(rng)),
-        6 => Predicate::Like(c, rng.pick(&["2.5", "1000%", "%5", "a%", "_", "%", "2._0", "%0"]).to_string()),
+        6 => Predicate::Like(
+            c,
+            rng.pick(&[
+                "2.5", "1000%", "%5", "a%", "_", "%", "2._0", "%0", "caf_", "%é", "_\u{FFFD}",
+                "%\u{FFFD}%", "__", "é%",
+            ])
+            .to_string(),
+        ),
         7 => Predicate::StartsWith(c, text(rng)),
         8 => Predicate::EndsWith(c, text(rng)),
         9 => Predicate::Contains(c, text(rng)),
