@@ -24,7 +24,10 @@
 //!   computes for what it stores, over the same object;
 //! * `storlet_table1_filter` — the `csvfilter` storlet through
 //!   `StorletEngine::invoke` with each Table I query's pushdown spec, in
-//!   1 MiB ranged invocations over that object, per byte scanned.
+//!   1 MiB ranged invocations over that object, per byte scanned;
+//! * `compute_sql_groups` — the two-phase aggregator where every row makes a
+//!   group: ShowMapHeatmonth over January of the `queryplane` fleet, eight
+//!   partials merged in task order and finalized, per byte of CSV.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -93,6 +96,12 @@ const BASELINE_ETAG_MBS: f64 = 1570.7;
 /// buffer); same kernel, commit and machine rule as above (median of five
 /// runs alternated with the change's).
 const BASELINE_TABLE1_FILTER_MBS: f64 = 777.3;
+/// The aggregator before its flat group table (a `HashMap` from an owned key
+/// to a group holding its own accumulator vector and a cloned representative
+/// row; merge re-hashed every group, finalize sorted `(key, row)` pairs);
+/// same kernel, commit and machine rule as above (median of five runs
+/// alternated with the change's).
+const BASELINE_SQL_GROUPS_MBS: f64 = 98.3;
 /// CI gate: fail when current throughput drops below 70% of the recorded one.
 const REGRESSION_FLOOR: f64 = 0.7;
 
@@ -483,6 +492,71 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         bytes: scanned,
         mb_per_s: mbs(scanned as usize, secs),
         baseline_mb_per_s: Some(BASELINE_TABLE1_FILTER_MBS),
+    });
+
+    // 10. The aggregator where every row makes a group, as a session runs
+    //     it: ShowMapHeatmonth (Table I) groups by day and meter, over the
+    //     January of the `queryplane` fleet (seed 42, reporting daily; 200
+    //     meters in a full run, scaled with `rows` to 40 in `--quick`),
+    //     typed and projected to the query's scan schema. Eight tasks each
+    //     fold their share into a partial, the partials merge in task order,
+    //     and the result is finalized. The rate is per byte of the CSV.
+    let heatmonth = scoop_workload::table1_queries()
+        .into_iter()
+        .find(|q| q.name == "ShowMapHeatmonth")
+        .expect("ShowMapHeatmonth is in Table I")
+        .sql;
+    let meters = (rows / 750).max(2);
+    let january = scoop_workload::MeterDataset::new(&scoop_workload::GeneratorConfig {
+        seed: 42,
+        meters,
+        interval_minutes: 1440,
+        ..Default::default()
+    })
+    .csv_object(31 * meters);
+    let query = scoop_sql::parse(&heatmonth).expect("parse");
+    let plan = scoop_sql::catalyst::plan_query(&query, &schema, false).expect("plan");
+    let scan: Vec<usize> = plan
+        .scan_schema
+        .names()
+        .iter()
+        .map(|name| schema.resolve(name).expect("scan column"))
+        .collect();
+    let typed: Vec<Vec<Value>> =
+        CsvReader::new(scoop_common::stream::once(january.clone()), schema.clone(), true)
+            .map(|row| {
+                let row = row.expect("generated CSV parses");
+                scan.iter().map(|&i| row[i].clone()).collect()
+            })
+            .collect();
+    let filter =
+        RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema).expect("bind WHERE");
+    let task_rows = typed.len().div_ceil(8);
+    // One round takes a few milliseconds, so a sample is several of them.
+    const ROUNDS: usize = 8;
+    let secs = best_of(iters, || {
+        let mut out_rows = 0u64;
+        for _ in 0..ROUNDS {
+            let agg = Aggregator::new(&query, &plan.scan_schema).expect("bind aggregate");
+            let mut merged = agg.make_partial();
+            for task in typed.chunks(task_rows) {
+                let mut partial = agg.make_partial();
+                for row in task {
+                    if filter.passes(row).expect("filter") {
+                        agg.update(&mut partial, row).expect("update");
+                    }
+                }
+                agg.merge(&mut merged, partial);
+            }
+            out_rows += agg.finalize(merged).expect("finalize").len() as u64;
+        }
+        black_box(out_rows)
+    });
+    results.push(BenchResult {
+        name: "compute_sql_groups",
+        bytes: (january.len() * ROUNDS) as u64,
+        mb_per_s: mbs(january.len() * ROUNDS, secs),
+        baseline_mb_per_s: Some(BASELINE_SQL_GROUPS_MBS),
     });
 
     results

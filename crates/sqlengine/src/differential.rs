@@ -10,7 +10,7 @@
 
 use crate::ast::{AggFunc, BinOp, Expr, Query};
 use crate::bound::{bind, RowFilter};
-use crate::exec::{execute_with_where, Aggregator, ResultSet};
+use crate::exec::{execute_with_where, Aggregator, PartialAgg, ResultSet};
 use crate::parser::parse;
 use crate::reference;
 use proptest::prelude::*;
@@ -324,19 +324,107 @@ fn meter_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     proptest::collection::vec(row, 0..60)
 }
 
-/// WHERE per chunk, partial aggregate per chunk, merge, finalize: what the
-/// compute session does with one task per chunk.
-fn two_phase(query: &Query, schema: &Schema, rows: &[Vec<Value>], chunk: usize) -> ResultSet {
-    let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
-    let agg = Aggregator::new(query, schema).unwrap();
-    let mut merged = agg.make_partial();
-    for part in rows.chunks(chunk) {
-        let mut partial = agg.make_partial();
-        for row in part {
-            if filter.passes(row).unwrap() {
-                agg.update(&mut partial, row).unwrap();
+/// Table-scale rows: up to 80 meters reporting hourly on up to 31 days, so
+/// hundreds to a few thousand distinct `(SUBSTRING(date, 0, 10), vid)`
+/// groups and a group index that grows several times. Everything but the
+/// readings is a function of the meter, so partials merged in any order
+/// agree on `first_value`. Meters 0–4 have awkward ids: NULL, NaN, `-0.0`,
+/// zero as `Int(0)` or `Float(0.0)`, and two as `Int(2)` or `Float(2.0)`;
+/// each equal pair is one group.
+///
+/// Also yields a chunk size and the order the chunks' partials merge in,
+/// `None` standing for an empty partial: shuffled, with empty partials first
+/// and in between, as a session's tasks may finish.
+struct Table;
+
+impl Strategy for Table {
+    type Value = (Vec<Vec<Value>>, usize, Vec<Option<usize>>);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        const PLACES: [(&str, &str); 4] =
+            [("Rotterdam", "NLD"), ("Paris", "FRA"), ("Utica", "USA"), ("Zürich", "CHE")];
+        let (meters, days) = (rng.usize_in(8, 81), rng.usize_in(10, 32));
+        let reading = |rng: &mut TestRng| match rng.below(20) {
+            0 => Value::Null,
+            _ => Value::Float(rng.below(400) as f64 / 2.0 - 100.0),
+        };
+        let rows: Vec<Vec<Value>> = (0..rng.usize_in(200, 3001))
+            .map(|_| {
+                let m = rng.usize_in(0, meters);
+                let vid = match m {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Float(-0.0),
+                    3 if rng.below(2) == 0 => Value::Int(0),
+                    3 => Value::Float(0.0),
+                    4 if rng.below(2) == 0 => Value::Int(2),
+                    4 => Value::Float(2.0),
+                    m => Value::Str(format!("M{m:05}").into()),
+                };
+                let month = 1 + u32::from(rng.below(8) == 0);
+                let (day, hour) = (rng.usize_in(1, days + 1), rng.below(24));
+                let (city, state) = PLACES[m % PLACES.len()];
+                let s = |text: &str| Value::Str(text.into());
+                vec![
+                    vid,
+                    s(&format!("2015-{month:02}-{day:02} {hour:02}:00:00")),
+                    reading(rng),
+                    reading(rng),
+                    reading(rng),
+                    Value::Float(m as f64 + 0.5),
+                    Value::Float(m as f64 - 0.5),
+                    s(city),
+                    s(state),
+                    s("EU"),
+                ]
+            })
+            .collect();
+        let chunk = rng.usize_in(50, 600);
+        let mut chunks: Vec<usize> = (0..rows.len().div_ceil(chunk)).collect();
+        for i in (1..chunks.len()).rev() {
+            chunks.swap(i, rng.usize_in(0, i + 1));
+        }
+        let mut order = vec![None];
+        for c in chunks {
+            order.push(Some(c));
+            if rng.below(3) == 0 {
+                order.push(None);
             }
         }
+        (rows, chunk, order)
+    }
+}
+
+/// WHERE per chunk, partial aggregate per chunk, merge, finalize: what the
+/// compute session does with one task per chunk. The partials merge in
+/// `order` (chunk numbers, `None` an empty partial), or in chunk order.
+fn two_phase(
+    query: &Query,
+    schema: &Schema,
+    rows: &[Vec<Value>],
+    chunk: usize,
+    order: Option<&[Option<usize>]>,
+) -> ResultSet {
+    let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
+    let agg = Aggregator::new(query, schema).unwrap();
+    let mut partials: Vec<Option<PartialAgg>> = rows
+        .chunks(chunk)
+        .map(|part| {
+            let mut partial = agg.make_partial();
+            for row in part {
+                if filter.passes(row).unwrap() {
+                    agg.update(&mut partial, row).unwrap();
+                }
+            }
+            Some(partial)
+        })
+        .collect();
+    let in_turn: Vec<Option<usize>> = (0..partials.len()).map(Some).collect();
+    let mut merged = agg.make_partial();
+    for chunk in order.unwrap_or(&in_turn) {
+        let partial = match chunk {
+            Some(c) => partials[*c].take().unwrap(),
+            None => agg.make_partial(),
+        };
         agg.merge(&mut merged, partial);
     }
     agg.finalize(merged).unwrap()
@@ -346,17 +434,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn single_pass_equals_two_phase_equals_reference(rows in meter_rows(), chunk in 1usize..20) {
+    fn single_pass_equals_two_phase_equals_reference(
+        rows in meter_rows(),
+        chunk in 1usize..20,
+        (table, table_chunk, merge_order) in Table,
+    ) {
         let schema = meter_schema();
         for sql in QUERIES {
             let query = parse(sql).unwrap();
             let wh = query.where_clause.as_ref();
-            let feed = || rows.clone().into_iter().map(Ok);
-            let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
-            let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
-            prop_assert_eq!(&single, &want, "{}", sql);
-            if query.is_aggregate() {
-                prop_assert_eq!(&two_phase(&query, &schema, &rows, chunk), &want, "{}", sql);
+            for (rows, chunk, order) in
+                [(&rows, chunk, None), (&table, table_chunk, Some(merge_order.as_slice()))]
+            {
+                let feed = || rows.clone().into_iter().map(Ok);
+                let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
+                let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
+                prop_assert_eq!(&single, &want, "{}", sql);
+                if query.is_aggregate() {
+                    let two = two_phase(&query, &schema, rows, chunk, order);
+                    prop_assert_eq!(&two, &want, "{}", sql);
+                }
             }
         }
     }
@@ -372,7 +469,7 @@ fn global_aggregate_over_zero_rows_agrees_everywhere() {
         let want = reference::execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
         assert_eq!(single.rows.len(), 1, "{sql}");
         assert_eq!(single, want, "{sql}");
-        assert_eq!(two_phase(&query, &schema, &[], 4), want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4, None), want, "{sql}");
     }
 }
 

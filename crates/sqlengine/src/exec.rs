@@ -18,8 +18,10 @@ use scoop_common::{Result, ScoopError};
 use scoop_csv::{Schema, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::mem;
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,28 +81,85 @@ impl ResultSet {
 /// What `COUNT(*)` folds in for every row.
 static ONE: Value = Value::Int(1);
 
-/// Per-group accumulated state.
-#[derive(Debug, Clone)]
-struct GroupState {
-    /// One accumulator per distinct aggregate call.
-    states: Vec<AggState>,
-    /// First row of the group — evaluates non-aggregate expressions
-    /// (functionally dependent on the key in well-formed queries).
-    rep_row: Vec<Value>,
-}
+/// An index slot that holds no group.
+const EMPTY: u32 = u32::MAX;
 
-/// Partial aggregation result (one worker's contribution).
+/// Partial aggregation result (one worker's contribution): a flat group
+/// table.
+///
+/// Groups are numbered in the order their first row arrived. Group `g`'s
+/// key, accumulators and representative row are the `g`th stride of
+/// `keys`, `states` and `rows`; the [`Aggregator`] fixes the strides (the
+/// `GROUP BY` arity, the number of aggregate calls, the scan-schema width).
+/// A global aggregate has key arity 0 and one group, number 0.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAgg {
-    /// group key → state, for queries with a `GROUP BY`.
-    groups: HashMap<Vec<Value>, GroupState>,
-    /// The one group of a global aggregate: no key, nothing to hash.
-    global: Option<GroupState>,
-    /// Scratch the current row's key is built in; a key is only allocated
+    /// Each group's key hash, by group number.
+    hashes: Vec<u64>,
+    /// Group keys.
+    keys: Vec<Value>,
+    /// One accumulator per distinct aggregate call, per group.
+    states: Vec<AggState>,
+    /// Each group's first row, padded with NULL to the schema width: it
+    /// evaluates the non-aggregate output expressions (functionally
+    /// dependent on the key in well-formed queries).
+    rows: Vec<Value>,
+    /// Open addressing with linear probing: group numbers by hash, [`EMPTY`]
+    /// where there is none. A power of two, at most half full.
+    index: Vec<u32>,
+    /// Scratch the current row's key is built in; it moves into `keys` only
     /// for a group's first row.
     key: Vec<Value>,
     /// Rows folded in (for accounting).
     pub rows_seen: u64,
+}
+
+impl PartialAgg {
+    fn groups(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The group whose key is `key`, which hashes to `hash`.
+    fn find(&self, hash: u64, key: &[Value]) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut slot = hash as usize & mask;
+        loop {
+            let g = match self.index[slot] {
+                EMPTY => return None,
+                g => g as usize,
+            };
+            if self.hashes[g] == hash && self.keys[g * key.len()..][..key.len()] == *key {
+                return Some(g);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Number a new group and index it under `hash`. The caller appends its
+    /// key, accumulators and row.
+    fn push_group(&mut self, hash: u64) -> usize {
+        let g = self.groups();
+        if (g + 1) * 2 > self.index.len() {
+            // Double the index and re-place every group by its stored hash.
+            self.index = vec![EMPTY; (self.index.len() * 2).max(16)];
+            for (g, &hash) in self.hashes.iter().enumerate() {
+                place(&mut self.index, hash, g);
+            }
+        }
+        self.hashes.push(hash);
+        place(&mut self.index, hash, g);
+        g
+    }
+}
+
+/// Put group `g` in the first free slot from `hash` on.
+fn place(index: &mut [u32], hash: u64, g: usize) {
+    let mask = index.len() - 1;
+    let mut slot = hash as usize & mask;
+    while index[slot] != EMPTY {
+        slot = (slot + 1) & mask;
+    }
+    index[slot] = g as u32;
 }
 
 /// Where an `ORDER BY` key comes from.
@@ -139,6 +198,11 @@ pub struct Aggregator {
     items: Vec<Bound>,
     having: Option<Bound>,
     order_by: Vec<OrderKey>,
+    /// The scan schema's width: the stride of a representative row.
+    width: usize,
+    /// Hashes group keys for every partial this aggregator makes, so a merge
+    /// finds a group by the hash its partial stored.
+    hasher: RandomState,
 }
 
 impl Aggregator {
@@ -181,6 +245,8 @@ impl Aggregator {
             items,
             having,
             order_by,
+            width: schema.len(),
+            hasher: RandomState::new(),
         })
     }
 
@@ -189,35 +255,44 @@ impl Aggregator {
         PartialAgg::default()
     }
 
-    fn new_group(&self, rep_row: &[Value]) -> GroupState {
-        GroupState {
-            states: self.calls.iter().map(|(func, _)| AggState::new(*func)).collect(),
-            rep_row: rep_row.to_vec(),
+    fn hash_key(&self, key: &[Value]) -> u64 {
+        if key.is_empty() {
+            // A global aggregate's one group: nothing to hash.
+            return 0;
         }
+        let mut h = self.hasher.build_hasher();
+        for v in key {
+            v.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Append a group keyed by `partial.key` (which it takes) with fresh
+    /// accumulators and `row` as its representative.
+    fn new_group(&self, partial: &mut PartialAgg, hash: u64, row: &[Value]) -> usize {
+        let g = partial.push_group(hash);
+        partial.keys.append(&mut partial.key);
+        partial.states.extend(self.calls.iter().map(|(func, _)| AggState::new(*func)));
+        let end = partial.rows.len() + self.width;
+        partial.rows.extend(row.iter().take(self.width).cloned());
+        partial.rows.resize(end, Value::Null);
+        g
     }
 
     /// Fold one (already WHERE-filtered) row into a partial.
     pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
         partial.rows_seen += 1;
-        if self.group_by.is_empty() {
-            let group = partial.global.get_or_insert_with(|| self.new_group(row));
-            return self.fold(group, row);
-        }
         partial.key.clear();
         for g in &self.group_by {
             partial.key.push(g.eval(row, &[])?.into_owned());
         }
-        match partial.groups.get_mut(partial.key.as_slice()) {
-            Some(group) => self.fold(group, row),
-            None => {
-                let group = partial.groups.entry(partial.key.clone());
-                self.fold(group.or_insert_with(|| self.new_group(row)), row)
-            }
-        }
-    }
-
-    fn fold(&self, group: &mut GroupState, row: &[Value]) -> Result<()> {
-        for ((_, arg), state) in self.calls.iter().zip(group.states.iter_mut()) {
+        let hash = self.hash_key(&partial.key);
+        let g = match partial.find(hash, &partial.key) {
+            Some(g) => g,
+            None => self.new_group(partial, hash, row),
+        };
+        let calls = self.calls.len();
+        for ((_, arg), state) in self.calls.iter().zip(&mut partial.states[g * calls..][..calls]) {
             match arg {
                 None => state.update(&ONE),
                 Some(a) => state.update(&*a.eval(row, &[])?),
@@ -226,82 +301,109 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Merge another partial into `into` (driver-side reduce). A group keeps
-    /// the representative row it saw first.
+    /// Merge another partial of this aggregator into `into` (driver-side
+    /// reduce). A group keeps the representative row it saw first; a group
+    /// new to `into` is numbered after the ones it has.
     pub fn merge(&self, into: &mut PartialAgg, other: PartialAgg) {
-        fn fold(dst: &mut GroupState, src: &GroupState) {
-            for (a, b) in dst.states.iter_mut().zip(&src.states) {
-                a.merge(b);
-            }
+        if into.groups() == 0 {
+            // Nothing to merge with: take the other table as it is.
+            let rows_seen = into.rows_seen;
+            *into = other;
+            into.rows_seen += rows_seen;
+            return;
         }
         into.rows_seen += other.rows_seen;
-        if let Some(src) = other.global {
-            match &mut into.global {
-                Some(dst) => fold(dst, &src),
-                None => into.global = Some(src),
-            }
-        }
-        for (key, src) in other.groups {
-            match into.groups.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert(src);
+        let (arity, calls, width) = (self.group_by.len(), self.calls.len(), self.width);
+        let mut keys = other.keys.into_iter();
+        let mut states = other.states.into_iter();
+        let mut rows = other.rows.into_iter();
+        for hash in other.hashes {
+            match into.find(hash, &keys.as_slice()[..arity]) {
+                Some(g) => {
+                    keys.by_ref().take(arity).for_each(drop);
+                    rows.by_ref().take(width).for_each(drop);
+                    let dst = &mut into.states[g * calls..][..calls];
+                    for (dst, src) in dst.iter_mut().zip(states.by_ref().take(calls)) {
+                        dst.merge(&src);
+                    }
                 }
-                Entry::Occupied(mut o) => fold(o.get_mut(), &src),
+                None => {
+                    into.push_group(hash);
+                    into.keys.extend(keys.by_ref().take(arity));
+                    into.states.extend(states.by_ref().take(calls));
+                    into.rows.extend(rows.by_ref().take(width));
+                }
             }
         }
     }
 
-    /// Finalize: evaluate output expressions per group, sort, limit.
-    pub fn finalize(&self, partial: PartialAgg) -> Result<ResultSet> {
+    /// Finalize: evaluate output expressions per group, then `DISTINCT`,
+    /// `ORDER BY` and `LIMIT`. Rows that tie on the `ORDER BY` keys come out
+    /// in group order, i.e. in the order their groups were first seen.
+    pub fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
         let columns: Vec<String> =
             self.query.items.iter().map(SelectItem::output_name).collect();
         // SQL: a global aggregate over zero rows still yields one row —
         // COUNT is 0, the other aggregates NULL.
-        let global = self
-            .group_by
-            .is_empty()
-            .then(|| partial.global.unwrap_or_else(|| self.new_group(&[])));
-        let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> =
-            Vec::with_capacity(partial.groups.len() + 1);
-        for group in global.into_iter().chain(partial.groups.into_values()) {
-            let slots: Vec<Value> = group.states.iter().map(AggState::finish).collect();
-            let row = group.rep_row.as_slice();
+        if self.group_by.is_empty() && partial.groups() == 0 {
+            self.new_group(&mut partial, self.hash_key(&[]), &[]);
+        }
+        let (calls, width, n_items) = (self.calls.len(), self.width, self.items.len());
+        let groups = partial.groups();
+        // Output values and ORDER BY keys of the groups HAVING keeps, flat.
+        let mut out: Vec<Value> = Vec::with_capacity(groups * n_items);
+        let mut sort_keys: Vec<Value> = Vec::with_capacity(groups * self.order_by.len());
+        let mut slots: Vec<Value> = Vec::with_capacity(calls);
+        let mut kept = 0;
+        for g in 0..groups {
+            let row = &partial.rows[g * width..][..width];
+            slots.clear();
+            slots.extend(partial.states[g * calls..][..calls].iter().map(AggState::finish));
             // HAVING: post-aggregation filter (truthy = keep).
             if let Some(h) = &self.having {
                 if !matches!(h.eval(row, &slots)?.as_f64(), Some(f) if f != 0.0) {
                     continue;
                 }
             }
-            let out_row: Vec<Value> = self
-                .items
-                .iter()
-                .map(|item| item.eval(row, &slots).map(Cow::into_owned))
-                .collect::<Result<_>>()?;
-            let sort_key = self
-                .order_by
-                .iter()
-                .map(|o| o.value(&out_row, row, &slots))
-                .collect::<Result<_>>()?;
-            keyed_rows.push((sort_key, out_row));
+            let start = out.len();
+            for item in &self.items {
+                out.push(item.eval(row, &slots)?.into_owned());
+            }
+            for o in &self.order_by {
+                sort_keys.push(o.value(&out[start..], row, &slots)?);
+            }
+            kept += 1;
         }
-        Ok(finish_rows(&self.query, columns, keyed_rows))
+        let order = finish_order(&self.query, kept, &sort_keys, |i| &out[i * n_items..][..n_items]);
+        let rows = order
+            .into_iter()
+            .map(|i| out[i as usize * n_items..][..n_items].iter_mut().map(mem::take).collect())
+            .collect();
+        Ok(ResultSet { columns, rows })
     }
 }
 
-/// DISTINCT, ORDER BY and LIMIT over `(sort key, output row)` pairs.
-fn finish_rows(
+/// DISTINCT, ORDER BY and LIMIT over result rows `0..n`, by number: `row(i)`
+/// is row `i`'s output, and `sort_keys` holds its ORDER BY keys,
+/// `query.order_by.len()` per row. Returns the numbers of the rows to emit,
+/// in order. DISTINCT keeps a row's first occurrence and the sort is stable,
+/// so ties keep row order.
+fn finish_order<'a>(
     query: &Query,
-    columns: Vec<String>,
-    mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)>,
-) -> ResultSet {
+    n: usize,
+    sort_keys: &[Value],
+    row: impl Fn(usize) -> &'a [Value],
+) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
     if query.distinct {
-        // Keep the first occurrence of each output row.
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        keyed_rows.retain(|(_, row)| seen.insert(row.clone()));
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(n);
+        order.retain(|&i| seen.insert(row(i as usize)));
     }
-    if !query.order_by.is_empty() {
-        keyed_rows.sort_by(|(a, _), (b, _)| {
-            for ((x, y), o) in a.iter().zip(b.iter()).zip(&query.order_by) {
+    let width = query.order_by.len();
+    if width > 0 {
+        let key = |i: u32| &sort_keys[i as usize * width..][..width];
+        order.sort_by(|&a, &b| {
+            for ((x, y), o) in key(a).iter().zip(key(b)).zip(&query.order_by) {
                 let ord = x.total_cmp(y);
                 let ord = if o.desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
@@ -311,10 +413,10 @@ fn finish_rows(
             Ordering::Equal
         });
     }
-    if let Some(n) = query.limit {
-        keyed_rows.truncate(n);
+    if let Some(limit) = query.limit {
+        order.truncate(limit);
     }
-    ResultSet { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() }
+    order
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +472,8 @@ pub fn execute_with_where(
             })
         })
         .collect::<Result<_>>()?;
-    let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    let mut sort_keys: Vec<Value> = Vec::new();
     for row in rows {
         let row = row?;
         if !filter.passes(&row)? {
@@ -382,13 +485,14 @@ pub fn execute_with_where(
                 items.iter().map(|i| i.eval(&row, &[]).map(Cow::into_owned)).collect()
             })
             .transpose()?;
-        let sort_key = order_by
-            .iter()
-            .map(|o| o.value(projected.as_deref().unwrap_or(&row), &row, &[]))
-            .collect::<Result<_>>()?;
-        keyed_rows.push((sort_key, projected.unwrap_or(row)));
+        for o in &order_by {
+            sort_keys.push(o.value(projected.as_deref().unwrap_or(&row), &row, &[])?);
+        }
+        out.push(projected.unwrap_or(row));
     }
-    Ok(finish_rows(query, columns, keyed_rows))
+    let order = finish_order(query, out.len(), &sort_keys, |i| &out[i]);
+    let rows = order.into_iter().map(|i| mem::take(&mut out[i as usize])).collect();
+    Ok(ResultSet { columns, rows })
 }
 
 #[cfg(test)]
@@ -563,6 +667,42 @@ mod tests {
         }
         let two_phase = agg.finalize(merged).unwrap();
         assert_eq!(two_phase, single);
+    }
+
+    #[test]
+    fn ties_come_out_in_first_seen_order() {
+        // Sixty meters first seen in a scrambled order; every third one
+        // seen twice. ORDER BY n ties within each count.
+        let schema = schema();
+        let vids: Vec<String> = (0..60).map(|i| format!("m{:02}", i * 37 % 60)).collect();
+        let rows: Vec<Vec<Value>> = vids
+            .iter()
+            .chain(vids.iter().step_by(3))
+            .map(|vid| vec![Value::Str(vid.as_str().into())])
+            .collect();
+        let group = |vid: &String, n: i64| vec![Value::Str(vid.as_str().into()), Value::Int(n)];
+        let once = vids.iter().enumerate().filter(|(i, _)| i % 3 != 0).map(|(_, v)| group(v, 1));
+        let twice = vids.iter().step_by(3).map(|v| group(v, 2));
+        let want: Vec<Vec<Value>> = once.chain(twice).collect();
+
+        let q = parse("SELECT vid, count(*) as n FROM t GROUP BY vid ORDER BY n").unwrap();
+        let single = execute(&q, &schema, rows.iter().cloned().map(Ok)).unwrap();
+        assert_eq!(single.rows, want);
+        // Two aggregators hash with different seeds; the order must not care,
+        // nor how the rows are split into partials.
+        for agg in [Aggregator::new(&q, &schema).unwrap(), Aggregator::new(&q, &schema).unwrap()] {
+            for chunk in 1..=rows.len() {
+                let mut merged = agg.make_partial();
+                for part in rows.chunks(chunk) {
+                    let mut partial = agg.make_partial();
+                    for row in part {
+                        agg.update(&mut partial, row).unwrap();
+                    }
+                    agg.merge(&mut merged, partial);
+                }
+                assert_eq!(agg.finalize(merged).unwrap(), single, "chunks of {chunk}");
+            }
+        }
     }
 
     #[test]
