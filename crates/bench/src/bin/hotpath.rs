@@ -2,12 +2,13 @@
 //!
 //! Measures the four data-plane paths the zero-copy rework targets and
 //! compares the two calibration paths against the pre-rework seed numbers
-//! recorded in `repro_output.txt` (storlet CSV filter 86 MB/s, compute CSV
-//! parse 43 MB/s):
+//! (storlet CSV filter 86 MB/s, compute CSV parse 43 MB/s):
 //!
 //! * `storlet_csv_filter` — `filter_buffer` with the Fig. 5 projection and
 //!   `city LIKE 'Rot%'` predicate over generated meter CSV;
-//! * `compute_csv_parse`  — `CsvReader` typed parsing of the full schema;
+//! * `compute_csv_parse`  — `CsvReader` typed parsing of the full schema
+//!   (these two kernels live in `scoop_bench`, and `repro calibration`
+//!   reports the same functions timed the same way);
 //! * `record_split`       — bare record splitting (the SWAR scanner alone);
 //! * `columnar_decode`    — the columnar scan a query runs: ShowMapCons'
 //!   projection and pushed predicate through `read_rows_selected`, then the
@@ -36,10 +37,9 @@
 //! ```
 //!
 //! `--quick` shrinks the dataset and iteration count for CI smoke runs.
-//! `--check FILE` validates the committed JSON (parseable, every bench
+//! `--check [FILE]` validates the recorded JSON (parseable, every bench
 //! present) and fails when any current throughput regresses more than 30%
-//! below the recorded number. Throughputs are decimal MB/s, matching the
-//! `repro` calibration output.
+//! below the recorded number. Throughputs are decimal MB/s.
 //!
 //! `--overhead-gate PCT` additionally runs the storlet filter path twice —
 //! once instrumented exactly like the production data path (a span per
@@ -48,7 +48,9 @@
 //! the stub's throughput. Both variants are monomorphized over the same
 //! generic loop, so the comparison isolates the telemetry calls themselves.
 
-use bytes::Bytes;
+use scoop_bench::{
+    best_of, compute_csv_parse, fig5_pushdown, mbs, storlet_csv_filter, Row, HOTPATH,
+};
 use scoop_columnar::{ColumnarReader, ColumnarWriter};
 use scoop_common::hash::fingerprint_hex;
 use scoop_compute::csv_relation::CsvRelation;
@@ -57,7 +59,7 @@ use scoop_compute::MemoryConnector;
 use scoop_csv::filter::filter_buffer;
 use scoop_csv::record::RecordSplitter;
 use scoop_csv::split::plan_splits;
-use scoop_csv::{CsvReader, Predicate, PushdownSpec, Value};
+use scoop_csv::{CsvReader, PushdownSpec, Value};
 use scoop_objectstore::objserver::RESPONSE_CHUNK;
 use scoop_sql::exec::Aggregator;
 use scoop_sql::RowFilter;
@@ -65,9 +67,8 @@ use scoop_storlets::{InvocationContext, StorletEngine};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
-/// Seed calibration of the per-byte implementation (repro_output.txt).
+/// The seed's `repro calibration` of the per-byte implementation.
 const BASELINE_FILTER_MBS: f64 = 86.0;
 const BASELINE_PARSE_MBS: f64 = 43.0;
 /// The name-resolving tree walker the bound evaluator replaced, measured with
@@ -102,63 +103,42 @@ const BASELINE_TABLE1_FILTER_MBS: f64 = 777.3;
 /// same kernel, commit and machine rule as above (median of five runs
 /// alternated with the change's).
 const BASELINE_SQL_GROUPS_MBS: f64 = 98.3;
-/// CI gate: fail when current throughput drops below 70% of the recorded one.
-const REGRESSION_FLOOR: f64 = 0.7;
 
-const DEFAULT_JSON: &str = "BENCH_hotpath.json";
-
-struct BenchResult {
-    name: &'static str,
-    bytes: u64,
-    mb_per_s: f64,
-    baseline_mb_per_s: Option<f64>,
-}
-
-impl BenchResult {
-    fn speedup(&self) -> Option<f64> {
-        self.baseline_mb_per_s.map(|b| self.mb_per_s / b)
-    }
+/// A row of `BENCH_hotpath.json`: `bytes` in `secs`, against the
+/// implementation it replaced where that was measured.
+fn row(name: &str, bytes: usize, secs: f64, baseline: Option<f64>) -> Row {
+    let mb_per_s = mbs(bytes, secs);
+    let or_null = |v: Option<f64>, digits: usize| {
+        v.map_or_else(|| "null".to_string(), |v| format!("{v:.digits$}"))
+    };
+    Row::new(name)
+        .with("bytes", bytes)
+        .rate(mb_per_s)
+        .with("baseline_mb_per_s", or_null(baseline, 1))
+        .with("speedup_vs_baseline", or_null(baseline.map(|b| mb_per_s / b), 2))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let write = args.iter().any(|a| a == "--write");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| DEFAULT_JSON.into()));
-    let overhead_gate = args
-        .iter()
-        .position(|a| a == "--overhead-gate")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<f64>().ok())
-                .expect("--overhead-gate needs a percentage, e.g. --overhead-gate 3")
-        });
+    let args = HOTPATH.args();
+    let overhead_gate = args.has("--overhead-gate").then(|| {
+        args.value("--overhead-gate")
+            .and_then(|v| v.parse::<f64>().ok())
+            .expect("--overhead-gate needs a percentage, e.g. --overhead-gate 3")
+    });
 
-    let (rows, iters) = if quick { (30_000, 3) } else { (150_000, 5) };
+    let (rows, iters) = if args.quick { (30_000, 3) } else { (150_000, 5) };
     let results = run_benches(rows, iters);
 
-    println!("hot-path throughput ({} mode):", if quick { "quick" } else { "full" });
+    println!("hot-path throughput ({} mode):", args.mode());
     for r in &results {
-        match r.speedup() {
-            Some(s) => println!(
-                "  {:<20} {:>8.1} MB/s  ({:>5.1}x vs {:.0} MB/s baseline)",
-                r.name,
-                r.mb_per_s,
-                s,
-                r.baseline_mb_per_s.unwrap_or(0.0)
-            ),
-            None => println!("  {:<20} {:>8.1} MB/s", r.name, r.mb_per_s),
-        }
+        let baseline = r.get("baseline_mb_per_s").and_then(|b| b.parse::<f64>().ok());
+        let vs = baseline.map_or(String::new(), |b| {
+            format!("  ({:>5.1}x vs {b:.0} MB/s baseline)", r.mb_per_s / b)
+        });
+        println!("  {:<20} {:>8.1} MB/s{vs}", r.name, r.mb_per_s);
     }
 
-    if write {
-        let json = render_json(&results, quick);
-        std::fs::write(DEFAULT_JSON, json).expect("write BENCH_hotpath.json");
-        println!("wrote {DEFAULT_JSON}");
-    }
+    HOTPATH.finish(&args, &[], &results, |_| Ok(()));
 
     if let Some(pct) = overhead_gate {
         match run_overhead_gate(rows, iters, pct) {
@@ -169,28 +149,13 @@ fn main() {
             }
         }
     }
-
-    if let Some(path) = check {
-        match check_against(&results, &path) {
-            Ok(msgs) => {
-                for m in msgs {
-                    println!("  {m}");
-                }
-                println!("bench-smoke: OK ({path})");
-            }
-            Err(e) => {
-                eprintln!("bench-smoke: FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Benches
 // ---------------------------------------------------------------------------
 
-fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
+fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     let mut gen = scoop_workload::MeterDataset::new(&scoop_workload::GeneratorConfig {
         seed: 7,
         meters: 100,
@@ -204,43 +169,12 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
     let mut results = Vec::new();
 
     // 1. Storlet-side filter: projection + predicate, raw-slice emission.
-    let spec = PushdownSpec {
-        columns: Some(vec!["vid".into(), "index".into()]),
-        predicate: Some(Predicate::StartsWith("city".into(), "Rot".into())),
-        has_header: true,
-    };
-    let secs = best_of(iters, || {
-        let (out, _) = filter_buffer(&spec, &header, &csv, true).expect("filter");
-        black_box(out.len()) as u64
-    });
-    results.push(BenchResult {
-        name: "storlet_csv_filter",
-        bytes: csv.len() as u64,
-        mb_per_s: mbs(csv.len(), secs),
-        baseline_mb_per_s: Some(BASELINE_FILTER_MBS),
-    });
+    let secs = best_of(iters, || storlet_csv_filter(&csv));
+    results.push(row("storlet_csv_filter", csv.len(), secs, Some(BASELINE_FILTER_MBS)));
 
     // 2. Compute-side typed parse of every field.
-    let secs = best_of(iters, || {
-        let reader = CsvReader::new(
-            scoop_common::stream::once(Bytes::from(csv.clone())),
-            schema.clone(),
-            true,
-        );
-        let mut n = 0u64;
-        for r in reader {
-            if r.is_ok() {
-                n += 1;
-            }
-        }
-        black_box(n)
-    });
-    results.push(BenchResult {
-        name: "compute_csv_parse",
-        bytes: csv.len() as u64,
-        mb_per_s: mbs(csv.len(), secs),
-        baseline_mb_per_s: Some(BASELINE_PARSE_MBS),
-    });
+    let secs = best_of(iters, || compute_csv_parse(&csv));
+    results.push(row("compute_csv_parse", csv.len(), secs, Some(BASELINE_PARSE_MBS)));
 
     // 3. Bare record splitting — the SWAR scanner with zero-copy emission.
     let secs = best_of(iters, || {
@@ -250,12 +184,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         sp.finish(|_| n += 1);
         black_box(n)
     });
-    results.push(BenchResult {
-        name: "record_split",
-        bytes: csv.len() as u64,
-        mb_per_s: mbs(csv.len(), secs),
-        baseline_mb_per_s: None,
-    });
+    results.push(row("record_split", csv.len(), secs, None));
 
     // 4. The columnar scan of a Table I query, as a session task runs it:
     //    open, read with ShowMapCons' projection and pushed predicate, apply
@@ -306,12 +235,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         }
         black_box(kept)
     });
-    results.push(BenchResult {
-        name: "columnar_decode",
-        bytes: fetched,
-        mb_per_s: mbs(fetched as usize, secs),
-        baseline_mb_per_s: Some(BASELINE_COLUMNAR_MBS),
-    });
+    results.push(row("columnar_decode", fetched as usize, secs, Some(BASELINE_COLUMNAR_MBS)));
 
     // 5. Compute-side SQL over pre-typed rows, as a session task runs it:
     //    bind once, then filter and fold every row into a partial aggregate,
@@ -363,12 +287,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         }
         black_box(out_rows)
     });
-    results.push(BenchResult {
-        name: "compute_sql_exec",
-        bytes: sql_bytes as u64,
-        mb_per_s: mbs(sql_bytes, secs),
-        baseline_mb_per_s: Some(BASELINE_SQL_EXEC_MBS),
-    });
+    results.push(row("compute_sql_exec", sql_bytes, secs, Some(BASELINE_SQL_EXEC_MBS)));
 
     // 6. The vanilla CSV scan of the same query over the CSV the columnar
     //    file was written from, as a session task runs it: `CsvRelation`
@@ -398,12 +317,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         }
         black_box(kept)
     });
-    results.push(BenchResult {
-        name: "compute_csv_scan",
-        bytes: daily.len() as u64,
-        mb_per_s: mbs(daily.len(), secs),
-        baseline_mb_per_s: Some(BASELINE_CSV_SCAN_MBS),
-    });
+    results.push(row("compute_csv_scan", daily.len(), secs, Some(BASELINE_CSV_SCAN_MBS)));
 
     // 7. The PUT-path indexer as the proxy runs it: `zoneindex` through the
     //    storlet engine over the object a `queryplane` ingest round offers
@@ -430,24 +344,14 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
             .expect("zoneindex");
         black_box(scoop_common::stream::collect(out).expect("indexed").len()) as u64
     });
-    results.push(BenchResult {
-        name: "zoneindex_put",
-        bytes: put_object.len() as u64,
-        mb_per_s: mbs(put_object.len(), secs),
-        baseline_mb_per_s: Some(BASELINE_ZONEINDEX_MBS),
-    });
+    results.push(row("zoneindex_put", put_object.len(), secs, Some(BASELINE_ZONEINDEX_MBS)));
 
     // 8. The etag of that object; one sample is several fingerprints.
     const ETAGS: usize = 8;
     let secs = best_of(iters, || {
         (0..ETAGS).map(|_| black_box(fingerprint_hex(&put_object)).len() as u64).sum()
     });
-    results.push(BenchResult {
-        name: "etag_fingerprint",
-        bytes: (put_object.len() * ETAGS) as u64,
-        mb_per_s: mbs(put_object.len() * ETAGS, secs),
-        baseline_mb_per_s: Some(BASELINE_ETAG_MBS),
-    });
+    results.push(row("etag_fingerprint", put_object.len() * ETAGS, secs, Some(BASELINE_ETAG_MBS)));
 
     // 9. The store side of the pushed-down Table I queries, as the object
     //    server runs it: `csvfilter` through the storlet engine with each of
@@ -487,12 +391,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         }
         black_box(kept)
     });
-    results.push(BenchResult {
-        name: "storlet_table1_filter",
-        bytes: scanned,
-        mb_per_s: mbs(scanned as usize, secs),
-        baseline_mb_per_s: Some(BASELINE_TABLE1_FILTER_MBS),
-    });
+    results.push(row("storlet_table1_filter", scanned as usize, secs, Some(BASELINE_TABLE1_FILTER_MBS)));
 
     // 10. The aggregator where every row makes a group, as a session runs
     //     it: ShowMapHeatmonth (Table I) groups by day and meter, over the
@@ -552,12 +451,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
         }
         black_box(out_rows)
     });
-    results.push(BenchResult {
-        name: "compute_sql_groups",
-        bytes: (january.len() * ROUNDS) as u64,
-        mb_per_s: mbs(january.len() * ROUNDS, secs),
-        baseline_mb_per_s: Some(BASELINE_SQL_GROUPS_MBS),
-    });
+    results.push(row("compute_sql_groups", january.len() * ROUNDS, secs, Some(BASELINE_SQL_GROUPS_MBS)));
 
     results
 }
@@ -632,13 +526,7 @@ fn run_overhead_gate(rows: usize, iters: usize, pct: f64) -> Result<String, Stri
         ..Default::default()
     });
     let csv = gen.csv_object(rows).to_vec();
-    let schema = scoop_workload::generator::meter_schema();
-    let header: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
-    let spec = PushdownSpec {
-        columns: Some(vec!["vid".into(), "index".into()]),
-        predicate: Some(Predicate::StartsWith("city".into(), "Rot".into())),
-        has_header: true,
-    };
+    let (spec, header) = fig5_pushdown();
 
     // More samples than the throughput benches: a percent-level gate needs
     // the noise floor below the threshold it enforces.
@@ -664,119 +552,4 @@ fn run_overhead_gate(rows: usize, iters: usize, pct: f64) -> Result<String, Stri
     } else {
         Ok(line)
     }
-}
-
-/// Best wall-clock of `iters` runs (first run doubles as warmup).
-fn best_of(iters: usize, mut f: impl FnMut() -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64().max(1e-9));
-    }
-    best
-}
-
-fn mbs(bytes: usize, secs: f64) -> f64 {
-    bytes as f64 / 1e6 / secs
-}
-
-// ---------------------------------------------------------------------------
-// Hand-rolled JSON (the workspace deliberately carries no serde_json)
-// ---------------------------------------------------------------------------
-
-fn render_json(results: &[BenchResult], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    out.push_str("  \"unit\": \"decimal MB/s\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let baseline = match r.baseline_mb_per_s {
-            Some(b) => format!("{b:.1}"),
-            None => "null".to_string(),
-        };
-        let speedup = match r.speedup() {
-            Some(s) => format!("{s:.2}"),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"bytes\": {}, \"mb_per_s\": {:.1}, \
-             \"baseline_mb_per_s\": {}, \"speedup_vs_baseline\": {} }}{}\n",
-            r.name,
-            r.bytes,
-            r.mb_per_s,
-            baseline,
-            speedup,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extract `(name, mb_per_s)` pairs from the one-result-per-line layout
-/// `render_json` emits.
-fn parse_results(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains("\"name\"") {
-            continue;
-        }
-        let name = extract_string(line, "\"name\"")
-            .ok_or_else(|| format!("malformed result line: {line}"))?;
-        let mbs = extract_number(line, "\"mb_per_s\"")
-            .ok_or_else(|| format!("missing mb_per_s in: {line}"))?;
-        out.push((name, mbs));
-    }
-    if out.is_empty() {
-        return Err("no results found in JSON".to_string());
-    }
-    Ok(out)
-}
-
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let rest = rest.trim_start_matches([':', ' ']);
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn extract_number(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let rest = rest.trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn check_against(results: &[BenchResult], path: &str) -> Result<Vec<String>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let recorded = parse_results(&text)?;
-    let mut msgs = Vec::new();
-    for r in results {
-        let Some(&(_, rec)) = recorded.iter().find(|(n, _)| n == r.name) else {
-            return Err(format!("bench '{}' missing from {path}", r.name));
-        };
-        if r.mb_per_s < rec * REGRESSION_FLOOR {
-            return Err(format!(
-                "'{}' regressed: {:.1} MB/s vs recorded {rec:.1} MB/s (floor {:.1})",
-                r.name,
-                r.mb_per_s,
-                rec * REGRESSION_FLOOR
-            ));
-        }
-        msgs.push(format!(
-            "{:<20} {:>8.1} MB/s vs recorded {rec:.1} MB/s",
-            r.name, r.mb_per_s
-        ));
-    }
-    Ok(msgs)
 }

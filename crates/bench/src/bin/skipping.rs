@@ -17,11 +17,12 @@
 //!
 //! `--quick` trims the round count for CI smoke runs (the object is the
 //! same, so skipped ratios are directly comparable to the recorded file).
-//! `--check FILE` fails when any effective rate drops below 50% of the
+//! `--check [FILE]` fails when any effective rate drops below 50% of the
 //! recorded one, or when the 99.9%-selectivity arm reads 10% or more of the
 //! object's bytes.
 
 use bytes::Bytes;
+use scoop_bench::{best_of, mbs, reads_under, Row, SKIPPING};
 use scoop_common::headers as ch;
 use scoop_csv::{Predicate, PushdownSpec, Value};
 use scoop_objectstore::middleware::Pipeline;
@@ -30,73 +31,37 @@ use scoop_storlets::middleware::encode_params;
 use scoop_storlets::{headers, PolicyStore, StorletEngine, StorletMiddleware};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// CI gate: fail when the current effective rate drops below 50% of the
-/// recorded one.
-const REGRESSION_FLOOR: f64 = 0.5;
 /// Structural gate: the 99.9%-selectivity arm must read under this fraction
 /// of the object.
 const MAX_READ_FRACTION_999: f64 = 0.10;
 
-const DEFAULT_JSON: &str = "BENCH_skipping.json";
 const ROWS: usize = 60_000;
 const BLOCK_BYTES: u64 = 64 * 1024;
 
-struct BenchResult {
-    name: String,
-    bytes_read: u64,
-    skipped_ratio: f64,
-    mb_per_s: f64,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let write = args.iter().any(|a| a == "--write");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| DEFAULT_JSON.into()));
+    let args = SKIPPING.args();
 
-    let (rounds, passes) = if quick { (4, 2) } else { (16, 3) };
+    let (rounds, passes) = if args.quick { (4, 2) } else { (16, 3) };
     let (results, object_bytes) = run_benches(rounds, passes);
 
     println!(
         "data-skipping pushdown over a {:.1} MB zone-indexed object ({} mode):",
         object_bytes as f64 / 1e6,
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
     for r in &results {
         println!(
             "  {:<12} read {:>9} B  skipped {:>5.1}%  {:>8.1} MB/s effective",
             r.name,
-            r.bytes_read,
-            r.skipped_ratio * 100.0,
+            r.get("bytes_read").unwrap_or("?"),
+            r.get("skipped_ratio").and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.0) * 100.0,
             r.mb_per_s
         );
     }
 
-    if write {
-        let json = render_json(&results, quick, object_bytes);
-        std::fs::write(DEFAULT_JSON, json).expect("write BENCH_skipping.json");
-        println!("wrote {DEFAULT_JSON}");
-    }
-
-    if let Some(path) = check {
-        match check_against(&results, object_bytes, &path) {
-            Ok(msgs) => {
-                for m in msgs {
-                    println!("  {m}");
-                }
-                println!("bench-smoke: OK ({path})");
-            }
-            Err(e) => {
-                eprintln!("bench-smoke: FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let structural = reads_under("sel_99_9", MAX_READ_FRACTION_999, object_bytes);
+    SKIPPING.finish(&args, &[("object_bytes", object_bytes.to_string())], &results, structural);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +92,7 @@ fn spec_for(selectivity: &str) -> PushdownSpec {
     PushdownSpec { columns: None, predicate: Some(predicate), has_header: true }
 }
 
-fn run_benches(rounds: usize, passes: usize) -> (Vec<BenchResult>, u64) {
+fn run_benches(rounds: usize, passes: usize) -> (Vec<Row>, u64) {
     let cluster = SwiftCluster::new(SwiftConfig::default()).expect("cluster");
     let engine = Arc::new(StorletEngine::with_builtin_filters());
     let mut obj = Pipeline::new();
@@ -168,22 +133,11 @@ fn run_benches(rounds: usize, passes: usize) -> (Vec<BenchResult>, u64) {
         let (scanned, skipped) = query(&cluster, &enc);
         assert_eq!(scanned + skipped, object_bytes, "accounting must cover the object");
 
-        let mbs = (0..passes.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                for _ in 0..rounds {
-                    query(&cluster, &enc);
-                }
-                let secs = t0.elapsed().as_secs_f64().max(1e-9);
-                (rounds as u64 * object_bytes) as f64 / 1e6 / secs
-            })
-            .fold(0.0f64, f64::max);
-        results.push(BenchResult {
-            name: name.to_string(),
-            bytes_read: scanned,
-            skipped_ratio: skipped as f64 / object_bytes as f64,
-            mb_per_s: mbs,
-        });
+        let secs = best_of(passes, || (0..rounds).map(|_| query(&cluster, &enc).0).sum());
+        let rate = mbs(rounds * object_bytes as usize, secs);
+        let skipped_ratio = skipped as f64 / object_bytes as f64;
+        let row = Row::new(name).with("bytes_read", scanned);
+        results.push(row.with("skipped_ratio", format!("{skipped_ratio:.4}")).rate(rate));
     }
     (results, object_bytes)
 }
@@ -198,120 +152,11 @@ fn query(cluster: &Arc<SwiftCluster>, enc_params: &str) -> (u64, u64) {
     .with_header(headers::PARAMETERS, enc_params);
     let resp = client.request(req).expect("pushdown GET");
     assert_eq!(resp.status, 200, "pushdown GET failed");
-    let scanned = resp
-        .headers
-        .get(ch::SCANNED_BYTES)
-        .and_then(|v| v.parse().ok())
-        .expect("planned GET must report scanned bytes");
-    let skipped = resp
-        .headers
-        .get(ch::SKIPPED_BYTES)
-        .and_then(|v| v.parse().ok())
-        .expect("planned GET must report skipped bytes");
+    let bytes = |header: &str| -> u64 {
+        let value = resp.headers.get(header).and_then(|v| v.parse().ok());
+        value.unwrap_or_else(|| panic!("planned GET must report {header}"))
+    };
+    let accounted = (bytes(ch::SCANNED_BYTES), bytes(ch::SKIPPED_BYTES));
     resp.read_body().expect("body");
-    (scanned, skipped)
-}
-
-// ---------------------------------------------------------------------------
-// Hand-rolled JSON (the workspace deliberately carries no serde_json)
-// ---------------------------------------------------------------------------
-
-fn render_json(results: &[BenchResult], quick: bool, object_bytes: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(&format!("  \"object_bytes\": {object_bytes},\n"));
-    out.push_str("  \"unit\": \"decimal MB/s of logical object bytes per query second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"bytes_read\": {}, \"skipped_ratio\": {:.4}, \"mb_per_s\": {:.1} }}{}\n",
-            r.name,
-            r.bytes_read,
-            r.skipped_ratio,
-            r.mb_per_s,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extract `(name, mb_per_s)` pairs from the one-result-per-line layout
-/// `render_json` emits.
-fn parse_results(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains("\"name\"") {
-            continue;
-        }
-        let name = extract_string(line, "\"name\"")
-            .ok_or_else(|| format!("malformed result line: {line}"))?;
-        let mbs = extract_number(line, "\"mb_per_s\"")
-            .ok_or_else(|| format!("missing mb_per_s in: {line}"))?;
-        out.push((name, mbs));
-    }
-    if out.is_empty() {
-        return Err("no results found in JSON".to_string());
-    }
-    Ok(out)
-}
-
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let rest = rest.trim_start_matches([':', ' ']);
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn extract_number(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let rest = rest.trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn check_against(
-    results: &[BenchResult],
-    object_bytes: u64,
-    path: &str,
-) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let recorded = parse_results(&text)?;
-    let mut msgs = Vec::new();
-    for r in results {
-        let Some(&(_, rec)) = recorded.iter().find(|(n, _)| *n == r.name) else {
-            return Err(format!("bench '{}' missing from {path}", r.name));
-        };
-        if r.mb_per_s < rec * REGRESSION_FLOOR {
-            return Err(format!(
-                "'{}' regressed: {:.1} MB/s vs recorded {rec:.1} MB/s (floor {:.1})",
-                r.name,
-                r.mb_per_s,
-                rec * REGRESSION_FLOOR
-            ));
-        }
-        if r.name == "sel_99_9" {
-            let fraction = r.bytes_read as f64 / object_bytes as f64;
-            if fraction >= MAX_READ_FRACTION_999 {
-                return Err(format!(
-                    "'{}' read {:.1}% of the object (must stay under {:.0}%)",
-                    r.name,
-                    fraction * 100.0,
-                    MAX_READ_FRACTION_999 * 100.0
-                ));
-            }
-        }
-        msgs.push(format!(
-            "{:<12} {:>8.1} MB/s vs recorded {rec:.1} MB/s (skipped {:>5.1}%)",
-            r.name,
-            r.mb_per_s,
-            r.skipped_ratio * 100.0
-        ));
-    }
-    Ok(msgs)
+    accounted
 }

@@ -32,7 +32,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny: used by unit tests and Criterion benches.
+    /// Tiny: used by unit tests and `repro --quick`.
     pub fn quick() -> Scale {
         Scale {
             seed: 42,
@@ -80,7 +80,7 @@ pub struct Lab {
     pub container: String,
     /// Total CSV bytes uploaded.
     pub dataset_bytes: u64,
-    /// Concatenated uploaded data (for calibration and quick checks).
+    /// Concatenated uploaded data (what `repro calibration` times).
     pub sample_csv: Vec<u8>,
     /// A year-spanning sample of the same fleet, used for selectivity
     /// measurement (the paper's datasets span many months, so a query's
@@ -201,48 +201,6 @@ pub fn projected_speedup(dataset_bytes: u64, data_selectivity: f64) -> f64 {
     vanilla.duration / scoop.duration
 }
 
-/// Measure this machine's single-core throughput of the real storlet filter
-/// and CSV parser, for cost-model calibration reporting.
-pub fn calibrate_throughputs(sample_csv: &[u8]) -> (f64, f64) {
-    use scoop_csv::filter::filter_buffer;
-    use scoop_csv::PushdownSpec;
-    let header: Vec<String> = scoop_workload::generator::meter_schema()
-        .names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let spec = PushdownSpec {
-        columns: Some(vec!["vid".into(), "index".into()]),
-        predicate: Some(scoop_csv::Predicate::StartsWith(
-            "city".into(),
-            "Rot".into(),
-        )),
-        has_header: true,
-    };
-    let t0 = std::time::Instant::now();
-    let _ = filter_buffer(&spec, &header, sample_csv, true);
-    let filter_tp = sample_csv.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    let t0 = std::time::Instant::now();
-    let reader = scoop_csv::CsvReader::new(
-        scoop_common::stream::once(Bytes::from(sample_csv.to_vec())),
-        scoop_workload::generator::meter_schema(),
-        true,
-    );
-    let mut rows = 0usize;
-    for r in reader {
-        if r.is_ok() {
-            rows += 1;
-        }
-    }
-    let parse_tp = if rows > 0 {
-        sample_csv.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    } else {
-        0.0
-    };
-    (filter_tp, parse_tp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,8 +223,5 @@ mod tests {
     fn projection_helpers() {
         let s = projected_speedup(scoop_common::ByteSize::gb(500).as_u64(), 0.9);
         assert!(s > 5.0, "{s}");
-        let (f, p) = calibrate_throughputs(&Lab::new(&Scale::quick()).unwrap().sample_csv);
-        assert!(f > 1e6, "filter throughput {f}");
-        assert!(p > 1e6, "parse throughput {p}");
     }
 }
