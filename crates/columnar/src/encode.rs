@@ -2,7 +2,10 @@
 
 use bytes::Bytes;
 use scoop_common::{Result, ScoopError};
+use scoop_csv::predicate::Operand;
 use scoop_csv::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 // ---------------------------------------------------------------------------
 // Primitives
@@ -403,32 +406,33 @@ impl DecodedColumn {
         })
     }
 
-    /// One flag per row: `test` of the cell, `false` for a NULL. A
+    /// One flag per row: `test` of the cell, `on_null` for a NULL. A
     /// dictionary chunk runs `test` once per dictionary entry and maps the
     /// answers through the codes; the other encodings run it on the typed
     /// slice, borrowing strings. No cell becomes a [`Value`].
-    pub fn test_rows(&self, test: impl Fn(Cell<'_>) -> bool) -> Vec<bool> {
+    pub fn test_rows(&self, test: impl Fn(Cell<'_>) -> bool, on_null: bool) -> Vec<bool> {
         match &self.data {
-            ColumnData::Int(v) => self.spread(v.iter().map(|&i| test(Cell::Int(i)))),
-            ColumnData::Float(v) => self.spread(v.iter().map(|&f| test(Cell::Float(f)))),
-            ColumnData::Str(v) => self.spread(v.iter().map(|s| test(Cell::Str(s)))),
+            ColumnData::Int(v) => self.spread(v.iter().map(|&i| test(Cell::Int(i))), on_null),
+            ColumnData::Float(v) => self.spread(v.iter().map(|&f| test(Cell::Float(f))), on_null),
+            ColumnData::Str(v) => self.spread(v.iter().map(|s| test(Cell::Str(s))), on_null),
             ColumnData::Dict { dict, codes } => {
                 let hits: Vec<bool> = dict.iter().map(|s| test(Cell::Str(s))).collect();
-                if !hits.contains(&true) {
+                if !hits.contains(&true) && !on_null {
                     return vec![false; self.n_rows];
                 }
-                self.spread(codes.iter().map(|&c| hits.get(c as usize).copied().unwrap_or(false)))
+                let entries = codes.iter().map(|&c| hits.get(c as usize).copied().unwrap_or(false));
+                self.spread(entries, on_null)
             }
         }
     }
 
-    /// Re-interleave NULL rows, as `false`, into one flag per dense entry.
-    fn spread(&self, mut entries: impl Iterator<Item = bool>) -> Vec<bool> {
+    /// Re-interleave NULL rows, as `on_null`, into one flag per dense entry.
+    fn spread(&self, mut entries: impl Iterator<Item = bool>, on_null: bool) -> Vec<bool> {
         if self.is_dense() {
             return entries.collect();
         }
         (0..self.n_rows)
-            .map(|row| self.is_valid(row) && entries.next().unwrap_or(false))
+            .map(|row| if self.is_valid(row) { entries.next().unwrap_or(false) } else { on_null })
             .collect()
     }
 
@@ -450,23 +454,26 @@ pub enum Cell<'a> {
     Str(&'a str),
 }
 
-impl<'a> Cell<'a> {
-    /// [`Value::sql_cmp`] of the cell against a literal, without building
-    /// the cell's `Value`: strings in byte order, numbers as `f64`, anything
-    /// against NULL or across the two kinds incomparable.
-    pub fn sql_cmp(&self, literal: &Value) -> Option<std::cmp::Ordering> {
-        match (*self, literal) {
-            (Cell::Str(a), Value::Str(b)) => Some(a.as_bytes().cmp(b.as_bytes())),
-            (Cell::Int(i), _) => (i as f64).partial_cmp(&literal.as_f64()?),
-            (Cell::Float(f), _) => f.partial_cmp(&literal.as_f64()?),
-            (Cell::Str(_), _) => None,
+/// A cell as a predicate leaf sees it: strings in byte order, numbers as
+/// `f64`, and as its text a string as it is, a number as [`Value`] renders
+/// it.
+impl Operand for Cell<'_> {
+    fn cmp_num(&self, n: f64) -> Option<Ordering> {
+        match *self {
+            Cell::Int(i) => (i as f64).partial_cmp(&n),
+            Cell::Float(f) => f.partial_cmp(&n),
+            Cell::Str(_) => None,
         }
     }
 
-    /// The text a string operator sees: a string as it is, a number as
-    /// [`Value`] renders it.
-    pub fn text(&self) -> std::borrow::Cow<'a, [u8]> {
-        use std::borrow::Cow;
+    fn cmp_str(&self, s: &str) -> Option<Ordering> {
+        match *self {
+            Cell::Str(cell) => Some(cell.as_bytes().cmp(s.as_bytes())),
+            Cell::Int(_) | Cell::Float(_) => None,
+        }
+    }
+
+    fn text(&self) -> Cow<'_, [u8]> {
         match *self {
             Cell::Str(s) => Cow::Borrowed(s.as_bytes()),
             Cell::Int(i) => Cow::Owned(Value::Int(i).to_string().into_bytes()),

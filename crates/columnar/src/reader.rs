@@ -12,14 +12,14 @@
 //! *materialised*, never what is *fetched*: only chunk statistics, when the
 //! caller asks for them, skip a group's bytes.
 
-use crate::encode::{decode_column_batch, Cell, Cursor, DecodedColumn};
-use crate::format::{Footer, RowGroupMeta, MAGIC};
+use crate::encode::{decode_column_batch, Cursor, DecodedColumn};
+use crate::format::{ChunkMeta, Footer, RowGroupMeta, MAGIC};
 use bytes::Bytes;
+use scoop_common::zonestats::ColumnStats;
 use scoop_common::{Result, ScoopError};
-use scoop_csv::pushdown::LikePattern;
+use scoop_csv::predicate::Tree;
 use scoop_csv::{Predicate, Schema, Value};
 use std::cell::Cell as Counter;
-use std::cmp::Ordering;
 
 /// Fetch `[start, end)` of the underlying object.
 pub type FetchFn<'a> = Box<dyn Fn(u64, u64) -> Result<Bytes> + 'a>;
@@ -111,7 +111,7 @@ impl<'a> ColumnarReader<'a> {
     /// Read full rows, pruning to `columns` when given (output column order
     /// follows the request). Returns rows in file order.
     pub fn read_rows(&self, columns: Option<&[String]>) -> Result<Vec<Vec<Value>>> {
-        self.scan(columns, None, None)
+        self.scan(columns, None, true, false)
     }
 
     /// Like [`ColumnarReader::read_rows`], additionally skipping row groups
@@ -123,7 +123,7 @@ impl<'a> ColumnarReader<'a> {
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<Vec<Vec<Value>>> {
-        self.scan(columns, predicate, None)
+        self.scan(columns, predicate, true, false)
     }
 
     /// What a query runs: every group's chunks are fetched, the predicate is
@@ -139,27 +139,31 @@ impl<'a> ColumnarReader<'a> {
         predicate: Option<&Predicate>,
         skip_groups: bool,
     ) -> Result<Vec<Vec<Value>>> {
-        self.scan(columns, predicate.filter(|_| skip_groups), predicate)
+        self.scan(columns, predicate, skip_groups, true)
     }
 
-    /// The reader loop, one row group at a time. `prune` skips a group (and
-    /// its bytes) on chunk statistics; `select` drops rows of a fetched
-    /// group before they are materialized.
+    /// The reader loop, one row group at a time. With `prune`, chunk
+    /// statistics skip a group (and its bytes) the predicate cannot hold
+    /// in; with `select`, rows of a fetched group it does not hold for are
+    /// dropped before they are materialized.
     fn scan(
         &self,
         columns: Option<&[String]>,
-        prune: Option<&Predicate>,
-        select: Option<&Predicate>,
+        predicate: Option<&Predicate>,
+        prune: bool,
+        select: bool,
     ) -> Result<Vec<Vec<Value>>> {
         let schema = &self.footer.schema;
         let project: Vec<usize> = match columns {
             None => (0..schema.len()).collect(),
             Some(cols) => cols.iter().map(|c| schema.resolve(c)).collect::<Result<_>>()?,
         };
-        let mut tested = Vec::new();
-        for c in select.map(Predicate::columns).unwrap_or_default() {
-            tested.push(schema.resolve(&c)?);
-        }
+        let tree = predicate.map(|p| Tree::compile(p, &mut |name| schema.resolve(name))).transpose()?;
+        let (prune, select) = (tree.as_ref().filter(|_| prune), tree.as_ref().filter(|_| select));
+        let tested: Vec<usize> = match predicate.filter(|_| select.is_some()) {
+            Some(p) => p.columns().iter().map(|c| schema.resolve(c)).collect::<Result<_>>()?,
+            None => Vec::new(),
+        };
         // The chunks a group is read for, by schema position: the projection
         // and whatever else the selection reads.
         let mut needed: Vec<usize> = project.iter().chain(&tested).copied().collect();
@@ -168,8 +172,11 @@ impl<'a> ColumnarReader<'a> {
 
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for group in &self.footer.row_groups {
-            if prune.is_some_and(|p| group_provably_empty(schema, group, p)) {
-                continue;
+            if let Some(tree) = prune {
+                let stats: Vec<ColumnStats> = group.chunks.iter().map(chunk_stats).collect();
+                if !tree.may_match(&|&column| stats.get(column)) {
+                    continue;
+                }
             }
             let n = to_usize(group.rows)?;
             let chunks = self.fetch_chunks(group, &needed)?;
@@ -191,8 +198,8 @@ impl<'a> ColumnarReader<'a> {
                 .collect::<Result<_>>()?;
             let kept: Vec<usize> = match select {
                 None => (0..n).collect(),
-                Some(pred) => {
-                    let flags = selection(pred, &|name| decoded(&needed, &cols, schema.resolve(name)?))?;
+                Some(tree) => {
+                    let flags = row_flags(tree, &|column| decoded(&needed, &cols, column))?;
                     flags.iter().enumerate().filter_map(|(row, &keep)| keep.then_some(row)).collect()
                 }
             };
@@ -290,121 +297,60 @@ struct Run {
     members: Vec<Span>,
 }
 
-/// One flag per row of a group: may `pred` hold for the row? Evaluated on
-/// the decoded columns `column` hands out, two-valued: a leaf is false on a
-/// NULL cell, which keeps every row SQL's three-valued logic keeps and some
-/// it does not (`NOT (x < 1)` on a NULL `x`).
-///
-/// A leaf answers as the SQL executor would on the same cell and literal:
-/// comparisons through [`Cell::sql_cmp`], string operators on
-/// [`Cell::text`]. `Eq` against a string literal is also what `LIKE` without
-/// a wildcard is pushed as, so a numeric cell is compared as its text there.
-fn selection<'c>(
-    pred: &Predicate,
-    column: &impl Fn(&str) -> Result<&'c DecodedColumn>,
+/// One flag per row of a group: may the predicate hold for the row? Each
+/// leaf's [`scoop_csv::predicate::Test`] runs on the decoded column
+/// `column` hands out, two-valued: a leaf is false on a NULL cell, which
+/// keeps every row SQL's three-valued logic keeps and some it does not
+/// (`NOT (x < 1)` on a NULL `x`).
+fn row_flags<'c>(
+    tree: &Tree<usize>,
+    column: &impl Fn(usize) -> Result<&'c DecodedColumn>,
 ) -> Result<Vec<bool>> {
-    fn cmp(col: &DecodedColumn, literal: &Value, holds: impl Fn(Ordering) -> bool) -> Vec<bool> {
-        col.test_rows(|cell| cell.sql_cmp(literal).is_some_and(&holds))
-    }
-    fn like(col: &DecodedColumn, pattern: LikePattern) -> Vec<bool> {
-        col.test_rows(|cell| pattern.matches(&cell.text()))
-    }
-    match pred {
-        Predicate::And(a, b) => {
-            let mut flags = selection(a, column)?;
+    match tree {
+        Tree::Leaf(c, test) => Ok(column(*c)?.test_rows(|cell| test.on(&cell), test.on_null())),
+        Tree::And(a, b) => {
+            let mut flags = row_flags(a, column)?;
             if flags.contains(&true) {
-                for (flag, other) in flags.iter_mut().zip(selection(b, column)?) {
+                for (flag, other) in flags.iter_mut().zip(row_flags(b, column)?) {
                     *flag &= other;
                 }
             }
             Ok(flags)
         }
-        Predicate::Or(a, b) => {
-            let mut flags = selection(a, column)?;
-            for (flag, other) in flags.iter_mut().zip(selection(b, column)?) {
+        Tree::Or(a, b) => {
+            let mut flags = row_flags(a, column)?;
+            for (flag, other) in flags.iter_mut().zip(row_flags(b, column)?) {
                 *flag |= other;
             }
             Ok(flags)
         }
-        Predicate::Not(p) => Ok(selection(p, column)?.iter().map(|&flag| !flag).collect()),
-        Predicate::IsNull(c) => {
-            let col = column(c)?;
-            Ok((0..col.len()).map(|row| !col.is_valid(row)).collect())
-        }
-        Predicate::IsNotNull(c) => Ok(column(c)?.test_rows(|_| true)),
-        Predicate::Eq(c, literal) => Ok(column(c)?.test_rows(|cell| match (cell, literal) {
-            (Cell::Int(_) | Cell::Float(_), Value::Str(text)) => *cell.text() == *text.as_bytes(),
-            _ => cell.sql_cmp(literal) == Some(Ordering::Equal),
-        })),
-        Predicate::Ne(c, v) => Ok(cmp(column(c)?, v, Ordering::is_ne)),
-        Predicate::Lt(c, v) => Ok(cmp(column(c)?, v, Ordering::is_lt)),
-        Predicate::Le(c, v) => Ok(cmp(column(c)?, v, Ordering::is_le)),
-        Predicate::Gt(c, v) => Ok(cmp(column(c)?, v, Ordering::is_gt)),
-        Predicate::Ge(c, v) => Ok(cmp(column(c)?, v, Ordering::is_ge)),
-        Predicate::In(c, literals) => Ok(column(c)?.test_rows(|cell| {
-            literals.iter().any(|v| cell.sql_cmp(v) == Some(Ordering::Equal))
-        })),
-        Predicate::Like(c, pattern) => Ok(like(column(c)?, LikePattern::new(pattern))),
-        Predicate::StartsWith(c, prefix) => Ok(like(column(c)?, LikePattern::Prefix(prefix.clone()))),
-        Predicate::EndsWith(c, suffix) => Ok(like(column(c)?, LikePattern::Suffix(suffix.clone()))),
-        Predicate::Contains(c, inner) => Ok(like(column(c)?, LikePattern::Contains(inner.clone()))),
+        Tree::Not(a) => Ok(row_flags(a, column)?.iter().map(|&flag| !flag).collect()),
     }
 }
 
-/// True when the row group's stats prove no row can satisfy the predicate.
-/// Conservative: unknown shapes return false (cannot skip).
-fn group_provably_empty(
-    schema: &Schema,
-    group: &RowGroupMeta,
-    pred: &Predicate,
-) -> bool {
-    let stats = |col: &str| -> Option<(&Value, &Value)> {
-        let c = group.chunks.get(schema.index_of(col)?)?;
-        if c.min.is_null() || c.max.is_null() {
-            return None;
+/// A chunk's min/max as zone-map evidence. Both NULL: every cell is NULL.
+/// Both strings: every cell is a string within them. Both numbers: every
+/// cell is a number within them, a NaN bound widened to ±∞ (NaN sorts above
+/// every number in the writer's total order), and the text, its rendering,
+/// unbounded. Otherwise the chunk stores its values rendered as strings:
+/// none compares with a number, and the text is unbounded. Whether a cell
+/// is NULL is not recorded, so it may be.
+fn chunk_stats(chunk: &ChunkMeta) -> ColumnStats {
+    let mut s = ColumnStats { has_null: true, has_value: true, ..ColumnStats::default() };
+    match (&chunk.min, &chunk.max) {
+        (Value::Null, Value::Null) => s.has_value = false,
+        (Value::Str(lo), Value::Str(hi)) => {
+            s.str_min = Some(lo.to_string());
+            s.str_max = Some(hi.to_string());
         }
-        Some((&c.min, &c.max))
-    };
-    match pred {
-        Predicate::Eq(c, v) => match stats(c) {
-            Some((min, max)) => {
-                v.sql_cmp(min) == Some(Ordering::Less) || v.sql_cmp(max) == Some(Ordering::Greater)
-            }
-            None => false,
-        },
-        // Incomparable bounds (a NaN maximum, a literal of the other kind)
-        // prove nothing.
-        Predicate::Lt(c, v) => {
-            matches!(stats(c), Some((min, _)) if min.sql_cmp(v).is_some_and(Ordering::is_ge))
+        (lo, hi) => {
+            let widen = |v: Option<f64>, nan: f64| v.map(|v| if v.is_nan() { nan } else { v });
+            let lo = widen(lo.as_f64(), f64::NEG_INFINITY);
+            let hi = widen(hi.as_f64(), f64::INFINITY);
+            s.num = lo.zip(hi);
         }
-        Predicate::Le(c, v) => {
-            matches!(stats(c), Some((min, _)) if min.sql_cmp(v) == Some(Ordering::Greater))
-        }
-        Predicate::Gt(c, v) => {
-            matches!(stats(c), Some((_, max)) if max.sql_cmp(v).is_some_and(Ordering::is_le))
-        }
-        Predicate::Ge(c, v) => {
-            matches!(stats(c), Some((_, max)) if max.sql_cmp(v) == Some(Ordering::Less))
-        }
-        Predicate::StartsWith(c, prefix) => match stats(c) {
-            // All values < prefix or all values >= prefix-successor.
-            Some((min, max)) => {
-                let (Value::Str(lo), Value::Str(hi)) = (min, max) else {
-                    return false;
-                };
-                hi.as_str() < prefix.as_str()
-                    || !lo.starts_with(prefix.as_str()) && lo.as_str() > prefix.as_str()
-            }
-            None => false,
-        },
-        Predicate::And(a, b) => {
-            group_provably_empty(schema, group, a) || group_provably_empty(schema, group, b)
-        }
-        Predicate::Or(a, b) => {
-            group_provably_empty(schema, group, a) && group_provably_empty(schema, group, b)
-        }
-        _ => false,
     }
+    s
 }
 
 #[cfg(test)]
@@ -490,6 +436,39 @@ mod tests {
         assert!(r.read_rows_filtered(None, Some(&pred)).unwrap().is_empty());
         let pred = Predicate::StartsWith("date".into(), "2015-01".into());
         assert_eq!(r.read_rows_filtered(None, Some(&pred)).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn stats_skip_like_in_and_is_not_null() {
+        // Three groups of ten: Amsterdam/Breda, Lyon/Nice, and no city.
+        let schema = Schema::new(vec![Field::new("city", DataType::Str), Field::new("n", DataType::Int)]);
+        let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
+        let cities = [Some("Amsterdam"), Some("Breda"), Some("Lyon"), Some("Nice"), None, None];
+        for i in 0..30i64 {
+            let city = cities[(i / 10 * 2 + i % 2) as usize];
+            w.write_row(&[city.map_or(Value::Null, |c| Value::Str(c.into())), Value::Int(i)]);
+        }
+        let r = ColumnarReader::open_bytes(w.finish()).unwrap();
+        let groups = |pred: Predicate| -> Vec<i64> {
+            let rows = r.read_rows_filtered(None, Some(&pred)).unwrap();
+            let mut groups: Vec<i64> = rows
+                .iter()
+                .map(|row| match row[1] {
+                    Value::Int(i) => i / 10,
+                    ref other => panic!("{other:?}"),
+                })
+                .collect();
+            groups.dedup();
+            groups
+        };
+        let text = |s: &str| Value::Str(s.into());
+        assert_eq!(groups(Predicate::Like("city".into(), "Ly%".into())), [1]);
+        assert_eq!(groups(Predicate::Like("city".into(), "Bre_a".into())), [0]);
+        assert_eq!(groups(Predicate::In("city".into(), vec![text("Amsterdam"), text("Zwolle")])), [0]);
+        assert_eq!(groups(Predicate::IsNotNull("city".into())), [0, 1]);
+        // A selected read skips the same groups and keeps only their rows.
+        let pred = Predicate::In("city".into(), vec![text("Nice")]);
+        assert_eq!(r.read_rows_selected(None, Some(&pred), true).unwrap().len(), 5);
     }
 
     #[test]
@@ -668,7 +647,6 @@ mod tests {
         // the stats lookup and the I/O plan still answer without indexing.
         let footer = Footer { schema, row_groups: vec![RowGroupMeta { rows: 1, chunks: vec![] }] };
         let pred = Predicate::Eq("n".into(), Value::Int(1));
-        assert!(!group_provably_empty(&footer.schema, &footer.row_groups[0], &pred));
         let reader = ColumnarReader {
             fetch: Box::new(|_, _| Ok(Bytes::new())),
             footer,

@@ -76,7 +76,7 @@ proptest! {
             Cell::Int(i) => i < bound,
             Cell::Float(f) => f < bound as f64,
             Cell::Str(s) => s.contains(needle.as_str()),
-        });
+        }, false);
         let want: Vec<bool> = cells
             .iter()
             .map(|v| match v {

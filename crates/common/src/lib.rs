@@ -8,6 +8,7 @@
 //! * [`stream`] — chunked byte streams, the unit of data flow between the
 //!   object store, the storlet engine and the compute layer.
 //! * [`headers`] — every Scoop-specific `x-*` HTTP header name, in one place.
+//! * [`percent`] — the percent escaping every text codec shares.
 //! * [`hash`] — a fast, from-scratch 64/128-bit hash used by the consistent
 //!   hash ring and object path hashing.
 //! * [`bytesize`] — human-friendly byte quantities.
@@ -27,6 +28,7 @@ pub mod deadline;
 pub mod error;
 pub mod hash;
 pub mod headers;
+pub mod percent;
 pub mod retry;
 pub mod rng;
 pub mod stream;

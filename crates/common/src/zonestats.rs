@@ -522,41 +522,15 @@ impl StatsBuilder {
 //   block := s:<start>;e:<end>;r:<rows>;<colstat>;<colstat>;...
 //   colstat := [n<min>,<max>][m<str_min>][M<str_max>][u][x][b<bloom hex>]
 //
-// Strings are percent-escaped so the `|`, `;`, `,`, `%` structure bytes and
-// any control bytes never appear raw.
+// Strings are percent-escaped ([`crate::percent`]) so the `|`, `;`, `,`
+// structure bytes never appear raw, and the encoded form is ASCII.
 
 fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b'|' | b';' | b',' => out.push_str(&format!("%{b:02X}")),
-            0x00..=0x1F | 0x7F => out.push_str(&format!("%{b:02X}")),
-            _ => out.push(b as char),
-        }
-    }
-    out
+    crate::percent::encode(s, b"|;,")
 }
 
 fn unesc(s: &str) -> Result<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while let Some(&b) = bytes.get(i) {
-        if b == b'%' {
-            let hex = bytes
-                .get(i.saturating_add(1)..i.saturating_add(3))
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .ok_or_else(|| ScoopError::InvalidRequest("bad stats %-escape".into()))?;
-            let v = u8::from_str_radix(hex, 16)
-                .map_err(|_| ScoopError::InvalidRequest("bad stats %-escape".into()))?;
-            out.push(v);
-            i = i.saturating_add(3);
-        } else {
-            out.push(b);
-            i = i.saturating_add(1);
-        }
-    }
-    String::from_utf8(out).map_err(|_| ScoopError::InvalidRequest("non-utf8 stats".into()))
+    crate::percent::decode(s, "zone stats")
 }
 
 /// `f64` text round-trip: Rust's shortest-repr `Display` re-parses exactly.
@@ -675,34 +649,17 @@ impl ObjectStats {
     /// Split the encoded form into numbered metadata entries
     /// (`<prefix>0`, `<prefix>1`, ...), each at most [`META_CHUNK`] bytes.
     pub fn to_metadata(&self) -> Vec<(String, String)> {
+        // The encoded form is ASCII, so every chunk is whole characters.
         let encoded = self.encode();
-        let bytes = encoded.as_bytes();
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut n = 0;
-        while i < bytes.len() {
-            let end = i.saturating_add(META_CHUNK).min(bytes.len());
-            // The encoded form is ASCII (escaping covers non-ASCII-safe
-            // bytes? no — unescaped UTF-8 may remain); back off to a char
-            // boundary so each chunk stays valid UTF-8.
-            let mut cut = end;
-            while cut > i && !encoded.is_char_boundary(cut) {
-                cut = cut.saturating_sub(1);
-            }
-            if cut == i {
-                break;
-            }
-            out.push((
-                format!("{}{n}", crate::headers::SCOOP_STATS_PREFIX),
-                encoded.get(i..cut).unwrap_or("").to_string(),
-            ));
-            i = cut;
-            n += 1;
-        }
-        if out.is_empty() {
-            out.push((format!("{}0", crate::headers::SCOOP_STATS_PREFIX), encoded));
-        }
-        out
+        encoded
+            .as_bytes()
+            .chunks(META_CHUNK)
+            .enumerate()
+            .map(|(n, chunk)| {
+                let key = format!("{}{n}", crate::headers::SCOOP_STATS_PREFIX);
+                (key, String::from_utf8_lossy(chunk).into_owned())
+            })
+            .collect()
     }
 
     /// Reassemble and decode stats from metadata key/value pairs. Returns
@@ -868,6 +825,28 @@ mod tests {
             meta.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
         rev.reverse();
         assert_eq!(ObjectStats::from_metadata(rev.into_iter()).unwrap().unwrap(), s);
+    }
+
+    #[test]
+    fn non_ascii_strings_roundtrip_as_ascii() {
+        let mut b = StatsBuilder::new(vec!["city".into(), "tag".into()], true, u64::MAX);
+        b.record(["Liège", "é…|%;,"], 20);
+        b.record(["Ærøskøbing", "😀"], 20);
+        let s = b.finish("etag-é".into());
+        assert_eq!(s.blocks[0].columns[0].str_max.as_deref(), Some("Ærøskøbing"));
+        let encoded = s.encode();
+        assert!(encoded.is_ascii(), "{encoded}");
+        assert_eq!(ObjectStats::decode(&encoded).unwrap(), s);
+        // The metadata chunks are ASCII too, and reassemble.
+        let meta = s.to_metadata();
+        assert!(meta.iter().all(|(_, v)| v.is_ascii() && v.len() <= META_CHUNK));
+        let pairs = meta.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        assert_eq!(ObjectStats::from_metadata(pairs).unwrap().unwrap(), s);
+        // ASCII encodes as it always did.
+        assert!(ObjectStats::decode("v1|e|0|city|s:0;e:5;r:1;mParis,MParis,x").is_ok());
+        // A raw non-ASCII byte is a form no encoder writes now: the old
+        // Latin-1 spelling of `Liège` reads as no index, not as `LiÃ¨ge`.
+        assert!(ObjectStats::decode("v1|e|0|city|s:0;e:7;r:1;mLiÃ¨ge,MLiÃ¨ge,x").is_err());
     }
 
     #[test]

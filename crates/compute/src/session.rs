@@ -114,7 +114,6 @@ pub struct Session {
     workers: usize,
     chunk_size: u64,
     pushdown: bool,
-    stats_pruning: bool,
     max_task_failures: u32,
     time_budget: Option<Duration>,
     tables: RwLock<HashMap<String, TableDef>>,
@@ -128,7 +127,6 @@ impl Session {
             workers: workers.max(1),
             chunk_size: DEFAULT_CHUNK_SIZE,
             pushdown: true,
-            stats_pruning: false,
             max_task_failures: DEFAULT_MAX_TASK_FAILURES,
             time_budget: None,
             tables: RwLock::new(HashMap::new()),
@@ -153,12 +151,6 @@ impl Session {
     /// Enable/disable pushdown (the with/without-Scoop switch).
     pub fn with_pushdown(mut self, enabled: bool) -> Session {
         self.pushdown = enabled;
-        self
-    }
-
-    /// Enable columnar row-group stats skipping (extension).
-    pub fn with_stats_pruning(mut self, enabled: bool) -> Session {
-        self.stats_pruning = enabled;
         self
     }
 
@@ -218,10 +210,10 @@ impl Session {
                 connector,
                 location,
                 prefix,
-                self.stats_pruning,
+                false,
                 schema.clone(),
             )),
-            None => ColumnarRelation::open(connector, location, prefix, self.stats_pruning),
+            None => ColumnarRelation::open(connector, location, prefix, false),
         }
     }
 

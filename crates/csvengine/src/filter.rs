@@ -8,11 +8,10 @@
 //!
 //! ## NULL semantics
 //!
-//! An empty CSV field is NULL. Comparisons and string matches against NULL are
-//! false (`IS NULL` / `IS NOT NULL` excepted), and comparisons between a
-//! numeric literal and a non-numeric field are false — exactly matching the
-//! typed evaluation in `scoop-sql`, which is what makes pushdown transparent.
-//!
+//! An empty CSV field is NULL. What each leaf answers on a field, NULL
+//! included, is [`crate::predicate`]'s, exactly matching the typed
+//! evaluation in `scoop-sql`, which is what makes pushdown transparent.
+
 //! ## Byte fidelity
 //!
 //! Matching records are emitted as **untouched slices of the input**: the
@@ -37,134 +36,18 @@
 //! ## Byte leaves
 //!
 //! A leaf reads a field's borrowed bytes; no `String` or `Value` is made per
-//! field. Its answer is defined on the field's *lossy* UTF-8 text, because
-//! that is what the compute side types a `Str` from: an ASCII field is its
-//! own text and is tested as it stands, and a non-ASCII field is tested
-//! through `String::from_utf8_lossy`.
+//! field. Its answer is [`crate::predicate::Test::on`] of the field's *lossy*
+//! UTF-8 text, because that is what the compute side types a `Str` from: an
+//! ASCII field is its own text and is tested as it stands, and a non-ASCII
+//! field is tested through `String::from_utf8_lossy`.
 
-use crate::pushdown::{LikePattern, Predicate, PushdownSpec};
+use crate::predicate::Tree;
+use crate::pushdown::{Predicate, PushdownSpec};
 use crate::record::{write_field, RecordSplitter};
 use crate::scan;
-use crate::value::Value;
 use crate::view::{FieldBuf, RecordView};
 use scoop_common::{Result, ScoopError};
 use std::borrow::Cow;
-use std::cmp::Ordering;
-
-/// The orderings a comparison accepts, one bit each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Accept(u8);
-
-impl Accept {
-    const LT: Accept = Accept(1);
-    const EQ: Accept = Accept(2);
-    const GT: Accept = Accept(4);
-    const NE: Accept = Accept(Accept::LT.0 | Accept::GT.0);
-    const LE: Accept = Accept(Accept::LT.0 | Accept::EQ.0);
-    const GE: Accept = Accept(Accept::GT.0 | Accept::EQ.0);
-
-    fn has(self, o: Ordering) -> bool {
-        let bit = match o {
-            Ordering::Less => Accept::LT,
-            Ordering::Equal => Accept::EQ,
-            Ordering::Greater => Accept::GT,
-        };
-        self.0 & bit.0 != 0
-    }
-}
-
-/// A literal in the form a field is compared with.
-#[derive(Debug, Clone)]
-enum Lit {
-    /// SQL NULL: every comparison with it is unknown, so false.
-    Null,
-    /// A number: a field compares as the `f64` it parses to, if it parses.
-    Num(f64),
-    /// A string: a field's text compares byte-wise (UTF-8 sorts as its
-    /// bytes do).
-    Str(String),
-}
-
-impl Lit {
-    fn new(v: &Value) -> Lit {
-        match v {
-            Value::Null => Lit::Null,
-            Value::Int(_) | Value::Float(_) => v.as_f64().map_or(Lit::Null, Lit::Num),
-            Value::Str(s) => Lit::Str(s.to_string()),
-        }
-    }
-
-    /// How a non-empty field's text orders against the literal; `None` is
-    /// unknown. A number is parsed from the bytes only if they are UTF-8:
-    /// lossy text that is not holds U+FFFD, which no float spelling has.
-    fn cmp(&self, text: &[u8]) -> Option<Ordering> {
-        match self {
-            Lit::Null => None,
-            Lit::Num(n) => std::str::from_utf8(text).ok()?.parse::<f64>().ok()?.partial_cmp(n),
-            Lit::Str(s) => Some(text.cmp(s.as_bytes())),
-        }
-    }
-}
-
-/// What a leaf asks of one field's text (empty = NULL).
-#[derive(Debug, Clone)]
-enum Test {
-    /// `field <op> literal`: not NULL, and ordered against the literal in
-    /// one of the accepted ways.
-    Cmp(Accept, Lit),
-    /// `LIKE`; prefix, suffix and substring tests are the literal patterns
-    /// they are.
-    Like(LikePattern),
-    /// `IN`: equal to one of the literals.
-    In(Vec<Lit>),
-    IsNull,
-    IsNotNull,
-}
-
-impl Test {
-    /// The verdict on a field's text.
-    fn on(&self, text: &[u8]) -> bool {
-        match self {
-            Test::IsNull => text.is_empty(),
-            Test::IsNotNull => !text.is_empty(),
-            // NULL fails every comparison and every match.
-            _ if text.is_empty() => false,
-            Test::Cmp(accept, lit) => lit.cmp(text).is_some_and(|o| accept.has(o)),
-            Test::Like(p) => p.matches(text),
-            Test::In(lits) => lits.iter().any(|l| l.cmp(text) == Some(Ordering::Equal)),
-        }
-    }
-}
-
-/// A test of field `field`.
-#[derive(Debug, Clone)]
-struct Leaf {
-    field: usize,
-    test: Test,
-}
-
-impl Leaf {
-    /// The verdict on a view tokenised through `field` (an absent field
-    /// reads as NULL): on the field's lossy text, which an ASCII field is
-    /// as it stands.
-    fn eval(&self, view: &RecordView<'_, '_>) -> bool {
-        let raw = view.bytes(self.field).unwrap_or(Cow::Borrowed(&[]));
-        if raw.is_ascii() {
-            self.test.on(&raw)
-        } else {
-            self.test.on(String::from_utf8_lossy(&raw).as_bytes())
-        }
-    }
-}
-
-/// A predicate with column names resolved to field indices.
-#[derive(Debug, Clone)]
-enum CompiledPred {
-    Leaf(Leaf),
-    And(Box<CompiledPred>, Box<CompiledPred>),
-    Or(Box<CompiledPred>, Box<CompiledPred>),
-    Not(Box<CompiledPred>),
-}
 
 /// Resolve a column name against a header (case-insensitive).
 fn resolve(header: &[String], name: &str) -> Result<usize> {
@@ -174,58 +57,44 @@ fn resolve(header: &[String], name: &str) -> Result<usize> {
         .ok_or_else(|| ScoopError::InvalidRequest(format!("unknown pushdown column '{name}'")))
 }
 
-fn compile_pred(p: &Predicate, header: &[String]) -> Result<CompiledPred> {
-    let leaf = |column: &str, test: Test| {
-        Ok(CompiledPred::Leaf(Leaf { field: resolve(header, column)?, test }))
-    };
-    let cmp = |column: &str, accept, v: &Value| leaf(column, Test::Cmp(accept, Lit::new(v)));
-    let both = |a: &Predicate, b: &Predicate| -> Result<_> {
-        Ok((Box::new(compile_pred(a, header)?), Box::new(compile_pred(b, header)?)))
-    };
-    match p {
-        Predicate::Eq(c, v) => cmp(c, Accept::EQ, v),
-        Predicate::Ne(c, v) => cmp(c, Accept::NE, v),
-        Predicate::Lt(c, v) => cmp(c, Accept::LT, v),
-        Predicate::Le(c, v) => cmp(c, Accept::LE, v),
-        Predicate::Gt(c, v) => cmp(c, Accept::GT, v),
-        Predicate::Ge(c, v) => cmp(c, Accept::GE, v),
-        Predicate::Like(c, s) => leaf(c, Test::Like(LikePattern::new(s))),
-        Predicate::StartsWith(c, s) => leaf(c, Test::Like(LikePattern::Prefix(s.clone()))),
-        Predicate::EndsWith(c, s) => leaf(c, Test::Like(LikePattern::Suffix(s.clone()))),
-        Predicate::Contains(c, s) => leaf(c, Test::Like(LikePattern::Contains(s.clone()))),
-        Predicate::In(c, vs) => leaf(c, Test::In(vs.iter().map(Lit::new).collect())),
-        Predicate::IsNull(c) => leaf(c, Test::IsNull),
-        Predicate::IsNotNull(c) => leaf(c, Test::IsNotNull),
-        Predicate::And(a, b) => both(a, b).map(|(a, b)| CompiledPred::And(a, b)),
-        Predicate::Or(a, b) => both(a, b).map(|(a, b)| CompiledPred::Or(a, b)),
-        Predicate::Not(a) => Ok(CompiledPred::Not(Box::new(compile_pred(a, header)?))),
-    }
-}
+/// A predicate with column names resolved to field indices.
+type CompiledPred = Tree<usize>;
 
 impl CompiledPred {
-    /// Evaluate on a view tokenised at least to [`CompiledPred::fields`].
+    /// Evaluate on a view tokenised at least to [`CompiledPred::fields`]. A
+    /// leaf reads its field's lossy text, which an ASCII field is as it
+    /// stands; an absent field reads as NULL.
     fn eval(&self, view: &RecordView<'_, '_>) -> bool {
         match self {
-            CompiledPred::Leaf(leaf) => leaf.eval(view),
-            CompiledPred::And(a, b) => a.eval(view) && b.eval(view),
-            CompiledPred::Or(a, b) => a.eval(view) || b.eval(view),
-            CompiledPred::Not(a) => !a.eval(view),
+            Tree::Leaf(field, test) => {
+                let raw = view.bytes(*field).unwrap_or(Cow::Borrowed(&[]));
+                if raw.is_empty() {
+                    test.on_null()
+                } else if raw.is_ascii() {
+                    test.on(&*raw)
+                } else {
+                    test.on(String::from_utf8_lossy(&raw).as_bytes())
+                }
+            }
+            Tree::And(a, b) => a.eval(view) && b.eval(view),
+            Tree::Or(a, b) => a.eval(view) || b.eval(view),
+            Tree::Not(a) => !a.eval(view),
         }
     }
 
     /// How many leading fields the predicate reads.
     fn fields(&self) -> usize {
         match self {
-            CompiledPred::Leaf(leaf) => leaf.field.saturating_add(1),
-            CompiledPred::And(a, b) | CompiledPred::Or(a, b) => a.fields().max(b.fields()),
-            CompiledPred::Not(a) => a.fields(),
+            Tree::Leaf(field, _) => field.saturating_add(1),
+            Tree::And(a, b) | Tree::Or(a, b) => a.fields().max(b.fields()),
+            Tree::Not(a) => a.fields(),
         }
     }
 
     /// Append the operands of the top-level `And`s to `out`.
     fn conjuncts(self, out: &mut Vec<CompiledPred>) {
         match self {
-            CompiledPred::And(a, b) => {
+            Tree::And(a, b) => {
                 a.conjuncts(out);
                 b.conjuncts(out);
             }
@@ -279,7 +148,7 @@ impl CompiledSpec {
     ) -> Result<CompiledSpec> {
         let mut flat = Vec::new();
         if let Some(p) = predicate {
-            compile_pred(p, header)?.conjuncts(&mut flat);
+            Tree::compile(p, &mut |name| resolve(header, name))?.conjuncts(&mut flat);
         }
         let mut conjuncts: Vec<(usize, CompiledPred)> =
             flat.into_iter().map(|c| (c.fields(), c)).collect();
@@ -686,6 +555,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn header() -> Vec<String> {
         ["vid", "date", "index", "city", "state"]
@@ -976,6 +846,7 @@ mod tests {
     mod differential {
         use super::super::reference::Reference;
         use super::super::*;
+        use crate::value::Value;
         use proptest::prelude::*;
 
         /// A small deterministic generator driven by the proptest seed.

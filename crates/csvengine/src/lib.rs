@@ -20,10 +20,13 @@
 //! * [`pushdown`] — the [`pushdown::PushdownSpec`] (projection + selection)
 //!   exchanged between the analytics delegator and the CSV storlet, including
 //!   its compact header serialization.
+//! * [`predicate`] — what each pushed predicate leaf means, defined once for
+//!   raw fields, columnar cells, zone maps and chunk statistics.
 //! * [`filter`] — evaluation of a compiled pushdown spec against raw records;
 //!   the exact code the CSV storlet runs at storage nodes.
 
 pub mod filter;
+pub mod predicate;
 pub mod pushdown;
 pub mod reader;
 pub mod record;

@@ -55,7 +55,23 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
+/// The deepest predicate a pushdown header may carry (see
+/// [`Predicate::depth`]). The header decoder recurses once per level, so the
+/// cap bounds the stack a peer's header can take; the planner keeps anything
+/// deeper on the compute side.
+pub const MAX_PREDICATE_DEPTH: usize = 128;
+
 impl Predicate {
+    /// Nesting depth: 1 for a leaf, one more for each `And`, `Or` or `Not`
+    /// around it.
+    pub fn depth(&self) -> usize {
+        match self {
+            Predicate::And(a, b) | Predicate::Or(a, b) => a.depth().max(b.depth()).saturating_add(1),
+            Predicate::Not(a) => a.depth().saturating_add(1),
+            _ => 1,
+        }
+    }
+
     /// Conjunction helper that flattens `None` sides.
     pub fn and_all(preds: Vec<Predicate>) -> Option<Predicate> {
         preds
@@ -253,51 +269,21 @@ impl PushdownSpec {
 //   pexpr := "(" op args ")"
 //   value := "n" | "i:<i64>" | "f:<f64>" | "s:<enc>"
 
-/// Percent-encode characters that collide with the grammar. The empty string
-/// is encoded as `~` (and a literal `~` is escaped) so that every encoded
-/// string is a non-empty token.
+/// Percent-encode ([`scoop_common::percent`]) the bytes that collide with
+/// the grammar. The empty string is encoded as `~` (and a literal `~` is
+/// escaped) so that every encoded string is a non-empty token.
 fn enc(s: &str) -> String {
     if s.is_empty() {
         return "~".to_string();
     }
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b'(' | b')' | b' ' | b',' | b';' | b'=' | b'~' | 0..=31 | 127 => {
-                out.push_str(&format!("%{b:02X}"));
-            }
-            _ => out.push(b as char),
-        }
-    }
-    out
+    scoop_common::percent::encode(s, b"() ,;=~")
 }
 
 fn dec(s: &str) -> Result<String> {
     if s == "~" {
         return Ok(String::new());
     }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .ok_or_else(|| ScoopError::InvalidRequest("truncated %-escape".into()))?;
-            let v = u8::from_str_radix(
-                std::str::from_utf8(hex)
-                    .map_err(|_| ScoopError::InvalidRequest("bad %-escape".into()))?,
-                16,
-            )
-            .map_err(|_| ScoopError::InvalidRequest("bad %-escape".into()))?;
-            out.push(v);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| ScoopError::InvalidRequest("non-utf8 header".into()))
+    scoop_common::percent::decode(s, "pushdown header")
 }
 
 fn enc_value(v: &Value, out: &mut String) {
@@ -383,55 +369,45 @@ fn enc_pred(p: &Predicate, out: &mut String) {
     }
 }
 
-/// Tokenizer for the s-expression predicate grammar.
+/// Tokenizer for the s-expression predicate grammar: what is left of the
+/// predicate text.
 struct Tokens<'a> {
-    src: &'a str,
-    pos: usize,
+    rest: &'a str,
 }
 
 impl<'a> Tokens<'a> {
-    fn new(src: &'a str) -> Self {
-        Tokens { src, pos: 0 }
-    }
-
     fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+        self.rest.chars().next()
     }
 
     fn skip_ws(&mut self) {
-        while self.peek() == Some(' ') {
-            self.pos += 1;
-        }
+        self.rest = self.rest.trim_start_matches(' ');
     }
 
     fn expect(&mut self, c: char) -> Result<()> {
         self.skip_ws();
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            Ok(())
-        } else {
-            Err(ScoopError::InvalidRequest(format!(
-                "expected '{c}' at {} in pushdown header",
-                self.pos
-            )))
+        match self.rest.strip_prefix(c) {
+            Some(rest) => {
+                self.rest = rest;
+                Ok(())
+            }
+            None => Err(ScoopError::InvalidRequest(format!(
+                "expected '{c}' before '{}' in pushdown header",
+                self.rest.chars().take(16).collect::<String>()
+            ))),
         }
     }
 
     /// Read a bare token (up to whitespace or paren).
     fn word(&mut self) -> Result<&'a str> {
         self.skip_ws();
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == ' ' || c == '(' || c == ')' {
-                break;
-            }
-            self.pos += c.len_utf8();
+        let end = self.rest.find([' ', '(', ')']).unwrap_or(self.rest.len());
+        let (word, rest) = self.rest.split_at(end);
+        if word.is_empty() {
+            return Err(ScoopError::InvalidRequest("empty token in header".into()));
         }
-        if self.pos == start {
-            Err(ScoopError::InvalidRequest("empty token in header".into()))
-        } else {
-            Ok(&self.src[start..self.pos])
-        }
+        self.rest = rest;
+        Ok(word)
     }
 }
 
@@ -457,32 +433,25 @@ fn dec_value(tok: &str) -> Result<Value> {
     Err(ScoopError::InvalidRequest(format!("bad value token '{tok}'")))
 }
 
-fn dec_pred(t: &mut Tokens<'_>) -> Result<Predicate> {
+/// Decode the predicate at nesting depth `depth` (1 at the top).
+fn dec_pred(t: &mut Tokens<'_>, depth: usize) -> Result<Predicate> {
+    if depth > MAX_PREDICATE_DEPTH {
+        return Err(ScoopError::InvalidRequest(format!(
+            "predicate nests deeper than {MAX_PREDICATE_DEPTH}"
+        )));
+    }
+    let inner = depth.saturating_add(1);
     // lint:allow(Tokens::expect is a fallible parser combinator returning
     // Result, not Option::expect — the `?` propagates, nothing panics)
     t.expect('(')?;
-    let op = t.word()?.to_string();
-    let pred = match op.as_str() {
-        "eq" | "ne" | "lt" | "le" | "gt" | "ge" => {
-            let col = dec(t.word()?)?;
-            let val = dec_value(t.word()?)?;
-            match op.as_str() {
-                "eq" => Predicate::Eq(col, val),
-                "ne" => Predicate::Ne(col, val),
-                "lt" => Predicate::Lt(col, val),
-                "le" => Predicate::Le(col, val),
-                "gt" => Predicate::Gt(col, val),
-                _ => Predicate::Ge(col, val),
-            }
-        }
-        "like" | "sw" | "ew" | "ct" => {
-            let col = dec(t.word()?)?;
-            let s = dec(t.word()?)?;
-            match op.as_str() {
-                "like" => Predicate::Like(col, s),
-                "sw" => Predicate::StartsWith(col, s),
-                "ew" => Predicate::EndsWith(col, s),
-                _ => Predicate::Contains(col, s),
+    let op = t.word()?;
+    let pred = match op {
+        "and" | "or" | "not" => {
+            let a = Box::new(dec_pred(t, inner)?);
+            match op {
+                "not" => Predicate::Not(a),
+                "and" => Predicate::And(a, Box::new(dec_pred(t, inner)?)),
+                _ => Predicate::Or(a, Box::new(dec_pred(t, inner)?)),
             }
         }
         "in" => {
@@ -499,20 +468,23 @@ fn dec_pred(t: &mut Tokens<'_>) -> Result<Predicate> {
         }
         "null" => Predicate::IsNull(dec(t.word()?)?),
         "notnull" => Predicate::IsNotNull(dec(t.word()?)?),
-        "and" | "or" => {
-            let a = dec_pred(t)?;
-            let b = dec_pred(t)?;
-            if op == "and" {
-                Predicate::And(Box::new(a), Box::new(b))
-            } else {
-                Predicate::Or(Box::new(a), Box::new(b))
+        _ => {
+            let (col, arg) = (dec(t.word()?)?, t.word()?);
+            match op {
+                "eq" => Predicate::Eq(col, dec_value(arg)?),
+                "ne" => Predicate::Ne(col, dec_value(arg)?),
+                "lt" => Predicate::Lt(col, dec_value(arg)?),
+                "le" => Predicate::Le(col, dec_value(arg)?),
+                "gt" => Predicate::Gt(col, dec_value(arg)?),
+                "ge" => Predicate::Ge(col, dec_value(arg)?),
+                "like" => Predicate::Like(col, dec(arg)?),
+                "sw" => Predicate::StartsWith(col, dec(arg)?),
+                "ew" => Predicate::EndsWith(col, dec(arg)?),
+                "ct" => Predicate::Contains(col, dec(arg)?),
+                other => {
+                    return Err(ScoopError::InvalidRequest(format!("unknown predicate op '{other}'")))
+                }
             }
-        }
-        "not" => Predicate::Not(Box::new(dec_pred(t)?)),
-        other => {
-            return Err(ScoopError::InvalidRequest(format!(
-                "unknown predicate op '{other}'"
-            )))
         }
     };
     // lint:allow(fallible Tokens::expect returning Result, same as above)
@@ -583,10 +555,10 @@ impl PushdownSpec {
         let predicate = if pred.is_empty() {
             None
         } else {
-            let mut toks = Tokens::new(pred);
-            let p = dec_pred(&mut toks)?;
+            let mut toks = Tokens { rest: pred };
+            let p = dec_pred(&mut toks, 1)?;
             toks.skip_ws();
-            if toks.pos != pred.len() {
+            if !toks.rest.is_empty() {
                 return Err(ScoopError::InvalidRequest(
                     "trailing garbage after predicate".into(),
                 ));
@@ -745,7 +717,7 @@ mod tests {
                 Box::new(Predicate::Eq("city".into(), Value::Str("Rot,ter;dam=()".into()))),
                 Box::new(Predicate::In(
                     "state".into(),
-                    vec![Value::Str("FRA".into()), Value::Int(7), Value::Null],
+                    vec![Value::Str("FRA".into()), Value::Int(7), Value::Null, Value::Str("Liège".into())],
                 )),
             )),
             Box::new(Predicate::Not(Box::new(Predicate::Ge(
@@ -753,11 +725,13 @@ mod tests {
                 Value::Float(3.25),
             )))),
         );
-        roundtrip(&PushdownSpec {
+        let spec = PushdownSpec {
             columns: Some(vec!["a b".into(), "c%d".into()]),
             predicate: Some(p),
             has_header: false,
-        });
+        };
+        assert!(spec.to_header().is_ascii());
+        roundtrip(&spec);
     }
 
     #[test]
@@ -792,6 +766,37 @@ mod tests {
         assert!(PushdownSpec::from_header("hdr=1;cols=*;pred=(bogus a b)").is_err());
         assert!(PushdownSpec::from_header("hdr=1;cols=*;pred=(eq a i:1) junk").is_err());
         assert!(PushdownSpec::from_header("hdr=1;cols=*;pred=(eq a i:zz)").is_err());
+        assert!(PushdownSpec::from_header("hdr=1;cols=*;pred=(eq a s:%4)").is_err());
+        // Raw non-ASCII is no header an encoder writes (it escapes it).
+        assert!(PushdownSpec::from_header("hdr=1;cols=*;pred=(eq a s:Liège)").is_err());
+    }
+
+    /// `(not ` × `levels` around one leaf: a predicate `levels + 1` deep.
+    fn nested_nots(levels: usize) -> String {
+        format!("hdr=1;cols=*;pred={}(eq a i:1){}", "(not ".repeat(levels), ")".repeat(levels))
+    }
+
+    #[test]
+    fn predicate_depth_is_capped() {
+        // Deep enough to overflow a 2 MiB stack if the decoder recursed on.
+        let deep = nested_nots(5_000);
+        assert!(deep.len() < 64 * 1024);
+        assert!(matches!(PushdownSpec::from_header(&deep), Err(ScoopError::InvalidRequest(_))));
+        let at_cap = PushdownSpec::from_header(&nested_nots(MAX_PREDICATE_DEPTH - 1)).unwrap();
+        let pred = at_cap.predicate.as_ref().unwrap();
+        assert_eq!(pred.depth(), MAX_PREDICATE_DEPTH);
+        roundtrip(&at_cap);
+        assert!(PushdownSpec::from_header(&nested_nots(MAX_PREDICATE_DEPTH)).is_err());
+        // `and`/`or` count the same way, whichever side is deep.
+        let mut p = Predicate::IsNull("a".into());
+        for _ in 1..MAX_PREDICATE_DEPTH {
+            p = Predicate::Or(Box::new(Predicate::IsNull("b".into())), Box::new(p));
+        }
+        let spec = PushdownSpec { columns: None, predicate: Some(p.clone()), has_header: false };
+        roundtrip(&spec);
+        let deeper = Predicate::And(Box::new(p), Box::new(Predicate::IsNull("c".into())));
+        let spec = PushdownSpec { columns: None, predicate: Some(deeper), has_header: false };
+        assert!(PushdownSpec::from_header(&spec.to_header()).is_err());
     }
 
     #[test]

@@ -21,10 +21,10 @@
 use crate::ast::{AggFunc, BinOp, Expr};
 use crate::functions::{eval_scalar, substring, text_of};
 use scoop_common::{Result, ScoopError};
+use scoop_csv::predicate::CmpOp;
 use scoop_csv::pushdown::LikePattern;
 use scoop_csv::{Schema, Value};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 /// What an absent column reads as.
 static NULL: Value = Value::Null;
@@ -37,30 +37,6 @@ pub(crate) enum ArithOp {
     Mul,
     Div,
     Mod,
-}
-
-/// `= <> < <= > >=`
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    fn holds(self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-        }
-    }
 }
 
 /// An expression bound to a schema.

@@ -11,6 +11,10 @@
 //!   stay on the compute side (`PrunedFilteredScan` semantics: the source
 //!   fully handles the filters it accepts).
 //!
+//! A conjunct whose predicate would nest deeper than
+//! [`MAX_PREDICATE_DEPTH`] (a long `OR` chain) stays residual: the store
+//! rejects such a header.
+//!
 //! `NOT` is never pushed: the raw-field filter is two-valued while SQL is
 //! three-valued, and they disagree on `NOT <null comparison>` (real Catalyst
 //! has the same restriction on nullable columns).
@@ -32,6 +36,7 @@
 
 use crate::ast::{BinOp, Expr, Query};
 use scoop_common::Result;
+use scoop_csv::pushdown::{LikePattern, MAX_PREDICATE_DEPTH};
 use scoop_csv::{DataType, Predicate, PushdownSpec, Schema, Value};
 
 /// A query analyzed for pushdown execution.
@@ -77,14 +82,25 @@ pub fn plan_query(query: &Query, schema: &Schema, has_header: bool) -> Result<Pl
         ordered
     });
 
-    // Selection: split the WHERE into conjuncts; push what converts.
+    // Selection: split the WHERE into conjuncts; push what converts, while
+    // the pushed conjunction stays within what a pushdown header may carry.
     let mut pushed: Vec<Predicate> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
+    let mut depth = 0;
     if let Some(w) = &query.where_clause {
         for conjunct in split_conjuncts(w) {
-            match to_predicate(&conjunct, schema) {
-                Some(p) => pushed.push(p),
-                None => residual.push(conjunct),
+            let Some(p) = to_predicate(&conjunct, schema) else {
+                residual.push(conjunct);
+                continue;
+            };
+            // `and_all` nests the conjunction so far one level under the
+            // next conjunct's `And`.
+            let deeper = if pushed.is_empty() { p.depth() } else { depth.max(p.depth()) + 1 };
+            if deeper > MAX_PREDICATE_DEPTH {
+                residual.push(conjunct);
+            } else {
+                depth = deeper;
+                pushed.push(p);
             }
         }
     }
@@ -182,32 +198,15 @@ fn to_predicate(expr: &Expr, schema: &Schema) -> Option<Predicate> {
         }
         Expr::Like { expr, pattern, negated: false } => match &**expr {
             Expr::Column(c) if column_type(schema, c)? == DataType::Str => {
-                // Specialize anchored patterns (Spark emits StringStartsWith
-                // and friends for these).
-                let inner = &pattern[..];
-                let has_underscore = inner.contains('_');
-                if !has_underscore {
-                    let pct = inner.matches('%').count();
-                    if pct == 0 {
-                        return Some(Predicate::Eq(c.clone(), Value::Str(inner.into())));
-                    }
-                    if pct == 1 && inner.ends_with('%') {
-                        return Some(Predicate::StartsWith(
-                            c.clone(),
-                            inner[..inner.len() - 1].to_string(),
-                        ));
-                    }
-                    if pct == 1 && inner.starts_with('%') {
-                        return Some(Predicate::EndsWith(c.clone(), inner[1..].to_string()));
-                    }
-                    if pct == 2 && inner.starts_with('%') && inner.ends_with('%') {
-                        let mid = &inner[1..inner.len() - 1];
-                        if !mid.contains('%') {
-                            return Some(Predicate::Contains(c.clone(), mid.to_string()));
-                        }
-                    }
-                }
-                Some(Predicate::Like(c.clone(), pattern.clone()))
+                // Anchored patterns become the Data-Sources filters Spark
+                // emits for them (StringStartsWith and friends).
+                Some(match LikePattern::new(pattern) {
+                    LikePattern::Exact(s) => Predicate::Eq(c.clone(), Value::Str(s.into())),
+                    LikePattern::Prefix(s) => Predicate::StartsWith(c.clone(), s),
+                    LikePattern::Suffix(s) => Predicate::EndsWith(c.clone(), s),
+                    LikePattern::Contains(s) => Predicate::Contains(c.clone(), s),
+                    LikePattern::General(_) => Predicate::Like(c.clone(), pattern.clone()),
+                })
             }
             _ => None,
         },
@@ -467,5 +466,17 @@ mod tests {
         assert!(p.fully_pushed());
         let p = plan("SELECT vid FROM t WHERE state IN ('FRA', vid)");
         assert_eq!(p.pushed_conjuncts, 0);
+    }
+
+    #[test]
+    fn conjunctions_past_the_header_depth_stay_residual() {
+        let ors: Vec<String> = (0..200).map(|i| format!("vid = 'm{i}'")).collect();
+        let p = plan(&format!("SELECT vid FROM t WHERE {}", ors.join(" OR ")));
+        assert_eq!((p.pushed_conjuncts, p.residual_conjuncts), (0, 1));
+        let ands: Vec<String> = (0..200).map(|i| format!("vid <> 'm{i}'")).collect();
+        let p = plan(&format!("SELECT vid FROM t WHERE {}", ands.join(" AND ")));
+        let depth = p.pushdown.predicate.as_ref().map_or(0, Predicate::depth);
+        assert_eq!(depth, MAX_PREDICATE_DEPTH);
+        assert_eq!((p.pushed_conjuncts, p.residual_conjuncts), (MAX_PREDICATE_DEPTH, 200 - MAX_PREDICATE_DEPTH));
     }
 }

@@ -43,52 +43,18 @@ pub mod headers {
     pub use scoop_common::headers::STORLET_DEGRADED as DEGRADED;
 }
 
-/// Encode invocation parameters for [`headers::PARAMETERS`].
+/// Encode invocation parameters for [`headers::PARAMETERS`]: `k=v` pairs in
+/// key order, joined by `;`, each side percent-escaped.
 pub fn encode_params(params: &HashMap<String, String>) -> String {
-    let mut keys: Vec<&String> = params.keys().collect();
-    keys.sort();
-    let esc = |s: &str| -> String {
-        let mut out = String::with_capacity(s.len());
-        for b in s.bytes() {
-            match b {
-                b'%' | b';' | b'=' => out.push_str(&format!("%{b:02X}")),
-                _ => out.push(b as char),
-            }
-        }
-        out
-    };
-    keys.iter()
-        .map(|k| format!("{}={}", esc(k), esc(&params[*k])))
-        .collect::<Vec<_>>()
-        .join(";")
+    let esc = |s: &str| scoop_common::percent::encode(s, b";=");
+    let mut pairs: Vec<(&String, &String)> = params.iter().collect();
+    pairs.sort();
+    pairs.iter().map(|(k, v)| format!("{}={}", esc(k), esc(v))).collect::<Vec<_>>().join(";")
 }
 
 /// Decode [`headers::PARAMETERS`].
 pub fn decode_params(header: &str) -> Result<HashMap<String, String>> {
-    let unesc = |s: &str| -> Result<String> {
-        let bytes = s.as_bytes();
-        let mut out = Vec::with_capacity(bytes.len());
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes[i] == b'%' {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .ok_or_else(|| ScoopError::InvalidRequest("bad %-escape".into()))?;
-                let v = u8::from_str_radix(
-                    std::str::from_utf8(hex)
-                        .map_err(|_| ScoopError::InvalidRequest("bad %-escape".into()))?,
-                    16,
-                )
-                .map_err(|_| ScoopError::InvalidRequest("bad %-escape".into()))?;
-                out.push(v);
-                i += 3;
-            } else {
-                out.push(bytes[i]);
-                i += 1;
-            }
-        }
-        String::from_utf8(out).map_err(|_| ScoopError::InvalidRequest("non-utf8 param".into()))
-    };
+    let unesc = |s: &str| scoop_common::percent::decode(s, "storlet parameters");
     let mut map = HashMap::new();
     for pair in header.split(';').filter(|p| !p.is_empty()) {
         let (k, v) = pair

@@ -2,31 +2,18 @@
 //!
 //! Given an object's [`ObjectStats`] (built at PUT time by the `zoneindex`
 //! storlet) and a pushdown [`Predicate`], the planner answers, per
-//! record-aligned block, "can any record in this block match?" — three-valued
-//! logic collapsed conservatively: only a definite *no* prunes a block, so an
-//! unknown column, an absent statistic or a `NOT` never makes a query wrong,
-//! only slower. Surviving adjacent blocks are merged into coalesced byte
+//! record-aligned block, "can any record in this block match?" with the
+//! shared pruner, [`Tree::may_match`]: three-valued logic collapsed
+//! conservatively, so only a definite *no* prunes a block, and an unknown
+//! column, an absent statistic or a `NOT` never makes a query wrong, only
+//! slower. Why each rule is sound is [`scoop_csv::predicate`]'s soundness
+//! inventory. Surviving adjacent blocks are merged into coalesced byte
 //! ranges so the engine issues a few bounded ranged GETs instead of one
 //! full-object scan.
-//!
-//! ## Soundness inventory
-//!
-//! The pruning rules lean on exactly how [`scoop_csv::filter`] evaluates
-//! predicates and how [`scoop_common::zonestats`] builds stats:
-//!
-//! * NULL (empty field): every comparison and string match is false, so
-//!   blocks with no non-empty value (`!has_value`) cannot satisfy them.
-//! * Numeric literals compare only against fields that parse as `f64`; the
-//!   numeric `(min, max)` covers all such fields (NaN excluded — NaN
-//!   comparisons are always false).
-//! * `str_min` may be a truncated *prefix* of the true minimum — still a
-//!   lower bound, usable for `< / <= / =` pruning. `str_max`, when present,
-//!   is exact (overlong maxima are dropped at build time, never truncated).
-//! * `NOT` is two-valued in the filter; the planner does not push pruning
-//!   through it and returns "may match".
 
-use scoop_common::zonestats::{bloom_mask, BlockStats, ColumnStats, ObjectStats};
-use scoop_csv::{Predicate, Value};
+use scoop_common::zonestats::ObjectStats;
+use scoop_csv::predicate::Tree;
+use scoop_csv::Predicate;
 
 /// The outcome of planning one GET against an object's zone maps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -61,10 +48,15 @@ pub fn plan_ranges(
     // Owned record starts form the interval [lo, hi].
     let lo = if start == 0 { 0 } else { start.saturating_add(1) };
     let hi = end.map(|e| e.saturating_add(1));
+    // Columns resolve as the filter resolves them (case-insensitive); an
+    // unknown one is no evidence.
+    let mut column = |name: &str| Ok(stats.columns.iter().position(|c| c.eq_ignore_ascii_case(name)));
+    let tree = pred.and_then(|p| Tree::compile(p, &mut column).ok());
     let mut plan = BlockPlan::default();
     for b in &stats.blocks {
         let in_window = b.end > lo && hi.is_none_or(|h| b.start <= h);
-        let survives = in_window && pred.is_none_or(|p| block_may_match(p, stats, b));
+        let survives = in_window
+            && tree.as_ref().is_none_or(|t| t.may_match(&|c: &Option<usize>| b.columns.get((*c)?)));
         if survives {
             plan.blocks_scanned += 1;
             match plan.ranges.last_mut() {
@@ -80,175 +72,6 @@ pub fn plan_ranges(
         }
     }
     plan
-}
-
-/// Conservative test: can any record in `block` satisfy `pred`?
-///
-/// `true` means "maybe" — only provably-impossible blocks return `false`.
-pub fn block_may_match(pred: &Predicate, stats: &ObjectStats, block: &BlockStats) -> bool {
-    // Resolve a column name the same way the filter does (case-insensitive);
-    // unknown columns yield no evidence.
-    let col = |name: &str| -> Option<&ColumnStats> {
-        stats
-            .columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(name))
-            .and_then(|i| block.columns.get(i))
-    };
-    match pred {
-        Predicate::Eq(c, v) => col(c).is_none_or(|s| may_eq(s, v)),
-        Predicate::Ne(c, v) => col(c).is_none_or(|s| may_ne(s, v)),
-        Predicate::Lt(c, v) => col(c).is_none_or(|s| may_cmp(s, v, Cmp::Lt)),
-        Predicate::Le(c, v) => col(c).is_none_or(|s| may_cmp(s, v, Cmp::Le)),
-        Predicate::Gt(c, v) => col(c).is_none_or(|s| may_cmp(s, v, Cmp::Gt)),
-        Predicate::Ge(c, v) => col(c).is_none_or(|s| may_cmp(s, v, Cmp::Ge)),
-        Predicate::Like(c, pat) => col(c).is_none_or(|s| {
-            // A LIKE match must begin with the pattern's literal prefix.
-            let prefix: String = pat.chars().take_while(|&ch| ch != '%' && ch != '_').collect();
-            may_start_with(s, &prefix)
-        }),
-        Predicate::StartsWith(c, p) => col(c).is_none_or(|s| may_start_with(s, p)),
-        Predicate::EndsWith(c, _) | Predicate::Contains(c, _) => {
-            col(c).is_none_or(|s| s.has_value)
-        }
-        Predicate::In(c, vs) => col(c).is_none_or(|s| vs.iter().any(|v| may_eq(s, v))),
-        Predicate::IsNull(c) => col(c).is_none_or(|s| s.has_null),
-        Predicate::IsNotNull(c) => col(c).is_none_or(|s| s.has_value),
-        Predicate::And(a, b) => {
-            block_may_match(a, stats, block) && block_may_match(b, stats, block)
-        }
-        Predicate::Or(a, b) => {
-            block_may_match(a, stats, block) || block_may_match(b, stats, block)
-        }
-        // The filter's NOT is two-valued (NULL rows pass NOT); inverting a
-        // block-level "maybe" is not sound either way, so never prune.
-        Predicate::Not(_) => true,
-    }
-}
-
-enum Cmp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-/// Can `field = v` hold for some field summarized by `s`?
-fn may_eq(s: &ColumnStats, v: &Value) -> bool {
-    match v {
-        // `field = NULL` is always false in the filter.
-        Value::Null => false,
-        Value::Int(_) | Value::Float(_) => match (v.as_f64(), s.num) {
-            // No field in the block parses as a number: = can't hold.
-            (Some(x), Some((lo, hi))) => x >= lo && x <= hi,
-            (Some(_), None) => false,
-            (None, _) => true,
-        },
-        Value::Str(lit) => {
-            let lit = lit.as_str();
-            if !s.has_value {
-                return false;
-            }
-            // stored str_min <= true minimum (prefix truncation only lowers
-            // it), so anything below it is absent.
-            if s.str_min.as_deref().is_some_and(|m| lit < m) {
-                return false;
-            }
-            // str_max, when stored, is the exact maximum.
-            if s.str_max.as_deref().is_some_and(|m| lit > m) {
-                return false;
-            }
-            if let Some(bloom) = s.bloom {
-                let mask = bloom_mask(lit);
-                if bloom & mask != mask {
-                    return false;
-                }
-            }
-            true
-        }
-    }
-}
-
-/// Can `field <> v` hold for some field summarized by `s`?
-fn may_ne(s: &ColumnStats, v: &Value) -> bool {
-    match v {
-        Value::Null => false,
-        Value::Int(_) | Value::Float(_) => match (v.as_f64(), s.num) {
-            // Some numeric field differs from x unless the whole block is
-            // pinned to exactly x.
-            (Some(x), Some((lo, hi))) => !(lo == x && hi == x),
-            (Some(_), None) => false,
-            (None, _) => true,
-        },
-        Value::Str(lit) => {
-            let lit = lit.as_str();
-            if !s.has_value {
-                return false;
-            }
-            // All values equal `lit` only when both exact bounds pin to it
-            // (an un-truncated min: equality to the bound proves it was
-            // short enough to store verbatim).
-            !(s.str_min.as_deref() == Some(lit) && s.str_max.as_deref() == Some(lit))
-        }
-    }
-}
-
-/// Can `field <op> v` hold for some field summarized by `s`?
-fn may_cmp(s: &ColumnStats, v: &Value, op: Cmp) -> bool {
-    match v {
-        Value::Null => false,
-        Value::Int(_) | Value::Float(_) => match (v.as_f64(), s.num) {
-            (Some(x), Some((lo, hi))) => match op {
-                Cmp::Lt => lo < x,
-                Cmp::Le => lo <= x,
-                Cmp::Gt => hi > x,
-                Cmp::Ge => hi >= x,
-            },
-            (Some(_), None) => false,
-            (None, _) => true,
-        },
-        Value::Str(lit) => {
-            let lit = lit.as_str();
-            if !s.has_value {
-                return false;
-            }
-            match op {
-                // Needs a field below `lit`; stored min bounds all fields
-                // from below.
-                Cmp::Lt => s.str_min.as_deref().is_none_or(|m| m < lit),
-                Cmp::Le => s.str_min.as_deref().is_none_or(|m| m <= lit),
-                // Needs a field above `lit`; only an exact max disproves it.
-                Cmp::Gt => s.str_max.as_deref().is_none_or(|m| m > lit),
-                Cmp::Ge => s.str_max.as_deref().is_none_or(|m| m >= lit),
-            }
-        }
-    }
-}
-
-/// Can some field summarized by `s` start with `prefix`?
-fn may_start_with(s: &ColumnStats, prefix: &str) -> bool {
-    if !s.has_value {
-        return false;
-    }
-    if prefix.is_empty() {
-        return true;
-    }
-    // Fields with this prefix live in [prefix, successor(prefix)).
-    // An exact max below the prefix rules them out...
-    if s.str_max.as_deref().is_some_and(|m| m < prefix) {
-        return false;
-    }
-    // ...and a minimum already past the prefix's extension range does too:
-    // every field is >= str_min, and str_min > prefix without carrying it
-    // as a prefix means str_min sorts after every `prefix*` string.
-    if s
-        .str_min
-        .as_deref()
-        .is_some_and(|m| m > prefix && !m.starts_with(prefix))
-    {
-        return false;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -385,16 +208,13 @@ mod tests {
         b.record([long.as_str()], 41);
         b.record(["bb"], 3);
         let s = b.finish("e".into());
-        let block = &s.blocks[0];
+        let survives = |p: Predicate| !plan_ranges(&s, Some(&p), 0, None).ranges.is_empty();
         // Gt above any stored value: max is unknown, must NOT prune.
-        let gt = Predicate::Gt("s".into(), Value::Str("zzzz".into()));
-        assert!(block_may_match(&gt, &s, block));
+        assert!(survives(Predicate::Gt("s".into(), Value::Str("zzzz".into()))));
         // Lt below the truncated min: sound to prune.
-        let lt = Predicate::Lt("s".into(), Value::Str("a".into()));
-        assert!(!block_may_match(&lt, &s, block));
-        // Eq below min prunes; Eq above (unknown max) must not.
-        let eq_lo = Predicate::Eq("s".into(), Value::Str("a".into()));
-        assert!(!block_may_match(&eq_lo, &s, block));
+        assert!(!survives(Predicate::Lt("s".into(), Value::Str("a".into()))));
+        // Eq below min prunes.
+        assert!(!survives(Predicate::Eq("s".into(), Value::Str("a".into()))));
     }
 
     #[test]

@@ -21,31 +21,76 @@ use std::collections::HashMap;
 
 const SCHEMA: &str = "vid,n,city";
 
+const CITIES: [&str; 5] = ["Rotterdam", "Paris", "Nice", "", "Liège"];
+
 fn make_csv(rows: &[(u32, Option<i32>, u8)]) -> Vec<u8> {
     let mut out = Vec::from(&b"vid,n,city\n"[..]);
     for (vid, n, city) in rows {
-        let city = ["Rotterdam", "Paris", "Nice", ""][*city as usize % 4];
+        let city = CITIES[*city as usize % CITIES.len()];
         let n = n.map(|n| n.to_string()).unwrap_or_default();
         out.extend_from_slice(format!("m{vid},{n},{city}\n").as_bytes());
     }
     out
 }
 
-fn predicate(which: u8) -> Predicate {
-    match which % 7 {
-        0 => Predicate::Eq("n".into(), Value::Int(5)),
-        1 => Predicate::Lt("n".into(), Value::Int(0)),
-        2 => Predicate::Eq("city".into(), Value::Str("Paris".into())),
-        3 => Predicate::Like("city".into(), "Rot%".into()),
-        4 => Predicate::IsNull("n".into()),
-        5 => Predicate::And(
-            Box::new(Predicate::Ge("n".into(), Value::Int(-20))),
-            Box::new(Predicate::Ne("city".into(), Value::Str("Nice".into()))),
-        ),
-        _ => Predicate::Or(
-            Box::new(Predicate::Gt("n".into(), Value::Int(40))),
-            Box::new(Predicate::IsNotNull("city".into())),
-        ),
+/// A small deterministic generator driven by the proptest seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len() as u64) as usize]
+    }
+}
+
+fn literal(rng: &mut Lcg) -> Value {
+    match rng.below(8) {
+        0..=2 => Value::Int(*rng.pick(&[-50, -3, 0, 5, 12, 49])),
+        3 => Value::Float(*rng.pick(&[-20.5, 0.0, 5.0, 49.5, f64::NAN])),
+        // The cities, near misses, and text that spells a number.
+        4..=6 => {
+            let text = rng.pick(&["Paris", "Liège", "Liège", "Lie", "Liz", "Nice", "R", "5", "-3", ""]);
+            Value::Str((*text).into())
+        }
+        _ => Value::Null,
+    }
+}
+
+/// A random predicate over the schema, nested up to `depth`: every
+/// `Predicate` variant on every column, so numeric literals meet `city` and
+/// string literals meet `n`, and `LIKE` patterns hold `_` and `%`.
+fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
+    if depth > 0 && rng.below(3) == 0 {
+        let a = Box::new(predicate(rng, depth - 1));
+        return match rng.below(3) {
+            0 => Predicate::And(a, Box::new(predicate(rng, depth - 1))),
+            1 => Predicate::Or(a, Box::new(predicate(rng, depth - 1))),
+            _ => Predicate::Not(a),
+        };
+    }
+    let c = rng.pick(&["vid", "n", "city", "CITY"]).to_string();
+    let text = |rng: &mut Lcg| rng.pick(&["Li", "Liè", "Liège", "è", "ge", "Ro", "ce", "m1", "1", "-", ""]).to_string();
+    match rng.below(13) {
+        0 => Predicate::Eq(c, literal(rng)),
+        1 => Predicate::Ne(c, literal(rng)),
+        2 => Predicate::Lt(c, literal(rng)),
+        3 => Predicate::Le(c, literal(rng)),
+        4 => Predicate::Gt(c, literal(rng)),
+        5 => Predicate::Ge(c, literal(rng)),
+        6 => {
+            let patterns = ["Li_ge", "Liè%", "L%", "%e", "_a%", "N_c_", "Liège", "m_", "%è%", "1_", "-_%", "%"];
+            Predicate::Like(c, rng.pick(&patterns).to_string())
+        }
+        7 => Predicate::StartsWith(c, text(rng)),
+        8 => Predicate::EndsWith(c, text(rng)),
+        9 => Predicate::Contains(c, text(rng)),
+        10 => Predicate::In(c, (0..rng.below(4)).map(|_| literal(rng)).collect()),
+        11 => Predicate::IsNull(c),
+        _ => Predicate::IsNotNull(c),
     }
 }
 
@@ -109,15 +154,15 @@ proptest! {
     #[test]
     fn planned_scan_equals_full_scan(
         rows in proptest::collection::vec(
-            (0u32..40, proptest::option::of(-50i32..50), 0u8..4),
+            (0u32..40, proptest::option::of(-50i32..50), 0u8..5),
             1..60,
         ),
-        block in 16u64..200,
-        which in 0u8..7,
+        block in 8u64..120,
+        seed in any::<u64>(),
     ) {
         let data = make_csv(&rows);
         let stats = index(&data, block);
-        let pred = predicate(which);
+        let pred = predicate(&mut Lcg(seed), 3);
         let spec = PushdownSpec {
             columns: None,
             predicate: Some(pred.clone()),
@@ -163,11 +208,11 @@ proptest! {
     #[test]
     fn planned_window_equals_classic_range(
         rows in proptest::collection::vec(
-            (0u32..40, proptest::option::of(-50i32..50), 0u8..4),
+            (0u32..40, proptest::option::of(-50i32..50), 0u8..5),
             2..60,
         ),
-        block in 16u64..200,
-        which in 0u8..7,
+        block in 8u64..120,
+        seed in any::<u64>(),
         cut in (0u64..1000, 1u64..1000),
     ) {
         let data = make_csv(&rows);
@@ -175,7 +220,7 @@ proptest! {
         let start = cut.0 % len;
         let end_exclusive = start + 1 + cut.1 % (len - start);
         let stats = index(&data, block);
-        let pred = predicate(which);
+        let pred = predicate(&mut Lcg(seed), 3);
         let spec = PushdownSpec {
             columns: Some(vec!["vid".into(), "n".into()]),
             predicate: Some(pred.clone()),
@@ -219,10 +264,10 @@ mod stale {
         #[test]
         fn overwrite_falls_back_to_new_bytes(
             old_rows in proptest::collection::vec(
-                (0u32..40, proptest::option::of(-50i32..50), 0u8..4), 1..30),
+                (0u32..40, proptest::option::of(-50i32..50), 0u8..5), 1..30),
             new_rows in proptest::collection::vec(
-                (0u32..40, proptest::option::of(-50i32..50), 0u8..4), 1..30),
-            which in 0u8..7,
+                (0u32..40, proptest::option::of(-50i32..50), 0u8..5), 1..30),
+            seed in any::<u64>(),
         ) {
             let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
             let engine = Arc::new(StorletEngine::with_builtin_filters());
@@ -252,7 +297,7 @@ mod stale {
 
             let spec = PushdownSpec {
                 columns: None,
-                predicate: Some(predicate(which)),
+                predicate: Some(predicate(&mut Lcg(seed), 3)),
                 has_header: true,
             };
             let mut q = HashMap::new();

@@ -10,7 +10,11 @@ use scoop_compute::ExecutionMode;
 use scoop_core::ScoopContext;
 use scoop_csv::{CsvReader, Schema};
 use scoop_integration::deploy;
+use scoop_objectstore::net::wire::status_for_kind;
+use scoop_objectstore::{ObjectPath, Request};
 use scoop_sql::{execute, parse, ResultSet};
+use scoop_storlets::middleware::{encode_params, headers};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 fn ctx() -> &'static Arc<ScoopContext> {
@@ -130,4 +134,48 @@ proptest! {
             sql
         );
     }
+}
+
+/// A pushdown header nested far past `MAX_PREDICATE_DEPTH` (5 000 `NOT`s,
+/// under the wire's 64 KiB head cap) is a bad request: the store answers
+/// 4xx instead of overflowing a worker's stack, and serves the next query.
+#[test]
+fn an_over_deep_pushdown_header_is_refused() {
+    let ctx = ctx();
+    let levels = 5_000;
+    let spec = format!("hdr=1;cols=*;pred={}(eq city s:Paris){}", "(not ".repeat(levels), ")".repeat(levels));
+    let (_, schema) = objects();
+    let columns: Vec<&str> = schema.fields.iter().map(|f| f.name.as_str()).collect();
+    let params = HashMap::from([("spec".to_string(), spec), ("schema".to_string(), columns.join(","))]);
+    let params = encode_params(&params);
+    assert!(params.len() < 60 * 1024, "{} bytes", params.len());
+    let path = ObjectPath::new(&ctx.config().account, "largemeter", "part-00.csv").unwrap();
+    let req = Request::get(path)
+        .with_header(headers::RUN_STORLET, "csvfilter")
+        .with_header(headers::PARAMETERS, params);
+    // In process the error comes back as itself; over TCP as the 4xx
+    // response it travelled as, which the client turns back into it.
+    let status = match ctx.client().request(req) {
+        Ok(resp) => resp.status,
+        Err(e) => status_for_kind(e.kind()),
+    };
+    assert!((400..500).contains(&status), "status {status}");
+
+    let sql = "SELECT vid, index FROM largemeter WHERE city = 'Paris' OR index > 2500";
+    let pushed = ctx.query("largemeter", sql, ExecutionMode::Pushdown).unwrap();
+    assert!(pushed.result.approx_eq(&reference(sql), 1e-9));
+}
+
+/// A WHERE too deep to push (200 `OR`ed equalities) stays on the compute
+/// side whole, and returns what the vanilla arm returns.
+#[test]
+fn a_where_too_deep_to_push_is_still_transparent() {
+    let ors: Vec<String> = (0..200).map(|i| format!("vid = 'M{i:05}'")).collect();
+    let sql = format!("SELECT vid, index FROM largemeter WHERE {} ORDER BY vid, index", ors.join(" OR "));
+    let ctx = ctx();
+    let vanilla = ctx.query("largemeter", &sql, ExecutionMode::Vanilla).unwrap();
+    let pushed = ctx.query("largemeter", &sql, ExecutionMode::Pushdown).unwrap();
+    assert!(!vanilla.result.rows.is_empty());
+    assert!(vanilla.result.approx_eq(&pushed.result, 1e-9));
+    assert!(pushed.result.approx_eq(&reference(&sql), 1e-9));
 }
