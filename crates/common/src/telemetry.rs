@@ -768,6 +768,9 @@ pub struct QueryEvent {
     pub hedges: u64,
     /// Degradations (pushdown fallbacks) observed during the query.
     pub degradations: u64,
+    /// Splits the query's own partition discovery dropped because the zone
+    /// maps proved no block in them can match.
+    pub splits_pruned: u64,
     /// Per-layer span durations: `(layer, summed duration_us)`, in
     /// [`layers::ALL`] order, layers with no spans omitted.
     pub layer_us: Vec<(&'static str, u64)>,
@@ -821,7 +824,8 @@ pub fn events_to_json(events: &[QueryEvent]) -> String {
         }
         out.push_str(&format!(
             "{{\"trace\":{},\"path\":{},\"total_us\":{},\"bytes\":{},\"rows\":{},\
-             \"retries\":{},\"hedges\":{},\"degradations\":{},\"slow\":{},\"layer_us\":{{",
+             \"retries\":{},\"hedges\":{},\"degradations\":{},\"splits_pruned\":{},\
+             \"slow\":{},\"layer_us\":{{",
             json_string(&e.trace),
             json_string(&e.path),
             e.total_us,
@@ -830,6 +834,7 @@ pub fn events_to_json(events: &[QueryEvent]) -> String {
             e.retries,
             e.hedges,
             e.degradations,
+            e.splits_pruned,
             e.slow
         ));
         for (j, (layer, us)) in e.layer_us.iter().enumerate() {
@@ -851,7 +856,8 @@ pub fn events_to_text(events: &[QueryEvent]) -> String {
         let layers: Vec<String> =
             e.layer_us.iter().map(|(l, us)| format!("{l}={us}us")).collect();
         out.push_str(&format!(
-            "{} {}{} total={}us bytes={} rows={} retries={} hedges={} degradations={} [{}]\n",
+            "{} {}{} total={}us bytes={} rows={} retries={} hedges={} degradations={} \
+             splits_pruned={} [{}]\n",
             e.trace,
             e.path,
             if e.slow { " SLOW" } else { "" },
@@ -861,6 +867,7 @@ pub fn events_to_text(events: &[QueryEvent]) -> String {
             e.retries,
             e.hedges,
             e.degradations,
+            e.splits_pruned,
             layers.join(" ")
         ));
     }
@@ -1357,6 +1364,7 @@ mod tests {
                 retries: 0,
                 hedges: 0,
                 degradations: 0,
+                splits_pruned: 0,
                 layer_us: vec![(layers::SESSION, total_us)],
                 slow: false,
             }

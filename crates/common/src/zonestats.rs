@@ -17,12 +17,14 @@
 //! missing column never makes a query wrong, only slower.
 //!
 //! This module holds the data model and codec only; predicate pruning lives
-//! next to the predicate type (`scoop_storlets::planner`), keeping
+//! next to the predicate type (`scoop_csv::blockplan`), keeping
 //! `scoop_common` free of CSV dependencies.
 
-use crate::hash::hash64;
+use crate::hash::{hash64, hash64_seeded};
 use crate::{Result, ScoopError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Longest string literal kept verbatim in a zone map. A longer *minimum* is
 /// truncated to this many bytes — a prefix is still a sound lower bound — but
@@ -694,6 +696,86 @@ impl ObjectStats {
     pub fn covered_len(&self) -> u64 {
         self.blocks.last().map(|b| b.end).unwrap_or(0)
     }
+
+    /// Whether these stats may prune reads of one stored object version —
+    /// the freshness check both tiers run before they plan. The stats must
+    /// describe exactly the stored bytes (an overwrite changes the `etag`, a
+    /// truncation the `len`), and the reader must agree on the column
+    /// layout, because pruning evidence is positional, and on the header
+    /// flag. Column names are compared trimmed.
+    pub fn describes<'a>(
+        &self,
+        etag: Option<&str>,
+        len: Option<u64>,
+        columns: impl IntoIterator<Item = &'a str>,
+        has_header: bool,
+    ) -> bool {
+        etag == Some(self.etag.as_str())
+            && len == Some(self.covered_len())
+            && columns.into_iter().map(str::trim).eq(self.columns.iter().map(String::as_str))
+            && has_header == self.has_header
+    }
+}
+
+/// A fingerprint of the stats chunks among `meta`, or `None` when there are
+/// none. Re-indexing the same bytes under another block size or schema keeps
+/// the etag but changes the chunks, so a cache of decoded stats keys on this
+/// as well as on the etag.
+pub fn metadata_fingerprint<'a>(meta: impl Iterator<Item = (&'a str, &'a str)>) -> Option<u64> {
+    meta.filter(|(k, _)| k.starts_with(crate::headers::SCOOP_STATS_PREFIX))
+        .fold(None, |h, (k, v)| {
+            let h = hash64_seeded(k.as_bytes(), h.unwrap_or(0));
+            Some(hash64_seeded(v.as_bytes(), h))
+        })
+}
+
+/// Entries a [`StatsCache`] holds before it drops them all and starts over.
+pub const STATS_CACHE_ENTRIES: usize = 256;
+
+/// A bounded memo of decoded zone maps, keyed by whatever pins the bytes
+/// they describe — an etag at least. An entry is the decoded index or a
+/// negative one, "this object version has no index a reader can use", so an
+/// un-indexed object, or one whose index cannot be read, costs one load per
+/// version rather than one per read. Decoding is the cost it saves; callers
+/// still run [`ObjectStats::describes`] on every hit.
+pub struct StatsCache<K> {
+    entries: Mutex<HashMap<K, Option<Arc<ObjectStats>>>>,
+}
+
+impl<K> Default for StatsCache<K> {
+    fn default() -> Self {
+        StatsCache { entries: Mutex::new(HashMap::new()) }
+    }
+}
+
+impl<K: Eq + Hash> StatsCache<K> {
+    /// The entry for `key`, loading it on a miss. `load` answers `Ok(Some)`
+    /// with an index, `Ok(None)` for a definite "no index" (kept as a
+    /// negative entry), or `Err` for a failure that says nothing about the
+    /// object: nothing is kept, and the caller sees "no index" this time
+    /// only. Loads run outside the lock, so two readers missing at once
+    /// both load and the second insert wins.
+    pub fn get_or_load(
+        &self,
+        key: K,
+        load: impl FnOnce() -> Result<Option<ObjectStats>>,
+    ) -> Option<Arc<ObjectStats>> {
+        if let Some(hit) = self.entries.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+            return hit.clone();
+        }
+        let loaded = load().ok()?.map(Arc::new);
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if entries.len() >= STATS_CACHE_ENTRIES {
+            entries.clear();
+        }
+        entries.insert(key, loaded.clone());
+        loaded
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
 }
 
 fn decode_colstat(raw: &str) -> Result<ColumnStats> {
@@ -973,6 +1055,69 @@ mod tests {
         ] {
             assert_parses_like_std(s);
         }
+    }
+
+    #[test]
+    fn describes_checks_bytes_layout_and_header() {
+        let s = sample();
+        let len = s.covered_len();
+        let cols = ["vid", " index", "city"];
+        assert!(s.describes(Some("etag123"), Some(len), cols, true));
+        // Another version of the object, or another length.
+        assert!(!s.describes(Some("other"), Some(len), cols, true));
+        assert!(!s.describes(None, Some(len), cols, true));
+        assert!(!s.describes(Some("etag123"), Some(len + 1), cols, true));
+        // Another layout or header flag.
+        assert!(!s.describes(Some("etag123"), Some(len), ["vid", "city", "index"], true));
+        assert!(!s.describes(Some("etag123"), Some(len), ["vid", "index"], true));
+        assert!(!s.describes(Some("etag123"), Some(len), cols, false));
+    }
+
+    #[test]
+    fn fingerprint_covers_stats_chunks_only() {
+        let meta = sample().to_metadata();
+        let pairs = || meta.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let fp = metadata_fingerprint(pairs()).expect("stats present");
+        // Other metadata does not move it; a changed chunk does.
+        let with_other = pairs().chain([("x-object-meta-a", "1")]);
+        assert_eq!(metadata_fingerprint(with_other), Some(fp));
+        let mut changed = meta.clone();
+        changed[0].1.push('x');
+        let changed = changed.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        assert_ne!(metadata_fingerprint(changed), Some(fp));
+        assert_eq!(metadata_fingerprint([("x-object-meta-a", "1")].into_iter()), None);
+    }
+
+    #[test]
+    fn stats_cache_keeps_answers_not_failures() {
+        let cache: StatsCache<&str> = StatsCache::default();
+        let loads = std::cell::Cell::new(0);
+        let load = |answer: Result<Option<ObjectStats>>| {
+            loads.set(loads.get() + 1);
+            answer
+        };
+        // A positive and a negative entry each load once.
+        assert!(cache.get_or_load("a", || load(Ok(Some(sample())))).is_some());
+        assert!(cache.get_or_load("a", || load(Ok(None))).is_some());
+        assert!(cache.get_or_load("b", || load(Ok(None))).is_none());
+        assert!(cache.get_or_load("b", || load(Ok(Some(sample())))).is_none());
+        assert_eq!(loads.get(), 2);
+        // A failure is "no index" this time only.
+        let err = || load(Err(ScoopError::Io(std::io::Error::other("down"))));
+        assert!(cache.get_or_load("c", err).is_none());
+        assert!(cache.get_or_load("c", || load(Ok(Some(sample())))).is_some());
+        assert_eq!(loads.get(), 4);
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn stats_cache_is_bounded() {
+        let cache: StatsCache<usize> = StatsCache::default();
+        for i in 0..STATS_CACHE_ENTRIES * 2 + 1 {
+            cache.get_or_load(i, || Ok(None));
+            assert!(cache.len() <= STATS_CACHE_ENTRIES);
+        }
+        assert!(cache.len() > 0);
     }
 
     proptest::proptest! {

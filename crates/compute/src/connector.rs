@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use parking_lot::RwLock;
+use scoop_common::zonestats::ObjectStats;
 use scoop_common::{stream, ByteStream, Result, ScoopError};
 use scoop_csv::PushdownSpec;
 use std::collections::BTreeMap;
@@ -21,6 +22,9 @@ pub struct ObjectInfo {
     pub name: String,
     /// Payload size in bytes.
     pub size: u64,
+    /// Content fingerprint of the listed version: what its zone maps must
+    /// describe ([`StorageConnector::zone_stats`]).
+    pub etag: String,
 }
 
 /// Storage operations required by the data sources.
@@ -60,6 +64,15 @@ pub trait StorageConnector: Send + Sync {
 
     /// Fetch an exact byte range `[start, end)` (columnar footer/chunks).
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes>;
+
+    /// The zone maps stored with one listed version of an object (`etag`
+    /// from its [`ObjectInfo`]), or `None` when it has none this reader can
+    /// use. Advisory like the maps themselves: it never fails, and the
+    /// caller still checks that they describe the listed version
+    /// ([`ObjectStats::describes`]). The default is "no index".
+    fn zone_stats(&self, _location: &str, _object: &str, _etag: &str) -> Option<Arc<ObjectStats>> {
+        None
+    }
 
     /// Invoke an arbitrary storlet pipeline on an object request and stream
     /// its output — the general task-offloading primitive of the paper's
@@ -167,7 +180,11 @@ impl StorageConnector for MemoryConnector {
             .filter(|((loc, name), _)| {
                 loc == location && prefix.is_none_or(|p| name.starts_with(p))
             })
-            .map(|((_, name), data)| ObjectInfo { name: name.clone(), size: data.len() as u64 })
+            .map(|((_, name), data)| ObjectInfo {
+                name: name.clone(),
+                size: data.len() as u64,
+                etag: scoop_common::hash::fingerprint_hex(data),
+            })
             .collect())
     }
 

@@ -7,15 +7,27 @@
 //! compute tier (the vanilla ingest-then-compute path). Both paths produce
 //! rows under the same projected schema so the executor upstream is
 //! oblivious, and both select with the same raw-field evaluator.
+//!
+//! Under pushdown, discovery also consults each object's zone maps and drops
+//! the splits in which no block can match: the store would have planned
+//! them with the same function and answered with an empty body. The vanilla
+//! arm stays the paper's ingest-then-compute and reads every split.
 
-use crate::connector::{StorageConnector, SPLIT_SLACK};
-use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
-use crate::partition::{discover, InputPartition};
+use crate::connector::{ObjectInfo, StorageConnector, SPLIT_SLACK};
+use crate::datasource::{
+    Discovery, PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan,
+};
+use crate::partition::{discover, discover_where, InputPartition};
+use scoop_common::zonestats::ObjectStats;
 use scoop_common::{Result, ScoopError};
+use scoop_csv::blockplan::plan_ranges;
 use scoop_csv::split::RangedRecordStream;
 use scoop_csv::{CompiledSpec, CsvReader, FieldBuf, Predicate, PushdownSpec, Schema, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// How much of the first object schema inference samples.
+const INFER_BYTES: u64 = 256 * 1024;
 
 /// A CSV table stored as one or more objects under a location.
 pub struct CsvRelation {
@@ -49,7 +61,7 @@ impl CsvRelation {
                 let first = objects.first().ok_or_else(|| {
                     ScoopError::NotFound(format!("no objects under {location}"))
                 })?;
-                let head_len = first.size.min(256 * 1024);
+                let head_len = first.size.min(INFER_BYTES);
                 let head = connector.fetch_range(location, &first.name, 0, head_len)?;
                 scoop_csv::reader::infer_schema(&head, 100)?
             }
@@ -70,6 +82,20 @@ impl CsvRelation {
     /// The relation's location (diagnostics).
     pub fn location(&self) -> &str {
         &self.location
+    }
+
+    /// Whether scans push down to the store (the Scoop arm).
+    fn pushes_down(&self) -> bool {
+        self.pushdown_enabled && self.connector.supports_pushdown()
+    }
+
+    /// The listed version's zone maps, when they describe it under this
+    /// relation's layout — the same check the store runs before it plans.
+    fn fresh_stats(&self, obj: &ObjectInfo) -> Option<Arc<ObjectStats>> {
+        let columns = self.file_columns.iter().map(String::as_str);
+        self.connector
+            .zone_stats(&self.location, &obj.name, &obj.etag)
+            .filter(|stats| stats.describes(Some(&obj.etag), Some(obj.size), columns, self.has_header))
     }
 
     fn projected_schema(&self, columns: Option<&[String]>) -> Result<Schema> {
@@ -241,11 +267,49 @@ impl PrunedFilteredScan for CsvRelation {
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<ScanOutput> {
-        if self.pushdown_enabled && self.connector.supports_pushdown() {
+        if self.pushes_down() {
             self.scan_pushdown(partition, columns, predicate)
         } else {
             self.scan_vanilla(partition, columns, predicate)
         }
+    }
+
+    /// Under pushdown, a split survives when the store's plan for it —
+    /// [`plan_ranges`] over fresh zone maps, for the inclusive range a
+    /// pushdown scan of the split sends — keeps at least one block. An
+    /// object without fresh maps keeps every split.
+    fn partitions_for(&self, chunk_size: u64, predicate: Option<&Predicate>) -> Result<Discovery> {
+        if !self.pushes_down() {
+            return Ok(Discovery { partitions: self.partitions(chunk_size)?, ..Discovery::default() });
+        }
+        let (mut pruned, mut unindexed_objects) = (0, 0);
+        let select = |obj: &ObjectInfo, splits: Vec<(u64, u64)>| {
+            if splits.is_empty() {
+                return splits;
+            }
+            let Some(stats) = self.fresh_stats(obj) else {
+                unindexed_objects += 1;
+                return splits;
+            };
+            let total = splits.len();
+            let kept: Vec<(u64, u64)> = splits
+                .into_iter()
+                .filter(|&(start, end)| {
+                    let last = Some(end.saturating_sub(1));
+                    !plan_ranges(&stats, predicate, start, last).ranges.is_empty()
+                })
+                .collect();
+            pruned += total.saturating_sub(kept.len());
+            kept
+        };
+        let partitions = discover_where(
+            self.connector.as_ref(),
+            &self.location,
+            self.prefix.as_deref(),
+            chunk_size,
+            select,
+        )?;
+        Ok(Discovery { partitions, pruned, unindexed_objects })
     }
 }
 

@@ -32,6 +32,20 @@ pub struct ScanOutput {
     pub stats: ScanStats,
 }
 
+/// The partitions one query scans, and what discovery learned choosing
+/// them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Discovery {
+    /// The partitions to scan, indexed densely from 0.
+    pub partitions: Vec<InputPartition>,
+    /// Splits dropped because the source's metadata proved they hold no
+    /// match.
+    pub pruned: usize,
+    /// Objects whose splits metadata could not test: no index, a stale
+    /// one, or one the reader cannot fetch.
+    pub unindexed_objects: usize,
+}
+
 /// Simplest flavor: full scan of a partition, all columns, all rows.
 pub trait TableScan: Send + Sync {
     /// The relation's full schema.
@@ -63,4 +77,12 @@ pub trait PrunedFilteredScan: PrunedScan {
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<ScanOutput>;
+
+    /// Discover the partitions a scan under `predicate` must read. The
+    /// default is every partition of [`TableScan::partitions`]; a source
+    /// whose metadata proves a partition holds no match drops it here,
+    /// before any task is spent on it.
+    fn partitions_for(&self, chunk_size: u64, _predicate: Option<&Predicate>) -> Result<Discovery> {
+        Ok(Discovery { partitions: self.partitions(chunk_size)?, ..Discovery::default() })
+    }
 }

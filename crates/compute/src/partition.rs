@@ -6,7 +6,7 @@
 //! size" — and the paper notes this constant "is not adapted to object
 //! stores" (Section VII), which the ablation bench explores by sweeping it.
 
-use crate::connector::StorageConnector;
+use crate::connector::{ObjectInfo, StorageConnector};
 use scoop_common::Result;
 use scoop_csv::split::plan_splits;
 
@@ -34,9 +34,9 @@ impl InputPartition {
         InputPartition { index, object, object_size: size, start: 0, end: size }
     }
 
-    /// Split length in bytes.
+    /// Split length in bytes (0 for an inverted split, as for an empty one).
     pub fn len(&self) -> u64 {
-        self.end - self.start
+        self.end.saturating_sub(self.start)
     }
 
     /// True when the split is empty.
@@ -53,11 +53,24 @@ pub fn discover(
     prefix: Option<&str>,
     chunk_size: u64,
 ) -> Result<Vec<InputPartition>> {
+    discover_where(connector, location, prefix, chunk_size, |_, splits| splits)
+}
+
+/// [`discover`], with `select` choosing, one object at a time, which of its
+/// `[start, end)` splits become partitions. The survivors are numbered
+/// densely in object-name order, so a dropped split leaves no hole.
+pub fn discover_where(
+    connector: &dyn StorageConnector,
+    location: &str,
+    prefix: Option<&str>,
+    chunk_size: u64,
+    mut select: impl FnMut(&ObjectInfo, Vec<(u64, u64)>) -> Vec<(u64, u64)>,
+) -> Result<Vec<InputPartition>> {
     let mut parts = Vec::new();
     let mut objects = connector.list(location, prefix)?;
     objects.sort_by(|a, b| a.name.cmp(&b.name));
     for obj in objects {
-        for (s, e) in plan_splits(obj.size, chunk_size) {
+        for (s, e) in select(&obj, plan_splits(obj.size, chunk_size)) {
             parts.push(InputPartition {
                 index: parts.len(),
                 object: obj.name.clone(),
@@ -108,6 +121,28 @@ mod tests {
             assert_eq!(p.index, i);
             assert!(!p.is_empty());
         }
+    }
+
+    #[test]
+    fn selected_splits_are_numbered_densely() {
+        let c = MemoryConnector::new();
+        c.put("loc", "a", Bytes::from(vec![0u8; 250]));
+        c.put("loc", "b", Bytes::from(vec![0u8; 100]));
+        // Keep a's last split and all of b.
+        let parts = discover_where(c.as_ref(), "loc", None, 100, |obj, splits| {
+            let keep = if obj.name == "a" { 2 } else { 0 };
+            splits.into_iter().skip(keep).collect()
+        })
+        .unwrap();
+        let got: Vec<_> = parts.iter().map(|p| (p.index, p.object.as_str(), p.start)).collect();
+        assert_eq!(got, vec![(0, "a", 200), (1, "b", 0)]);
+    }
+
+    #[test]
+    fn inverted_partition_is_empty() {
+        let p = InputPartition { index: 0, object: "x".into(), object_size: 9, start: 7, end: 3 };
+        assert_eq!(p.len(), 0);
+        assert!(p.is_empty());
     }
 
     #[test]

@@ -72,7 +72,8 @@ struct TableDef {
 pub struct JobMetrics {
     /// Execution arm.
     pub mode: ExecutionMode,
-    /// Tasks executed (== partitions).
+    /// Tasks executed: the partitions discovery kept (under pushdown, the
+    /// splits that survived the zone maps).
     pub tasks: usize,
     /// Bytes that crossed the storage→compute boundary.
     pub bytes_transferred: u64,
@@ -217,13 +218,10 @@ impl Session {
         }
     }
 
-    /// Explain how a query would execute, without running it: the extracted
-    /// pushdown, the residual predicate, the scan schema and the partition
-    /// plan — the reproduction's equivalent of `EXPLAIN` over a Spark plan.
-    pub fn explain(&self, text: &str) -> Result<String> {
-        let query = parse(text)?;
-        let def = self.table(&query.table)?;
-        let (schema, partitions, format_name) = match &def.format {
+    /// The relation a table definition scans, and the arm its scans run
+    /// under.
+    fn relation(&self, def: &TableDef) -> Result<(Arc<dyn PrunedFilteredScan>, ExecutionMode)> {
+        match &def.format {
             TableFormat::Csv { has_header } => {
                 let rel = CsvRelation::open(
                     self.connector.clone(),
@@ -233,29 +231,39 @@ impl Session {
                     def.schema.clone(),
                     self.pushdown,
                 )?;
-                {
-                    use crate::datasource::TableScan;
-                    (rel.schema()?, rel.partitions(self.chunk_size)?, "csv")
-                }
+                let mode = if self.pushdown && self.connector.supports_pushdown() {
+                    ExecutionMode::Pushdown
+                } else {
+                    ExecutionMode::Vanilla
+                };
+                Ok((Arc::new(rel), mode))
             }
             TableFormat::Columnar => {
-                let rel = self.columnar_relation(&def)?;
-                {
-                    use crate::datasource::TableScan;
-                    (rel.schema()?, rel.partitions(self.chunk_size)?, "columnar")
-                }
+                Ok((Arc::new(self.columnar_relation(def)?), ExecutionMode::Columnar))
             }
-        };
+        }
+    }
+
+    /// Explain how a query would execute, without running it: the extracted
+    /// pushdown, the residual predicate, the scan schema and the partition
+    /// plan — the reproduction's equivalent of `EXPLAIN` over a Spark plan.
+    /// Under pushdown the partition plan is the one the query would run:
+    /// discovery has consulted the zone maps.
+    pub fn explain(&self, text: &str) -> Result<String> {
+        let query = parse(text)?;
+        let def = self.table(&query.table)?;
+        let (relation, mode) = self.relation(&def)?;
+        let schema = relation.schema()?;
+        let format_name = if def.format == TableFormat::Columnar { "columnar" } else { "csv" };
         let has_header = matches!(def.format, TableFormat::Csv { has_header: true });
         let plan = plan_query(&query, &schema, has_header)?;
-        let pushdown_active = self.pushdown
-            && self.connector.supports_pushdown()
-            && format_name == "csv";
+        let discovery = relation.partitions_for(self.chunk_size, plan.pushdown.predicate.as_ref())?;
+        let pushdown_active = mode == ExecutionMode::Pushdown;
         let mut out = String::new();
         out.push_str(&format!(
             "== plan for table '{}' ({format_name}, {} partitions) ==\n",
             query.table,
-            partitions.len()
+            discovery.partitions.len()
         ));
         out.push_str(&format!(
             "scan     : columns {}\n",
@@ -273,6 +281,14 @@ impl Session {
                 None => String::new(),
             }
         ));
+        if pushdown_active {
+            let survived = discovery.partitions.len();
+            out.push_str(&format!(
+                "zonemaps : {survived} of {} splits survive zone maps ({} object(s) without a fresh index)\n",
+                survived.saturating_add(discovery.pruned),
+                discovery.unindexed_objects
+            ));
+        }
         out.push_str(&format!(
             "residual : {}\n",
             match &plan.residual_where {
@@ -330,27 +346,7 @@ impl Session {
         );
 
         // Build the relation (and cache the inferred schema).
-        let (relation, mode): (Arc<dyn PrunedFilteredScan>, ExecutionMode) = match &def.format {
-            TableFormat::Csv { has_header } => {
-                let rel = CsvRelation::open(
-                    self.connector.clone(),
-                    &def.location,
-                    def.prefix.as_deref(),
-                    *has_header,
-                    def.schema.clone(),
-                    self.pushdown,
-                )?;
-                let mode = if self.pushdown && self.connector.supports_pushdown() {
-                    ExecutionMode::Pushdown
-                } else {
-                    ExecutionMode::Vanilla
-                };
-                (Arc::new(rel), mode)
-            }
-            TableFormat::Columnar => {
-                (Arc::new(self.columnar_relation(&def)?), ExecutionMode::Columnar)
-            }
-        };
+        let (relation, mode) = self.relation(&def)?;
         let schema = relation.schema()?;
         if def.schema.is_none() {
             // The table was present when `def` was resolved; if it was
@@ -364,7 +360,10 @@ impl Session {
         // Catalyst: extract pushdown + residual.
         let has_header = matches!(def.format, TableFormat::Csv { has_header: true });
         let plan = plan_query(&query, &schema, has_header)?;
-        let partitions = relation.partitions(self.chunk_size)?;
+        // Discovery: under pushdown, splits the zone maps rule out never
+        // become tasks.
+        let discovery = relation.partitions_for(self.chunk_size, plan.pushdown.predicate.as_ref())?;
+        let partitions = discovery.partitions;
 
         let transferred_before = self.connector.bytes_transferred();
 
@@ -543,6 +542,7 @@ impl Session {
             ),
             hedges: counter(names::PROXY_HEDGED_GETS).get().saturating_sub(hedges_before),
             degradations,
+            splits_pruned: discovery.pruned as u64,
             layer_us,
             slow: false, // settled by record_query_event from the threshold
         });

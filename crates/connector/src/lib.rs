@@ -14,7 +14,9 @@
 //! * pushdown reads — GETs tagged with `X-Run-Storlet: csvfilter`,
 //!   `X-Storlet-Parameters` (the serialized [`PushdownSpec`] + file schema)
 //!   and `X-Storlet-Range` (the record-aligned logical split);
-//! * point range fetches for columnar footers/chunks.
+//! * point range fetches for columnar footers/chunks;
+//! * zone-map lookups for partition discovery — one HEAD per listed object
+//!   version, decoded once and kept in a bounded cache, "no index" included.
 //!
 //! It counts every byte its streams deliver to the compute side, which is
 //! the inter-cluster traffic the paper's Fig. 9(c) plots.
@@ -22,6 +24,7 @@
 use bytes::Bytes;
 use scoop_common::rng::XorShift64;
 use scoop_common::telemetry::{self, names};
+use scoop_common::zonestats::{ObjectStats, StatsCache};
 use scoop_common::{stream, ByteStream, Result, RetryPolicy, ScoopError};
 use scoop_compute::connector::{ObjectInfo, StorageConnector, SPLIT_SLACK};
 use scoop_csv::PushdownSpec;
@@ -59,6 +62,8 @@ pub struct SwiftConnector {
     skipped: Arc<AtomicU64>,
     fallbacks_global: telemetry::Counter,
     skipped_global: telemetry::Counter,
+    /// Decoded zone maps per listed `(location, object, etag)`.
+    zone_stats: StatsCache<(String, String, String)>,
 }
 
 /// The two ledgers a plain read writes to as it runs — bytes delivered and
@@ -116,6 +121,7 @@ impl SwiftConnector {
             skipped: Arc::new(AtomicU64::new(0)),
             fallbacks_global: telemetry::counter(names::CONNECTOR_PUSHDOWN_FALLBACKS),
             skipped_global: telemetry::counter(names::CONNECTOR_BYTES_SKIPPED),
+            zone_stats: StatsCache::default(),
         })
     }
 
@@ -158,7 +164,7 @@ impl SwiftConnector {
     /// Total recovery actions taken: request re-dispatches by the client
     /// plus mid-stream resumes by the connector.
     pub fn retries(&self) -> u64 {
-        self.client.retries() + self.stream_resumes()
+        self.client.retries().saturating_add(self.stream_resumes())
     }
 
     fn path(&self, location: &str, object: &str) -> Result<ObjectPath> {
@@ -325,7 +331,7 @@ impl ResumingStream {
 
     /// Whether a mid-stream failure still has resume budget.
     fn can_resume(&self, e: &ScoopError) -> bool {
-        e.is_retryable() && self.failures + 1 < self.policy.max_attempts
+        e.is_retryable() && self.failures.saturating_add(1) < self.policy.max_attempts
     }
 
     /// Back off and count one resume after a retryable failure.
@@ -434,7 +440,7 @@ impl StorageConnector for SwiftConnector {
             .client
             .list(location, prefix)?
             .into_iter()
-            .map(|r| ObjectInfo { name: r.name, size: r.size })
+            .map(|r| ObjectInfo { name: r.name, size: r.size, etag: r.etag })
             .collect())
     }
 
@@ -535,9 +541,9 @@ impl StorageConnector for SwiftConnector {
     }
 
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
-        if end <= start {
+        let Some(last) = end.checked_sub(1).filter(|&last| last >= start) else {
             return Ok(Bytes::new());
-        }
+        };
         let trace = self.client.trace();
         let _span = telemetry::span(
             trace.as_deref(),
@@ -545,7 +551,7 @@ impl StorageConnector for SwiftConnector {
             format!("fetch {location}/{object} [{start},{end})"),
         );
         let req = Request::get(self.path(location, object)?)
-            .with_range(ByteRange { start, end: Some(end - 1) });
+            .with_range(ByteRange { start, end: Some(last) });
         let resp = self.client.request(req)?;
         if !resp.is_success() {
             return Err(ScoopError::Io(std::io::Error::other(format!(
@@ -556,6 +562,28 @@ impl StorageConnector for SwiftConnector {
         let data = resp.read_body()?;
         self.reads.delivered(data.len());
         Ok(data)
+    }
+
+    /// One HEAD per listed version, decoded once. A HEAD the store answers
+    /// without usable stats, or one that fails for good — over TCP, a head
+    /// carrying the stats of an object past ~10 MB exceeds the wire's head
+    /// cap — is a negative entry: "no index" for that version, never asked
+    /// again. A failure that may pass (a retryable error, a 5xx) leaves
+    /// nothing behind, and the next query asks again.
+    fn zone_stats(&self, location: &str, object: &str, etag: &str) -> Option<Arc<ObjectStats>> {
+        let key = (location.to_string(), object.to_string(), etag.to_string());
+        self.zone_stats.get_or_load(key, || {
+            match self.client.head_object(location, object) {
+                Ok(resp) if resp.is_success() => {
+                    Ok(ObjectStats::from_metadata(resp.headers.iter()).unwrap_or(None))
+                }
+                Ok(resp) if resp.status >= 500 => Err(ScoopError::Io(std::io::Error::other(
+                    format!("HEAD {location}/{object} answered {}", resp.status),
+                ))),
+                Err(e) if e.is_retryable() => Err(e),
+                _ => Ok(None),
+            }
+        })
     }
 
     fn invoke_storlet(
@@ -733,6 +761,39 @@ mod tests {
             conn.bytes_skipped(),
             data.len()
         );
+    }
+
+    #[test]
+    fn zone_stats_follow_the_listed_version() {
+        let cluster = cluster();
+        let client = cluster.anonymous_client("AUTH_gp");
+        let mut params = HashMap::new();
+        params.insert("schema".to_string(), "vid,date,index,city".to_string());
+        params.insert("header".to_string(), "1".to_string());
+        let put = Request::put(
+            ObjectPath::new("AUTH_gp", "meters", "zoned.csv").unwrap(),
+            Bytes::from_static(DATA),
+        )
+        .with_header(headers::RUN_STORLET, "zoneindex")
+        .with_header(headers::PARAMETERS, encode_params(&params));
+        assert_eq!(client.request(put).unwrap().status, 201);
+
+        let conn = SwiftConnector::new(cluster.anonymous_client("AUTH_gp"));
+        let listed = conn.list("meters", None).unwrap();
+        let info = |name: &str| listed.iter().find(|o| o.name == name).unwrap().clone();
+        let (zoned, plain) = (info("zoned.csv"), info("jan.csv"));
+        assert_eq!(zoned.etag, plain.etag, "same bytes, same etag");
+        let stats = conn.zone_stats("meters", "zoned.csv", &zoned.etag).expect("indexed");
+        let columns = schema();
+        let columns = columns.iter().map(String::as_str);
+        assert!(stats.describes(Some(&zoned.etag), Some(zoned.size), columns, true));
+        // No index, and a version the listing never named: both negative.
+        assert!(conn.zone_stats("meters", "jan.csv", &plain.etag).is_none());
+        assert!(conn.zone_stats("meters", "ghost.csv", "e").is_none());
+        // Cached per version: a plain re-PUT of the same bytes keeps the
+        // etag, and the cached index still describes those bytes.
+        assert_eq!(client.put_object("meters", "zoned.csv", Bytes::from_static(DATA)).unwrap().status, 201);
+        assert!(conn.zone_stats("meters", "zoned.csv", &zoned.etag).is_some());
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //!   its compact header serialization.
 //! * [`predicate`] — what each pushed predicate leaf means, defined once for
 //!   raw fields, columnar cells, zone maps and chunk statistics.
+//! * [`blockplan`] — the zone-map block planner both tiers run: the store
+//!   per ranged GET, the compute side per split at discovery.
 //! * [`filter`] — evaluation of a compiled pushdown spec against raw records;
 //!   the exact code the CSV storlet runs at storage nodes.
 
+pub mod blockplan;
 pub mod filter;
 pub mod predicate;
 pub mod pushdown;

@@ -370,8 +370,11 @@ impl HttpPool {
                     "connection closed before response",
                 ))))
             }
+            // A head the reader refuses for good (one past the head cap) is
+            // the answer, not a stale socket: a redial would read it again.
             Err(e) => {
-                return Err(Exchange::NoResponse(map_wire_err(e, deadline, "response head read")))
+                let e = map_wire_err(e, deadline, "response head read");
+                return Err(if e.is_retryable() { Exchange::NoResponse(e) } else { Exchange::Fatal(e) });
             }
         };
         let wire::StartLine::Status(status) = head.start else {

@@ -564,7 +564,11 @@ impl<R: Read> FrameReader<R> {
                 break end;
             }
             if self.buf.len() >= MAX_HEAD_BYTES {
-                return Err(malformed("frame head exceeds cap"));
+                // Not a garbled frame: the peer's head is simply this large,
+                // and a fresh connection would read the same head again.
+                return Err(ScoopError::Unsupported(format!(
+                    "frame head exceeds the {MAX_HEAD_BYTES}-byte cap"
+                )));
             }
             if self.fill(1).map_err(ScoopError::Io)? == 0 {
                 if self.buf.is_empty() {
@@ -1057,6 +1061,17 @@ mod tests {
         assert!(error_from_kind("compute", "m".into()).is_retryable());
         assert!(!error_from_kind("deadline", "m".into()).is_retryable());
         assert!(!error_from_kind("never-heard-of-it", "m".into()).is_retryable());
+    }
+
+    #[test]
+    fn an_oversized_head_is_not_retryable() {
+        let mut frame = b"HTTP/1.1 200 OK\r\n".to_vec();
+        while frame.len() <= MAX_HEAD_BYTES {
+            frame.extend_from_slice(b"x-object-meta-pad: 0123456789abcdef\r\n");
+        }
+        frame.extend_from_slice(b"\r\n");
+        let err = FrameReader::new(Cursor::new(frame)).read_head().unwrap_err();
+        assert!(!err.is_retryable(), "{err}");
     }
 
     #[test]

@@ -13,12 +13,13 @@ use crate::api::{InvocationContext, InvocationMetrics};
 use crate::engine::StorletEngine;
 use crate::planner::{plan_ranges, BlockPlan};
 use crate::policy::{PolicyStore, Tier};
-use scoop_common::zonestats::ObjectStats;
+use scoop_common::zonestats::{metadata_fingerprint, ObjectStats, StatsCache};
 use scoop_common::{stream, ByteStream, Result, ScoopError};
 use scoop_csv::PushdownSpec;
 use scoop_objectstore::middleware::{Handler, Middleware};
 use scoop_objectstore::objserver::{STAGE_HEADER, STAGE_OBJECT, STAGE_PROXY};
 use scoop_objectstore::request::{ByteRange, Headers, Method, Request, Response};
+use scoop_objectstore::ObjectPath;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -85,22 +86,29 @@ impl GetPlan {
     }
 }
 
+/// What pins one decoded index at the store: the object, the version the
+/// HEAD reported (etag, length) and the fingerprint of its stats chunks.
+type StatsKey = (ObjectPath, String, Option<u64>, u64);
+
 /// The middleware. Install one instance (sharing the engine) on both the
 /// proxy and object-server pipelines.
 pub struct StorletMiddleware {
     engine: Arc<StorletEngine>,
     policy: Option<Arc<PolicyStore>>,
+    /// Decoded zone maps, so a planned GET decodes an object version's
+    /// index once rather than on every read.
+    stats: StatsCache<StatsKey>,
 }
 
 impl StorletMiddleware {
     /// Middleware without policies (explicit invocation only).
     pub fn new(engine: Arc<StorletEngine>) -> Self {
-        StorletMiddleware { engine, policy: None }
+        StorletMiddleware { engine, policy: None, stats: StatsCache::default() }
     }
 
     /// Middleware consulting a policy store at the proxy stage.
     pub fn with_policy(engine: Arc<StorletEngine>, policy: Arc<PolicyStore>) -> Self {
-        StorletMiddleware { engine, policy: Some(policy) }
+        StorletMiddleware { engine, policy: Some(policy), stats: StatsCache::default() }
     }
 
     /// The shared engine (for stats inspection).
@@ -320,26 +328,16 @@ impl StorletMiddleware {
             _ => return trivial,
         };
         let skip = self.engine.skip_stats();
-        // Absent, undecodable, or corrupt stats: full scan.
-        let Ok(Some(stats)) = ObjectStats::from_metadata(head.iter()) else {
+        // Absent, undecodable or corrupt stats, or stats that do not describe
+        // these bytes under this query's layout: full scan.
+        let object_len = head.get("content-length").and_then(|l| l.parse::<u64>().ok());
+        let fresh = self.decoded_stats(&req.path, &head, object_len).filter(|stats| {
+            stats.describes(head.get("etag"), object_len, schema.split(','), spec.has_header)
+        });
+        let Some(stats) = fresh else {
             skip.record_fallback();
             return trivial;
         };
-        // Freshness: the stats must describe exactly the stored bytes
-        // (overwrites change the etag, truncations change the length), and
-        // the query must agree with the indexed schema — pruning evidence is
-        // positional, so a different column layout would be unsound.
-        let object_len = head.get("content-length").and_then(|l| l.parse::<u64>().ok());
-        let schema_matches =
-            schema.split(',').map(str::trim).eq(stats.columns.iter().map(String::as_str));
-        if head.get("etag") != Some(stats.etag.as_str())
-            || object_len != Some(stats.covered_len())
-            || !schema_matches
-            || spec.has_header != stats.has_header
-        {
-            skip.record_fallback();
-            return trivial;
-        }
         let blocks = plan_ranges(&stats, spec.predicate.as_ref(), start, end);
         // The first surviving block may begin before the requested start;
         // fetch from the start and let newline alignment drop the unowned
@@ -350,6 +348,22 @@ impl StorletMiddleware {
             .map(|&(rs, re)| (rs.max(start), Some(re.saturating_sub(1))))
             .collect();
         GetPlan { windows, blocks: Some(blocks), headers: Some(head) }
+    }
+
+    /// The decoded index a HEAD's headers carry, through the middleware's
+    /// cache. A version whose chunks do not decode is a negative entry;
+    /// one without chunks never reaches the cache.
+    fn decoded_stats(
+        &self,
+        path: &ObjectPath,
+        head: &Headers,
+        object_len: Option<u64>,
+    ) -> Option<Arc<ObjectStats>> {
+        let fingerprint = metadata_fingerprint(head.iter())?;
+        let etag = head.get("etag").unwrap_or_default().to_string();
+        self.stats.get_or_load((path.clone(), etag, object_len, fingerprint), || {
+            Ok(ObjectStats::from_metadata(head.iter()).unwrap_or(None))
+        })
     }
 
     /// PUT with storlet (ETL path): transform the body once, then store the

@@ -7,13 +7,15 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use scoop_compute::ExecutionMode;
-use scoop_core::ScoopContext;
+use scoop_core::{EtlSpec, ScoopConfig, ScoopContext};
 use scoop_csv::{CsvReader, Schema};
 use scoop_integration::deploy;
 use scoop_objectstore::net::wire::status_for_kind;
 use scoop_objectstore::{ObjectPath, Request};
 use scoop_sql::{execute, parse, ResultSet};
 use scoop_storlets::middleware::{encode_params, headers};
+use scoop_workload::generator::meter_schema;
+use scoop_workload::{GeneratorConfig, MeterDataset};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -178,4 +180,80 @@ fn a_where_too_deep_to_push_is_still_transparent() {
     assert!(!vanilla.result.rows.is_empty());
     assert!(vanilla.result.approx_eq(&pushed.result, 1e-9));
     assert!(pushed.result.approx_eq(&reference(&sql), 1e-9));
+}
+
+/// The `date` of the record `at` (a fraction) of the way into a CSV object.
+fn date_at(data: &[u8], at: f64) -> String {
+    let lines: Vec<&[u8]> = data.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
+    let line = std::str::from_utf8(lines[(lines.len() as f64 * at) as usize]).unwrap();
+    line.split(',').nth(1).unwrap().to_string()
+}
+
+/// Discovery prunes only on zone maps that describe the listed bytes. One
+/// pushdown session queries a zoned object, then the same name after a
+/// plain PUT of other bytes, then after those bytes are re-indexed; every
+/// answer equals the vanilla arm's, and no split is pruned while the object
+/// has no index.
+#[test]
+fn discovery_pruning_follows_overwrites() {
+    let ctx = ScoopContext::new(ScoopConfig { chunk_size: 32 * 1024, ..Default::default() }).unwrap();
+    let mut gen = MeterDataset::new(&GeneratorConfig { meters: 10, interval_minutes: 60, ..Default::default() });
+    // Time-major rows: the second object's dates follow the first's.
+    let first = gen.csv_object(4_000);
+    let second = gen.csv_object(4_000);
+    let schema: Vec<String> = meter_schema().names().iter().map(|s| s.to_string()).collect();
+    let zoneindex = EtlSpec {
+        storlets: "zoneindex".to_string(),
+        params: HashMap::from([
+            ("schema".to_string(), schema.join(",")),
+            ("header".to_string(), "1".to_string()),
+            ("block".to_string(), "4096".to_string()),
+        ]),
+    };
+    let put = |data: &Bytes, etl: Option<&EtlSpec>| {
+        ctx.upload_csv("zoned", vec![("obj.csv".to_string(), data.clone())], etl).unwrap();
+    };
+    let pushdown = ctx.session("zoned", ExecutionMode::Pushdown);
+    let vanilla = ctx.session("zoned", ExecutionMode::Vanilla);
+    let queries: Vec<String> = [date_at(&first, 0.9), date_at(&second, 0.5)]
+        .iter()
+        .map(|d| format!("SELECT vid, index FROM zoned WHERE date = '{d}' ORDER BY vid, index"))
+        .collect();
+    // Each query's (rows, tasks) on both arms; results must agree.
+    let run = |phase: &str| -> Vec<(usize, usize, usize)> {
+        queries
+            .iter()
+            .map(|sql| {
+                let want = vanilla.sql(sql).unwrap();
+                let got = pushdown.sql(sql).unwrap();
+                assert!(got.result.approx_eq(&want.result, 1e-9), "{phase}: {sql}");
+                (want.result.rows.len(), got.metrics.tasks, want.metrics.tasks)
+            })
+            .collect()
+    };
+
+    put(&first, Some(&zoneindex));
+    let zoned = run("zoned");
+    // The first date matches, and its splits are a few of many; the second
+    // date is not in these bytes at all (a block's bloom digest may still
+    // keep a split).
+    assert!(zoned[0].0 > 0 && zoned[0].1 < zoned[0].2, "{zoned:?}");
+    assert!(zoned[1].0 == 0 && zoned[1].1 < zoned[1].2, "{zoned:?}");
+    let plan = pushdown.explain(&queries[0]).unwrap();
+    assert!(plan.contains(&format!("{} of {} splits survive", zoned[0].1, zoned[0].2)), "{plan}");
+    assert!(plan.contains("(0 object(s) without a fresh index)"), "{plan}");
+
+    put(&second, None);
+    let plain = run("overwritten");
+    // The second date now matches. Stale maps would have pruned every
+    // split; with no index, every split is scanned.
+    assert!(plain[1].0 > 0, "{plain:?}");
+    for (_, tasks, all) in &plain {
+        assert_eq!(tasks, all, "a split was pruned on stale stats: {plain:?}");
+    }
+    assert!(pushdown.explain(&queries[1]).unwrap().contains("(1 object(s) without a fresh index)"));
+
+    put(&second, Some(&zoneindex));
+    let reindexed = run("re-indexed");
+    assert_eq!(reindexed[1].0, plain[1].0);
 }
