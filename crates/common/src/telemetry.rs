@@ -81,7 +81,8 @@ pub mod names {
     pub const CONNECTOR_BYTES_TRANSFERRED: &str = "scoop_connector_bytes_transferred_total";
     /// Mid-stream resumes (ranged-GET re-issues) by the connector.
     pub const CONNECTOR_STREAM_RESUMES: &str = "scoop_connector_stream_resumes_total";
-    /// Pushdown GETs degraded to plain reads with client-side filtering.
+    /// Pushdown GETs the store shed for overload, re-read as plain splits
+    /// (splits the store declines are not counted).
     pub const CONNECTOR_PUSHDOWN_FALLBACKS: &str = "scoop_connector_pushdown_fallbacks_total";
     /// Object bytes the store skipped (never read) on the connector's
     /// behalf, as reported by `x-scoop-skipped-bytes` response headers.
@@ -766,7 +767,8 @@ pub struct QueryEvent {
     pub retries: u64,
     /// Hedged replica GETs launched during the query.
     pub hedges: u64,
-    /// Degradations (pushdown fallbacks) observed during the query.
+    /// The query's own pushdown splits that came back plain — shed or
+    /// declined by the store — and took the vanilla selection.
     pub degradations: u64,
     /// Splits the query's own partition discovery dropped because the zone
     /// maps proved no block in them can match.

@@ -3,7 +3,9 @@
 //! In the paper this seam is Hadoop's filesystem API with the Stocator driver
 //! underneath; here it is a small trait with the exact operations the data
 //! sources need: listing, (ranged) reads, pushdown reads, and point range
-//! fetches for the columnar footer/chunks. `scoop-connector` implements it
+//! fetches for the columnar footer/chunks. A pushdown read says which body it
+//! got ([`PushdownBody`]): the store's filtered records, or the split's raw
+//! bytes when the store did not filter. `scoop-connector` implements it
 //! over the Swift-like object store; [`MemoryConnector`] backs unit tests.
 
 use bytes::Bytes;
@@ -25,6 +27,15 @@ pub struct ObjectInfo {
     /// Content fingerprint of the listed version: what its zone maps must
     /// describe ([`StorageConnector::zone_stats`]).
     pub etag: String,
+}
+
+/// What a pushdown read delivered.
+pub enum PushdownBody {
+    /// The records the store selected and projected, header consumed.
+    Filtered(ByteStream),
+    /// The object's raw bytes from the split's start: the store did not
+    /// filter, so the reader selects the split as a vanilla scan does.
+    Plain(ByteStream),
 }
 
 /// Storage operations required by the data sources.
@@ -50,9 +61,10 @@ pub trait StorageConnector: Send + Sync {
     }
 
     /// Open a pushdown read: the store applies `spec` to the (record-aligned)
-    /// logical range `[start, end_exclusive)` and streams filtered records.
+    /// logical range `[start, end_exclusive)` and streams filtered records,
+    /// or answers the split's raw bytes when it does not filter.
     /// `file_schema` is the object's column list in file order.
-    fn read_pushdown(
+    fn open_pushdown(
         &self,
         location: &str,
         object: &str,
@@ -60,7 +72,7 @@ pub trait StorageConnector: Send + Sync {
         end_exclusive: Option<u64>,
         spec: &PushdownSpec,
         file_schema: &[String],
-    ) -> Result<ByteStream>;
+    ) -> Result<PushdownBody>;
 
     /// Fetch an exact byte range `[start, end)` (columnar footer/chunks).
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes>;
@@ -106,10 +118,6 @@ pub trait StorageConnector: Send + Sync {
     /// tracing support may ignore it.
     fn set_trace(&self, _trace: Option<String>) {}
 
-    /// Whether [`StorageConnector::read_pushdown`] executes at the store
-    /// (true for Scoop) or must be emulated compute-side (false).
-    fn supports_pushdown(&self) -> bool;
-
     /// Bytes transferred to the compute side so far (wire accounting).
     fn bytes_transferred(&self) -> u64;
 
@@ -134,9 +142,10 @@ pub fn count_consumed(inner: ByteStream, counter: Arc<AtomicU64>) -> ByteStream 
     }))
 }
 
-/// In-memory connector for tests and local experiments. Pushdown reads are
-/// applied locally before the transfer counter, emulating a store-side
-/// filter when constructed [`MemoryConnector::with_pushdown`].
+/// In-memory connector for tests and local experiments. Constructed
+/// [`MemoryConnector::with_pushdown`], pushdown reads are filtered locally
+/// before the transfer counter, emulating a store-side filter; otherwise
+/// they answer the plain bytes, as a store without an active layer does.
 #[derive(Default)]
 pub struct MemoryConnector {
     objects: RwLock<BTreeMap<(String, String), Bytes>>,
@@ -145,7 +154,7 @@ pub struct MemoryConnector {
 }
 
 impl MemoryConnector {
-    /// Empty store without pushdown support.
+    /// Empty store without an active layer.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
@@ -198,7 +207,7 @@ impl StorageConnector for MemoryConnector {
         ))
     }
 
-    fn read_pushdown(
+    fn open_pushdown(
         &self,
         location: &str,
         object: &str,
@@ -206,7 +215,10 @@ impl StorageConnector for MemoryConnector {
         end_exclusive: Option<u64>,
         spec: &PushdownSpec,
         file_schema: &[String],
-    ) -> Result<ByteStream> {
+    ) -> Result<PushdownBody> {
+        if !self.pushdown {
+            return Ok(PushdownBody::Plain(self.read_from(location, object, start)?));
+        }
         // Emulate the store-side filter: run the compiled spec over the
         // record-aligned range; only filtered bytes cross the wire.
         let data = self.get(location, object)?;
@@ -220,10 +232,10 @@ impl StorageConnector for MemoryConnector {
             slice,
             true,
         )?;
-        Ok(count_consumed(
+        Ok(PushdownBody::Filtered(count_consumed(
             stream::chunked(Bytes::from(filtered), stream::DEFAULT_CHUNK),
             self.transferred.clone(),
-        ))
+        )))
     }
 
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
@@ -233,10 +245,6 @@ impl StorageConnector for MemoryConnector {
         let out = data.slice(s..e.max(s));
         self.transferred.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
-    }
-
-    fn supports_pushdown(&self) -> bool {
-        self.pushdown
     }
 
     fn bytes_transferred(&self) -> u64 {
@@ -295,9 +303,11 @@ mod tests {
             has_header: true,
         };
         let schema = vec!["vid".to_string(), "city".to_string()];
-        let s = c
-            .read_pushdown("meters", "a.csv", 0, None, &spec, &schema)
-            .unwrap();
+        let Ok(PushdownBody::Filtered(s)) =
+            c.open_pushdown("meters", "a.csv", 0, None, &spec, &schema)
+        else {
+            panic!("an active store filters");
+        };
         let out = scoop_common::stream::collect(s).unwrap();
         assert_eq!(out, "m1\nm3\n");
         assert_eq!(c.bytes_transferred(), 6);

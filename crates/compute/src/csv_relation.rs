@@ -1,25 +1,26 @@
 //! The CSV relation — the paper's extended Spark-CSV.
 //!
-//! Implements all three Data Sources flavors. With pushdown enabled and a
-//! capable connector, `scan_pruned_filtered` delegates projection+selection
-//! to the store (the Scoop path); otherwise the partition's raw byte range is
-//! ingested, record-aligned client-side, selected, parsed and pruned in the
-//! compute tier (the vanilla ingest-then-compute path). Both paths produce
-//! rows under the same projected schema so the executor upstream is
-//! oblivious, and both select with the same raw-field evaluator.
+//! Implements all three Data Sources flavors. With pushdown enabled,
+//! `scan_pruned_filtered` delegates projection+selection to the store (the
+//! Scoop path); otherwise the partition's raw byte range is ingested,
+//! record-aligned client-side, selected, parsed and pruned in the compute
+//! tier (the vanilla ingest-then-compute path), as is a pushdown split the
+//! store answers plain. Both paths produce rows under the same projected
+//! schema so the executor upstream is oblivious, and both select with the
+//! same raw-field evaluator.
 //!
 //! Under pushdown, discovery also consults each object's zone maps and drops
 //! the splits in which no block can match: the store would have planned
 //! them with the same function and answered with an empty body. The vanilla
 //! arm stays the paper's ingest-then-compute and reads every split.
 
-use crate::connector::{ObjectInfo, StorageConnector, SPLIT_SLACK};
+use crate::connector::{ObjectInfo, PushdownBody, StorageConnector, SPLIT_SLACK};
 use crate::datasource::{
     Discovery, PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan,
 };
 use crate::partition::{discover, discover_where, InputPartition};
 use scoop_common::zonestats::ObjectStats;
-use scoop_common::{Result, ScoopError};
+use scoop_common::{ByteStream, Result, ScoopError};
 use scoop_csv::blockplan::plan_ranges;
 use scoop_csv::split::RangedRecordStream;
 use scoop_csv::{CompiledSpec, CsvReader, FieldBuf, Predicate, PushdownSpec, Schema, Value};
@@ -84,11 +85,6 @@ impl CsvRelation {
         &self.location
     }
 
-    /// Whether scans push down to the store (the Scoop arm).
-    fn pushes_down(&self) -> bool {
-        self.pushdown_enabled && self.connector.supports_pushdown()
-    }
-
     /// The listed version's zone maps, when they describe it under this
     /// relation's layout — the same check the store runs before it plans.
     fn fresh_stats(&self, obj: &ObjectInfo) -> Option<Arc<ObjectStats>> {
@@ -109,14 +105,30 @@ impl CsvRelation {
     /// and pruning. The read is bounded just past the split's end — the
     /// record reader stops there, and an open-ended GET abandoned mid-body
     /// would cost the connector its pooled connection.
-    ///
-    /// The pushed predicate selects on raw field bytes with the store's own
-    /// evaluator ([`CompiledSpec`]), and only the survivors are typed — the
-    /// late materialisation the columnar arm has. The selection keeps a
-    /// superset of the rows SQL keeps, so the executor still applies the
-    /// whole WHERE (`filters_handled` stays false).
     fn scan_vanilla(
         &self,
+        partition: &InputPartition,
+        columns: Option<&[String]>,
+        predicate: Option<&Predicate>,
+    ) -> Result<ScanOutput> {
+        let stream = self.connector.read_bounded(
+            &self.location,
+            &partition.object,
+            partition.start,
+            partition.end.saturating_add(SPLIT_SLACK),
+        )?;
+        self.selected(stream, partition, columns, predicate)
+    }
+
+    /// The rows of a split's raw bytes (`stream` starts at the split's
+    /// start). The pushed predicate selects on raw field bytes with the
+    /// store's own evaluator ([`CompiledSpec`]), and only the survivors are
+    /// typed — the late materialisation the columnar arm has. The selection
+    /// keeps a superset of the rows SQL keeps, so the executor still applies
+    /// the whole WHERE (`filters_handled` stays false).
+    fn selected(
+        &self,
+        stream: ByteStream,
         partition: &InputPartition,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
@@ -131,12 +143,6 @@ impl CsvRelation {
             predicate,
             &self.file_columns,
             projection.iter().max().map_or(0, |&i| i.saturating_add(1)),
-        )?;
-        let stream = self.connector.read_bounded(
-            &self.location,
-            &partition.object,
-            partition.start,
-            partition.end.saturating_add(SPLIT_SLACK),
         )?;
         let rows: RowStream = Box::new(SelectedRows {
             records: RangedRecordStream::new(stream, partition.start, Some(partition.end)),
@@ -154,7 +160,8 @@ impl CsvRelation {
         })
     }
 
-    /// The Scoop path: the store filters; we parse the projected records.
+    /// The Scoop path: the store filters; we parse the projected records, or
+    /// select a split it answers plain as a vanilla one.
     fn scan_pushdown(
         &self,
         partition: &InputPartition,
@@ -167,7 +174,7 @@ impl CsvRelation {
             predicate: predicate.cloned(),
             has_header: self.has_header,
         };
-        let stream = self.connector.read_pushdown(
+        let body = self.connector.open_pushdown(
             &self.location,
             &partition.object,
             partition.start,
@@ -175,6 +182,10 @@ impl CsvRelation {
             &spec,
             &self.file_columns,
         )?;
+        let stream = match body {
+            PushdownBody::Filtered(stream) => stream,
+            PushdownBody::Plain(stream) => return self.selected(stream, partition, columns, predicate),
+        };
         // Pushdown responses carry pure data records (header consumed at the
         // store).
         let rows: RowStream = Box::new(CsvReader::new(stream, scan_schema.clone(), false));
@@ -267,7 +278,7 @@ impl PrunedFilteredScan for CsvRelation {
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<ScanOutput> {
-        if self.pushes_down() {
+        if self.pushdown_enabled {
             self.scan_pushdown(partition, columns, predicate)
         } else {
             self.scan_vanilla(partition, columns, predicate)
@@ -279,7 +290,7 @@ impl PrunedFilteredScan for CsvRelation {
     /// pushdown scan of the split sends — keeps at least one block. An
     /// object without fresh maps keeps every split.
     fn partitions_for(&self, chunk_size: u64, predicate: Option<&Predicate>) -> Result<Discovery> {
-        if !self.pushes_down() {
+        if !self.pushdown_enabled {
             return Ok(Discovery { partitions: self.partitions(chunk_size)?, ..Discovery::default() });
         }
         let (mut pruned, mut unindexed_objects) = (0, 0);
@@ -375,6 +386,10 @@ mod tests {
         let cols = vec!["vid".to_string(), "index".to_string()];
         let (_, vanilla_rel) = relation(false);
         let (_, pushdown_rel) = relation(true);
+        // A store without an active layer answers every pushdown read plain.
+        let bare = MemoryConnector::new();
+        bare.put("meters", "jan.csv", Bytes::from_static(DATA));
+        let plain_rel = CsvRelation::open(bare, "meters", None, true, None, true).unwrap();
         for chunk in [8u64, 16, 30, 1000] {
             let vp = vanilla_rel.partitions(chunk).unwrap();
             let pp = pushdown_rel.partitions(chunk).unwrap();
@@ -388,7 +403,12 @@ mod tests {
                 // Vanilla selects on the raw fields but leaves the WHERE to
                 // the executor; a Str = Str predicate selects exactly.
                 assert!(!out.stats.filters_handled);
-                vanilla_rows.extend(collect(out));
+                let split_rows = collect(out);
+                // A plain split is the vanilla scan of that split.
+                let out = plain_rel.scan_pruned_filtered(v, Some(&cols), Some(&pred)).unwrap();
+                assert!(!out.stats.filters_handled);
+                assert_eq!(collect(out), split_rows, "chunk={chunk}");
+                vanilla_rows.extend(split_rows);
                 let out = pushdown_rel
                     .scan_pruned_filtered(p, Some(&cols), Some(&pred))
                     .unwrap();

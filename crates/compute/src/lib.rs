@@ -31,7 +31,7 @@ pub mod scheduler;
 pub mod session;
 pub mod storlet_rdd;
 
-pub use connector::{MemoryConnector, ObjectInfo, StorageConnector};
+pub use connector::{MemoryConnector, ObjectInfo, PushdownBody, StorageConnector};
 pub use datasource::{ScanOutput, ScanStats};
 pub use partition::InputPartition;
 pub use session::{ExecutionMode, JobMetrics, QueryOutcome, Session, TableFormat};

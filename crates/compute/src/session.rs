@@ -231,11 +231,7 @@ impl Session {
                     def.schema.clone(),
                     self.pushdown,
                 )?;
-                let mode = if self.pushdown && self.connector.supports_pushdown() {
-                    ExecutionMode::Pushdown
-                } else {
-                    ExecutionMode::Vanilla
-                };
+                let mode = if self.pushdown { ExecutionMode::Pushdown } else { ExecutionMode::Vanilla };
                 Ok((Arc::new(rel), mode))
             }
             TableFormat::Columnar => {
@@ -332,11 +328,10 @@ impl Session {
         self.connector.set_trace(Some(trace.clone()));
         // Baselines for the query's wide event: global counters are sampled
         // before and after the run so the event carries *this* query's
-        // hedges/retries/degradations (single-process delta attribution).
+        // hedges/retries (single-process delta attribution).
         use scoop_common::telemetry::{counter, names};
         let hedges_before = counter(names::PROXY_HEDGED_GETS).get();
         let retries_before = counter(names::CLIENT_RETRIES).get();
-        let fallbacks_before = counter(names::CONNECTOR_PUSHDOWN_FALLBACKS).get();
         let query = parse(text)?;
         let def = self.table(&query.table)?;
         let _query_span = scoop_common::telemetry::span(
@@ -408,11 +403,8 @@ impl Session {
                 columns.as_deref(),
                 predicate.as_ref(),
             )?;
-            let filter = if out.stats.filters_handled {
-                &residual_filter
-            } else {
-                &full_filter
-            };
+            let plain = !out.stats.filters_handled;
+            let filter = if plain { &full_filter } else { &residual_filter };
             let mut rows_in = 0u64;
             let mut rows_kept = 0u64;
             match &aggregator {
@@ -426,7 +418,7 @@ impl Session {
                             agg.update(&mut partial, &row)?;
                         }
                     }
-                    Ok(TaskOut::Partial(Box::new(partial), rows_in, rows_kept))
+                    Ok((TaskOut::Partial(Box::new(partial), rows_in, rows_kept), plain))
                 }
                 None => {
                     let mut kept = Vec::new();
@@ -460,13 +452,22 @@ impl Session {
                         }
                         return Err(e);
                     }
-                    Ok(TaskOut::Rows(kept, rows_in))
+                    Ok((TaskOut::Rows(kept, rows_in), plain))
                 }
             }
         });
         drop(_sched_span);
         let task_retries = total_retries(&results);
         let (outputs, task_durations) = collect_ok(results)?;
+
+        // A pushdown-arm task whose split came back plain ran the vanilla
+        // selection: the query's own degradations, shed or declined.
+        let degradations = if mode == ExecutionMode::Pushdown {
+            outputs.iter().filter(|(_, plain)| *plain).count() as u64
+        } else {
+            0
+        };
+        let outputs = outputs.into_iter().map(|(out, _)| out);
 
         // Driver-side merge/finalize.
         let mut rows_to_compute = 0u64;
@@ -513,8 +514,6 @@ impl Session {
         // Close the session span *now* so the wide event's per-layer
         // durations include it (spans record on drop).
         drop(_query_span);
-        let degradations =
-            counter(names::CONNECTOR_PUSHDOWN_FALLBACKS).get().saturating_sub(fallbacks_before);
         let spans = scoop_common::telemetry::trace_spans(&trace);
         let mut layer_us: Vec<(&'static str, u64)> = Vec::new();
         for layer in scoop_common::telemetry::layers::ALL {
@@ -529,7 +528,7 @@ impl Session {
         }
         scoop_common::telemetry::record_query_event(scoop_common::telemetry::QueryEvent {
             trace: trace.clone(),
-            path: if degradations > 0 && mode == ExecutionMode::Pushdown {
+            path: if degradations > 0 {
                 "pushdown-fallback".to_string()
             } else {
                 mode.to_string()
@@ -713,7 +712,7 @@ mod tests {
 #[cfg(test)]
 mod retry_tests {
     use super::*;
-    use crate::connector::{MemoryConnector, ObjectInfo, StorageConnector};
+    use crate::connector::{MemoryConnector, ObjectInfo, PushdownBody, StorageConnector};
     use bytes::Bytes;
     use scoop_common::ByteStream;
     use scoop_csv::PushdownSpec;
@@ -767,7 +766,7 @@ mod retry_tests {
             self.inner.read_from(location, object, start)
         }
 
-        fn read_pushdown(
+        fn open_pushdown(
             &self,
             location: &str,
             object: &str,
@@ -775,19 +774,15 @@ mod retry_tests {
             end_exclusive: Option<u64>,
             spec: &PushdownSpec,
             file_schema: &[String],
-        ) -> Result<ByteStream> {
+        ) -> Result<PushdownBody> {
             self.trip()?;
             self.inner
-                .read_pushdown(location, object, start, end_exclusive, spec, file_schema)
+                .open_pushdown(location, object, start, end_exclusive, spec, file_schema)
         }
 
         fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
             self.fetches.fetch_add(1, Ordering::Relaxed);
             self.inner.fetch_range(location, object, start, end)
-        }
-
-        fn supports_pushdown(&self) -> bool {
-            self.inner.supports_pushdown()
         }
 
         fn bytes_transferred(&self) -> u64 {

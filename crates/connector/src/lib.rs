@@ -13,7 +13,8 @@
 //!   knows where it will stop;
 //! * pushdown reads — GETs tagged with `X-Run-Storlet: csvfilter`,
 //!   `X-Storlet-Parameters` (the serialized [`PushdownSpec`] + file schema)
-//!   and `X-Storlet-Range` (the record-aligned logical split);
+//!   and `X-Storlet-Range` (the record-aligned logical split); a split the
+//!   store sheds or declines comes back plain ([`PushdownBody::Plain`]);
 //! * point range fetches for columnar footers/chunks;
 //! * zone-map lookups for partition discovery — one HEAD per listed object
 //!   version, decoded once and kept in a bounded cache, "no index" included.
@@ -26,10 +27,12 @@ use scoop_common::rng::XorShift64;
 use scoop_common::telemetry::{self, names};
 use scoop_common::zonestats::{ObjectStats, StatsCache};
 use scoop_common::{stream, ByteStream, Result, RetryPolicy, ScoopError};
-use scoop_compute::connector::{ObjectInfo, StorageConnector, SPLIT_SLACK};
+use scoop_compute::connector::{ObjectInfo, PushdownBody, StorageConnector, SPLIT_SLACK};
 use scoop_csv::PushdownSpec;
 use scoop_objectstore::request::{ByteRange, Request, Response};
 use scoop_objectstore::{ObjectPath, SwiftClient};
+use scoop_storlets::api::{InvocationContext, Storlet};
+use scoop_storlets::filters::csv::CsvFilterStorlet;
 use scoop_storlets::middleware::{encode_params, headers};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +59,6 @@ pub enum RunOn {
 pub struct SwiftConnector {
     client: SwiftClient,
     run_on: RunOn,
-    pushdown_supported: bool,
     reads: ReadLedger,
     fallbacks: Arc<AtomicU64>,
     skipped: Arc<AtomicU64>,
@@ -93,24 +95,20 @@ impl ReadLedger {
 impl SwiftConnector {
     /// Wrap an authenticated client session.
     pub fn new(client: SwiftClient) -> Arc<SwiftConnector> {
-        Self::build(client, RunOn::default(), true)
+        Self::with_run_on(client, RunOn::default())
+    }
+
+    /// Same as [`SwiftConnector::new`]: whether a session pushes down is
+    /// `Session::with_pushdown`'s to say.
+    pub fn without_pushdown(client: SwiftClient) -> Arc<SwiftConnector> {
+        Self::new(client)
     }
 
     /// Choose the storlet execution stage.
     pub fn with_run_on(client: SwiftClient, run_on: RunOn) -> Arc<SwiftConnector> {
-        Self::build(client, run_on, true)
-    }
-
-    /// A connector that never pushes down (vanilla arm over the same store).
-    pub fn without_pushdown(client: SwiftClient) -> Arc<SwiftConnector> {
-        Self::build(client, RunOn::default(), false)
-    }
-
-    fn build(client: SwiftClient, run_on: RunOn, pushdown_supported: bool) -> Arc<SwiftConnector> {
         Arc::new(SwiftConnector {
             client,
             run_on,
-            pushdown_supported,
             reads: ReadLedger {
                 transferred: Arc::new(AtomicU64::new(0)),
                 transferred_global: telemetry::counter(names::CONNECTOR_BYTES_TRANSFERRED),
@@ -148,8 +146,9 @@ impl SwiftConnector {
     }
 
     /// Pushdown reads that the store shed for overload (`503` +
-    /// `x-storlet-degraded`) and the connector transparently re-issued as
-    /// plain ranged GETs with client-side filtering.
+    /// `x-storlet-degraded`) and the connector re-issued as plain ranged
+    /// GETs of the split ([`PushdownBody::Plain`]); declined ones are not
+    /// counted.
     pub fn pushdown_fallbacks(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
     }
@@ -191,46 +190,36 @@ impl SwiftConnector {
         Ok(Box::new(stream))
     }
 
-    /// Apply `spec` compute-side over a raw byte stream starting at `start`,
-    /// producing the same record-aligned filtered stream a store-side
-    /// pushdown would have. Shared by the two degradation paths: bronze-tier
-    /// policy stripping and overload shedding.
-    fn filter_client_side(
-        raw: ByteStream,
+    /// [`StorageConnector::open_pushdown`] as filtered record text: a plain
+    /// split runs through the store's own CSV filter here, with the split
+    /// as its range.
+    pub fn read_pushdown(
+        &self,
+        location: &str,
+        object: &str,
         start: u64,
         end_exclusive: Option<u64>,
         spec: &PushdownSpec,
         file_schema: &[String],
     ) -> Result<ByteStream> {
-        let compiled = scoop_csv::filter::CompiledSpec::compile(spec, file_schema)?;
-        let mut records = scoop_csv::split::RangedRecordStream::new(raw, start, end_exclusive);
-        let mut skip_header = spec.has_header && start == 0;
-        let mut fields = scoop_csv::FieldBuf::default();
-        // One output buffer for the whole split: each input chunk's
-        // survivors leave as one `Bytes`.
-        let mut out = Vec::new();
-        let filtered = std::iter::from_fn(move || loop {
-            let more = records.next_chunk(|record| {
-                if !std::mem::take(&mut skip_header) {
-                    compiled.filter_record_buf(record, &mut fields, &mut out);
-                }
-            });
-            match more {
-                Err(e) => return Some(Err(e)),
-                Ok(more) => {
-                    if !out.is_empty() {
-                        let chunk = Bytes::copy_from_slice(&out);
-                        out.clear();
-                        return Some(Ok(chunk));
-                    }
-                    if !more {
-                        return None;
-                    }
-                }
+        match self.open_pushdown(location, object, start, end_exclusive, spec, file_schema)? {
+            PushdownBody::Filtered(body) => Ok(body),
+            PushdownBody::Plain(raw) => {
+                let mut ctx = InvocationContext::new(csvfilter_params(spec, file_schema));
+                ctx.range_start = start;
+                ctx.range_end = end_exclusive.map(|end| end.saturating_sub(1));
+                CsvFilterStorlet.invoke(raw, ctx)
             }
-        });
-        Ok(Box::new(filtered))
+        }
     }
+}
+
+/// The `csvfilter` storlet's parameters for one pushdown read.
+fn csvfilter_params(spec: &PushdownSpec, file_schema: &[String]) -> HashMap<String, String> {
+    HashMap::from([
+        ("spec".to_string(), spec.to_header()),
+        ("schema".to_string(), file_schema.join(",")),
+    ])
 }
 
 /// A byte stream over one object that survives mid-stream failures by
@@ -349,6 +338,13 @@ fn object_length(resp: &Response) -> Option<u64> {
         .and_then(|l| l.parse::<u64>().ok())
 }
 
+/// The object offset a GET body starts at: the first byte its
+/// `content-range` names (`None` if it does not parse), or 0 without one.
+fn body_start(resp: &Response) -> Option<u64> {
+    let Some(range) = resp.headers.get("content-range") else { return Some(0) };
+    range.strip_prefix("bytes ")?.split('-').next()?.parse().ok()
+}
+
 /// Wrap a GET response body so that a short body (relative to the store's
 /// `x-object-length`) errors instead of ending silently.
 fn checked_body(resp: Response, start: u64) -> ByteStream {
@@ -444,21 +440,15 @@ impl StorageConnector for SwiftConnector {
             .collect())
     }
 
-    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStreamAlias> {
+    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
         self.read_plain(location, object, start, None)
     }
 
-    fn read_bounded(
-        &self,
-        location: &str,
-        object: &str,
-        start: u64,
-        stop: u64,
-    ) -> Result<ByteStreamAlias> {
+    fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream> {
         self.read_plain(location, object, start, Some(stop))
     }
 
-    fn read_pushdown(
+    fn open_pushdown(
         &self,
         location: &str,
         object: &str,
@@ -466,12 +456,7 @@ impl StorageConnector for SwiftConnector {
         end_exclusive: Option<u64>,
         spec: &PushdownSpec,
         file_schema: &[String],
-    ) -> Result<ByteStreamAlias> {
-        if !self.pushdown_supported {
-            return Err(ScoopError::Unsupported(
-                "connector built without pushdown".into(),
-            ));
-        }
+    ) -> Result<PushdownBody> {
         let trace = self.client.trace();
         let _span = telemetry::span(
             trace.as_deref(),
@@ -482,14 +467,11 @@ impl StorageConnector for SwiftConnector {
         // `end_exclusive == Some(0)` would saturate to the inclusive range
         // `bytes=0-0` below and re-read the first record.
         if matches!(end_exclusive, Some(e) if e <= start) {
-            return Ok(stream::empty());
+            return Ok(PushdownBody::Filtered(stream::empty()));
         }
-        let mut params = HashMap::new();
-        params.insert("spec".to_string(), spec.to_header());
-        params.insert("schema".to_string(), file_schema.join(","));
         let mut req = Request::get(self.path(location, object)?)
             .with_header(headers::RUN_STORLET, "csvfilter")
-            .with_header(headers::PARAMETERS, encode_params(&params));
+            .with_header(headers::PARAMETERS, encode_params(&csvfilter_params(spec, file_schema)));
         if self.run_on == RunOn::Proxy {
             req = req.with_header(headers::RUN_ON, "proxy");
         }
@@ -504,16 +486,18 @@ impl StorageConnector for SwiftConnector {
             req = req.with_header(headers::STORLET_RANGE, range.to_header());
         }
         let resp = self.client.request(req)?;
+        // A plain read of the split: resumable, bounded as a vanilla split's.
+        let plain = || {
+            let stop = end_exclusive.map(|end| end.saturating_add(SPLIT_SLACK));
+            self.read_plain(location, object, start, stop).map(PushdownBody::Plain)
+        };
         if resp.status == 503 && resp.headers.contains(headers::DEGRADED) {
             // Overload shedding: the storlet engine refused the pushdown.
-            // Degrade transparently to a plain (resumable) ranged GET and
-            // filter compute-side — slower and heavier on the wire, but the
-            // query still completes with identical results.
+            // The split is read plain and selected compute-side — heavier on
+            // the wire, but the query completes with identical results.
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
             self.fallbacks_global.inc();
-            let stop = end_exclusive.map(|end| end.saturating_add(SPLIT_SLACK));
-            let raw = self.read_plain(location, object, start, stop)?;
-            return Self::filter_client_side(raw, start, end_exclusive, spec, file_schema);
+            return plain();
         }
         if !resp.is_success() {
             return Err(ScoopError::Io(std::io::Error::other(format!(
@@ -530,14 +514,16 @@ impl StorageConnector for SwiftConnector {
                 self.skipped.fetch_add(skipped, Ordering::Relaxed);
                 self.skipped_global.add(skipped);
             }
-            return Ok(self.count(resp.body));
+            return Ok(PushdownBody::Filtered(self.count(resp.body)));
         }
-        // The store declined the pushdown (e.g. a bronze-tier policy stripped
-        // it): the response is raw object bytes from `start`. Count the raw
-        // transfer, then align + filter client-side so callers still receive
-        // the contract's filtered record stream.
-        let raw = self.count(checked_body(resp, start));
-        Self::filter_client_side(raw, start, end_exclusive, spec, file_schema)
+        // The store declined the pushdown: the body is raw object bytes. A
+        // bronze-tier policy turns the split into a ranged GET from `start`;
+        // a store with no active layer ignores the split and answers the
+        // whole object, which is dropped for a read that starts at `start`.
+        if body_start(&resp) == Some(start) {
+            return Ok(PushdownBody::Plain(self.count(checked_body(resp, start))));
+        }
+        plain()
     }
 
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
@@ -630,10 +616,6 @@ impl StorageConnector for SwiftConnector {
         self.client.set_trace(trace);
     }
 
-    fn supports_pushdown(&self) -> bool {
-        self.pushdown_supported
-    }
-
     fn bytes_transferred(&self) -> u64 {
         self.reads.transferred.load(Ordering::Relaxed)
     }
@@ -642,9 +624,6 @@ impl StorageConnector for SwiftConnector {
         self.reads.transferred.store(0, Ordering::Relaxed);
     }
 }
-
-/// Local alias to keep signatures readable.
-type ByteStreamAlias = scoop_common::ByteStream;
 
 #[cfg(test)]
 mod tests {
@@ -660,8 +639,19 @@ mod tests {
         m3,2015-02-01,50.0,Utrecht\n\
         m4,2015-01-09,75.0,Rotterdam\n";
 
-    fn cluster() -> Arc<SwiftCluster> {
+    /// A store with no active layer, holding `meters/jan.csv`.
+    fn bare_cluster() -> Arc<SwiftCluster> {
         let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
+        let client = cluster.anonymous_client("AUTH_gp");
+        client.create_container("meters").unwrap();
+        client
+            .put_object("meters", "jan.csv", Bytes::from_static(DATA))
+            .unwrap();
+        cluster
+    }
+
+    fn cluster() -> Arc<SwiftCluster> {
+        let cluster = bare_cluster();
         let engine = Arc::new(StorletEngine::with_builtin_filters());
         let mut obj = Pipeline::new();
         obj.push(Arc::new(StorletMiddleware::new(engine.clone())));
@@ -672,11 +662,6 @@ mod tests {
             Arc::new(PolicyStore::new()),
         )));
         cluster.set_proxy_pipeline(proxy);
-        let client = cluster.anonymous_client("AUTH_gp");
-        client.create_container("meters").unwrap();
-        client
-            .put_object("meters", "jan.csv", Bytes::from_static(DATA))
-            .unwrap();
         cluster
     }
 
@@ -796,30 +781,34 @@ mod tests {
         assert!(conn.zone_stats("meters", "zoned.csv", &zoned.etag).is_some());
     }
 
+    /// With and without an active layer: a store that ignores the split
+    /// answers the whole object, which the connector must not take for the
+    /// split's bytes.
     #[test]
     fn ranged_pushdown_covers_each_record_once() {
-        let cluster = cluster();
-        let conn = SwiftConnector::new(cluster.anonymous_client("AUTH_gp"));
         let spec = PushdownSpec {
             columns: Some(vec!["vid".into()]),
             predicate: None,
             has_header: true,
         };
-        for chunk in [10u64, 25, 31, 64, 1000] {
-            let mut combined = Vec::new();
-            for (s, e) in scoop_csv::split::plan_splits(DATA.len() as u64, chunk) {
-                let body = scoop_common::stream::collect(
-                    conn.read_pushdown("meters", "jan.csv", s, Some(e), &spec, &schema())
-                        .unwrap(),
-                )
-                .unwrap();
-                combined.extend_from_slice(&body);
+        for cluster in [cluster(), bare_cluster()] {
+            let conn = SwiftConnector::new(cluster.anonymous_client("AUTH_gp"));
+            for chunk in [10u64, 25, 31, 64, 1000] {
+                let mut combined = Vec::new();
+                for (s, e) in scoop_csv::split::plan_splits(DATA.len() as u64, chunk) {
+                    let body = scoop_common::stream::collect(
+                        conn.read_pushdown("meters", "jan.csv", s, Some(e), &spec, &schema())
+                            .unwrap(),
+                    )
+                    .unwrap();
+                    combined.extend_from_slice(&body);
+                }
+                assert_eq!(
+                    String::from_utf8(combined).unwrap(),
+                    "m1\nm2\nm3\nm4\n",
+                    "chunk={chunk}"
+                );
             }
-            assert_eq!(
-                String::from_utf8(combined).unwrap(),
-                "m1\nm2\nm3\nm4\n",
-                "chunk={chunk}"
-            );
         }
     }
 
@@ -869,10 +858,5 @@ mod tests {
         assert_eq!(conn.fetch_range("meters", "jan.csv", 0, 3).unwrap(), "vid");
         assert_eq!(conn.fetch_range("meters", "jan.csv", 5, 5).unwrap().len(), 0);
         assert!(conn.read_from("meters", "ghost.csv", 0).is_err());
-        let no_push = SwiftConnector::without_pushdown(cluster.anonymous_client("AUTH_gp"));
-        assert!(!no_push.supports_pushdown());
-        assert!(no_push
-            .read_pushdown("meters", "jan.csv", 0, None, &PushdownSpec::passthrough(), &schema())
-            .is_err());
     }
 }

@@ -88,11 +88,7 @@ fn run_query(plan: Option<FaultPlan>, pushdown: bool) -> Run {
     client.create_container("meters").unwrap();
     client.put_object("meters", "jan.csv", meter_csv()).unwrap();
 
-    let connector = if pushdown {
-        SwiftConnector::new(client)
-    } else {
-        SwiftConnector::without_pushdown(client)
-    };
+    let connector = SwiftConnector::new(client);
     let session = Session::new(connector.clone(), 2)
         .with_chunk_size(2048)
         .with_pushdown(pushdown)

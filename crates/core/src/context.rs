@@ -168,27 +168,14 @@ impl ScoopContext {
         mode: ExecutionMode,
         schema: Option<Schema>,
     ) -> Session {
-        let (connector, pushdown, format): (Arc<SwiftConnector>, bool, TableFormat) = match mode
-        {
-            ExecutionMode::Vanilla => (
-                SwiftConnector::without_pushdown(self.client.clone()),
-                false,
-                TableFormat::Csv { has_header: true },
-            ),
-            ExecutionMode::Pushdown => (
-                SwiftConnector::with_run_on(self.client.clone(), self.config.run_on),
-                true,
-                TableFormat::Csv { has_header: true },
-            ),
-            ExecutionMode::Columnar => (
-                SwiftConnector::without_pushdown(self.client.clone()),
-                false,
-                TableFormat::Columnar,
-            ),
+        let format = match mode {
+            ExecutionMode::Vanilla | ExecutionMode::Pushdown => TableFormat::Csv { has_header: true },
+            ExecutionMode::Columnar => TableFormat::Columnar,
         };
+        let connector = SwiftConnector::with_run_on(self.client.clone(), self.config.run_on);
         let session = Session::new(connector, self.config.workers)
             .with_chunk_size(self.config.chunk_size)
-            .with_pushdown(pushdown);
+            .with_pushdown(mode == ExecutionMode::Pushdown);
         session.register_table(container, container, None, format, schema);
         session
     }

@@ -275,10 +275,12 @@ impl FilterStats {
 
 /// Stateful, chunk-at-a-time filter over a CSV byte stream.
 ///
-/// Drives [`RecordSplitter`] + [`CompiledSpec`]; this is the storlet's
-/// `invoke()` body. When `consume_header` is true the first record of the
-/// stream is treated as the header row and dropped (the compute side already
-/// knows the schema; pushdown responses carry pure data records).
+/// Drives [`RecordSplitter`] + [`CompiledSpec`] for [`filter_buffer`], the
+/// whole-buffer reference filter; the storlet streams through
+/// `RangedRecordStream` instead. When the header is pending, the first
+/// record of the stream is treated as the header row and dropped (the
+/// compute side already knows the schema; pushdown responses carry pure data
+/// records).
 pub struct StreamFilter {
     compiled: CompiledSpec,
     splitter: RecordSplitter,

@@ -81,7 +81,7 @@ fn a_bounded_read_reset_mid_response_resumes_after_the_last_delivered_byte() {
         .with_retry(RetryPolicy::default())
         .over_tcp()
         .unwrap();
-    let connector = SwiftConnector::without_pushdown(client);
+    let connector = SwiftConnector::new(client);
     let (start, stop) = (1_000u64, 150_000u64);
     // Pulled to the end, the stream runs through its stop and on to EOF in
     // slack-sized continuations, each of them reset and resumed in turn.

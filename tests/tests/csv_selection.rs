@@ -15,7 +15,9 @@
 //! sizes:
 //!
 //! * selected scan, then WHERE ≡ full typed scan (`CsvReader`, no
-//!   `CompiledSpec` anywhere), then WHERE ≡ pushdown, then residual;
+//!   `CompiledSpec` anywhere), then WHERE ≡ pushdown, then residual ≡
+//!   pushdown answered plain (the store shed or declined every split), then
+//!   WHERE;
 //! * with the WHERE fully pushed, the selection is exact: the scan yields
 //!   exactly the rows SQL keeps.
 //!
@@ -28,7 +30,8 @@ use proptest::prelude::*;
 use scoop_common::{stream, ByteStream, Result};
 use scoop_compute::csv_relation::CsvRelation;
 use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
-use scoop_compute::{MemoryConnector, ObjectInfo, Session, StorageConnector, TableFormat};
+use scoop_compute::connector::SPLIT_SLACK;
+use scoop_compute::{MemoryConnector, ObjectInfo, PushdownBody, Session, StorageConnector, TableFormat};
 use scoop_csv::schema::{DataType, Field};
 use scoop_csv::{CsvReader, Predicate, PushdownSpec, Schema, Value};
 use scoop_integration::{to_expr, Lcg};
@@ -184,15 +187,18 @@ fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
 }
 
 /// A connector that hands every read out in chunks of `read` bytes, so
-/// records straddle chunk boundaries at random places.
+/// records straddle chunk boundaries at random places. With `plain`, every
+/// pushdown read answers the split's raw bytes, as a store that shed or
+/// declined the pushdown does.
 struct Rechunked {
     inner: Arc<MemoryConnector>,
     read: usize,
+    plain: bool,
 }
 
 impl Rechunked {
-    fn rechunk(&self, body: Result<ByteStream>) -> Result<ByteStream> {
-        Ok(stream::chunked(stream::collect(body?)?, self.read))
+    fn rechunk(&self, body: ByteStream) -> Result<ByteStream> {
+        Ok(stream::chunked(stream::collect(body)?, self.read))
     }
 }
 
@@ -202,10 +208,10 @@ impl StorageConnector for Rechunked {
     }
 
     fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
-        self.rechunk(self.inner.read_from(location, object, start))
+        self.rechunk(self.inner.read_from(location, object, start)?)
     }
 
-    fn read_pushdown(
+    fn open_pushdown(
         &self,
         location: &str,
         object: &str,
@@ -213,16 +219,21 @@ impl StorageConnector for Rechunked {
         end_exclusive: Option<u64>,
         spec: &PushdownSpec,
         file_schema: &[String],
-    ) -> Result<ByteStream> {
-        self.rechunk(self.inner.read_pushdown(location, object, start, end_exclusive, spec, file_schema))
+    ) -> Result<PushdownBody> {
+        let body = if self.plain {
+            let stop = end_exclusive.map_or(u64::MAX, |end| end.saturating_add(SPLIT_SLACK));
+            PushdownBody::Plain(self.inner.read_bounded(location, object, start, stop)?)
+        } else {
+            self.inner.open_pushdown(location, object, start, end_exclusive, spec, file_schema)?
+        };
+        Ok(match body {
+            PushdownBody::Filtered(body) => PushdownBody::Filtered(self.rechunk(body)?),
+            PushdownBody::Plain(body) => PushdownBody::Plain(self.rechunk(body)?),
+        })
     }
 
     fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
         self.inner.fetch_range(location, object, start, end)
-    }
-
-    fn supports_pushdown(&self) -> bool {
-        self.inner.supports_pushdown()
     }
 
     fn bytes_transferred(&self) -> u64 {
@@ -255,11 +266,14 @@ proptest! {
 
         let conn = MemoryConnector::with_pushdown();
         conn.put("t", "o.csv", data.clone());
-        let conn = Arc::new(Rechunked { inner: conn, read: 1 + rng.below(data.len() + 8) });
+        let read = 1 + rng.below(data.len() + 8);
+        let conn = Arc::new(Rechunked { inner: conn, read, plain: false });
+        let plain = Arc::new(Rechunked { inner: conn.inner.clone(), read, plain: true });
         let split = 1 + rng.below(data.len() + 8) as u64;
-        let arm = |pushdown: bool| -> (ResultSet, usize) {
+        let arm = |conn: &Arc<Rechunked>, pushdown: bool| -> (ResultSet, usize) {
             let rel = CsvRelation::open(conn.clone(), "t", None, true, Some(schema.clone()), pushdown)
                 .unwrap();
+            let filtered = pushdown && !conn.plain;
             let mut rows = Vec::new();
             for part in rel.partitions(split).unwrap() {
                 let out = rel
@@ -269,25 +283,25 @@ proptest! {
                         plan.pushdown.predicate.as_ref(),
                     )
                     .unwrap();
-                assert_eq!(out.stats.filters_handled, pushdown);
+                assert_eq!(out.stats.filters_handled, filtered);
                 rows.extend(out.rows.map(Result::unwrap));
             }
             let scanned = rows.len();
-            let effective = if pushdown { plan.residual_where.as_ref() } else { query.where_clause.as_ref() };
+            let effective = if filtered { plan.residual_where.as_ref() } else { query.where_clause.as_ref() };
             let got = execute_with_where(&query, &plan.scan_schema, effective, rows.into_iter().map(Ok))
                 .unwrap();
             (got, scanned)
         };
         let where_text = query.where_clause.as_ref().map(ToString::to_string).unwrap_or_default();
-        for pushdown in [false, true] {
-            let (got, scanned) = arm(pushdown);
+        for (conn, pushdown) in [(&conn, false), (&conn, true), (&plain, true)] {
+            let (got, scanned) = arm(conn, pushdown);
             prop_assert!(
                 got == want,
-                "pushdown={} split={} read={} WHERE {} pushed {:?}\ngot {:?}\nwant {:?}",
-                pushdown, split, conn.read, where_text, plan.pushdown.predicate, got.rows, want.rows
+                "pushdown={} plain={} split={} read={} WHERE {} pushed {:?}\ngot {:?}\nwant {:?}",
+                pushdown, conn.plain, split, read, where_text, plan.pushdown.predicate, got.rows, want.rows
             );
             if plan.fully_pushed() {
-                prop_assert_eq!(scanned, want.rows.len(), "exact selection, pushdown={}: {}", pushdown, where_text);
+                prop_assert_eq!(scanned, want.rows.len(), "exact selection, pushdown={} plain={}: {}", pushdown, conn.plain, where_text);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Failure injection across the full stack: dead object servers during
 //! pushdown queries, replication repair, and policy-driven degradation.
 
+use scoop_common::telemetry;
 use scoop_compute::ExecutionMode;
 use scoop_integration::deploy;
 use scoop_storlets::Tier;
@@ -62,6 +63,19 @@ fn bronze_tier_fallback_is_transparent_and_unfiltered() {
     // Bronze ingested (roughly) everything; gold a sliver.
     assert!(bronze.metrics.bytes_transferred > bytes / 2);
     assert!(gold.metrics.bytes_transferred < bytes / 4);
+    // Each query's wide event counts its own plain splits: none for gold,
+    // every one for bronze.
+    let event = |trace: &str| {
+        telemetry::query_events()
+            .into_iter()
+            .find(|e| e.trace == trace)
+            .expect("the query's wide event")
+    };
+    let gold_event = event(&gold.metrics.trace);
+    assert_eq!((gold_event.path.as_str(), gold_event.degradations), ("pushdown", 0));
+    let bronze_event = event(&bronze.metrics.trace);
+    assert_eq!(bronze_event.path, "pushdown-fallback");
+    assert_eq!(bronze_event.degradations, bronze.metrics.tasks as u64);
     ctx.policy().set_tier("AUTH_gridpocket", Tier::Gold);
 }
 

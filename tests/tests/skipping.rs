@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use scoop_common::telemetry::{self, layers};
-use scoop_compute::connector::StorageConnector;
 use scoop_compute::csv_relation::CsvRelation;
 use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
 use scoop_compute::ExecutionMode;

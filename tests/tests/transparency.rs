@@ -6,12 +6,13 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use scoop_compute::ExecutionMode;
+use scoop_compute::{ExecutionMode, Session, TableFormat};
+use scoop_connector::SwiftConnector;
 use scoop_core::{EtlSpec, ScoopConfig, ScoopContext};
 use scoop_csv::{CsvReader, Schema};
 use scoop_integration::deploy;
 use scoop_objectstore::net::wire::status_for_kind;
-use scoop_objectstore::{ObjectPath, Request};
+use scoop_objectstore::{ObjectPath, Request, SwiftCluster, SwiftConfig};
 use scoop_sql::{execute, parse, ResultSet};
 use scoop_storlets::middleware::{encode_params, headers};
 use scoop_workload::generator::meter_schema;
@@ -180,6 +181,35 @@ fn a_where_too_deep_to_push_is_still_transparent() {
     assert!(!vanilla.result.rows.is_empty());
     assert!(vanilla.result.approx_eq(&pushed.result, 1e-9));
     assert!(pushed.result.approx_eq(&reference(&sql), 1e-9));
+}
+
+/// A store with no active layer answers a pushdown GET with the whole
+/// object. A pushdown session over it reads every split plain and returns
+/// the vanilla answer.
+#[test]
+fn pushdown_over_a_store_without_storlets_is_vanilla() {
+    let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
+    let client = cluster.anonymous_client("AUTH_bare");
+    client.create_container("largemeter").unwrap();
+    for (i, body) in objects().0.iter().enumerate() {
+        client.put_object("largemeter", &format!("part-{i:02}.csv"), body.clone()).unwrap();
+    }
+    let session = |pushdown: bool| {
+        let session = Session::new(SwiftConnector::new(client.clone()), 2)
+            .with_chunk_size(16 * 1024)
+            .with_pushdown(pushdown);
+        session.register_table("largemeter", "largemeter", None, TableFormat::Csv { has_header: true }, None);
+        session
+    };
+    let sql = "SELECT vid, sum(index) as s, count(*) as n FROM largemeter \
+               WHERE city LIKE 'Rotterdam' GROUP BY vid ORDER BY vid";
+    let vanilla = session(false).sql(sql).unwrap();
+    let pushed = session(true).sql(sql).unwrap();
+    assert_eq!(pushed.metrics.mode, ExecutionMode::Pushdown);
+    assert!(pushed.metrics.tasks > 2, "{} tasks", pushed.metrics.tasks);
+    assert!(!vanilla.result.rows.is_empty());
+    assert!(pushed.result.approx_eq(&vanilla.result, 1e-9));
+    assert!(pushed.result.approx_eq(&reference(sql), 1e-9));
 }
 
 /// The `date` of the record `at` (a fraction) of the way into a CSV object.
