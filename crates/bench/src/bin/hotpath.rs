@@ -6,16 +6,16 @@
 //!
 //! * `storlet_csv_filter` — `filter_buffer` with the Fig. 5 projection and
 //!   `city LIKE 'Rot%'` predicate over generated meter CSV;
-//! * `compute_csv_parse`  — `CsvReader` typed parsing of the full schema
-//!   (these two kernels live in `scoop_bench`, and `repro calibration`
-//!   reports the same functions timed the same way);
+//! * `compute_csv_parse`  — `CsvReader` typing the full schema into column
+//!   batches (these two kernels live in `scoop_bench`, and `repro
+//!   calibration` reports the same functions timed the same way);
 //! * `record_split`       — bare record splitting (the SWAR scanner alone);
 //! * `columnar_decode`    — the columnar scan a query runs: ShowMapCons'
-//!   projection and pushed predicate through `read_rows_selected`, then the
-//!   bound WHERE on the survivors, per byte the reader fetched;
+//!   projection and pushed predicate through `read_batches_selected`, then
+//!   the bound WHERE selecting on the survivors, per byte the reader fetched;
 //! * `compute_sql_exec`   — the compute-side SQL executor over pre-typed
-//!   rows: ShowMapCons and a ten-column aggregate, filter + partial
-//!   aggregation + finalize as a session task runs them;
+//!   column batches: ShowMapCons and a ten-column aggregate, selection +
+//!   partial aggregation + finalize as a session task runs them;
 //! * `compute_csv_scan`   — the vanilla CSV scan a query runs: ShowMapCons'
 //!   projection and pushed predicate through `CsvRelation` (select on raw
 //!   fields, type the survivors), then the bound WHERE, per byte of CSV;
@@ -223,23 +223,23 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
         fetched = 0;
         for _ in 0..SCANS {
             let reader = ColumnarReader::open_bytes(file.clone()).expect("open");
-            let rows = reader
-                .read_rows_selected(
+            let batches = reader
+                .read_batches_selected(
                     plan.pushdown.columns.as_deref(),
                     plan.pushdown.predicate.as_ref(),
                     false,
                 )
                 .expect("selected read");
             fetched += reader.bytes_fetched();
-            kept += rows.iter().filter(|row| filter.passes(row).expect("filter")).count() as u64;
+            kept += batches.iter().map(|b| filter.select(b).expect("filter").len() as u64).sum::<u64>();
         }
         black_box(kept)
     });
     results.push(row("columnar_decode", fetched as usize, secs, Some(BASELINE_COLUMNAR_MBS)));
 
-    // 5. Compute-side SQL over pre-typed rows, as a session task runs it:
-    //    bind once, then filter and fold every row into a partial aggregate,
-    //    and finalize. ShowMapCons (Table I) keeps the rows of one month and
+    // 5. Compute-side SQL over pre-typed batches, as a session task runs it:
+    //    bind once, then select and fold every batch into a partial
+    //    aggregate, and finalize. ShowMapCons (Table I) keeps the rows of one month and
     //    groups them; the ten-column aggregate keeps half the meters and has
     //    one global group. The fleet grows with `rows`, so the readings span
     //    the same 1500 hours at either size and both queries keep the same
@@ -254,10 +254,11 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     })
     .csv_object(rows);
     let sql_bytes = sql_csv.len() * 2;
-    let typed: Vec<Vec<Value>> =
-        CsvReader::new(scoop_common::stream::once(sql_csv), schema.clone(), true)
-            .filter_map(|r| r.ok())
-            .collect();
+    let mut reader = CsvReader::new(scoop_common::stream::once(sql_csv), schema.clone(), true);
+    let mut batches = Vec::new();
+    while let Some(batch) = reader.next_batch().expect("generated CSV types") {
+        batches.push(batch);
+    }
     let queries: Vec<scoop_sql::Query> = [
         show_map_cons,
         format!(
@@ -278,10 +279,9 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
                 RowFilter::bind(query.where_clause.as_ref(), &schema).expect("bind WHERE");
             let agg = Aggregator::new(query, &schema).expect("bind aggregate");
             let mut partial = agg.make_partial();
-            for row in &typed {
-                if filter.passes(row).expect("filter") {
-                    agg.update(&mut partial, row).expect("update");
-                }
+            for batch in &batches {
+                let selection = filter.select(batch).expect("filter");
+                agg.update_batch(&mut partial, batch, &selection).expect("update");
             }
             out_rows += agg.finalize(partial).expect("finalize").len() as u64;
         }
@@ -293,7 +293,8 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     //    file was written from, as a session task runs it: `CsvRelation`
     //    over a `MemoryConnector` in 1 MiB splits (the `queryplane` split),
     //    ShowMapCons' projection and pushed predicate, then the bound WHERE
-    //    on what each split's scan yields. The rate is per byte of CSV.
+    //    selecting on each batch the split's scan yields. The rate is per
+    //    byte of CSV.
     let conn = MemoryConnector::new();
     conn.put("meters", "daily.csv", daily.clone());
     let relation = CsvRelation::open(conn, "meters", None, true, Some(schema.clone()), false)
@@ -302,17 +303,15 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     let secs = best_of(iters, || {
         let mut kept = 0u64;
         for split in &splits {
-            let out = relation
+            let mut out = relation
                 .scan_pruned_filtered(
                     split,
                     plan.pushdown.columns.as_deref(),
                     plan.pushdown.predicate.as_ref(),
                 )
                 .expect("vanilla scan");
-            for row in out.rows {
-                if filter.passes(&row.expect("row")).expect("filter") {
-                    kept += 1;
-                }
+            while let Some(batch) = out.rows.next_batch().expect("batch") {
+                kept += filter.select(&batch).expect("filter").len() as u64;
             }
         }
         black_box(kept)

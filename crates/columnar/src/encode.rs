@@ -3,7 +3,8 @@
 use bytes::Bytes;
 use scoop_common::{Result, ScoopError};
 use scoop_csv::predicate::Operand;
-use scoop_csv::Value;
+use scoop_csv::batch::Column;
+use scoop_csv::{DataType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -96,6 +97,17 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| ScoopError::Corrupt("unexpected end of buffer".into()))?;
         self.pos = end;
         Ok(s)
+    }
+
+    /// Read the entry count of a list whose every entry takes at least one
+    /// byte: a count the rest of the buffer cannot hold is corrupt, not an
+    /// allocation to attempt.
+    pub fn count(&mut self, what: &str) -> Result<usize> {
+        let n = self.varint()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(ScoopError::Corrupt(format!("{what} count {n} exceeds the buffer"))),
+        }
     }
 
     /// Read a u32.
@@ -406,6 +418,20 @@ impl DecodedColumn {
         })
     }
 
+    /// [`DecodedColumn::gather`] as one column of a
+    /// [`ColumnBatch`](scoop_csv::ColumnBatch): a typed lane, strings copied
+    /// into its arena.
+    pub fn gather_column(&self, rows: &[usize]) -> Column {
+        let dtype = match &self.data {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Float(_) => DataType::Float,
+            ColumnData::Str(_) | ColumnData::Dict { .. } => DataType::Str,
+        };
+        let mut column = Column::new(dtype, &Bytes::new());
+        self.gather(rows.iter().copied()).for_each(|v| column.push(v));
+        column
+    }
+
     /// One flag per row: `test` of the cell, `on_null` for a NULL. A
     /// dictionary chunk runs `test` once per dictionary entry and maps the
     /// answers through the codes; the other encodings run it on the typed
@@ -538,7 +564,7 @@ pub fn decode_column_batch(data: &[u8]) -> Result<DecodedColumn> {
             ColumnData::Float(vals)
         }
         Encoding::DictRle => {
-            let dict_len = c.varint()? as usize;
+            let dict_len = c.count("dictionary")?;
             let mut dict = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
                 dict.push(String::from_utf8_lossy(c.bytes()?).into_owned());
@@ -704,4 +730,13 @@ mod tests {
         good.truncate(good.len() - 1);
         assert!(decode_column(&good).is_err());
     }
+
+    #[test]
+    fn a_dictionary_larger_than_its_chunk_is_corrupt_not_an_allocation() {
+        // DictRle, no rows, and a dictionary of 2^40 entries: 8 bytes.
+        let mut chunk = vec![Encoding::DictRle as u8, 0];
+        put_varint(&mut chunk, 1 << 40);
+        assert!(matches!(decode_column_batch(&chunk), Err(ScoopError::Corrupt(_))));
+    }
 }
+

@@ -126,7 +126,7 @@ impl Footer {
                 "unsupported columnar version {version}"
             )));
         }
-        let n_cols = c.varint()? as usize;
+        let n_cols = c.count("column")?;
         let mut fields = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
             let name = String::from_utf8_lossy(c.bytes()?).into_owned();
@@ -140,7 +140,7 @@ impl Footer {
             };
             fields.push(Field::new(name, dtype));
         }
-        let n_groups = c.varint()? as usize;
+        let n_groups = c.count("row group")?;
         let mut row_groups = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
             let rows = c.varint()?;
@@ -255,5 +255,18 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Footer::decode(&[]).is_err());
         assert!(Footer::decode(&[99]).is_err());
+    }
+
+    #[test]
+    fn counts_larger_than_the_footer_are_corrupt_not_allocations() {
+        // 2^40 columns in a 7-byte footer.
+        let mut footer = vec![VERSION];
+        put_varint(&mut footer, 1 << 40);
+        assert_eq!(footer.len(), 7);
+        assert!(matches!(Footer::decode(&footer), Err(ScoopError::Corrupt(_))));
+        // No columns and 2^40 row groups.
+        let mut footer = vec![VERSION, 0];
+        put_varint(&mut footer, 1 << 40);
+        assert!(matches!(Footer::decode(&footer), Err(ScoopError::Corrupt(_))));
     }
 }

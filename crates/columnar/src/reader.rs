@@ -7,10 +7,11 @@
 //!
 //! Every read is the one group-at-a-time loop in `ColumnarReader::scan`:
 //! plan the group's I/O from the footer, decode the predicate's columns,
-//! build the row selection on the typed arrays, and turn only the surviving
-//! rows' projected cells into [`Value`]s. A predicate decides what is
-//! *materialised*, never what is *fetched*: only chunk statistics, when the
-//! caller asks for them, skip a group's bytes.
+//! build the row selection on the typed arrays, and gather only the surviving
+//! rows' projected cells into one [`ColumnBatch`] per group. A predicate
+//! decides what is *materialised*, never what is *fetched*: only chunk
+//! statistics, when the caller asks for them, skip a group's bytes. The
+//! `read_rows*` calls are row adapters over those batches.
 
 use crate::encode::{decode_column_batch, Cursor, DecodedColumn};
 use crate::format::{ChunkMeta, Footer, RowGroupMeta, MAGIC};
@@ -18,7 +19,7 @@ use bytes::Bytes;
 use scoop_common::zonestats::ColumnStats;
 use scoop_common::{Result, ScoopError};
 use scoop_csv::predicate::Tree;
-use scoop_csv::{Predicate, Schema, Value};
+use scoop_csv::{ColumnBatch, Predicate, Schema, Value};
 use std::cell::Cell as Counter;
 
 /// Fetch `[start, end)` of the underlying object.
@@ -111,7 +112,7 @@ impl<'a> ColumnarReader<'a> {
     /// Read full rows, pruning to `columns` when given (output column order
     /// follows the request). Returns rows in file order.
     pub fn read_rows(&self, columns: Option<&[String]>) -> Result<Vec<Vec<Value>>> {
-        self.scan(columns, None, true, false)
+        Ok(rows_of(self.scan(columns, None, true, false)?))
     }
 
     /// Like [`ColumnarReader::read_rows`], additionally skipping row groups
@@ -123,22 +124,32 @@ impl<'a> ColumnarReader<'a> {
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<Vec<Vec<Value>>> {
-        self.scan(columns, predicate, true, false)
+        Ok(rows_of(self.scan(columns, predicate, true, false)?))
     }
 
-    /// What a query runs: every group's chunks are fetched, the predicate is
-    /// evaluated on the batch-decoded columns, and only rows it may hold for
-    /// are materialized. The selection is two-valued (a comparison with NULL
-    /// is false), a superset of the rows SQL's three-valued WHERE keeps, so
-    /// the caller still applies its WHERE to what comes back. With
-    /// `skip_groups`, chunk statistics also skip whole groups' bytes, as in
-    /// [`ColumnarReader::read_rows_filtered`].
+    /// [`ColumnarReader::read_batches_selected`], one row at a time.
     pub fn read_rows_selected(
         &self,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
         skip_groups: bool,
     ) -> Result<Vec<Vec<Value>>> {
+        Ok(rows_of(self.scan(columns, predicate, skip_groups, true)?))
+    }
+
+    /// What a query runs: every group's chunks are fetched, the predicate is
+    /// evaluated on the batch-decoded columns, and only rows it may hold for
+    /// are gathered, one batch per group that keeps any. The selection is
+    /// two-valued (a comparison with NULL is false), a superset of the rows
+    /// SQL's three-valued WHERE keeps, so the caller still applies its WHERE
+    /// to what comes back. With `skip_groups`, chunk statistics also skip
+    /// whole groups' bytes, as in [`ColumnarReader::read_rows_filtered`].
+    pub fn read_batches_selected(
+        &self,
+        columns: Option<&[String]>,
+        predicate: Option<&Predicate>,
+        skip_groups: bool,
+    ) -> Result<Vec<ColumnBatch>> {
         self.scan(columns, predicate, skip_groups, true)
     }
 
@@ -152,7 +163,7 @@ impl<'a> ColumnarReader<'a> {
         predicate: Option<&Predicate>,
         prune: bool,
         select: bool,
-    ) -> Result<Vec<Vec<Value>>> {
+    ) -> Result<Vec<ColumnBatch>> {
         let schema = &self.footer.schema;
         let project: Vec<usize> = match columns {
             None => (0..schema.len()).collect(),
@@ -170,7 +181,7 @@ impl<'a> ColumnarReader<'a> {
         needed.sort_unstable();
         needed.dedup();
 
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut batches = Vec::new();
         for group in &self.footer.row_groups {
             if let Some(tree) = prune {
                 let stats: Vec<ColumnStats> = group.chunks.iter().map(chunk_stats).collect();
@@ -211,17 +222,13 @@ impl<'a> ColumnarReader<'a> {
                     *col = Some(decode(chunk)?);
                 }
             }
-            let mut out: Vec<Vec<Value>> =
-                kept.iter().map(|_| Vec::with_capacity(project.len())).collect();
-            for &column in &project {
-                let col = decoded(&needed, &cols, column)?;
-                for (row, value) in out.iter_mut().zip(col.gather(kept.iter().copied())) {
-                    row.push(value);
-                }
-            }
-            rows.append(&mut out);
+            let columns = project
+                .iter()
+                .map(|&column| Ok(decoded(&needed, &cols, column)?.gather_column(&kept)))
+                .collect::<Result<_>>()?;
+            batches.push(ColumnBatch::new(kept.len(), columns));
         }
-        Ok(rows)
+        Ok(batches)
     }
 
     /// One group's chunks for `columns` (schema positions), one `Bytes` per
@@ -269,6 +276,11 @@ impl<'a> ColumnarReader<'a> {
         }
         Ok(chunks)
     }
+}
+
+/// The rows of `batches`, in order.
+fn rows_of(batches: Vec<ColumnBatch>) -> Vec<Vec<Value>> {
+    batches.iter().flat_map(ColumnBatch::to_rows).collect()
 }
 
 /// A group's decoded column by schema position: `cols` runs parallel to the

@@ -4,9 +4,9 @@
 //! selection filtering stays compute-side exactly as the paper describes for
 //! Parquet ("Spark is in charge of carrying out the tasks of (de)compressing
 //! data and discarding columns"): the pushed predicate is evaluated on the
-//! decoded column arrays and decides which rows become [`scoop_csv::Value`]s,
-//! never which bytes are fetched. Row-group stats skipping is available as an
-//! opt-in extension. Neither is reported as fully-handled filtering: the
+//! decoded column arrays and decides which rows are gathered into the
+//! scan's batches, never which bytes are fetched. Row-group stats skipping
+//! is available as an opt-in extension. Neither is reported as fully-handled filtering: the
 //! scan's selection is two-valued, so the executor applies the WHERE to the
 //! rows it is handed.
 
@@ -90,11 +90,11 @@ impl ColumnarRelation {
             partition.object_size,
             Box::new(move |s, e| conn.fetch_range(&loc, &name, s, e)),
         )?;
-        let rows = reader.read_rows_selected(columns, predicate, self.stats_pruning)?;
-        let stream: RowStream = Box::new(rows.into_iter().map(Ok));
+        let mut batches =
+            reader.read_batches_selected(columns, predicate, self.stats_pruning)?.into_iter();
         Ok(ScanOutput {
             schema: scan_schema,
-            rows: stream,
+            rows: RowStream::new(move || Ok(batches.next())),
             // The rows are a superset of what SQL's three-valued WHERE
             // keeps; the executor must still apply the full predicate.
             stats: ScanStats { filters_handled: false },

@@ -23,8 +23,9 @@ use scoop_common::zonestats::ObjectStats;
 use scoop_common::{ByteStream, Result, ScoopError};
 use scoop_csv::blockplan::plan_ranges;
 use scoop_csv::split::RangedRecordStream;
-use scoop_csv::{CompiledSpec, CsvReader, FieldBuf, Predicate, PushdownSpec, Schema, Value};
-use std::collections::VecDeque;
+use scoop_csv::batch::{BatchBuilder, BATCH_ROWS};
+use scoop_csv::{ColumnBatch, CompiledSpec, CsvReader, FieldBuf, Predicate, PushdownSpec, Schema};
+use bytes::Bytes;
 use std::sync::Arc;
 
 /// How much of the first object schema inference samples.
@@ -120,7 +121,7 @@ impl CsvRelation {
         self.selected(stream, partition, columns, predicate)
     }
 
-    /// The rows of a split's raw bytes (`stream` starts at the split's
+    /// The batches of a split's raw bytes (`stream` starts at the split's
     /// start). The pushed predicate selects on raw field bytes with the
     /// store's own evaluator ([`CompiledSpec`]), and only the survivors are
     /// typed — the late materialisation the columnar arm has. The selection
@@ -144,15 +145,15 @@ impl CsvRelation {
             &self.file_columns,
             projection.iter().max().map_or(0, |&i| i.saturating_add(1)),
         )?;
-        let rows: RowStream = Box::new(SelectedRows {
+        let mut selected = SelectedRows {
             records: RangedRecordStream::new(stream, partition.start, Some(partition.end)),
             selection,
-            schema: self.schema.clone(),
+            schema: scan_schema.clone(),
             projection,
             fields: FieldBuf::default(),
             skip_header: self.has_header && partition.start == 0,
-            survivors: VecDeque::new(),
-        });
+        };
+        let rows = RowStream::new(move || selected.next_batch());
         Ok(ScanOutput {
             schema: scan_schema,
             rows,
@@ -188,7 +189,8 @@ impl CsvRelation {
         };
         // Pushdown responses carry pure data records (header consumed at the
         // store).
-        let rows: RowStream = Box::new(CsvReader::new(stream, scan_schema.clone(), false));
+        let mut reader = CsvReader::new(stream, scan_schema.clone(), false);
+        let rows = RowStream::new(move || reader.next_batch());
         Ok(ScanOutput {
             schema: scan_schema,
             rows,
@@ -197,52 +199,40 @@ impl CsvRelation {
     }
 }
 
-/// The vanilla scan's rows: each input chunk's records selected on their
+/// The vanilla scan's batches: each input chunk's records selected on their
 /// borrowed bytes ([`CompiledSpec::select`] tokenises a record only as far as
-/// its verdict needs) and the survivors typed.
+/// its verdict needs) and the survivors typed, gathered over chunks into
+/// batches of [`BATCH_ROWS`].
 struct SelectedRows {
     records: RangedRecordStream,
     selection: CompiledSpec,
-    /// The relation's full schema; `projection` indexes into it.
+    /// The projected schema the survivors are typed to.
     schema: Schema,
+    /// The projected columns' positions in the file.
     projection: Vec<usize>,
     fields: FieldBuf,
     skip_header: bool,
-    /// Typed survivors of the last chunk, handed out in record order.
-    survivors: VecDeque<Vec<Value>>,
 }
 
 impl SelectedRows {
-    /// Select and type the records of the next input chunk; false once the
-    /// split has no more.
-    fn fill(&mut self) -> Result<bool> {
-        let SelectedRows { records, selection, schema, projection, fields, skip_header, survivors } =
-            self;
-        records.next_chunk(|record| {
-            if std::mem::take(skip_header) {
-                return;
-            }
-            if let Some(view) = selection.select(record, fields) {
-                survivors.push_back(schema.parse_view_projected(&view, projection));
-            }
-        })
-    }
-}
-
-impl Iterator for SelectedRows {
-    type Item = Result<Vec<Value>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(row) = self.survivors.pop_front() {
-                return Some(Ok(row));
-            }
-            match self.fill() {
-                Err(e) => return Some(Err(e)),
-                Ok(false) if self.survivors.is_empty() => return None,
-                Ok(_) => {}
+    /// The next batch of survivors; `None` once the split has no more.
+    fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+        let SelectedRows { records, selection, schema, projection, fields, skip_header } = self;
+        let mut batch = BatchBuilder::new(schema, Bytes::new());
+        while batch.rows() < BATCH_ROWS {
+            let more = records.next_chunk(|record| {
+                if std::mem::take(skip_header) {
+                    return;
+                }
+                if let Some(view) = selection.select(record, fields) {
+                    batch.push_view(&view, projection.iter().copied());
+                }
+            })?;
+            if !more {
+                break;
             }
         }
+        Ok((batch.rows() > 0).then(|| batch.finish()))
     }
 }
 

@@ -9,10 +9,40 @@
 
 use crate::partition::InputPartition;
 use scoop_common::Result;
-use scoop_csv::{Predicate, Schema, Value};
+use scoop_csv::batch::RowCursor;
+use scoop_csv::{ColumnBatch, Predicate, Schema, Value};
 
-/// A stream of typed rows produced by one partition scan.
-pub type RowStream = Box<dyn Iterator<Item = Result<Vec<Value>>> + Send>;
+/// What one partition scan produces: typed column batches, pulled one at a
+/// time with [`RowStream::next_batch`] — what the executor consumes.
+///
+/// The `Iterator` of `Vec<Value>` rows is an adapter over the batches for
+/// callers that count or compare rows; mixing the two drops the rest of a
+/// batch the row adapter has begun.
+pub struct RowStream {
+    batches: Box<dyn FnMut() -> Result<Option<ColumnBatch>> + Send>,
+    cursor: RowCursor,
+}
+
+impl RowStream {
+    /// A stream over a batch source: `next_batch` yields `None` once done.
+    pub fn new(next_batch: impl FnMut() -> Result<Option<ColumnBatch>> + Send + 'static) -> RowStream {
+        RowStream { batches: Box::new(next_batch), cursor: RowCursor::default() }
+    }
+
+    /// The next batch; `None` once the scan is exhausted.
+    pub fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+        (self.batches)()
+    }
+}
+
+/// Rows one at a time, over [`RowStream::next_batch`].
+impl Iterator for RowStream {
+    type Item = Result<Vec<Value>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.cursor.next_row(&mut self.batches)
+    }
+}
 
 /// Per-scan accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

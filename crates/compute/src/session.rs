@@ -3,8 +3,9 @@
 //! This is the "Spark client" of Fig. 4: it parses the query, lets Catalyst
 //! extract the pushdown, discovers partitions, fans tasks out to the worker
 //! pool (each task scanning one partition through the Data Sources API and
-//! folding rows into a partial aggregate), then merges and finalizes on the
-//! driver. The `pushdown` toggle is the with/without-Scoop experiment switch.
+//! folding its typed column batches into a partial aggregate), then merges
+//! and finalizes on the driver. The `pushdown` toggle is the
+//! with/without-Scoop experiment switch.
 
 use crate::columnar_relation::ColumnarRelation;
 use crate::csv_relation::CsvRelation;
@@ -77,8 +78,8 @@ pub struct JobMetrics {
     pub tasks: usize,
     /// Bytes that crossed the storage→compute boundary.
     pub bytes_transferred: u64,
-    /// Rows handed to the SQL executor: exactly what the scans' row streams
-    /// yielded, which on every arm is the survivors of the pushed
+    /// Rows handed to the SQL executor: exactly the rows of the batches the
+    /// scans yielded, which on every arm is the survivors of the pushed
     /// predicate — selected by the store under pushdown, by the scan itself
     /// on the vanilla and columnar arms — not the records or rows the scan
     /// read. With the WHERE fully pushed it equals `rows_after_filter`.
@@ -397,7 +398,9 @@ impl Session {
             format!("{} tasks over {} workers", partitions.len(), self.workers),
         );
         let results = run_tasks_with_deadline(self.workers, partitions.len(), self.max_task_failures, deadline, |i| {
-            let part = &partitions[i];
+            let part = partitions
+                .get(i)
+                .ok_or_else(|| ScoopError::Internal(format!("task {i} has no partition")))?;
             let out = relation.scan_pruned_filtered(
                 part,
                 columns.as_deref(),
@@ -405,45 +408,46 @@ impl Session {
             )?;
             let plain = !out.stats.filters_handled;
             let filter = if plain { &full_filter } else { &residual_filter };
+            let mut scan = out.rows;
             let mut rows_in = 0u64;
             let mut rows_kept = 0u64;
             match &aggregator {
                 Some(agg) => {
                     let mut partial = agg.make_partial();
-                    for row in out.rows {
-                        let row = row?;
-                        rows_in += 1;
-                        if filter.passes(&row)? {
-                            rows_kept += 1;
-                            agg.update(&mut partial, &row)?;
-                        }
+                    while let Some(batch) = scan.next_batch()? {
+                        rows_in += batch.rows() as u64;
+                        let selection = filter.select(&batch)?;
+                        rows_kept += selection.len() as u64;
+                        agg.update_batch(&mut partial, &batch, &selection)?;
                     }
                     Ok((TaskOut::Partial(Box::new(partial), rows_in, rows_kept), plain))
                 }
                 None => {
                     let mut kept = Vec::new();
                     let mut claimed = 0usize;
-                    let scan = (|| -> Result<()> {
-                        for row in out.rows {
-                            if let Some(lim) = early_limit {
-                                if collected.load(std::sync::atomic::Ordering::Relaxed) >= lim {
+                    let limit_met = || {
+                        early_limit.is_some_and(|lim| {
+                            collected.load(std::sync::atomic::Ordering::Relaxed) >= lim
+                        })
+                    };
+                    let scanned = (|| -> Result<()> {
+                        while !limit_met() {
+                            let Some(batch) = scan.next_batch()? else { break };
+                            rows_in += batch.rows() as u64;
+                            for i in filter.select(&batch)?.rows() {
+                                if limit_met() {
                                     break;
                                 }
-                            }
-                            let row = row?;
-                            rows_in += 1;
-                            if filter.passes(&row)? {
                                 if early_limit.is_some() {
-                                    collected
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                    collected.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                     claimed += 1;
                                 }
-                                kept.push(row);
+                                kept.extend(batch.row(i));
                             }
                         }
                         Ok(())
                     })();
-                    if let Err(e) = scan {
+                    if let Err(e) = scanned {
                         // A failed attempt's rows are discarded, so release
                         // its claim on the LIMIT quota — otherwise a task
                         // retry would under-collect.

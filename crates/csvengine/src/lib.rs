@@ -12,6 +12,8 @@
 //!   record splitter and field parser are built on.
 //! * [`view`] — zero-copy [`view::RecordView`] field spans with lazy typed
 //!   access; the allocation-free fast path for predicate evaluation.
+//! * [`batch`] — typed column batches ([`batch::ColumnBatch`]), the unit a
+//!   scan hands the SQL executor.
 //! * [`reader`] / [`writer`] — streaming readers and writers over
 //!   [`scoop_common::ByteStream`] chunked bodies.
 //! * [`split`] — record-aligned byte-range splits, matching Hadoop's
@@ -27,6 +29,7 @@
 //! * [`filter`] — evaluation of a compiled pushdown spec against raw records;
 //!   the exact code the CSV storlet runs at storage nodes.
 
+pub mod batch;
 pub mod blockplan;
 pub mod filter;
 pub mod predicate;
@@ -41,6 +44,7 @@ pub mod value;
 pub mod view;
 pub mod writer;
 
+pub use batch::{Column, ColumnBatch};
 pub use filter::CompiledSpec;
 pub use pushdown::{Predicate, PushdownSpec};
 pub use reader::CsvReader;

@@ -1,5 +1,6 @@
-//! Streaming CSV reader: chunked byte stream → typed rows.
+//! Streaming CSV reader: chunked byte stream → typed column batches.
 
+use crate::batch::{BatchBuilder, ColumnBatch, RowCursor};
 use crate::record::{parse_fields, RecordSplitter};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -7,39 +8,35 @@ use crate::view::FieldBuf;
 use bytes::Bytes;
 use scoop_common::{ByteStream, Result};
 
-/// How many input bytes to run through the splitter per refill. Feeding the
-/// whole stream chunk at once would queue every row of an 8 MB GET before the
-/// consumer sees the first one — this bounds the queued `Vec<Value>` working
-/// set to what 64 KiB of input produces (under a thousand meter rows), which
-/// measured faster than both larger slices (cache-cold drain) and 16 KiB
-/// slices (per-refill overhead dominates).
+/// How many input bytes of one stream chunk to type per refill: the most one
+/// batch holds. 64 KiB of meter CSV is under a thousand rows, enough to
+/// amortise a batch's fixed costs (a lane per column, a selection, one kernel
+/// call per aggregate): typing and folding `pushdown_lowsel`'s 8 MB body took
+/// ~4 % longer in 16 KiB batches, and 256 KiB batches gained under 1 % while
+/// holding four times the lanes per task.
 const FEED_CHUNK: usize = 64 * 1024;
 
-/// Iterator of typed rows over a chunked CSV byte stream.
+/// Typed column batches over a chunked CSV byte stream.
 ///
 /// This is the compute-side ingestion path: Spark workers pull the (possibly
-/// storlet-filtered) GET body through one of these to materialize rows for the
-/// SQL executor. Rows are typed **inside the fused scanner's callback**,
-/// straight off the borrowed record slice while its bytes are still hot in
-/// cache: no per-record copy, no intermediate field strings, one pass over
-/// the input. The typed values land back-to-back in a flat block;
-/// [`Iterator::next`] moves one row's worth out per call, so the only
-/// allocations per row are the `Vec<Value>` itself and the spill storage of
-/// long `Str` columns.
+/// storlet-filtered) GET body through one of these and hand the SQL executor
+/// one [`ColumnBatch`] per input slice. Rows are typed **inside the fused
+/// scanner's callback**, straight off the borrowed record slice while its
+/// bytes are still hot in cache: numbers land in their column's lane, and a
+/// string cell is a span into the slice itself, so a quote-free record costs
+/// no allocation at all. [`CsvReader::next_batch`] is the interface; the
+/// `Iterator` of `Vec<Value>` rows is an adapter over it.
 pub struct CsvReader {
     stream: ByteStream,
-    pending: Option<Bytes>,
+    /// The stream chunk being sliced, and how far.
+    pending: Bytes,
     pending_off: usize,
     splitter: Option<RecordSplitter>,
     fields: FieldBuf,
-    /// Typed values of the queued rows, `schema.len()` per row.
-    block: Vec<Value>,
-    /// Read cursor into `block`.
-    block_pos: usize,
-    /// Rows in `block` not yet handed to the consumer.
-    rows_queued: usize,
     schema: Schema,
     skip_header: bool,
+    /// The row adapter's place in the batches.
+    cursor: RowCursor,
 }
 
 impl CsvReader {
@@ -48,74 +45,76 @@ impl CsvReader {
     pub fn new(stream: ByteStream, schema: Schema, has_header: bool) -> Self {
         CsvReader {
             stream,
-            pending: None,
+            pending: Bytes::new(),
             pending_off: 0,
             splitter: Some(RecordSplitter::new()),
             fields: FieldBuf::default(),
-            block: Vec::new(),
-            block_pos: 0,
-            rows_queued: 0,
             schema,
             skip_header: has_header,
+            cursor: RowCursor::default(),
         }
     }
 
-    /// Next bounded slice of input, spanning stream chunks. `None` at EOF.
+    /// The next input slice of up to [`FEED_CHUNK`] bytes; `None` at EOF. A
+    /// stream chunk that holds a whole slice is sliced without a copy;
+    /// smaller pieces (a chunk's tail, the chunks of a body that arrives a
+    /// few KiB at a time) are gathered into one buffer, so a batch is a
+    /// slice's worth of rows whatever the stream's chunking.
     fn next_slice(&mut self) -> Result<Option<Bytes>> {
+        let mut gathered: Vec<u8> = Vec::new();
         loop {
-            if let Some(chunk) = &self.pending {
-                let end = (self.pending_off + FEED_CHUNK).min(chunk.len());
-                let slice = chunk.slice(self.pending_off..end);
-                self.pending_off = end;
-                if end >= chunk.len() {
-                    self.pending = None;
+            let take = self
+                .pending
+                .len()
+                .saturating_sub(self.pending_off)
+                .min(FEED_CHUNK.saturating_sub(gathered.len()));
+            if take == 0 {
+                match self.stream.next() {
+                    Some(chunk) => {
+                        self.pending = chunk?;
+                        self.pending_off = 0;
+                        continue;
+                    }
+                    None if gathered.is_empty() => return Ok(None),
+                    None => return Ok(Some(Bytes::from(gathered))),
                 }
-                if slice.is_empty() {
-                    continue;
-                }
-                return Ok(Some(slice));
             }
-            match self.stream.next() {
-                Some(chunk) => {
-                    self.pending = Some(chunk?);
-                    self.pending_off = 0;
-                }
-                None => return Ok(None),
+            let end = self.pending_off.saturating_add(take);
+            let piece = self.pending.slice(self.pending_off..end);
+            self.pending_off = end;
+            if take == FEED_CHUNK {
+                return Ok(Some(piece));
+            }
+            gathered.extend_from_slice(&piece);
+            if gathered.len() >= FEED_CHUNK {
+                return Ok(Some(Bytes::from(gathered)));
             }
         }
     }
 
-    /// Refill the row queue from the next input slice. Out of line: the
-    /// per-row [`Iterator::next`] fast path is just a queue pop, and the
-    /// whole parse loop (with its large frame) only runs once per slice.
-    /// Deliberately NOT `#[cold]` — most cycles are spent inside this
-    /// function, and the cold hint makes LLVM deprioritize optimizing it.
-    #[inline(never)]
-    fn fill_queue(&mut self) -> Result<()> {
-        while self.rows_queued == 0 && self.splitter.is_some() {
+    /// The rows of the next input slice that completes any, typed as one
+    /// batch; `None` once the stream is exhausted. Records that straddle a
+    /// slice, or arrive from the splitter's buffer at the end, land in the
+    /// batch of the slice that completes them.
+    pub fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+        while self.splitter.is_some() {
             let slice = self.next_slice()?;
-            self.block.clear();
-            self.block_pos = 0;
-            let mut rows = 0usize;
-            let block = &mut self.block;
+            let mut batch = BatchBuilder::new(&self.schema, slice.clone().unwrap_or_default());
             let fields = &mut self.fields;
-            let schema = &self.schema;
             let skip_header = &mut self.skip_header;
-            let width = schema.len();
+            let width = self.schema.len();
             // Typing happens right here in the scanner callback, while the
             // record bytes and comma offsets are still in L1 — fusing the
             // scan and decode passes measured ~25% faster end to end than
-            // recording row locations and typing them on pop.
+            // recording row locations and typing them afterwards.
             let mut on_row = |r: &[u8], commas: Option<&[u32]>| {
-                if *skip_header {
-                    *skip_header = false;
+                if std::mem::take(skip_header) {
                     return;
                 }
                 match commas {
-                    Some(c) => schema.row_from_commas_into(r, c, block),
-                    None => schema.parse_view_into(&fields.parse_bounded(r, width), block),
+                    Some(c) => batch.push_commas(r, c),
+                    None => batch.push_view(&fields.parse_bounded(r, width), 0..width),
                 }
-                rows += 1;
             };
             match slice {
                 Some(slice) => {
@@ -129,36 +128,23 @@ impl CsvReader {
                     }
                 }
             }
-            self.rows_queued = rows;
+            if batch.rows() > 0 {
+                return Ok(Some(batch.finish()));
+            }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
+/// Rows one at a time, over [`CsvReader::next_batch`].
 impl Iterator for CsvReader {
     type Item = Result<Vec<Value>>;
 
-    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.rows_queued > 0 {
-                self.rows_queued -= 1;
-                let width = self.schema.len();
-                let start = self.block_pos.min(self.block.len());
-                let end = (start + width).min(self.block.len());
-                self.block_pos = end;
-                // Move the values out (leaving NULLs behind in the block);
-                // the freshly allocated row reuses the allocator slot the
-                // consumer's previous row just vacated.
-                let row: Vec<Value> =
-                    self.block[start..end].iter_mut().map(std::mem::take).collect();
-                return Some(Ok(row));
-            }
-            self.splitter.as_ref()?;
-            if let Err(e) = self.fill_queue() {
-                return Some(Err(e));
-            }
-        }
+        let mut cursor = std::mem::take(&mut self.cursor);
+        let row = cursor.next_row(|| self.next_batch());
+        self.cursor = cursor;
+        row
     }
 }
 

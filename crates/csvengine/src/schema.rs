@@ -121,88 +121,7 @@ impl Schema {
     /// missing fields NULL) without materializing intermediate strings for
     /// numeric columns.
     pub fn parse_view(&self, view: &crate::view::RecordView<'_, '_>) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.fields.len());
-        self.parse_view_into(view, &mut out);
-        out
-    }
-
-    /// [`Schema::parse_view`], appending the `self.len()` values to `out`
-    /// instead of allocating a fresh row — the block-decode form used by
-    /// [`crate::CsvReader`]'s flat row queue.
-    pub fn parse_view_into(&self, view: &crate::view::RecordView<'_, '_>, out: &mut Vec<Value>) {
-        out.extend(self.fields.iter().enumerate().map(|(i, f)| typed_field(view, i, f.dtype)));
-    }
-
-    /// [`Schema::parse_view`] of the columns at `indices` only, in that
-    /// order — a projected scan's row. An index past the schema reads as
-    /// NULL.
-    pub fn parse_view_projected(
-        &self,
-        view: &crate::view::RecordView<'_, '_>,
-        indices: &[usize],
-    ) -> Vec<Value> {
-        indices
-            .iter()
-            .map(|&i| match self.fields.get(i) {
-                Some(f) => typed_field(view, i, f.dtype),
-                None => Value::Null,
-            })
-            .collect()
-    }
-
-    /// Parse a typed row straight off a quote-free record and its comma
-    /// offsets, as produced by the fused scanner
-    /// ([`crate::record::RecordSplitter::push_rows`]). Same semantics as
-    /// [`Schema::parse_row`]: extra fields are dropped, missing fields become
-    /// NULL. Skips the span table and quote checks entirely — field `i` is
-    /// the byte range between comma `i-1` and comma `i`.
-    pub fn row_from_commas(&self, record: &[u8], commas: &[u32]) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.fields.len());
-        self.row_from_commas_into(record, commas, &mut out);
-        out
-    }
-
-    /// [`Schema::row_from_commas`], appending the `self.len()` values to
-    /// `out` instead of allocating a fresh row.
-    pub fn row_from_commas_into(&self, record: &[u8], commas: &[u32], out: &mut Vec<Value>) {
-        // One ASCII sweep over the whole record (word-at-a-time) licenses
-        // the fixed-window string copy below for every field, replacing five
-        // per-field validations and variable-length copies per meter row.
-        let all_ascii = record.is_ascii();
-        let mut start = 0usize;
-        for (i, f) in self.fields.iter().enumerate() {
-            if i > 0 {
-                match commas.get(i - 1) {
-                    Some(&c) => start = c as usize + 1,
-                    // Fewer commas than fields: this field is missing.
-                    None => {
-                        out.push(Value::Null);
-                        continue;
-                    }
-                }
-            }
-            let end = commas.get(i).map_or(record.len(), |&c| c as usize);
-            let len = end - start;
-            if f.dtype == DataType::Str && all_ascii && len <= crate::smallstr::INLINE_LEN {
-                out.push(if len == 0 {
-                    Value::Null
-                } else {
-                    // The window over-reads into the rest of the record so
-                    // the copy length is compile-time constant; the tail
-                    // bytes are unreachable through the length-bounded view.
-                    Value::Str(crate::SmallStr::from_ascii_window(&record[start..], len))
-                });
-            } else if f.dtype == DataType::Float {
-                // Short floats parse from one over-read word; anything the
-                // window parser declines falls back to the general path.
-                match crate::value::parse_f64_window(&record[start..], len) {
-                    Some(v) => out.push(Value::Float(v)),
-                    None => out.push(Value::parse_field_bytes(&record[start..end], f.dtype)),
-                }
-            } else {
-                out.push(Value::parse_field_bytes(&record[start..end], f.dtype));
-            }
-        }
+        self.fields.iter().enumerate().map(|(i, f)| typed_field(view, i, f.dtype)).collect()
     }
 
     /// Infer a schema from a header record plus sample data records:
@@ -300,6 +219,8 @@ mod tests {
 
     #[test]
     fn row_from_commas_matches_parse_view_on_clean_records() {
+        // The batch typer's comma path against the view path, record by
+        // record; a record that is not a slice of the input is copied.
         let s = Schema::new(vec![
             Field::new("vid", DataType::Str),
             Field::new("date", DataType::Str),
@@ -324,9 +245,14 @@ mod tests {
                 .filter(|(_, &b)| b == b',')
                 .map(|(i, _)| i as u32)
                 .collect();
-            let fast = s.row_from_commas(rec, &commas);
-            let slow = s.parse_view(&buf.parse_bounded(rec, s.len()));
-            assert_eq!(fast, slow, "on {:?}", String::from_utf8_lossy(rec));
+            let input = bytes::Bytes::copy_from_slice(rec);
+            for slice in [&input[..], &rec[..]] {
+                let mut batch = crate::batch::BatchBuilder::new(&s, input.clone());
+                batch.push_commas(slice, &commas);
+                let fast = batch.finish().row(0).unwrap();
+                let slow = s.parse_view(&buf.parse_bounded(rec, s.len()));
+                assert_eq!(fast, slow, "on {:?}", String::from_utf8_lossy(rec));
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! Inline-capable string storage for [`crate::Value`].
 //!
 //! Every field of the GridPocket meter schema — including the 19-byte
-//! `"2015-02-01 00:00:00"` timestamps — fits in [`INLINE_LEN`] bytes, so the
-//! typed-row hot path (`CsvReader` → `Vec<Value>`) materializes string
-//! columns without touching the allocator: an inline copy of at most 22
+//! `"2015-02-01 00:00:00"` timestamps — fits in [`INLINE_LEN`] bytes, so a
+//! row view over a batch's string lanes materializes string cells without
+//! touching the allocator: an inline copy of at most 22
 //! bytes instead of a `String` allocation per field, and a no-op drop
 //! instead of a `free`. Longer strings spill to a `Box<str>`.
 //!
@@ -60,23 +60,23 @@ impl SmallStr {
     }
 
     /// Construct from the first `len` bytes of `window`, which the caller
-    /// guarantees are ASCII (with `len <= INLINE_LEN`). When the window
-    /// extends to at least [`INLINE_LEN`] bytes the copy is a single
-    /// fixed-size move instead of a variable-length one — the bytes past
-    /// `len` land in the buffer but are unreachable, because every accessor
-    /// is length-bounded. This is how the fused row decoder materializes
-    /// string columns: the "window" is the rest of the record.
-    #[inline(always)]
-    pub(crate) fn from_ascii_window(window: &[u8], len: usize) -> SmallStr {
-        debug_assert!(len <= window.len() && len <= INLINE_LEN);
-        debug_assert!(window[..len.min(window.len())].is_ascii());
-        let mut buf = [0u8; INLINE_LEN];
-        if window.len() >= INLINE_LEN {
-            buf.copy_from_slice(&window[..INLINE_LEN]);
-        } else {
-            buf[..window.len()].copy_from_slice(window);
+    /// guarantees are valid UTF-8. When they fit inline and the window
+    /// extends to at least [`INLINE_LEN`] bytes, the copy is a single
+    /// fixed-size move instead of a variable-length one and nothing is
+    /// validated — the bytes past `len` land in the buffer but are
+    /// unreachable, because every accessor is length-bounded. This is how a
+    /// row view materializes a string lane's cell: the window is the rest of
+    /// the lane's bytes from the cell on.
+    #[inline]
+    pub fn from_utf8_window(window: &[u8], len: usize) -> SmallStr {
+        match window.get(..INLINE_LEN) {
+            Some(head) if len <= INLINE_LEN => {
+                let mut buf = [0u8; INLINE_LEN];
+                buf.copy_from_slice(head);
+                SmallStr::Inline { len: len as u8, buf }
+            }
+            _ => SmallStr::from_utf8_lossy(window.get(..len).unwrap_or_default()),
         }
-        SmallStr::Inline { len: len.min(INLINE_LEN) as u8, buf }
     }
 
     /// Non-ASCII or long input: full validation / lossy conversion.

@@ -23,7 +23,8 @@ use crate::functions::{eval_scalar, substring, text_of};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::predicate::CmpOp;
 use scoop_csv::pushdown::LikePattern;
-use scoop_csv::{Schema, Value};
+use scoop_csv::batch::Selection;
+use scoop_csv::{ColumnBatch, Schema, Value};
 use std::borrow::Cow;
 
 /// What an absent column reads as.
@@ -251,6 +252,26 @@ impl Bound {
         })
     }
 
+    /// Add the columns the expression reads to `out`.
+    fn columns(&self, out: &mut Vec<usize>) {
+        match self {
+            Bound::Col(i) => out.push(*i),
+            Bound::Lit(_) | Bound::Slot(_) => {}
+            Bound::Arith(_, l, r) | Bound::Cmp(_, l, r) | Bound::And(l, r) | Bound::Or(l, r) => {
+                l.columns(out);
+                r.columns(out);
+            }
+            Bound::Not(e)
+            | Bound::Like { expr: e, .. }
+            | Bound::IsNull { expr: e, .. }
+            | Bound::Substr { text: e, .. } => e.columns(out),
+            Bound::InList { expr, list, .. } => {
+                std::iter::once(&**expr).chain(list).for_each(|e| e.columns(out))
+            }
+            Bound::Func { args, .. } => args.iter().for_each(|e| e.columns(out)),
+        }
+    }
+
     /// Three-valued predicate evaluation (Kleene logic for AND/OR/NOT).
     pub(crate) fn test(&self, row: &[Value], slots: &[Value]) -> Result<Option<bool>> {
         Ok(match self {
@@ -303,21 +324,53 @@ impl Bound {
     }
 }
 
+/// The columns `exprs` read, ascending, once each.
+pub(crate) fn columns_of<'a>(exprs: impl IntoIterator<Item = &'a Bound>) -> Vec<usize> {
+    let mut columns = Vec::new();
+    exprs.into_iter().for_each(|e| e.columns(&mut columns));
+    columns.sort_unstable();
+    columns.dedup();
+    columns
+}
+
 /// A WHERE clause bound to the scan schema. No clause keeps every row.
 #[derive(Debug, Clone)]
-pub struct RowFilter(Option<Bound>);
+pub struct RowFilter {
+    clause: Option<Bound>,
+    /// The columns the clause reads: all a row view needs to hold.
+    columns: Vec<usize>,
+}
 
 impl RowFilter {
     /// Bind `where_clause` (the query's own, or the residual a pushdown
     /// source leaves) against `schema`.
     pub fn bind(where_clause: Option<&Expr>, schema: &Schema) -> Result<RowFilter> {
-        where_clause.map(|w| bind(w, schema)).transpose().map(RowFilter)
+        let clause = where_clause.map(|w| bind(w, schema)).transpose()?;
+        Ok(RowFilter { columns: columns_of(&clause), clause })
+    }
+
+    /// The rows of `batch` that pass, each tested on a row view holding
+    /// only the columns the clause reads. No clause selects every row
+    /// without building one.
+    pub fn select(&self, batch: &ColumnBatch) -> Result<Selection> {
+        let Some(w) = &self.clause else {
+            return Ok(Selection::All(batch.rows()));
+        };
+        let mut row = Vec::new();
+        let mut kept = Vec::new();
+        for i in 0..batch.rows() {
+            batch.cells_into(i, &self.columns, &mut row);
+            if w.test(&row, &[])? == Some(true) {
+                kept.push(i);
+            }
+        }
+        Ok(Selection::Rows(kept))
     }
 
     /// Does the row pass? SQL: only a definite TRUE keeps it.
     #[inline]
     pub fn passes(&self, row: &[Value]) -> Result<bool> {
-        match &self.0 {
+        match &self.clause {
             None => Ok(true),
             Some(w) => Ok(w.test(row, &[])? == Some(true)),
         }

@@ -4,20 +4,23 @@
 //! Random expression trees over random rows must give the same value, the
 //! same three-valued truth and fail on the same rows; whole queries must
 //! give the same result set single-pass, chunked through partial
-//! aggregation + merge, and through the reference. What the query itself
+//! aggregation + merge, folded from column batches of random sizes, and
+//! through the reference. What the query itself
 //! gets wrong is reported at bind time, as `ScoopError::Sql`, also over an
 //! empty input.
 
 use crate::ast::{AggFunc, BinOp, Expr, Query};
 use crate::bound::{bind, RowFilter};
 use crate::exec::{execute_with_where, Aggregator, PartialAgg, ResultSet};
+use crate::functions::AggState;
 use crate::parser::parse;
 use crate::reference;
 use proptest::prelude::*;
 use proptest::rng::TestRng;
 use scoop_common::ScoopError;
 use scoop_csv::schema::{DataType, Field};
-use scoop_csv::{Schema, Value};
+use scoop_csv::batch::Selection;
+use scoop_csv::{ColumnBatch, Schema, Value};
 
 fn pick<'a, T>(rng: &mut TestRng, from: &'a [T]) -> &'a T {
     &from[rng.usize_in(0, from.len())]
@@ -227,6 +230,73 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Lane kernels ≡ the row path, value by value
+// ---------------------------------------------------------------------------
+
+/// One column's cells under a declared type: floats (NaN, infinities, -0.0
+/// and 0.0), integers (past 2^53, where distinct values compare equal as
+/// `f64`), strings (non-ASCII, empty), or a mix of everything, which packs
+/// into a `Values` column; NULLs in every kind. Also yields a selection.
+struct Cells;
+
+impl Strategy for Cells {
+    type Value = (DataType, Vec<Value>, Vec<bool>);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        const FLOATS: [f64; 8] = [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        const INTS: [i64; 6] = [0, -4, 7, 1 << 53, (1 << 53) + 1, i64::MIN];
+        const TEXT: [&str; 6] = ["", "2015-01-03", "2015-01-03 10:00:00", "Zürich", "a", "日本"];
+        let kind = rng.below(4);
+        let n = rng.usize_in(0, 40);
+        let cells = (0..n)
+            .map(|_| match (kind, rng.below(6)) {
+                (_, 0) => Value::Null,
+                (0, _) => Value::Float(*pick(rng, &FLOATS)),
+                (1, _) => Value::Int(*pick(rng, &INTS)),
+                (2, _) => Value::Str((*pick(rng, &TEXT)).into()),
+                _ => gen_value(rng),
+            })
+            .collect();
+        let dtype = [DataType::Float, DataType::Int, DataType::Str, DataType::Float][kind as usize];
+        let keep = (0..n).map(|_| rng.below(3) != 0).collect();
+        (dtype, cells, keep)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn lane_kernels_fold_as_the_row_path_does((dtype, cells, keep) in Cells) {
+        let schema = Schema::new(vec![Field::new("x", dtype)]);
+        let batch = ColumnBatch::from_rows(&schema, cells.iter().map(|v| vec![v.clone()]));
+        let kept: Vec<usize> = (0..cells.len()).filter(|&i| keep[i]).collect();
+        for selection in [Selection::All(cells.len()), Selection::Rows(kept)] {
+            for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::First] {
+                // A state that has already folded something, as after a
+                // previous batch.
+                for seed in [None, Some(Value::Int(0)), Some(Value::Str("b".into()))] {
+                    let mut lanes = AggState::new(func);
+                    let mut rows = AggState::new(func);
+                    if let Some(v) = &seed {
+                        lanes.update(v);
+                        rows.update(v);
+                    }
+                    lanes.update_column(batch.column(0).unwrap(), &selection);
+                    for i in selection.rows() {
+                        rows.update(&cells[i]);
+                    }
+                    prop_assert!(
+                        same_value(&lanes.finish(), &rows.finish()),
+                        "{:?} over {:?} of {:?}: {:?}, rows {:?}",
+                        func, selection, cells, lanes.finish(), rows.finish()
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Whole queries: single pass ≡ partial + merge ≡ reference
 // ---------------------------------------------------------------------------
 
@@ -397,12 +467,16 @@ impl Strategy for Table {
 /// WHERE per chunk, partial aggregate per chunk, merge, finalize: what the
 /// compute session does with one task per chunk. The partials merge in
 /// `order` (chunk numbers, `None` an empty partial), or in chunk order.
+/// With `batches`, each chunk's rows are packed into column batches of
+/// those sizes in turn and folded batch by batch, as a session task folds
+/// its scan; without, row by row.
 fn two_phase(
     query: &Query,
     schema: &Schema,
     rows: &[Vec<Value>],
     chunk: usize,
     order: Option<&[Option<usize>]>,
+    batches: Option<&[usize]>,
 ) -> ResultSet {
     let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
     let agg = Aggregator::new(query, schema).unwrap();
@@ -410,9 +484,26 @@ fn two_phase(
         .chunks(chunk)
         .map(|part| {
             let mut partial = agg.make_partial();
-            for row in part {
-                if filter.passes(row).unwrap() {
-                    agg.update(&mut partial, row).unwrap();
+            match batches {
+                Some(sizes) => {
+                    let mut rest = part;
+                    for &size in sizes.iter().cycle() {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        let (batch, tail) = rest.split_at(size.min(rest.len()));
+                        rest = tail;
+                        let batch = ColumnBatch::from_rows(schema, batch.to_vec());
+                        let selection = filter.select(&batch).unwrap();
+                        agg.update_batch(&mut partial, &batch, &selection).unwrap();
+                    }
+                }
+                None => {
+                    for row in part {
+                        if filter.passes(row).unwrap() {
+                            agg.update(&mut partial, row).unwrap();
+                        }
+                    }
                 }
             }
             Some(partial)
@@ -438,6 +529,7 @@ proptest! {
         rows in meter_rows(),
         chunk in 1usize..20,
         (table, table_chunk, merge_order) in Table,
+        sizes in proptest::collection::vec(1usize..300, 1..6),
     ) {
         let schema = meter_schema();
         for sql in QUERIES {
@@ -451,8 +543,15 @@ proptest! {
                 let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
                 prop_assert_eq!(&single, &want, "{}", sql);
                 if query.is_aggregate() {
-                    let two = two_phase(&query, &schema, rows, chunk, order);
+                    let two = two_phase(&query, &schema, rows, chunk, order, None);
                     prop_assert_eq!(&two, &want, "{}", sql);
+                    // The batch leg: one task over every batch, then a task
+                    // per chunk.
+                    let whole = rows.len().max(1);
+                    let single = two_phase(&query, &schema, rows, whole, None, Some(&sizes));
+                    prop_assert_eq!(&single, &want, "batches {:?}: {}", sizes, sql);
+                    let two = two_phase(&query, &schema, rows, chunk, order, Some(&sizes));
+                    prop_assert_eq!(&two, &want, "batches {:?}: {}", sizes, sql);
                 }
             }
         }
@@ -469,7 +568,8 @@ fn global_aggregate_over_zero_rows_agrees_everywhere() {
         let want = reference::execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
         assert_eq!(single.rows.len(), 1, "{sql}");
         assert_eq!(single, want, "{sql}");
-        assert_eq!(two_phase(&query, &schema, &[], 4, None), want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4, None, None), want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4, None, Some(&[3])), want, "{sql}");
     }
 }
 

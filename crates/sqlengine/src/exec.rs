@@ -1,21 +1,26 @@
-//! Query execution over row streams.
+//! Query execution over typed column batches.
 //!
 //! Two entry points:
 //!
 //! * [`execute`] / [`execute_with_where`] — run a whole query on one row
-//!   iterator (the driver-only path, used for correctness references).
+//!   iterator (the driver-only path, used for correctness references); an
+//!   aggregate packs the rows into batches and folds them as a worker does.
 //! * [`Aggregator`] — Spark-style two-phase aggregation: workers fold their
-//!   partition's rows into a [`PartialAgg`] (map-side combine), the driver
-//!   merges partials and finalizes. The compute crate drives this.
+//!   partition's batches into a [`PartialAgg`] (map-side combine), the
+//!   driver merges partials and finalizes. The compute crate drives this.
 //!
 //! Both go through one evaluator: every expression is bound to the scan
-//! schema once per query ([`crate::bound`]) and only evaluated per row.
+//! schema once per query ([`crate::bound`]) and only evaluated per row. The
+//! one exception is a global aggregate whose every call reads a bare column:
+//! [`Aggregator::update_batch`] folds the batch's lanes directly
+//! ([`AggState::update_column`]), and no row is built.
 
 use crate::ast::{AggFunc, Expr, Query, SelectItem};
-use crate::bound::{bind, bind_output, AggCalls, Bound, RowFilter};
+use crate::bound::{bind, bind_output, columns_of, AggCalls, Bound, RowFilter};
 use crate::functions::AggState;
 use scoop_common::{Result, ScoopError};
-use scoop_csv::{Schema, Value};
+use scoop_csv::batch::{Selection, BATCH_ROWS};
+use scoop_csv::{ColumnBatch, Schema, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -81,8 +86,10 @@ impl ResultSet {
 /// What `COUNT(*)` folds in for every row.
 static ONE: Value = Value::Int(1);
 
+
 /// An index slot that holds no group.
 const EMPTY: u32 = u32::MAX;
+
 
 /// Partial aggregation result (one worker's contribution): a flat group
 /// table.
@@ -198,6 +205,16 @@ pub struct Aggregator {
     items: Vec<Bound>,
     having: Option<Bound>,
     order_by: Vec<OrderKey>,
+    /// For a global aggregate whose every call is `COUNT(*)` (`None`) or reads
+    /// a bare column (its index): the lane each call folds.
+    lanes: Option<Vec<Option<usize>>>,
+    /// The columns the keys and computed arguments read: all a row view
+    /// needs to find a row's group and fold it (a bare column argument is
+    /// read from its lane).
+    keyed: Vec<usize>,
+    /// The other columns the outputs read, which a new group's
+    /// representative row needs as well.
+    rest: Vec<usize>,
     /// The scan schema's width: the stride of a representative row.
     width: usize,
     /// Hashes group keys for every partial this aggregator makes, so a merge
@@ -215,7 +232,7 @@ impl Aggregator {
             return Err(ScoopError::Sql("SELECT * cannot be aggregated".into()));
         }
         let mut aggs = AggCalls::default();
-        let items = query
+        let items: Vec<Bound> = query
             .items
             .iter()
             .map(|item| bind_output(&item.expr, schema, &mut aggs))
@@ -224,7 +241,7 @@ impl Aggregator {
             query.having.as_ref().map(|h| bind_output(h, schema, &mut aggs)).transpose()?;
         // ORDER BY: alias or identical select expression first, else
         // evaluated on the group's representative row.
-        let order_by = query
+        let order_by: Vec<OrderKey> = query
             .order_by
             .iter()
             .map(|o| {
@@ -236,8 +253,24 @@ impl Aggregator {
                 })
             })
             .collect::<Result<_>>()?;
-        let group_by =
+        let group_by: Vec<Bound> =
             query.group_by.iter().map(|g| bind(g, schema)).collect::<Result<_>>()?;
+        let lane = |(_, arg): &(AggFunc, Option<Bound>)| match arg {
+            None => Some(None),
+            Some(Bound::Col(i)) => Some(Some(*i)),
+            Some(_) => None,
+        };
+        let lanes = if group_by.is_empty() { aggs.calls.iter().map(lane).collect() } else { None };
+        let computed = aggs.calls.iter().filter_map(|(_, arg)| arg.as_ref()).filter(|a| !matches!(a, Bound::Col(_)));
+        let keyed = columns_of(group_by.iter().chain(computed));
+        let mut rest = columns_of(
+            group_by
+                .iter()
+                .chain(aggs.calls.iter().filter_map(|(_, arg)| arg.as_ref()))
+                .chain(items.iter().chain(&having))
+                .chain(order_by.iter().filter_map(|o| if let OrderKey::Expr(e) = o { Some(e) } else { None })),
+        );
+        rest.retain(|c| !keyed.contains(c));
         Ok(Aggregator {
             query: query.clone(),
             group_by,
@@ -245,6 +278,9 @@ impl Aggregator {
             items,
             having,
             order_by,
+            lanes,
+            keyed,
+            rest,
             width: schema.len(),
             hasher: RandomState::new(),
         })
@@ -281,21 +317,89 @@ impl Aggregator {
 
     /// Fold one (already WHERE-filtered) row into a partial.
     pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
+        let g = match self.find_group(partial, row)? {
+            (_, Some(g)) => g,
+            (hash, None) => self.new_group(partial, hash, row),
+        };
+        self.fold(partial, g, row, |state, c| state.update(row.get(c).unwrap_or(&Value::Null)))
+    }
+
+    /// Count a row in and build its key (in `partial.key`) from `row`: the
+    /// key's hash, and its group if it has one.
+    fn find_group(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<(u64, Option<usize>)> {
         partial.rows_seen += 1;
         partial.key.clear();
         for g in &self.group_by {
             partial.key.push(g.eval(row, &[])?.into_owned());
         }
         let hash = self.hash_key(&partial.key);
-        let g = match partial.find(hash, &partial.key) {
-            Some(g) => g,
-            None => self.new_group(partial, hash, row),
-        };
+        Ok((hash, partial.find(hash, &partial.key)))
+    }
+
+    /// Fold a row into group `g`'s accumulators: a computed argument is
+    /// evaluated on `row`, a bare column `c` is handed to `column(state, c)`.
+    fn fold(
+        &self,
+        partial: &mut PartialAgg,
+        g: usize,
+        row: &[Value],
+        mut column: impl FnMut(&mut AggState, usize),
+    ) -> Result<()> {
         let calls = self.calls.len();
         for ((_, arg), state) in self.calls.iter().zip(&mut partial.states[g * calls..][..calls]) {
             match arg {
                 None => state.update(&ONE),
+                Some(Bound::Col(c)) => column(state, *c),
                 Some(a) => state.update(&*a.eval(row, &[])?),
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold the `selection` of a batch's rows into a partial, exactly as
+    /// [`Aggregator::update`] on each selected row in turn would. A global
+    /// aggregate over bare columns folds the batch's lanes. Anything else
+    /// evaluates keys and computed arguments on each selected row's view,
+    /// which holds only the cells they read, and folds a bare column argument
+    /// from its lane; a new group's representative row also gets the cells
+    /// the outputs read (the others stay NULL, and nothing evaluates them).
+    pub fn update_batch(
+        &self,
+        partial: &mut PartialAgg,
+        batch: &ColumnBatch,
+        selection: &Selection,
+    ) -> Result<()> {
+        let mut row = Vec::new();
+        let Some(lanes) = &self.lanes else {
+            for i in selection.rows() {
+                batch.cells_into(i, &self.keyed, &mut row);
+                let g = match self.find_group(partial, &row)? {
+                    (_, Some(g)) => g,
+                    (hash, None) => {
+                        batch.cells_into(i, &self.rest, &mut row);
+                        self.new_group(partial, hash, &row)
+                    }
+                };
+                self.fold(partial, g, &row, |state, c| {
+                    batch.column(c).into_iter().for_each(|column| state.update_cell(column, i))
+                })?;
+            }
+            return Ok(());
+        };
+        let Some(first) = selection.rows().next() else {
+            return Ok(());
+        };
+        partial.rows_seen += selection.len() as u64;
+        if partial.groups() == 0 {
+            // The one group's representative row is its first row.
+            batch.cells_into(first, &self.rest, &mut row);
+            partial.key.clear();
+            self.new_group(partial, self.hash_key(&[]), &row);
+        }
+        for (state, lane) in partial.states.iter_mut().zip(lanes) {
+            match lane {
+                None => (0..selection.len()).for_each(|_| state.update(&ONE)),
+                Some(c) => batch.column(*c).into_iter().for_each(|col| state.update_column(col, selection)),
             }
         }
         Ok(())
@@ -444,12 +548,18 @@ pub fn execute_with_where(
     if query.is_aggregate() {
         let agg = Aggregator::new(query, schema)?;
         let mut partial = agg.make_partial();
+        let mut fold = |pack: Vec<Vec<Value>>| -> Result<()> {
+            let batch = ColumnBatch::from_rows(schema, pack);
+            agg.update_batch(&mut partial, &batch, &filter.select(&batch)?)
+        };
+        let mut pack = Vec::with_capacity(BATCH_ROWS);
         for row in rows {
-            let row = row?;
-            if filter.passes(&row)? {
-                agg.update(&mut partial, &row)?;
+            pack.push(row?);
+            if pack.len() == BATCH_ROWS {
+                fold(mem::replace(&mut pack, Vec::with_capacity(BATCH_ROWS)))?;
             }
         }
+        fold(pack)?;
         return agg.finalize(partial);
     }
     // Non-aggregate path. `SELECT *` hands the row through as it is.

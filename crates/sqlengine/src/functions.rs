@@ -2,8 +2,10 @@
 
 use crate::ast::AggFunc;
 use scoop_common::{Result, ScoopError};
-use scoop_csv::{SmallStr, Value};
+use scoop_csv::batch::Selection;
+use scoop_csv::{Column, SmallStr, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Evaluate a scalar function.
 ///
@@ -226,6 +228,82 @@ impl AggState {
             AggState::First(cur) => {
                 if cur.is_none() && !v.is_null() {
                     *cur = Some(v.clone());
+                }
+            }
+        }
+    }
+
+    /// Fold the cells of `column` the selection keeps, exactly as
+    /// [`AggState::update`] on each of them in turn would. A lane is folded
+    /// whole: COUNT counts its valid cells, SUM and AVG add in row order,
+    /// MIN and MAX find the lane's first extreme (`f64::total_cmp` on
+    /// numbers, byte order on strings) and fold only that one, FIRST takes
+    /// the first valid cell. A [`Column::Values`] column is folded per value.
+    pub fn update_column(&mut self, column: &Column, selection: &Selection) {
+        match column {
+            Column::F64(lane) => self.fold_cells(lane.cells(selection), Some, f64::total_cmp, Value::Float),
+            Column::I64(lane) => self.fold_cells(
+                lane.cells(selection),
+                |v| Some(v as f64),
+                |a, b| (*a as f64).total_cmp(&(*b as f64)),
+                Value::Int,
+            ),
+            Column::Str(lane) => self.fold_cells(
+                lane.cells(selection),
+                |_| None,
+                |a, b| a.cmp(b),
+                |s| Value::Str(SmallStr::from_utf8_lossy(s)),
+            ),
+            Column::Values(values) => {
+                for v in selection.rows().filter_map(|i| values.get(i)) {
+                    self.update(v);
+                }
+            }
+        }
+    }
+
+    /// [`AggState::update`] with row `i` of `column`; a FIRST that holds its
+    /// value reads nothing.
+    pub fn update_cell(&mut self, column: &Column, i: usize) {
+        if !matches!(self, AggState::First(Some(_))) {
+            self.update(&column.value(i));
+        }
+    }
+
+    /// [`AggState::update_column`] over one lane's cells (`None` for NULL):
+    /// `number` is a cell's numeric view, `cmp` the order `Value::total_cmp`
+    /// gives two of them, `value` a cell as the row path holds it.
+    fn fold_cells<C: Copy>(
+        &mut self,
+        cells: impl Iterator<Item = Option<C>>,
+        number: impl Fn(C) -> Option<f64>,
+        cmp: impl Fn(&C, &C) -> Ordering,
+        value: impl Fn(C) -> Value,
+    ) {
+        let mut cells = cells.flatten();
+        match self {
+            AggState::Count(c) => *c += cells.count() as u64,
+            AggState::Sum { total, seen } => {
+                for x in cells.filter_map(number) {
+                    *total += x;
+                    *seen = true;
+                }
+            }
+            AggState::Avg { total, count } => {
+                for x in cells.filter_map(number) {
+                    *total += x;
+                    *count += 1;
+                }
+            }
+            AggState::Min(_) | AggState::Max(_) => {
+                let beats = if matches!(self, AggState::Min(_)) { Ordering::Less } else { Ordering::Greater };
+                if let Some(m) = cells.reduce(|m, c| if cmp(&c, &m) == beats { c } else { m }) {
+                    self.update(&value(m));
+                }
+            }
+            AggState::First(cur) => {
+                if cur.is_none() {
+                    *cur = cells.next().map(value);
                 }
             }
         }

@@ -11,7 +11,7 @@
 //!    extracts the projection and selection filters implied by the query",
 //!    which the Data Sources API hands to the scan — [`catalyst`] produces a
 //!    [`scoop_csv::PushdownSpec`] plus the residual (non-pushable) predicate.
-//! 3. **Execution** over row streams, including two-phase aggregation
+//! 3. **Execution** over typed column batches, including two-phase aggregation
 //!    (worker-side partial + driver-side final merge) mirroring Spark's
 //!    map-side combine — [`exec`], [`functions`] — with every expression
 //!    bound to the scan schema once per query — [`bound`].
@@ -34,5 +34,6 @@ mod reference;
 pub use ast::{AggFunc, BinOp, Expr, OrderItem, Query, SelectItem};
 pub use catalyst::{plan_query, PlannedQuery};
 pub use bound::RowFilter;
+pub use scoop_csv::batch::Selection;
 pub use exec::{execute, ResultSet};
 pub use parser::parse;
