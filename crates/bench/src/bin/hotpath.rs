@@ -4,8 +4,8 @@
 //! compares the two calibration paths against the pre-rework seed numbers
 //! (storlet CSV filter 86 MB/s, compute CSV parse 43 MB/s):
 //!
-//! * `storlet_csv_filter` — `filter_buffer` with the Fig. 5 projection and
-//!   `city LIKE 'Rot%'` predicate over generated meter CSV;
+//! * `storlet_csv_filter` — the storlet's filter driver with the Fig. 5
+//!   projection and `city LIKE 'Rot%'` predicate over generated meter CSV;
 //! * `compute_csv_parse`  — `CsvReader` typing the full schema into column
 //!   batches (these two kernels live in `scoop_bench`, and `repro
 //!   calibration` reports the same functions timed the same way);
@@ -48,6 +48,7 @@
 //! the stub's throughput. Both variants are monomorphized over the same
 //! generic loop, so the comparison isolates the telemetry calls themselves.
 
+use bytes::Bytes;
 use scoop_bench::{
     best_of, compute_csv_parse, fig5_pushdown, mbs, storlet_csv_filter, Row, HOTPATH,
 };
@@ -56,7 +57,7 @@ use scoop_common::hash::fingerprint_hex;
 use scoop_compute::csv_relation::CsvRelation;
 use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
 use scoop_compute::MemoryConnector;
-use scoop_csv::filter::filter_buffer;
+use scoop_csv::filter::filter_stream;
 use scoop_csv::record::RecordSplitter;
 use scoop_csv::split::plan_splits;
 use scoop_csv::{CsvReader, PushdownSpec, Value};
@@ -162,7 +163,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
         interval_minutes: 60,
         ..Default::default()
     });
-    let csv = gen.csv_object(rows).to_vec();
+    let csv = gen.csv_object(rows);
     let schema = scoop_workload::generator::meter_schema();
     let header: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
 
@@ -480,7 +481,7 @@ impl Instrument for LiveTelemetry {
         Some(scoop_common::telemetry::span(
             Some(&self.trace),
             scoop_common::telemetry::layers::STORLET,
-            "overhead-gate filter_buffer",
+            "overhead-gate filter_stream",
         ))
     }
 
@@ -507,10 +508,11 @@ fn instrumented_filter<I: Instrument>(
     ins: &I,
     spec: &PushdownSpec,
     header: &[String],
-    csv: &[u8],
+    csv: &Bytes,
 ) -> u64 {
     let _span = ins.buffer_span();
-    let (out, stats) = filter_buffer(spec, header, csv, true).expect("filter");
+    let input = scoop_common::stream::once(csv.clone());
+    let (out, stats) = filter_stream(spec, header, input, true).expect("filter");
     ins.add_records(stats.records_in);
     black_box(out.len()) as u64
 }
@@ -524,7 +526,7 @@ fn run_overhead_gate(rows: usize, iters: usize, pct: f64) -> Result<String, Stri
         interval_minutes: 60,
         ..Default::default()
     });
-    let csv = gen.csv_object(rows).to_vec();
+    let csv = gen.csv_object(rows);
     let (spec, header) = fig5_pushdown();
 
     // More samples than the throughput benches: a percent-level gate needs

@@ -8,7 +8,7 @@
 //! serde_json) with one result per line, which is what the reader relies on.
 
 use bytes::Bytes;
-use scoop_csv::filter::filter_buffer;
+use scoop_csv::filter::filter_stream;
 use scoop_csv::{CsvReader, Predicate, PushdownSpec};
 use scoop_workload::generator::meter_schema;
 use std::fmt::Display;
@@ -291,11 +291,14 @@ pub fn fig5_pushdown() -> (PushdownSpec, Vec<String>) {
     (spec, meter_schema().names().iter().map(|s| s.to_string()).collect())
 }
 
-/// The storlet CSV filter: `filter_buffer` with [`fig5_pushdown`] over meter
-/// CSV with a header. Returns the bytes kept.
-pub fn storlet_csv_filter(csv: &[u8]) -> u64 {
+/// The storlet CSV filter: the storlet's own driver
+/// ([`scoop_csv::filter::FilterDriver`], through `filter_stream`) with
+/// [`fig5_pushdown`] over an object of meter CSV with a header, handed over
+/// as the store hands it, without a copy. Returns the bytes kept.
+pub fn storlet_csv_filter(csv: &Bytes) -> u64 {
     let (spec, header) = fig5_pushdown();
-    let (out, _) = filter_buffer(&spec, &header, csv, true).expect("filter");
+    let input = scoop_common::stream::once(csv.clone());
+    let (out, _) = filter_stream(&spec, &header, input, true).expect("filter");
     black_box(out.len()) as u64
 }
 

@@ -359,6 +359,19 @@ mod tests {
     }
 
     #[test]
+    fn an_unterminated_record_past_the_cap_fails_the_vanilla_scan() {
+        let mut body = b"vid,index,city\n".to_vec();
+        body.resize(body.len() + scoop_csv::record::DEFAULT_MAX_RECORD_SIZE + 1, b'x');
+        let c = MemoryConnector::new();
+        c.put("meters", "big.csv", Bytes::from(body));
+        let schema = relation(false).1.schema().unwrap();
+        let rel = CsvRelation::open(c, "meters", None, true, Some(schema), false).unwrap();
+        let parts = rel.partitions(1 << 20).unwrap();
+        let err = rel.scan(&parts[0]).unwrap().rows.collect::<Result<Vec<_>>>().unwrap_err();
+        assert!(matches!(err, ScoopError::Csv(_)), "{err}");
+    }
+
+    #[test]
     fn pruned_scan_projects() {
         let (_, rel) = relation(false);
         let parts = rel.partitions(1 << 20).unwrap();

@@ -2,9 +2,10 @@
 //!
 //! This is the code the CSV storlet executes at storage nodes: it resolves the
 //! [`PushdownSpec`]'s column names against the object schema, then streams
-//! records through selection + projection, emitting filtered CSV. The
-//! compute side's vanilla scan and the connector's fallback filter select
-//! with the same [`CompiledSpec::select`].
+//! records through selection + projection, emitting filtered CSV. The one
+//! driver of that loop is [`FilterDriver`]; the storlet and
+//! [`filter_buffer`] both run it. The compute side's vanilla scan and the
+//! connector's fallback filter select with the same [`CompiledSpec::select`].
 //!
 //! ## NULL semantics
 //!
@@ -43,10 +44,13 @@
 
 use crate::predicate::Tree;
 use crate::pushdown::{Predicate, PushdownSpec};
-use crate::record::{write_field, RecordSplitter};
+use crate::record::write_field;
 use crate::scan;
+use crate::split::RangedRecordStream;
 use crate::view::{FieldBuf, RecordView};
-use scoop_common::{Result, ScoopError};
+use bytes::Bytes;
+use scoop_common::stream::{self, DEFAULT_CHUNK};
+use scoop_common::{ByteStream, Result, ScoopError};
 use std::borrow::Cow;
 
 /// Resolve a column name against a header (case-insensitive).
@@ -248,7 +252,7 @@ fn emit_field(view: &RecordView<'_, '_>, i: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Cumulative statistics from a [`StreamFilter`] run; the storlet engine
+/// Cumulative statistics from a [`FilterDriver`] run; the storlet engine
 /// reports these for resource accounting and selectivity measurement.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FilterStats {
@@ -273,79 +277,75 @@ impl FilterStats {
     }
 }
 
-/// Stateful, chunk-at-a-time filter over a CSV byte stream.
-///
-/// Drives [`RecordSplitter`] + [`CompiledSpec`] for [`filter_buffer`], the
-/// whole-buffer reference filter; the storlet streams through
-/// `RangedRecordStream` instead. When the header is pending, the first
-/// record of the stream is treated as the header row and dropped (the
-/// compute side already knows the schema; pushdown responses carry pure data
-/// records).
-pub struct StreamFilter {
+/// The one CSV filter driver: the records a [`RangedRecordStream`] owns,
+/// through [`CompiledSpec::filter_record_buf`], each selected inside the
+/// input chunk it arrived in. The `csvfilter` storlet streams its output
+/// through it, and [`filter_buffer`] runs it over a whole buffer. A range
+/// that starts at the object's first byte of an object with a header row
+/// drops that row: the compute side already knows the schema, and pushdown
+/// responses carry pure data records.
+pub struct FilterDriver {
+    records: RangedRecordStream,
     compiled: CompiledSpec,
-    splitter: RecordSplitter,
+    /// Reusable per-record parse state (field span table).
     fields: FieldBuf,
+    /// True while the object's header record is still to be consumed.
     header_pending: bool,
-    stats: FilterStats,
 }
 
-impl StreamFilter {
-    /// Create a filter. `range_starts_at_zero` tells the filter whether the
-    /// header row (if the object has one) is present at the stream start.
-    pub fn new(compiled: CompiledSpec, range_starts_at_zero: bool) -> Self {
-        let header_pending = compiled.has_header && range_starts_at_zero;
-        StreamFilter {
-            compiled,
-            splitter: RecordSplitter::new(),
-            fields: FieldBuf::default(),
-            header_pending,
-            stats: FilterStats::default(),
+impl FilterDriver {
+    /// Filter `records`; `at_object_start` tells whether the range starts
+    /// at the object's first byte, where its header row (if any) is.
+    pub fn new(records: RangedRecordStream, compiled: CompiledSpec, at_object_start: bool) -> Self {
+        let header_pending = compiled.has_header && at_object_start;
+        FilterDriver { records, compiled, fields: FieldBuf::default(), header_pending }
+    }
+
+    /// Filter input chunks until this call has appended [`DEFAULT_CHUNK`]
+    /// bytes to `out` or the range is exhausted, adding what it read and
+    /// wrote to `stats`. Returns `Ok(true)` while more output may follow. An
+    /// error — of the input, or a record past the splitter's size cap — is
+    /// returned once, after the counters of the chunks before it are added.
+    pub fn fill(&mut self, out: &mut Vec<u8>, stats: &mut FilterStats) -> Result<bool> {
+        let FilterDriver { records, compiled, fields, header_pending } = self;
+        let (read_from, before) = (records.offset(), out.len());
+        let mut more = Ok(true);
+        while matches!(more, Ok(true)) && out.len().saturating_sub(before) < DEFAULT_CHUNK {
+            more = records.next_chunk(|record| {
+                if std::mem::take(header_pending) {
+                    return;
+                }
+                stats.records_in = stats.records_in.saturating_add(1);
+                if compiled.filter_record_buf(record, fields, out) {
+                    stats.records_out = stats.records_out.saturating_add(1);
+                }
+            });
         }
-    }
-
-    /// Feed a chunk; filtered output is appended to `out`. Fails when a
-    /// single record exceeds the splitter's record-size cap.
-    pub fn push(&mut self, chunk: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        self.stats.bytes_in += chunk.len() as u64;
-        let compiled = &self.compiled;
-        let fields = &mut self.fields;
-        let stats = &mut self.stats;
-        let header_pending = &mut self.header_pending;
-        let before = out.len();
-        let res = self.splitter.push(chunk, |record| {
-            if *header_pending {
-                *header_pending = false;
-                return;
-            }
-            stats.records_in += 1;
-            if compiled.filter_record_buf(record, fields, out) {
-                stats.records_out += 1;
-            }
-        });
-        self.stats.bytes_out += (out.len() - before) as u64;
-        res
-    }
-
-    /// Flush the trailing record and return cumulative statistics.
-    pub fn finish(self, out: &mut Vec<u8>) -> FilterStats {
-        let StreamFilter { compiled, splitter, mut fields, mut header_pending, mut stats } = self;
-        let before = out.len();
-        splitter.finish(|record| {
-            if header_pending {
-                header_pending = false;
-                return;
-            }
-            stats.records_in += 1;
-            if compiled.filter_record_buf(record, &mut fields, out) {
-                stats.records_out += 1;
-            }
-        });
-        stats.bytes_out += (out.len() - before) as u64;
-        stats
+        stats.bytes_in = stats.bytes_in.saturating_add(records.offset().saturating_sub(read_from));
+        let written = out.len().saturating_sub(before) as u64;
+        stats.bytes_out = stats.bytes_out.saturating_add(written);
+        more
     }
 }
 
-/// Convenience: filter an entire in-memory buffer.
+/// Filter a whole byte stream — every record of it, from a range that
+/// starts on a record boundary — into one buffer.
+pub fn filter_stream(
+    spec: &PushdownSpec,
+    header: &[String],
+    input: ByteStream,
+    range_starts_at_zero: bool,
+) -> Result<(Vec<u8>, FilterStats)> {
+    let compiled = CompiledSpec::compile(spec, header)?;
+    let records = RangedRecordStream::new(input, 0, None);
+    let mut filter = FilterDriver::new(records, compiled, range_starts_at_zero);
+    let (mut out, mut stats) = (Vec::new(), FilterStats::default());
+    while filter.fill(&mut out, &mut stats)? {}
+    Ok((out, stats))
+}
+
+/// Convenience: filter an entire in-memory buffer through
+/// [`filter_stream`].
 ///
 /// ```
 /// use scoop_csv::{filter::filter_buffer, Predicate, PushdownSpec, Value};
@@ -366,12 +366,7 @@ pub fn filter_buffer(
     data: &[u8],
     range_starts_at_zero: bool,
 ) -> Result<(Vec<u8>, FilterStats)> {
-    let compiled = CompiledSpec::compile(spec, header)?;
-    let mut f = StreamFilter::new(compiled, range_starts_at_zero);
-    let mut out = Vec::new();
-    f.push(data, &mut out)?;
-    let stats = f.finish(&mut out);
-    Ok((out, stats))
+    filter_stream(spec, header, stream::once(Bytes::copy_from_slice(data)), range_starts_at_zero)
 }
 
 /// The evaluator [`CompiledSpec::select`] replaced, kept as the oracle of the
@@ -711,13 +706,8 @@ mod tests {
         };
         let (whole, ws) = filter_buffer(&spec, &header(), DATA, true).unwrap();
         for chunk in [1usize, 3, 8, 17] {
-            let compiled = CompiledSpec::compile(&spec, &header()).unwrap();
-            let mut f = StreamFilter::new(compiled, true);
-            let mut out = Vec::new();
-            for c in DATA.chunks(chunk) {
-                f.push(c, &mut out).unwrap();
-            }
-            let stats = f.finish(&mut out);
+            let input = stream::chunked(Bytes::from_static(DATA), chunk);
+            let (out, stats) = filter_stream(&spec, &header(), input, true).unwrap();
             assert_eq!(out, whole, "chunk={chunk}");
             assert_eq!(stats.records_out, ws.records_out);
             assert_eq!(stats.bytes_in, ws.bytes_in);

@@ -6,8 +6,9 @@
 //!
 //! * [`value`] / [`schema`] — the typed data model (rows of [`value::Value`]
 //!   described by a [`schema::Schema`]).
-//! * [`record`] — byte-level record splitting and field parsing (RFC-4180
-//!   quoting, embedded delimiters/newlines).
+//! * [`record`] — byte-level record splitting under the one record rule (a
+//!   record ends at the first `\n`, whatever the quotes) and field parsing
+//!   (RFC-4180 quoting and embedded delimiters inside a record).
 //! * [`scan`] — SWAR (8-bytes-per-word) delimiter scanning primitives the
 //!   record splitter and field parser are built on.
 //! * [`view`] — zero-copy [`view::RecordView`] field spans with lazy typed
@@ -26,8 +27,9 @@
 //!   raw fields, columnar cells, zone maps and chunk statistics.
 //! * [`blockplan`] — the zone-map block planner both tiers run: the store
 //!   per ranged GET, the compute side per split at discovery.
-//! * [`filter`] — evaluation of a compiled pushdown spec against raw records;
-//!   the exact code the CSV storlet runs at storage nodes.
+//! * [`filter`] — evaluation of a compiled pushdown spec against raw records,
+//!   and [`filter::FilterDriver`], the loop the CSV storlet runs at storage
+//!   nodes.
 
 pub mod batch;
 pub mod blockplan;

@@ -20,7 +20,9 @@ const FEED_CHUNK: usize = 64 * 1024;
 ///
 /// This is the compute-side ingestion path: Spark workers pull the (possibly
 /// storlet-filtered) GET body through one of these and hand the SQL executor
-/// one [`ColumnBatch`] per input slice. Rows are typed **inside the fused
+/// one [`ColumnBatch`] per input slice. Records end at the first `\n`,
+/// whatever the quotes — the record rule of [`crate::record`], which the
+/// storlet that filtered the body and the vanilla scan share. Rows are typed **inside the fused
 /// scanner's callback**, straight off the borrowed record slice while its
 /// bytes are still hot in cache: numbers land in their column's lane, and a
 /// string cell is a span into the slice itself, so a quote-free record costs
@@ -148,30 +150,6 @@ impl Iterator for CsvReader {
     }
 }
 
-/// Read the header record of a CSV buffer (the column names in file order).
-pub fn read_header(data: &[u8]) -> Result<Vec<String>> {
-    let mut header = None;
-    let mut splitter = RecordSplitter::new();
-    // Feed incrementally-larger prefixes until the first record completes, so
-    // huge objects don't get scanned fully just to find the header.
-    for chunk in data.chunks(64 * 1024) {
-        splitter.push(chunk, |r| {
-            if header.is_none() {
-                header = Some(parse_fields(r).into_iter().map(|c| c.into_owned()).collect());
-            }
-        })?;
-        if header.is_some() {
-            break;
-        }
-    }
-    if header.is_none() {
-        splitter.finish(|r| {
-            header = Some(parse_fields(r).into_iter().map(|c| c.into_owned()).collect());
-        });
-    }
-    header.ok_or_else(|| scoop_common::ScoopError::Csv("empty CSV object".into()))
-}
-
 /// Infer a schema by sampling up to `sample_rows` data records.
 pub fn infer_schema(data: &[u8], sample_rows: usize) -> Result<Schema> {
     let mut records: Vec<Vec<u8>> = Vec::new();
@@ -253,12 +231,12 @@ mod tests {
 
     #[test]
     fn header_and_inference() {
-        assert_eq!(read_header(DATA).unwrap(), vec!["vid", "index", "city"]);
         let s = infer_schema(DATA, 10).unwrap();
+        assert_eq!(s.names(), vec!["vid", "index", "city"]);
         assert_eq!(s.fields[0].dtype, DataType::Str);
         assert_eq!(s.fields[1].dtype, DataType::Float);
         assert_eq!(s.fields[2].dtype, DataType::Str);
-        assert!(read_header(b"").is_err());
+        assert!(infer_schema(b"", 10).is_err());
         // Header-only object still infers (all Str).
         let s = infer_schema(b"a,b\n", 5).unwrap();
         assert_eq!(s.len(), 2);

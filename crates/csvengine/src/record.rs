@@ -1,24 +1,33 @@
-//! Byte-level CSV record machinery: incremental record splitting (quote-aware)
-//! and RFC-4180 field parsing.
+//! Byte-level CSV record machinery: incremental record splitting and
+//! RFC-4180 field parsing.
+//!
+//! ## One record rule
+//!
+//! A record ends at the first `\n`, whatever the quotes. A trailing `\r` is
+//! part of the terminator and a blank line is no record. That is the only
+//! rule a byte-range split can honour — a task that starts reading in the
+//! middle of an object cannot know the quote state there — so every CSV
+//! reader, filter and indexer in the system splits records with
+//! [`RecordSplitter`] under it. Quoting keeps its meaning *inside* a record:
+//! a quoted field may hold commas, doubled quotes and bare `\r`s
+//! ([`crate::view`]), but a `\n` ends the record wherever it stands.
 //!
 //! This is the hot path of the whole system: the CSV storlet runs these
 //! routines at storage nodes over every byte of every object. The splitter
-//! scans with the SWAR primitives in [`crate::scan`] (8 bytes per step
-//! outside quoted regions) and emits **borrowed slices of the input chunk**
-//! whenever a record is fully contained in it — bytes are only copied into
-//! the internal buffer for records that straddle a chunk boundary. Field
-//! parsing lives in [`crate::view`] and borrows from the record wherever
-//! possible.
+//! scans with the SWAR primitives in [`crate::scan`] (8 bytes per step) and
+//! emits **borrowed slices of the input chunk** whenever a record is fully
+//! contained in it — bytes are only copied into the internal buffer for
+//! records that straddle a chunk boundary. Field parsing lives in
+//! [`crate::view`] and borrows from the record wherever possible.
 //!
 //! ## Bounded buffering
 //!
-//! A corrupt object (an opening quote that never closes, or a single record
-//! with no newline) used to make the splitter buffer the entire remaining
-//! stream. [`RecordSplitter::push`] now enforces a configurable
-//! max-record-size cap ([`DEFAULT_MAX_RECORD_SIZE`]) on the *buffered*
-//! partial record and surfaces [`scoop_common::ScoopError::Csv`] instead of
-//! growing without bound. The error is sticky: a capped splitter stays
-//! failed.
+//! A corrupt object (a single record with no newline) would make the
+//! splitter buffer the entire remaining stream. [`RecordSplitter::push`]
+//! enforces a configurable max-record-size cap ([`DEFAULT_MAX_RECORD_SIZE`])
+//! on the *buffered* partial record and surfaces
+//! [`scoop_common::ScoopError::Csv`] instead of growing without bound. The
+//! error is sticky: a capped splitter stays failed.
 
 use crate::scan;
 use scoop_common::{Result, ScoopError};
@@ -28,11 +37,10 @@ use std::borrow::Cow;
 /// any sane CSV record, far below "the rest of a multi-GB object".
 pub const DEFAULT_MAX_RECORD_SIZE: usize = 16 * 1024 * 1024;
 
-/// Incremental, quote-aware record splitter.
+/// Incremental record splitter: the one implementation of the record rule.
 ///
 /// Feed arbitrary chunks with [`RecordSplitter::push`]; complete records
-/// (without their line terminator) are handed to the callback. Newlines inside
-/// double-quoted fields do not split records. Call
+/// (without their line terminator) are handed to the callback. Call
 /// [`RecordSplitter::finish`] to flush a trailing record that lacks a final
 /// newline.
 #[derive(Debug)]
@@ -40,7 +48,6 @@ pub struct RecordSplitter {
     /// The current chunk-straddling partial record (empty at record
     /// boundaries).
     buf: Vec<u8>,
-    in_quotes: bool,
     max_record: usize,
     /// Sticky failure: the cap fired and the splitter is unusable.
     overflowed: bool,
@@ -65,7 +72,6 @@ impl RecordSplitter {
     pub fn with_max_record_size(max_record: usize) -> Self {
         RecordSplitter {
             buf: Vec::new(),
-            in_quotes: false,
             max_record,
             overflowed: false,
             comma_buf: Vec::new(),
@@ -77,77 +83,16 @@ impl RecordSplitter {
     /// Records fully contained in `chunk` are emitted as borrowed slices of
     /// `chunk` (zero-copy); only a trailing partial record is buffered.
     pub fn push(&mut self, chunk: &[u8], mut emit: impl FnMut(&[u8])) -> Result<()> {
-        if self.overflowed {
-            return Err(self.cap_error());
-        }
-        let mut data = chunk;
-        if !self.buf.is_empty() {
-            // Finish the straddling record: find the first record boundary
-            // in `data` under the carried quote state.
-            match find_boundary(data, self.in_quotes) {
-                Boundary::Newline(nl) => {
-                    self.buf.extend_from_slice(&data[..nl]);
-                    self.check_cap()?;
-                    let mut end = self.buf.len();
-                    if end > 0 && self.buf[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    // Blank lines are not records (Spark-CSV semantics).
-                    if end > 0 {
-                        emit(&self.buf[..end]);
-                    }
-                    self.buf.clear();
-                    self.in_quotes = false;
-                    data = &data[nl + 1..];
-                }
-                Boundary::None { in_quotes } => {
-                    self.buf.extend_from_slice(data);
-                    self.in_quotes = in_quotes;
-                    return self.check_cap();
-                }
-            }
-        }
-        // Zero-copy scan over the rest of the chunk. `buf` is empty, so we
-        // are at a record boundary and therefore outside any quoted region.
-        debug_assert!(!self.in_quotes);
+        let Some(data) = self.complete_straddler(chunk, &mut emit)? else {
+            return Ok(());
+        };
         let mut record_start = 0usize;
-        let mut pos = 0usize;
-        let mut in_quotes = false;
-        while pos < data.len() {
-            if in_quotes {
-                match scan::find_byte(&data[pos..], b'"') {
-                    // A doubled quote inside a quoted field toggles twice —
-                    // the net quote state is still correct for splitting.
-                    Some(q) => {
-                        pos += q + 1;
-                        in_quotes = false;
-                    }
-                    None => pos = data.len(),
-                }
-            } else {
-                match scan::find_byte2(&data[pos..], b'\n', b'"') {
-                    None => pos = data.len(),
-                    Some(i) => {
-                        let at = pos + i;
-                        if data[at] == b'"' {
-                            in_quotes = true;
-                        } else {
-                            let mut end = at;
-                            if end > record_start && data[end - 1] == b'\r' {
-                                end -= 1;
-                            }
-                            if end > record_start {
-                                emit(&data[record_start..end]);
-                            }
-                            record_start = at + 1;
-                        }
-                        pos = at + 1;
-                    }
-                }
-            }
+        while let Some(i) = scan::find_byte(&data[record_start..], b'\n') {
+            let at = record_start + i;
+            emit_line(&data[record_start..at], &mut emit);
+            record_start = at + 1;
         }
         self.buf.extend_from_slice(&data[record_start..]);
-        self.in_quotes = in_quotes;
         self.check_cap()
     }
 
@@ -158,46 +103,19 @@ impl RecordSplitter {
     /// splitting plus once per record for field splitting. Quote-free records
     /// fully contained in `chunk` reach `on_row` with `Some(commas)` — the
     /// record-relative byte offsets of their commas, i.e. the field
-    /// boundaries; everything else — records containing a quote anywhere, and
-    /// records that straddle a chunk boundary — arrives with `None` and needs
-    /// the full quote-aware field parse. Record boundary semantics (quoted
-    /// newlines, CRLF trimming, blank-line skipping, the size cap) are
-    /// identical to [`RecordSplitter::push`].
+    /// boundaries; everything else — records containing a quote anywhere
+    /// (and their neighbours in the same 8-byte word), and records that
+    /// straddle a chunk boundary — arrives with `None` and needs the full
+    /// quote-aware field parse. Record boundaries (CRLF trimming, blank-line
+    /// skipping, the size cap) are identical to [`RecordSplitter::push`].
     pub fn push_rows(
         &mut self,
         chunk: &[u8],
         mut on_row: impl FnMut(&[u8], Option<&[u32]>),
     ) -> Result<()> {
-        if self.overflowed {
-            return Err(self.cap_error());
-        }
-        let mut data = chunk;
-        if !self.buf.is_empty() {
-            // Finish the straddling record under the carried quote state; it
-            // lives in `buf`, so it takes the messy (re-parsing) path.
-            match find_boundary(data, self.in_quotes) {
-                Boundary::Newline(nl) => {
-                    self.buf.extend_from_slice(&data[..nl]);
-                    self.check_cap()?;
-                    let mut end = self.buf.len();
-                    if end > 0 && self.buf[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    if end > 0 {
-                        on_row(&self.buf[..end], None);
-                    }
-                    self.buf.clear();
-                    self.in_quotes = false;
-                    data = &data[nl + 1..];
-                }
-                Boundary::None { in_quotes } => {
-                    self.buf.extend_from_slice(data);
-                    self.in_quotes = in_quotes;
-                    return self.check_cap();
-                }
-            }
-        }
-        debug_assert!(!self.in_quotes);
+        let Some(data) = self.complete_straddler(chunk, &mut |r| on_row(r, None))? else {
+            return Ok(());
+        };
         let mut commas = std::mem::take(&mut self.comma_buf);
         commas.clear();
         let mut record_start = 0usize;
@@ -214,53 +132,46 @@ impl RecordSplitter {
                 }
                 w
             };
+            let nl = scan::match_lanes(word, b'\n');
             // `u32` comma offsets can only overflow on a >4 GiB record, which
-            // the same fallback handles (and the cap then rejects).
+            // takes the same path (and the cap then rejects it).
             if scan::match_lanes(word, b'"') != 0
                 || pos - record_start > (u32::MAX as usize) - 8
             {
-                // Rare: a quote somewhere in this word. Hand the current
-                // record to the quote-aware boundary scanner, route it messy,
-                // and resume the fused scan right after it. The quote may
-                // belong to a *later* record in the same word — then this
-                // record goes messy needlessly, which is slower but correct.
+                // Rare: a quote in this word. Every record the word overlaps
+                // goes messy — a quote-free neighbour of the quoted record
+                // needlessly, which is slower but parses the same — and the
+                // fused scan resumes past the last of them. No byte is read
+                // twice.
                 commas.clear();
-                match find_boundary(&data[record_start..], false) {
-                    Boundary::Newline(rel) => {
-                        let at = record_start + rel;
-                        let mut end = at;
-                        if end > record_start && data[end - 1] == b'\r' {
-                            end -= 1;
+                let mut m = nl;
+                while m != 0 {
+                    let at = pos + scan::lane_index(m);
+                    emit_line(&data[record_start..at], &mut |r| on_row(r, None));
+                    record_start = at + 1;
+                    m &= m - 1;
+                }
+                pos += 8;
+                if record_start < pos {
+                    // The open record overlaps the word too: find its end.
+                    match data.get(pos..).and_then(|rest| scan::find_byte(rest, b'\n')) {
+                        Some(i) => {
+                            let at = pos + i;
+                            emit_line(&data[record_start..at], &mut |r| on_row(r, None));
+                            record_start = at + 1;
+                            pos = record_start;
                         }
-                        if end > record_start {
-                            on_row(&data[record_start..end], None);
-                        }
-                        record_start = at + 1;
-                        pos = record_start;
-                        continue;
-                    }
-                    Boundary::None { in_quotes } => {
-                        // Partial record runs to the end of the chunk.
-                        self.buf.extend_from_slice(&data[record_start..]);
-                        self.in_quotes = in_quotes;
-                        self.comma_buf = commas;
-                        return self.check_cap();
+                        None => pos = data.len(),
                     }
                 }
+                continue;
             }
-            let nl = scan::match_lanes(word, b'\n');
             let mut m = nl | scan::match_lanes(word, b',');
             while m != 0 {
                 let at = pos + scan::lane_index(m);
                 let lane_bit = m & m.wrapping_neg();
                 if nl & lane_bit != 0 {
-                    let mut end = at;
-                    if end > record_start && data[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    if end > record_start {
-                        on_row(&data[record_start..end], Some(&commas));
-                    }
+                    emit_line(&data[record_start..at], &mut |r| on_row(r, Some(&commas)));
                     commas.clear();
                     record_start = at + 1;
                 } else {
@@ -277,22 +188,38 @@ impl RecordSplitter {
         self.check_cap()
     }
 
-    /// Flush the final record (if any bytes remain) and consume the splitter.
-    pub fn finish(mut self, mut emit: impl FnMut(&[u8])) {
+    /// The shared head of [`RecordSplitter::push`] and
+    /// [`RecordSplitter::push_rows`]: complete the buffered straddling record
+    /// at the chunk's first newline and emit it, returning the rest of the
+    /// chunk — or `None` when the chunk holds no newline and was buffered
+    /// whole.
+    fn complete_straddler<'c>(
+        &mut self,
+        chunk: &'c [u8],
+        emit: &mut impl FnMut(&[u8]),
+    ) -> Result<Option<&'c [u8]>> {
         if self.overflowed {
-            return;
+            return Err(self.cap_error());
         }
-        if !self.buf.is_empty() {
-            let mut end = self.buf.len();
-            // A trailing CR is a line-terminator fragment only *outside* a
-            // quoted region; inside an open quote it is record content.
-            if !self.in_quotes && self.buf[end - 1] == b'\r' {
-                end -= 1;
-            }
-            if end > 0 {
-                emit(&self.buf[..end]);
-            }
-            self.buf.clear();
+        if self.buf.is_empty() {
+            return Ok(Some(chunk));
+        }
+        let Some(nl) = scan::find_byte(chunk, b'\n') else {
+            self.buf.extend_from_slice(chunk);
+            return self.check_cap().map(|()| None);
+        };
+        let (line, rest) = chunk.split_at(nl);
+        self.buf.extend_from_slice(line);
+        self.check_cap()?;
+        emit_line(&self.buf, emit);
+        self.buf.clear();
+        Ok(Some(rest.get(1..).unwrap_or_default()))
+    }
+
+    /// Flush the final record (if any bytes remain) and consume the splitter.
+    pub fn finish(self, mut emit: impl FnMut(&[u8])) {
+        if !self.overflowed {
+            emit_line(&self.buf, &mut emit);
         }
     }
 
@@ -313,49 +240,19 @@ impl RecordSplitter {
 
     fn cap_error(&self) -> ScoopError {
         ScoopError::Csv(format!(
-            "CSV record exceeds the {}-byte record-size cap \
-             (unterminated quote or missing newline in the object?)",
+            "CSV record exceeds the {}-byte record-size cap (missing newline in the object?)",
             self.max_record
         ))
     }
 }
 
-/// Where the first record boundary of a slice lies, given the quote state
-/// carried in from previous chunks.
-enum Boundary {
-    /// Index of the first `\n` outside quotes.
-    Newline(usize),
-    /// No boundary in the slice; the quote state after consuming all of it.
-    None { in_quotes: bool },
-}
-
-fn find_boundary(data: &[u8], mut in_quotes: bool) -> Boundary {
-    let mut pos = 0usize;
-    while pos < data.len() {
-        if in_quotes {
-            match scan::find_byte(&data[pos..], b'"') {
-                Some(q) => {
-                    pos += q + 1;
-                    in_quotes = false;
-                }
-                None => return Boundary::None { in_quotes: true },
-            }
-        } else {
-            match scan::find_byte2(&data[pos..], b'\n', b'"') {
-                None => return Boundary::None { in_quotes: false },
-                Some(i) => {
-                    let at = pos + i;
-                    if data[at] == b'"' {
-                        in_quotes = true;
-                        pos = at + 1;
-                    } else {
-                        return Boundary::Newline(at);
-                    }
-                }
-            }
-        }
+/// Hand a line to `emit` as a record: a trailing `\r` is part of the line
+/// terminator, and a blank line is no record.
+fn emit_line(line: &[u8], emit: &mut impl FnMut(&[u8])) {
+    let record = line.strip_suffix(b"\r").unwrap_or(line);
+    if !record.is_empty() {
+        emit(record);
     }
-    Boundary::None { in_quotes }
 }
 
 /// Split a whole in-memory buffer into records (helper over the splitter).
@@ -430,11 +327,10 @@ pub fn write_record(out: &mut Vec<u8>, fields: &[&str]) {
     out.push(b'\n');
 }
 
-/// The original per-byte splitter and field parser, kept verbatim (modulo the
-/// three correctness fixes this module now shares: quote-aware trailing-CR
-/// handling in `finish`, and stray-byte concatenation in field parsing) as
-/// the reference implementation for the differential property suite. Never
-/// compiled into release binaries.
+/// A per-byte splitter under the record rule and the original per-byte
+/// field parser (with the stray-byte concatenation this module shares), kept
+/// as the reference implementation for the differential property suite.
+/// Never compiled into release binaries.
 #[cfg(test)]
 pub(crate) mod reference {
     use std::borrow::Cow;
@@ -443,7 +339,6 @@ pub(crate) mod reference {
     pub struct RecordSplitter {
         buf: Vec<u8>,
         scan: usize,
-        in_quotes: bool,
     }
 
     impl RecordSplitter {
@@ -456,10 +351,7 @@ pub(crate) mod reference {
             let mut record_start = 0usize;
             let mut i = self.scan;
             while i < self.buf.len() {
-                let b = self.buf[i];
-                if b == b'"' {
-                    self.in_quotes = !self.in_quotes;
-                } else if b == b'\n' && !self.in_quotes {
+                if self.buf[i] == b'\n' {
                     let mut end = i;
                     if end > record_start && self.buf[end - 1] == b'\r' {
                         end -= 1;
@@ -480,7 +372,7 @@ pub(crate) mod reference {
         pub fn finish(mut self, mut emit: impl FnMut(&[u8])) {
             if !self.buf.is_empty() {
                 let mut end = self.buf.len();
-                if !self.in_quotes && self.buf[end - 1] == b'\r' {
+                if self.buf[end - 1] == b'\r' {
                     end -= 1;
                 }
                 if end > 0 {
@@ -589,20 +481,20 @@ mod tests {
     }
 
     #[test]
-    fn quoted_newlines_do_not_split() {
+    fn quoted_newlines_end_records() {
+        // The record rule: a newline ends the record even inside quotes.
         assert_eq!(
             records(b"\"a\nstill a\",x\nb,y\n"),
-            vec!["\"a\nstill a\",x", "b,y"]
+            vec!["\"a", "still a\",x", "b,y"]
         );
     }
 
     #[test]
-    fn trailing_cr_inside_open_quote_is_content() {
-        // `"a<CR>` at EOF: the CR is *inside* the unterminated quote, so the
-        // flushed record must keep it (the old splitter stripped it).
-        assert_eq!(records(b"\"a\r"), vec!["\"a\r"]);
-        // Outside quotes the CR is still a terminator fragment.
+    fn a_trailing_cr_is_a_terminator_even_inside_an_open_quote() {
+        assert_eq!(records(b"\"a\r"), vec!["\"a"]);
         assert_eq!(records(b"\"a\"\r"), vec!["\"a\""]);
+        // A CR that is not last stays record content.
+        assert_eq!(records(b"\"a\rb\"\n"), vec!["\"a\rb\""]);
     }
 
     #[test]
@@ -623,8 +515,8 @@ mod tests {
 
     #[test]
     fn record_size_cap_errors_instead_of_buffering() {
-        // An unterminated quote makes everything after it one giant pending
-        // record; the cap must fire instead of buffering the whole stream.
+        // A record whose newline never comes is one giant pending record;
+        // the cap must fire instead of buffering the whole stream.
         let mut sp = RecordSplitter::with_max_record_size(64);
         sp.push(b"ok,1\n\"never closed ", |_| {}).unwrap();
         let mut err = None;
@@ -679,7 +571,7 @@ mod tests {
     fn write_roundtrip() {
         let cases: Vec<Vec<&str>> = vec![
             vec!["a", "b"],
-            vec!["with,comma", "with\"quote", "with\nnewline"],
+            vec!["with,comma", "with\"quote", "with\rcr"],
             vec!["", "", ""],
             vec!["plain"],
         ];
@@ -690,6 +582,11 @@ mod tests {
             assert_eq!(recs.len(), 1);
             assert_eq!(fields(std::str::from_utf8(&recs[0]).unwrap()), case);
         }
+        // The round trip holds for newline-free fields only: a written
+        // newline ends the record.
+        let mut buf = Vec::new();
+        write_record(&mut buf, &["with\nnewline", "x"]);
+        assert_eq!(records(&buf), vec!["\"with", "newline\",x"]);
     }
 
     /// Run data through `push_rows` in `chunk`-byte steps, returning every

@@ -16,10 +16,12 @@
 //!
 //! A record straddling the end of a split is therefore read past `e` by the
 //! owning split, and a record starting exactly at `s > 0` belongs to the
-//! *previous* split. Like Hadoop, split alignment scans for raw newlines and
-//! assumes records do not contain embedded (quoted) newlines; whole-object
-//! reads through [`crate::reader::CsvReader`] have no such restriction.
+//! *previous* split. Like Hadoop, split alignment scans for raw newlines:
+//! a record ends at the first `\n`, whatever the quotes — the one record
+//! rule of [`crate::record`] that every reader in the system shares, and
+//! the only one a split can honour without the quote state at its start.
 
+use crate::record::RecordSplitter;
 use crate::scan;
 
 /// Find the byte index of the first `\n` at or after `from`, if any.
@@ -84,20 +86,21 @@ pub fn plan_splits(total_len: u64, chunk_size: u64) -> Vec<(u64, u64)> {
 /// object offset `start`, honouring the split-ownership contract above and
 /// **stopping the input early** once past `end`. It is the one
 /// implementation of that contract on a stream: the `csvfilter` storlet's
-/// ranged invocations, the vanilla scan's splits and the connector's
-/// fallback filter all read through it.
+/// ranged invocations, the vanilla scan's splits, the connector's fallback
+/// filter and the record storlets' whole-object reads all read through it.
 ///
 /// Records come out one input chunk at a time, borrowed, through the
 /// callback of [`RangedRecordStream::next_chunk`] — the shape of
-/// [`crate::record::RecordSplitter::push`]. A record wholly inside a chunk is
-/// a slice of that chunk; only a record straddling two chunks is copied, into
-/// one carry buffer that is reused for the whole split.
+/// [`RecordSplitter::push`], which splits them: a record wholly inside a
+/// chunk is a slice of that chunk, and a record straddling two chunks is
+/// copied into the splitter's buffer, under its record-size cap.
 pub struct RangedRecordStream {
     /// `None` once the range is exhausted (end passed, input ended or
     /// failed): the rest of the body is never pulled.
     input: Option<scoop_common::ByteStream>,
-    /// The head of an owned record whose newline has not arrived yet.
-    carry: Vec<u8>,
+    /// Splits the owned bytes; holds the head of an owned record whose
+    /// newline has not arrived yet.
+    splitter: RecordSplitter,
     /// Absolute object offset of the first byte of the next input chunk.
     offset: u64,
     /// Past the newline that ends the record a split starting mid-object
@@ -118,7 +121,7 @@ impl RangedRecordStream {
     pub fn new(input: scoop_common::ByteStream, start: u64, end: Option<u64>) -> Self {
         RangedRecordStream {
             input: Some(input),
-            carry: Vec::new(),
+            splitter: RecordSplitter::new(),
             offset: start,
             aligned: start == 0,
             end,
@@ -142,81 +145,66 @@ impl RangedRecordStream {
     /// `emit` — without its line terminator (`\n` or `\r\n`), blank lines
     /// skipped. Returns `Ok(true)` while more records may follow and
     /// `Ok(false)` once the range is exhausted: the split's last record has
-    /// been emitted and the input dropped unread past it. An input error is
-    /// returned once and also exhausts the range.
+    /// been emitted and the input dropped unread past it. An input error, or
+    /// a record past the splitter's size cap, is returned once and also
+    /// exhausts the range.
     pub fn next_chunk(&mut self, mut emit: impl FnMut(&[u8])) -> scoop_common::Result<bool> {
         let Some(input) = self.input.as_mut() else {
             return Ok(false);
         };
-        match input.next() {
-            Some(Ok(chunk)) => {
-                if self.push(&chunk, &mut emit) {
-                    self.input = None;
-                }
-            }
-            Some(Err(e)) => {
-                self.input = None;
-                return Err(e);
-            }
+        let exhausted = match input.next() {
+            Some(Ok(chunk)) => self.push(&chunk, &mut emit),
+            Some(Err(e)) => Err(e),
             None => {
                 // The object ended inside an owned record: it ends there.
-                self.input = None;
-                emit_line(&self.carry, &mut emit);
-                self.carry.clear();
+                std::mem::take(&mut self.splitter).finish(emit);
+                Ok(true)
             }
+        };
+        if !matches!(exhausted, Ok(false)) {
+            self.input = None;
         }
-        Ok(self.input.is_some())
+        exhausted.map(|exhausted| !exhausted)
     }
 
-    /// Split one chunk, emitting the records it completes. Returns true once
-    /// a record starting past the range end is reached.
-    fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(&[u8])) -> bool {
+    /// Split one chunk, emitting the owned records it completes. Returns true
+    /// once the range is exhausted: every record starting at or before the
+    /// range end has been emitted.
+    fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(&[u8])) -> scoop_common::Result<bool> {
         self.offset = self.offset.saturating_add(chunk.len() as u64);
         let mut rest = chunk;
-        if !self.carry.is_empty() {
-            // Finish the straddling record first; it was owned when it began.
-            let Some(nl) = scan::find_byte(rest, b'\n') else {
-                self.carry.extend_from_slice(rest);
-                return false;
-            };
-            let (line, tail) = rest.split_at(nl);
-            self.carry.extend_from_slice(line);
-            emit_line(&self.carry, emit);
-            self.carry.clear();
-            rest = tail.get(1..).unwrap_or_default();
-        }
         if !self.aligned {
             // Everything up to the first newline precedes the first owned
             // record.
             let Some(nl) = scan::find_byte(rest, b'\n') else {
-                return false;
+                return Ok(false);
             };
             rest = rest.get(nl.saturating_add(1)..).unwrap_or_default();
             self.aligned = true;
         }
-        loop {
-            // Absolute offset of the record starting at `rest`.
-            let record_start = self.offset.saturating_sub(rest.len() as u64);
-            if self.end.is_some_and(|end| record_start > end) {
-                return true;
-            }
-            let Some(nl) = scan::find_byte(rest, b'\n') else {
-                self.carry.extend_from_slice(rest);
-                return false;
-            };
-            let (line, tail) = rest.split_at(nl);
-            emit_line(line, emit);
-            rest = tail.get(1..).unwrap_or_default();
+        let Some(end) = self.end else {
+            self.splitter.push(rest, &mut *emit)?;
+            return Ok(false);
+        };
+        // Every record starting in the bytes at offsets up to `end` is owned.
+        let rest_start = self.offset.saturating_sub(rest.len() as u64);
+        let owned = end.checked_sub(rest_start).map_or(0, |d| {
+            usize::try_from(d.saturating_add(1)).unwrap_or(usize::MAX)
+        });
+        let (head, tail) = rest.split_at(owned.min(rest.len()));
+        self.splitter.push(head, &mut *emit)?;
+        if self.splitter.pending() == 0 {
+            // The next record starts at the first byte not yet split.
+            return Ok(self.offset.saturating_sub(tail.len() as u64) > end);
         }
-    }
-}
-
-/// Hand a line to `emit` as a record: a trailing `\r` is part of the line
-/// terminator, and a blank line is no record.
-fn emit_line(line: &[u8], emit: &mut impl FnMut(&[u8])) {
-    let record = line.strip_suffix(b"\r").unwrap_or(line);
-    if !record.is_empty() {
-        emit(record);
+        // Read on to the newline that ends the last owned record.
+        let Some(nl) = scan::find_byte(tail, b'\n') else {
+            self.splitter.push(tail, &mut *emit)?;
+            return Ok(false);
+        };
+        let last = tail.get(..=nl).unwrap_or_default();
+        self.splitter.push(last, &mut *emit)?;
+        Ok(true)
     }
 }
 
@@ -324,6 +312,28 @@ mod tests {
         let mut stream = RangedRecordStream::new(failing, 0, None);
         assert!(stream.next_chunk(|_| {}).is_err());
         assert!(!stream.next_chunk(|_| panic!("no records after an error")).unwrap());
+    }
+
+    #[test]
+    fn an_unterminated_record_past_the_cap_is_an_error() {
+        // No newline in 16 MiB + 1 bytes: a range ending at byte 10 owns the
+        // record starting at 0 and reads on for its newline, which would
+        // buffer the whole body as one record without the splitter's cap.
+        let body = bytes::Bytes::from(vec![b'x'; crate::record::DEFAULT_MAX_RECORD_SIZE + 1]);
+        for end in [Some(10), None] {
+            let input = scoop_common::stream::chunked(body.clone(), 1 << 20);
+            let mut stream = RangedRecordStream::new(input, 0, end);
+            let err = loop {
+                match stream.next_chunk(|_| panic!("no record completes")) {
+                    Ok(true) => {}
+                    Ok(false) => panic!("exhausted without the cap error (end {end:?})"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, scoop_common::ScoopError::Csv(_)), "{err}");
+            assert!(err.to_string().contains("record-size cap"), "{err}");
+            assert!(!stream.next_chunk(|_| {}).unwrap(), "the error exhausts the range");
+        }
     }
 
     fn lines(data: &[u8], splits: &[(u64, u64)]) -> Vec<Vec<u8>> {

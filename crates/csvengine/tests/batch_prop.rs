@@ -22,8 +22,9 @@ fn schema() -> Schema {
 
 /// One field's text: empty, numbers the fast parsers take and ones they
 /// decline (`NaN`, `inf`, `-0.0`, exponents, overflow), unparsable text in a
-/// numeric column, quoting material (commas, quotes, newlines, CR) and
-/// non-ASCII text; now and then long enough to straddle a feed slice.
+/// numeric column, quoting material (commas, quotes, CR, and newlines, which
+/// end the record whatever the quotes, on both sides) and non-ASCII text;
+/// now and then long enough to straddle a feed slice.
 fn gen_field(rng: &mut TestRng) -> String {
     const TEXT: [&str; 24] = [
         "",

@@ -12,15 +12,14 @@ fn field_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z0-9 ,\"\n\r%();=_-]{0,12}").expect("regex")
 }
 
+/// Rows of newline-free fields: a written `\n` ends the record whatever the
+/// quotes (the record rule), so only these round-trip record by record.
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(field_strategy(), 1..6),
-        0..30,
-    )
+    let field = proptest::string::string_regex("[a-zA-Z0-9 ,\"\r%();=_-]{0,12}").expect("regex");
+    proptest::collection::vec(proptest::collection::vec(field, 1..6), 0..30)
 }
 
-/// Newline-free line content for split tests (the split contract, like
-/// Hadoop's, assumes no embedded newlines).
+/// Line content for split tests.
 fn lines_strategy() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(
         proptest::string::string_regex("[a-z0-9,]{0,20}").expect("regex"),

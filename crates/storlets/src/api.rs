@@ -16,8 +16,10 @@
 //! stop reading the object early, which is how Scoop avoids transferring the
 //! full object "from the object node to one of the proxies".
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use scoop_common::{ByteStream, Result};
+use scoop_csv::split::RangedRecordStream;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -136,6 +138,40 @@ pub trait Storlet: Send + Sync {
 
     /// Transform the request data stream.
     fn invoke(&self, input: ByteStream, ctx: InvocationContext) -> Result<ByteStream>;
+}
+
+/// The output stream of a record storlet: every record of the object in
+/// `input`, split under the one record rule ([`scoop_csv::record`]) by a
+/// [`RangedRecordStream`] over the whole object, through `map` — which
+/// appends what it keeps to the output chunk and returns whether it kept
+/// the record. Records and bytes are counted into `metrics` as the output is
+/// pulled. An input error, or a record past the splitter's size cap, ends
+/// the stream with that error.
+pub fn map_records(
+    input: ByteStream,
+    metrics: Arc<InvocationMetrics>,
+    mut map: impl FnMut(&[u8], &mut Vec<u8>) -> bool + Send + 'static,
+) -> ByteStream {
+    let mut records = RangedRecordStream::new(input, 0, None);
+    Box::new(std::iter::from_fn(move || loop {
+        let (pulled, mut out) = (records.offset(), Vec::new());
+        let more = records.next_chunk(|record| {
+            metrics.add(&metrics.records_in, 1);
+            if map(record, &mut out) {
+                metrics.add(&metrics.records_out, 1);
+            }
+        });
+        metrics.add(&metrics.bytes_in, records.offset().saturating_sub(pulled));
+        match more {
+            Err(e) => return Some(Err(e)),
+            Ok(_) if !out.is_empty() => {
+                metrics.add(&metrics.bytes_out, out.len() as u64);
+                return Some(Ok(Bytes::from(out)));
+            }
+            Ok(true) => {}
+            Ok(false) => return None,
+        }
+    }))
 }
 
 #[cfg(test)]

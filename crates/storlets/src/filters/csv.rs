@@ -13,18 +13,16 @@
 //! `range_start < p <= range_end`, reading past `range_end` to finish the
 //! final owned record and then **stopping the input stream early** — the
 //! laziness that keeps a ranged invocation from scanning the rest of the
-//! object. The ownership rules are [`RangedRecordStream`]'s; this storlet is
-//! a thin adapter that selects each record inside the input chunk it arrived
-//! in.
+//! object. The ownership rules are [`RangedRecordStream`]'s and the filter
+//! loop is [`FilterDriver`]'s; this storlet is a thin adapter that publishes
+//! the driver's counters.
 
-use crate::api::{InvocationContext, InvocationMetrics, Storlet};
+use crate::api::{InvocationContext, Storlet};
 use bytes::Bytes;
 use scoop_common::{ByteStream, Result, ScoopError};
-use scoop_csv::filter::CompiledSpec;
+use scoop_csv::filter::{CompiledSpec, FilterDriver, FilterStats};
 use scoop_csv::split::RangedRecordStream;
-use scoop_csv::view::FieldBuf;
 use scoop_csv::PushdownSpec;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The CSV pushdown storlet.
@@ -61,83 +59,42 @@ impl Storlet for CsvFilterStorlet {
         } else {
             RangedRecordStream::new(input, ctx.range_start, end)
         };
-        Ok(Box::new(RangedCsvFilterStream {
-            records,
-            compiled,
-            fields: FieldBuf::default(),
-            header_pending: ctx.range_start == 0 && spec.has_header,
-            metrics: ctx.metrics,
-        }))
-    }
-}
-
-/// Lazy stream: pulls input chunks, emits filtered record bytes.
-struct RangedCsvFilterStream {
-    records: RangedRecordStream,
-    compiled: CompiledSpec,
-    /// Reusable per-record parse state (field span table).
-    fields: FieldBuf,
-    /// True while the object's header record is still to be consumed.
-    header_pending: bool,
-    metrics: Arc<InvocationMetrics>,
-}
-
-impl Iterator for RangedCsvFilterStream {
-    type Item = Result<Bytes>;
-
-    /// Filter input chunks until a chunk of output is ready or the range is
-    /// exhausted. The counters are summed here and published once per call.
-    fn next(&mut self) -> Option<Self::Item> {
-        let started = Instant::now();
-        let read_from = self.records.offset();
-        let (mut records_in, mut records_out) = (0u64, 0u64);
-        let mut out = Vec::new();
-        let mut failed = None;
-        while out.len() < scoop_common::stream::DEFAULT_CHUNK {
-            let RangedCsvFilterStream { records, compiled, fields, header_pending, .. } = self;
-            let pulled = records.next_chunk(|record| {
-                if std::mem::take(header_pending) {
-                    return;
-                }
-                records_in += 1;
-                if compiled.filter_record_buf(record, fields, &mut out) {
-                    records_out += 1;
-                }
-            });
-            match pulled {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
+        let mut filter = FilterDriver::new(records, compiled, ctx.range_start == 0);
+        let metrics = ctx.metrics;
+        // Each pull fills one output chunk; the counters are published once
+        // per pull.
+        Ok(Box::new(std::iter::from_fn(move || {
+            let started = Instant::now();
+            let (mut out, mut stats) = (Vec::new(), FilterStats::default());
+            let filled = filter.fill(&mut out, &mut stats);
+            let m = &metrics;
+            m.add(&m.bytes_in, stats.bytes_in);
+            m.add(&m.records_in, stats.records_in);
+            m.add(&m.records_out, stats.records_out);
+            m.add(&m.busy_ns, started.elapsed().as_nanos() as u64);
+            if let Err(e) = filled {
+                return Some(Err(e));
             }
-        }
-        let m = &self.metrics;
-        m.add(&m.bytes_in, self.records.offset().saturating_sub(read_from));
-        m.add(&m.records_in, records_in);
-        m.add(&m.records_out, records_out);
-        m.add(&m.busy_ns, started.elapsed().as_nanos() as u64);
-        if let Some(e) = failed {
-            return Some(Err(e));
-        }
-        if out.is_empty() {
-            return None;
-        }
-        m.add(&m.bytes_out, out.len() as u64);
-        Some(Ok(Bytes::from(out)))
+            if out.is_empty() {
+                return None;
+            }
+            m.add(&m.bytes_out, stats.bytes_out);
+            Some(Ok(Bytes::from(out)))
+        })))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::InvocationMetrics;
     use scoop_common::stream;
     use scoop_csv::filter::filter_buffer;
     use scoop_csv::split::{aligned_slice, plan_splits};
     use scoop_csv::{Predicate, Value};
     use std::collections::HashMap;
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     const SCHEMA: &str = "vid,date,index,city";
     const DATA: &[u8] = b"vid,date,index,city\n\
@@ -369,6 +326,21 @@ mod tests {
         // Without the flag, the same invocation drops the first record.
         let (unaligned, _) = invoke_range(DATA, &spec(), start, None, 13);
         assert_eq!(unaligned, "m4,75.0\n");
+    }
+
+    #[test]
+    fn an_unterminated_record_past_the_cap_fails_the_invocation() {
+        let body = Bytes::from(vec![b'x'; scoop_csv::record::DEFAULT_MAX_RECORD_SIZE + 1]);
+        for end in [Some(10), None] {
+            let mut params = HashMap::new();
+            params.insert("spec".to_string(), PushdownSpec::passthrough().to_header());
+            params.insert("schema".to_string(), SCHEMA.to_string());
+            let mut ctx = InvocationContext::new(params);
+            ctx.range_end = end;
+            let out = CsvFilterStorlet.invoke(stream::chunked(body.clone(), 1 << 20), ctx).unwrap();
+            let err = stream::collect(out).unwrap_err();
+            assert!(matches!(err, ScoopError::Csv(_)), "{err}");
+        }
     }
 
     #[test]

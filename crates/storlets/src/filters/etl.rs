@@ -13,11 +13,9 @@
 //! * optionally split one column on a separator into two columns — e.g. a
 //!   `"2015-01-03 10:20:00"` timestamp into `date` + `time`.
 
-use crate::api::{InvocationContext, Storlet};
-use bytes::Bytes;
+use crate::api::{map_records, InvocationContext, Storlet};
 use scoop_common::{ByteStream, Result, ScoopError};
-use scoop_csv::record::{parse_fields, write_record, RecordSplitter};
-use std::sync::atomic::Ordering;
+use scoop_csv::record::{parse_fields, write_record};
 
 /// Parameters: `schema` (expected column names), optional `split_column`
 /// (name), `split_sep` (default `" "`), `header` ("1" to rewrite the header).
@@ -51,78 +49,31 @@ impl Storlet for EtlCleanseStorlet {
                     })?,
             ),
         };
-        let has_header = ctx.params.get("header").map(String::as_str) == Some("1");
-        let metrics = ctx.metrics.clone();
         let expected_fields = schema.len();
-
-        let mut splitter = Some(RecordSplitter::new());
-        let mut input = Some(input);
-        let mut header_pending = has_header;
-        let stream = std::iter::from_fn(move || loop {
-            splitter.as_ref()?;
-            let mut out: Vec<u8> = Vec::new();
-            let mut process = |record: &[u8], out: &mut Vec<u8>| {
-                metrics.records_in.fetch_add(1, Ordering::Relaxed);
-                let fields = parse_fields(record);
-                if header_pending {
-                    header_pending = false;
-                    // Rewrite the header, applying the column split to names.
-                    let names: Vec<String> = transform(
-                        &fields.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
-                        split_idx,
-                        &split_sep,
-                        true,
-                    );
-                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                    write_record(out, &refs);
-                    metrics.records_out.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                if fields.len() != expected_fields {
-                    return; // malformed row: dropped
-                }
-                let trimmed: Vec<String> =
-                    fields.iter().map(|f| f.trim().to_string()).collect();
-                let cells = transform(&trimmed, split_idx, &split_sep, false);
-                let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
+        let mut header_pending = ctx.params.get("header").map(String::as_str) == Some("1");
+        Ok(map_records(input, ctx.metrics, move |record, out| {
+            let fields = parse_fields(record);
+            if std::mem::take(&mut header_pending) {
+                // Rewrite the header, applying the column split to names.
+                let names: Vec<String> = transform(
+                    &fields.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
+                    split_idx,
+                    &split_sep,
+                    true,
+                );
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 write_record(out, &refs);
-                metrics.records_out.fetch_add(1, Ordering::Relaxed);
-            };
-            match input.as_mut().and_then(Iterator::next) {
-                Some(Err(e)) => return Some(Err(e)),
-                Some(Ok(chunk)) => {
-                    metrics.bytes_in.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    // The loop header already bailed on a consumed splitter;
-                    // a classified error beats a panic if that ever breaks.
-                    let Some(sp) = splitter.as_mut() else {
-                        return Some(Err(ScoopError::Internal(
-                            "etl record splitter consumed twice".into(),
-                        )));
-                    };
-                    if let Err(e) = sp.push(&chunk, |r| process(r, &mut out)) {
-                        // Record-size cap tripped: surface the classified
-                        // error instead of buffering the rest of the object.
-                        splitter = None;
-                        return Some(Err(e));
-                    }
-                }
-                None => {
-                    let Some(sp) = splitter.take() else {
-                        return Some(Err(ScoopError::Internal(
-                            "etl record splitter consumed twice".into(),
-                        )));
-                    };
-                    sp.finish(|r| process(r, &mut out));
-                    input = None;
-                }
+                return true;
             }
-            if !out.is_empty() {
-                metrics.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
-                return Some(Ok(Bytes::from(out)));
+            if fields.len() != expected_fields {
+                return false; // malformed row: dropped
             }
-            splitter.as_ref()?;
-        });
-        Ok(Box::new(stream))
+            let trimmed: Vec<String> = fields.iter().map(|f| f.trim().to_string()).collect();
+            let cells = transform(&trimmed, split_idx, &split_sep, false);
+            let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
+            write_record(out, &refs);
+            true
+        }))
     }
 }
 
@@ -164,6 +115,7 @@ fn transform(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use scoop_common::stream;
     use std::collections::HashMap;
 

@@ -4,11 +4,8 @@
 //! discard" cited by the paper — and a second, independent storlet to exercise
 //! pipelining (e.g. `linegrep` → `rlecompress`).
 
-use crate::api::{InvocationContext, Storlet};
-use bytes::Bytes;
+use crate::api::{map_records, InvocationContext, Storlet};
 use scoop_common::{ByteStream, Result};
-use scoop_csv::record::RecordSplitter;
-use std::sync::atomic::Ordering;
 
 /// Keeps lines containing the `pattern` parameter. With `invert=1`, keeps
 /// lines *not* containing it.
@@ -22,63 +19,14 @@ impl Storlet for LineGrepStorlet {
     fn invoke(&self, input: ByteStream, ctx: InvocationContext) -> Result<ByteStream> {
         let pattern = ctx.require("pattern")?.as_bytes().to_vec();
         let invert = ctx.params.get("invert").map(String::as_str) == Some("1");
-        let metrics = ctx.metrics.clone();
-        let mut splitter = Some(RecordSplitter::new());
-        let mut input = Some(input);
-        let stream = std::iter::from_fn(move || loop {
-            let splitter_ref = splitter.as_mut()?;
-            let mut out: Vec<u8> = Vec::new();
-            match input.as_mut().and_then(Iterator::next) {
-                Some(Err(e)) => return Some(Err(e)),
-                Some(Ok(chunk)) => {
-                    metrics.bytes_in.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    let m = &metrics;
-                    let pat = &pattern;
-                    if let Err(e) = splitter_ref.push(&chunk, |line| {
-                        m.records_in.fetch_add(1, Ordering::Relaxed);
-                        let hit = contains(line, pat);
-                        if hit != invert {
-                            m.records_out.fetch_add(1, Ordering::Relaxed);
-                            out.extend_from_slice(line);
-                            out.push(b'\n');
-                        }
-                    }) {
-                        // Record-size cap tripped: surface the classified
-                        // error instead of buffering the rest of the object.
-                        splitter = None;
-                        return Some(Err(e));
-                    }
-                }
-                None => {
-                    let m = &metrics;
-                    let pat = &pattern;
-                    // The loop header already bailed on a consumed splitter;
-                    // if that invariant ever breaks, surface a classified
-                    // error instead of panicking mid-stream.
-                    let Some(sp) = splitter.take() else {
-                        return Some(Err(scoop_common::ScoopError::Internal(
-                            "grep record splitter consumed twice".into(),
-                        )));
-                    };
-                    sp.finish(|line| {
-                        m.records_in.fetch_add(1, Ordering::Relaxed);
-                        let hit = contains(line, pat);
-                        if hit != invert {
-                            m.records_out.fetch_add(1, Ordering::Relaxed);
-                            out.extend_from_slice(line);
-                            out.push(b'\n');
-                        }
-                    });
-                    input = None;
-                }
+        Ok(map_records(input, ctx.metrics, move |line, out| {
+            let keep = contains(line, &pattern) != invert;
+            if keep {
+                out.extend_from_slice(line);
+                out.push(b'\n');
             }
-            if !out.is_empty() {
-                metrics.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
-                return Some(Ok(Bytes::from(out)));
-            }
-            splitter.as_ref()?;
-        });
-        Ok(Box::new(stream))
+            keep
+        }))
     }
 }
 
@@ -95,6 +43,7 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use scoop_common::stream;
     use std::collections::HashMap;
 

@@ -129,17 +129,11 @@ fn index_records(data: &[u8], has_header: bool, builder: &mut StatsBuilder) -> u
         let next = end.saturating_add(if data.get(end) == Some(&b'\r') { 2 } else { 1 });
         fold(start, record, next, commas);
     });
-    // The final record loses a trailing `\r` even inside an unterminated
-    // quote, where `RecordSplitter::finish` would keep it: stored stats
-    // have always been cut that way.
+    // The final record, if it lacks a newline, is what the splitter still
+    // holds: the tail of `data`.
     let tail_start = data.len().saturating_sub(splitter.pending());
-    let tail = data.get(tail_start..).unwrap_or_default();
-    let content = tail.strip_suffix(b"\r").unwrap_or(tail);
-    if content.is_empty() {
-        builder.skip_bytes(data.len().saturating_sub(cursor) as u64);
-    } else {
-        fold(tail_start, content, data.len(), None);
-    }
+    splitter.finish(|tail| fold(tail_start, tail, data.len(), None));
+    builder.skip_bytes(data.len().saturating_sub(cursor) as u64);
     records
 }
 
@@ -201,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn quoted_newlines_stay_in_one_record() {
+    fn quoted_newlines_end_records() {
         let data: &[u8] = b"a,b\n\"x\ny\",1\n\"p\",2\n";
         let mut params = HashMap::new();
         params.insert("schema".to_string(), "a,b".to_string());
@@ -213,12 +207,13 @@ mod tests {
             .unwrap();
         stream::collect(out).unwrap();
         let stats = stats_from_context(&ctx).unwrap().unwrap();
-        assert_eq!(stats.blocks.iter().map(|b| b.rows).sum::<u64>(), 2);
-        // The quoted-newline record is atomic: no block boundary lands
-        // inside it (bytes 4..12).
-        for b in &stats.blocks[1..] {
-            assert!(!(5..12).contains(&(b.start as usize)), "split inside quoted record");
-        }
+        // The record rule: `"x` and `y",1` are two records, as every reader
+        // splits them, so `y"` is a value the stats must admit.
+        assert_eq!(stats.blocks.iter().map(|b| b.rows).sum::<u64>(), 3);
+        assert!(stats.blocks.iter().any(|b| b.start == 7), "no block starts at `y\",1`");
+        let a_max: Vec<Option<&str>> =
+            stats.blocks.iter().map(|b| b.columns[0].str_max.as_deref()).collect();
+        assert!(a_max.contains(&Some("y\"")), "{a_max:?}");
     }
 
     #[test]
@@ -240,16 +235,13 @@ mod reference {
     };
     use scoop_csv::record::parse_fields;
 
-    /// `(content_end, next_start)` of the record starting at `start`;
-    /// newlines inside double quotes do not end a record.
+    /// `(content_end, next_start)` of the record starting at `start`: it
+    /// ends at the first newline, whatever the quotes.
     fn record_span(data: &[u8], start: usize) -> (usize, usize) {
-        let mut in_quotes = false;
         let mut i = start;
         while let Some(&b) = data.get(i) {
-            match b {
-                b'"' => in_quotes = !in_quotes,
-                b'\n' if !in_quotes => return (i, i + 1),
-                _ => {}
+            if b == b'\n' {
+                return (i, i + 1);
             }
             i += 1;
         }

@@ -9,7 +9,8 @@
 use crate::api::{InvocationContext, Storlet};
 use bytes::Bytes;
 use scoop_common::{ByteStream, Result, ScoopError};
-use scoop_csv::record::{parse_fields, RecordSplitter};
+use scoop_csv::record::parse_fields;
+use scoop_csv::split::RangedRecordStream;
 use std::sync::atomic::Ordering;
 
 /// Parameters: `column` (name), `schema` (comma-separated column names),
@@ -41,7 +42,7 @@ impl Storlet for AggregateStorlet {
         Ok(Box::new(std::iter::from_fn(move || {
             let input = input_opt.take()?;
             let run = || -> Result<Bytes> {
-                let mut splitter = RecordSplitter::new();
+                let mut records = RangedRecordStream::new(input, 0, None);
                 let mut skip = has_header;
                 let (mut count, mut sum) = (0u64, 0f64);
                 let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -62,12 +63,8 @@ impl Storlet for AggregateStorlet {
                         max = max.max(v);
                     }
                 };
-                for chunk in input {
-                    let chunk = chunk?;
-                    metrics.bytes_in.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    splitter.push(&chunk, &mut consume)?;
-                }
-                splitter.finish(&mut consume);
+                while records.next_chunk(&mut consume)? {}
+                metrics.bytes_in.fetch_add(records.offset(), Ordering::Relaxed);
                 // Zero parsed rows: an explicit empty-aggregate row. min/max/
                 // mean have no value — emitting the raw accumulators would
                 // ship `inf`/`-inf`/NaN and fabricating `0` would claim a

@@ -9,7 +9,8 @@
 //! tasks".
 //!
 //! * [`api`] — the [`api::Storlet`] trait (the `IStorlet` interface from the
-//!   paper's code snippet), invocation context, logger and metrics.
+//!   paper's code snippet), invocation context, logger and metrics, and
+//!   [`api::map_records`], the record loop every record storlet runs.
 //! * [`engine`] — the registry + execution engine with sandbox-style resource
 //!   accounting.
 //! * [`middleware`] — the WSGI middleware that intercepts requests carrying

@@ -14,16 +14,17 @@
 use bytes::Bytes;
 use scoop_common::{ByteStream, Result};
 use scoop_core::{ScoopConfig, ScoopContext};
-use scoop_csv::record::{parse_fields, write_record, RecordSplitter};
+use scoop_csv::record::{parse_fields, write_record};
 use scoop_objectstore::request::Request;
 use scoop_objectstore::ObjectPath;
+use scoop_storlets::api::map_records;
 use scoop_storlets::middleware::{encode_params, headers};
 use scoop_storlets::{InvocationContext, Storlet};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Replaces the first CSV field with a salted hash — streamed, like every
-/// storlet.
+/// storlet: `map_records` splits the object into records and counts them.
 struct AnonymizeStorlet;
 
 impl Storlet for AnonymizeStorlet {
@@ -34,51 +35,17 @@ impl Storlet for AnonymizeStorlet {
     fn invoke(&self, input: ByteStream, ctx: InvocationContext) -> Result<ByteStream> {
         let salt = ctx.params.get("salt").cloned().unwrap_or_default();
         ctx.logger.log("anonymize: started");
-        let mut splitter = Some(RecordSplitter::new());
-        let mut input = Some(input);
-        let stream = std::iter::from_fn(move || loop {
-            splitter.as_ref()?;
-            let mut out: Vec<u8> = Vec::new();
-            let salt = salt.clone();
-            let rewrite = |record: &[u8], out: &mut Vec<u8>| {
-                let fields = parse_fields(record);
-                let mut cells: Vec<String> =
-                    fields.iter().map(|c| c.to_string()).collect();
-                if let Some(first) = cells.first_mut() {
-                    let h = scoop_common::hash::hash64(
-                        format!("{salt}:{first}").as_bytes(),
-                    );
-                    *first = format!("anon-{h:012x}");
-                }
-                let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
-                write_record(out, &refs);
-            };
-            match input.as_mut().and_then(Iterator::next) {
-                Some(Err(e)) => return Some(Err(e)),
-                Some(Ok(chunk)) => {
-                    if let Err(e) = splitter
-                        .as_mut()
-                        .expect("checked above")
-                        .push(&chunk, |r| rewrite(r, &mut out))
-                    {
-                        splitter = None;
-                        return Some(Err(e));
-                    }
-                }
-                None => {
-                    splitter
-                        .take()
-                        .expect("checked above")
-                        .finish(|r| rewrite(r, &mut out));
-                    input = None;
-                }
+        Ok(map_records(input, ctx.metrics, move |record, out| {
+            let mut cells: Vec<String> =
+                parse_fields(record).iter().map(|c| c.to_string()).collect();
+            if let Some(first) = cells.first_mut() {
+                let h = scoop_common::hash::hash64(format!("{salt}:{first}").as_bytes());
+                *first = format!("anon-{h:012x}");
             }
-            if !out.is_empty() {
-                return Some(Ok(Bytes::from(out)));
-            }
-            splitter.as_ref()?;
-        });
-        Ok(Box::new(stream))
+            let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
+            write_record(out, &refs);
+            true
+        }))
     }
 }
 

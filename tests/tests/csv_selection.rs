@@ -8,7 +8,8 @@
 //! SQL's over the typed column. Random Data-Sources predicates over `Str`,
 //! `Int` and `Float` columns whose fields hold the spellings that tell the
 //! two apart — `2.50`, `007`, `1e3`, text in a numeric column, empty and
-//! quoted fields, short rows, CRLF, no final newline — and the ones that
+//! quoted fields, a quoted newline (which ends the record, as everywhere),
+//! an unbalanced quote, short rows, CRLF, no final newline — and the ones that
 //! tell raw bytes from their lossy text — `é`, invalid UTF-8 (`\xFF`, a
 //! truncated `\xC3`), U+FFFD itself, in fields, literals and `LIKE`
 //! patterns with `_` — cut into random splits and read in random chunk
@@ -51,7 +52,7 @@ fn schema() -> Schema {
 }
 
 /// Field spellings per column type, as they stand in the file.
-const STR_FIELDS: [&[u8]; 19] = [
+const STR_FIELDS: [&[u8]; 21] = [
     b"",
     b"a",
     b"ab",
@@ -64,6 +65,8 @@ const STR_FIELDS: [&[u8]; 19] = [
     b"\"say \"\"hi\"\"\"",
     b"\"\"",
     b"\"a\"",
+    b"\"x\ny\"",
+    b"\"open",
     "é".as_bytes(),
     "café".as_bytes(),
     "\"é,\"".as_bytes(),
@@ -102,9 +105,10 @@ const FLOAT_FIELDS: [&[u8]; 13] = [
     "2.5\u{FFFD}".as_bytes(),
 ];
 
-/// A CSV object with a header and up to 24 records: mostly full rows, some
-/// short, some with an extra field, `\n` or `\r\n` per line, and the last
-/// line's terminator sometimes missing.
+/// A CSV object with a header and up to 24 rows: mostly full, some short,
+/// some with an extra field, `\n` or `\r\n` per line, and the last line's
+/// terminator sometimes missing. A row with a quoted newline is two records,
+/// and every arm reads it so.
 fn object(rng: &mut Lcg) -> Bytes {
     let eol = |rng: &mut Lcg| -> &[u8] { if rng.below(3) == 0 { b"\r\n" } else { b"\n" } };
     let mut out = b"s,t,i,f".to_vec();

@@ -287,3 +287,55 @@ fn discovery_pruning_follows_overwrites() {
     let reindexed = run("re-indexed");
     assert_eq!(reindexed[1].0, plain[1].0);
 }
+
+/// A newline ends a record whatever the quotes, on every arm: the vanilla
+/// scan, the storlet and the compute side's parse of its answer all split
+/// `m1,"x` from `y",1`.
+#[test]
+fn a_quoted_newline_ends_the_record_on_every_arm() {
+    let ctx = ScoopContext::new(ScoopConfig::default()).unwrap();
+    let object = Bytes::from_static(b"a,b,c\nm1,\"x\ny\",1\nm2,z,2\n");
+    ctx.upload_csv("quoted", vec![("obj.csv".to_string(), object)], None).unwrap();
+    let sql = "SELECT a, b, c FROM quoted";
+    let vanilla = ctx.query("quoted", sql, ExecutionMode::Vanilla).unwrap();
+    let pushed = ctx.query("quoted", sql, ExecutionMode::Pushdown).unwrap();
+    assert_eq!(
+        format!("{:?}", vanilla.result.rows),
+        r#"[[Str("m1"), Str("x"), Null], [Str("y\""), Str("1"), Null], [Str("m2"), Str("z"), Int(2)]]"#
+    );
+    assert!(pushed.result.approx_eq(&vanilla.result, 1e-9), "vanilla {:?}\npushdown {:?}", vanilla.result.rows, pushed.result.rows);
+}
+
+/// The zone index splits records as the readers do. Record 200 of a
+/// zone-indexed object is `m200,"x` then `q5",5`: a block whose stats said
+/// it holds no `a = 'q5"'` would be pruned, and pushdown would miss the row
+/// vanilla counts.
+#[test]
+fn a_zone_index_sees_the_records_the_readers_see() {
+    let ctx = ScoopContext::new(ScoopConfig { chunk_size: 2048, ..Default::default() }).unwrap();
+    let mut object = b"a,b,c\n".to_vec();
+    for i in 0..400 {
+        let record = if i == 200 { "m200,\"x\nq5\",5\n".to_string() } else { format!("m{i},x{i},{}\n", i % 7) };
+        object.extend_from_slice(record.as_bytes());
+    }
+    let object = Bytes::from(object);
+    let zoneindex = EtlSpec {
+        storlets: "zoneindex".to_string(),
+        params: HashMap::from([
+            ("schema".to_string(), "a,b,c".to_string()),
+            ("header".to_string(), "1".to_string()),
+            ("block".to_string(), "512".to_string()),
+        ]),
+    };
+    let sql = "SELECT count(*) as n FROM zoned WHERE a = 'q5\"'";
+    for etl in [Some(&zoneindex), None] {
+        ctx.upload_csv("zoned", vec![("obj.csv".to_string(), object.clone())], etl).unwrap();
+        let vanilla = ctx.query("zoned", sql, ExecutionMode::Vanilla).unwrap();
+        let pushed = ctx.query("zoned", sql, ExecutionMode::Pushdown).unwrap();
+        assert_eq!(format!("{:?}", vanilla.result.rows), "[[Int(1)]]");
+        assert!(pushed.result.approx_eq(&vanilla.result, 1e-9), "indexed {}: {:?}", etl.is_some(), pushed.result.rows);
+        // The index is in use: it prunes the splits that hold no `q5"`.
+        let (pushed_tasks, all) = (pushed.metrics.tasks, vanilla.metrics.tasks);
+        assert_eq!(pushed_tasks < all, etl.is_some(), "{pushed_tasks} of {all} splits scanned");
+    }
+}
