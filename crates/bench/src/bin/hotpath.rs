@@ -27,8 +27,9 @@
 //!   `StorletEngine::invoke` with each Table I query's pushdown spec, in
 //!   1 MiB ranged invocations over that object, per byte scanned;
 //! * `compute_sql_groups` — the two-phase aggregator where every row makes a
-//!   group: ShowMapHeatmonth over January of the `queryplane` fleet, eight
-//!   partials merged in task order and finalized, per byte of CSV.
+//!   group: ShowMapHeatmonth over January of the `queryplane` fleet in
+//!   column batches, eight partials merged in task order and finalized, per
+//!   byte of CSV.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -57,10 +58,11 @@ use scoop_common::hash::fingerprint_hex;
 use scoop_compute::csv_relation::CsvRelation;
 use scoop_compute::datasource::{PrunedFilteredScan, TableScan};
 use scoop_compute::MemoryConnector;
+use scoop_csv::batch::BATCH_ROWS;
 use scoop_csv::filter::filter_stream;
 use scoop_csv::record::RecordSplitter;
 use scoop_csv::split::plan_splits;
-use scoop_csv::{CsvReader, PushdownSpec, Value};
+use scoop_csv::{ColumnBatch, CsvReader, PushdownSpec, Value};
 use scoop_objectstore::objserver::RESPONSE_CHUNK;
 use scoop_sql::exec::Aggregator;
 use scoop_sql::RowFilter;
@@ -397,9 +399,10 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     //     it: ShowMapHeatmonth (Table I) groups by day and meter, over the
     //     January of the `queryplane` fleet (seed 42, reporting daily; 200
     //     meters in a full run, scaled with `rows` to 40 in `--quick`),
-    //     typed and projected to the query's scan schema. Eight tasks each
-    //     fold their share into a partial, the partials merge in task order,
-    //     and the result is finalized. The rate is per byte of the CSV.
+    //     typed, projected to the query's scan schema and packed into column
+    //     batches. Eight tasks each select and fold their share's batches
+    //     into a partial, the partials merge in task order, and the result
+    //     is finalized. The rate is per byte of the CSV.
     let heatmonth = scoop_workload::table1_queries()
         .into_iter()
         .find(|q| q.name == "ShowMapHeatmonth")
@@ -430,7 +433,15 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
             .collect();
     let filter =
         RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema).expect("bind WHERE");
-    let task_rows = typed.len().div_ceil(8);
+    // Each task's share, packed into batches of at most `BATCH_ROWS`.
+    let tasks: Vec<Vec<ColumnBatch>> = typed
+        .chunks(typed.len().div_ceil(8))
+        .map(|task| {
+            task.chunks(BATCH_ROWS)
+                .map(|rows| ColumnBatch::from_rows(&plan.scan_schema, rows.to_vec()))
+                .collect()
+        })
+        .collect();
     // One round takes a few milliseconds, so a sample is several of them.
     const ROUNDS: usize = 8;
     let secs = best_of(iters, || {
@@ -438,12 +449,11 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
         for _ in 0..ROUNDS {
             let agg = Aggregator::new(&query, &plan.scan_schema).expect("bind aggregate");
             let mut merged = agg.make_partial();
-            for task in typed.chunks(task_rows) {
+            for task in &tasks {
                 let mut partial = agg.make_partial();
-                for row in task {
-                    if filter.passes(row).expect("filter") {
-                        agg.update(&mut partial, row).expect("update");
-                    }
+                for batch in task {
+                    let selection = filter.select(batch).expect("filter");
+                    agg.update_batch(&mut partial, batch, &selection).expect("update");
                 }
                 agg.merge(&mut merged, partial);
             }

@@ -94,7 +94,7 @@ impl ColumnarRelation {
             reader.read_batches_selected(columns, predicate, self.stats_pruning)?.into_iter();
         Ok(ScanOutput {
             schema: scan_schema,
-            rows: RowStream::new(move || Ok(batches.next())),
+            rows: RowStream::new(move |_| Ok(batches.next())),
             // The rows are a superset of what SQL's three-valued WHERE
             // keeps; the executor must still apply the full predicate.
             stats: ScanStats { filters_handled: false },

@@ -153,7 +153,7 @@ impl CsvRelation {
             fields: FieldBuf::default(),
             skip_header: self.has_header && partition.start == 0,
         };
-        let rows = RowStream::new(move || selected.next_batch());
+        let rows = RowStream::new(move |rows| selected.next_batch(rows));
         Ok(ScanOutput {
             schema: scan_schema,
             rows,
@@ -190,7 +190,7 @@ impl CsvRelation {
         // Pushdown responses carry pure data records (header consumed at the
         // store).
         let mut reader = CsvReader::new(stream, scan_schema.clone(), false);
-        let rows = RowStream::new(move || reader.next_batch());
+        let rows = RowStream::new(move |_| reader.next_batch());
         Ok(ScanOutput {
             schema: scan_schema,
             rows,
@@ -202,7 +202,7 @@ impl CsvRelation {
 /// The vanilla scan's batches: each input chunk's records selected on their
 /// borrowed bytes ([`CompiledSpec::select`] tokenises a record only as far as
 /// its verdict needs) and the survivors typed, gathered over chunks into
-/// batches of [`BATCH_ROWS`].
+/// batches of up to [`BATCH_ROWS`], or of fewer when the reader asks.
 struct SelectedRows {
     records: RangedRecordStream,
     selection: CompiledSpec,
@@ -215,11 +215,12 @@ struct SelectedRows {
 }
 
 impl SelectedRows {
-    /// The next batch of survivors; `None` once the split has no more.
-    fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
+    /// The next batch of survivors, gathered over input chunks until it
+    /// holds `rows` (or [`BATCH_ROWS`]); `None` once the split has no more.
+    fn next_batch(&mut self, rows: usize) -> Result<Option<ColumnBatch>> {
         let SelectedRows { records, selection, schema, projection, fields, skip_header } = self;
         let mut batch = BatchBuilder::new(schema, Bytes::new());
-        while batch.rows() < BATCH_ROWS {
+        while batch.rows() < rows.clamp(1, BATCH_ROWS) {
             let more = records.next_chunk(|record| {
                 if std::mem::take(skip_header) {
                     return;

@@ -9,7 +9,7 @@
 
 use crate::partition::InputPartition;
 use scoop_common::Result;
-use scoop_csv::batch::RowCursor;
+use scoop_csv::batch::{RowCursor, BATCH_ROWS};
 use scoop_csv::{ColumnBatch, Predicate, Schema, Value};
 
 /// What one partition scan produces: typed column batches, pulled one at a
@@ -19,19 +19,29 @@ use scoop_csv::{ColumnBatch, Predicate, Schema, Value};
 /// callers that count or compare rows; mixing the two drops the rest of a
 /// batch the row adapter has begun.
 pub struct RowStream {
-    batches: Box<dyn FnMut() -> Result<Option<ColumnBatch>> + Send>,
+    batches: Box<dyn FnMut(usize) -> Result<Option<ColumnBatch>> + Send>,
     cursor: RowCursor,
 }
 
 impl RowStream {
-    /// A stream over a batch source: `next_batch` yields `None` once done.
-    pub fn new(next_batch: impl FnMut() -> Result<Option<ColumnBatch>> + Send + 'static) -> RowStream {
+    /// A stream over a batch source: `next_batch(rows)` yields `None` once
+    /// done. A source that gathers rows over its input chunks stops
+    /// gathering at the end of the chunk in which its batch holds `rows`
+    /// (at least 1, at most [`BATCH_ROWS`]); any other source may ignore it.
+    pub fn new(next_batch: impl FnMut(usize) -> Result<Option<ColumnBatch>> + Send + 'static) -> RowStream {
         RowStream { batches: Box::new(next_batch), cursor: RowCursor::default() }
     }
 
     /// The next batch; `None` once the scan is exhausted.
     pub fn next_batch(&mut self) -> Result<Option<ColumnBatch>> {
-        (self.batches)()
+        (self.batches)(BATCH_ROWS)
+    }
+
+    /// [`RowStream::next_batch`] for a reader that wants only `rows` more
+    /// rows (a LIMIT's open quota): a gathering source reads no further
+    /// than the input chunk in which its batch holds that many.
+    pub fn next_batch_of(&mut self, rows: usize) -> Result<Option<ColumnBatch>> {
+        (self.batches)(rows.clamp(1, BATCH_ROWS))
     }
 }
 
@@ -40,7 +50,8 @@ impl Iterator for RowStream {
     type Item = Result<Vec<Value>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.cursor.next_row(&mut self.batches)
+        let batches = &mut self.batches;
+        self.cursor.next_row(|| batches(BATCH_ROWS))
     }
 }
 

@@ -430,9 +430,16 @@ impl Session {
                             collected.load(std::sync::atomic::Ordering::Relaxed) >= lim
                         })
                     };
+                    // The quota still open: a scan that gathers rows stops
+                    // at the input chunk that fills it.
+                    let open = || {
+                        early_limit.map_or(usize::MAX, |lim| {
+                            lim.saturating_sub(collected.load(std::sync::atomic::Ordering::Relaxed))
+                        })
+                    };
                     let scanned = (|| -> Result<()> {
                         while !limit_met() {
-                            let Some(batch) = scan.next_batch()? else { break };
+                            let Some(batch) = scan.next_batch_of(open())? else { break };
                             rows_in += batch.rows() as u64;
                             for i in filter.select(&batch)?.rows() {
                                 if limit_met() {

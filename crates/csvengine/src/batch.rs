@@ -8,8 +8,10 @@
 //! an unparsable field in a `Float` column, a mixed column of a packed row
 //! set — falls back to [`Column::Values`] for that batch only, so a batch
 //! always holds exactly the [`Value`]s the row-at-a-time path would have
-//! built. Aggregates fold whole lanes; anything else reads a row view
-//! ([`ColumnBatch::cells_into`]), which builds `Value`s on demand.
+//! built. Aggregates fold whole lanes or single cells ([`Lane::get`],
+//! [`StrLane::get`]), group keys are written from cell bytes; anything else
+//! reads a row view ([`ColumnBatch::cells_into`]), which builds `Value`s on
+//! demand.
 
 use crate::schema::{DataType, Schema};
 use crate::smallstr::SmallStr;
@@ -56,7 +58,7 @@ pub struct Lane<T> {
 impl<T: Copy + Default> Lane<T> {
     /// Row `i`'s cell; `None` for NULL (or past the lane).
     #[inline]
-    fn get(&self, i: usize) -> Option<T> {
+    pub fn get(&self, i: usize) -> Option<T> {
         match (self.valid.get(i), self.values.get(i)) {
             (Some(true), Some(&v)) => Some(v),
             _ => None,
@@ -86,9 +88,10 @@ pub struct StrLane {
 }
 
 impl StrLane {
-    /// The bytes of row `i`'s cell; `None` for NULL (or past the lane).
+    /// The bytes of row `i`'s cell (valid UTF-8, borrowed from the lane);
+    /// `None` for NULL (or past the lane).
     #[inline]
-    fn get(&self, i: usize) -> Option<&[u8]> {
+    pub fn get(&self, i: usize) -> Option<&[u8]> {
         self.text(*self.spans.get(i)?)
     }
 

@@ -203,7 +203,13 @@ impl CompiledSpec {
 /// Append a selected record to `out`: whole, or its projected fields.
 fn emit_record(view: &RecordView<'_, '_>, projection: Option<&[usize]>, out: &mut Vec<u8>) {
     let Some(idx) = projection else {
-        out.extend_from_slice(view.raw());
+        // A reader trims one `\r` before the `\n`, so a record that ends in
+        // `\r` (its line ended `\r\r\n`) ships that ending whole.
+        let raw = view.raw();
+        out.extend_from_slice(raw);
+        if raw.last() == Some(&b'\r') {
+            out.push(b'\r');
+        }
         out.push(b'\n');
         return;
     };

@@ -5,10 +5,12 @@
 //! row: column names become indices, `LIKE` patterns are classified
 //! ([`LikePattern`]), `SUBSTRING` with literal bounds has them parsed,
 //! comparison and arithmetic operators become their own node kinds, and — in
-//! the output expressions of an aggregated query — each aggregate call
-//! becomes a reference to its accumulator's slot. What a query can get wrong
-//! by itself (an unknown column, `*` outside `COUNT(*)`, an aggregate where
-//! none may stand) is therefore reported by `bind`, before the first row.
+//! the output expressions of an aggregated query — each `GROUP BY`
+//! expression and each aggregate call becomes a reference to a slot of the
+//! group: its key part, or its accumulator's result. What a query can get
+//! wrong by itself (an unknown column, `*` outside `COUNT(*)`, an aggregate
+//! where none may stand) is therefore reported by `bind`, before the first
+//! row.
 //!
 //! Evaluation borrows: a column or literal comes back as `Cow::Borrowed`
 //! from the row or the node, and only computed values are owned. A row
@@ -19,7 +21,7 @@
 //! pushdown is transparent; comparisons coerce through [`Value::sql_cmp`].
 
 use crate::ast::{AggFunc, BinOp, Expr};
-use crate::functions::{eval_scalar, substring, text_of};
+use crate::functions::{eval_scalar, substring_of, text_of};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::predicate::CmpOp;
 use scoop_csv::pushdown::LikePattern;
@@ -46,7 +48,8 @@ pub(crate) enum Bound {
     /// Column by index into the row.
     Col(usize),
     Lit(Value),
-    /// A finished aggregate, by its call's position in [`AggCalls`].
+    /// One of a group's values: its key parts in `GROUP BY` order, then its
+    /// finished aggregates in [`AggCalls`] order.
     Slot(usize),
     Arith(ArithOp, Box<Bound>, Box<Bound>),
     Cmp(CmpOp, Box<Bound>, Box<Bound>),
@@ -79,10 +82,14 @@ pub(crate) enum Bound {
     },
 }
 
-/// The distinct aggregate calls of a query, in slot order. Binding an output
-/// expression adds the calls it finds; their arguments are bound per row.
+/// A group's slots: the `GROUP BY` expressions, then the distinct aggregate
+/// calls of a query. Binding an output expression turns a `GROUP BY`
+/// expression into its key's slot and adds the calls it finds; their
+/// arguments are bound per row.
 #[derive(Debug, Default)]
 pub(crate) struct AggCalls {
+    /// The `GROUP BY` expressions as written: slots `0..keys.len()`.
+    pub keys: Vec<Expr>,
     /// The calls as written, to recognise a repeat (bind time only).
     seen: Vec<Expr>,
     /// Function and bound argument (`None` for `COUNT(*)`) of each slot.
@@ -95,12 +102,16 @@ pub(crate) fn bind(expr: &Expr, schema: &Schema) -> Result<Bound> {
 }
 
 /// Bind an output expression of an aggregated query (select item, `HAVING`,
-/// `ORDER BY`): aggregate calls become [`Bound::Slot`]s into `aggs`.
+/// `ORDER BY`): a `GROUP BY` expression and an aggregate call become
+/// [`Bound::Slot`]s into `aggs`, wherever they stand.
 pub(crate) fn bind_output(expr: &Expr, schema: &Schema, aggs: &mut AggCalls) -> Result<Bound> {
     bind_in(expr, schema, Some(aggs))
 }
 
 fn bind_in(expr: &Expr, schema: &Schema, mut aggs: Option<&mut AggCalls>) -> Result<Bound> {
+    if let Some(key) = aggs.as_ref().and_then(|aggs| aggs.keys.iter().position(|k| k == expr)) {
+        return Ok(Bound::Slot(key));
+    }
     let mut sub = |e: &Expr| bind_in(e, schema, aggs.as_deref_mut());
     Ok(match expr {
         Expr::Column(name) => Bound::Col(schema.resolve(name)?),
@@ -110,8 +121,8 @@ fn bind_in(expr: &Expr, schema: &Schema, mut aggs: Option<&mut AggCalls>) -> Res
             let Some(aggs) = aggs else {
                 return Err(ScoopError::Sql("aggregate used outside aggregation context".into()));
             };
-            let slot = match aggs.seen.iter().position(|c| c == expr) {
-                Some(slot) => slot,
+            let call = match aggs.seen.iter().position(|c| c == expr) {
+                Some(call) => call,
                 None => {
                     let arg = arg.as_deref().map(|a| bind(a, schema)).transpose()?;
                     aggs.seen.push(expr.clone());
@@ -119,7 +130,7 @@ fn bind_in(expr: &Expr, schema: &Schema, mut aggs: Option<&mut AggCalls>) -> Res
                     aggs.calls.len() - 1
                 }
             };
-            Bound::Slot(slot)
+            Bound::Slot(aggs.keys.len() + call)
         }
         Expr::Binary { op, left, right } => {
             let (l, r) = (Box::new(sub(left)?), Box::new(sub(right)?));
@@ -208,8 +219,9 @@ fn arith(op: ArithOp, l: &Value, r: &Value) -> Value {
 }
 
 impl Bound {
-    /// The expression's value on `row`. `slots` holds the group's finished
-    /// aggregates when this is an output expression, and is empty otherwise.
+    /// The expression's value on `row`. `slots` holds the group's key parts
+    /// and finished aggregates when this is an output expression, and is
+    /// empty otherwise.
     ///
     /// Inlined into its callers so that a column or literal operand — most
     /// operands — is a borrow in a register, not a call.
@@ -231,10 +243,7 @@ impl Bound {
         Ok(match self {
             Bound::Col(_) | Bound::Lit(_) | Bound::Slot(_) => self.eval(row, slots)?.into_owned(),
             Bound::Arith(op, l, r) => arith(*op, &*l.eval(row, slots)?, &*r.eval(row, slots)?),
-            Bound::Substr { text, start, len } => match &*text.eval(row, slots)? {
-                Value::Null => Value::Null,
-                v => substring(&text_of(v), *start, *len),
-            },
+            Bound::Substr { text, start, len } => substring_of(&*text.eval(row, slots)?, *start, *len),
             Bound::Func { name, args } => {
                 let vals: Vec<Value> = args
                     .iter()

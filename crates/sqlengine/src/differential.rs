@@ -5,7 +5,9 @@
 //! same three-valued truth and fail on the same rows; whole queries must
 //! give the same result set single-pass, chunked through partial
 //! aggregation + merge, folded from column batches of random sizes, and
-//! through the reference. What the query itself
+//! through the reference; and `GROUP BY` keys written from lanes by the key
+//! kernels must group, decode and order as the row path and the reference
+//! do, over packed and CSV-typed batches. What the query itself
 //! gets wrong is reported at bind time, as `ScoopError::Sql`, also over an
 //! empty input.
 
@@ -186,12 +188,14 @@ impl Strategy for Rows {
     }
 }
 
-/// Identity, not SQL equality: `Int(2)` is not `Float(2.0)`, NaN is itself.
+/// Identity, not SQL equality: `Int(2)` is not `Float(2.0)`, `-0.0` is not
+/// `0.0`. Any NaN is any other: Rust leaves the sign and payload of a NaN
+/// that arithmetic makes unspecified, and they differ between builds.
 fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
         (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
         (Value::Str(x), Value::Str(y)) => x == y,
         _ => false,
     }
@@ -570,6 +574,189 @@ fn global_aggregate_over_zero_rows_agrees_everywhere() {
         assert_eq!(single, want, "{sql}");
         assert_eq!(two_phase(&query, &schema, &[], 4, None, None), want, "{sql}");
         assert_eq!(two_phase(&query, &schema, &[], 4, None, Some(&[3])), want, "{sql}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// GROUP BY keys from lanes ≡ the row path ≡ the reference
+// ---------------------------------------------------------------------------
+
+fn group_schema() -> Schema {
+    use DataType::{Float, Str};
+    Schema::new(
+        [("k", Str), ("t", Str), ("n", Float), ("v", Float), ("u", Str)]
+            .into_iter()
+            .map(|(name, dtype)| Field::new(name, dtype))
+            .collect(),
+    )
+}
+
+/// Rows for the group leg: `k` a short key (empty, non-ASCII, NULL), `t`
+/// text to cut (dates, non-ASCII, empty, NULL), `n` a number that mixes
+/// `Int 2` with `Float 2.0`, `Int 0` with `0.0`, `-0.0`, NaN, NULL and the
+/// odd string (so it packs into a `Values` column), `v` a reading in halves,
+/// `u` text no key reads. Also yields a task size, batch sizes, the chunk
+/// size the rows' CSV is read in, and literal `SUBSTRING` bounds.
+struct Groups;
+
+impl Strategy for Groups {
+    type Value = (Vec<Vec<Value>>, usize, Vec<usize>, usize, (i64, i64));
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        const KEYS: [&str; 7] = ["", "a", "Zürich", "日本", "zürich", "M00001", "Rotterdam"];
+        const TEXT: [&str; 7] =
+            ["2015-01-03 10:00:00", "2015-01-04 11:00:00", "日本語テキスト", "Zürich 2015", "", "é", "abc"];
+        const USERS: [&str; 3] = ["x", "Ünï", "y"];
+        let s = |text: &str| Value::Str(text.into());
+        let rows: Vec<Vec<Value>> = (0..rng.usize_in(0, 300))
+            .map(|_| {
+                let n = match rng.below(10) {
+                    0 => Value::Null,
+                    1 => Value::Int(2),
+                    2 => Value::Float(2.0),
+                    3 => Value::Int(0),
+                    4 => Value::Float(0.0),
+                    5 => Value::Float(-0.0),
+                    6 => Value::Float(f64::NAN),
+                    7 => s("2"),
+                    _ => Value::Float(1.5),
+                };
+                vec![
+                    if rng.below(8) == 0 { Value::Null } else { s(pick::<&str>(rng, &KEYS)) },
+                    if rng.below(8) == 0 { Value::Null } else { s(pick::<&str>(rng, &TEXT)) },
+                    n,
+                    Value::Float(rng.below(20) as f64 / 2.0),
+                    s(pick::<&str>(rng, &USERS)),
+                ]
+            })
+            .collect();
+        let sizes = (0..rng.usize_in(1, 4)).map(|_| rng.usize_in(1, 80)).collect();
+        let bound = |rng: &mut TestRng| *pick(rng, &[-30, -3, -1, 0, 1, 2, 5, 40]);
+        let bounds = (bound(rng), bound(rng));
+        (rows, rng.usize_in(1, 120), sizes, rng.usize_in(1, 200), bounds)
+    }
+}
+
+/// Identity of whole results: same columns, rows in the same order, every
+/// value [`same_value`] (so an `Int` key stays an `Int`).
+fn same_result(a: &ResultSet, b: &ResultSet) -> bool {
+    a.columns == b.columns
+        && a.rows.len() == b.rows.len()
+        && a.rows.iter().zip(&b.rows).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same_value(x, y))
+        })
+}
+
+/// The rows as CSV under [`group_schema`], and back: what a scan types
+/// them to (`n`'s integers become floats, its string NULL).
+fn as_csv(rows: &[Vec<Value>]) -> String {
+    let mut csv = String::from("k,t,n,v,u\n");
+    for row in rows {
+        let fields: Vec<String> = row.iter().map(Value::to_string).collect();
+        csv.push_str(&fields.join(","));
+        csv.push('\n');
+    }
+    csv
+}
+
+/// Fold `batches` into one partial per task of `per_task` batches, merge
+/// the partials in task order and finalize: a session's tasks, in order.
+fn fold_batches(query: &Query, schema: &Schema, batches: &[ColumnBatch], per_task: usize) -> ResultSet {
+    let agg = Aggregator::new(query, schema).unwrap();
+    let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
+    let mut merged = agg.make_partial();
+    for task in batches.chunks(per_task.max(1)) {
+        let mut partial = agg.make_partial();
+        for batch in task {
+            agg.update_batch(&mut partial, batch, &filter.select(batch).unwrap()).unwrap();
+        }
+        agg.merge(&mut merged, partial);
+    }
+    agg.finalize(merged).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn group_keys_from_lanes_equal_the_row_path_and_the_reference(
+        (rows, task, sizes, read, (start, len)) in Groups,
+    ) {
+        let schema = group_schema();
+        let queries = [
+            // Column and SUBSTRING key kernels, on ASCII and non-ASCII text,
+            // any bounds; NULL key parts.
+            format!(
+                "SELECT k, SUBSTRING(t, {start}, {len}) as p, count(*) as c, sum(v) as s FROM t \
+                 GROUP BY k, SUBSTRING(t, {start}, {len}) ORDER BY k, p"
+            ),
+            // A number key: `-0.0` and `0.0` apart, `Int 2` and `Float 2.0`
+            // together, output as the group's first row had it.
+            "SELECT n, count(*) as c, min(v) as lo FROM t GROUP BY n ORDER BY n".to_string(),
+            // A key the kernels do not cover, and a WHERE.
+            format!(
+                "SELECT upper(k) as uk, count(*) as c FROM t WHERE v > 2 \
+                 GROUP BY upper(k), SUBSTRING(t, {start}, {len}) ORDER BY uk, max(t)"
+            ),
+            // An output that reads a column no key holds: representative rows.
+            "SELECT SUBSTRING(t, 0, 4) as y, upper(u) as w, first_value(k) as f, count(*) as c \
+             FROM t GROUP BY SUBSTRING(t, 0, 4) HAVING count(*) > 0 ORDER BY y"
+                .to_string(),
+        ];
+        // Two scans of the same rows: packed (strings in the lanes' arenas,
+        // `n` a `Values` column), and typed from CSV read in chunks of
+        // `read` bytes (strings spanned in the input, or copied where a
+        // record straddles two chunks).
+        let csv = as_csv(&rows);
+        let typed: Vec<Vec<Value>> = scoop_csv::CsvReader::new(scoop_common::stream::once(csv.clone().into()), schema.clone(), true)
+            .map(Result::unwrap)
+            .collect();
+        let mut reader = scoop_csv::CsvReader::new(scoop_common::stream::chunked(csv.into(), read), schema.clone(), true);
+        let mut read_batches = Vec::new();
+        while let Some(batch) = reader.next_batch().unwrap() {
+            read_batches.push(batch);
+        }
+        let mut packed = Vec::new();
+        let mut rest = rows.as_slice();
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            packed.push(ColumnBatch::from_rows(&schema, batch.to_vec()));
+            rest = tail;
+        }
+        for sql in &queries {
+            let query = parse(sql).unwrap();
+            let wh = query.where_clause.as_ref();
+            for (rows, batches) in [(&rows, &packed), (&typed, &read_batches)] {
+                let feed = || rows.clone().into_iter().map(Ok);
+                let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
+                let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
+                prop_assert!(same_result(&single, &want), "{}\n{:?}\nreference {:?}", sql, single.rows, want.rows);
+                let by_rows = two_phase(&query, &schema, rows, task, None, None);
+                prop_assert!(same_result(&by_rows, &want), "rows: {}\n{:?}\nreference {:?}", sql, by_rows.rows, want.rows);
+                let by_batches = fold_batches(&query, &schema, batches, 1 + task % 4);
+                prop_assert!(same_result(&by_batches, &want), "batches: {}\n{:?}\nreference {:?}", sql, by_batches.rows, want.rows);
+            }
+        }
+        // Ties on the ORDER BY keys come out in the order their groups were
+        // first seen, whatever the scan and the task cuts.
+        let query = parse("SELECT k, SUBSTRING(k, 2, 1) as s, count(*) as c FROM t GROUP BY k ORDER BY c").unwrap();
+        let mut first_seen: Vec<&Value> = Vec::new();
+        for row in &rows {
+            if !first_seen.contains(&&row[0]) {
+                first_seen.push(&row[0]);
+            }
+        }
+        let mut want = reference::execute_with_where(&query, &schema, None, rows.clone().into_iter().map(Ok)).unwrap();
+        want.rows.sort_by_key(|row| (row[2].as_f64().map(|c| c as u64), first_seen.iter().position(|k| **k == row[0])));
+        for got in [
+            execute_with_where(&query, &schema, None, rows.clone().into_iter().map(Ok)).unwrap(),
+            two_phase(&query, &schema, &rows, task, None, None),
+            fold_batches(&query, &schema, &packed, 1 + task % 4),
+        ] {
+            prop_assert!(same_result(&got, &want), "ties\n{:?}\nwant {:?}", got.rows, want.rows);
+        }
     }
 }
 

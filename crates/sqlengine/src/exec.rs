@@ -10,22 +10,35 @@
 //!   driver merges partials and finalizes. The compute crate drives this.
 //!
 //! Both go through one evaluator: every expression is bound to the scan
-//! schema once per query ([`crate::bound`]) and only evaluated per row. The
-//! one exception is a global aggregate whose every call reads a bare column:
-//! [`Aggregator::update_batch`] folds the batch's lanes directly
-//! ([`AggState::update_column`]), and no row is built.
+//! schema once per query ([`crate::bound`]) and only evaluated per row.
+//! Aggregation reads lanes where it can. A global aggregate whose every
+//! call reads a bare column folds the batch's lanes whole
+//! ([`AggState::update_column`]). A grouped one finds each row's group by
+//! bytes: `Aggregator::new` compiles every `GROUP BY` expression that is a
+//! column or `SUBSTRING(column, lit, lit)` into a key kernel, which writes
+//! the key part straight from the cell's lane (a substring of an ASCII
+//! string cell is span arithmetic); any other part is evaluated on a row
+//! view and encoded the same way. The group table is one byte arena of
+//! keys, hashed and compared as bytes, beside one accumulator column per
+//! aggregate call, each as small as its function's state and folded cell
+//! by cell from the lanes. Output, `HAVING` and `ORDER BY` expressions read
+//! a `GROUP BY` expression as the group's decoded key part, so a group
+//! keeps a representative row only when one of them reads a column outside
+//! the keys and aggregates.
+//!
+//! [`AggState::update_column`]: crate::functions::AggState::update_column
 
 use crate::ast::{AggFunc, Expr, Query, SelectItem};
 use crate::bound::{bind, bind_output, columns_of, AggCalls, Bound, RowFilter};
-use crate::functions::AggState;
+use crate::functions::{substring_of, substring_range, AggColumn};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::batch::{Selection, BATCH_ROWS};
-use scoop_csv::{ColumnBatch, Schema, Value};
+use scoop_csv::{Column, ColumnBatch, Schema, SmallStr, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 use std::mem;
 
 /// A materialized query result.
@@ -86,39 +99,194 @@ impl ResultSet {
 /// What `COUNT(*)` folds in for every row.
 static ONE: Value = Value::Int(1);
 
-
 /// An index slot that holds no group.
 const EMPTY: u32 = u32::MAX;
 
+/// The tag byte each key part's encoding starts with.
+const NULL_PART: u8 = 0;
+const NUMBER_PART: u8 = 1;
+const TEXT_PART: u8 = 2;
+
+/// A row's group key as bytes, written part by part.
+///
+/// `key` is compared and hashed: two keys are equal exactly when their parts
+/// are equal as `Value`s (`Value::total_cmp`). A part is a tag byte, then
+/// nothing for NULL, the `f64` bits of a number (an `Int` as `f64`, the
+/// coercion `Value`'s equality makes), or a string's length (`u32`) and
+/// bytes. `exact` holds what `key` cannot: for each number in turn, whether
+/// it is an `Int`, and if so its value (a large `Int` rounds as `f64`). A
+/// group stores both, so its key decodes to the parts its first row had,
+/// types included.
+#[derive(Debug, Clone, Default)]
+struct KeyBuf {
+    key: Vec<u8>,
+    exact: Vec<u8>,
+}
+
+impl KeyBuf {
+    fn clear(&mut self) {
+        self.key.clear();
+        self.exact.clear();
+    }
+
+    fn null(&mut self) {
+        self.key.push(NULL_PART);
+    }
+
+    #[inline]
+    fn number(&mut self, x: f64, int: Option<i64>) {
+        self.key.push(NUMBER_PART);
+        self.key.extend_from_slice(&x.to_bits().to_le_bytes());
+        match int {
+            Some(i) => {
+                self.exact.push(1);
+                self.exact.extend_from_slice(&i.to_le_bytes());
+            }
+            None => self.exact.push(0),
+        }
+    }
+
+    /// A string part. No cell reaches 4 GiB (a record is capped far below),
+    /// so its length fits the `u32` prefix.
+    #[inline]
+    fn text(&mut self, text: &[u8]) {
+        self.key.push(TEXT_PART);
+        self.key.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        self.key.extend_from_slice(text);
+    }
+
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.null(),
+            Value::Int(i) => self.number(*i as f64, Some(*i)),
+            Value::Float(x) => self.number(*x, None),
+            Value::Str(s) => self.text(s.as_bytes()),
+        }
+    }
+
+    /// Row `i`'s cell of `column` (NULL past the batch), from its lane.
+    #[inline]
+    fn cell(&mut self, column: Option<&Column>, i: usize) {
+        match column {
+            Some(Column::Str(lane)) => match lane.get(i) {
+                Some(text) => self.text(text),
+                None => self.null(),
+            },
+            Some(Column::F64(lane)) => match lane.get(i) {
+                Some(x) => self.number(x, None),
+                None => self.null(),
+            },
+            Some(Column::I64(lane)) => match lane.get(i) {
+                Some(x) => self.number(x as f64, Some(x)),
+                None => self.null(),
+            },
+            Some(Column::Values(values)) => self.value(values.get(i).unwrap_or(&Value::Null)),
+            None => self.null(),
+        }
+    }
+}
+
+/// Append the parts of a key and its exact bytes to `out`, as `Value`s.
+fn decode_key(mut key: &[u8], mut exact: &[u8], out: &mut Vec<Value>) {
+    while let Some((&tag, rest)) = key.split_first() {
+        key = rest;
+        out.push(match tag {
+            NUMBER_PART => {
+                let bits = take::<8>(&mut key).map(u64::from_le_bytes);
+                let int = match take::<1>(&mut exact) {
+                    Some([1]) => take::<8>(&mut exact).map(i64::from_le_bytes),
+                    _ => None,
+                };
+                match (int, bits) {
+                    (Some(i), _) => Value::Int(i),
+                    (None, Some(bits)) => Value::Float(f64::from_bits(bits)),
+                    (None, None) => Value::Null,
+                }
+            }
+            TEXT_PART => {
+                let len = take::<4>(&mut key).map_or(0, u32::from_le_bytes) as usize;
+                let (text, rest) = key.split_at(len.min(key.len()));
+                key = rest;
+                Value::Str(SmallStr::from_utf8_lossy(text))
+            }
+            _ => Value::Null,
+        });
+    }
+}
+
+/// The first `N` bytes of `bytes`, which then starts after them.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
+}
+
+/// How a `GROUP BY` expression writes its part of a batch row's key.
+#[derive(Debug, Clone, Copy)]
+enum KeyPart {
+    /// A bare column: the cell, from its lane.
+    Column(usize),
+    /// `SUBSTRING(column, start, len)` with literal bounds: on a string lane,
+    /// the bytes of the cell it keeps.
+    Substr { column: usize, start: i64, len: i64 },
+    /// Anything else: the expression, evaluated on the row view.
+    Row,
+}
+
+impl KeyPart {
+    fn of(expr: &Bound) -> KeyPart {
+        match expr {
+            Bound::Col(c) => KeyPart::Column(*c),
+            Bound::Substr { text, start, len } => match **text {
+                Bound::Col(column) => KeyPart::Substr { column, start: *start, len: *len },
+                _ => KeyPart::Row,
+            },
+            _ => KeyPart::Row,
+        }
+    }
+}
 
 /// Partial aggregation result (one worker's contribution): a flat group
-/// table.
+/// table keyed by bytes.
 ///
 /// Groups are numbered in the order their first row arrived. Group `g`'s
-/// key, accumulators and representative row are the `g`th stride of
-/// `keys`, `states` and `rows`; the [`Aggregator`] fixes the strides (the
-/// `GROUP BY` arity, the number of aggregate calls, the scan-schema width).
-/// A global aggregate has key arity 0 and one group, number 0.
+/// key bytes, accumulators and representative row are the `g`th entry of
+/// `keys` and of each call's `states`, and the `g`th stride of `rows`; the
+/// [`Aggregator`] fixes the stride (the representative row's width, which
+/// is 0 unless an output needs one). A global aggregate has an empty key and
+/// one group, number 0.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAgg {
     /// Each group's key hash, by group number.
     hashes: Vec<u64>,
-    /// Group keys.
-    keys: Vec<Value>,
-    /// One accumulator per distinct aggregate call, per group.
-    states: Vec<AggState>,
-    /// Each group's first row, padded with NULL to the schema width: it
-    /// evaluates the non-aggregate output expressions (functionally
-    /// dependent on the key in well-formed queries).
+    /// Where each group's key starts and ends in `arena`; its exact bytes
+    /// (see `KeyBuf`) run from that end to the next group's start.
+    keys: Vec<(usize, usize)>,
+    /// Every group's key and exact bytes, in group order.
+    arena: Vec<u8>,
+    /// Per distinct aggregate call, its accumulators: a column per call,
+    /// each as small as the call's state.
+    states: Vec<AggColumn>,
+    /// Each group's first row, padded with NULL to the schema width, when
+    /// an output reads a column outside the keys and aggregates.
     rows: Vec<Value>,
     /// Open addressing with linear probing: group numbers by hash, [`EMPTY`]
     /// where there is none. A power of two, at most half full.
     index: Vec<u32>,
-    /// Scratch the current row's key is built in; it moves into `keys` only
-    /// for a group's first row.
-    key: Vec<Value>,
+    /// Scratch the current row's key is written in; it is copied into
+    /// `arena` only for a group's first row.
+    scratch: KeyBuf,
     /// Rows folded in (for accounting).
     pub rows_seen: u64,
+}
+
+/// Group `g`'s key bytes and exact bytes, from a table's `keys` and `arena`.
+fn group_key<'a>(keys: &[(usize, usize)], arena: &'a [u8], g: usize) -> (&'a [u8], &'a [u8]) {
+    let Some(&(start, end)) = keys.get(g) else {
+        return (&[], &[]);
+    };
+    let next = keys.get(g + 1).map_or(arena.len(), |&(next, _)| next);
+    (arena.get(start..end).unwrap_or_default(), arena.get(end..next).unwrap_or_default())
 }
 
 impl PartialAgg {
@@ -127,7 +295,8 @@ impl PartialAgg {
     }
 
     /// The group whose key is `key`, which hashes to `hash`.
-    fn find(&self, hash: u64, key: &[Value]) -> Option<usize> {
+    #[inline]
+    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
         let mask = self.index.len().checked_sub(1)?;
         let mut slot = hash as usize & mask;
         loop {
@@ -135,16 +304,19 @@ impl PartialAgg {
                 EMPTY => return None,
                 g => g as usize,
             };
-            if self.hashes[g] == hash && self.keys[g * key.len()..][..key.len()] == *key {
-                return Some(g);
+            if self.hashes[g] == hash {
+                let (start, end) = self.keys[g];
+                if self.arena[start..end] == *key {
+                    return Some(g);
+                }
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// Number a new group and index it under `hash`. The caller appends its
-    /// key, accumulators and row.
-    fn push_group(&mut self, hash: u64) -> usize {
+    /// Number a new group of key `key` and exact bytes `exact`, and index it
+    /// under `hash`. The caller appends its accumulators and row.
+    fn push_group(&mut self, hash: u64, key: &[u8], exact: &[u8]) -> usize {
         let g = self.groups();
         if (g + 1) * 2 > self.index.len() {
             // Double the index and re-place every group by its stored hash.
@@ -154,6 +326,10 @@ impl PartialAgg {
             }
         }
         self.hashes.push(hash);
+        let start = self.arena.len();
+        self.arena.extend_from_slice(key);
+        self.keys.push((start, self.arena.len()));
+        self.arena.extend_from_slice(exact);
         place(&mut self.index, hash, g);
         g
     }
@@ -174,16 +350,17 @@ fn place(index: &mut [u32], hash: u64, g: usize) {
 enum OrderKey {
     /// A select item (named by alias, or the same expression): its output.
     Output(usize),
-    /// Anything else: evaluated on the row (the group's representative row,
-    /// with aggregates, for an aggregated query).
+    /// Anything else: evaluated on the row (for an aggregated query, on the
+    /// group's key parts, aggregates and representative row).
     Expr(Bound),
 }
 
 impl OrderKey {
-    fn value(&self, out_row: &[Value], row: &[Value], slots: &[Value]) -> Result<Value> {
+    /// The key's value where it is not an output: `None` for an output.
+    fn eval(&self, row: &[Value], slots: &[Value]) -> Result<Option<Value>> {
         match self {
-            OrderKey::Output(i) => Ok(out_row.get(*i).cloned().unwrap_or(Value::Null)),
-            OrderKey::Expr(e) => e.eval(row, slots).map(Cow::into_owned),
+            OrderKey::Output(_) => Ok(None),
+            OrderKey::Expr(e) => e.eval(row, slots).map(|v| Some(v.into_owned())),
         }
     }
 }
@@ -195,30 +372,37 @@ fn aliased_item(query: &Query, expr: &Expr) -> Option<usize> {
 }
 
 /// Drives grouping + two-phase aggregation for one query. Every expression
-/// is bound here, once; `update` and `finalize` only evaluate.
+/// is bound here, once, and every key part compiled; `update` and
+/// `finalize` only evaluate.
 pub struct Aggregator {
     query: Query,
+    /// The `GROUP BY` expressions: what a row's key is made of.
     group_by: Vec<Bound>,
+    /// How each of them writes its key part from a batch.
+    parts: Vec<KeyPart>,
     /// Function and argument of each distinct aggregate call appearing
     /// anywhere in the output, `HAVING` or `ORDER BY`.
     calls: Vec<(AggFunc, Option<Bound>)>,
+    /// Output expressions, in which a `GROUP BY` expression reads its key
+    /// part ([`Bound::Slot`]).
     items: Vec<Bound>,
     having: Option<Bound>,
     order_by: Vec<OrderKey>,
     /// For a global aggregate whose every call is `COUNT(*)` (`None`) or reads
     /// a bare column (its index): the lane each call folds.
     lanes: Option<Vec<Option<usize>>>,
-    /// The columns the keys and computed arguments read: all a row view
-    /// needs to find a row's group and fold it (a bare column argument is
-    /// read from its lane).
-    keyed: Vec<usize>,
-    /// The other columns the outputs read, which a new group's
-    /// representative row needs as well.
+    /// The columns the row-evaluated key parts and computed arguments read:
+    /// all a row view needs to find a row's group and fold it.
+    view: Vec<usize>,
+    /// The columns the outputs read outside the keys and aggregates, which
+    /// a group's representative row holds.
     rest: Vec<usize>,
-    /// The scan schema's width: the stride of a representative row.
+    /// The stride of a representative row: the scan schema's width, or 0
+    /// when `rest` is empty and no group keeps one.
     width: usize,
-    /// Hashes group keys for every partial this aggregator makes, so a merge
-    /// finds a group by the hash its partial stored.
+    /// Hashes the keys of every partial this aggregator makes, so a merge
+    /// finds a group by the hash its partial stored. Keys come from the
+    /// data, so the hash is the standard library's seeded one.
     hasher: RandomState,
 }
 
@@ -232,6 +416,7 @@ impl Aggregator {
             return Err(ScoopError::Sql("SELECT * cannot be aggregated".into()));
         }
         let mut aggs = AggCalls::default();
+        aggs.keys = query.group_by.clone();
         let items: Vec<Bound> = query
             .items
             .iter()
@@ -240,7 +425,7 @@ impl Aggregator {
         let having =
             query.having.as_ref().map(|h| bind_output(h, schema, &mut aggs)).transpose()?;
         // ORDER BY: alias or identical select expression first, else
-        // evaluated on the group's representative row.
+        // evaluated on the group.
         let order_by: Vec<OrderKey> = query
             .order_by
             .iter()
@@ -255,6 +440,7 @@ impl Aggregator {
             .collect::<Result<_>>()?;
         let group_by: Vec<Bound> =
             query.group_by.iter().map(|g| bind(g, schema)).collect::<Result<_>>()?;
+        let parts: Vec<KeyPart> = group_by.iter().map(KeyPart::of).collect();
         let lane = |(_, arg): &(AggFunc, Option<Bound>)| match arg {
             None => Some(None),
             Some(Bound::Col(i)) => Some(Some(*i)),
@@ -262,26 +448,26 @@ impl Aggregator {
         };
         let lanes = if group_by.is_empty() { aggs.calls.iter().map(lane).collect() } else { None };
         let computed = aggs.calls.iter().filter_map(|(_, arg)| arg.as_ref()).filter(|a| !matches!(a, Bound::Col(_)));
-        let keyed = columns_of(group_by.iter().chain(computed));
-        let mut rest = columns_of(
-            group_by
+        let row_parts = group_by.iter().zip(&parts).filter(|(_, p)| matches!(p, KeyPart::Row));
+        let view = columns_of(row_parts.map(|(g, _)| g).chain(computed));
+        let rest = columns_of(
+            items
                 .iter()
-                .chain(aggs.calls.iter().filter_map(|(_, arg)| arg.as_ref()))
-                .chain(items.iter().chain(&having))
+                .chain(&having)
                 .chain(order_by.iter().filter_map(|o| if let OrderKey::Expr(e) = o { Some(e) } else { None })),
         );
-        rest.retain(|c| !keyed.contains(c));
         Ok(Aggregator {
             query: query.clone(),
             group_by,
+            parts,
             calls: aggs.calls,
             items,
             having,
             order_by,
             lanes,
-            keyed,
+            view,
+            width: if rest.is_empty() { 0 } else { schema.len() },
             rest,
-            width: schema.len(),
             hasher: RandomState::new(),
         })
     }
@@ -291,66 +477,89 @@ impl Aggregator {
         PartialAgg::default()
     }
 
-    fn hash_key(&self, key: &[Value]) -> u64 {
-        if key.is_empty() {
-            // A global aggregate's one group: nothing to hash.
-            return 0;
+    /// The group keyed `key`, and whether it is new: a new group starts
+    /// with fresh accumulators, and [`Aggregator::keep_row`] comes next.
+    #[inline]
+    fn group(&self, partial: &mut PartialAgg, key: &KeyBuf) -> (usize, bool) {
+        let hash = self.hasher.hash_one(&key.key[..]);
+        if let Some(g) = partial.find(hash, &key.key) {
+            return (g, false);
         }
-        let mut h = self.hasher.build_hasher();
-        for v in key {
-            v.hash(&mut h);
+        let g = partial.push_group(hash, &key.key, &key.exact);
+        if partial.states.len() != self.calls.len() {
+            partial.states = self.calls.iter().map(|(func, _)| AggColumn::new(*func)).collect();
         }
-        h.finish()
+        for states in &mut partial.states {
+            states.push(states.fresh());
+        }
+        (g, true)
     }
 
-    /// Append a group keyed by `partial.key` (which it takes) with fresh
-    /// accumulators and `row` as its representative.
-    fn new_group(&self, partial: &mut PartialAgg, hash: u64, row: &[Value]) -> usize {
-        let g = partial.push_group(hash);
-        partial.keys.append(&mut partial.key);
-        partial.states.extend(self.calls.iter().map(|(func, _)| AggState::new(*func)));
-        let end = partial.rows.len() + self.width;
-        partial.rows.extend(row.iter().take(self.width).cloned());
-        partial.rows.resize(end, Value::Null);
-        g
+    /// Keep `row` as the newest group's representative row, when groups
+    /// keep one.
+    fn keep_row(&self, partial: &mut PartialAgg, row: &[Value]) {
+        if self.width > 0 {
+            let end = partial.rows.len() + self.width;
+            partial.rows.extend(row.iter().take(self.width).cloned());
+            partial.rows.resize(end, Value::Null);
+        }
     }
 
     /// Fold one (already WHERE-filtered) row into a partial.
     pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
-        let g = match self.find_group(partial, row)? {
-            (_, Some(g)) => g,
-            (hash, None) => self.new_group(partial, hash, row),
-        };
-        self.fold(partial, g, row, |state, c| state.update(row.get(c).unwrap_or(&Value::Null)))
+        partial.rows_seen += 1;
+        let mut key = mem::take(&mut partial.scratch);
+        key.clear();
+        for g in &self.group_by {
+            key.value(&*g.eval(row, &[])?);
+        }
+        let (g, new) = self.group(partial, &key);
+        partial.scratch = key;
+        if new {
+            self.keep_row(partial, row);
+        }
+        self.fold(partial, g, row, |states, c| states.update_value(g, row.get(c).unwrap_or(&Value::Null)))
     }
 
-    /// Count a row in and build its key (in `partial.key`) from `row`: the
-    /// key's hash, and its group if it has one.
-    fn find_group(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<(u64, Option<usize>)> {
-        partial.rows_seen += 1;
-        partial.key.clear();
-        for g in &self.group_by {
-            partial.key.push(g.eval(row, &[])?.into_owned());
+    /// Write row `i`'s key into `key`: a key kernel reads the batch's lane,
+    /// any other part is evaluated on `row`, the row's view.
+    #[inline]
+    fn batch_key(&self, key: &mut KeyBuf, batch: &ColumnBatch, i: usize, row: &[Value]) -> Result<()> {
+        key.clear();
+        for (part, expr) in self.parts.iter().zip(&self.group_by) {
+            match *part {
+                KeyPart::Column(c) => key.cell(batch.column(c), i),
+                KeyPart::Substr { column, start, len } => match batch.column(column) {
+                    Some(Column::Str(lane)) => match lane.get(i) {
+                        Some(text) => key.text(text.get(substring_range(text, start, len)).unwrap_or_default()),
+                        None => key.null(),
+                    },
+                    other => {
+                        let cell = other.map_or(Value::Null, |c| c.value(i));
+                        key.value(&substring_of(&cell, start, len))
+                    }
+                },
+                KeyPart::Row => key.value(&*expr.eval(row, &[])?),
+            }
         }
-        let hash = self.hash_key(&partial.key);
-        Ok((hash, partial.find(hash, &partial.key)))
+        Ok(())
     }
 
     /// Fold a row into group `g`'s accumulators: a computed argument is
-    /// evaluated on `row`, a bare column `c` is handed to `column(state, c)`.
+    /// evaluated on `row`, a bare column `c` is folded by `column(states, c)`.
+    #[inline]
     fn fold(
         &self,
         partial: &mut PartialAgg,
         g: usize,
         row: &[Value],
-        mut column: impl FnMut(&mut AggState, usize),
+        mut column: impl FnMut(&mut AggColumn, usize),
     ) -> Result<()> {
-        let calls = self.calls.len();
-        for ((_, arg), state) in self.calls.iter().zip(&mut partial.states[g * calls..][..calls]) {
+        for ((_, arg), states) in self.calls.iter().zip(&mut partial.states) {
             match arg {
-                None => state.update(&ONE),
-                Some(Bound::Col(c)) => column(state, *c),
-                Some(a) => state.update(&*a.eval(row, &[])?),
+                None => states.update_value(g, &ONE),
+                Some(Bound::Col(c)) => column(states, *c),
+                Some(a) => states.update_value(g, &*a.eval(row, &[])?),
             }
         }
         Ok(())
@@ -358,11 +567,13 @@ impl Aggregator {
 
     /// Fold the `selection` of a batch's rows into a partial, exactly as
     /// [`Aggregator::update`] on each selected row in turn would. A global
-    /// aggregate over bare columns folds the batch's lanes. Anything else
-    /// evaluates keys and computed arguments on each selected row's view,
-    /// which holds only the cells they read, and folds a bare column argument
-    /// from its lane; a new group's representative row also gets the cells
-    /// the outputs read (the others stay NULL, and nothing evaluates them).
+    /// aggregate over bare columns folds the batch's lanes. Otherwise each
+    /// selected row's key is written from the lanes by the key kernels (a
+    /// part without one is evaluated on the row's view, which holds only the
+    /// cells such parts and computed arguments read), and a bare column
+    /// argument is folded from its lane. A new group's representative row,
+    /// when groups keep one, gets the cells the outputs read (the others
+    /// stay NULL, and nothing evaluates them).
     pub fn update_batch(
         &self,
         partial: &mut PartialAgg,
@@ -371,20 +582,24 @@ impl Aggregator {
     ) -> Result<()> {
         let mut row = Vec::new();
         let Some(lanes) = &self.lanes else {
-            for i in selection.rows() {
-                batch.cells_into(i, &self.keyed, &mut row);
-                let g = match self.find_group(partial, &row)? {
-                    (_, Some(g)) => g,
-                    (hash, None) => {
-                        batch.cells_into(i, &self.rest, &mut row);
-                        self.new_group(partial, hash, &row)
-                    }
-                };
-                self.fold(partial, g, &row, |state, c| {
-                    batch.column(c).into_iter().for_each(|column| state.update_cell(column, i))
-                })?;
-            }
-            return Ok(());
+            let mut key = mem::take(&mut partial.scratch);
+            let folded = selection.rows().try_for_each(|i| {
+                partial.rows_seen += 1;
+                if !self.view.is_empty() {
+                    batch.cells_into(i, &self.view, &mut row);
+                }
+                self.batch_key(&mut key, batch, i, &row)?;
+                let (g, new) = self.group(partial, &key);
+                if new {
+                    batch.cells_into(i, &self.rest, &mut row);
+                    self.keep_row(partial, &row);
+                }
+                self.fold(partial, g, &row, |states, c| {
+                    batch.column(c).into_iter().for_each(|column| states.update_cell(g, column, i))
+                })
+            });
+            partial.scratch = key;
+            return folded;
         };
         let Some(first) = selection.rows().next() else {
             return Ok(());
@@ -393,21 +608,21 @@ impl Aggregator {
         if partial.groups() == 0 {
             // The one group's representative row is its first row.
             batch.cells_into(first, &self.rest, &mut row);
-            partial.key.clear();
-            self.new_group(partial, self.hash_key(&[]), &row);
+            self.group(partial, &KeyBuf::default());
+            self.keep_row(partial, &row);
         }
-        for (state, lane) in partial.states.iter_mut().zip(lanes) {
-            match lane {
+        for (states, lane) in partial.states.iter_mut().zip(lanes) {
+            states.update(0, |state| match lane {
                 None => (0..selection.len()).for_each(|_| state.update(&ONE)),
                 Some(c) => batch.column(*c).into_iter().for_each(|col| state.update_column(col, selection)),
-            }
+            });
         }
         Ok(())
     }
 
     /// Merge another partial of this aggregator into `into` (driver-side
-    /// reduce). A group keeps the representative row it saw first; a group
-    /// new to `into` is numbered after the ones it has.
+    /// reduce). A group keeps the key types and representative row it saw
+    /// first; a group new to `into` is numbered after the ones it has.
     pub fn merge(&self, into: &mut PartialAgg, other: PartialAgg) {
         if into.groups() == 0 {
             // Nothing to merge with: take the other table as it is.
@@ -416,99 +631,117 @@ impl Aggregator {
             into.rows_seen += rows_seen;
             return;
         }
-        into.rows_seen += other.rows_seen;
-        let (arity, calls, width) = (self.group_by.len(), self.calls.len(), self.width);
-        let mut keys = other.keys.into_iter();
-        let mut states = other.states.into_iter();
-        let mut rows = other.rows.into_iter();
-        for hash in other.hashes {
-            match into.find(hash, &keys.as_slice()[..arity]) {
+        let PartialAgg { hashes, keys, arena, states, rows, rows_seen, .. } = other;
+        into.rows_seen += rows_seen;
+        let width = self.width;
+        let mut states = states;
+        let mut rows = rows.into_iter();
+        for (h, &hash) in hashes.iter().enumerate() {
+            let (key, exact) = group_key(&keys, &arena, h);
+            match into.find(hash, key) {
                 Some(g) => {
-                    keys.by_ref().take(arity).for_each(drop);
                     rows.by_ref().take(width).for_each(drop);
-                    let dst = &mut into.states[g * calls..][..calls];
-                    for (dst, src) in dst.iter_mut().zip(states.by_ref().take(calls)) {
-                        dst.merge(&src);
+                    for (dst, src) in into.states.iter_mut().zip(&mut states) {
+                        let src = src.take(h);
+                        dst.update(g, |dst| dst.merge(&src));
                     }
                 }
                 None => {
-                    into.push_group(hash);
-                    into.keys.extend(keys.by_ref().take(arity));
-                    into.states.extend(states.by_ref().take(calls));
+                    into.push_group(hash, key, exact);
+                    for (dst, src) in into.states.iter_mut().zip(&mut states) {
+                        dst.push(src.take(h));
+                    }
                     into.rows.extend(rows.by_ref().take(width));
                 }
             }
         }
     }
 
-    /// Finalize: evaluate output expressions per group, then `DISTINCT`,
-    /// `ORDER BY` and `LIMIT`. Rows that tie on the `ORDER BY` keys come out
-    /// in group order, i.e. in the order their groups were first seen.
+    /// Finalize: evaluate output expressions per group on its decoded key
+    /// parts and finished aggregates (and representative row, if kept),
+    /// then `DISTINCT`, `ORDER BY` and `LIMIT`. Rows that tie on the
+    /// `ORDER BY` keys come out in group order, i.e. in the order their
+    /// groups were first seen.
     pub fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
         let columns: Vec<String> =
             self.query.items.iter().map(SelectItem::output_name).collect();
         // SQL: a global aggregate over zero rows still yields one row —
         // COUNT is 0, the other aggregates NULL.
         if self.group_by.is_empty() && partial.groups() == 0 {
-            self.new_group(&mut partial, self.hash_key(&[]), &[]);
+            self.group(&mut partial, &KeyBuf::default());
+            self.keep_row(&mut partial, &[]);
         }
-        let (calls, width, n_items) = (self.calls.len(), self.width, self.items.len());
+        let (calls, width) = (self.calls.len(), self.width);
         let groups = partial.groups();
-        // Output values and ORDER BY keys of the groups HAVING keeps, flat.
-        let mut out: Vec<Value> = Vec::with_capacity(groups * n_items);
-        let mut sort_keys: Vec<Value> = Vec::with_capacity(groups * self.order_by.len());
-        let mut slots: Vec<Value> = Vec::with_capacity(calls);
-        let mut kept = 0;
+        // The output rows of the groups HAVING keeps, and their ORDER BY
+        // keys that are not outputs, flat.
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(groups);
+        let exprs = self.order_by.iter().filter(|o| matches!(o, OrderKey::Expr(_))).count();
+        let mut sort_keys: Vec<Value> = Vec::with_capacity(groups * exprs);
+        let mut slots: Vec<Value> = Vec::with_capacity(self.group_by.len() + calls);
         for g in 0..groups {
-            let row = &partial.rows[g * width..][..width];
+            let row = partial.rows.get(g * width..(g + 1) * width).unwrap_or_default();
             slots.clear();
-            slots.extend(partial.states[g * calls..][..calls].iter().map(AggState::finish));
+            let (key, exact) = group_key(&partial.keys, &partial.arena, g);
+            decode_key(key, exact, &mut slots);
+            slots.extend(partial.states.iter().map(|states| states.finish(g)));
             // HAVING: post-aggregation filter (truthy = keep).
             if let Some(h) = &self.having {
                 if !matches!(h.eval(row, &slots)?.as_f64(), Some(f) if f != 0.0) {
                     continue;
                 }
             }
-            let start = out.len();
+            let mut out = Vec::with_capacity(self.items.len());
             for item in &self.items {
                 out.push(item.eval(row, &slots)?.into_owned());
             }
+            rows.push(out);
             for o in &self.order_by {
-                sort_keys.push(o.value(&out[start..], row, &slots)?);
+                sort_keys.extend(o.eval(row, &slots)?);
             }
-            kept += 1;
         }
-        let order = finish_order(&self.query, kept, &sort_keys, |i| &out[i * n_items..][..n_items]);
-        let rows = order
-            .into_iter()
-            .map(|i| out[i as usize * n_items..][..n_items].iter_mut().map(mem::take).collect())
-            .collect();
+        let order = finish_order(&self.query, &self.order_by, &rows, &sort_keys);
+        let rows = order.into_iter().map(|i| mem::take(&mut rows[i as usize])).collect();
         Ok(ResultSet { columns, rows })
     }
 }
 
-/// DISTINCT, ORDER BY and LIMIT over result rows `0..n`, by number: `row(i)`
-/// is row `i`'s output, and `sort_keys` holds its ORDER BY keys,
-/// `query.order_by.len()` per row. Returns the numbers of the rows to emit,
-/// in order. DISTINCT keeps a row's first occurrence and the sort is stable,
-/// so ties keep row order.
-fn finish_order<'a>(
-    query: &Query,
-    n: usize,
-    sort_keys: &[Value],
-    row: impl Fn(usize) -> &'a [Value],
-) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..n as u32).collect();
+/// DISTINCT, ORDER BY and LIMIT over result rows `rows`, by number. An
+/// `ORDER BY` key is the row's output it names, or the next of the row's
+/// values in `sort_keys`, which holds the other keys in order, row by row.
+/// Returns the numbers of the rows to emit, in order. DISTINCT keeps a row's
+/// first occurrence and the sort is stable, so ties keep row order.
+fn finish_order(query: &Query, order_by: &[OrderKey], rows: &[Vec<Value>], sort_keys: &[Value]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
     if query.distinct {
-        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(n);
-        order.retain(|&i| seen.insert(row(i as usize)));
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+        order.retain(|&i| seen.insert(&rows[i as usize]));
     }
-    let width = query.order_by.len();
-    if width > 0 {
-        let key = |i: u32| &sort_keys[i as usize * width..][..width];
+    if !order_by.is_empty() {
+        // Where each key is: `Ok(output)`, or `Err(k)`, the kth of a row's
+        // `stride` values in `sort_keys`.
+        let mut stride = 0;
+        let places: Vec<std::result::Result<usize, usize>> = order_by
+            .iter()
+            .map(|o| match o {
+                OrderKey::Output(i) => Ok(*i),
+                OrderKey::Expr(_) => {
+                    stride += 1;
+                    Err(stride - 1)
+                }
+            })
+            .collect();
+        let key = |i: u32, place: &std::result::Result<usize, usize>| {
+            let i = i as usize;
+            match *place {
+                Ok(out) => rows.get(i).and_then(|row| row.get(out)),
+                Err(k) => sort_keys.get(i * stride + k),
+            }
+            .unwrap_or(&Value::Null)
+        };
         order.sort_by(|&a, &b| {
-            for ((x, y), o) in key(a).iter().zip(key(b)).zip(&query.order_by) {
-                let ord = x.total_cmp(y);
+            for (place, o) in places.iter().zip(&query.order_by) {
+                let ord = key(a, place).total_cmp(key(b, place));
                 let ord = if o.desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
@@ -596,11 +829,11 @@ pub fn execute_with_where(
             })
             .transpose()?;
         for o in &order_by {
-            sort_keys.push(o.value(projected.as_deref().unwrap_or(&row), &row, &[])?);
+            sort_keys.extend(o.eval(&row, &[])?);
         }
         out.push(projected.unwrap_or(row));
     }
-    let order = finish_order(query, out.len(), &sort_keys, |i| &out[i]);
+    let order = finish_order(query, &order_by, &out, &sort_keys);
     let rows = order.into_iter().map(|i| mem::take(&mut out[i as usize])).collect();
     Ok(ResultSet { columns, rows })
 }
@@ -813,6 +1046,25 @@ mod tests {
                 assert_eq!(agg.finalize(merged).unwrap(), single, "chunks of {chunk}");
             }
         }
+    }
+
+    #[test]
+    fn table1_shapes_key_from_lanes_and_keep_no_row() {
+        // Every part a key kernel, no row view, no representative row.
+        for sql in [
+            "SELECT vid, sum(index) as max, first_value(city) as city FROM t \
+             WHERE date LIKE '2015-01%' GROUP BY SUBSTRING(date, 0, 7), vid \
+             ORDER BY SUBSTRING(date, 0, 7), vid",
+            "SELECT SUBSTRING(date, 0, 10) as sDate, state as vid, sum(index) as max FROM t \
+             GROUP BY SUBSTRING(date, 0, 10), state ORDER BY SUBSTRING(date, 0, 10), state",
+        ] {
+            let agg = Aggregator::new(&parse(sql).unwrap(), &schema()).unwrap();
+            assert!(agg.parts.iter().all(|p| !matches!(p, KeyPart::Row)), "{sql}");
+            assert!(agg.view.is_empty() && agg.width == 0, "{sql}");
+        }
+        // An output that reads a column no key holds keeps one.
+        let q = parse("SELECT upper(city) as c, count(*) FROM t GROUP BY vid").unwrap();
+        assert_eq!(Aggregator::new(&q, &schema()).unwrap().width, 5);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use scoop_csv::batch::Selection;
 use scoop_csv::{Column, SmallStr, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Evaluate a scalar function.
 ///
@@ -115,25 +116,42 @@ pub(crate) fn text_of(v: &Value) -> Cow<'_, [u8]> {
 /// `SUBSTRING(text, start, len)` in characters. Spark: 1-based, start 0
 /// behaves like 1, a negative start counts from the end.
 pub(crate) fn substring(text: &[u8], start: i64, len: i64) -> Value {
-    let window = |n: usize| {
-        let n = n as i64;
-        let begin = match start {
-            1.. => start - 1,
-            0 => 0,
-            _ => (n + start).max(0),
-        };
-        let begin = begin.clamp(0, n) as usize;
-        (begin, begin.saturating_add(len.max(0) as usize))
-    };
-    if text.is_ascii() {
-        // Characters are bytes: slice, no char walk, nothing to validate.
-        let (begin, end) = window(text.len());
-        let piece = text.get(begin..end.min(text.len())).unwrap_or_default();
-        return Value::Str(SmallStr::from_utf8_lossy(piece));
+    let piece = text.get(substring_range(text, start, len)).unwrap_or_default();
+    Value::Str(SmallStr::from_utf8_lossy(piece))
+}
+
+/// [`substring`] of a value: NULL stays NULL, anything else is cut from its
+/// text.
+pub(crate) fn substring_of(v: &Value, start: i64, len: i64) -> Value {
+    match v {
+        Value::Null => Value::Null,
+        v => substring(&text_of(v), start, len),
     }
-    let text = String::from_utf8_lossy(text);
-    let (begin, end) = window(text.chars().count());
-    Value::Str(text.chars().skip(begin).take(end - begin).collect::<String>().into())
+}
+
+/// The bytes of `text` (valid UTF-8) that `SUBSTRING(text, start, len)`
+/// keeps. On ASCII text characters are bytes, so this is span arithmetic;
+/// otherwise characters are counted by their leading bytes.
+pub(crate) fn substring_range(text: &[u8], start: i64, len: i64) -> Range<usize> {
+    let ascii = text.is_ascii();
+    let leading = |b: &u8| (b & 0xC0) != 0x80;
+    let n = if ascii { text.len() } else { text.iter().filter(|b| leading(b)).count() } as i64;
+    let begin = match start {
+        1.. => start - 1,
+        0 => 0,
+        _ => (n + start).max(0),
+    };
+    let begin = begin.clamp(0, n);
+    let end = begin.saturating_add(len.max(0)).min(n);
+    let (begin, end) = (begin as usize, end as usize);
+    if ascii {
+        return begin..end;
+    }
+    // The byte offset of character `k`, or the end of the text.
+    let at = |k: usize| {
+        text.iter().enumerate().filter(|(_, b)| leading(b)).nth(k).map_or(text.len(), |(at, _)| at)
+    };
+    at(begin)..at(end)
 }
 
 fn unary_str(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> Result<Value> {
@@ -241,19 +259,9 @@ impl AggState {
     /// the first valid cell. A [`Column::Values`] column is folded per value.
     pub fn update_column(&mut self, column: &Column, selection: &Selection) {
         match column {
-            Column::F64(lane) => self.fold_cells(lane.cells(selection), Some, f64::total_cmp, Value::Float),
-            Column::I64(lane) => self.fold_cells(
-                lane.cells(selection),
-                |v| Some(v as f64),
-                |a, b| (*a as f64).total_cmp(&(*b as f64)),
-                Value::Int,
-            ),
-            Column::Str(lane) => self.fold_cells(
-                lane.cells(selection),
-                |_| None,
-                |a, b| a.cmp(b),
-                |s| Value::Str(SmallStr::from_utf8_lossy(s)),
-            ),
+            Column::F64(lane) => self.fold_f64(lane.cells(selection)),
+            Column::I64(lane) => self.fold_i64(lane.cells(selection)),
+            Column::Str(lane) => self.fold_str(lane.cells(selection)),
             Column::Values(values) => {
                 for v in selection.rows().filter_map(|i| values.get(i)) {
                     self.update(v);
@@ -262,12 +270,38 @@ impl AggState {
         }
     }
 
-    /// [`AggState::update`] with row `i` of `column`; a FIRST that holds its
-    /// value reads nothing.
+    /// [`AggState::update`] with row `i` of `column`, read from its lane; a
+    /// FIRST that holds its value reads nothing.
+    #[inline]
     pub fn update_cell(&mut self, column: &Column, i: usize) {
-        if !matches!(self, AggState::First(Some(_))) {
-            self.update(&column.value(i));
+        if matches!(self, AggState::First(Some(_))) {
+            return;
         }
+        match column {
+            Column::F64(lane) => self.fold_f64(std::iter::once(lane.get(i))),
+            Column::I64(lane) => self.fold_i64(std::iter::once(lane.get(i))),
+            Column::Str(lane) => self.fold_str(std::iter::once(lane.get(i))),
+            Column::Values(values) => {
+                if let Some(v) = values.get(i) {
+                    self.update(v);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn fold_f64(&mut self, cells: impl Iterator<Item = Option<f64>>) {
+        self.fold_cells(cells, Some, f64::total_cmp, Value::Float)
+    }
+
+    #[inline]
+    fn fold_i64(&mut self, cells: impl Iterator<Item = Option<i64>>) {
+        self.fold_cells(cells, |v| Some(v as f64), |a, b| (*a as f64).total_cmp(&(*b as f64)), Value::Int)
+    }
+
+    #[inline]
+    fn fold_str<'a>(&mut self, cells: impl Iterator<Item = Option<&'a [u8]>>) {
+        self.fold_cells(cells, |_| None, |a, b| a.cmp(b), |s| Value::Str(SmallStr::from_utf8_lossy(s)))
     }
 
     /// [`AggState::update_column`] over one lane's cells (`None` for NULL):
@@ -370,6 +404,200 @@ impl AggState {
                 }
             }
         }
+    }
+}
+
+/// One aggregate call's accumulators, one per group, stored as the kind of
+/// state its function keeps: a COUNT costs 8 bytes a group, a SUM 9, an AVG
+/// 16, a MIN, MAX or FIRST one `Value` (NULL while it holds none). A state
+/// is taken out as an [`AggState`], updated and put back, so what folding
+/// means is written once, on `AggState`.
+#[derive(Debug, Clone)]
+pub(crate) enum AggColumn {
+    Count(Vec<u64>),
+    Sum(Vec<f64>, Vec<bool>),
+    Avg(Vec<f64>, Vec<u64>),
+    Held(AggFunc, Vec<Value>),
+}
+
+impl AggColumn {
+    /// No groups yet, for `func`.
+    pub(crate) fn new(func: AggFunc) -> AggColumn {
+        match func {
+            AggFunc::Count => AggColumn::Count(Vec::new()),
+            AggFunc::Sum => AggColumn::Sum(Vec::new(), Vec::new()),
+            AggFunc::Avg => AggColumn::Avg(Vec::new(), Vec::new()),
+            AggFunc::Min | AggFunc::Max | AggFunc::First => AggColumn::Held(func, Vec::new()),
+        }
+    }
+
+    /// Append a group whose state is `state` (of this column's function).
+    pub(crate) fn push(&mut self, state: AggState) {
+        match (self, state) {
+            (AggColumn::Count(counts), AggState::Count(n)) => counts.push(n),
+            (AggColumn::Sum(totals, seen), AggState::Sum { total, seen: s }) => {
+                totals.push(total);
+                seen.push(s);
+            }
+            (AggColumn::Avg(totals, counts), AggState::Avg { total, count }) => {
+                totals.push(total);
+                counts.push(count);
+            }
+            (AggColumn::Held(_, held), AggState::Min(v) | AggState::Max(v) | AggState::First(v)) => {
+                held.push(v.unwrap_or(Value::Null))
+            }
+            // Another function's state: the group starts afresh.
+            (column, _) => {
+                let fresh = column.fresh();
+                column.push(fresh);
+            }
+        }
+    }
+
+    /// A fresh state of this column's function.
+    pub(crate) fn fresh(&self) -> AggState {
+        match self {
+            AggColumn::Count(_) => AggState::new(AggFunc::Count),
+            AggColumn::Sum(..) => AggState::new(AggFunc::Sum),
+            AggColumn::Avg(..) => AggState::new(AggFunc::Avg),
+            AggColumn::Held(func, _) => AggState::new(*func),
+        }
+    }
+
+    /// Group `g`'s state (a fresh one past the column).
+    fn get(&self, g: usize) -> AggState {
+        match self {
+            AggColumn::Count(counts) => AggState::Count(counts.get(g).copied().unwrap_or(0)),
+            AggColumn::Sum(totals, seen) => AggState::Sum {
+                total: totals.get(g).copied().unwrap_or(0.0),
+                seen: seen.get(g).copied().unwrap_or(false),
+            },
+            AggColumn::Avg(totals, counts) => AggState::Avg {
+                total: totals.get(g).copied().unwrap_or(0.0),
+                count: counts.get(g).copied().unwrap_or(0),
+            },
+            AggColumn::Held(func, held) => holding(*func, held.get(g).cloned()),
+        }
+    }
+
+    /// Group `g`'s state, moved out: the column holds a fresh one until
+    /// [`AggColumn::put`].
+    pub(crate) fn take(&mut self, g: usize) -> AggState {
+        match self {
+            AggColumn::Held(func, held) => holding(*func, held.get_mut(g).map(std::mem::take)),
+            numbers => numbers.get(g),
+        }
+    }
+
+    /// Set group `g`'s state; nothing past the column.
+    fn put(&mut self, g: usize, state: AggState) {
+        match (self, state) {
+            (AggColumn::Count(counts), AggState::Count(n)) => {
+                if let Some(c) = counts.get_mut(g) {
+                    *c = n;
+                }
+            }
+            (AggColumn::Sum(totals, seen), AggState::Sum { total, seen: s }) => {
+                if let (Some(t), Some(seen)) = (totals.get_mut(g), seen.get_mut(g)) {
+                    (*t, *seen) = (total, s);
+                }
+            }
+            (AggColumn::Avg(totals, counts), AggState::Avg { total, count }) => {
+                if let (Some(t), Some(c)) = (totals.get_mut(g), counts.get_mut(g)) {
+                    (*t, *c) = (total, count);
+                }
+            }
+            (AggColumn::Held(_, held), AggState::Min(v) | AggState::Max(v) | AggState::First(v)) => {
+                if let Some(h) = held.get_mut(g) {
+                    *h = v.unwrap_or(Value::Null);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Update group `g`'s state with `f`.
+    #[inline]
+    pub(crate) fn update(&mut self, g: usize, f: impl FnOnce(&mut AggState)) {
+        let mut state = self.take(g);
+        f(&mut state);
+        self.put(g, state);
+    }
+
+    /// Group `g`'s finished value, as [`AggState::finish`].
+    pub(crate) fn finish(&self, g: usize) -> Value {
+        match self {
+            AggColumn::Held(_, held) => held.get(g).cloned().unwrap_or(Value::Null),
+            numbers => numbers.get(g).finish(),
+        }
+    }
+
+    /// [`AggState::update`] of group `g` with `v`.
+    #[inline]
+    pub(crate) fn update_value(&mut self, g: usize, v: &Value) {
+        let cell = (!v.is_null()).then(|| v.as_f64());
+        if !self.fold_number(g, cell) {
+            self.update(g, |state| state.update(v));
+        }
+    }
+
+    /// [`AggState::update_cell`] of group `g` with row `i` of `column`: a
+    /// number read from its lane, a FIRST that holds its value reads
+    /// nothing.
+    #[inline]
+    pub(crate) fn update_cell(&mut self, g: usize, column: &Column, i: usize) {
+        if let AggColumn::Held(AggFunc::First, held) = self {
+            if held.get(g).is_some_and(|v| !v.is_null()) {
+                return;
+            }
+        }
+        let cell = match column {
+            Column::F64(lane) => lane.get(i).map(Some),
+            Column::I64(lane) => lane.get(i).map(|x| Some(x as f64)),
+            Column::Str(lane) => lane.get(i).map(|_| None),
+            Column::Values(values) => values.get(i).filter(|v| !v.is_null()).map(Value::as_f64),
+        };
+        if !self.fold_number(g, cell) {
+            self.update(g, |state| state.update_cell(column, i));
+        }
+    }
+
+    /// Fold a cell into group `g` of a COUNT, SUM or AVG, as
+    /// [`AggState::update`] does: `cell` is `None` for NULL, else the
+    /// cell's number if it has one. False for a MIN, MAX or FIRST.
+    #[inline]
+    fn fold_number(&mut self, g: usize, cell: Option<Option<f64>>) -> bool {
+        match self {
+            AggColumn::Count(counts) => {
+                if let (Some(_), Some(c)) = (cell, counts.get_mut(g)) {
+                    *c += 1;
+                }
+            }
+            AggColumn::Sum(totals, seen) => {
+                if let (Some(Some(x)), Some(t), Some(seen)) = (cell, totals.get_mut(g), seen.get_mut(g)) {
+                    *t += x;
+                    *seen = true;
+                }
+            }
+            AggColumn::Avg(totals, counts) => {
+                if let (Some(Some(x)), Some(t), Some(c)) = (cell, totals.get_mut(g), counts.get_mut(g)) {
+                    *t += x;
+                    *c += 1;
+                }
+            }
+            AggColumn::Held(..) => return false,
+        }
+        true
+    }
+}
+
+/// The state of a MIN, MAX or FIRST that holds `v` (NULL holds nothing).
+fn holding(func: AggFunc, v: Option<Value>) -> AggState {
+    let v = v.filter(|v| !v.is_null());
+    match func {
+        AggFunc::Min => AggState::Min(v),
+        AggFunc::Max => AggState::Max(v),
+        _ => AggState::First(v),
     }
 }
 

@@ -9,7 +9,8 @@
 //! `Int` and `Float` columns whose fields hold the spellings that tell the
 //! two apart — `2.50`, `007`, `1e3`, text in a numeric column, empty and
 //! quoted fields, a quoted newline (which ends the record, as everywhere),
-//! an unbalanced quote, short rows, CRLF, no final newline — and the ones that
+//! an unbalanced quote, short rows, CRLF and `\r\r\n` line endings, lines
+//! of only `\r`, no final newline — and the ones that
 //! tell raw bytes from their lossy text — `é`, invalid UTF-8 (`\xFF`, a
 //! truncated `\xC3`), U+FFFD itself, in fields, literals and `LIKE`
 //! patterns with `_` — cut into random splits and read in random chunk
@@ -106,14 +107,26 @@ const FLOAT_FIELDS: [&[u8]; 13] = [
 ];
 
 /// A CSV object with a header and up to 24 rows: mostly full, some short,
-/// some with an extra field, `\n` or `\r\n` per line, and the last line's
-/// terminator sometimes missing. A row with a quoted newline is two records,
-/// and every arm reads it so.
+/// some with an extra field, `\n`, `\r\n` or `\r\r\n` per line (the
+/// readers trim one `\r`, so the last leaves a record ending in `\r`), now
+/// and then a line of only `\r`, and the last line's terminator sometimes
+/// missing. A row with a quoted newline is two records, and every arm reads
+/// it so.
 fn object(rng: &mut Lcg) -> Bytes {
-    let eol = |rng: &mut Lcg| -> &[u8] { if rng.below(3) == 0 { b"\r\n" } else { b"\n" } };
+    let eol = |rng: &mut Lcg| -> &[u8] {
+        match rng.below(6) {
+            0 | 1 => b"\r\n",
+            2 => b"\r\r\n",
+            _ => b"\n",
+        }
+    };
     let mut out = b"s,t,i,f".to_vec();
     out.extend_from_slice(eol(rng));
     for _ in 0..rng.below(25) {
+        if rng.below(12) == 0 {
+            out.push(b'\r');
+            out.extend_from_slice(eol(rng));
+        }
         let mut fields = vec![
             *rng.pick(&STR_FIELDS),
             *rng.pick(&STR_FIELDS),
@@ -258,7 +271,9 @@ proptest! {
         let data = object(&mut rng);
         let pred = predicate(&mut rng, 2);
         let eq_as_like = rng.below(2) == 0;
-        let select = *rng.pick(&["*", "s", "i, f", "f, s, t"]);
+        // `*` and every column by name push no projection: the store
+        // passes a selected record through whole.
+        let select = *rng.pick(&["*", "s, t, i, f", "s", "i, f", "f, s, t"]);
         let mut query = parse(&format!("SELECT {select} FROM t")).unwrap();
         query.where_clause = Some(to_expr(&pred, eq_as_like));
         let schema = schema();

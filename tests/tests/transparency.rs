@@ -339,3 +339,33 @@ fn a_zone_index_sees_the_records_the_readers_see() {
         assert_eq!(pushed_tasks < all, etl.is_some(), "{pushed_tasks} of {all} splits scanned");
     }
 }
+
+/// A record that ends in `\r` is the same on every arm. The readers trim one
+/// `\r` before a `\n`, so the record of `y\r\r\n` is `y\r`, and a line of
+/// only `\r\r\n` is the record `\r`, not a blank line. The storlet passes a
+/// record through whole when the query reads every column, and must ship
+/// such a record with its whole ending.
+#[test]
+fn a_record_ending_in_cr_is_the_same_on_every_arm() {
+    let ctx = ScoopContext::new(ScoopConfig::default()).unwrap();
+    let cases: [(&str, &[u8], &str); 2] = [
+        (
+            "cr_field",
+            b"a,b,c\nm1,x,y\r\r\nm2,z,2\n",
+            r#"[[Str("m1"), Str("x"), Str("y\r")], [Str("m2"), Str("z"), Str("2")]]"#,
+        ),
+        (
+            "cr_line",
+            b"a,b,c\nm1,x,1\n\r\r\nm2,z,2\n",
+            r#"[[Str("m1"), Str("x"), Int(1)], [Str("\r"), Null, Null], [Str("m2"), Str("z"), Int(2)]]"#,
+        ),
+    ];
+    for (table, object, want) in cases {
+        ctx.upload_csv(table, vec![("obj.csv".to_string(), Bytes::from_static(object))], None).unwrap();
+        let sql = format!("SELECT a, b, c FROM {table}");
+        let vanilla = ctx.query(table, &sql, ExecutionMode::Vanilla).unwrap();
+        let pushed = ctx.query(table, &sql, ExecutionMode::Pushdown).unwrap();
+        assert_eq!(format!("{:?}", vanilla.result.rows), want, "{table}");
+        assert_eq!(pushed.result, vanilla.result, "{table}: pushdown {:?}", pushed.result.rows);
+    }
+}
