@@ -64,7 +64,7 @@ use scoop_csv::record::RecordSplitter;
 use scoop_csv::split::plan_splits;
 use scoop_csv::{ColumnBatch, CsvReader, PushdownSpec, Value};
 use scoop_objectstore::objserver::RESPONSE_CHUNK;
-use scoop_sql::exec::Aggregator;
+use scoop_sql::exec::Executor;
 use scoop_sql::RowFilter;
 use scoop_storlets::{InvocationContext, StorletEngine};
 use std::collections::HashMap;
@@ -280,13 +280,13 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
         for query in &queries {
             let filter =
                 RowFilter::bind(query.where_clause.as_ref(), &schema).expect("bind WHERE");
-            let agg = Aggregator::new(query, &schema).expect("bind aggregate");
-            let mut partial = agg.make_partial();
+            let exec = Executor::new(query, &schema).expect("bind query");
+            let mut partial = exec.partial();
             for batch in &batches {
                 let selection = filter.select(batch).expect("filter");
-                agg.update_batch(&mut partial, batch, &selection).expect("update");
+                exec.update_batch(&mut partial, batch, &selection).expect("update");
             }
-            out_rows += agg.finalize(partial).expect("finalize").len() as u64;
+            out_rows += exec.finalize(partial).expect("finalize").len() as u64;
         }
         black_box(out_rows)
     });
@@ -447,17 +447,17 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     let secs = best_of(iters, || {
         let mut out_rows = 0u64;
         for _ in 0..ROUNDS {
-            let agg = Aggregator::new(&query, &plan.scan_schema).expect("bind aggregate");
-            let mut merged = agg.make_partial();
+            let exec = Executor::new(&query, &plan.scan_schema).expect("bind query");
+            let mut merged = exec.partial();
             for task in &tasks {
-                let mut partial = agg.make_partial();
+                let mut partial = exec.partial();
                 for batch in task {
                     let selection = filter.select(batch).expect("filter");
-                    agg.update_batch(&mut partial, batch, &selection).expect("update");
+                    exec.update_batch(&mut partial, batch, &selection).expect("update");
                 }
-                agg.merge(&mut merged, partial);
+                exec.merge(&mut merged, partial);
             }
-            out_rows += agg.finalize(merged).expect("finalize").len() as u64;
+            out_rows += exec.finalize(merged).expect("finalize").len() as u64;
         }
         black_box(out_rows)
     });

@@ -10,8 +10,10 @@
 //! build the row selection on the typed arrays, and gather only the surviving
 //! rows' projected cells into one [`ColumnBatch`] per group. A predicate
 //! decides what is *materialised*, never what is *fetched*: only chunk
-//! statistics, when the caller asks for them, skip a group's bytes. The
-//! `read_rows*` calls are row adapters over those batches.
+//! statistics, when the caller asks for them, skip a group's bytes.
+//! [`ColumnarReader::read_rows_filtered`] is a row adapter over those
+//! batches, kept because the benchmark's decode probes (`queryplane`) call
+//! it.
 
 use crate::encode::{decode_column_batch, Cursor, DecodedColumn};
 use crate::format::{ChunkMeta, Footer, RowGroupMeta, MAGIC};
@@ -109,32 +111,18 @@ impl<'a> ColumnarReader<'a> {
         Ok(data)
     }
 
-    /// Read full rows, pruning to `columns` when given (output column order
-    /// follows the request). Returns rows in file order.
-    pub fn read_rows(&self, columns: Option<&[String]>) -> Result<Vec<Vec<Value>>> {
-        Ok(rows_of(self.scan(columns, None, true, false)?))
-    }
-
-    /// Like [`ColumnarReader::read_rows`], additionally skipping row groups
-    /// whose min/max statistics prove the predicate can never hold (the
-    /// Parquet-style stats-pruning extension). Every row of a surviving
-    /// group is returned.
+    /// Rows in file order, pruned to `columns` when given (output column
+    /// order follows the request), skipping row groups whose min/max
+    /// statistics prove the predicate can never hold (the Parquet-style
+    /// stats-pruning extension). Every row of a surviving group is
+    /// returned. A row adapter the benchmark's decode probes (`queryplane`)
+    /// call; a query reads [`ColumnarReader::read_batches_selected`].
     pub fn read_rows_filtered(
         &self,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
     ) -> Result<Vec<Vec<Value>>> {
         Ok(rows_of(self.scan(columns, predicate, true, false)?))
-    }
-
-    /// [`ColumnarReader::read_batches_selected`], one row at a time.
-    pub fn read_rows_selected(
-        &self,
-        columns: Option<&[String]>,
-        predicate: Option<&Predicate>,
-        skip_groups: bool,
-    ) -> Result<Vec<Vec<Value>>> {
-        Ok(rows_of(self.scan(columns, predicate, skip_groups, true)?))
     }
 
     /// What a query runs: every group's chunks are fetched, the predicate is
@@ -371,6 +359,16 @@ mod tests {
     use crate::writer::ColumnarWriter;
     use scoop_csv::schema::{DataType, Field};
 
+    /// What `read_batches_selected` returns, as rows.
+    fn read(
+        r: &ColumnarReader<'_>,
+        columns: Option<&[String]>,
+        predicate: Option<&Predicate>,
+        skip_groups: bool,
+    ) -> Result<Vec<Vec<Value>>> {
+        Ok(rows_of(r.read_batches_selected(columns, predicate, skip_groups)?))
+    }
+
     fn sample() -> Bytes {
         let schema = Schema::new(vec![
             Field::new("vid", DataType::Str),
@@ -392,12 +390,12 @@ mod tests {
     fn column_pruning_fetches_fewer_bytes() {
         let data = sample();
         let full = ColumnarReader::open_bytes(data.clone()).unwrap();
-        let all = full.read_rows(None).unwrap();
+        let all = read(&full, None, None, false).unwrap();
         assert_eq!(all.len(), 30);
         let full_bytes = full.bytes_fetched();
 
         let pruned = ColumnarReader::open_bytes(data).unwrap();
-        let only_vid = pruned.read_rows(Some(&["vid".to_string()])).unwrap();
+        let only_vid = read(&pruned, Some(&["vid".to_string()]), None, false).unwrap();
         assert_eq!(only_vid.len(), 30);
         assert_eq!(only_vid[0].len(), 1);
         assert!(
@@ -411,10 +409,8 @@ mod tests {
     fn pruned_read_matches_full_read() {
         let data = sample();
         let r = ColumnarReader::open_bytes(data).unwrap();
-        let full = r.read_rows(None).unwrap();
-        let pruned = r
-            .read_rows(Some(&["index".to_string(), "vid".to_string()]))
-            .unwrap();
+        let full = read(&r, None, None, false).unwrap();
+        let pruned = read(&r, Some(&["index".to_string(), "vid".to_string()]), None, false).unwrap();
         for (f, p) in full.iter().zip(&pruned) {
             assert_eq!(p[0], f[2]);
             assert_eq!(p[1], f[0]);
@@ -480,7 +476,7 @@ mod tests {
         assert_eq!(groups(Predicate::IsNotNull("city".into())), [0, 1]);
         // A selected read skips the same groups and keeps only their rows.
         let pred = Predicate::In("city".into(), vec![text("Nice")]);
-        assert_eq!(r.read_rows_selected(None, Some(&pred), true).unwrap().len(), 5);
+        assert_eq!(read(&r, None, Some(&pred), true).unwrap().len(), 5);
     }
 
     #[test]
@@ -488,23 +484,16 @@ mod tests {
         let r = ColumnarReader::open_bytes(sample()).unwrap();
         // vid cycles m0..m3: "m2" is dictionary-encoded in every group.
         let pred = Predicate::Eq("vid".into(), Value::Str("m2".into()));
-        let rows = r
-            .read_rows_selected(
-                Some(&["vid".to_string(), "index".to_string()]),
-                Some(&pred),
-                false,
-            )
-            .unwrap();
+        let cols = ["vid".to_string(), "index".to_string()];
+        let rows = read(&r, Some(&cols), Some(&pred), false).unwrap();
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|row| row[0] == Value::Str("m2".into())));
         // A literal absent from every dictionary yields nothing.
         let pred = Predicate::Eq("vid".into(), Value::Str("ghost".into()));
-        assert!(r.read_rows_selected(None, Some(&pred), false).unwrap().is_empty());
+        assert!(read(&r, None, Some(&pred), false).unwrap().is_empty());
         // Numeric comparison selects row-wise, not group-wise.
         let pred = Predicate::Gt("index".into(), Value::Float(24.5));
-        let rows = r
-            .read_rows_selected(Some(&["index".to_string()]), Some(&pred), false)
-            .unwrap();
+        let rows = read(&r, Some(&["index".to_string()]), Some(&pred), false).unwrap();
         assert_eq!(rows.len(), 5);
     }
 
@@ -517,7 +506,7 @@ mod tests {
             .into_iter()
             .filter(|row| row[1] == Value::Str("2015-02-01".into()))
             .collect();
-        let selected = r.read_rows_selected(None, Some(&pred), true).unwrap();
+        let selected = read(&r, None, Some(&pred), true).unwrap();
         assert_eq!(selected, manual);
         assert_eq!(selected.len(), 10);
     }
@@ -586,7 +575,7 @@ mod tests {
         let cols: Vec<String> =
             ["vid", "date", "index", "lat", "long", "state"].map(String::from).to_vec();
         let pred = Predicate::StartsWith("date".into(), "2015-01".into());
-        let rows = reader.read_rows_selected(Some(&cols), Some(&pred), false).unwrap();
+        let rows = read(&reader, Some(&cols), Some(&pred), false).unwrap();
         assert_eq!(rows.len(), 10);
 
         // Two reads to open, three merged runs in each of three groups.
@@ -614,7 +603,7 @@ mod tests {
         // A full read is one run per group.
         let calls = std::cell::RefCell::new(Vec::new());
         let reader = recording(&data, &calls, exact).unwrap();
-        assert_eq!(reader.read_rows(None).unwrap().len(), 25);
+        assert_eq!(read(&reader, None, None, false).unwrap().len(), 25);
         assert_eq!(calls.borrow().len(), 2 + 3);
     }
 
@@ -630,7 +619,7 @@ mod tests {
                 let n = seen.replace(seen.get() + 1);
                 exact(data, s, if n == victim { e - 1 } else { e })
             };
-            let read = recording(&data, &calls, short).and_then(|r| r.read_rows(None));
+            let read = recording(&data, &calls, short).and_then(|r| read(&r, None, None, false));
             assert!(matches!(read, Err(ScoopError::Corrupt(_))), "victim {victim}: {read:?}");
         }
         // A peer that answers every range with nothing.
@@ -651,7 +640,7 @@ mod tests {
             let mut file = vec![0u8; 32];
             footer.write_trailer(&mut file);
             let reader = ColumnarReader::open_bytes(Bytes::from(file)).unwrap();
-            let read = reader.read_rows(None);
+            let read = read(&reader, None, None, false);
             assert!(matches!(read, Err(ScoopError::Corrupt(_))), "{offset}+{length}: {read:?}");
         }
         // A group with fewer chunks than the schema has columns. The footer
@@ -678,6 +667,6 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let r = ColumnarReader::open_bytes(sample()).unwrap();
-        assert!(r.read_rows(Some(&["ghost".to_string()])).is_err());
+        assert!(read(&r, Some(&["ghost".to_string()]), None, false).is_err());
     }
 }

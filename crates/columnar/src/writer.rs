@@ -84,6 +84,7 @@ mod tests {
     use super::*;
     use crate::reader::ColumnarReader;
     use scoop_csv::schema::{DataType, Field};
+    use scoop_csv::ColumnBatch;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -112,7 +113,8 @@ mod tests {
         let reader = ColumnarReader::open_bytes(data).unwrap();
         assert_eq!(reader.num_rows(), 25);
         assert_eq!(reader.footer().row_groups.len(), 4);
-        let back = reader.read_rows(None).unwrap();
+        let batches = reader.read_batches_selected(None, None, false).unwrap();
+        let back: Vec<Vec<Value>> = batches.iter().flat_map(ColumnBatch::to_rows).collect();
         assert_eq!(back, rows);
     }
 
@@ -122,7 +124,7 @@ mod tests {
         let data = w.finish();
         let reader = ColumnarReader::open_bytes(data).unwrap();
         assert_eq!(reader.num_rows(), 0);
-        assert!(reader.read_rows(None).unwrap().is_empty());
+        assert!(reader.read_batches_selected(None, None, false).unwrap().is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use scoop_columnar::encode::{decode_column, decode_column_batch, encode_column, Cell};
 use scoop_columnar::{ColumnarReader, ColumnarWriter};
 use scoop_csv::schema::{DataType, Field, Schema};
-use scoop_csv::Value;
+use scoop_csv::{ColumnBatch, Value};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -121,9 +121,13 @@ proptest! {
         let data = w.finish();
         let r = ColumnarReader::open_bytes(data).unwrap();
         prop_assert_eq!(r.num_rows() as usize, n_rows);
-        let full = r.read_rows(None).unwrap();
+        let read = |columns: Option<&[String]>| -> Vec<Vec<Value>> {
+            let batches = r.read_batches_selected(columns, None, false).unwrap();
+            batches.iter().flat_map(ColumnBatch::to_rows).collect()
+        };
+        let full = read(None);
         prop_assert_eq!(&full, &rows);
-        let pruned = r.read_rows(Some(&["n".to_string(), "vid".to_string()])).unwrap();
+        let pruned = read(Some(&["n".to_string(), "vid".to_string()]));
         for (p, orig) in pruned.iter().zip(&rows) {
             prop_assert_eq!(&p[0], &orig[2]);
             prop_assert_eq!(&p[1], &orig[0]);

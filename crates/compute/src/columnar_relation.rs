@@ -11,7 +11,7 @@
 //! rows it is handed.
 
 use crate::connector::StorageConnector;
-use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
+use crate::datasource::{PrunedFilteredScan, RowStream, ScanOutput, ScanStats, TableScan};
 use crate::partition::{discover_whole_objects, InputPartition};
 use scoop_columnar::ColumnarReader;
 use scoop_common::{Result, ScoopError};
@@ -72,8 +72,24 @@ impl ColumnarRelation {
             stats_pruning,
         }
     }
+}
 
-    fn read(
+impl TableScan for ColumnarRelation {
+    fn schema(&self) -> Result<Schema> {
+        Ok(self.schema.clone())
+    }
+
+    fn partitions(&self, _chunk_size: u64) -> Result<Vec<InputPartition>> {
+        discover_whole_objects(
+            self.connector.as_ref(),
+            &self.location,
+            self.prefix.as_deref(),
+        )
+    }
+}
+
+impl PrunedFilteredScan for ColumnarRelation {
+    fn scan_pruned_filtered(
         &self,
         partition: &InputPartition,
         columns: Option<&[String]>,
@@ -99,41 +115,6 @@ impl ColumnarRelation {
             // keeps; the executor must still apply the full predicate.
             stats: ScanStats { filters_handled: false },
         })
-    }
-}
-
-impl TableScan for ColumnarRelation {
-    fn schema(&self) -> Result<Schema> {
-        Ok(self.schema.clone())
-    }
-
-    fn partitions(&self, _chunk_size: u64) -> Result<Vec<InputPartition>> {
-        discover_whole_objects(
-            self.connector.as_ref(),
-            &self.location,
-            self.prefix.as_deref(),
-        )
-    }
-
-    fn scan(&self, partition: &InputPartition) -> Result<ScanOutput> {
-        self.read(partition, None, None)
-    }
-}
-
-impl PrunedScan for ColumnarRelation {
-    fn scan_pruned(&self, partition: &InputPartition, columns: &[String]) -> Result<ScanOutput> {
-        self.read(partition, Some(columns), None)
-    }
-}
-
-impl PrunedFilteredScan for ColumnarRelation {
-    fn scan_pruned_filtered(
-        &self,
-        partition: &InputPartition,
-        columns: Option<&[String]>,
-        predicate: Option<&Predicate>,
-    ) -> Result<ScanOutput> {
-        self.read(partition, columns, predicate)
     }
 }
 
@@ -177,10 +158,11 @@ mod tests {
     fn full_and_pruned_reads() {
         let (_, rel) = setup();
         let parts = rel.partitions(0).unwrap();
-        let all: Vec<Vec<Value>> = rel.scan(&parts[0]).unwrap().rows.collect::<Result<_>>().unwrap();
+        let all: Vec<Vec<Value>> =
+            rel.scan_pruned_filtered(&parts[0], None, None).unwrap().rows.collect::<Result<_>>().unwrap();
         assert_eq!(all.len(), 12);
         let pruned = rel
-            .scan_pruned(&parts[1], &["index".to_string()])
+            .scan_pruned_filtered(&parts[1], Some(&["index".to_string()]), None)
             .unwrap();
         assert_eq!(pruned.schema.names(), vec!["index"]);
         let rows: Vec<Vec<Value>> = pruned.rows.collect::<Result<_>>().unwrap();
@@ -192,11 +174,11 @@ mod tests {
         let (conn, rel) = setup();
         let parts = rel.partitions(0).unwrap();
         conn.reset_transfer_counter();
-        let _: Vec<_> = rel.scan(&parts[0]).unwrap().rows.collect();
+        let _: Vec<_> = rel.scan_pruned_filtered(&parts[0], None, None).unwrap().rows.collect();
         let full = conn.bytes_transferred();
         conn.reset_transfer_counter();
         let _: Vec<_> = rel
-            .scan_pruned(&parts[0], &["index".to_string()])
+            .scan_pruned_filtered(&parts[0], Some(&["index".to_string()]), None)
             .unwrap()
             .rows
             .collect();

@@ -1,6 +1,6 @@
 //! The CSV relation — the paper's extended Spark-CSV.
 //!
-//! Implements all three Data Sources flavors. With pushdown enabled,
+//! Implements the `PrunedFilteredScan` Data Sources flavor. With pushdown enabled,
 //! `scan_pruned_filtered` delegates projection+selection to the store (the
 //! Scoop path); otherwise the partition's raw byte range is ingested,
 //! record-aligned client-side, selected, parsed and pruned in the compute
@@ -15,9 +15,7 @@
 //! arm stays the paper's ingest-then-compute and reads every split.
 
 use crate::connector::{ObjectInfo, PushdownBody, StorageConnector, SPLIT_SLACK};
-use crate::datasource::{
-    Discovery, PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan,
-};
+use crate::datasource::{Discovery, PrunedFilteredScan, RowStream, ScanOutput, ScanStats, TableScan};
 use crate::partition::{discover, discover_where, InputPartition};
 use scoop_common::zonestats::ObjectStats;
 use scoop_common::{ByteStream, Result, ScoopError};
@@ -250,16 +248,6 @@ impl TableScan for CsvRelation {
             chunk_size,
         )
     }
-
-    fn scan(&self, partition: &InputPartition) -> Result<ScanOutput> {
-        self.scan_vanilla(partition, None, None)
-    }
-}
-
-impl PrunedScan for CsvRelation {
-    fn scan_pruned(&self, partition: &InputPartition, columns: &[String]) -> Result<ScanOutput> {
-        self.scan_vanilla(partition, Some(columns), None)
-    }
 }
 
 impl PrunedFilteredScan for CsvRelation {
@@ -352,7 +340,7 @@ mod tests {
         let (_, rel) = relation(false);
         let parts = rel.partitions(1 << 20).unwrap();
         assert_eq!(parts.len(), 1);
-        let out = rel.scan(&parts[0]).unwrap();
+        let out = rel.scan_pruned_filtered(&parts[0], None, None).unwrap();
         assert!(!out.stats.filters_handled);
         let rows = collect(out);
         assert_eq!(rows.len(), 3);
@@ -368,7 +356,7 @@ mod tests {
         let schema = relation(false).1.schema().unwrap();
         let rel = CsvRelation::open(c, "meters", None, true, Some(schema), false).unwrap();
         let parts = rel.partitions(1 << 20).unwrap();
-        let err = rel.scan(&parts[0]).unwrap().rows.collect::<Result<Vec<_>>>().unwrap_err();
+        let err = rel.scan_pruned_filtered(&parts[0], None, None).unwrap().rows.collect::<Result<Vec<_>>>().unwrap_err();
         assert!(matches!(err, ScoopError::Csv(_)), "{err}");
     }
 
@@ -376,9 +364,8 @@ mod tests {
     fn pruned_scan_projects() {
         let (_, rel) = relation(false);
         let parts = rel.partitions(1 << 20).unwrap();
-        let out = rel
-            .scan_pruned(&parts[0], &["city".to_string(), "vid".to_string()])
-            .unwrap();
+        let cols = ["city".to_string(), "vid".to_string()];
+        let out = rel.scan_pruned_filtered(&parts[0], Some(&cols), None).unwrap();
         assert_eq!(out.schema.names(), vec!["city", "vid"]);
         let rows = collect(out);
         assert_eq!(rows[1], vec![Value::Str("Paris".into()), Value::Str("m2".into())]);

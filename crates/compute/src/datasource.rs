@@ -1,11 +1,12 @@
 //! The Data Sources API.
 //!
 //! "The Data Sources API has several flavors. The simplest flavor is called
-//! Scan ... A more complex flavor is the PrunedScan API which takes a
-//! selection filter as a parameter ... Further, the PrunedFilteredScan API
-//! flavor takes both a projection and selection filters" — Section V. The
-//! trait hierarchy below mirrors those flavors; `Session` always drives the
-//! richest one a relation implements.
+//! Scan ... Further, the PrunedFilteredScan API flavor takes both a
+//! projection and selection filters" — Section V. Every relation here
+//! implements the richest flavor, [`PrunedFilteredScan`], and that is the
+//! only scan anything drives; [`TableScan`] holds what it builds on, the
+//! schema and partition discovery. A full scan is
+//! `scan_pruned_filtered(partition, None, None)`.
 
 use crate::partition::InputPartition;
 use scoop_common::Result;
@@ -87,31 +88,23 @@ pub struct Discovery {
     pub unindexed_objects: usize,
 }
 
-/// Simplest flavor: full scan of a partition, all columns, all rows.
+/// A relation: its schema and its partitions.
 pub trait TableScan: Send + Sync {
     /// The relation's full schema.
     fn schema(&self) -> Result<Schema>;
 
     /// Discover the relation's partitions.
     fn partitions(&self, chunk_size: u64) -> Result<Vec<InputPartition>>;
-
-    /// Scan everything in one partition.
-    fn scan(&self, partition: &InputPartition) -> Result<ScanOutput>;
 }
 
-/// Adds column pruning.
-pub trait PrunedScan: TableScan {
-    /// Scan only the named columns (output order follows the request).
-    fn scan_pruned(&self, partition: &InputPartition, columns: &[String]) -> Result<ScanOutput>;
-}
-
-/// Adds selection pushdown — the flavor the paper's extended Spark-CSV
-/// implements ("we augmented the Spark CSV library with the
+/// Projection and selection pushdown — the flavor the paper's extended
+/// Spark-CSV implements ("we augmented the Spark CSV library with the
 /// PrunedFilteredScan Data Source API").
-pub trait PrunedFilteredScan: PrunedScan {
+pub trait PrunedFilteredScan: TableScan {
     /// Scan with projection and selection. `columns == None` keeps all
-    /// columns. The implementation reports via [`ScanStats::filters_handled`]
-    /// whether the predicate was fully applied.
+    /// columns (otherwise output order follows the request). The
+    /// implementation reports via [`ScanStats::filters_handled`] whether the
+    /// predicate was fully applied.
     fn scan_pruned_filtered(
         &self,
         partition: &InputPartition,

@@ -9,8 +9,8 @@
 //!   `scoop-connector`).
 //! * [`partition`] — partition discovery: objects divided by the configured
 //!   chunk size, each split becoming one task.
-//! * [`datasource`] — the Data Sources API flavors: `TableScan`,
-//!   `PrunedScan`, `PrunedFilteredScan`; plus the CSV relation
+//! * [`datasource`] — the Data Sources API's `PrunedFilteredScan` flavor
+//!   over a `TableScan`'s schema and partitions; plus the CSV relation
 //!   ([`csv_relation`]) that, like the paper's extended Spark-CSV, "pushes
 //!   down both SQL projection and selection" through the connector, and the
 //!   columnar relation ([`columnar_relation`]) used by the Parquet

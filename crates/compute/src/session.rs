@@ -3,9 +3,10 @@
 //! This is the "Spark client" of Fig. 4: it parses the query, lets Catalyst
 //! extract the pushdown, discovers partitions, fans tasks out to the worker
 //! pool (each task scanning one partition through the Data Sources API and
-//! folding its typed column batches into a partial aggregate), then merges
-//! and finalizes on the driver. The `pushdown` toggle is the
-//! with/without-Scoop experiment switch.
+//! folding its typed column batches into one executor partial, aggregate or
+//! not), then merges the partials in task order and finalizes on the
+//! driver. The `pushdown` toggle is the with/without-Scoop experiment
+//! switch.
 
 use crate::columnar_relation::ColumnarRelation;
 use crate::csv_relation::CsvRelation;
@@ -14,11 +15,12 @@ use crate::partition::DEFAULT_CHUNK_SIZE;
 use crate::scheduler::{collect_ok, run_tasks_with_deadline, total_retries};
 use parking_lot::RwLock;
 use scoop_common::{Deadline, Result, ScoopError};
-use scoop_csv::{Schema, Value};
+use scoop_csv::Schema;
 use scoop_sql::catalyst::plan_query;
-use scoop_sql::exec::{execute_with_where, Aggregator, PartialAgg};
+use scoop_sql::exec::Executor;
 use scoop_sql::{parse, ResultSet, RowFilter};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -295,11 +297,7 @@ impl Session {
         ));
         out.push_str(&format!(
             "execute  : {}{}{}{}\n",
-            if query.is_aggregate() {
-                "partial aggregation on workers → merge on driver"
-            } else {
-                "collect on workers → project/sort on driver"
-            },
+            Executor::new(&query, &plan.scan_schema)?.stages(),
             if query.distinct { " → DISTINCT" } else { "" },
             if query.having.is_some() { " → HAVING" } else { "" },
             match query.limit {
@@ -363,35 +361,18 @@ impl Session {
 
         let transferred_before = self.connector.bytes_transferred();
 
-        // Per-task work.
-        enum TaskOut {
-            Partial(Box<PartialAgg>, u64, u64),
-            Rows(Vec<Vec<Value>>, u64),
-        }
-        let aggregator = if query.is_aggregate() {
-            Some(Aggregator::new(&query, &plan.scan_schema)?)
-        } else {
-            None
-        };
-        // Bound once per query, not per task or per row: the residual
-        // predicate for a source that handled the pushed filters, the full
-        // WHERE for one that did not.
+        // Bound once per query, not per task or per row: the executor, the
+        // residual predicate for a source that handled the pushed filters,
+        // and the full WHERE for one that did not.
+        let exec = Executor::new(&query, &plan.scan_schema)?;
         let residual_filter = RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema)?;
         let full_filter = RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema)?;
         let columns = plan.pushdown.columns.clone();
         let predicate = plan.pushdown.predicate.clone();
-        // CollectLimit: an unsorted, non-distinct LIMIT needs only the first
-        // `n` passing rows; tasks stop scanning (and hence stop pulling
-        // bytes off the lazy streams) once the job-wide quota is met.
-        let early_limit = if !query.is_aggregate()
-            && query.order_by.is_empty()
-            && !query.distinct
-        {
-            query.limit
-        } else {
-            None
-        };
-        let collected = std::sync::atomic::AtomicUsize::new(0);
+        // CollectLimit: tasks stop scanning (and hence stop pulling bytes
+        // off the lazy streams) once they have folded the job-wide quota.
+        let limit = exec.early_limit();
+        let collected = AtomicUsize::new(0);
         let _sched_span = scoop_common::telemetry::span(
             Some(&trace),
             scoop_common::telemetry::layers::SCHEDULER,
@@ -409,63 +390,44 @@ impl Session {
             let plain = !out.stats.filters_handled;
             let filter = if plain { &full_filter } else { &residual_filter };
             let mut scan = out.rows;
-            let mut rows_in = 0u64;
-            let mut rows_kept = 0u64;
-            match &aggregator {
-                Some(agg) => {
-                    let mut partial = agg.make_partial();
-                    while let Some(batch) = scan.next_batch()? {
-                        rows_in += batch.rows() as u64;
-                        let selection = filter.select(&batch)?;
-                        rows_kept += selection.len() as u64;
-                        agg.update_batch(&mut partial, &batch, &selection)?;
+            let mut partial = exec.partial();
+            let (mut rows_in, mut rows_kept, mut claimed) = (0u64, 0u64, 0usize);
+            let scanned = (|| -> Result<()> {
+                loop {
+                    // The quota still open: a scan that gathers rows stops at
+                    // the input chunk that fills it.
+                    let open = limit.map_or(usize::MAX, |lim| lim.saturating_sub(collected.load(Ordering::Relaxed)));
+                    if open == 0 {
+                        return Ok(());
                     }
-                    Ok((TaskOut::Partial(Box::new(partial), rows_in, rows_kept), plain))
-                }
-                None => {
-                    let mut kept = Vec::new();
-                    let mut claimed = 0usize;
-                    let limit_met = || {
-                        early_limit.is_some_and(|lim| {
-                            collected.load(std::sync::atomic::Ordering::Relaxed) >= lim
-                        })
-                    };
-                    // The quota still open: a scan that gathers rows stops
-                    // at the input chunk that fills it.
-                    let open = || {
-                        early_limit.map_or(usize::MAX, |lim| {
-                            lim.saturating_sub(collected.load(std::sync::atomic::Ordering::Relaxed))
-                        })
-                    };
-                    let scanned = (|| -> Result<()> {
-                        while !limit_met() {
-                            let Some(batch) = scan.next_batch_of(open())? else { break };
-                            rows_in += batch.rows() as u64;
-                            for i in filter.select(&batch)?.rows() {
-                                if limit_met() {
-                                    break;
-                                }
-                                if early_limit.is_some() {
-                                    collected.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    claimed += 1;
-                                }
-                                kept.extend(batch.row(i));
-                            }
-                        }
-                        Ok(())
-                    })();
-                    if let Err(e) = scanned {
-                        // A failed attempt's rows are discarded, so release
-                        // its claim on the LIMIT quota — otherwise a task
-                        // retry would under-collect.
-                        if claimed > 0 {
-                            collected.fetch_sub(claimed, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        return Err(e);
+                    let Some(batch) = scan.next_batch_of(open)? else { return Ok(()) };
+                    rows_in += batch.rows() as u64;
+                    let mut selection = filter.select(&batch)?;
+                    if let Some(lim) = limit {
+                        // Claim what is left of the quota, up to this batch's
+                        // survivors, in one step.
+                        let wanted = selection.len();
+                        let before = collected
+                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                                Some(c.saturating_add(wanted.min(lim.saturating_sub(c))))
+                            })
+                            .unwrap_or_else(|c| c);
+                        let claim = wanted.min(lim.saturating_sub(before));
+                        claimed += claim;
+                        selection.truncate(claim);
                     }
-                    Ok((TaskOut::Rows(kept, rows_in), plain))
+                    rows_kept += selection.len() as u64;
+                    exec.update_batch(&mut partial, &batch, &selection)?;
                 }
+            })();
+            if let Err(e) = scanned {
+                // A failed attempt's rows are discarded, so release its
+                // claim on the LIMIT quota — otherwise a task retry would
+                // under-collect.
+                collected.fetch_sub(claimed, Ordering::Relaxed);
+                return Err(e);
             }
+            Ok((partial, rows_in, rows_kept, plain))
         });
         drop(_sched_span);
         let task_retries = total_retries(&results);
@@ -474,47 +436,20 @@ impl Session {
         // A pushdown-arm task whose split came back plain ran the vanilla
         // selection: the query's own degradations, shed or declined.
         let degradations = if mode == ExecutionMode::Pushdown {
-            outputs.iter().filter(|(_, plain)| *plain).count() as u64
+            outputs.iter().filter(|(.., plain)| *plain).count() as u64
         } else {
             0
         };
-        let outputs = outputs.into_iter().map(|(out, _)| out);
 
-        // Driver-side merge/finalize.
-        let mut rows_to_compute = 0u64;
-        let mut rows_after_filter = 0u64;
-        let result = match aggregator {
-            Some(agg) => {
-                let mut merged = agg.make_partial();
-                for out in outputs {
-                    let TaskOut::Partial(partial, rows_in, kept) = out else {
-                        return Err(ScoopError::Internal("mixed task outputs".into()));
-                    };
-                    rows_to_compute += rows_in;
-                    rows_after_filter += kept;
-                    agg.merge(&mut merged, *partial);
-                }
-                agg.finalize(merged)?
-            }
-            None => {
-                let mut all_rows = Vec::new();
-                for out in outputs {
-                    let TaskOut::Rows(rows, rows_in) = out else {
-                        return Err(ScoopError::Internal("mixed task outputs".into()));
-                    };
-                    rows_to_compute += rows_in;
-                    rows_after_filter += rows.len() as u64;
-                    all_rows.extend(rows);
-                }
-                // WHERE already applied per-task; run projection/sort/limit.
-                execute_with_where(
-                    &query,
-                    &plan.scan_schema,
-                    None,
-                    all_rows.into_iter().map(Ok),
-                )?
-            }
-        };
+        // Driver-side merge, in task order, and finalize.
+        let (mut rows_to_compute, mut rows_after_filter) = (0u64, 0u64);
+        let mut merged = exec.partial();
+        for (partial, rows_in, kept, _) in outputs {
+            rows_to_compute += rows_in;
+            rows_after_filter += kept;
+            exec.merge(&mut merged, partial);
+        }
+        let result = exec.finalize(merged)?;
 
         let bytes_transferred = self
             .connector
@@ -726,7 +661,7 @@ mod retry_tests {
     use crate::connector::{MemoryConnector, ObjectInfo, PushdownBody, StorageConnector};
     use bytes::Bytes;
     use scoop_common::ByteStream;
-    use scoop_csv::PushdownSpec;
+    use scoop_csv::{PushdownSpec, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A connector whose reads fail with a retryable error the first

@@ -164,6 +164,15 @@ impl Selection {
         self.len() == 0
     }
 
+    /// Keep only the first `n` selected rows.
+    pub fn truncate(&mut self, n: usize) {
+        match self {
+            Selection::All(rows) if n < *rows => *self = Selection::Rows((0..n).collect()),
+            Selection::All(_) => {}
+            Selection::Rows(rows) => rows.truncate(n),
+        }
+    }
+
     /// The selected rows, ascending.
     pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
         self.pick(0..self.len(), |i| i)

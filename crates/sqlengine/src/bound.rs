@@ -358,9 +358,9 @@ impl RowFilter {
         Ok(RowFilter { columns: columns_of(&clause), clause })
     }
 
-    /// The rows of `batch` that pass, each tested on a row view holding
-    /// only the columns the clause reads. No clause selects every row
-    /// without building one.
+    /// The rows of `batch` that pass (SQL: only a definite TRUE keeps a
+    /// row), each tested on a row view holding only the columns the clause
+    /// reads. No clause selects every row without building one.
     pub fn select(&self, batch: &ColumnBatch) -> Result<Selection> {
         let Some(w) = &self.clause else {
             return Ok(Selection::All(batch.rows()));
@@ -374,14 +374,5 @@ impl RowFilter {
             }
         }
         Ok(Selection::Rows(kept))
-    }
-
-    /// Does the row pass? SQL: only a definite TRUE keeps it.
-    #[inline]
-    pub fn passes(&self, row: &[Value]) -> Result<bool> {
-        match &self.clause {
-            None => Ok(true),
-            Some(w) => Ok(w.test(row, &[])? == Some(true)),
-        }
     }
 }

@@ -2,18 +2,17 @@
 //! it replaced ([`crate::reference`]).
 //!
 //! Random expression trees over random rows must give the same value, the
-//! same three-valued truth and fail on the same rows; whole queries must
-//! give the same result set single-pass, chunked through partial
-//! aggregation + merge, folded from column batches of random sizes, and
-//! through the reference; and `GROUP BY` keys written from lanes by the key
-//! kernels must group, decode and order as the row path and the reference
-//! do, over packed and CSV-typed batches. What the query itself
-//! gets wrong is reported at bind time, as `ScoopError::Sql`, also over an
-//! empty input.
+//! same three-valued truth and fail on the same rows; whole queries, aggregate
+//! or not, must give the same result set single-pass, folded by tasks from
+//! column batches of random sizes into partials merged as a session merges
+//! them, and through the reference; and `GROUP BY` keys written from lanes
+//! by the key kernels must group, decode and order as the reference does,
+//! over packed and CSV-typed batches. What the query itself gets wrong is
+//! reported at bind time, as `ScoopError::Sql`, also over an empty input.
 
 use crate::ast::{AggFunc, BinOp, Expr, Query};
 use crate::bound::{bind, RowFilter};
-use crate::exec::{execute_with_where, Aggregator, PartialAgg, ResultSet};
+use crate::exec::{execute_with_where, Executor, Partial, ResultSet};
 use crate::functions::AggState;
 use crate::parser::parse;
 use crate::reference;
@@ -326,9 +325,11 @@ fn meter_schema() -> Schema {
 }
 
 /// The seven Table I shapes (`scoop_workload::table1_queries`, which this
-/// crate cannot depend on), the ten-column low-selectivity aggregate, and
-/// aggregates in arithmetic, `HAVING` and `ORDER BY`.
-const QUERIES: [&str; 11] = [
+/// crate cannot depend on), the ten-column low-selectivity aggregate,
+/// aggregates in arithmetic, `HAVING` and `ORDER BY`, and queries that do
+/// not aggregate: `DISTINCT`, a computed projection sorted on an expression
+/// that is no output, `SELECT *` sorted, and an unsorted `LIMIT`.
+const QUERIES: [&str; 14] = [
     "SELECT vid, sum(index) as max, first_value(lat) as lat, first_value(long) as long, \
      first_value(state) as state FROM largeMeter WHERE date LIKE '2015-01%' \
      GROUP BY SUBSTRING(date, 0, 7), vid ORDER BY SUBSTRING(date, 0, 7), vid",
@@ -361,6 +362,10 @@ const QUERIES: [&str; 11] = [
      HAVING sum(index) >= 0 ORDER BY max(index) DESC, vid",
     "SELECT DISTINCT state, upper(city) as c FROM largeMeter \
      WHERE index IS NOT NULL ORDER BY c, state LIMIT 5",
+    "SELECT vid, index * 2 + 1 as i2, upper(city) as c FROM largeMeter \
+     WHERE index > -50 ORDER BY SUBSTRING(date, 0, 10) DESC, sumHC LIMIT 17",
+    "SELECT * FROM largeMeter WHERE city LIKE 'Rotterdam' ORDER BY date, index DESC",
+    "SELECT vid, date, index FROM largeMeter WHERE index >= 0 LIMIT 7",
 ];
 
 /// Meter-like rows, clustered so groups repeat. Every number is a multiple of
@@ -468,61 +473,58 @@ impl Strategy for Table {
     }
 }
 
-/// WHERE per chunk, partial aggregate per chunk, merge, finalize: what the
-/// compute session does with one task per chunk. The partials merge in
-/// `order` (chunk numbers, `None` an empty partial), or in chunk order.
-/// With `batches`, each chunk's rows are packed into column batches of
-/// those sizes in turn and folded batch by batch, as a session task folds
-/// its scan; without, row by row.
+/// Batch sizes that fold each task's rows as one batch.
+const WHOLE: &[usize] = &[usize::MAX];
+
+/// WHERE, fold and merge per chunk, then finalize: what the compute session
+/// does with one task per chunk. Each chunk's rows are packed into column
+/// batches of `sizes` in turn and folded batch by batch, as a session task
+/// folds its scan, an unsorted `LIMIT`'s selection cut to the quota the
+/// tasks before left open. The partials merge in `order` (chunk numbers,
+/// `None` an empty partial), or in chunk order.
 fn two_phase(
     query: &Query,
     schema: &Schema,
     rows: &[Vec<Value>],
     chunk: usize,
     order: Option<&[Option<usize>]>,
-    batches: Option<&[usize]>,
+    sizes: &[usize],
 ) -> ResultSet {
     let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
-    let agg = Aggregator::new(query, schema).unwrap();
-    let mut partials: Vec<Option<PartialAgg>> = rows
+    let exec = Executor::new(query, schema).unwrap();
+    let mut collected = 0;
+    let mut partials: Vec<Option<Partial>> = rows
         .chunks(chunk)
         .map(|part| {
-            let mut partial = agg.make_partial();
-            match batches {
-                Some(sizes) => {
-                    let mut rest = part;
-                    for &size in sizes.iter().cycle() {
-                        if rest.is_empty() {
-                            break;
-                        }
-                        let (batch, tail) = rest.split_at(size.min(rest.len()));
-                        rest = tail;
-                        let batch = ColumnBatch::from_rows(schema, batch.to_vec());
-                        let selection = filter.select(&batch).unwrap();
-                        agg.update_batch(&mut partial, &batch, &selection).unwrap();
-                    }
+            let mut partial = exec.partial();
+            let mut rest = part;
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
                 }
-                None => {
-                    for row in part {
-                        if filter.passes(row).unwrap() {
-                            agg.update(&mut partial, row).unwrap();
-                        }
-                    }
+                let (batch, tail) = rest.split_at(size.min(rest.len()));
+                rest = tail;
+                let batch = ColumnBatch::from_rows(schema, batch.to_vec());
+                let mut selection = filter.select(&batch).unwrap();
+                if let Some(limit) = exec.early_limit() {
+                    selection.truncate(limit - collected);
+                    collected += selection.len();
                 }
+                exec.update_batch(&mut partial, &batch, &selection).unwrap();
             }
             Some(partial)
         })
         .collect();
     let in_turn: Vec<Option<usize>> = (0..partials.len()).map(Some).collect();
-    let mut merged = agg.make_partial();
+    let mut merged = exec.partial();
     for chunk in order.unwrap_or(&in_turn) {
         let partial = match chunk {
             Some(c) => partials[*c].take().unwrap(),
-            None => agg.make_partial(),
+            None => exec.partial(),
         };
-        agg.merge(&mut merged, partial);
+        exec.merge(&mut merged, partial);
     }
-    agg.finalize(merged).unwrap()
+    exec.finalize(merged).unwrap()
 }
 
 proptest! {
@@ -536,27 +538,33 @@ proptest! {
         sizes in proptest::collection::vec(1usize..300, 1..6),
     ) {
         let schema = meter_schema();
+        // A session merges its tasks' partials in task order: the same
+        // chunks and empty partials as `merge_order`, not shuffled.
+        let mut next = 0;
+        let in_task_order: Vec<Option<usize>> =
+            merge_order.iter().map(|c| c.map(|_| { next += 1; next - 1 })).collect();
         for sql in QUERIES {
             let query = parse(sql).unwrap();
             let wh = query.where_clause.as_ref();
+            // Only an aggregate's partials merge to the same result in any
+            // order.
+            let table_order = if query.is_aggregate() { &merge_order } else { &in_task_order };
             for (rows, chunk, order) in
-                [(&rows, chunk, None), (&table, table_chunk, Some(merge_order.as_slice()))]
+                [(&rows, chunk, None), (&table, table_chunk, Some(table_order.as_slice()))]
             {
                 let feed = || rows.clone().into_iter().map(Ok);
                 let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
                 let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
                 prop_assert_eq!(&single, &want, "{}", sql);
-                if query.is_aggregate() {
-                    let two = two_phase(&query, &schema, rows, chunk, order, None);
-                    prop_assert_eq!(&two, &want, "{}", sql);
-                    // The batch leg: one task over every batch, then a task
-                    // per chunk.
-                    let whole = rows.len().max(1);
-                    let single = two_phase(&query, &schema, rows, whole, None, Some(&sizes));
-                    prop_assert_eq!(&single, &want, "batches {:?}: {}", sizes, sql);
-                    let two = two_phase(&query, &schema, rows, chunk, order, Some(&sizes));
-                    prop_assert_eq!(&two, &want, "batches {:?}: {}", sizes, sql);
-                }
+                let two = two_phase(&query, &schema, rows, chunk, order, WHOLE);
+                prop_assert_eq!(&two, &want, "{}", sql);
+                // The batch leg: one task over every batch, then a task per
+                // chunk.
+                let whole = rows.len().max(1);
+                let single = two_phase(&query, &schema, rows, whole, None, &sizes);
+                prop_assert_eq!(&single, &want, "batches {:?}: {}", sizes, sql);
+                let two = two_phase(&query, &schema, rows, chunk, order, &sizes);
+                prop_assert_eq!(&two, &want, "batches {:?}: {}", sizes, sql);
             }
         }
     }
@@ -565,20 +573,20 @@ proptest! {
 #[test]
 fn global_aggregate_over_zero_rows_agrees_everywhere() {
     let schema = meter_schema();
-    for sql in QUERIES.iter().filter(|q| !q.contains("GROUP BY") && !q.contains("DISTINCT")) {
+    for sql in QUERIES.iter().filter(|q| !q.contains("GROUP BY") && parse(q).unwrap().is_aggregate()) {
         let query = parse(sql).unwrap();
         let wh = query.where_clause.as_ref();
         let single = execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
         let want = reference::execute_with_where(&query, &schema, wh, std::iter::empty()).unwrap();
         assert_eq!(single.rows.len(), 1, "{sql}");
         assert_eq!(single, want, "{sql}");
-        assert_eq!(two_phase(&query, &schema, &[], 4, None, None), want, "{sql}");
-        assert_eq!(two_phase(&query, &schema, &[], 4, None, Some(&[3])), want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4, None, WHOLE), want, "{sql}");
+        assert_eq!(two_phase(&query, &schema, &[], 4, None, &[3]), want, "{sql}");
     }
 }
 
 // ---------------------------------------------------------------------------
-// GROUP BY keys from lanes ≡ the row path ≡ the reference
+// GROUP BY keys from lanes ≡ a row iterator ≡ the reference
 // ---------------------------------------------------------------------------
 
 fn group_schema() -> Schema {
@@ -661,17 +669,17 @@ fn as_csv(rows: &[Vec<Value>]) -> String {
 /// Fold `batches` into one partial per task of `per_task` batches, merge
 /// the partials in task order and finalize: a session's tasks, in order.
 fn fold_batches(query: &Query, schema: &Schema, batches: &[ColumnBatch], per_task: usize) -> ResultSet {
-    let agg = Aggregator::new(query, schema).unwrap();
+    let exec = Executor::new(query, schema).unwrap();
     let filter = RowFilter::bind(query.where_clause.as_ref(), schema).unwrap();
-    let mut merged = agg.make_partial();
+    let mut merged = exec.partial();
     for task in batches.chunks(per_task.max(1)) {
-        let mut partial = agg.make_partial();
+        let mut partial = exec.partial();
         for batch in task {
-            agg.update_batch(&mut partial, batch, &filter.select(batch).unwrap()).unwrap();
+            exec.update_batch(&mut partial, batch, &filter.select(batch).unwrap()).unwrap();
         }
-        agg.merge(&mut merged, partial);
+        exec.merge(&mut merged, partial);
     }
-    agg.finalize(merged).unwrap()
+    exec.finalize(merged).unwrap()
 }
 
 proptest! {
@@ -733,8 +741,8 @@ proptest! {
                 let want = reference::execute_with_where(&query, &schema, wh, feed()).unwrap();
                 let single = execute_with_where(&query, &schema, wh, feed()).unwrap();
                 prop_assert!(same_result(&single, &want), "{}\n{:?}\nreference {:?}", sql, single.rows, want.rows);
-                let by_rows = two_phase(&query, &schema, rows, task, None, None);
-                prop_assert!(same_result(&by_rows, &want), "rows: {}\n{:?}\nreference {:?}", sql, by_rows.rows, want.rows);
+                let by_tasks = two_phase(&query, &schema, rows, task, None, WHOLE);
+                prop_assert!(same_result(&by_tasks, &want), "tasks: {}\n{:?}\nreference {:?}", sql, by_tasks.rows, want.rows);
                 let by_batches = fold_batches(&query, &schema, batches, 1 + task % 4);
                 prop_assert!(same_result(&by_batches, &want), "batches: {}\n{:?}\nreference {:?}", sql, by_batches.rows, want.rows);
             }
@@ -752,7 +760,7 @@ proptest! {
         want.rows.sort_by_key(|row| (row[2].as_f64().map(|c| c as u64), first_seen.iter().position(|k| **k == row[0])));
         for got in [
             execute_with_where(&query, &schema, None, rows.clone().into_iter().map(Ok)).unwrap(),
-            two_phase(&query, &schema, &rows, task, None, None),
+            two_phase(&query, &schema, &rows, task, None, WHOLE),
             fold_batches(&query, &schema, &packed, 1 + task % 4),
         ] {
             prop_assert!(same_result(&got, &want), "ties\n{:?}\nwant {:?}", got.rows, want.rows);

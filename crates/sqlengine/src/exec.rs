@@ -1,30 +1,33 @@
 //! Query execution over typed column batches.
 //!
-//! Two entry points:
+//! One executor runs every query, Spark-stage style: [`Executor::new`] binds
+//! the query once; each task folds its partition's batches into a
+//! [`Partial`] ([`Executor::update_batch`], the map side); the driver merges
+//! the tasks' partials in task order ([`Executor::merge`]) and finalizes
+//! ([`Executor::finalize`]). Whether the query aggregates is decided here,
+//! in `Executor::new`, and nowhere upstream: an aggregate's partial is a group
+//! table (map-side combine), any other query's is its projected output rows
+//! and their `ORDER BY` keys. [`execute`] / [`execute_with_where`] run a
+//! whole query over one row iterator by packing it into batches and folding
+//! them through the same executor.
 //!
-//! * [`execute`] / [`execute_with_where`] — run a whole query on one row
-//!   iterator (the driver-only path, used for correctness references); an
-//!   aggregate packs the rows into batches and folds them as a worker does.
-//! * [`Aggregator`] — Spark-style two-phase aggregation: workers fold their
-//!   partition's batches into a [`PartialAgg`] (map-side combine), the
-//!   driver merges partials and finalizes. The compute crate drives this.
-//!
-//! Both go through one evaluator: every expression is bound to the scan
-//! schema once per query ([`crate::bound`]) and only evaluated per row.
-//! Aggregation reads lanes where it can. A global aggregate whose every
-//! call reads a bare column folds the batch's lanes whole
-//! ([`AggState::update_column`]). A grouped one finds each row's group by
-//! bytes: `Aggregator::new` compiles every `GROUP BY` expression that is a
-//! column or `SUBSTRING(column, lit, lit)` into a key kernel, which writes
-//! the key part straight from the cell's lane (a substring of an ASCII
-//! string cell is span arithmetic); any other part is evaluated on a row
-//! view and encoded the same way. The group table is one byte arena of
-//! keys, hashed and compared as bytes, beside one accumulator column per
-//! aggregate call, each as small as its function's state and folded cell
-//! by cell from the lanes. Output, `HAVING` and `ORDER BY` expressions read
-//! a `GROUP BY` expression as the group's decoded key part, so a group
-//! keeps a representative row only when one of them reads a column outside
-//! the keys and aggregates.
+//! Every expression is bound to the scan schema once per query
+//! ([`crate::bound`]) and only evaluated per row. Aggregation reads lanes
+//! where it can. A global aggregate whose every call reads a bare column
+//! folds the batch's lanes whole ([`AggState::update_column`]). A grouped one
+//! finds each row's group by bytes: `Aggregator::new` compiles every `GROUP
+//! BY` expression that is a column or `SUBSTRING(column, lit, lit)` into a
+//! key kernel, which writes the key part straight from the cell's lane (a
+//! substring of an ASCII string cell is span arithmetic); any other part is
+//! evaluated on a row view and encoded the same way. The group table is one
+//! byte arena of keys, hashed and compared as bytes, beside one accumulator
+//! column per aggregate call, each as small as its function's state and
+//! folded cell by cell from the lanes. Output, `HAVING` and `ORDER BY`
+//! expressions read a `GROUP BY` expression as the group's decoded key
+//! part, so a group keeps a representative row only when one of them reads
+//! a column outside the keys and aggregates. A query that does not
+//! aggregate evaluates its outputs and `ORDER BY` keys on a row view of the
+//! columns they read; `SELECT *` hands the batch's row through.
 //!
 //! [`AggState::update_column`]: crate::functions::AggState::update_column
 
@@ -34,7 +37,6 @@ use crate::functions::{substring_of, substring_range, AggColumn};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::batch::{Selection, BATCH_ROWS};
 use scoop_csv::{Column, ColumnBatch, Schema, SmallStr, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -246,8 +248,7 @@ impl KeyPart {
     }
 }
 
-/// Partial aggregation result (one worker's contribution): a flat group
-/// table keyed by bytes.
+/// An aggregate's share of a [`Partial`]: a flat group table keyed by bytes.
 ///
 /// Groups are numbered in the order their first row arrived. Group `g`'s
 /// key bytes, accumulators and representative row are the `g`th entry of
@@ -256,7 +257,7 @@ impl KeyPart {
 /// is 0 unless an output needs one). A global aggregate has an empty key and
 /// one group, number 0.
 #[derive(Debug, Clone, Default)]
-pub struct PartialAgg {
+struct PartialAgg {
     /// Each group's key hash, by group number.
     hashes: Vec<u64>,
     /// Where each group's key starts and ends in `arena`; its exact bytes
@@ -276,8 +277,6 @@ pub struct PartialAgg {
     /// Scratch the current row's key is written in; it is copied into
     /// `arena` only for a group's first row.
     scratch: KeyBuf,
-    /// Rows folded in (for accounting).
-    pub rows_seen: u64,
 }
 
 /// Group `g`'s key bytes and exact bytes, from a table's `keys` and `arena`.
@@ -371,10 +370,10 @@ fn aliased_item(query: &Query, expr: &Expr) -> Option<usize> {
     query.items.iter().position(|it| it.alias.as_deref() == Some(name.as_str()))
 }
 
-/// Drives grouping + two-phase aggregation for one query. Every expression
-/// is bound here, once, and every key part compiled; `update` and
-/// `finalize` only evaluate.
-pub struct Aggregator {
+/// Drives grouping + two-phase aggregation for an aggregate query. Every
+/// expression is bound here, once, and every key part compiled;
+/// `update_batch` and `finalize` only evaluate.
+struct Aggregator {
     query: Query,
     /// The `GROUP BY` expressions: what a row's key is made of.
     group_by: Vec<Bound>,
@@ -407,11 +406,8 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Prepare for a query (must be an aggregate query).
-    pub fn new(query: &Query, schema: &Schema) -> Result<Aggregator> {
-        if !query.is_aggregate() {
-            return Err(ScoopError::Sql("query does not aggregate".into()));
-        }
+    /// Prepare for an aggregate query.
+    fn new(query: &Query, schema: &Schema) -> Result<Aggregator> {
         if query.items.iter().any(|i| matches!(i.expr, Expr::Star)) {
             return Err(ScoopError::Sql("SELECT * cannot be aggregated".into()));
         }
@@ -472,11 +468,6 @@ impl Aggregator {
         })
     }
 
-    /// Fresh empty partial.
-    pub fn make_partial(&self) -> PartialAgg {
-        PartialAgg::default()
-    }
-
     /// The group keyed `key`, and whether it is new: a new group starts
     /// with fresh accumulators, and [`Aggregator::keep_row`] comes next.
     #[inline]
@@ -503,22 +494,6 @@ impl Aggregator {
             partial.rows.extend(row.iter().take(self.width).cloned());
             partial.rows.resize(end, Value::Null);
         }
-    }
-
-    /// Fold one (already WHERE-filtered) row into a partial.
-    pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
-        partial.rows_seen += 1;
-        let mut key = mem::take(&mut partial.scratch);
-        key.clear();
-        for g in &self.group_by {
-            key.value(&*g.eval(row, &[])?);
-        }
-        let (g, new) = self.group(partial, &key);
-        partial.scratch = key;
-        if new {
-            self.keep_row(partial, row);
-        }
-        self.fold(partial, g, row, |states, c| states.update_value(g, row.get(c).unwrap_or(&Value::Null)))
     }
 
     /// Write row `i`'s key into `key`: a key kernel reads the batch's lane,
@@ -565,16 +540,15 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Fold the `selection` of a batch's rows into a partial, exactly as
-    /// [`Aggregator::update`] on each selected row in turn would. A global
-    /// aggregate over bare columns folds the batch's lanes. Otherwise each
+    /// Fold the `selection` of a batch's rows into a partial, in row order.
+    /// A global aggregate over bare columns folds the batch's lanes. Otherwise each
     /// selected row's key is written from the lanes by the key kernels (a
     /// part without one is evaluated on the row's view, which holds only the
     /// cells such parts and computed arguments read), and a bare column
     /// argument is folded from its lane. A new group's representative row,
     /// when groups keep one, gets the cells the outputs read (the others
     /// stay NULL, and nothing evaluates them).
-    pub fn update_batch(
+    fn update_batch(
         &self,
         partial: &mut PartialAgg,
         batch: &ColumnBatch,
@@ -584,7 +558,6 @@ impl Aggregator {
         let Some(lanes) = &self.lanes else {
             let mut key = mem::take(&mut partial.scratch);
             let folded = selection.rows().try_for_each(|i| {
-                partial.rows_seen += 1;
                 if !self.view.is_empty() {
                     batch.cells_into(i, &self.view, &mut row);
                 }
@@ -604,7 +577,6 @@ impl Aggregator {
         let Some(first) = selection.rows().next() else {
             return Ok(());
         };
-        partial.rows_seen += selection.len() as u64;
         if partial.groups() == 0 {
             // The one group's representative row is its first row.
             batch.cells_into(first, &self.rest, &mut row);
@@ -623,16 +595,13 @@ impl Aggregator {
     /// Merge another partial of this aggregator into `into` (driver-side
     /// reduce). A group keeps the key types and representative row it saw
     /// first; a group new to `into` is numbered after the ones it has.
-    pub fn merge(&self, into: &mut PartialAgg, other: PartialAgg) {
+    fn merge(&self, into: &mut PartialAgg, other: PartialAgg) {
         if into.groups() == 0 {
             // Nothing to merge with: take the other table as it is.
-            let rows_seen = into.rows_seen;
             *into = other;
-            into.rows_seen += rows_seen;
             return;
         }
-        let PartialAgg { hashes, keys, arena, states, rows, rows_seen, .. } = other;
-        into.rows_seen += rows_seen;
+        let PartialAgg { hashes, keys, arena, states, rows, .. } = other;
         let width = self.width;
         let mut states = states;
         let mut rows = rows.into_iter();
@@ -662,7 +631,7 @@ impl Aggregator {
     /// then `DISTINCT`, `ORDER BY` and `LIMIT`. Rows that tie on the
     /// `ORDER BY` keys come out in group order, i.e. in the order their
     /// groups were first seen.
-    pub fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
+    fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
         let columns: Vec<String> =
             self.query.items.iter().map(SelectItem::output_name).collect();
         // SQL: a global aggregate over zero rows still yields one row —
@@ -700,18 +669,175 @@ impl Aggregator {
                 sort_keys.extend(o.eval(row, &slots)?);
             }
         }
-        let order = finish_order(&self.query, &self.order_by, &rows, &sort_keys);
-        let rows = order.into_iter().map(|i| mem::take(&mut rows[i as usize])).collect();
-        Ok(ResultSet { columns, rows })
+        Ok(ResultSet { columns, rows: finish_order(&self.query, &self.order_by, rows, &sort_keys) })
     }
 }
 
-/// DISTINCT, ORDER BY and LIMIT over result rows `rows`, by number. An
-/// `ORDER BY` key is the row's output it names, or the next of the row's
-/// values in `sort_keys`, which holds the other keys in order, row by row.
-/// Returns the numbers of the rows to emit, in order. DISTINCT keeps a row's
-/// first occurrence and the sort is stable, so ties keep row order.
-fn finish_order(query: &Query, order_by: &[OrderKey], rows: &[Vec<Value>], sort_keys: &[Value]) -> Vec<u32> {
+/// Projects the rows of a query that does not aggregate. Every expression
+/// is bound here, once; `update_batch` only evaluates.
+struct Projection {
+    query: Query,
+    /// Output column names.
+    columns: Vec<String>,
+    /// Output expressions; `None` for `SELECT *`, which hands a row through.
+    items: Option<Vec<Bound>>,
+    order_by: Vec<OrderKey>,
+    /// The columns the outputs and `ORDER BY` keys read: all a row view
+    /// needs.
+    view: Vec<usize>,
+}
+
+impl Projection {
+    fn new(query: &Query, schema: &Schema) -> Result<Projection> {
+        let (columns, items) = if query.items.iter().any(|i| matches!(i.expr, Expr::Star)) {
+            (schema.names().iter().map(|s| s.to_string()).collect(), None)
+        } else {
+            (
+                query.items.iter().map(SelectItem::output_name).collect(),
+                Some(query.items.iter().map(|i| bind(&i.expr, schema)).collect::<Result<Vec<_>>>()?),
+            )
+        };
+        let order_by: Vec<OrderKey> = query
+            .order_by
+            .iter()
+            .map(|o| {
+                Ok(match aliased_item(query, &o.expr) {
+                    Some(i) => OrderKey::Output(i),
+                    None => OrderKey::Expr(bind(&o.expr, schema)?),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let keys = order_by.iter().filter_map(|o| if let OrderKey::Expr(e) = o { Some(e) } else { None });
+        let view = columns_of(items.iter().flatten().chain(keys));
+        Ok(Projection { query: query.clone(), columns, items, order_by, view })
+    }
+
+    /// Append the output row of each selected row, and its `ORDER BY` keys
+    /// that are not outputs, in row order.
+    fn update_batch(&self, partial: &mut Partial, batch: &ColumnBatch, selection: &Selection) -> Result<()> {
+        let mut view = Vec::new();
+        for i in selection.rows() {
+            let out = match &self.items {
+                None => batch.row(i).unwrap_or_default(),
+                Some(items) => {
+                    batch.cells_into(i, &self.view, &mut view);
+                    let mut out = Vec::with_capacity(items.len());
+                    for item in items {
+                        out.push(item.eval(&view, &[])?.into_owned());
+                    }
+                    out
+                }
+            };
+            // Under `SELECT *` the output is the whole row.
+            let row = if self.items.is_some() { &view } else { &out };
+            for o in &self.order_by {
+                partial.sort_keys.extend(o.eval(row, &[])?);
+            }
+            partial.rows.push(out);
+        }
+        Ok(())
+    }
+}
+
+/// One task's share of a query, folded by an [`Executor`]: for an
+/// aggregate, its group table; for any other query, its projected output
+/// rows and their `ORDER BY` keys, in scan order.
+#[derive(Debug, Default)]
+pub struct Partial {
+    groups: PartialAgg,
+    rows: Vec<Vec<Value>>,
+    /// The `ORDER BY` keys of `rows` that are not outputs, flat, row by row.
+    sort_keys: Vec<Value>,
+}
+
+/// How a query folds its rows.
+enum Fold {
+    Groups(Aggregator),
+    Rows(Projection),
+}
+
+/// Runs one query as a Spark stage runs it: each task folds the batches it
+/// scans into a [`Partial`] ([`Executor::update_batch`], map side), the
+/// driver merges the tasks' partials in task order ([`Executor::merge`])
+/// and finishes the query ([`Executor::finalize`]). Aggregate or not, a
+/// caller drives it the same way.
+pub struct Executor(Fold);
+
+impl Executor {
+    /// Bind `query` against `schema`, the schema of the batches it will
+    /// fold. What the query itself gets wrong is reported here.
+    pub fn new(query: &Query, schema: &Schema) -> Result<Executor> {
+        Ok(Executor(if query.is_aggregate() {
+            Fold::Groups(Aggregator::new(query, schema)?)
+        } else {
+            Fold::Rows(Projection::new(query, schema)?)
+        }))
+    }
+
+    /// What the tasks and the driver do, as `EXPLAIN` prints it.
+    pub fn stages(&self) -> &'static str {
+        match self.0 {
+            Fold::Groups(_) => "partial aggregation on workers → merge on driver",
+            Fold::Rows(_) => "project on workers → sort/limit on driver",
+        }
+    }
+
+    /// A fresh, empty partial.
+    pub fn partial(&self) -> Partial {
+        Partial::default()
+    }
+
+    /// CollectLimit: when the query is an unsorted, non-distinct `LIMIT n`
+    /// that does not aggregate, any `n` rows the WHERE keeps are its
+    /// answer, so a job may stop scanning once its tasks have folded `n`
+    /// rows between them. `None` for any other query.
+    pub fn early_limit(&self) -> Option<usize> {
+        match &self.0 {
+            Fold::Rows(p) if p.query.order_by.is_empty() && !p.query.distinct => p.query.limit,
+            _ => None,
+        }
+    }
+
+    /// Fold the `selection` of a batch's rows into `partial`, in row order.
+    pub fn update_batch(&self, partial: &mut Partial, batch: &ColumnBatch, selection: &Selection) -> Result<()> {
+        match &self.0 {
+            Fold::Groups(agg) => agg.update_batch(&mut partial.groups, batch, selection),
+            Fold::Rows(projection) => projection.update_batch(partial, batch, selection),
+        }
+    }
+
+    /// Merge `other`, the partial of a later task, into `into` (driver-side
+    /// reduce). Merging in task order keeps rows and groups in scan order,
+    /// which is the order ties and an unsorted `LIMIT` come out in.
+    pub fn merge(&self, into: &mut Partial, other: Partial) {
+        match &self.0 {
+            Fold::Groups(agg) => agg.merge(&mut into.groups, other.groups),
+            Fold::Rows(_) => {
+                into.rows.extend(other.rows);
+                into.sort_keys.extend(other.sort_keys);
+            }
+        }
+    }
+
+    /// Finish the query: `HAVING` and the outputs per group for an
+    /// aggregate, then `DISTINCT`, `ORDER BY` and `LIMIT`.
+    pub fn finalize(&self, partial: Partial) -> Result<ResultSet> {
+        match &self.0 {
+            Fold::Groups(agg) => agg.finalize(partial.groups),
+            Fold::Rows(p) => Ok(ResultSet {
+                columns: p.columns.clone(),
+                rows: finish_order(&p.query, &p.order_by, partial.rows, &partial.sort_keys),
+            }),
+        }
+    }
+}
+
+/// DISTINCT, ORDER BY and LIMIT over result rows `rows`: the rows to emit,
+/// in order. An `ORDER BY` key is the row's output it names, or the next of
+/// the row's values in `sort_keys`, which holds the other keys in order, row
+/// by row. DISTINCT keeps a row's first occurrence and the sort is stable,
+/// so ties keep row order.
+fn finish_order(query: &Query, order_by: &[OrderKey], mut rows: Vec<Vec<Value>>, sort_keys: &[Value]) -> Vec<Vec<Value>> {
     let mut order: Vec<u32> = (0..rows.len() as u32).collect();
     if query.distinct {
         let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
@@ -753,7 +879,7 @@ fn finish_order(query: &Query, order_by: &[OrderKey], rows: &[Vec<Value>], sort_
     if let Some(limit) = query.limit {
         order.truncate(limit);
     }
-    order
+    order.into_iter().map(|i| mem::take(&mut rows[i as usize])).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -770,7 +896,8 @@ pub fn execute(
 }
 
 /// Execute with an overridden WHERE (the *residual* predicate in pushdown
-/// mode, where the store already applied the pushed conjuncts).
+/// mode, where the store already applied the pushed conjuncts): the rows
+/// are packed into batches of [`BATCH_ROWS`] and folded by one task.
 pub fn execute_with_where(
     query: &Query,
     schema: &Schema,
@@ -778,64 +905,21 @@ pub fn execute_with_where(
     rows: impl Iterator<Item = Result<Vec<Value>>>,
 ) -> Result<ResultSet> {
     let filter = RowFilter::bind(where_clause, schema)?;
-    if query.is_aggregate() {
-        let agg = Aggregator::new(query, schema)?;
-        let mut partial = agg.make_partial();
-        let mut fold = |pack: Vec<Vec<Value>>| -> Result<()> {
-            let batch = ColumnBatch::from_rows(schema, pack);
-            agg.update_batch(&mut partial, &batch, &filter.select(&batch)?)
-        };
-        let mut pack = Vec::with_capacity(BATCH_ROWS);
-        for row in rows {
-            pack.push(row?);
-            if pack.len() == BATCH_ROWS {
-                fold(mem::replace(&mut pack, Vec::with_capacity(BATCH_ROWS)))?;
-            }
-        }
-        fold(pack)?;
-        return agg.finalize(partial);
-    }
-    // Non-aggregate path. `SELECT *` hands the row through as it is.
-    let has_star = query.items.iter().any(|i| matches!(i.expr, Expr::Star));
-    let (columns, items): (Vec<String>, Option<Vec<Bound>>) = if has_star {
-        (schema.names().iter().map(|s| s.to_string()).collect(), None)
-    } else {
-        (
-            query.items.iter().map(SelectItem::output_name).collect(),
-            Some(query.items.iter().map(|i| bind(&i.expr, schema)).collect::<Result<_>>()?),
-        )
+    let exec = Executor::new(query, schema)?;
+    let mut partial = exec.partial();
+    let mut fold = |pack: Vec<Vec<Value>>| -> Result<()> {
+        let batch = ColumnBatch::from_rows(schema, pack);
+        exec.update_batch(&mut partial, &batch, &filter.select(&batch)?)
     };
-    let order_by: Vec<OrderKey> = query
-        .order_by
-        .iter()
-        .map(|o| {
-            Ok(match aliased_item(query, &o.expr) {
-                Some(i) => OrderKey::Output(i),
-                None => OrderKey::Expr(bind(&o.expr, schema)?),
-            })
-        })
-        .collect::<Result<_>>()?;
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let mut sort_keys: Vec<Value> = Vec::new();
+    let mut pack = Vec::with_capacity(BATCH_ROWS);
     for row in rows {
-        let row = row?;
-        if !filter.passes(&row)? {
-            continue;
+        pack.push(row?);
+        if pack.len() == BATCH_ROWS {
+            fold(mem::replace(&mut pack, Vec::with_capacity(BATCH_ROWS)))?;
         }
-        let projected: Option<Vec<Value>> = items
-            .as_ref()
-            .map(|items| {
-                items.iter().map(|i| i.eval(&row, &[]).map(Cow::into_owned)).collect()
-            })
-            .transpose()?;
-        for o in &order_by {
-            sort_keys.extend(o.eval(&row, &[])?);
-        }
-        out.push(projected.unwrap_or(row));
     }
-    let order = finish_order(query, &order_by, &out, &sort_keys);
-    let rows = order.into_iter().map(|i| mem::take(&mut out[i as usize])).collect();
-    Ok(ResultSet { columns, rows })
+    fold(pack)?;
+    exec.finalize(partial)
 }
 
 #[cfg(test)]
@@ -983,33 +1067,35 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Null);
     }
 
+    /// Fold `rows` as a session does: a task per `chunk` rows, each folding
+    /// its rows as one batch through the WHERE, the partials merged in task
+    /// order.
+    fn two_phase(exec: &Executor, q: &Query, schema: &Schema, rows: &[Vec<Value>], chunk: usize) -> ResultSet {
+        let filter = RowFilter::bind(q.where_clause.as_ref(), schema).unwrap();
+        let mut merged = exec.partial();
+        for part in rows.chunks(chunk) {
+            let mut partial = exec.partial();
+            let batch = ColumnBatch::from_rows(schema, part.to_vec());
+            exec.update_batch(&mut partial, &batch, &filter.select(&batch).unwrap()).unwrap();
+            exec.merge(&mut merged, partial);
+        }
+        exec.finalize(merged).unwrap()
+    }
+
     #[test]
     fn two_phase_equals_single_pass() {
-        let q = parse(
+        let schema = schema();
+        for sql in [
             "SELECT vid, sum(index) as total, count(*) as n, min(date) as d \
              FROM t WHERE date LIKE '2015%' GROUP BY vid ORDER BY vid",
-        )
-        .unwrap();
-        let schema = schema();
-        let single = execute(&q, &schema, rows().into_iter().map(Ok)).unwrap();
-
-        let agg = Aggregator::new(&q, &schema).unwrap();
-        let filter = RowFilter::bind(q.where_clause.as_ref(), &schema).unwrap();
-        // Split rows into 2 partitions, update separately, merge, finalize.
-        let all = rows();
-        let mut merged = agg.make_partial();
-        for part in all.chunks(2) {
-            let mut partial = agg.make_partial();
-            for row in part {
-                // WHERE applied before partial agg, as workers do.
-                if filter.passes(row).unwrap() {
-                    agg.update(&mut partial, row).unwrap();
-                }
-            }
-            agg.merge(&mut merged, partial);
+            "SELECT vid, index * 2 as twice FROM t WHERE index > 6 ORDER BY date DESC",
+            "SELECT * FROM t WHERE city NOT LIKE 'Paris' LIMIT 2",
+        ] {
+            let q = parse(sql).unwrap();
+            let single = execute(&q, &schema, rows().into_iter().map(Ok)).unwrap();
+            let exec = Executor::new(&q, &schema).unwrap();
+            assert_eq!(two_phase(&exec, &q, &schema, &rows(), 2), single, "{sql}");
         }
-        let two_phase = agg.finalize(merged).unwrap();
-        assert_eq!(two_phase, single);
     }
 
     #[test]
@@ -1031,19 +1117,11 @@ mod tests {
         let q = parse("SELECT vid, count(*) as n FROM t GROUP BY vid ORDER BY n").unwrap();
         let single = execute(&q, &schema, rows.iter().cloned().map(Ok)).unwrap();
         assert_eq!(single.rows, want);
-        // Two aggregators hash with different seeds; the order must not care,
+        // Two executors hash with different seeds; the order must not care,
         // nor how the rows are split into partials.
-        for agg in [Aggregator::new(&q, &schema).unwrap(), Aggregator::new(&q, &schema).unwrap()] {
+        for exec in [Executor::new(&q, &schema).unwrap(), Executor::new(&q, &schema).unwrap()] {
             for chunk in 1..=rows.len() {
-                let mut merged = agg.make_partial();
-                for part in rows.chunks(chunk) {
-                    let mut partial = agg.make_partial();
-                    for row in part {
-                        agg.update(&mut partial, row).unwrap();
-                    }
-                    agg.merge(&mut merged, partial);
-                }
-                assert_eq!(agg.finalize(merged).unwrap(), single, "chunks of {chunk}");
+                assert_eq!(two_phase(&exec, &q, &schema, &rows, chunk), single, "chunks of {chunk}");
             }
         }
     }

@@ -11,10 +11,11 @@
 //!    extracts the projection and selection filters implied by the query",
 //!    which the Data Sources API hands to the scan — [`catalyst`] produces a
 //!    [`scoop_csv::PushdownSpec`] plus the residual (non-pushable) predicate.
-//! 3. **Execution** over typed column batches, including two-phase aggregation
-//!    (worker-side partial + driver-side final merge) mirroring Spark's
-//!    map-side combine — [`exec`], [`functions`] — with every expression
-//!    bound to the scan schema once per query — [`bound`].
+//! 3. **Execution** over typed column batches by one executor per query,
+//!    aggregate or not: tasks fold their batches into partials (for an
+//!    aggregate, Spark's map-side combine), and the driver merges them in
+//!    task order and finalizes — [`exec`], [`functions`] — with every
+//!    expression bound to the scan schema once per query — [`bound`].
 //!
 //! The transparency invariant — pushdown + residual ≡ full query — is what
 //! makes Scoop safe, and is property-tested across the workspace.

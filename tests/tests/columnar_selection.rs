@@ -1,6 +1,6 @@
 //! The columnar scan's row selection against the SQL executor.
 //!
-//! `ColumnarReader::read_rows_selected` drops rows on the decoded column
+//! `ColumnarReader::read_batches_selected` drops rows on the decoded column
 //! arrays before they become `Value`s, and the session then applies the bound
 //! WHERE to what is left. That is only transparent if the selection never
 //! drops a row the WHERE would keep — for every predicate shape the filter
@@ -21,7 +21,7 @@ use scoop_compute::connector::MemoryConnector;
 use scoop_compute::{ExecutionMode, Session, TableFormat};
 use scoop_core::{ScoopConfig, ScoopContext};
 use scoop_csv::schema::{DataType, Field};
-use scoop_csv::{CsvReader, Predicate, Schema, Value};
+use scoop_csv::{ColumnBatch, CsvReader, Predicate, Schema, Value};
 use scoop_integration::{to_expr, Lcg};
 use scoop_sql::RowFilter;
 use scoop_workload::{table1_queries, GeneratorConfig, MeterDataset};
@@ -105,9 +105,23 @@ fn predicate(rng: &mut Lcg, depth: usize) -> Predicate {
     }
 }
 
-/// NaN-proof row identity: `Value`'s own equality is total, NaN included.
+/// The rows the bound WHERE keeps, selected on one batch of them as the
+/// session selects. NaN-proof row identity: `Value`'s own equality is total,
+/// NaN included.
 fn passing(rows: &[Vec<Value>], filter: &RowFilter) -> Vec<Vec<Value>> {
-    rows.iter().filter(|row| filter.passes(row).unwrap()).cloned().collect()
+    let batch = ColumnBatch::from_rows(&schema(), rows.to_vec());
+    filter.select(&batch).unwrap().rows().map(|i| rows[i].clone()).collect()
+}
+
+/// The rows a selected read returns, batch after batch.
+fn read(
+    reader: &ColumnarReader<'_>,
+    columns: Option<&[String]>,
+    pred: Option<&Predicate>,
+    skip_groups: bool,
+) -> Vec<Vec<Value>> {
+    let batches = reader.read_batches_selected(columns, pred, skip_groups).unwrap();
+    batches.iter().flat_map(ColumnBatch::to_rows).collect()
 }
 
 proptest! {
@@ -119,11 +133,11 @@ proptest! {
         let pred = predicate(&mut rng, 3);
         let schema = schema();
         let reader = ColumnarReader::open_bytes(file(seed % 5)).unwrap();
-        let full = reader.read_rows(None).unwrap();
+        let full = read(&reader, None, None, false);
         prop_assert_eq!(full.len(), 700);
 
-        let selected = reader.read_rows_selected(None, Some(&pred), false).unwrap();
-        let skipped = reader.read_rows_selected(None, Some(&pred), true).unwrap();
+        let selected = read(&reader, None, Some(&pred), false);
+        let skipped = read(&reader, None, Some(&pred), true);
         prop_assert!(selected.len() <= full.len());
         for eq_as_like in [false, true] {
             let filter = RowFilter::bind(Some(&to_expr(&pred, eq_as_like)), &schema).unwrap();
@@ -140,7 +154,7 @@ proptest! {
             .map(|c| c.to_string())
             .collect();
         let indices: Vec<usize> = others.iter().map(|c| schema.resolve(c).unwrap()).collect();
-        let narrow = reader.read_rows_selected(Some(&others), Some(&pred), false).unwrap();
+        let narrow = read(&reader, Some(&others), Some(&pred), false);
         let want: Vec<Vec<Value>> = selected
             .iter()
             .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
