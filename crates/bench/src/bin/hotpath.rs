@@ -12,13 +12,15 @@
 //! * `record_split`       — bare record splitting (the SWAR scanner alone);
 //! * `columnar_decode`    — the columnar scan a query runs: ShowMapCons'
 //!   projection and pushed predicate through `read_batches_selected`, then
-//!   the bound WHERE selecting on the survivors, per byte the reader fetched;
+//!   the bound residual WHERE selecting on the survivors, per byte the
+//!   reader fetched;
 //! * `compute_sql_exec`   — the compute-side SQL executor over pre-typed
 //!   column batches: ShowMapCons and a ten-column aggregate, selection +
 //!   partial aggregation + finalize as a session task runs them;
 //! * `compute_csv_scan`   — the vanilla CSV scan a query runs: ShowMapCons'
 //!   projection and pushed predicate through `CsvRelation` (select on raw
-//!   fields, type the survivors), then the bound WHERE, per byte of CSV;
+//!   fields, type the survivors), then the bound residual WHERE, per byte
+//!   of CSV;
 //! * `zoneindex_put`      — the PUT-path `zoneindex` storlet over the 2 MB
 //!   object a `queryplane` ingest round offers, 64 KiB blocks;
 //! * `etag_fingerprint`   — `fingerprint_hex`, the etag every object server
@@ -28,7 +30,8 @@
 //!   1 MiB ranged invocations over that object, per byte scanned;
 //! * `compute_sql_groups` — the two-phase aggregator where every row makes a
 //!   group: ShowMapHeatmonth over January of the `queryplane` fleet in
-//!   column batches, eight partials merged in task order and finalized, per
+//!   column batches (the pushed predicate's survivors, so only the residual
+//!   WHERE is bound), eight partials merged in task order and finalized, per
 //!   byte of CSV.
 //!
 //! ```text
@@ -191,7 +194,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
 
     // 4. The columnar scan of a Table I query, as a session task runs it:
     //    open, read with ShowMapCons' projection and pushed predicate, apply
-    //    the bound WHERE to what comes back. The fleet grows with `rows` and
+    //    the bound residual WHERE to what comes back. The fleet grows with `rows` and
     //    reports daily, so the readings span 500 days at either size and
     //    January 2015 is 6.2 % of them, as in the `queryplane` dataset; the
     //    row groups shrink with `rows` (15 of them, 10 000 rows each in a full
@@ -217,7 +220,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     let query = scoop_sql::parse(&show_map_cons).expect("parse");
     let plan = scoop_sql::catalyst::plan_query(&query, &schema, false).expect("plan");
     let filter =
-        RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema).expect("bind WHERE");
+        RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema).expect("bind residual");
     // One scan takes about a millisecond, so a sample is several of them.
     const SCANS: u64 = 8;
     let mut fetched = 0u64;
@@ -242,8 +245,9 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
 
     // 5. Compute-side SQL over pre-typed batches, as a session task runs it:
     //    bind once, then select and fold every batch into a partial
-    //    aggregate, and finalize. ShowMapCons (Table I) keeps the rows of one month and
-    //    groups them; the ten-column aggregate keeps half the meters and has
+    //    aggregate, and finalize. The batches are unselected rows, so the
+    //    whole WHERE is bound. ShowMapCons (Table I) keeps the rows of one
+    //    month and groups them; the ten-column aggregate keeps half the meters and has
     //    one global group. The fleet grows with `rows`, so the readings span
     //    the same 1500 hours at either size and both queries keep the same
     //    share of the rows in `--quick` as in a full run. The rate is per
@@ -295,8 +299,8 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     // 6. The vanilla CSV scan of the same query over the CSV the columnar
     //    file was written from, as a session task runs it: `CsvRelation`
     //    over a `MemoryConnector` in 1 MiB splits (the `queryplane` split),
-    //    ShowMapCons' projection and pushed predicate, then the bound WHERE
-    //    selecting on each batch the split's scan yields. The rate is per
+    //    ShowMapCons' projection and pushed predicate, then the bound
+    //    residual WHERE selecting on each batch the split's scan yields. The rate is per
     //    byte of CSV.
     let conn = MemoryConnector::new();
     conn.put("meters", "daily.csv", daily.clone());
@@ -432,7 +436,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
             })
             .collect();
     let filter =
-        RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema).expect("bind WHERE");
+        RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema).expect("bind residual");
     // Each task's share, packed into batches of at most `BATCH_ROWS`.
     let tasks: Vec<Vec<ColumnBatch>> = typed
         .chunks(typed.len().div_ceil(8))

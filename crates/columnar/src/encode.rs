@@ -674,7 +674,7 @@ mod tests {
     #[test]
     fn unique_strings_fall_back_to_plain_when_large() {
         let values: Vec<Value> =
-            (0..600).map(|i| Value::Str(format!("unique-{i}").into())).collect();
+            (0..600).map(|i| Value::Str(format!("unique-{i}"))).collect();
         let enc = encode_column(&values);
         // 600 unique of 600 → dict does not pay (dict > 256 and > half).
         assert_eq!(enc[0], Encoding::PlainStr as u8);
@@ -685,7 +685,7 @@ mod tests {
     fn dict_batch_exposes_codes() {
         let values: Vec<Value> = ["a", "b", "a", "a", "c"]
             .iter()
-            .map(|s| Value::Str(s.to_string().into()))
+            .map(|s| Value::Str(s.to_string()))
             .collect();
         let enc = encode_column(&values);
         assert_eq!(enc[0], Encoding::DictRle as u8);
@@ -709,7 +709,7 @@ mod tests {
                     if i % 5 == 0 {
                         Value::Null
                     } else {
-                        Value::Str(format!("s{}", i % 3).into())
+                        Value::Str(format!("s{}", i % 3))
                     }
                 })
                 .collect(),

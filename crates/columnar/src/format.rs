@@ -85,7 +85,7 @@ fn get_value(c: &mut Cursor<'_>) -> Result<Value> {
             raw.copy_from_slice(c.take_pub(8)?);
             Value::Float(f64::from_le_bytes(raw))
         }
-        3 => Value::Str(scoop_csv::SmallStr::from_utf8_lossy(c.bytes()?)),
+        3 => Value::Str(String::from_utf8_lossy(c.bytes()?).into_owned()),
         other => return Err(ScoopError::Columnar(format!("bad value tag {other}"))),
     })
 }

@@ -126,12 +126,16 @@ impl<'a> ColumnarReader<'a> {
     }
 
     /// What a query runs: every group's chunks are fetched, the predicate is
-    /// evaluated on the batch-decoded columns, and only rows it may hold for
-    /// are gathered, one batch per group that keeps any. The selection is
-    /// two-valued (a comparison with NULL is false), a superset of the rows
-    /// SQL's three-valued WHERE keeps, so the caller still applies its WHERE
-    /// to what comes back. With `skip_groups`, chunk statistics also skip
-    /// whole groups' bytes, as in [`ColumnarReader::read_rows_filtered`].
+    /// evaluated on the batch-decoded columns, and only rows it holds for
+    /// are gathered, one batch per group that keeps any. With `skip_groups`,
+    /// chunk statistics also skip whole groups' bytes, as in
+    /// [`ColumnarReader::read_rows_filtered`].
+    ///
+    /// The selection is two-valued: a leaf is false on a NULL cell. For what
+    /// `plan_query` pushes — no `NOT`, and literals of the type the column's
+    /// cells have — AND and OR of such leaves keep exactly the rows SQL's
+    /// three-valued WHERE keeps. Under `NOT` it keeps more: `NOT (x < 1)`
+    /// holds on a NULL `x`, where SQL's answer is unknown.
     pub fn read_batches_selected(
         &self,
         columns: Option<&[String]>,
@@ -378,8 +382,8 @@ mod tests {
         let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
         for i in 0..30 {
             w.write_row(&[
-                Value::Str(format!("m{}", i % 4).into()),
-                Value::Str(format!("2015-{:02}-01", i / 10 + 1).into()),
+                Value::Str(format!("m{}", i % 4)),
+                Value::Str(format!("2015-{:02}-01", i / 10 + 1)),
                 Value::Float(i as f64),
             ]);
         }
@@ -531,8 +535,8 @@ mod tests {
         for i in 0..25 {
             let f = Value::Float(i as f64 / 4.0);
             w.write_row(&[
-                Value::Str(format!("m{}", i % 4).into()),
-                Value::Str(format!("2015-{:02}-01", i / 10 + 1).into()),
+                Value::Str(format!("m{}", i % 4)),
+                Value::Str(format!("2015-{:02}-01", i / 10 + 1)),
                 f.clone(),
                 f.clone(),
                 f.clone(),

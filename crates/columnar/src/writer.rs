@@ -41,10 +41,20 @@ impl ColumnarWriter {
 
     /// Append one typed row (padded/truncated to the schema width).
     pub fn write_row(&mut self, row: &[Value]) {
-        for (i, col) in self.pending.iter_mut().enumerate() {
-            col.push(row.get(i).cloned().unwrap_or(Value::Null));
+        self.write_cells(row.iter().cloned());
+    }
+
+    /// [`ColumnarWriter::write_row`] for a row the caller hands over: its
+    /// values are moved in, not copied.
+    pub fn write_owned_row(&mut self, row: Vec<Value>) {
+        self.write_cells(row.into_iter());
+    }
+
+    fn write_cells(&mut self, mut cells: impl Iterator<Item = Value>) {
+        for col in &mut self.pending {
+            col.push(cells.next().unwrap_or(Value::Null));
         }
-        if self.pending[0].len() >= self.row_group_rows {
+        if self.pending.first().map_or(0, Vec::len) >= self.row_group_rows {
             self.flush_group();
         }
     }
@@ -100,7 +110,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..25)
             .map(|i| {
                 vec![
-                    Value::Str(format!("m{}", i % 3).into()),
+                    Value::Str(format!("m{}", i % 3)),
                     if i % 5 == 0 { Value::Null } else { Value::Float(i as f64 / 2.0) },
                     Value::Int(i),
                 ]
@@ -134,7 +144,7 @@ mod tests {
         let mut csv_len = 0usize;
         for i in 0..5000 {
             let row = vec![
-                Value::Str(format!("meter-{}", i % 10).into()),
+                Value::Str(format!("meter-{}", i % 10)),
                 Value::Float(100.0),
                 Value::Int(i),
             ];

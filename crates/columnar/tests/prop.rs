@@ -12,7 +12,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         Just(Value::Null),
         any::<i64>().prop_map(Value::Int),
         (-1e6f64..1e6).prop_map(Value::Float),
-        "[a-zA-Z0-9 ,%]{0,16}".prop_map(|s| Value::Str(s.into())),
+        "[a-zA-Z0-9 ,%]{0,16}".prop_map(Value::Str),
     ]
 }
 
@@ -35,7 +35,7 @@ fn column_strategy() -> impl Strategy<Value = Vec<Value>> {
             prop_oneof![
                 Just(Value::Null),
                 Just(Value::Str("Rotterdam".into())),
-                "[a-z]{0,10}".prop_map(|s| Value::Str(s.into())),
+                "[a-z]{0,10}".prop_map(Value::Str),
             ],
             0..200
         ),
@@ -111,7 +111,7 @@ proptest! {
         for i in 0..n_rows {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             let row = vec![
-                Value::Str(format!("m{}", rng % 7).into()),
+                Value::Str(format!("m{}", rng % 7)),
                 if rng.is_multiple_of(5) { Value::Null } else { Value::Float((rng % 1000) as f64) },
                 Value::Int(i as i64),
             ];

@@ -6,12 +6,11 @@
 //! data and discarding columns"): the pushed predicate is evaluated on the
 //! decoded column arrays and decides which rows are gathered into the
 //! scan's batches, never which bytes are fetched. Row-group stats skipping
-//! is available as an opt-in extension. Neither is reported as fully-handled filtering: the
-//! scan's selection is two-valued, so the executor applies the WHERE to the
-//! rows it is handed.
+//! is available as an opt-in extension. As on every arm, the executor then
+//! applies only the residual WHERE.
 
 use crate::connector::StorageConnector;
-use crate::datasource::{PrunedFilteredScan, RowStream, ScanOutput, ScanStats, TableScan};
+use crate::datasource::{PrunedFilteredScan, RowStream, ScanOutput, TableScan};
 use crate::partition::{discover_whole_objects, InputPartition};
 use scoop_columnar::ColumnarReader;
 use scoop_common::{Result, ScoopError};
@@ -111,9 +110,7 @@ impl PrunedFilteredScan for ColumnarRelation {
         Ok(ScanOutput {
             schema: scan_schema,
             rows: RowStream::new(move |_| Ok(batches.next())),
-            // The rows are a superset of what SQL's three-valued WHERE
-            // keeps; the executor must still apply the full predicate.
-            stats: ScanStats { filters_handled: false },
+            plain: false,
         })
     }
 }
@@ -136,7 +133,7 @@ mod tests {
             let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 5);
             for i in 0..12 {
                 w.write_row(&[
-                    Value::Str(format!("m{obj}-{i}").into()),
+                    Value::Str(format!("m{obj}-{i}")),
                     Value::Float((obj * 100 + i) as f64),
                 ]);
             }
@@ -186,15 +183,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_pruning_filters_are_not_reported_handled() {
+    fn stats_pruning_and_selection_keep_exactly_the_matches() {
         let (_, rel) = setup();
         let parts = rel.partitions(0).unwrap();
-        let pred = Predicate::Gt("index".into(), Value::Float(1e9));
-        let out = rel
-            .scan_pruned_filtered(&parts[0], None, Some(&pred))
-            .unwrap();
-        assert!(!out.stats.filters_handled);
-        let rows: Vec<Vec<Value>> = out.rows.collect::<Result<_>>().unwrap();
-        assert!(rows.is_empty());
+        let rows = |pred: Predicate| -> Vec<Vec<Value>> {
+            let out = rel.scan_pruned_filtered(&parts[1], None, Some(&pred)).unwrap();
+            assert!(!out.plain);
+            out.rows.collect::<Result<_>>().unwrap()
+        };
+        // Every group skipped on its statistics.
+        assert!(rows(Predicate::Gt("index".into(), Value::Float(1e9))).is_empty());
+        // The first group skipped, the rest selected row by row.
+        let kept = rows(Predicate::Ge("index".into(), Value::Float(107.0)));
+        let want: Vec<f64> = (107..112).map(f64::from).collect();
+        assert_eq!(kept.iter().map(|r| r[1].as_f64().unwrap()).collect::<Vec<_>>(), want);
     }
 }

@@ -7,7 +7,8 @@
 //! tier (the vanilla ingest-then-compute path), as is a pushdown split the
 //! store answers plain. Both paths produce rows under the same projected
 //! schema so the executor upstream is oblivious, and both select with the
-//! same raw-field evaluator.
+//! same raw-field evaluator: the scan applies the pushed predicate, and the
+//! executor only the residual WHERE.
 //!
 //! Under pushdown, discovery also consults each object's zone maps and drops
 //! the splits in which no block can match: the store would have planned
@@ -15,7 +16,7 @@
 //! arm stays the paper's ingest-then-compute and reads every split.
 
 use crate::connector::{ObjectInfo, PushdownBody, StorageConnector, SPLIT_SLACK};
-use crate::datasource::{Discovery, PrunedFilteredScan, RowStream, ScanOutput, ScanStats, TableScan};
+use crate::datasource::{Discovery, PrunedFilteredScan, RowStream, ScanOutput, TableScan};
 use crate::partition::{discover, discover_where, InputPartition};
 use scoop_common::zonestats::ObjectStats;
 use scoop_common::{ByteStream, Result, ScoopError};
@@ -122,9 +123,7 @@ impl CsvRelation {
     /// The batches of a split's raw bytes (`stream` starts at the split's
     /// start). The pushed predicate selects on raw field bytes with the
     /// store's own evaluator ([`CompiledSpec`]), and only the survivors are
-    /// typed — the late materialisation the columnar arm has. The selection
-    /// keeps a superset of the rows SQL keeps, so the executor still applies
-    /// the whole WHERE (`filters_handled` stays false).
+    /// typed — the late materialisation the columnar arm has.
     fn selected(
         &self,
         stream: ByteStream,
@@ -152,11 +151,7 @@ impl CsvRelation {
             skip_header: self.has_header && partition.start == 0,
         };
         let rows = RowStream::new(move |rows| selected.next_batch(rows));
-        Ok(ScanOutput {
-            schema: scan_schema,
-            rows,
-            stats: ScanStats { filters_handled: false },
-        })
+        Ok(ScanOutput { schema: scan_schema, rows, plain: false })
     }
 
     /// The Scoop path: the store filters; we parse the projected records, or
@@ -183,17 +178,16 @@ impl CsvRelation {
         )?;
         let stream = match body {
             PushdownBody::Filtered(stream) => stream,
-            PushdownBody::Plain(stream) => return self.selected(stream, partition, columns, predicate),
+            PushdownBody::Plain(stream) => {
+                let out = self.selected(stream, partition, columns, predicate)?;
+                return Ok(ScanOutput { plain: true, ..out });
+            }
         };
         // Pushdown responses carry pure data records (header consumed at the
         // store).
         let mut reader = CsvReader::new(stream, scan_schema.clone(), false);
         let rows = RowStream::new(move |_| reader.next_batch());
-        Ok(ScanOutput {
-            schema: scan_schema,
-            rows,
-            stats: ScanStats { filters_handled: true },
-        })
+        Ok(ScanOutput { schema: scan_schema, rows, plain: false })
     }
 }
 
@@ -341,7 +335,7 @@ mod tests {
         let parts = rel.partitions(1 << 20).unwrap();
         assert_eq!(parts.len(), 1);
         let out = rel.scan_pruned_filtered(&parts[0], None, None).unwrap();
-        assert!(!out.stats.filters_handled);
+        assert!(!out.plain);
         let rows = collect(out);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Str("m1".into()));
@@ -391,19 +385,19 @@ mod tests {
                 let out = vanilla_rel
                     .scan_pruned_filtered(v, Some(&cols), Some(&pred))
                     .unwrap();
-                // Vanilla selects on the raw fields but leaves the WHERE to
-                // the executor; a Str = Str predicate selects exactly.
-                assert!(!out.stats.filters_handled);
+                // Vanilla selects on the raw fields, as the store does.
+                assert!(!out.plain);
                 let split_rows = collect(out);
-                // A plain split is the vanilla scan of that split.
+                // A plain split is the vanilla scan of that split, and is
+                // reported as the degradation it is.
                 let out = plain_rel.scan_pruned_filtered(v, Some(&cols), Some(&pred)).unwrap();
-                assert!(!out.stats.filters_handled);
+                assert!(out.plain);
                 assert_eq!(collect(out), split_rows, "chunk={chunk}");
                 vanilla_rows.extend(split_rows);
                 let out = pushdown_rel
                     .scan_pruned_filtered(p, Some(&cols), Some(&pred))
                     .unwrap();
-                assert!(out.stats.filters_handled);
+                assert!(!out.plain);
                 pushdown_rows.extend(collect(out));
             }
             assert_eq!(vanilla_rows, pushdown_rows, "chunk={chunk}");

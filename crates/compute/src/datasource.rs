@@ -56,22 +56,16 @@ impl Iterator for RowStream {
     }
 }
 
-/// Per-scan accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Whether the pushed filters were fully applied by the source (when
-    /// true, the executor must not re-apply them).
-    pub filters_handled: bool,
-}
-
 /// The output of scanning one partition.
 pub struct ScanOutput {
     /// Schema of the produced rows.
     pub schema: Schema,
     /// The rows.
     pub rows: RowStream,
-    /// Accounting.
-    pub stats: ScanStats,
+    /// True when the store answered a pushdown read of the split unfiltered
+    /// ([`crate::PushdownBody::Plain`]), so the scan selected it itself: a
+    /// degradation the query's event counts.
+    pub plain: bool,
 }
 
 /// The partitions one query scans, and what discovery learned choosing
@@ -102,9 +96,11 @@ pub trait TableScan: Send + Sync {
 /// PrunedFilteredScan Data Source API").
 pub trait PrunedFilteredScan: TableScan {
     /// Scan with projection and selection. `columns == None` keeps all
-    /// columns (otherwise output order follows the request). The
-    /// implementation reports via [`ScanStats::filters_handled`] whether the
-    /// predicate was fully applied.
+    /// columns (otherwise output order follows the request). The scan
+    /// applies `predicate`: it yields the rows for which it holds, each leaf
+    /// false on NULL. For a predicate `plan_query` pushes (no `NOT`, literals
+    /// of the column's type) that is exactly the rows SQL's WHERE keeps, so
+    /// the caller applies only the residual WHERE.
     fn scan_pruned_filtered(
         &self,
         partition: &InputPartition,

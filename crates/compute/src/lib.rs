@@ -32,7 +32,7 @@ pub mod session;
 pub mod storlet_rdd;
 
 pub use connector::{MemoryConnector, ObjectInfo, PushdownBody, StorageConnector};
-pub use datasource::{ScanOutput, ScanStats};
+pub use datasource::ScanOutput;
 pub use partition::InputPartition;
 pub use session::{ExecutionMode, JobMetrics, QueryOutcome, Session, TableFormat};
 pub use storlet_rdd::{StorletDataset, StorletPartitioning};

@@ -361,12 +361,10 @@ impl Session {
 
         let transferred_before = self.connector.bytes_transferred();
 
-        // Bound once per query, not per task or per row: the executor, the
-        // residual predicate for a source that handled the pushed filters,
-        // and the full WHERE for one that did not.
+        // Bound once per query, not per task or per row: the executor and
+        // the residual WHERE. The scan applies the pushed conjuncts.
         let exec = Executor::new(&query, &plan.scan_schema)?;
-        let residual_filter = RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema)?;
-        let full_filter = RowFilter::bind(query.where_clause.as_ref(), &plan.scan_schema)?;
+        let filter = RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema)?;
         let columns = plan.pushdown.columns.clone();
         let predicate = plan.pushdown.predicate.clone();
         // CollectLimit: tasks stop scanning (and hence stop pulling bytes
@@ -387,8 +385,7 @@ impl Session {
                 columns.as_deref(),
                 predicate.as_ref(),
             )?;
-            let plain = !out.stats.filters_handled;
-            let filter = if plain { &full_filter } else { &residual_filter };
+            let plain = out.plain;
             let mut scan = out.rows;
             let mut partial = exec.partial();
             let (mut rows_in, mut rows_kept, mut claimed) = (0u64, 0u64, 0usize);
@@ -433,13 +430,9 @@ impl Session {
         let task_retries = total_retries(&results);
         let (outputs, task_durations) = collect_ok(results)?;
 
-        // A pushdown-arm task whose split came back plain ran the vanilla
+        // A task whose pushdown split came back plain ran the vanilla
         // selection: the query's own degradations, shed or declined.
-        let degradations = if mode == ExecutionMode::Pushdown {
-            outputs.iter().filter(|(.., plain)| *plain).count() as u64
-        } else {
-            0
-        };
+        let degradations = outputs.iter().filter(|(.., plain)| *plain).count() as u64;
 
         // Driver-side merge, in task order, and finalize.
         let (mut rows_to_compute, mut rows_after_filter) = (0u64, 0u64);
@@ -777,7 +770,7 @@ mod retry_tests {
         for obj in 0..2 {
             let mut w = scoop_columnar::ColumnarWriter::with_row_group_rows(schema.clone(), 20);
             for i in 0..50 {
-                w.write_row(&[Value::Str(format!("m{}", i % 5).into()), Value::Float(i as f64)]);
+                w.write_row(&[Value::Str(format!("m{}", i % 5)), Value::Float(i as f64)]);
             }
             mem.put("cols", &format!("part-{obj}.scol"), w.finish());
         }

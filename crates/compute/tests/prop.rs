@@ -19,9 +19,9 @@ fn schema() -> Schema {
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
     let row = (0u32..20, -50i64..50, 0u8..3).prop_map(|(vid, n, city)| {
         vec![
-            Value::Str(format!("m{vid:02}").into()),
+            Value::Str(format!("m{vid:02}")),
             Value::Int(n),
-            Value::Str(["Rotterdam", "Paris", "Nice"][city as usize].to_string().into()),
+            Value::Str(["Rotterdam", "Paris", "Nice"][city as usize].to_string()),
         ]
     });
     proptest::collection::vec(row, 0..80)

@@ -10,7 +10,7 @@ use scoop_objectstore::request::Request;
 use scoop_objectstore::{ObjectPath, SwiftClient, SwiftCluster, SwiftConfig};
 use scoop_storlets::middleware::{encode_params, headers};
 use scoop_storlets::{PolicyStore, StorletEngine, StorletMiddleware};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Deployment configuration.
@@ -133,7 +133,9 @@ impl ScoopContext {
     ) -> Result<UploadReport> {
         self.client.create_container(container)?;
         let mut report = UploadReport::default();
+        let mut names = HashSet::new();
         for (name, data) in objects {
+            names.insert(name.clone());
             report.objects += 1;
             report.bytes_in += data.len() as u64;
             let path = ObjectPath::new(self.config.account.clone(), container, name)?;
@@ -151,7 +153,15 @@ impl ScoopContext {
                 ))));
             }
         }
-        report.bytes_stored = self.cluster.bytes_stored() / self.config.swift.replicas as u64;
+        // What this call stored, after any PUT-path ETL: the listed size of
+        // each object it wrote.
+        report.bytes_stored = self
+            .client
+            .list(container, None)?
+            .iter()
+            .filter(|o| names.contains(&o.name))
+            .map(|o| o.size)
+            .sum();
         Ok(report)
     }
 
@@ -220,7 +230,7 @@ impl ScoopContext {
                 true,
             );
             for row in reader {
-                writer.write_row(&row?);
+                writer.write_owned_row(row?);
             }
             let encoded = writer.finish();
             col_bytes += encoded.len() as u64;
@@ -324,6 +334,19 @@ mod tests {
             .read_body()
             .unwrap();
         assert_eq!(body, "vid,index\nm1,5\nm2,6\n");
+    }
+
+    #[test]
+    fn upload_reports_only_its_own_bytes() {
+        let ctx = ScoopContext::new(ScoopConfig::default()).unwrap();
+        let first = Bytes::from_static(b"vid,index\nm1,5\nm2,6\n");
+        let second = Bytes::from_static(b"vid,index\nm3,7\n");
+        let report = ctx.upload_csv("a", vec![("x.csv".into(), first.clone())], None).unwrap();
+        assert_eq!(report.bytes_stored, first.len() as u64);
+        let report = ctx
+            .upload_csv("b", vec![("x.csv".into(), second.clone()), ("y.csv".into(), second.clone())], None)
+            .unwrap();
+        assert_eq!(report.bytes_stored, 2 * second.len() as u64);
     }
 
     #[test]

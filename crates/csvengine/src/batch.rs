@@ -14,7 +14,6 @@
 //! demand.
 
 use crate::schema::{DataType, Schema};
-use crate::smallstr::SmallStr;
 use crate::value::{parse_f64_window, Value};
 use crate::view::RecordView;
 use bytes::Bytes;
@@ -111,19 +110,10 @@ impl StrLane {
         }
     }
 
-    /// Row `i`'s cell as a [`Value`]: one fixed-size copy from the lane's
-    /// bytes (see [`SmallStr::from_utf8_window`]).
+    /// Row `i`'s cell as a [`Value`].
     #[inline]
     fn value(&self, i: usize) -> Value {
-        let Some(&Some((start, end))) = self.spans.get(i) else {
-            return Value::Null;
-        };
-        let (start, len) = (start as usize, end.saturating_sub(start) as usize);
-        let rest = match start.checked_sub(self.input.len()) {
-            None => self.input.get(start..),
-            Some(at) => self.arena.get(at..),
-        };
-        rest.map_or(Value::Null, |rest| Value::Str(SmallStr::from_utf8_window(rest, len)))
+        self.get(i).map_or(Value::Null, |text| Value::Str(String::from_utf8_lossy(text).into_owned()))
     }
 
     /// Append a cell of `text` (valid UTF-8) copied into the arena; false

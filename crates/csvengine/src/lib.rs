@@ -40,7 +40,6 @@ pub mod reader;
 pub mod record;
 pub mod scan;
 pub mod schema;
-pub mod smallstr;
 pub mod split;
 pub mod value;
 pub mod view;
@@ -51,7 +50,6 @@ pub use filter::CompiledSpec;
 pub use pushdown::{Predicate, PushdownSpec};
 pub use reader::CsvReader;
 pub use schema::{DataType, Field, Schema};
-pub use smallstr::SmallStr;
 pub use value::Value;
 pub use view::{FieldBuf, RecordView};
 pub use writer::CsvWriter;

@@ -428,7 +428,7 @@ fn dec_value(tok: &str) -> Result<Value> {
             .map_err(|_| ScoopError::InvalidRequest(format!("bad float literal '{rest}'")));
     }
     if let Some(rest) = tok.strip_prefix("s:") {
-        return Ok(Value::Str(dec(rest)?.into()));
+        return Ok(Value::Str(dec(rest)?));
     }
     Err(ScoopError::InvalidRequest(format!("bad value token '{tok}'")))
 }

@@ -6,16 +6,11 @@
 //! which is also how the paper's `date LIKE '2015-01%'`-style predicates rely
 //! on ISO-8601 dates sorting textually.
 
-use crate::smallstr::SmallStr;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A scalar value flowing through the SQL engine and pushdown filters.
-///
-/// Strings are [`SmallStr`]: short values (every GridPocket meter field,
-/// including timestamps) are stored inline, so building and dropping typed
-/// rows on the ingest hot path does not touch the allocator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// SQL NULL / empty CSV field in a numeric column.
@@ -25,7 +20,7 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string.
-    Str(SmallStr),
+    Str(String),
 }
 
 /// NULL, so a value can be cheaply `std::mem::take`n out of a decoded block.
@@ -78,7 +73,7 @@ impl Value {
                 Some(v) => Value::Float(v),
                 None => Self::parse_field_slow(field, dtype),
             },
-            DataType::Str => Value::Str(SmallStr::from_utf8_lossy(field)),
+            DataType::Str => Value::Str(String::from_utf8_lossy(field).into_owned()),
         }
     }
 
@@ -93,12 +88,12 @@ impl Value {
             DataType::Int => text
                 .parse::<i64>()
                 .map(Value::Int)
-                .unwrap_or_else(|_| Value::Str(text.into())),
+                .unwrap_or_else(|_| Value::Str(text.into_owned())),
             DataType::Float => text
                 .parse::<f64>()
                 .map(Value::Float)
-                .unwrap_or_else(|_| Value::Str(text.into())),
-            DataType::Str => Value::Str(text.into()),
+                .unwrap_or_else(|_| Value::Str(text.into_owned())),
+            DataType::Str => Value::Str(text.into_owned()),
         }
     }
 
@@ -114,7 +109,7 @@ impl Value {
     /// String view (only for `Str`).
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s.as_str()),
+            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -500,6 +495,45 @@ mod tests {
         };
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert_eq!(h(&Value::Int(2)), h(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn strings_order_and_hash_by_their_bytes() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        for (a, b) in [("caf\u{e9}", "cafz"), ("\u{65e5}", "\u{1f600}"), ("ab", "abc"), ("", "a")] {
+            let (x, y) = (Value::Str(a.into()), Value::Str(b.into()));
+            assert_eq!(x.cmp(&y), a.as_bytes().cmp(b.as_bytes()), "{a:?} {b:?}");
+            assert_eq!(x.sql_cmp(&y), Some(a.as_bytes().cmp(b.as_bytes())), "{a:?} {b:?}");
+        }
+        // A string hashes as `str` does, so a byte-keyed group table and a
+        // `Value`-keyed map agree.
+        let mut s = DefaultHasher::new();
+        "abc".hash(&mut s);
+        assert_eq!(h(&Value::Str("abc".into())), s.finish());
+    }
+
+    #[test]
+    fn str_fields_are_lossy_utf8() {
+        for raw in [
+            b"plain".as_slice(),
+            b"".as_slice(),
+            b"caf\xc3\xa9".as_slice(),
+            b"bad\xffbyte".as_slice(),
+            b"this one is much longer than twenty-two bytes \xff".as_slice(),
+        ] {
+            let want = if raw.is_empty() {
+                Value::Null
+            } else {
+                Value::Str(String::from_utf8_lossy(raw).into_owned())
+            };
+            assert_eq!(Value::parse_field_bytes(raw, DataType::Str), want, "{raw:?}");
+        }
     }
 
     #[test]

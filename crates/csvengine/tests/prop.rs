@@ -128,7 +128,7 @@ proptest! {
     fn value_total_order_laws(
         a in any::<i64>(), b in any::<f64>(), s in "[a-z]{0,6}",
     ) {
-        let vals = [Value::Null, Value::Int(a), Value::Float(b), Value::Str(s.into())];
+        let vals = [Value::Null, Value::Int(a), Value::Float(b), Value::Str(s)];
         for x in &vals {
             for y in &vals {
                 prop_assert_eq!(x.total_cmp(y), y.total_cmp(x).reverse());

@@ -261,23 +261,23 @@ impl Bound {
         })
     }
 
-    /// Add the columns the expression reads to `out`.
-    fn columns(&self, out: &mut Vec<usize>) {
+    /// Call `f` on each leaf of the expression (a column, literal or slot),
+    /// left to right.
+    pub(crate) fn leaves(&self, f: &mut impl FnMut(&Bound)) {
         match self {
-            Bound::Col(i) => out.push(*i),
-            Bound::Lit(_) | Bound::Slot(_) => {}
+            Bound::Col(_) | Bound::Lit(_) | Bound::Slot(_) => f(self),
             Bound::Arith(_, l, r) | Bound::Cmp(_, l, r) | Bound::And(l, r) | Bound::Or(l, r) => {
-                l.columns(out);
-                r.columns(out);
+                l.leaves(f);
+                r.leaves(f);
             }
             Bound::Not(e)
             | Bound::Like { expr: e, .. }
             | Bound::IsNull { expr: e, .. }
-            | Bound::Substr { text: e, .. } => e.columns(out),
+            | Bound::Substr { text: e, .. } => e.leaves(f),
             Bound::InList { expr, list, .. } => {
-                std::iter::once(&**expr).chain(list).for_each(|e| e.columns(out))
+                std::iter::once(&**expr).chain(list).for_each(|e| e.leaves(f))
             }
-            Bound::Func { args, .. } => args.iter().for_each(|e| e.columns(out)),
+            Bound::Func { args, .. } => args.iter().for_each(|e| e.leaves(f)),
         }
     }
 
@@ -336,7 +336,13 @@ impl Bound {
 /// The columns `exprs` read, ascending, once each.
 pub(crate) fn columns_of<'a>(exprs: impl IntoIterator<Item = &'a Bound>) -> Vec<usize> {
     let mut columns = Vec::new();
-    exprs.into_iter().for_each(|e| e.columns(&mut columns));
+    exprs.into_iter().for_each(|e| {
+        e.leaves(&mut |leaf| {
+            if let Bound::Col(i) = leaf {
+                columns.push(*i)
+            }
+        })
+    });
     columns.sort_unstable();
     columns.dedup();
     columns

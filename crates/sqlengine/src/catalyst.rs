@@ -201,7 +201,7 @@ fn to_predicate(expr: &Expr, schema: &Schema) -> Option<Predicate> {
                 // Anchored patterns become the Data-Sources filters Spark
                 // emits for them (StringStartsWith and friends).
                 Some(match LikePattern::new(pattern) {
-                    LikePattern::Exact(s) => Predicate::Eq(c.clone(), Value::Str(s.into())),
+                    LikePattern::Exact(s) => Predicate::Eq(c.clone(), Value::Str(s)),
                     LikePattern::Prefix(s) => Predicate::StartsWith(c.clone(), s),
                     LikePattern::Suffix(s) => Predicate::EndsWith(c.clone(), s),
                     LikePattern::Contains(s) => Predicate::Contains(c.clone(), s),

@@ -329,7 +329,7 @@ fn meter_schema() -> Schema {
 /// aggregates in arithmetic, `HAVING` and `ORDER BY`, and queries that do
 /// not aggregate: `DISTINCT`, a computed projection sorted on an expression
 /// that is no output, `SELECT *` sorted, and an unsorted `LIMIT`.
-const QUERIES: [&str; 14] = [
+const QUERIES: [&str; 15] = [
     "SELECT vid, sum(index) as max, first_value(lat) as lat, first_value(long) as long, \
      first_value(state) as state FROM largeMeter WHERE date LIKE '2015-01%' \
      GROUP BY SUBSTRING(date, 0, 7), vid ORDER BY SUBSTRING(date, 0, 7), vid",
@@ -360,6 +360,10 @@ const QUERIES: [&str; 14] = [
     "SELECT count(*) as n, avg(index) as mean, sum(index) / count(*) as mean2 FROM largeMeter",
     "SELECT vid, count(*) as n FROM largeMeter GROUP BY vid \
      HAVING sum(index) >= 0 ORDER BY max(index) DESC, vid",
+    // `finalize` moves a key part out when one place reads it (`city`, a
+    // sort key) and copies one that several do (`state`).
+    "SELECT state, state as s2, upper(state) as u, count(*) as n FROM largeMeter \
+     GROUP BY state, city ORDER BY city DESC, state",
     "SELECT DISTINCT state, upper(city) as c FROM largeMeter \
      WHERE index IS NOT NULL ORDER BY c, state LIMIT 5",
     "SELECT vid, index * 2 + 1 as i2, upper(city) as c FROM largeMeter \
@@ -386,7 +390,7 @@ fn meter_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     ];
     let row = (0u32..4, (1u32..3, 1u32..4, 0u32..3), (half(-200..200), half(0..50)), place)
         .prop_map(|(vid, (month, day, hour), (index, small), (city, state))| {
-            let s = |text: String| Value::Str(text.into());
+            let s = |text: String| Value::Str(text);
             vec![
                 s(format!("M{vid:05}")),
                 s(format!("2015-{month:02}-{day:02} {hour:02}:00:00")),
@@ -437,7 +441,7 @@ impl Strategy for Table {
                     3 => Value::Float(0.0),
                     4 if rng.below(2) == 0 => Value::Int(2),
                     4 => Value::Float(2.0),
-                    m => Value::Str(format!("M{m:05}").into()),
+                    m => Value::Str(format!("M{m:05}")),
                 };
                 let month = 1 + u32::from(rng.below(8) == 0);
                 let (day, hour) = (rng.usize_in(1, days + 1), rng.below(24));

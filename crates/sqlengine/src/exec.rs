@@ -36,7 +36,7 @@ use crate::bound::{bind, bind_output, columns_of, AggCalls, Bound, RowFilter};
 use crate::functions::{substring_of, substring_range, AggColumn};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::batch::{Selection, BATCH_ROWS};
-use scoop_csv::{Column, ColumnBatch, Schema, SmallStr, Value};
+use scoop_csv::{Column, ColumnBatch, Schema, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -209,7 +209,7 @@ fn decode_key(mut key: &[u8], mut exact: &[u8], out: &mut Vec<Value>) {
                 let len = take::<4>(&mut key).map_or(0, u32::from_le_bytes) as usize;
                 let (text, rest) = key.split_at(len.min(key.len()));
                 key = rest;
-                Value::Str(SmallStr::from_utf8_lossy(text))
+                Value::Str(String::from_utf8_lossy(text).into_owned())
             }
             _ => Value::Null,
         });
@@ -364,6 +364,15 @@ impl OrderKey {
     }
 }
 
+/// `e`'s value on a group's `row` and `slots`; when `moved`, `e` is a slot
+/// nothing else reads, and its value is taken.
+fn value_of(e: &Bound, moved: bool, row: &[Value], slots: &mut [Value]) -> Result<Value> {
+    match (moved, e) {
+        (true, Bound::Slot(k)) => Ok(slots.get_mut(*k).map(mem::take).unwrap_or_default()),
+        _ => Ok(e.eval(row, slots)?.into_owned()),
+    }
+}
+
 /// The select item an `ORDER BY` column names by alias.
 fn aliased_item(query: &Query, expr: &Expr) -> Option<usize> {
     let Expr::Column(name) = expr else { return None };
@@ -399,6 +408,10 @@ struct Aggregator {
     /// The stride of a representative row: the scan schema's width, or 0
     /// when `rest` is empty and no group keeps one.
     width: usize,
+    /// Per output, then per `ORDER BY` key: true when it is a bare slot
+    /// that no other output or key reads, which `finalize` then moves out
+    /// of the group's slots instead of cloning.
+    moves: Vec<bool>,
     /// Hashes the keys of every partial this aggregator makes, so a merge
     /// finds a group by the hash its partial stored. Keys come from the
     /// data, so the hash is the standard library's seeded one.
@@ -446,12 +459,24 @@ impl Aggregator {
         let computed = aggs.calls.iter().filter_map(|(_, arg)| arg.as_ref()).filter(|a| !matches!(a, Bound::Col(_)));
         let row_parts = group_by.iter().zip(&parts).filter(|(_, p)| matches!(p, KeyPart::Row));
         let view = columns_of(row_parts.map(|(g, _)| g).chain(computed));
-        let rest = columns_of(
-            items
-                .iter()
-                .chain(&having)
-                .chain(order_by.iter().filter_map(|o| if let OrderKey::Expr(e) = o { Some(e) } else { None })),
-        );
+        let keys = || order_by.iter().filter_map(|o| if let OrderKey::Expr(e) = o { Some(e) } else { None });
+        let rest = columns_of(items.iter().chain(&having).chain(keys()));
+        // How often the outputs and keys read each slot (HAVING reads them
+        // before any is moved).
+        let mut reads = vec![0usize; group_by.len() + aggs.calls.len()];
+        items.iter().chain(keys()).for_each(|e| {
+            e.leaves(&mut |leaf| {
+                if let Bound::Slot(k) = leaf {
+                    reads.get_mut(*k).into_iter().for_each(|n| *n += 1);
+                }
+            })
+        });
+        let sole = |e: &Bound| matches!(e, Bound::Slot(k) if reads.get(*k) == Some(&1));
+        let moves = items
+            .iter()
+            .map(sole)
+            .chain(order_by.iter().map(|o| matches!(o, OrderKey::Expr(e) if sole(e))))
+            .collect();
         Ok(Aggregator {
             query: query.clone(),
             group_by,
@@ -464,6 +489,7 @@ impl Aggregator {
             view,
             width: if rest.is_empty() { 0 } else { schema.len() },
             rest,
+            moves,
             hasher: RandomState::new(),
         })
     }
@@ -653,20 +679,23 @@ impl Aggregator {
             slots.clear();
             let (key, exact) = group_key(&partial.keys, &partial.arena, g);
             decode_key(key, exact, &mut slots);
-            slots.extend(partial.states.iter().map(|states| states.finish(g)));
+            slots.extend(partial.states.iter_mut().map(|states| states.finish(g)));
             // HAVING: post-aggregation filter (truthy = keep).
             if let Some(h) = &self.having {
                 if !matches!(h.eval(row, &slots)?.as_f64(), Some(f) if f != 0.0) {
                     continue;
                 }
             }
+            let (item_moves, key_moves) = self.moves.split_at(self.items.len());
             let mut out = Vec::with_capacity(self.items.len());
-            for item in &self.items {
-                out.push(item.eval(row, &slots)?.into_owned());
+            for (item, &moved) in self.items.iter().zip(item_moves) {
+                out.push(value_of(item, moved, row, &mut slots)?);
             }
             rows.push(out);
-            for o in &self.order_by {
-                sort_keys.extend(o.eval(row, &slots)?);
+            for (o, &moved) in self.order_by.iter().zip(key_moves) {
+                if let OrderKey::Expr(e) = o {
+                    sort_keys.push(value_of(e, moved, row, &mut slots)?);
+                }
             }
         }
         Ok(ResultSet { columns, rows: finish_order(&self.query, &self.order_by, rows, &sort_keys) })

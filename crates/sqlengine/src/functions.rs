@@ -3,7 +3,7 @@
 use crate::ast::AggFunc;
 use scoop_common::{Result, ScoopError};
 use scoop_csv::batch::Selection;
-use scoop_csv::{Column, SmallStr, Value};
+use scoop_csv::{Column, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -57,7 +57,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
                 }
                 out.push_str(&a.to_string());
             }
-            Ok(Value::Str(out.into()))
+            Ok(Value::Str(out))
         }
         "abs" => {
             let [v] = args else {
@@ -117,7 +117,7 @@ pub(crate) fn text_of(v: &Value) -> Cow<'_, [u8]> {
 /// behaves like 1, a negative start counts from the end.
 pub(crate) fn substring(text: &[u8], start: i64, len: i64) -> Value {
     let piece = text.get(substring_range(text, start, len)).unwrap_or_default();
-    Value::Str(SmallStr::from_utf8_lossy(piece))
+    Value::Str(String::from_utf8_lossy(piece).into_owned())
 }
 
 /// [`substring`] of a value: NULL stays NULL, anything else is cut from its
@@ -160,8 +160,8 @@ fn unary_str(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> Result<V
     };
     Ok(match v {
         Value::Null => Value::Null,
-        Value::Str(s) => Value::Str(f(s).into()),
-        other => Value::Str(f(&other.to_string()).into()),
+        Value::Str(s) => Value::Str(f(s)),
+        other => Value::Str(f(&other.to_string())),
     })
 }
 
@@ -301,7 +301,7 @@ impl AggState {
 
     #[inline]
     fn fold_str<'a>(&mut self, cells: impl Iterator<Item = Option<&'a [u8]>>) {
-        self.fold_cells(cells, |_| None, |a, b| a.cmp(b), |s| Value::Str(SmallStr::from_utf8_lossy(s)))
+        self.fold_cells(cells, |_| None, |a, b| a.cmp(b), |s| Value::Str(String::from_utf8_lossy(s).into_owned()))
     }
 
     /// [`AggState::update_column`] over one lane's cells (`None` for NULL):
@@ -524,10 +524,11 @@ impl AggColumn {
         self.put(g, state);
     }
 
-    /// Group `g`'s finished value, as [`AggState::finish`].
-    pub(crate) fn finish(&self, g: usize) -> Value {
+    /// Group `g`'s finished value, as [`AggState::finish`]; a held value is
+    /// moved out, so each group is finished once.
+    pub(crate) fn finish(&mut self, g: usize) -> Value {
         match self {
-            AggColumn::Held(_, held) => held.get(g).cloned().unwrap_or(Value::Null),
+            AggColumn::Held(_, held) => held.get_mut(g).map(std::mem::take).unwrap_or(Value::Null),
             numbers => numbers.get(g).finish(),
         }
     }

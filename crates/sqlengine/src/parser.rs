@@ -348,7 +348,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(i)) => Ok(Expr::Literal(Value::Int(i))),
             Some(Token::Float(f)) => Ok(Expr::Literal(Value::Float(f))),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Str(s.into()))),
+            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Str(s))),
             Some(Token::Symbol(Symbol::LParen)) => {
                 let e = self.expr()?;
                 self.expect_symbol(Symbol::RParen)?;

@@ -47,7 +47,7 @@ fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
     };
     let begin = begin.clamp(0, n) as usize;
     let take = len.max(0) as usize;
-    Ok(Value::Str(chars[begin..].iter().take(take).collect::<String>().into()))
+    Ok(Value::Str(chars[begin..].iter().take(take).collect::<String>()))
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ pub fn eval_pred(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Option<b
                 other => {
                     let text = match &other {
                         Value::Str(s) => s.clone(),
-                        v => v.to_string().into(),
+                        v => v.to_string(),
                     };
                     Some(like_match(pattern, &text) != *negated)
                 }

@@ -42,11 +42,11 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
     )
         .prop_map(|(vid, month, index, city, state)| {
             vec![
-                Value::Str(format!("m{vid}").into()),
-                Value::Str(format!("2015-{month:02}-15 10:00:00").into()),
+                Value::Str(format!("m{vid}")),
+                Value::Str(format!("2015-{month:02}-15 10:00:00")),
                 index.map(|f| Value::Float((f * 10.0).round() / 10.0)).unwrap_or(Value::Null),
-                Value::Str(city.into()),
-                Value::Str(state.into()),
+                Value::Str(city),
+                Value::Str(state),
             ]
         });
     proptest::collection::vec(row, 0..60)

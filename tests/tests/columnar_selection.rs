@@ -1,15 +1,19 @@
 //! The columnar scan's row selection against the SQL executor.
 //!
 //! `ColumnarReader::read_batches_selected` drops rows on the decoded column
-//! arrays before they become `Value`s, and the session then applies the bound
-//! WHERE to what is left. That is only transparent if the selection never
-//! drops a row the WHERE would keep — for every predicate shape the filter
-//! language has, on every chunk encoding, with NULLs, NaN and literals of the
-//! wrong type. Random predicates over a file built to hold all of that:
+//! arrays before they become `Value`s, and the session then applies only the
+//! residual WHERE to what is left. The selection must never drop a row the
+//! WHERE would keep — for every predicate shape the filter language has, on
+//! every chunk encoding, with NULLs, NaN and literals of the wrong type — and
+//! for what the planner pushes it must keep no other. Random predicates over
+//! a file built to hold all of that:
 //!
 //! * selected read, then bound WHERE ≡ full read, then bound WHERE
 //!   (so selection ⊇ SQL truth), with and without chunk-stats skipping;
-//! * the selection does not depend on whether its columns are projected.
+//! * the selection does not depend on whether its columns are projected;
+//! * a random WHERE planned by `plan_query`: selected read of the pushed
+//!   conjuncts, then the residual ≡ full read, then the whole WHERE, row for
+//!   row (so the pushed selection is exact).
 //!
 //! And the arm end to end: `Session` over a columnar table returns what it
 //! returns over the CSV the table was converted from, on the Table I queries,
@@ -23,7 +27,8 @@ use scoop_core::{ScoopConfig, ScoopContext};
 use scoop_csv::schema::{DataType, Field};
 use scoop_csv::{ColumnBatch, CsvReader, Predicate, Schema, Value};
 use scoop_integration::{to_expr, Lcg};
-use scoop_sql::RowFilter;
+use scoop_sql::ast::{BinOp, Expr};
+use scoop_sql::{parse, plan_query, RowFilter};
 use scoop_workload::{table1_queries, GeneratorConfig, MeterDataset};
 
 const COLUMNS: [&str; 6] = ["tag", "name", "n", "x", "y", "m"];
@@ -55,7 +60,7 @@ fn file(seed: u64) -> bytes::Bytes {
         let x = xs[(i / 9) as usize % xs.len()];
         w.write_row(&[
             cell(Value::Str(tags[(i % 11) as usize % tags.len()].into())),
-            cell(Value::Str(format!("n{}", i % 400).into())),
+            cell(Value::Str(format!("n{}", i % 400))),
             cell(Value::Int(i % 13 - 3)),
             cell(Value::Float(x)),
             cell(Value::Float(i as f64 / 8.0 - 20.0)),
@@ -124,8 +129,61 @@ fn read(
     batches.iter().flat_map(ColumnBatch::to_rows).collect()
 }
 
+/// The rows of `batches` a bound filter keeps, batch after batch.
+fn kept(batches: &[ColumnBatch], filter: &RowFilter) -> Vec<Vec<Value>> {
+    batches
+        .iter()
+        .flat_map(|batch| {
+            let rows: Vec<Vec<Value>> = batch.to_rows().collect();
+            let selection = filter.select(batch).unwrap();
+            selection.rows().map(|i| rows[i].clone()).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn pushed_selection_then_residual_equals_the_where(seed in any::<u64>()) {
+        let mut rng = Lcg(seed);
+        // One to four conjuncts: those the planner pushes select in the
+        // reader, the rest (`NOT`, wrong-typed literals, `Int` columns) stay
+        // residual.
+        let mut query = parse(&format!("SELECT {} FROM t", rng.pick(&["*", "tag, x", "name", "n, y, m"])))
+            .unwrap();
+        query.where_clause = (0..1 + rng.below(4))
+            .map(|_| to_expr(&predicate(&mut rng, 2), rng.below(2) == 0))
+            .reduce(|a, b| Expr::Binary { op: BinOp::And, left: Box::new(a), right: Box::new(b) });
+        let sql = query.where_clause.as_ref().map(ToString::to_string).unwrap_or_default();
+        let schema = schema();
+        let plan = plan_query(&query, &schema, false).unwrap();
+        let reader = ColumnarReader::open_bytes(file(seed % 5)).unwrap();
+
+        let full = reader.read_batches_selected(None, None, false).unwrap();
+        let filter = RowFilter::bind(query.where_clause.as_ref(), &schema).unwrap();
+        let scan: Vec<usize> =
+            plan.scan_schema.names().iter().map(|c| schema.resolve(c).unwrap()).collect();
+        let want: Vec<Vec<Value>> = kept(&full, &filter)
+            .iter()
+            .map(|row| scan.iter().map(|&i| row[i].clone()).collect())
+            .collect();
+
+        let residual = RowFilter::bind(plan.residual_where.as_ref(), &plan.scan_schema).unwrap();
+        for skip_groups in [false, true] {
+            let selected = reader
+                .read_batches_selected(
+                    plan.pushdown.columns.as_deref(),
+                    plan.pushdown.predicate.as_ref(),
+                    skip_groups,
+                )
+                .unwrap();
+            prop_assert!(
+                kept(&selected, &residual) == want,
+                "{} (pushed {:?}, stats: {})", sql, plan.pushdown.predicate, skip_groups
+            );
+        }
+    }
 
     #[test]
     fn selection_keeps_every_row_the_where_keeps(seed in any::<u64>()) {

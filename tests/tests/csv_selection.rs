@@ -1,13 +1,13 @@
 //! The vanilla CSV scan's raw-field selection against the SQL executor.
 //!
 //! `CsvRelation`'s vanilla scan tests each record's raw field bytes with the
-//! store's own evaluator (`CompiledSpec`), types only the survivors, and
-//! leaves the whole WHERE to the executor; the pushdown arm runs the same
-//! evaluator at the store and leaves only the residual. Both are transparent
-//! only if the planner pushes nothing whose raw-field meaning differs from
-//! SQL's over the typed column. Random Data-Sources predicates over `Str`,
-//! `Int` and `Float` columns whose fields hold the spellings that tell the
-//! two apart — `2.50`, `007`, `1e3`, text in a numeric column, empty and
+//! store's own evaluator (`CompiledSpec`) and types only the survivors; the
+//! pushdown arm runs the same evaluator at the store. Either way the executor
+//! applies only the residual WHERE, so both are transparent only if the
+//! planner pushes nothing whose raw-field meaning differs from SQL's over the
+//! typed column: the scan's selection must be exact. Random Data-Sources
+//! predicates over `Str`, `Int` and `Float` columns whose fields hold the
+//! spellings that tell the two apart — `2.50`, `007`, `1e3`, text in a numeric column, empty and
 //! quoted fields, a quoted newline (which ends the record, as everywhere),
 //! an unbalanced quote, short rows, CRLF and `\r\r\n` line endings, lines
 //! of only `\r`, no final newline — and the ones that
@@ -16,10 +16,10 @@
 //! patterns with `_` — cut into random splits and read in random chunk
 //! sizes:
 //!
-//! * selected scan, then WHERE ≡ full typed scan (`CsvReader`, no
-//!   `CompiledSpec` anywhere), then WHERE ≡ pushdown, then residual ≡
-//!   pushdown answered plain (the store shed or declined every split), then
-//!   WHERE;
+//! * full typed scan (`CsvReader`, no `CompiledSpec` anywhere), then WHERE
+//!   ≡ selected scan, then residual ≡ pushdown, then residual ≡ pushdown
+//!   answered plain (the store shed or declined every split), then
+//!   residual;
 //! * with the WHERE fully pushed, the selection is exact: the scan yields
 //!   exactly the rows SQL keeps.
 //!
@@ -292,7 +292,6 @@ proptest! {
         let arm = |conn: &Arc<Rechunked>, pushdown: bool| -> (ResultSet, usize) {
             let rel = CsvRelation::open(conn.clone(), "t", None, true, Some(schema.clone()), pushdown)
                 .unwrap();
-            let filtered = pushdown && !conn.plain;
             let mut rows = Vec::new();
             for part in rel.partitions(split).unwrap() {
                 let out = rel
@@ -302,12 +301,12 @@ proptest! {
                         plan.pushdown.predicate.as_ref(),
                     )
                     .unwrap();
-                assert_eq!(out.stats.filters_handled, filtered);
+                assert_eq!(out.plain, pushdown && conn.plain);
                 rows.extend(out.rows.map(Result::unwrap));
             }
             let scanned = rows.len();
-            let effective = if filtered { plan.residual_where.as_ref() } else { query.where_clause.as_ref() };
-            let got = execute_with_where(&query, &plan.scan_schema, effective, rows.into_iter().map(Ok))
+            let residual = plan.residual_where.as_ref();
+            let got = execute_with_where(&query, &plan.scan_schema, residual, rows.into_iter().map(Ok))
                 .unwrap();
             (got, scanned)
         };
