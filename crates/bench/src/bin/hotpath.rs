@@ -213,8 +213,9 @@ fn run_benches(rows: usize, iters: usize) -> Vec<Row> {
     })
     .csv_object(rows);
     let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), (rows / 15).max(1));
-    for row in CsvReader::new(scoop_common::stream::once(daily.clone()), schema.clone(), true) {
-        w.write_row(&row.expect("generated CSV parses"));
+    let mut csv = CsvReader::new(scoop_common::stream::once(daily.clone()), schema.clone(), true);
+    while let Some(batch) = csv.next_batch().expect("generated CSV parses") {
+        w.write_batch(batch);
     }
     let file = w.finish();
     let query = scoop_sql::parse(&show_map_cons).expect("parse");

@@ -128,6 +128,11 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Read a little-endian f64.
+    pub fn f64(&mut self) -> Result<f64> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
     /// Read a varint.
     pub fn varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
@@ -192,126 +197,97 @@ impl Encoding {
     }
 }
 
-/// A column chunk's values for one row group. NULLs are carried in a validity
-/// bitmap; value arrays hold only the non-null entries in row order.
+/// Append the chunk of one row group's column to `out`, one cell per row
+/// (`None` for NULL), and return its minimum and maximum non-null cells
+/// (NULL when there are none). NULLs are carried in a validity bitmap; the
+/// payload holds only the non-null cells in row order.
 ///
 /// Encode layout: `tag u8 | n_rows varint | validity bitmap | payload`.
-pub fn encode_column(values: &[Value]) -> Vec<u8> {
-    // Classify the column to pick an encoding.
-    let mut has_int = false;
-    let mut has_float = false;
-    let mut has_str = false;
-    for v in values {
-        match v {
-            Value::Null => {}
-            Value::Int(_) => has_int = true,
-            Value::Float(_) => has_float = true,
-            Value::Str(_) => has_str = true,
+pub fn encode_column(cells: &[Option<Cell<'_>>], out: &mut Vec<u8>) -> (Value, Value) {
+    // One walk classifies the column, which picks the encoding, and finds
+    // its min and max.
+    let (mut has_int, mut has_float, mut has_str) = (false, false, false);
+    let (mut min, mut max): (Option<Cell<'_>>, Option<Cell<'_>>) = (None, None);
+    for &cell in cells.iter().flatten() {
+        match cell {
+            Cell::Int(_) => has_int = true,
+            Cell::Float(_) => has_float = true,
+            Cell::Str(_) => has_str = true,
+        }
+        if min.is_none_or(|m| cell.total_cmp(&m).is_lt()) {
+            min = Some(cell);
+        }
+        if max.is_none_or(|m| cell.total_cmp(&m).is_gt()) {
+            max = Some(cell);
         }
     }
-    let mut out = Vec::new();
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-    if !has_str && has_int && !has_float {
-        out.push(Encoding::DeltaInt as u8);
-        write_header(&mut out, values);
-        let mut prev = 0i64;
-        for v in &non_null {
-            // Classification guarantees Int here; any other shape routed to
-            // the float or string encodings above.
-            let Value::Int(i) = v else { continue };
-            put_varint(&mut out, zigzag(i.wrapping_sub(prev)));
-            prev = *i;
-        }
-        return out;
-    }
-    if !has_str {
-        // Floats (or mixed numeric, or all-null): RLE when repeats pay off.
-        let floats: Vec<f64> = non_null.iter().filter_map(|v| v.as_f64()).collect();
-        let runs = floats
-            .windows(2)
-            .filter(|w| w.first().map(|f| f.to_bits()) != w.last().map(|f| f.to_bits()))
-            .count()
-            .saturating_add(usize::from(!floats.is_empty()));
-        if runs.saturating_mul(9) < floats.len().saturating_mul(8) {
-            out.push(Encoding::FloatRle as u8);
-            write_header(&mut out, values);
-            let mut i = 0usize;
-            while let Some(&first) = floats.get(i) {
-                let run = floats
-                    .iter()
-                    .skip(i)
-                    .take_while(|f| f.to_bits() == first.to_bits())
-                    .count();
-                put_varint(&mut out, run as u64);
-                out.extend_from_slice(&first.to_le_bytes());
-                // `run >= 1`: the element at `i` always matches itself.
-                i = i.saturating_add(run.max(1));
-            }
-        } else {
-            out.push(Encoding::PlainFloat as u8);
-            write_header(&mut out, values);
-            for f in &floats {
-                out.extend_from_slice(&f.to_le_bytes());
-            }
-        }
-        return out;
-    }
-    // Strings: dictionary if it pays off. A column mixing strings with
-    // numerics is stored stringly (rendered) — columnar columns are
-    // homogeneous, mirroring Parquet's typed columns.
-    let rendered: Vec<String> = non_null.iter().map(|v| v.to_string()).collect();
-    let strings: Vec<&str> = rendered.iter().map(String::as_str).collect();
-    let mut dict: Vec<&str> = Vec::new();
-    let mut index_of = std::collections::HashMap::new();
-    for s in &strings {
-        index_of.entry(*s).or_insert_with(|| {
-            dict.push(s);
-            dict.len().saturating_sub(1)
-        });
-    }
-    if dict.len() <= strings.len() / 2 || dict.len() <= 256 {
-        out.push(Encoding::DictRle as u8);
-        write_header(&mut out, values);
-        put_varint(&mut out, dict.len() as u64);
-        for s in &dict {
-            put_bytes(&mut out, s.as_bytes());
-        }
-        // RLE over dictionary indices: (index, run_length)*. Every string
-        // was inserted into `index_of` above, so the lookup always hits.
+    let non_null = cells.iter().flatten();
+    if has_str {
+        // Strings: dictionary if it pays off. A column mixing strings with
+        // numerics is stored stringly, each number rendered as [`Value`]
+        // renders it — columnar columns are homogeneous, mirroring
+        // Parquet's typed columns.
+        let strings: Vec<Cow<'_, [u8]>> = non_null.map(Operand::text).collect();
+        let (mut dict, mut index_of) = (Vec::new(), std::collections::HashMap::new());
         let codes: Vec<usize> = strings
             .iter()
-            .map(|s| index_of.get(s).copied().unwrap_or_default())
+            .map(|s| {
+                *index_of.entry(s.as_ref()).or_insert_with(|| {
+                    dict.push(s.as_ref());
+                    dict.len().saturating_sub(1)
+                })
+            })
             .collect();
-        let mut i = 0usize;
-        while let Some(&idx) = codes.get(i) {
-            let run = codes.iter().skip(i).take_while(|&&c| c == idx).count();
-            put_varint(&mut out, idx as u64);
-            put_varint(&mut out, run as u64);
-            // `run >= 1`: the element at `i` always matches itself.
-            i = i.saturating_add(run.max(1));
+        if dict.len() <= strings.len() / 2 || dict.len() <= 256 {
+            write_header(out, Encoding::DictRle, cells);
+            put_varint(out, dict.len() as u64);
+            dict.iter().for_each(|s| put_bytes(out, s));
+            // RLE over dictionary codes: (code, run length)*.
+            for run in codes.chunk_by(|a, b| a == b) {
+                put_varint(out, run.first().copied().unwrap_or_default() as u64);
+                put_varint(out, run.len() as u64);
+            }
+        } else {
+            write_header(out, Encoding::PlainStr, cells);
+            strings.iter().for_each(|s| put_bytes(out, s));
+        }
+    } else if has_int && !has_float {
+        write_header(out, Encoding::DeltaInt, cells);
+        let mut prev = 0i64;
+        for &cell in non_null {
+            // Classification guarantees Int here.
+            let Cell::Int(i) = cell else { continue };
+            put_varint(out, zigzag(i.wrapping_sub(prev)));
+            prev = i;
         }
     } else {
-        out.push(Encoding::PlainStr as u8);
-        write_header(&mut out, values);
-        for s in &strings {
-            put_bytes(&mut out, s.as_bytes());
+        // Floats (or mixed numeric, or all-null): RLE when repeats pay off.
+        let bits: Vec<u64> = non_null.map(|cell| cell.number().to_bits()).collect();
+        let runs = bits.chunk_by(|a, b| a == b);
+        if runs.clone().count().saturating_mul(9) < bits.len().saturating_mul(8) {
+            write_header(out, Encoding::FloatRle, cells);
+            for run in runs {
+                put_varint(out, run.len() as u64);
+                out.extend_from_slice(&run.first().copied().unwrap_or_default().to_le_bytes());
+            }
+        } else {
+            write_header(out, Encoding::PlainFloat, cells);
+            bits.iter().for_each(|b| out.extend_from_slice(&b.to_le_bytes()));
         }
     }
-    out
+    let stat = |cell: Option<Cell<'_>>| cell.map_or(Value::Null, Cell::to_value);
+    (stat(min), stat(max))
 }
 
-/// Row count + validity bitmap.
-fn write_header(out: &mut Vec<u8>, values: &[Value]) {
-    put_varint(out, values.len() as u64);
-    let mut bitmap = vec![0u8; values.len().div_ceil(8)];
-    for (i, v) in values.iter().enumerate() {
-        if !v.is_null() {
-            if let Some(slot) = bitmap.get_mut(i / 8) {
-                *slot |= 1 << (i % 8);
-            }
-        }
-    }
-    out.extend_from_slice(&bitmap);
+/// Encoding tag, row count and validity bitmap (bit `i % 8` of byte `i / 8`
+/// set when row `i` is not NULL).
+fn write_header(out: &mut Vec<u8>, encoding: Encoding, cells: &[Option<Cell<'_>>]) {
+    out.push(encoding as u8);
+    put_varint(out, cells.len() as u64);
+    let byte = |rows: &[Option<Cell<'_>>]| {
+        rows.iter().rev().fold(0u8, |b, cell| b << 1 | u8::from(cell.is_some()))
+    };
+    out.extend(cells.chunks(8).map(byte));
 }
 
 /// Typed payload of a batch-decoded column chunk. Arrays are *dense* — they
@@ -368,16 +344,16 @@ impl DecodedColumn {
         &self.data
     }
 
-    /// Materialize the dense (non-null) entry at position `k`.
-    pub fn dense_value(&self, k: usize) -> Value {
+    /// The dense (non-null) entry at position `k`, borrowed.
+    fn dense_cell(&self, k: usize) -> Option<Cell<'_>> {
         match &self.data {
-            ColumnData::Int(v) => v.get(k).map_or(Value::Null, |&i| Value::Int(i)),
-            ColumnData::Float(v) => v.get(k).map_or(Value::Null, |&f| Value::Float(f)),
-            ColumnData::Str(v) => v.get(k).map_or(Value::Null, |s| Value::Str(s.as_str().into())),
+            ColumnData::Int(v) => v.get(k).map(|&i| Cell::Int(i)),
+            ColumnData::Float(v) => v.get(k).map(|&f| Cell::Float(f)),
+            ColumnData::Str(v) => v.get(k).map(|s| Cell::Str(s.as_bytes())),
             ColumnData::Dict { dict, codes } => codes
                 .get(k)
                 .and_then(|&c| dict.get(c as usize))
-                .map_or(Value::Null, |s| Value::Str(s.as_str().into())),
+                .map(|s| Cell::Str(s.as_bytes())),
         }
     }
 
@@ -392,35 +368,41 @@ impl DecodedColumn {
         entries == self.n_rows
     }
 
-    /// Materialize the cells of `rows` (ascending row indices), NULLs
-    /// included. Only these cells become a [`Value`]; the dense cursor walks
-    /// the validity bitmap between them.
-    pub fn gather<'s>(
+    /// The cells of `rows` (ascending row indices), `None` for NULL,
+    /// borrowed from the chunk; the dense cursor walks the validity bitmap
+    /// between them.
+    fn cells<'s>(
         &'s self,
         rows: impl IntoIterator<Item = usize> + 's,
-    ) -> impl Iterator<Item = Value> + 's {
+    ) -> impl Iterator<Item = Option<Cell<'s>>> + 's {
         let dense = self.is_dense();
         // `k` counts the non-null rows before row `at`.
         let (mut at, mut k) = (0usize, 0usize);
         rows.into_iter().map(move |row| {
             if dense {
-                return self.dense_value(row);
+                return self.dense_cell(row);
             }
             while at < row {
                 k += usize::from(self.is_valid(at));
                 at += 1;
             }
-            if self.is_valid(row) {
-                self.dense_value(k)
-            } else {
-                Value::Null
-            }
+            self.is_valid(row).then(|| self.dense_cell(k)).flatten()
         })
     }
 
-    /// [`DecodedColumn::gather`] as one column of a
-    /// [`ColumnBatch`](scoop_csv::ColumnBatch): a typed lane, strings copied
-    /// into its arena.
+    /// Materialize the cells of `rows` (ascending row indices), NULLs
+    /// included. Only these cells become a [`Value`].
+    pub fn gather<'s>(
+        &'s self,
+        rows: impl IntoIterator<Item = usize> + 's,
+    ) -> impl Iterator<Item = Value> + 's {
+        self.cells(rows).map(|cell| cell.map_or(Value::Null, Cell::to_value))
+    }
+
+    /// The cells of `rows` (ascending row indices) as one column of a
+    /// [`ColumnBatch`](scoop_csv::ColumnBatch): numbers into a typed lane,
+    /// strings copied from the chunk into the lane's arena. No cell becomes
+    /// a [`Value`] that holds a string.
     pub fn gather_column(&self, rows: &[usize]) -> Column {
         let dtype = match &self.data {
             ColumnData::Int(_) => DataType::Int,
@@ -428,7 +410,12 @@ impl DecodedColumn {
             ColumnData::Str(_) | ColumnData::Dict { .. } => DataType::Str,
         };
         let mut column = Column::new(dtype, &Bytes::new());
-        self.gather(rows.iter().copied()).for_each(|v| column.push(v));
+        for cell in self.cells(rows.iter().copied()) {
+            match cell {
+                Some(Cell::Str(text)) => column.push_text(text),
+                cell => column.push(cell.map_or(Value::Null, Cell::to_value)),
+            }
+        }
         column
     }
 
@@ -440,9 +427,11 @@ impl DecodedColumn {
         match &self.data {
             ColumnData::Int(v) => self.spread(v.iter().map(|&i| test(Cell::Int(i))), on_null),
             ColumnData::Float(v) => self.spread(v.iter().map(|&f| test(Cell::Float(f))), on_null),
-            ColumnData::Str(v) => self.spread(v.iter().map(|s| test(Cell::Str(s))), on_null),
+            ColumnData::Str(v) => {
+                self.spread(v.iter().map(|s| test(Cell::Str(s.as_bytes()))), on_null)
+            }
             ColumnData::Dict { dict, codes } => {
-                let hits: Vec<bool> = dict.iter().map(|s| test(Cell::Str(s))).collect();
+                let hits: Vec<bool> = dict.iter().map(|s| test(Cell::Str(s.as_bytes()))).collect();
                 if !hits.contains(&true) && !on_null {
                     return vec![false; self.n_rows];
                 }
@@ -469,15 +458,71 @@ impl DecodedColumn {
     }
 }
 
-/// One non-null cell, borrowed from a decoded chunk.
+/// One non-null cell, borrowed: from a decoded chunk on the read side, from
+/// a batch [`Column`] on the write side.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cell<'a> {
-    /// A cell of a [`ColumnData::Int`] chunk.
+    /// An integer.
     Int(i64),
-    /// A cell of a [`ColumnData::Float`] chunk.
+    /// A float.
     Float(f64),
-    /// A cell of a [`ColumnData::Str`] chunk or a dictionary entry.
-    Str(&'a str),
+    /// A string's bytes (valid UTF-8).
+    Str(&'a [u8]),
+}
+
+impl<'a> Cell<'a> {
+    /// `value` borrowed; `None` for NULL.
+    pub fn of_value(value: &'a Value) -> Option<Cell<'a>> {
+        match value {
+            Value::Null => None,
+            Value::Int(i) => Some(Cell::Int(*i)),
+            Value::Float(f) => Some(Cell::Float(*f)),
+            Value::Str(s) => Some(Cell::Str(s.as_bytes())),
+        }
+    }
+
+    /// Row `i` of a batch column, borrowed from its lane (or its
+    /// [`Column::Values`] cell); `None` for NULL or past the column.
+    #[inline]
+    pub fn of_column(column: &'a Column, i: usize) -> Option<Cell<'a>> {
+        match column {
+            Column::F64(lane) => lane.get(i).map(Cell::Float),
+            Column::I64(lane) => lane.get(i).map(Cell::Int),
+            Column::Str(lane) => lane.get(i).map(Cell::Str),
+            Column::Values(values) => values.get(i).and_then(Cell::of_value),
+        }
+    }
+
+    /// The cell as an owned [`Value`].
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(String::from_utf8_lossy(s).into_owned()),
+        }
+    }
+
+    /// A number cell as `f64`, an integer coerced as [`Value::as_f64`] does;
+    /// NaN for a string.
+    fn number(&self) -> f64 {
+        match *self {
+            Cell::Int(i) => i as f64,
+            Cell::Float(f) => f,
+            Cell::Str(_) => f64::NAN,
+        }
+    }
+
+    /// [`Value::total_cmp`] over borrowed cells: numbers by
+    /// [`f64::total_cmp`], an integer as `f64`, all below strings, which
+    /// order by their bytes.
+    pub fn total_cmp(&self, other: &Cell<'_>) -> Ordering {
+        match (self, other) {
+            (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
+            (Cell::Str(_), _) => Ordering::Greater,
+            (_, Cell::Str(_)) => Ordering::Less,
+            (a, b) => a.number().total_cmp(&b.number()),
+        }
+    }
 }
 
 /// A cell as a predicate leaf sees it: strings in byte order, numbers as
@@ -494,27 +539,18 @@ impl Operand for Cell<'_> {
 
     fn cmp_str(&self, s: &str) -> Option<Ordering> {
         match *self {
-            Cell::Str(cell) => Some(cell.as_bytes().cmp(s.as_bytes())),
+            Cell::Str(cell) => Some(cell.cmp(s.as_bytes())),
             Cell::Int(_) | Cell::Float(_) => None,
         }
     }
 
     fn text(&self) -> Cow<'_, [u8]> {
         match *self {
-            Cell::Str(s) => Cow::Borrowed(s.as_bytes()),
+            Cell::Str(s) => Cow::Borrowed(s),
             Cell::Int(i) => Cow::Owned(Value::Int(i).to_string().into_bytes()),
             Cell::Float(f) => Cow::Owned(Value::Float(f).to_string().into_bytes()),
         }
     }
-}
-
-/// Read 8 bytes as a little-endian f64.
-fn take_f64(c: &mut Cursor<'_>) -> Result<f64> {
-    let b: [u8; 8] = c
-        .take(8)?
-        .try_into()
-        .map_err(|_| ScoopError::Corrupt("short f64".into()))?;
-    Ok(f64::from_le_bytes(b))
 }
 
 /// Decode a column chunk into typed arrays: one pass per value or run, no
@@ -546,7 +582,7 @@ pub fn decode_column_batch(data: &[u8]) -> Result<DecodedColumn> {
         Encoding::PlainFloat => {
             let mut vals = Vec::with_capacity(n_valid);
             for _ in 0..n_valid {
-                vals.push(take_f64(&mut c)?);
+                vals.push(c.f64()?);
             }
             ColumnData::Float(vals)
         }
@@ -554,7 +590,7 @@ pub fn decode_column_batch(data: &[u8]) -> Result<DecodedColumn> {
             let mut vals = Vec::with_capacity(n_valid);
             while vals.len() < n_valid {
                 let run = c.varint()? as usize;
-                let v = take_f64(&mut c)?;
+                let v = c.f64()?;
                 let new_len = vals.len().saturating_add(run);
                 if run == 0 || new_len > n_valid {
                     return Err(ScoopError::Corrupt("float RLE run overflow".into()));
@@ -600,17 +636,20 @@ pub fn decode_column(data: &[u8]) -> Result<Vec<Value>> {
     Ok(decode_column_batch(data)?.to_values())
 }
 
-/// Convenience wrapper returning [`Bytes`].
-pub fn encode_column_bytes(values: &[Value]) -> Bytes {
-    Bytes::from(encode_column(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The chunk of `values`.
+    fn encode(values: &[Value]) -> Vec<u8> {
+        let cells: Vec<Option<Cell<'_>>> = values.iter().map(Cell::of_value).collect();
+        let mut out = Vec::new();
+        encode_column(&cells, &mut out);
+        out
+    }
+
     fn roundtrip(values: Vec<Value>) {
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         let dec = decode_column(&enc).unwrap();
         assert_eq!(dec, values);
     }
@@ -630,7 +669,7 @@ mod tests {
     #[test]
     fn int_column_roundtrip_and_compression() {
         let values: Vec<Value> = (0..1000).map(|i| Value::Int(1_000_000 + i)).collect();
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         // Deltas of 1 → ~1 byte each plus header.
         assert!(enc.len() < 1500, "encoded {} bytes", enc.len());
         roundtrip(values);
@@ -641,7 +680,7 @@ mod tests {
         let values: Vec<Value> = (0..1000)
             .map(|i| Value::Str(if i % 2 == 0 { "Rotterdam" } else { "Paris" }.into()))
             .collect();
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         assert_eq!(enc[0], Encoding::DictRle as u8);
         assert!(enc.len() < 4200, "encoded {} bytes", enc.len());
         roundtrip(values);
@@ -662,7 +701,7 @@ mod tests {
     #[test]
     fn mixed_numeric_column_uses_float() {
         let values = vec![Value::Int(1), Value::Float(2.5), Value::Null];
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         assert_eq!(enc[0], Encoding::PlainFloat as u8);
         let dec = decode_column(&enc).unwrap();
         // Ints come back as floats — equal under numeric coercion.
@@ -675,7 +714,7 @@ mod tests {
     fn unique_strings_fall_back_to_plain_when_large() {
         let values: Vec<Value> =
             (0..600).map(|i| Value::Str(format!("unique-{i}"))).collect();
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         // 600 unique of 600 → dict does not pay (dict > 256 and > half).
         assert_eq!(enc[0], Encoding::PlainStr as u8);
         roundtrip(values);
@@ -687,7 +726,7 @@ mod tests {
             .iter()
             .map(|s| Value::Str(s.to_string()))
             .collect();
-        let enc = encode_column(&values);
+        let enc = encode(&values);
         assert_eq!(enc[0], Encoding::DictRle as u8);
         let col = decode_column_batch(&enc).unwrap();
         assert_eq!(col.len(), 5);
@@ -715,7 +754,7 @@ mod tests {
                 .collect(),
         ];
         for values in cases {
-            let enc = encode_column(&values);
+            let enc = encode(&values);
             let batch = decode_column_batch(&enc).unwrap();
             assert_eq!(batch.to_values(), decode_column(&enc).unwrap());
             assert_eq!(batch.to_values(), values);
@@ -726,7 +765,7 @@ mod tests {
     fn corrupt_chunks_error() {
         assert!(decode_column(&[]).is_err());
         assert!(decode_column(&[9, 1, 1]).is_err());
-        let mut good = encode_column(&[Value::Int(5)]);
+        let mut good = encode(&[Value::Int(5)]);
         good.truncate(good.len() - 1);
         assert!(decode_column(&good).is_err());
     }

@@ -80,11 +80,7 @@ fn get_value(c: &mut Cursor<'_>) -> Result<Value> {
     Ok(match tag {
         0 => Value::Null,
         1 => Value::Int(crate::encode::unzigzag(c.varint()?)),
-        2 => {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(c.take_pub(8)?);
-            Value::Float(f64::from_le_bytes(raw))
-        }
+        2 => Value::Float(c.f64()?),
         3 => Value::Str(String::from_utf8_lossy(c.bytes()?).into_owned()),
         other => return Err(ScoopError::Columnar(format!("bad value tag {other}"))),
     })
@@ -167,30 +163,10 @@ impl Footer {
     }
 }
 
-/// Compute min/max stats over a column slice.
-pub fn column_stats(values: &[Value]) -> (Value, Value) {
-    let mut min: Option<&Value> = None;
-    let mut max: Option<&Value> = None;
-    for v in values {
-        if v.is_null() {
-            continue;
-        }
-        if min.is_none_or(|m| v.total_cmp(m).is_lt()) {
-            min = Some(v);
-        }
-        if max.is_none_or(|m| v.total_cmp(m).is_gt()) {
-            max = Some(v);
-        }
-    }
-    (
-        min.cloned().unwrap_or(Value::Null),
-        max.cloned().unwrap_or(Value::Null),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::{encode_column, Cell};
 
     fn footer() -> Footer {
         Footer {
@@ -237,18 +213,47 @@ mod tests {
         assert_eq!(Footer::decode(footer_bytes).unwrap(), f);
     }
 
+    /// A chunk's min/max, as the encoder reports them with the chunk.
+    fn stats(values: &[Value]) -> (Value, Value) {
+        let cells: Vec<Option<Cell<'_>>> = values.iter().map(Cell::of_value).collect();
+        encode_column(&cells, &mut Vec::new())
+    }
+
     #[test]
     fn stats_ignore_nulls() {
-        let (min, max) = column_stats(&[
-            Value::Null,
-            Value::Int(5),
-            Value::Int(-3),
-            Value::Null,
-        ]);
+        let (min, max) = stats(&[Value::Null, Value::Int(5), Value::Int(-3), Value::Null]);
         assert_eq!(min, Value::Int(-3));
         assert_eq!(max, Value::Int(5));
-        let (min, max) = column_stats(&[Value::Null]);
+        let (min, max) = stats(&[Value::Null]);
         assert!(min.is_null() && max.is_null());
+    }
+
+    #[test]
+    fn stats_order_cells_as_values_do() {
+        // Numbers by `f64::total_cmp` (an Int as f64, -0.0 below 0.0, NaN
+        // above everything), below strings, which order by their bytes; the
+        // first of equal cells is kept.
+        let values = [
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Str("é".into()),
+            Value::Str("z".into()),
+            Value::Float(f64::INFINITY),
+        ];
+        let (min, max) = stats(&values);
+        let want_min = values.iter().min_by(|a, b| a.total_cmp(b));
+        let want_max = values.iter().rev().max_by(|a, b| a.total_cmp(b));
+        assert!(matches!(min, Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(Some(&min), want_min);
+        assert_eq!(max, Value::Str("é".into()));
+        assert_eq!(Some(&max), want_max);
+        let (min, max) = stats(&values[..4]);
+        assert!(matches!(max, Value::Float(f) if f.is_nan()));
+        assert!(matches!(min, Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
+        let (min, _) = stats(&[Value::Int(1), Value::Float(1.0)]);
+        assert!(matches!(min, Value::Int(1)), "first of equal cells");
     }
 
     #[test]

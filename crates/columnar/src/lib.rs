@@ -13,7 +13,7 @@
 //! * [`encode`] — column encodings: dictionary+RLE for strings, zigzag-varint
 //!   delta for integers, raw little-endian for floats, validity bitmaps for
 //!   NULLs.
-//! * [`writer`] / [`reader`] — write typed rows, read back with **column
+//! * [`writer`] / [`reader`] — write column batches, read back with **column
 //!   pruning** (only selected chunks are fetched — the reader works over a
 //!   range-fetch callback so it composes with ranged object-store GETs, and
 //!   adjacent chunks share one), row selection on the decoded arrays before

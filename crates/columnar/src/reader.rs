@@ -379,14 +379,15 @@ mod tests {
             Field::new("date", DataType::Str),
             Field::new("index", DataType::Float),
         ]);
-        let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
-        for i in 0..30 {
-            w.write_row(&[
+        let rows = (0..30).map(|i| {
+            vec![
                 Value::Str(format!("m{}", i % 4)),
                 Value::Str(format!("2015-{:02}-01", i / 10 + 1)),
                 Value::Float(i as f64),
-            ]);
-        }
+            ]
+        });
+        let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 10);
+        w.write_batch(ColumnBatch::from_rows(&schema, rows));
         w.finish()
     }
 
@@ -454,12 +455,13 @@ mod tests {
     fn stats_skip_like_in_and_is_not_null() {
         // Three groups of ten: Amsterdam/Breda, Lyon/Nice, and no city.
         let schema = Schema::new(vec![Field::new("city", DataType::Str), Field::new("n", DataType::Int)]);
-        let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
+        let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 10);
         let cities = [Some("Amsterdam"), Some("Breda"), Some("Lyon"), Some("Nice"), None, None];
-        for i in 0..30i64 {
+        let rows = (0..30i64).map(|i| {
             let city = cities[(i / 10 * 2 + i % 2) as usize];
-            w.write_row(&[city.map_or(Value::Null, |c| Value::Str(c.into())), Value::Int(i)]);
-        }
+            vec![city.map_or(Value::Null, |c| Value::Str(c.into())), Value::Int(i)]
+        });
+        w.write_batch(ColumnBatch::from_rows(&schema, rows));
         let r = ColumnarReader::open_bytes(w.finish()).unwrap();
         let groups = |pred: Predicate| -> Vec<i64> {
             let rows = r.read_rows_filtered(None, Some(&pred)).unwrap();
@@ -531,10 +533,9 @@ mod tests {
             text("state"),
             text("region"),
         ]);
-        let mut w = ColumnarWriter::with_row_group_rows(schema, 10);
-        for i in 0..25 {
+        let rows = (0..25).map(|i| {
             let f = Value::Float(i as f64 / 4.0);
-            w.write_row(&[
+            vec![
                 Value::Str(format!("m{}", i % 4)),
                 Value::Str(format!("2015-{:02}-01", i / 10 + 1)),
                 f.clone(),
@@ -545,8 +546,10 @@ mod tests {
                 Value::Str("Rotterdam".into()),
                 Value::Str("NLD".into()),
                 Value::Str("EU".into()),
-            ]);
-        }
+            ]
+        });
+        let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 10);
+        w.write_batch(ColumnBatch::from_rows(&schema, rows));
         w.finish()
     }
 

@@ -1,9 +1,10 @@
-//! Columnar writer: typed rows → encoded object bytes.
+//! Columnar writer: column batches → encoded object bytes.
 
-use crate::encode::encode_column;
-use crate::format::{column_stats, ChunkMeta, Footer, RowGroupMeta};
+use crate::encode::{encode_column, Cell};
+use crate::format::{ChunkMeta, Footer, RowGroupMeta};
 use bytes::Bytes;
-use scoop_csv::{Schema, Value};
+use scoop_csv::{ColumnBatch, Schema};
+use std::ops::Range;
 
 /// Default rows per row group (Parquet defaults to ~1M; smaller groups keep
 /// laptop-scale experiments granular).
@@ -13,8 +14,12 @@ pub const DEFAULT_ROW_GROUP_ROWS: usize = 10_000;
 pub struct ColumnarWriter {
     schema: Schema,
     row_group_rows: usize,
-    /// Column-major buffer of the current row group.
-    pending: Vec<Vec<Value>>,
+    /// The batches of the row group being gathered, each with its rows not
+    /// yet written: a batch that a group cut crosses stays, its range moved
+    /// past the cut.
+    pending: Vec<(ColumnBatch, Range<usize>)>,
+    /// Rows across `pending`.
+    pending_rows: usize,
     /// Encoded file body so far.
     body: Vec<u8>,
     groups: Vec<RowGroupMeta>,
@@ -29,60 +34,64 @@ impl ColumnarWriter {
     /// Create a writer with an explicit row-group size.
     pub fn with_row_group_rows(schema: Schema, row_group_rows: usize) -> Self {
         assert!(row_group_rows > 0, "row group size must be positive");
-        let cols = schema.len();
         ColumnarWriter {
             schema,
             row_group_rows,
-            pending: vec![Vec::new(); cols],
+            pending: Vec::new(),
+            pending_rows: 0,
             body: Vec::new(),
             groups: Vec::new(),
         }
     }
 
-    /// Append one typed row (padded/truncated to the schema width).
-    pub fn write_row(&mut self, row: &[Value]) {
-        self.write_cells(row.iter().cloned());
-    }
-
-    /// [`ColumnarWriter::write_row`] for a row the caller hands over: its
-    /// values are moved in, not copied.
-    pub fn write_owned_row(&mut self, row: Vec<Value>) {
-        self.write_cells(row.into_iter());
-    }
-
-    fn write_cells(&mut self, mut cells: impl Iterator<Item = Value>) {
-        for col in &mut self.pending {
-            col.push(cells.next().unwrap_or(Value::Null));
-        }
-        if self.pending.first().map_or(0, Vec::len) >= self.row_group_rows {
-            self.flush_group();
-        }
-    }
-
-    fn flush_group(&mut self) {
-        let rows = self.pending.first().map(Vec::len).unwrap_or(0);
+    /// Append a batch's rows, its columns in schema order: a column past the
+    /// batch's width reads as NULL, and columns past the schema's are
+    /// dropped.
+    pub fn write_batch(&mut self, batch: ColumnBatch) {
+        let rows = batch.rows();
         if rows == 0 {
             return;
         }
-        let mut chunks = Vec::with_capacity(self.pending.len());
-        for col in &mut self.pending {
-            let (min, max) = column_stats(col);
-            let encoded = encode_column(col);
-            chunks.push(ChunkMeta {
-                offset: self.body.len() as u64,
-                length: encoded.len() as u64,
-                min,
-                max,
-            });
-            self.body.extend_from_slice(&encoded);
-            col.clear();
+        self.pending.push((batch, 0..rows));
+        self.pending_rows = self.pending_rows.saturating_add(rows);
+        while self.pending_rows >= self.row_group_rows {
+            self.flush_group(self.row_group_rows);
         }
+    }
+
+    /// Encode the first `rows` pending rows as one row group.
+    fn flush_group(&mut self, rows: usize) {
+        if rows == 0 {
+            return;
+        }
+        let mut chunks = Vec::with_capacity(self.schema.len());
+        for c in 0..self.schema.len() {
+            let cells: Vec<Option<Cell<'_>>> = self.pending.iter()
+                .flat_map(|(batch, range)| {
+                    let column = batch.column(c);
+                    range.clone().map(move |i| column.and_then(|col| Cell::of_column(col, i)))
+                })
+                .take(rows)
+                .collect();
+            let offset = self.body.len();
+            let (min, max) = encode_column(&cells, &mut self.body);
+            let length = self.body.len().saturating_sub(offset) as u64;
+            chunks.push(ChunkMeta { offset: offset as u64, length, min, max });
+        }
+        let mut left = rows;
+        self.pending.retain_mut(|(_, range)| {
+            let take = range.len().min(left);
+            range.start = range.start.saturating_add(take);
+            left = left.saturating_sub(take);
+            range.start < range.end
+        });
+        self.pending_rows = self.pending_rows.saturating_sub(rows);
         self.groups.push(RowGroupMeta { rows: rows as u64, chunks });
     }
 
     /// Finish: flush the tail group, append footer + trailer, return bytes.
     pub fn finish(mut self) -> Bytes {
-        self.flush_group();
+        self.flush_group(self.pending_rows);
         let footer = Footer { schema: self.schema, row_groups: self.groups };
         footer.write_trailer(&mut self.body);
         Bytes::from(self.body)
@@ -94,7 +103,7 @@ mod tests {
     use super::*;
     use crate::reader::ColumnarReader;
     use scoop_csv::schema::{DataType, Field};
-    use scoop_csv::ColumnBatch;
+    use scoop_csv::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -116,9 +125,7 @@ mod tests {
                 ]
             })
             .collect();
-        for r in &rows {
-            w.write_row(r);
-        }
+        w.write_batch(ColumnBatch::from_rows(&schema(), rows.clone()));
         let data = w.finish();
         let reader = ColumnarReader::open_bytes(data).unwrap();
         assert_eq!(reader.num_rows(), 25);
@@ -142,20 +149,46 @@ mod tests {
         // Repetitive data (like meter readings) compresses well.
         let mut w = ColumnarWriter::new(schema());
         let mut csv_len = 0usize;
-        for i in 0..5000 {
-            let row = vec![
-                Value::Str(format!("meter-{}", i % 10)),
-                Value::Float(100.0),
-                Value::Int(i),
-            ];
+        let rows = (0..5000).map(|i| {
             csv_len += format!("meter-{},100.0,{}\n", i % 10, i).len();
-            w.write_row(&row);
-        }
+            vec![Value::Str(format!("meter-{}", i % 10)), Value::Float(100.0), Value::Int(i)]
+        });
+        w.write_batch(ColumnBatch::from_rows(&schema(), rows));
         let data = w.finish();
         assert!(
             data.len() < csv_len / 2,
             "columnar {} vs csv {csv_len}",
             data.len()
         );
+    }
+
+    /// Batches cut anywhere, narrower than the schema or empty, write the
+    /// object that one batch of the same rows does, NULL-padded.
+    #[test]
+    fn batches_cut_anywhere_write_one_object() {
+        let rows: Vec<Vec<Value>> = (0..23)
+            .map(|i| vec![Value::Str(format!("m{}", i % 4)), Value::Float(i as f64)])
+            .collect();
+        let padded = rows.iter().map(|r| [r.clone(), vec![Value::Null]].concat());
+        let mut whole = ColumnarWriter::with_row_group_rows(schema(), 5);
+        whole.write_batch(ColumnBatch::from_rows(&schema(), padded));
+        let whole = whole.finish();
+
+        let narrow = Schema::new(schema().fields[..2].to_vec());
+        let mut cut = ColumnarWriter::with_row_group_rows(schema(), 5);
+        for piece in [&rows[..3], &rows[3..3], &rows[3..14], &rows[14..]] {
+            let batch = ColumnBatch::from_rows(&narrow, piece.to_vec());
+            assert!(batch.column(2).is_none());
+            cut.write_batch(batch);
+        }
+        assert_eq!(cut.finish(), whole);
+
+        // A batch wider than the schema has its extra columns dropped.
+        let mut wide = ColumnarWriter::with_row_group_rows(narrow.clone(), 5);
+        let three = rows.iter().map(|r| [r.clone(), vec![Value::Int(1)]].concat());
+        wide.write_batch(ColumnBatch::from_rows(&schema(), three));
+        let mut exact = ColumnarWriter::with_row_group_rows(narrow.clone(), 5);
+        exact.write_batch(ColumnBatch::from_rows(&narrow, rows));
+        assert_eq!(wide.finish(), exact.finish());
     }
 }

@@ -7,6 +7,14 @@ use scoop_columnar::{ColumnarReader, ColumnarWriter};
 use scoop_csv::schema::{DataType, Field, Schema};
 use scoop_csv::{ColumnBatch, Value};
 
+/// The chunk of `values`.
+fn encode(values: &[Value]) -> Vec<u8> {
+    let cells: Vec<Option<Cell<'_>>> = values.iter().map(Cell::of_value).collect();
+    let mut out = Vec::new();
+    encode_column(&cells, &mut out);
+    out
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
@@ -47,7 +55,7 @@ proptest! {
     #[test]
     fn column_roundtrip(values in column_strategy()) {
         // Mixed numeric columns decode Int as Float; compare with coercion.
-        let decoded = decode_column(&encode_column(&values)).unwrap();
+        let decoded = decode_column(&encode(&values)).unwrap();
         prop_assert_eq!(decoded.len(), values.len());
         for (d, v) in decoded.iter().zip(&values) {
             match (d, v) {
@@ -70,12 +78,12 @@ proptest! {
         bound in -50i64..50,
         stride in 1usize..7,
     ) {
-        let col = decode_column_batch(&encode_column(&values)).unwrap();
+        let col = decode_column_batch(&encode(&values)).unwrap();
         let cells = col.to_values();
         let flags = col.test_rows(|cell| match cell {
             Cell::Int(i) => i < bound,
             Cell::Float(f) => f < bound as f64,
-            Cell::Str(s) => s.contains(needle.as_str()),
+            Cell::Str(s) => String::from_utf8_lossy(s).contains(needle.as_str()),
         }, false);
         let want: Vec<bool> = cells
             .iter()
@@ -105,7 +113,7 @@ proptest! {
             Field::new("index", DataType::Float),
             Field::new("n", DataType::Int),
         ]);
-        let mut w = ColumnarWriter::with_row_group_rows(schema, group_rows);
+        let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), group_rows);
         let mut rows = Vec::new();
         let mut rng = seed;
         for i in 0..n_rows {
@@ -115,9 +123,9 @@ proptest! {
                 if rng.is_multiple_of(5) { Value::Null } else { Value::Float((rng % 1000) as f64) },
                 Value::Int(i as i64),
             ];
-            w.write_row(&row);
             rows.push(row);
         }
+        w.write_batch(ColumnBatch::from_rows(&schema, rows.clone()));
         let data = w.finish();
         let r = ColumnarReader::open_bytes(data).unwrap();
         prop_assert_eq!(r.num_rows() as usize, n_rows);

@@ -121,7 +121,7 @@ mod tests {
     use crate::connector::MemoryConnector;
     use scoop_columnar::ColumnarWriter;
     use scoop_csv::schema::{DataType, Field};
-    use scoop_csv::Value;
+    use scoop_csv::{ColumnBatch, Value};
 
     fn setup() -> (Arc<MemoryConnector>, ColumnarRelation) {
         let schema = Schema::new(vec![
@@ -131,12 +131,10 @@ mod tests {
         let conn = MemoryConnector::new();
         for obj in 0..2 {
             let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 5);
-            for i in 0..12 {
-                w.write_row(&[
-                    Value::Str(format!("m{obj}-{i}")),
-                    Value::Float((obj * 100 + i) as f64),
-                ]);
-            }
+            let rows = (0..12).map(|i| {
+                vec![Value::Str(format!("m{obj}-{i}")), Value::Float((obj * 100 + i) as f64)]
+            });
+            w.write_batch(ColumnBatch::from_rows(&schema, rows));
             conn.put("cols", &format!("part-{obj}.scol"), w.finish());
         }
         let rel = ColumnarRelation::open(conn.clone(), "cols", None, true).unwrap();

@@ -608,13 +608,13 @@ mod tests {
             Field::new("city", DataType::Str),
         ]);
         let mut w = ColumnarWriter::with_row_group_rows(schema.clone(), 50);
-        let reader = scoop_csv::CsvReader::new(
+        let mut reader = scoop_csv::CsvReader::new(
             scoop_common::stream::once(csv_data()),
             schema,
             true,
         );
-        for row in reader {
-            w.write_row(&row.unwrap());
+        while let Some(batch) = reader.next_batch().unwrap() {
+            w.write_batch(batch);
         }
         conn.put("meters-col", "p.scol", w.finish());
 
@@ -654,7 +654,7 @@ mod retry_tests {
     use crate::connector::{MemoryConnector, ObjectInfo, PushdownBody, StorageConnector};
     use bytes::Bytes;
     use scoop_common::ByteStream;
-    use scoop_csv::{PushdownSpec, Value};
+    use scoop_csv::{ColumnBatch, PushdownSpec, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A connector whose reads fail with a retryable error the first
@@ -769,9 +769,8 @@ mod retry_tests {
         ]);
         for obj in 0..2 {
             let mut w = scoop_columnar::ColumnarWriter::with_row_group_rows(schema.clone(), 20);
-            for i in 0..50 {
-                w.write_row(&[Value::Str(format!("m{}", i % 5)), Value::Float(i as f64)]);
-            }
+            let rows = (0..50).map(|i| vec![Value::Str(format!("m{}", i % 5)), Value::Float(i as f64)]);
+            w.write_batch(ColumnBatch::from_rows(&schema, rows));
             mem.put("cols", &format!("part-{obj}.scol"), w.finish());
         }
         let conn = FlakyConnector::new(mem, 0);

@@ -207,30 +207,31 @@ impl ScoopContext {
         target: &str,
         row_group_rows: usize,
     ) -> Result<(u64, u64)> {
-        let schema = {
-            let listing = self.client.list(container, None)?;
-            let first = listing
-                .first()
-                .ok_or_else(|| ScoopError::NotFound(format!("container {container} empty")))?;
-            let resp = self.client.get_object(container, &first.name)?;
-            let head = resp.read_body()?;
-            scoop_csv::reader::infer_schema(&head, 200)?
-        };
+        let listing = self.client.list(container, None)?;
+        if listing.is_empty() {
+            return Err(ScoopError::NotFound(format!("container {container} empty")));
+        }
         self.client.create_container(target)?;
+        // Every object is written under the schema sampled from the first.
+        let mut schema = None;
         let mut csv_bytes = 0u64;
         let mut col_bytes = 0u64;
-        for obj in self.client.list(container, None)? {
+        for obj in listing {
             let data = self.client.get_object(container, &obj.name)?.read_body()?;
             csv_bytes += data.len() as u64;
+            let schema = match &schema {
+                Some(schema) => schema,
+                None => schema.insert(scoop_csv::reader::infer_schema(&data, 200)?),
+            };
             let mut writer =
                 scoop_columnar::ColumnarWriter::with_row_group_rows(schema.clone(), row_group_rows);
-            let reader = scoop_csv::CsvReader::new(
+            let mut reader = scoop_csv::CsvReader::new(
                 scoop_common::stream::once(data),
                 schema.clone(),
                 true,
             );
-            for row in reader {
-                writer.write_owned_row(row?);
+            while let Some(batch) = reader.next_batch()? {
+                writer.write_batch(batch);
             }
             let encoded = writer.finish();
             col_bytes += encoded.len() as u64;
@@ -310,6 +311,18 @@ mod tests {
         // Different partitionings sum floats in different orders.
         assert!(vanilla.result.approx_eq(&columnar.result, 1e-9));
         assert!(columnar.metrics.bytes_transferred < vanilla.metrics.bytes_transferred);
+    }
+
+    #[test]
+    fn conversion_gets_each_object_once() {
+        let (ctx, _) = lab();
+        let gets = || ctx.cluster().object_servers().iter().map(|s| s.stats().gets).sum::<u64>();
+        let before = gets();
+        ctx.convert_to_columnar("meters", "meters-col", 500).unwrap();
+        assert_eq!(gets() - before, 3, "one GET per CSV object");
+        ctx.client().create_container("empty").unwrap();
+        let empty = ctx.convert_to_columnar("empty", "empty-col", 500);
+        assert!(matches!(empty, Err(ScoopError::NotFound(_))), "{empty:?}");
     }
 
     #[test]

@@ -239,6 +239,19 @@ impl Column {
         }
     }
 
+    /// Append a string cell from borrowed bytes, lossily decoded as UTF-8:
+    /// a string lane copies them into its arena, with no [`Value`] between;
+    /// any other column takes a [`Value::Str`].
+    pub fn push_text(&mut self, text: &[u8]) {
+        let text = String::from_utf8_lossy(text);
+        if let Column::Str(lane) = self {
+            if lane.push_copy(text.as_bytes()) {
+                return;
+            }
+        }
+        self.push(Value::Str(text.into_owned()));
+    }
+
     #[cold]
     fn spill_push(&mut self, v: Value) {
         let mut values: Vec<Value> = (0..self.len()).map(|i| self.value(i)).collect();

@@ -52,21 +52,22 @@ fn schema() -> Schema {
 /// second group, which the writer therefore stores as rendered strings.
 fn file(seed: u64) -> bytes::Bytes {
     let mut rng = Lcg(seed);
-    let mut w = ColumnarWriter::with_row_group_rows(schema(), 320);
     let tags = ["a", "ab", "b", "", "5", "Rotterdam"];
     let xs = [0.5, 1.0, 5.0, -2.0, f64::NAN];
-    for i in 0..700i64 {
+    let rows = (0..700i64).map(|i| {
         let mut cell = |v: Value| if rng.below(7) == 0 { Value::Null } else { v };
         let x = xs[(i / 9) as usize % xs.len()];
-        w.write_row(&[
+        vec![
             cell(Value::Str(tags[(i % 11) as usize % tags.len()].into())),
             cell(Value::Str(format!("n{}", i % 400))),
             cell(Value::Int(i % 13 - 3)),
             cell(Value::Float(x)),
             cell(Value::Float(i as f64 / 8.0 - 20.0)),
             if i == 400 { Value::Str("x7".into()) } else { cell(Value::Int(i % 9)) },
-        ]);
-    }
+        ]
+    });
+    let mut w = ColumnarWriter::with_row_group_rows(schema(), 320);
+    w.write_batch(ColumnBatch::from_rows(&schema(), rows));
     w.finish()
 }
 
@@ -234,8 +235,9 @@ fn memory_sessions() -> (Session, Session) {
     for i in 0..2 {
         let csv = gen.csv_object(2_500);
         let mut w = ColumnarWriter::with_row_group_rows(meter.clone(), 700);
-        for row in CsvReader::new(scoop_common::stream::once(csv.clone()), meter.clone(), true) {
-            w.write_row(&row.unwrap());
+        let mut reader = CsvReader::new(scoop_common::stream::once(csv.clone()), meter.clone(), true);
+        while let Some(batch) = reader.next_batch().unwrap() {
+            w.write_batch(batch);
         }
         conn.put("csv", &format!("part-{i}.csv"), csv);
         conn.put("col", &format!("part-{i}.scol"), w.finish());
