@@ -107,6 +107,9 @@ pub mod names {
     pub const NET_SERVER_CONNECTIONS: &str = "scoop_net_server_connections_total";
     /// Requests decoded and dispatched by net-plane servers.
     pub const NET_SERVER_REQUESTS: &str = "scoop_net_server_requests_total";
+    /// Worker threads net-plane servers have started and not yet joined
+    /// (gauge): a server starts them as connections arrive, up to its cap.
+    pub const NET_SERVER_WORKERS: &str = "scoop_net_server_workers";
     /// Wire-level faults injected at the socket boundary (all classes).
     pub const NET_WIRE_FAULTS: &str = "scoop_net_wire_faults_total";
     /// Wire faults: connection reset mid-exchange.

@@ -15,8 +15,8 @@
 //!   down both SQL projection and selection" through the connector, and the
 //!   columnar relation ([`columnar_relation`]) used by the Parquet
 //!   comparison.
-//! * [`scheduler`] — the driver + worker pool executing one task per
-//!   partition in parallel.
+//! * [`scheduler`] — the driver's task runner: up to `workers` threads,
+//!   started per call, executing one task per partition in parallel.
 //! * [`session`] — the user-facing session: register a table, run SQL, get a
 //!   result plus job metrics (bytes ingested, task times), with pushdown
 //!   toggleable per session exactly like the with/without-Scoop experiment

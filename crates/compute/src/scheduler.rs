@@ -1,6 +1,8 @@
-//! The driver's task scheduler: a fixed worker pool executing one task per
-//! partition, with per-task timing — the in-process equivalent of Spark's
-//! stage execution over its standalone cluster.
+//! The driver's task scheduler: each call starts up to `workers` scoped
+//! threads that claim one task per partition until none are left, with
+//! per-task timing — the in-process equivalent of Spark's stage execution
+//! over its standalone cluster. The threads live for that call only; no
+//! pool outlives it.
 
 use scoop_common::{Deadline, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +20,8 @@ pub struct TaskResult<T> {
     pub attempts: u32,
 }
 
-/// Run `n_tasks` tasks over `workers` threads. `task_fn` is invoked with the
+/// Run `n_tasks` tasks on `min(workers, n_tasks)` scoped threads started
+/// for this call and joined before it returns. `task_fn` is invoked with the
 /// task index; tasks are claimed dynamically (work stealing by counter), like
 /// Spark assigning tasks to free executor slots. Results arrive indexed.
 /// Each task runs at most once; see [`run_tasks_with_retry`] for the

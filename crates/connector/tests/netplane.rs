@@ -9,7 +9,7 @@ use scoop_common::{telemetry, RetryPolicy};
 use scoop_compute::{QueryOutcome, Session, TableFormat};
 use scoop_connector::SwiftConnector;
 use scoop_objectstore::middleware::Pipeline;
-use scoop_objectstore::{SwiftClient, SwiftCluster, SwiftConfig};
+use scoop_objectstore::{NetOptions, PoolConfig, SwiftClient, SwiftCluster, SwiftConfig};
 use scoop_storlets::{PolicyStore, StorletEngine, StorletMiddleware};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -52,8 +52,8 @@ fn storlet_cluster() -> Arc<SwiftCluster> {
     cluster
 }
 
-/// Run the pushdown query through `client` and return the outcome.
-fn run_query(client: SwiftClient) -> QueryOutcome {
+/// Load the fixture through `client` and open a pushdown session on it.
+fn meter_session(client: SwiftClient) -> Session {
     client.create_container("meters").unwrap();
     client.put_object("meters", "jan.csv", meter_csv()).unwrap();
     let connector = SwiftConnector::new(client);
@@ -67,7 +67,12 @@ fn run_query(client: SwiftClient) -> QueryOutcome {
         TableFormat::Csv { has_header: true },
         None,
     );
-    session.sql(QUERY).unwrap()
+    session
+}
+
+/// Run the pushdown query through `client` and return the outcome.
+fn run_query(client: SwiftClient) -> QueryOutcome {
+    meter_session(client).sql(QUERY).unwrap()
 }
 
 #[test]
@@ -126,4 +131,31 @@ fn tcp_and_in_process_transports_agree_on_query_results() {
         over_tcp.metrics.bytes_transferred > 0,
         "pushdown over TCP must still account transferred bytes"
     );
+}
+
+#[test]
+fn a_session_starts_no_more_server_workers_than_its_pool_dials() {
+    // The store starts a worker per live connection: however many queries
+    // run, it never has more workers than the client ever had sockets.
+    let cluster = storlet_cluster();
+    let opts = NetOptions { workers: 2, ..NetOptions::default() };
+    let client = cluster
+        .anonymous_client("AUTH_gp")
+        .with_retry(RetryPolicy::default())
+        .over_tcp_with(opts.clone(), PoolConfig::default())
+        .unwrap();
+    let pool = client.transport_pool().unwrap().clone();
+    let server = cluster.serve_net(opts).unwrap();
+    let session = meter_session(client);
+    let first = session.sql(QUERY).unwrap().result.rows;
+    for round in 1..200 {
+        assert_eq!(session.sql(QUERY).unwrap().result.rows, first, "query {round}");
+    }
+    let (started, dials) = (server.workers_started(), pool.snapshot().dials);
+    assert!(started >= 1, "200 queries over TCP and no worker started");
+    assert!(
+        started as u64 <= dials,
+        "{started} server workers for {dials} client connections"
+    );
+    assert!(started <= 2, "{started} workers past a cap of 2 (never the 32 of the default)");
 }

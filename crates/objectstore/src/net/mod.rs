@@ -10,9 +10,9 @@
 //!
 //! * [`wire`] — the HTTP/1.1 codec over the existing `Request`/`Response`
 //!   types; every `x-scoop-*` header crosses byte-identically.
-//! * [`server`] — accept loop + worker pool in front of the cluster's
-//!   router, with keep-alive, slowloris guarding, and `Deadline`-derived
-//!   socket windows.
+//! * [`server`] — accept loop in front of the cluster's router, starting a
+//!   worker per live connection up to a cap, with keep-alive, slowloris
+//!   guarding, and `Deadline`-derived socket windows.
 //! * [`pool`] — the client transport: one `send` for every method and
 //!   target, checkout/checkin, idle reaping, keep-alive reuse, and the
 //!   wire→taxonomy error mapping.

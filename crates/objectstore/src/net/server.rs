@@ -1,11 +1,15 @@
 //! The HTTP/1.1-over-TCP front end of the proxy tier.
 //!
 //! `NetServer::serve` binds a loopback listener in front of the cluster's
-//! router and spawns an accept loop plus a fixed worker pool. Each worker
-//! owns one connection at a time and runs its keep-alive loop: decode a
-//! request frame, hand it to the router (the very function in-process
-//! clients call — what a target means is not this module's business),
-//! stream the response back chunked. Timeouts:
+//! router and spawns an accept loop. The accept loop starts workers as
+//! connections arrive, up to [`NetOptions::workers`]: a connection goes to
+//! an idle worker when there is one, to a new worker while fewer than the
+//! cap have started, and waits in the queue only at the cap
+//! ([`WorkerClaims`] keeps that rule). A worker, once started, stays until
+//! shutdown. Each worker owns one connection at a time and runs its
+//! keep-alive loop: decode a request frame, hand it to the router (the very
+//! function in-process clients call — what a target means is not this
+//! module's business), stream the response back chunked. Timeouts:
 //!
 //! * every socket gets a read/write timeout at accept time (no raw
 //!   `TcpStream` read ever blocks forever — `scoop-lint` invariant 5);
@@ -40,15 +44,26 @@ use scoop_common::telemetry::{self, names};
 use scoop_common::{headers, Result, ScoopError};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+// Under `--cfg loom` the claim counters come from the model checker, so
+// `tests/loom.rs` can interleave the accept thread's claims with workers
+// returning to idle.
+#[cfg(loom)]
+use loom::sync::atomic::{AtomicUsize, Ordering};
+#[cfg(not(loom))]
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// Tunables of the TCP front end.
 #[derive(Debug, Clone)]
 pub struct NetOptions {
-    /// Worker threads; each owns one live connection at a time.
+    /// At most this many worker threads; each owns one live connection at
+    /// a time. Workers start as connections arrive, so a server with two
+    /// live connections runs two; a connection beyond the cap waits in the
+    /// queue for a worker to come free.
     pub workers: usize,
     /// Per-read/-write socket timeout (the hard floor under every stall).
     pub io_timeout: Duration,
@@ -69,19 +84,102 @@ impl Default for NetOptions {
     }
 }
 
-/// A running TCP front end. Dropping the handle shuts the listener and
-/// worker pool down.
+/// What the accept thread does with an accepted stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Claim {
+    /// An idle worker was claimed: it takes the stream from the queue.
+    Idle,
+    /// No worker is idle and the cap is not reached: start one (already
+    /// counted in [`WorkerClaims::started`]).
+    Start,
+    /// Every worker is busy at the cap: the stream waits in the queue.
+    Queue,
+}
+
+/// The idle-worker accounting of the front end. Only the accept thread
+/// claims; workers release. Two invariants follow: at most `cap` workers
+/// start, and no accepted stream waits in the queue while a started
+/// worker sits unclaimed.
+///
+/// A stream queued at the cap is taken by whichever worker releases next,
+/// so from then on `idle` may count a release whose worker went straight
+/// back to work. That costs nothing: once the cap is reached no claim
+/// starts a worker, and every stream goes into the same queue.
+#[derive(Debug)]
+pub struct WorkerClaims {
+    cap: usize,
+    idle: AtomicUsize,
+    started: AtomicUsize,
+}
+
+impl WorkerClaims {
+    /// No workers yet; at most `cap` (at least one) will start.
+    pub fn new(cap: usize) -> WorkerClaims {
+        WorkerClaims { cap: cap.max(1), idle: AtomicUsize::new(0), started: AtomicUsize::new(0) }
+    }
+
+    /// Decide where the next accepted stream goes: claim an idle worker
+    /// (a decrement that fails at zero), else start one below the cap,
+    /// else queue. A started worker does not count itself idle: the
+    /// stream it was started for is its first.
+    pub fn claim(&self) -> Claim {
+        let mut idle = self.idle.load(Ordering::SeqCst);
+        while let Some(fewer) = idle.checked_sub(1) {
+            match self.idle.compare_exchange(idle, fewer, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => return Claim::Idle,
+                Err(now) => idle = now,
+            }
+        }
+        if self.started.load(Ordering::SeqCst) < self.cap {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            return Claim::Start;
+        }
+        Claim::Queue
+    }
+
+    /// Take back a [`Claim::Start`] whose worker could not be spawned.
+    pub fn unstart(&self) {
+        self.started.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A worker finished its connection and is about to wait for the next.
+    pub fn release(&self) {
+        self.idle.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Workers started so far.
+    pub fn started(&self) -> usize {
+        self.started.load(Ordering::SeqCst)
+    }
+
+    /// Releases not yet claimed.
+    pub fn idle(&self) -> usize {
+        self.idle.load(Ordering::SeqCst)
+    }
+}
+
+/// A running TCP front end. Dropping the handle shuts the listener down
+/// and joins every worker it started. Its threads are named after the
+/// port: `net-acc-{port}` accepts, `net-wrk-{port}` serves.
 pub struct NetHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Owns the workers' join handles and joins them on its way out.
     accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    claims: Arc<WorkerClaims>,
 }
 
 impl NetHandle {
     /// The bound loopback address clients dial.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Worker threads this front end has started: at most
+    /// [`NetOptions::workers`], and no more than it has had live
+    /// connections at once.
+    pub fn workers_started(&self) -> usize {
+        self.claims.started()
     }
 }
 
@@ -94,9 +192,6 @@ impl Drop for NetHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -107,8 +202,12 @@ pub struct NetServer {
     opts: NetOptions,
 }
 
+/// The queue accepted streams wait in until a worker takes them.
+type StreamQueue = Arc<Mutex<mpsc::Receiver<TcpStream>>>;
+
 impl NetServer {
-    /// Bind a loopback listener and start the accept loop + worker pool.
+    /// Bind a loopback listener and start the accept loop; workers start
+    /// as connections arrive.
     pub(crate) fn serve(
         router: Arc<Router>,
         fault: Option<Arc<FaultInjector>>,
@@ -116,54 +215,91 @@ impl NetServer {
     ) -> Result<NetHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(ScoopError::Io)?;
         let addr = listener.local_addr().map_err(ScoopError::Io)?;
-        let server = Arc::new(NetServer { router, fault, opts: opts.clone() });
+        let claims = Arc::new(WorkerClaims::new(opts.workers));
+        let server = Arc::new(NetServer { router, fault, opts });
         let shutdown = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (claims, shutdown) = (claims.clone(), shutdown.clone());
+            move || server.accept_loop(listener, &claims, &shutdown)
+        };
+        let accept_thread = std::thread::Builder::new()
+            .name(format!("net-acc-{}", addr.port()))
+            .spawn(accept)
+            .map_err(ScoopError::Io)?;
+        Ok(NetHandle { addr, shutdown, accept_thread: Some(accept_thread), claims })
+    }
+
+    /// Accept until shutdown, handing each stream to an idle worker or a
+    /// new one (the accept thread owns every worker it starts); then close
+    /// the queue and join the workers.
+    fn accept_loop(
+        self: Arc<Self>,
+        listener: TcpListener,
+        claims: &Arc<WorkerClaims>,
+        shutdown: &AtomicBool,
+    ) {
+        let accepted = telemetry::counter(names::NET_SERVER_CONNECTIONS);
+        let live = telemetry::gauge(names::NET_SERVER_WORKERS);
+        let port = listener.local_addr().map(|a| a.port()).unwrap_or_default();
         let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(opts.workers.max(1));
-        for _ in 0..opts.workers.max(1) {
-            let server = server.clone();
-            let rx = rx.clone();
-            workers.push(std::thread::spawn(move || loop {
-                // Lock only for the recv handoff, never while serving.
-                let conn = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(_) => return,
+        let rx: StreamQueue = Arc::new(Mutex::new(rx));
+        let mut workers = Vec::new();
+        for stream in listener.incoming() {
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            // Every accepted socket is bounded before its first read:
+            // a peer that stops sending costs at most io_timeout per
+            // read, never a hung worker.
+            if stream.set_read_timeout(Some(self.opts.io_timeout)).is_err()
+                || stream.set_write_timeout(Some(self.opts.io_timeout)).is_err()
+            {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            accepted.inc();
+            if claims.claim() == Claim::Start {
+                let worker = {
+                    let (server, rx, claims, live) =
+                        (self.clone(), rx.clone(), claims.clone(), live.clone());
+                    move || server.worker_loop(&rx, &claims, &live)
                 };
-                match conn {
-                    Ok(stream) => server.handle_connection(stream),
-                    Err(_) => return, // channel closed: shutdown
-                }
-            }));
-        }
-
-        let accept_shutdown = shutdown.clone();
-        let io_timeout = opts.io_timeout;
-        let accept_thread = std::thread::spawn(move || {
-            let accepted = telemetry::counter(names::NET_SERVER_CONNECTIONS);
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    return; // tx drops here; workers drain and exit
-                }
-                let Ok(stream) = stream else { continue };
-                // Every accepted socket is bounded before its first read:
-                // a peer that stops sending costs at most io_timeout per
-                // read, never a hung worker.
-                if stream.set_read_timeout(Some(io_timeout)).is_err()
-                    || stream.set_write_timeout(Some(io_timeout)).is_err()
-                {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                accepted.inc();
-                if tx.send(stream).is_err() {
-                    return;
+                match std::thread::Builder::new().name(format!("net-wrk-{port}")).spawn(worker) {
+                    Ok(handle) => {
+                        live.add(1);
+                        workers.push(handle);
+                    }
+                    Err(_) => {
+                        // No thread for it: hang up, and the peer redials.
+                        claims.unstart();
+                        continue;
+                    }
                 }
             }
-        });
+            if tx.send(stream).is_err() {
+                break;
+            }
+        }
+        drop(tx); // workers finish their connections, drain, and exit
+        for worker in workers {
+            let _ = worker.join();
+        }
+    }
 
-        Ok(NetHandle { addr, shutdown, accept_thread: Some(accept_thread), workers })
+    /// Take connections off the queue until it closes, serving each.
+    fn worker_loop(&self, rx: &StreamQueue, claims: &WorkerClaims, live: &telemetry::Gauge) {
+        loop {
+            // Lock only for the recv handoff, never while serving.
+            let conn = match rx.lock() {
+                Ok(guard) => guard.recv(),
+                Err(_) => break,
+            };
+            let Ok(stream) = conn else { break }; // queue closed: shutdown
+            self.handle_connection(stream);
+            claims.release();
+        }
+        live.sub(1);
     }
 
     /// Serve one connection's keep-alive loop until close/fault/idle.

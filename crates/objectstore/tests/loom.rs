@@ -18,7 +18,14 @@
 //!   the idle mutex, `Drop`-settled `open`/`in_flight` counters) over
 //!   plain ids; the invariants checked are the pool's: a connection is
 //!   never both handed out and reaped, every eviction is counted exactly
-//!   once, and `open == in_flight + idle` at quiescence.
+//!   once, and `open == in_flight + idle` at quiescence;
+//! * the TCP front end's worker claim (`net::server::WorkerClaims`) — an
+//!   accept racing a worker that returns to idle, and two back-to-back
+//!   accepts with one idle worker. [`ClaimModel`] drives the real claim
+//!   type beside a ground-truth count of waiting workers; the invariants
+//!   checked are the front end's: at most `cap` workers start, `idle`
+//!   never underflows, and every sent stream has a worker that will take
+//!   it.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
@@ -404,5 +411,105 @@ fn pool_concurrent_checkouts_never_share_a_conn() {
         assert_eq!(pool.in_flight.load(Ordering::SeqCst), 2);
         assert_eq!(pool.open.load(Ordering::SeqCst), 2);
         assert_eq!(pool.idle_len(), 0);
+    });
+}
+
+// ---- server worker claim --------------------------------------------------
+
+use scoop_objectstore::net::server::{Claim, WorkerClaims};
+
+/// The TCP front end's accept thread and returning workers over the real
+/// [`WorkerClaims`], with a ground-truth count beside it: `free` is the
+/// number of workers really waiting for a stream that no claim has taken.
+/// A worker bumps it just before it releases (as `server.rs`'s worker loop
+/// releases just before it waits); a claimed idle worker takes it down.
+struct ClaimModel {
+    cap: usize,
+    claims: WorkerClaims,
+    free: AtomicUsize,
+    /// Streams sent with no worker claimed or started for them.
+    queued: AtomicUsize,
+}
+
+impl ClaimModel {
+    /// Front end with one worker started and busy on its first connection.
+    fn with_one_busy_worker(cap: usize) -> LoomArc<ClaimModel> {
+        let claims = WorkerClaims::new(cap);
+        assert_eq!(claims.claim(), Claim::Start, "the first stream starts a worker");
+        LoomArc::new(ClaimModel {
+            cap,
+            claims,
+            free: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+        })
+    }
+
+    /// The busy worker's connection closed: it returns to idle.
+    fn worker_returns(&self) {
+        self.free.fetch_add(1, Ordering::SeqCst);
+        self.claims.release();
+    }
+
+    /// The accept thread's step for one stream, checked against the truth.
+    fn accept(&self) {
+        match self.claims.claim() {
+            Claim::Idle => {
+                let free = self.free.fetch_sub(1, Ordering::SeqCst);
+                assert!(free >= 1, "claimed an idle worker that is not waiting");
+            }
+            Claim::Start => {
+                assert!(self.claims.started() <= self.cap, "started past the cap");
+            }
+            Claim::Queue => {
+                assert_eq!(self.claims.started(), self.cap, "queued below the cap");
+                self.queued.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// At quiescence: every queued stream has a waiting worker to take it,
+    /// and `idle` never underflowed and matches the truth.
+    fn settled(&self) {
+        let (free, queued) =
+            (self.free.load(Ordering::SeqCst), self.queued.load(Ordering::SeqCst));
+        assert!(free >= queued, "{queued} queued streams for {free} waiting workers");
+        let idle = self.claims.idle();
+        assert!(idle <= self.claims.started(), "idle underflowed: {idle}");
+        assert_eq!(idle, free, "idle count drifted from the waiting workers");
+    }
+}
+
+/// A worker finishing its connection races the accept of the next one:
+/// whether the accept sees the release (claims the worker) or not (starts
+/// a second), the new stream has a worker.
+#[test]
+fn server_claim_races_a_worker_returning_to_idle() {
+    loom::model(|| {
+        let fe = ClaimModel::with_one_busy_worker(2);
+        let worker = {
+            let fe = fe.clone();
+            thread::spawn(move || fe.worker_returns())
+        };
+        fe.accept();
+        worker.join().unwrap();
+        fe.settled();
+    });
+}
+
+/// Two streams accepted back to back while the one started worker returns
+/// to idle: the idle worker is claimed at most once, the other stream
+/// starts a worker or, at the cap, queues for the worker coming free.
+#[test]
+fn server_back_to_back_accepts_with_one_idle_worker() {
+    loom::model(|| {
+        let fe = ClaimModel::with_one_busy_worker(2);
+        let worker = {
+            let fe = fe.clone();
+            thread::spawn(move || fe.worker_returns())
+        };
+        fe.accept();
+        fe.accept();
+        worker.join().unwrap();
+        fe.settled();
     });
 }

@@ -495,6 +495,7 @@ fn observability_endpoints_serve_over_a_chaos_seeded_wire() {
         telemetry::names::NET_WIRE_FAULTS,
         telemetry::names::NET_POOL_CHECKOUT_WAIT_US,
         telemetry::names::NET_POOL_IN_FLIGHT,
+        telemetry::names::NET_SERVER_WORKERS,
     ] {
         assert!(metrics.contains(name), "/metrics missing {name}");
     }
@@ -508,4 +509,120 @@ fn observability_endpoints_serve_over_a_chaos_seeded_wire() {
         trace_body.contains(telemetry::layers::OBJSERVER),
         "/trace/{{id}} must carry the server-side spans: {trace_body}"
     );
+}
+
+// ---- worker per live connection -------------------------------------------
+
+/// A TCP client of `cluster` with its own connection pool.
+fn pooled_client(cluster: &Arc<SwiftCluster>, opts: &NetOptions) -> SwiftClient {
+    cluster
+        .anonymous_client("AUTH_net")
+        .over_tcp_with(opts.clone(), PoolConfig::default())
+        .unwrap()
+}
+
+/// A cluster whose front end runs with `opts`, holding one small object;
+/// the client that loaded it is gone, so its worker is idle.
+fn front_end(opts: &NetOptions) -> (Arc<SwiftCluster>, Arc<scoop_objectstore::NetHandle>) {
+    let cluster = SwiftCluster::new(SwiftConfig::default()).unwrap();
+    let setup = pooled_client(&cluster, opts);
+    setup.create_container("data").unwrap();
+    setup.put_object("data", "o", payload(2_000)).unwrap();
+    drop(setup);
+    let handle = cluster.serve_net(opts.clone()).unwrap();
+    // Let the worker see its peer hang up and return to idle.
+    std::thread::sleep(Duration::from_millis(100));
+    (cluster, handle)
+}
+
+#[test]
+fn two_connections_dialed_back_to_back_beside_an_idle_worker_are_both_answered() {
+    let opts = NetOptions { io_timeout: Duration::from_secs(2), ..NetOptions::default() };
+    let (cluster, handle) = front_end(&opts);
+    assert_eq!(handle.workers_started(), 1);
+    // Both connections stay open in their pools: if the second one were
+    // handed to the worker the first one holds, it would sit out that
+    // connection's keep-alive window (5 s), well past io_timeout.
+    let (a, b) = (pooled_client(&cluster, &opts), pooled_client(&cluster, &opts));
+    for (name, client) in [("first", &a), ("second", &b)] {
+        let asked = std::time::Instant::now();
+        let got = client.get_object("data", "o").unwrap().read_body().unwrap();
+        assert_eq!(got, payload(2_000));
+        assert!(
+            asked.elapsed() < opts.io_timeout / 4,
+            "{name} connection answered after {:?}",
+            asked.elapsed()
+        );
+    }
+    assert_eq!(handle.workers_started(), 2, "one idle worker claimed, one started");
+}
+
+#[test]
+fn a_connection_past_the_worker_cap_waits_for_a_worker_to_come_free() {
+    let opts = NetOptions { workers: 2, ..NetOptions::default() };
+    let (cluster, handle) = front_end(&opts);
+    let (a, b) = (pooled_client(&cluster, &opts), pooled_client(&cluster, &opts));
+    for client in [&a, &b] {
+        client.get_object("data", "o").unwrap().read_body().unwrap();
+    }
+    assert_eq!(handle.workers_started(), 2);
+
+    // Both workers are held by keep-alive connections: a third connection
+    // queues, and is served once one of them closes.
+    let third = pooled_client(&cluster, &opts);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(third.get_object("data", "o").and_then(|r| r.read_body()));
+    });
+    assert!(
+        rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a third connection was served past a cap of 2 workers"
+    );
+    drop(a);
+    let got = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the queued connection was not served once a worker came free");
+    assert_eq!(got.unwrap(), payload(2_000));
+    waiter.join().unwrap();
+    assert_eq!(handle.workers_started(), 2, "the cap is a cap");
+}
+
+/// Threads of this process whose name is `name` (`/proc/self/task/*/comm`).
+#[cfg(target_os = "linux")]
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn dropping_the_handle_joins_every_worker_it_started() {
+    let opts = NetOptions::default();
+    let (cluster, handle) = front_end(&opts);
+    let port = handle.addr().port();
+    // The front end's threads carry its port in their names, so threads of
+    // concurrently running tests do not count.
+    let (accept, worker) = (format!("net-acc-{port}"), format!("net-wrk-{port}"));
+    let clients: Vec<SwiftClient> = (0..3).map(|_| pooled_client(&cluster, &opts)).collect();
+    for client in &clients {
+        client.get_object("data", "o").unwrap().read_body().unwrap();
+    }
+    let started = handle.workers_started();
+    assert!((1..=3).contains(&started), "{started} workers for three live connections");
+    assert_eq!(threads_named(&worker), started, "a started worker is not running");
+    assert_eq!(threads_named(&accept), 1);
+
+    drop(clients);
+    drop(cluster);
+    let handle = Arc::try_unwrap(handle).unwrap_or_else(|_| panic!("the handle is still shared"));
+    drop(handle);
+    // A joined thread may linger in /proc for a moment after its join.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while threads_named(&worker) + threads_named(&accept) > 0 {
+        assert!(std::time::Instant::now() < deadline, "front-end threads outlived the handle");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
