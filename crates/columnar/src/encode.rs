@@ -390,15 +390,6 @@ impl DecodedColumn {
         })
     }
 
-    /// Materialize the cells of `rows` (ascending row indices), NULLs
-    /// included. Only these cells become a [`Value`].
-    pub fn gather<'s>(
-        &'s self,
-        rows: impl IntoIterator<Item = usize> + 's,
-    ) -> impl Iterator<Item = Value> + 's {
-        self.cells(rows).map(|cell| cell.map_or(Value::Null, Cell::to_value))
-    }
-
     /// The cells of `rows` (ascending row indices) as one column of a
     /// [`ColumnBatch`](scoop_csv::ColumnBatch): numbers into a typed lane,
     /// strings copied from the chunk into the lane's arena. No cell becomes
@@ -449,12 +440,6 @@ impl DecodedColumn {
         (0..self.n_rows)
             .map(|row| if self.is_valid(row) { entries.next().unwrap_or(false) } else { on_null })
             .collect()
-    }
-
-    /// Re-interleave NULLs and materialize every cell — the row-at-a-time
-    /// compatibility shape.
-    pub fn to_values(&self) -> Vec<Value> {
-        self.gather(0..self.n_rows).collect()
     }
 }
 
@@ -631,11 +616,6 @@ pub fn decode_column_batch(data: &[u8]) -> Result<DecodedColumn> {
     Ok(DecodedColumn { n_rows: n, validity, data })
 }
 
-/// Decode a column chunk back into row-ordered values (with NULLs).
-pub fn decode_column(data: &[u8]) -> Result<Vec<Value>> {
-    Ok(decode_column_batch(data)?.to_values())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,9 +628,20 @@ mod tests {
         out
     }
 
+    /// Every cell of a decoded chunk, NULLs included, gathered as one
+    /// batch column and read back.
+    fn cells_of(col: &DecodedColumn) -> Vec<Value> {
+        let column = col.gather_column(&(0..col.len()).collect::<Vec<_>>());
+        (0..column.len()).map(|i| column.value(i)).collect()
+    }
+
+    fn decode(data: &[u8]) -> Result<Vec<Value>> {
+        Ok(cells_of(&decode_column_batch(data)?))
+    }
+
     fn roundtrip(values: Vec<Value>) {
         let enc = encode(&values);
-        let dec = decode_column(&enc).unwrap();
+        let dec = decode(&enc).unwrap();
         assert_eq!(dec, values);
     }
 
@@ -703,7 +694,7 @@ mod tests {
         let values = vec![Value::Int(1), Value::Float(2.5), Value::Null];
         let enc = encode(&values);
         assert_eq!(enc[0], Encoding::PlainFloat as u8);
-        let dec = decode_column(&enc).unwrap();
+        let dec = decode(&enc).unwrap();
         // Ints come back as floats — equal under numeric coercion.
         assert_eq!(dec[0], Value::Int(1));
         assert_eq!(dec[1], Value::Float(2.5));
@@ -735,7 +726,7 @@ mod tests {
         };
         assert_eq!(dict, &["a", "b", "c"]);
         assert_eq!(codes, &[0u32, 1, 0, 0, 2]);
-        assert_eq!(col.to_values(), values);
+        assert_eq!(cells_of(&col), values);
     }
 
     #[test]
@@ -756,18 +747,24 @@ mod tests {
         for values in cases {
             let enc = encode(&values);
             let batch = decode_column_batch(&enc).unwrap();
-            assert_eq!(batch.to_values(), decode_column(&enc).unwrap());
-            assert_eq!(batch.to_values(), values);
+            assert_eq!(cells_of(&batch), values);
+            // Every other row, the NULLs between them skipped by the dense
+            // cursor.
+            let rows: Vec<usize> = (0..values.len()).step_by(2).collect();
+            let column = batch.gather_column(&rows);
+            let gathered: Vec<Value> = (0..column.len()).map(|i| column.value(i)).collect();
+            let want: Vec<Value> = rows.iter().map(|&r| values[r].clone()).collect();
+            assert_eq!(gathered, want);
         }
     }
 
     #[test]
     fn corrupt_chunks_error() {
-        assert!(decode_column(&[]).is_err());
-        assert!(decode_column(&[9, 1, 1]).is_err());
+        assert!(decode_column_batch(&[]).is_err());
+        assert!(decode_column_batch(&[9, 1, 1]).is_err());
         let mut good = encode(&[Value::Int(5)]);
         good.truncate(good.len() - 1);
-        assert!(decode_column(&good).is_err());
+        assert!(decode_column_batch(&good).is_err());
     }
 
     #[test]

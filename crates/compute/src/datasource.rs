@@ -80,6 +80,9 @@ pub struct Discovery {
     /// Objects whose splits metadata could not test: no index, a stale
     /// one, or one the reader cannot fetch.
     pub unindexed_objects: usize,
+    /// Cuts [`PrunedFilteredScan::tasks_for`] made inside the surviving
+    /// splits: the partitions are that many more than the splits.
+    pub cuts: usize,
 }
 
 /// A relation: its schema and its partitions.
@@ -111,8 +114,29 @@ pub trait PrunedFilteredScan: TableScan {
     /// Discover the partitions a scan under `predicate` must read. The
     /// default is every partition of [`TableScan::partitions`]; a source
     /// whose metadata proves a partition holds no match drops it here,
-    /// before any task is spent on it.
+    /// before any task is spent on it. Each partition is one split of the
+    /// chunk-size grid.
     fn partitions_for(&self, chunk_size: u64, _predicate: Option<&Predicate>) -> Result<Discovery> {
         Ok(Discovery { partitions: self.partitions(chunk_size)?, ..Discovery::default() })
+    }
+
+    /// The partitions a query under `predicate` runs as tasks on `workers`
+    /// workers: [`PrunedFilteredScan::partitions_for`]'s, and, where pruning
+    /// left fewer splits than workers, a source that knows where a split's
+    /// surviving work lies may cut a split into pieces so that every worker
+    /// has one. The pieces of a split must own its records between them,
+    /// each exactly once, and stay in object order, so the merged answer is
+    /// the uncut one. The CSV relation cuts one byte before a surviving
+    /// zone-map block, so under the Hadoop ownership rule the block's first
+    /// record, and the block, go to the later piece; a Table I query over
+    /// zone-indexed objects then runs on every worker instead of one. The
+    /// default cuts nothing.
+    fn tasks_for(
+        &self,
+        chunk_size: u64,
+        predicate: Option<&Predicate>,
+        _workers: usize,
+    ) -> Result<Discovery> {
+        self.partitions_for(chunk_size, predicate)
     }
 }

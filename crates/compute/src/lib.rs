@@ -16,7 +16,10 @@
 //!   columnar relation ([`columnar_relation`]) used by the Parquet
 //!   comparison.
 //! * [`scheduler`] — the driver's task runner: up to `workers` threads,
-//!   started per call, executing one task per partition in parallel.
+//!   started per call, executing one task per partition in parallel. A
+//!   query runs on `min(workers, partitions)` of them, so discovery cuts a
+//!   zone-pruned query's few surviving splits at block starts until each
+//!   worker has a task ([`datasource::PrunedFilteredScan::tasks_for`]).
 //! * [`session`] — the user-facing session: register a table, run SQL, get a
 //!   result plus job metrics (bytes ingested, task times), with pushdown
 //!   toggleable per session exactly like the with/without-Scoop experiment

@@ -75,8 +75,10 @@ struct TableDef {
 pub struct JobMetrics {
     /// Execution arm.
     pub mode: ExecutionMode,
-    /// Tasks executed: the partitions discovery kept (under pushdown, the
-    /// splits that survived the zone maps).
+    /// Tasks executed: the partitions discovery kept. Under pushdown these
+    /// are the splits that survived the zone maps, cut at block starts when
+    /// fewer survived than the session has workers
+    /// ([`PrunedFilteredScan::tasks_for`]).
     pub tasks: usize,
     /// Bytes that crossed the storage→compute boundary.
     pub bytes_transferred: u64,
@@ -247,7 +249,8 @@ impl Session {
     /// pushdown, the residual predicate, the scan schema and the partition
     /// plan — the reproduction's equivalent of `EXPLAIN` over a Spark plan.
     /// Under pushdown the partition plan is the one the query would run:
-    /// discovery has consulted the zone maps.
+    /// discovery has consulted the zone maps, and the survivors were cut
+    /// for the session's workers.
     pub fn explain(&self, text: &str) -> Result<String> {
         let query = parse(text)?;
         let def = self.table(&query.table)?;
@@ -256,7 +259,7 @@ impl Session {
         let format_name = if def.format == TableFormat::Columnar { "columnar" } else { "csv" };
         let has_header = matches!(def.format, TableFormat::Csv { has_header: true });
         let plan = plan_query(&query, &schema, has_header)?;
-        let discovery = relation.partitions_for(self.chunk_size, plan.pushdown.predicate.as_ref())?;
+        let discovery = relation.tasks_for(self.chunk_size, plan.pushdown.predicate.as_ref(), self.workers)?;
         let pushdown_active = mode == ExecutionMode::Pushdown;
         let mut out = String::new();
         out.push_str(&format!(
@@ -281,11 +284,16 @@ impl Session {
             }
         ));
         if pushdown_active {
-            let survived = discovery.partitions.len();
+            let tasks = discovery.partitions.len();
+            let survived = tasks.saturating_sub(discovery.cuts);
             out.push_str(&format!(
                 "zonemaps : {survived} of {} splits survive zone maps ({} object(s) without a fresh index)\n",
                 survived.saturating_add(discovery.pruned),
                 discovery.unindexed_objects
+            ));
+            out.push_str(&format!(
+                "tasks    : {tasks} task(s) for {} worker(s) ({} cut(s) at block starts)\n",
+                self.workers, discovery.cuts
             ));
         }
         out.push_str(&format!(
@@ -355,8 +363,8 @@ impl Session {
         let has_header = matches!(def.format, TableFormat::Csv { has_header: true });
         let plan = plan_query(&query, &schema, has_header)?;
         // Discovery: under pushdown, splits the zone maps rule out never
-        // become tasks.
-        let discovery = relation.partitions_for(self.chunk_size, plan.pushdown.predicate.as_ref())?;
+        // become tasks, and the survivors are cut so every worker has one.
+        let discovery = relation.tasks_for(self.chunk_size, plan.pushdown.predicate.as_ref(), self.workers)?;
         let partitions = discovery.partitions;
 
         let transferred_before = self.connector.bytes_transferred();

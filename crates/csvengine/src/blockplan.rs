@@ -14,11 +14,12 @@
 //! Both tiers plan with this one function. The store plans the blocks of a
 //! ranged pushdown GET; the compute side plans each split of an object at
 //! partition discovery and drops the splits whose plan is empty — the very
-//! splits the store would have answered with an empty body.
+//! splits the store would have answered with an empty body — and cuts a
+//! surviving split only between the blocks [`surviving_blocks`] lists.
 
 use crate::predicate::Tree;
 use crate::Predicate;
-use scoop_common::zonestats::ObjectStats;
+use scoop_common::zonestats::{BlockStats, ObjectStats};
 
 /// The outcome of planning one GET against an object's zone maps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -50,18 +51,9 @@ pub fn plan_ranges(
     start: u64,
     end: Option<u64>,
 ) -> BlockPlan {
-    // Owned record starts form the interval [lo, hi].
-    let lo = if start == 0 { 0 } else { start.saturating_add(1) };
     let hi = end.map(|e| e.saturating_add(1));
-    // Columns resolve as the filter resolves them (case-insensitive); an
-    // unknown one is no evidence.
-    let mut column = |name: &str| Ok(stats.columns.iter().position(|c| c.eq_ignore_ascii_case(name)));
-    let tree = pred.and_then(|p| Tree::compile(p, &mut column).ok());
     let mut plan = BlockPlan::default();
-    for b in &stats.blocks {
-        let in_window = b.end > lo && hi.is_none_or(|h| b.start <= h);
-        let survives = in_window
-            && tree.as_ref().is_none_or(|t| t.may_match(&|c: &Option<usize>| b.columns.get((*c)?)));
+    for (b, survives) in verdicts(stats, pred, start, end) {
         if survives {
             plan.blocks_scanned += 1;
             match plan.ranges.last_mut() {
@@ -77,4 +69,43 @@ pub fn plan_ranges(
         }
     }
     plan
+}
+
+/// The blocks [`plan_ranges`] keeps for the same request, each
+/// `[start, end)`, in object order and uncoalesced — where a request can be
+/// cut without cutting a block.
+pub fn surviving_blocks(
+    stats: &ObjectStats,
+    pred: Option<&Predicate>,
+    start: u64,
+    end: Option<u64>,
+) -> Vec<(u64, u64)> {
+    verdicts(stats, pred, start, end)
+        .filter(|&(_, survives)| survives)
+        .map(|(b, _)| (b.start, b.end))
+        .collect()
+}
+
+/// Every block of `stats`, in object order, with whether it survives the
+/// request: it holds a record start the range owns, and the predicate may
+/// match it.
+fn verdicts<'a>(
+    stats: &'a ObjectStats,
+    pred: Option<&Predicate>,
+    start: u64,
+    end: Option<u64>,
+) -> impl Iterator<Item = (&'a BlockStats, bool)> + 'a {
+    // Owned record starts form the interval [lo, hi].
+    let lo = if start == 0 { 0 } else { start.saturating_add(1) };
+    let hi = end.map(|e| e.saturating_add(1));
+    // Columns resolve as the filter resolves them (case-insensitive); an
+    // unknown one is no evidence.
+    let mut column = |name: &str| Ok(stats.columns.iter().position(|c| c.eq_ignore_ascii_case(name)));
+    let tree = pred.and_then(|p| Tree::compile(p, &mut column).ok());
+    stats.blocks.iter().map(move |b| {
+        let in_window = b.end > lo && hi.is_none_or(|h| b.start <= h);
+        let survives = in_window
+            && tree.as_ref().is_none_or(|t| t.may_match(&|c: &Option<usize>| b.columns.get((*c)?)));
+        (b, survives)
+    })
 }

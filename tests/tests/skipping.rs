@@ -3,8 +3,11 @@
 //! results byte-identical to both the full-scan reference and an un-indexed
 //! twin of the same object. Partition discovery prunes with the store's own
 //! planner: it keeps exactly the splits the store would scan, and an index
-//! the client cannot read is "no index", asked for once.
+//! the client cannot read is "no index", asked for once. Cutting the
+//! survivors for the workers moves no record and no block, even when the
+//! maps the cuts came from have gone stale by the time the pieces are read.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use scoop_common::telemetry::{self, layers};
 use scoop_compute::csv_relation::CsvRelation;
@@ -18,6 +21,7 @@ use scoop_integration::Lcg;
 use scoop_objectstore::request::ByteRange;
 use scoop_objectstore::{ObjectPath, Request};
 use scoop_storlets::middleware::{encode_params, headers};
+use scoop_storlets::Tier;
 use scoop_workload::generator::meter_schema;
 use scoop_workload::{GeneratorConfig, MeterDataset};
 use std::collections::HashMap;
@@ -271,5 +275,160 @@ proptest! {
         }
         let (want, _) = filter_buffer(&spec, &schema(), &data, true).unwrap();
         prop_assert_eq!(&out[..], &want[..], "{}", pred);
+    }
+}
+
+/// One deployment for the cut property, apart from the discovery
+/// property's, so the store's block counter moves for this test's GETs
+/// alone.
+fn cut_ctx() -> &'static Arc<ScoopContext> {
+    static CTX: OnceLock<Arc<ScoopContext>> = OnceLock::new();
+    CTX.get_or_init(|| ScoopContext::new(ScoopConfig::default()).unwrap())
+}
+
+/// The store's answer to a ranged pushdown GET of `[start, end)`: its body,
+/// the blocks its plan scanned and the bytes it read for them.
+fn store_get(ctx: &ScoopContext, container: &str, spec: &PushdownSpec, start: u64, end: u64) -> (Vec<u8>, u64, u64) {
+    let params = HashMap::from([
+        ("spec".to_string(), spec.to_header()),
+        ("schema".to_string(), schema().join(",")),
+    ]);
+    let path = ObjectPath::new(&ctx.config().account, container, "obj.csv").unwrap();
+    let req = Request::get(path)
+        .with_header(headers::RUN_STORLET, "csvfilter")
+        .with_header(headers::PARAMETERS, encode_params(&params))
+        .with_header(headers::STORLET_RANGE, ByteRange { start, end: Some(end - 1) }.to_header());
+    let blocks_before = ctx.engine().skip_stats().blocks_scanned();
+    let resp = ctx.client().request(req).unwrap();
+    let blocks = ctx.engine().skip_stats().blocks_scanned() - blocks_before;
+    let scanned = resp.headers.get(scoop_common::headers::SCANNED_BYTES).expect("a stats plan");
+    let scanned = scanned.parse::<u64>().unwrap();
+    let body = scoop_common::stream::collect(resp.body).unwrap();
+    (body.to_vec(), blocks, scanned)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Cutting the surviving splits for up to four tasks moves no record
+    /// and no block: the pieces tile each split in object order, each
+    /// piece's store plan keeps a block (when discovery read the index),
+    /// and a split's pieces scan its blocks and bytes once and answer its
+    /// body byte for byte.
+    #[test]
+    fn tasks_cut_splits_at_block_starts_and_move_nothing(
+        seed in any::<u64>(),
+        rows in 200usize..1200,
+        block in prop_oneof![Just(256u64), Just(1024), Just(4096)],
+        chunk in 2_000u64..150_000,
+        tasks in 1usize..=4,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let ctx = cut_ctx();
+        let container = format!("cut{}", CASE.fetch_add(1, Ordering::Relaxed));
+        let mut gen = MeterDataset::new(&GeneratorConfig { seed, meters: 12, interval_minutes: 30, ..Default::default() });
+        let data = gen.csv_object(rows);
+        ctx.upload_csv(&container, vec![("obj.csv".to_string(), data.clone())], Some(&zoneindex(block))).unwrap();
+        let pred = meter_predicate(&mut Lcg(seed), &data, 2);
+        let spec = PushdownSpec { columns: None, predicate: Some(pred.clone()), has_header: true };
+
+        let conn = SwiftConnector::new(ctx.client().clone());
+        let rel = CsvRelation::open(conn, &container, None, true, Some(meter_schema()), true).unwrap();
+        let splits = rel.partitions_for(chunk, Some(&pred)).unwrap();
+        let cut = rel.tasks_for(chunk, Some(&pred), tasks).unwrap();
+        prop_assert_eq!((cut.pruned, cut.unindexed_objects), (splits.pruned, splits.unindexed_objects));
+        prop_assert_eq!(cut.partitions.len(), splits.partitions.len() + cut.cuts);
+        prop_assert!(cut.partitions.len() <= splits.partitions.len().max(tasks), "{}", pred);
+        if tasks == 1 {
+            prop_assert_eq!(&cut.partitions, &splits.partitions);
+        }
+        for (i, p) in cut.partitions.iter().enumerate() {
+            prop_assert_eq!(p.index, i);
+            prop_assert!(!p.is_empty(), "{:?}", p);
+        }
+
+        let mut pieces = cut.partitions.iter().peekable();
+        for split in &splits.partitions {
+            let (body, blocks, scanned) = store_get(ctx, &container, &spec, split.start, split.end);
+            let (mut piece_body, mut piece_blocks, mut piece_scanned) = (Vec::new(), 0, 0);
+            let mut at = split.start;
+            while let Some(piece) = pieces.next_if(|p| p.start < split.end) {
+                prop_assert_eq!(&piece.object, &split.object);
+                prop_assert_eq!(piece.start, at, "pieces out of order or apart");
+                at = piece.end;
+                let (b, n, s) = store_get(ctx, &container, &spec, piece.start, piece.end);
+                // Over TCP the HEAD of a small-block index can outgrow the
+                // wire's head cap: discovery then sees no index, keeps every
+                // split uncut, and the store may still prune one whole.
+                prop_assert!(n > 0 || splits.unindexed_objects > 0, "{:?} keeps no block for {}", piece, pred);
+                piece_body.extend_from_slice(&b);
+                piece_blocks += n;
+                piece_scanned += s;
+            }
+            prop_assert_eq!(at, split.end, "the pieces do not tile {:?}", split);
+            prop_assert_eq!(piece_blocks, blocks, "{}", pred);
+            prop_assert_eq!(piece_scanned, scanned, "{}", pred);
+            prop_assert_eq!(&piece_body[..], &body[..], "{}", pred);
+        }
+        prop_assert!(pieces.next().is_none());
+    }
+}
+
+/// The pieces of a split cut from zone maps stay sound when the maps go
+/// stale before the pieces are read — the object loses its index, or is
+/// overwritten with other bytes of the same length — whether the store
+/// answers each piece with a full-scan plan or, under a tier that declines
+/// pushdown, with plain bytes the scan selects in the piece's own window:
+/// the pieces return every record once, the vanilla answer over the bytes
+/// stored now.
+#[test]
+fn pieces_cut_from_stale_maps_return_every_record_once() {
+    let ctx = ScoopContext::new(ScoopConfig::default()).unwrap();
+    let mut gen = MeterDataset::new(&GeneratorConfig { meters: 10, interval_minutes: 60, ..Default::default() });
+    let data = gen.csv_object(4_000);
+    // Other bytes, same length and record layout: every 3 and 4 swapped.
+    let other = Bytes::from(
+        data.iter()
+            .map(|&b| match b {
+                b'3' => b'4',
+                b'4' => b'3',
+                b => b,
+            })
+            .collect::<Vec<u8>>(),
+    );
+    let chunk = 1 << 30;
+    let pred = Predicate::Lt("date".into(), Value::Str(date_at(&data, 0.4).as_str().into()));
+    let put = |bytes: &Bytes, index: bool| {
+        let etl = index.then(|| zoneindex(4096));
+        ctx.upload_csv("stale", vec![("obj.csv".to_string(), bytes.clone())], etl.as_ref()).unwrap();
+    };
+    let relation = |pushdown: bool| {
+        let conn = SwiftConnector::new(ctx.client().clone());
+        CsvRelation::open(conn, "stale", None, true, Some(meter_schema()), pushdown).unwrap()
+    };
+    let scan = |rel: &CsvRelation, parts: &[scoop_compute::InputPartition], plain: bool| {
+        let mut rows = Vec::new();
+        for part in parts {
+            let out = rel.scan_pruned_filtered(part, None, Some(&pred)).unwrap();
+            assert_eq!(out.plain, plain, "{part:?}");
+            rows.extend(out.rows.map(Result::unwrap));
+        }
+        rows
+    };
+
+    put(&data, true);
+    let pushdown = relation(true);
+    let cut = pushdown.tasks_for(chunk, Some(&pred), 4).unwrap();
+    assert_eq!((cut.partitions.len(), cut.cuts), (4, 3), "one split, cut for four workers");
+    let tier = |t: Tier| ctx.policy().set_tier(&ctx.config().account, t);
+    for (phase, bytes, index) in [("index lost", &data, false), ("overwritten", &other, false), ("overwritten and re-indexed", &other, true)] {
+        put(bytes, index);
+        let vanilla = relation(false);
+        let want = scan(&vanilla, &vanilla.partitions(chunk).unwrap(), false);
+        assert!(!want.is_empty(), "{phase}");
+        assert_eq!(scan(&pushdown, &cut.partitions, false), want, "{phase}: filtered by the store");
+        tier(Tier::Bronze);
+        assert_eq!(scan(&pushdown, &cut.partitions, true), want, "{phase}: plain, selected per piece");
+        tier(Tier::Gold);
     }
 }
