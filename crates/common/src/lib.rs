@@ -41,4 +41,4 @@ pub use bytesize::ByteSize;
 pub use deadline::Deadline;
 pub use error::{ErrorClass, Result, ScoopError};
 pub use retry::RetryPolicy;
-pub use stream::{ByteStream, CountingStream, StreamExt};
+pub use stream::ByteStream;

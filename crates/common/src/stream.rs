@@ -7,8 +7,6 @@
 
 use crate::error::Result;
 use bytes::Bytes;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A boxed, fallible, sendable stream of byte chunks.
 pub type ByteStream = Box<dyn Iterator<Item = Result<Bytes>> + Send>;
@@ -130,76 +128,6 @@ pub fn enforce_length(inner: ByteStream, expected: u64) -> ByteStream {
     }))
 }
 
-/// Shared byte counter observable while a stream is being consumed elsewhere.
-#[derive(Debug, Default, Clone)]
-pub struct ByteCounter(Arc<AtomicU64>);
-
-impl ByteCounter {
-    /// Create a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Bytes observed so far.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-    fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Stream adaptor that counts the bytes flowing through it.
-///
-/// The connector wraps every GET body in one of these so experiments can
-/// report exactly how many bytes crossed the (simulated) inter-cluster link.
-pub struct CountingStream {
-    inner: ByteStream,
-    counter: ByteCounter,
-}
-
-impl CountingStream {
-    /// Wrap `inner`, reporting into `counter`.
-    pub fn new(inner: ByteStream, counter: ByteCounter) -> Self {
-        CountingStream { inner, counter }
-    }
-}
-
-impl Iterator for CountingStream {
-    type Item = Result<Bytes>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next();
-        if let Some(Ok(chunk)) = &item {
-            self.counter.add(chunk.len() as u64);
-        }
-        item
-    }
-}
-
-/// Extension helpers on [`ByteStream`].
-pub trait StreamExt {
-    /// Count bytes through a fresh counter; returns (wrapped stream, counter).
-    fn counted(self) -> (ByteStream, ByteCounter);
-    /// Apply a per-chunk transformation.
-    fn map_chunks<F>(self, f: F) -> ByteStream
-    where
-        F: FnMut(Bytes) -> Result<Bytes> + Send + 'static;
-}
-
-impl StreamExt for ByteStream {
-    fn counted(self) -> (ByteStream, ByteCounter) {
-        let counter = ByteCounter::new();
-        let stream = Box::new(CountingStream::new(self, counter.clone()));
-        (stream, counter)
-    }
-
-    fn map_chunks<F>(self, mut f: F) -> ByteStream
-    where
-        F: FnMut(Bytes) -> Result<Bytes> + Send + 'static,
-    {
-        Box::new(self.map(move |chunk| chunk.and_then(&mut f)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,16 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_stream_observes_all_bytes() {
-        let data = payload(123_456);
-        let (s, counter) = chunked(data.clone(), 1000).counted();
-        assert_eq!(counter.get(), 0);
-        let got = collect(s).unwrap();
-        assert_eq!(got.len(), 123_456);
-        assert_eq!(counter.get(), 123_456);
-    }
-
-    #[test]
     fn enforce_length_passes_exact_streams() {
         let data = payload(10_000);
         let s = enforce_length(chunked(data.clone(), 777), 10_000);
@@ -278,16 +196,5 @@ mod tests {
     fn error_stream_propagates() {
         let s = error(ScoopError::NotFound("gone".into()));
         assert!(collect(s).is_err());
-    }
-
-    #[test]
-    fn map_chunks_transforms() {
-        let s = chunked(Bytes::from_static(b"abcdef"), 2);
-        let upper = s.map_chunks(|c| {
-            Ok(Bytes::from(
-                c.iter().map(|b| b.to_ascii_uppercase()).collect::<Vec<u8>>(),
-            ))
-        });
-        assert_eq!(collect(upper).unwrap(), "ABCDEF");
     }
 }

@@ -6,9 +6,6 @@
 //! This module is the substrate those measurements flow through:
 //!
 //! * **Counters** (`scoop_<layer>_<what>_total`) — monotonic event counts.
-//!   [`ScopedCounter`] pairs a per-instance counter (exact values for unit
-//!   tests and per-cluster accessors) with a process-wide mirror under a
-//!   registry name, so one snapshot covers every instance.
 //! * **Gauges** (`scoop_<layer>_<what>`) — instantaneous levels (e.g. active
 //!   storlet invocations).
 //! * **Histograms** (`scoop_<layer>_latency_us`) — fixed-boundary latency
@@ -18,6 +15,15 @@
 //!   layer opens a [`span`] guard that records a timed [`SpanRecord`] on
 //!   drop. [`trace_spans`] returns the spans of one trace; the store keeps
 //!   the most recent [`TRACE_CAP`] traces.
+//!
+//! One rule keeps per-instance accessors and the registry telling the same
+//! story: a fact that has a per-instance value (a connector's bytes, a
+//! pool's dials, an engine's sheds) is counted through one [`ScopedCounter`]
+//! or [`ScopedGauge`] — the local atomic and the registry metric move in
+//! the same call, and nothing counts either half by hand. Lookup by name
+//! ([`counter`], [`gauge`], [`histogram`]) locks the registry and allocates
+//! the key, so it happens only at construction; the data path holds the
+//! handles it took then.
 //!
 //! [`snapshot`] serializes the registry ([`Snapshot::to_text`] /
 //! [`Snapshot::to_json`]); [`missing_data_path_metrics`] is the CI gate that
@@ -462,11 +468,56 @@ impl ScopedCounter {
     pub fn get(&self) -> u64 {
         self.local.load(Ordering::Relaxed)
     }
+
+    /// Zero the local value; the registry total is monotonic and keeps its
+    /// count.
+    pub fn reset(&self) {
+        self.local.store(0, Ordering::Relaxed);
+    }
 }
 
 impl std::fmt::Debug for ScopedCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("ScopedCounter").field(&self.get()).finish()
+    }
+}
+
+/// A per-instance level mirrored into the process-wide registry: the gauge
+/// counterpart of [`ScopedCounter`]. `get()` reads this instance's level;
+/// the named global gauge sums the levels of every instance, so an owner
+/// settles its level before it drops the handle.
+pub struct ScopedGauge {
+    local: AtomicI64,
+    global: Gauge,
+}
+
+impl ScopedGauge {
+    /// A fresh local level mirrored into the global gauge `name`.
+    pub fn new(name: &str) -> ScopedGauge {
+        ScopedGauge { local: AtomicI64::new(0), global: gauge(name) }
+    }
+
+    /// Raise the level by `n`, locally and globally.
+    pub fn add(&self, n: i64) {
+        self.local.fetch_add(n, Ordering::Relaxed);
+        self.global.add(n);
+    }
+
+    /// Lower the level by `n`, locally and globally.
+    pub fn sub(&self, n: i64) {
+        self.local.fetch_sub(n, Ordering::Relaxed);
+        self.global.sub(n);
+    }
+
+    /// The local (per-instance) level.
+    pub fn get(&self) -> i64 {
+        self.local.load(Ordering::Relaxed)
+    }
+}
+
+impl std::fmt::Debug for ScopedGauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ScopedGauge").field(&self.get()).finish()
     }
 }
 
@@ -800,9 +851,11 @@ pub fn slow_query_threshold_ms() -> u64 {
 /// the log exists to explain.
 pub fn record_query_event(mut ev: QueryEvent) {
     ev.slow = ev.total_us >= slow_query_threshold_ms().saturating_mul(1_000);
-    counter(names::QUERY_EVENTS).inc();
+    static EVENTS: OnceLock<Counter> = OnceLock::new();
+    static SLOW: OnceLock<Counter> = OnceLock::new();
+    EVENTS.get_or_init(|| counter(names::QUERY_EVENTS)).inc();
     if ev.slow {
-        counter(names::QUERY_EVENTS_SLOW).inc();
+        SLOW.get_or_init(|| counter(names::QUERY_EVENTS_SLOW)).inc();
     }
     let mut ring = lock(&registry().events);
     if ring.len() >= EVENT_RING_CAP {
@@ -1120,6 +1173,20 @@ mod tests {
         assert_eq!(a.get(), 2);
         assert_eq!(b.get(), 1);
         assert_eq!(counter("test_telemetry_scoped_total").get(), global_before + 3);
+        a.reset();
+        assert_eq!(a.get(), 0);
+        assert_eq!(counter("test_telemetry_scoped_total").get(), global_before + 3);
+    }
+
+    #[test]
+    fn scoped_gauge_is_exact_locally_and_summed_globally() {
+        let a = ScopedGauge::new("test_telemetry_scoped_level");
+        let b = ScopedGauge::new("test_telemetry_scoped_level");
+        a.add(3);
+        b.add(1);
+        a.sub(1);
+        assert_eq!((a.get(), b.get()), (2, 1));
+        assert_eq!(gauge("test_telemetry_scoped_level").get(), 3);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::datasource::PrunedFilteredScan;
 use crate::partition::DEFAULT_CHUNK_SIZE;
 use crate::scheduler::{collect_ok, run_tasks_with_deadline, total_retries};
 use parking_lot::RwLock;
+use scoop_common::telemetry::{self, names};
 use scoop_common::{Deadline, Result, ScoopError};
 use scoop_csv::Schema;
 use scoop_sql::catalyst::plan_query;
@@ -123,6 +124,10 @@ pub struct Session {
     max_task_failures: u32,
     time_budget: Option<Duration>,
     tables: RwLock<HashMap<String, TableDef>>,
+    /// Process-wide hedge and client-retry totals, sampled around each
+    /// query for its wide event.
+    hedged_gets: telemetry::Counter,
+    client_retries: telemetry::Counter,
 }
 
 impl Session {
@@ -136,6 +141,8 @@ impl Session {
             max_task_failures: DEFAULT_MAX_TASK_FAILURES,
             time_budget: None,
             tables: RwLock::new(HashMap::new()),
+            hedged_gets: telemetry::counter(names::PROXY_HEDGED_GETS),
+            client_retries: telemetry::counter(names::CLIENT_RETRIES),
         }
     }
 
@@ -331,19 +338,18 @@ impl Session {
         // deadline — stamped on every storage request as `x-scoop-trace` —
         // so one pushdown query yields one trace whose spans cover session,
         // scheduler, connector, client, proxy, object server and storlet.
-        let trace = scoop_common::telemetry::new_trace_id();
+        let trace = telemetry::new_trace_id();
         self.connector.set_trace(Some(trace.clone()));
         // Baselines for the query's wide event: global counters are sampled
         // before and after the run so the event carries *this* query's
         // hedges/retries (single-process delta attribution).
-        use scoop_common::telemetry::{counter, names};
-        let hedges_before = counter(names::PROXY_HEDGED_GETS).get();
-        let retries_before = counter(names::CLIENT_RETRIES).get();
+        let hedges_before = self.hedged_gets.get();
+        let retries_before = self.client_retries.get();
         let query = parse(text)?;
         let def = self.table(&query.table)?;
-        let _query_span = scoop_common::telemetry::span(
+        let _query_span = telemetry::span(
             Some(&trace),
-            scoop_common::telemetry::layers::SESSION,
+            telemetry::layers::SESSION,
             format!("sql {}", query.table),
         );
 
@@ -379,9 +385,9 @@ impl Session {
         // off the lazy streams) once they have folded the job-wide quota.
         let limit = exec.early_limit();
         let collected = AtomicUsize::new(0);
-        let _sched_span = scoop_common::telemetry::span(
+        let _sched_span = telemetry::span(
             Some(&trace),
-            scoop_common::telemetry::layers::SCHEDULER,
+            telemetry::layers::SCHEDULER,
             format!("{} tasks over {} workers", partitions.len(), self.workers),
         );
         let results = run_tasks_with_deadline(self.workers, partitions.len(), self.max_task_failures, deadline, |i| {
@@ -461,9 +467,9 @@ impl Session {
         // Close the session span *now* so the wide event's per-layer
         // durations include it (spans record on drop).
         drop(_query_span);
-        let spans = scoop_common::telemetry::trace_spans(&trace);
+        let spans = telemetry::trace_spans(&trace);
         let mut layer_us: Vec<(&'static str, u64)> = Vec::new();
-        for layer in scoop_common::telemetry::layers::ALL {
+        for layer in telemetry::layers::ALL {
             let sum: u64 = spans
                 .iter()
                 .filter(|s| s.layer == *layer)
@@ -473,7 +479,7 @@ impl Session {
                 layer_us.push((layer, sum));
             }
         }
-        scoop_common::telemetry::record_query_event(scoop_common::telemetry::QueryEvent {
+        telemetry::record_query_event(telemetry::QueryEvent {
             trace: trace.clone(),
             path: if degradations > 0 {
                 "pushdown-fallback".to_string()
@@ -484,9 +490,9 @@ impl Session {
             bytes: bytes_transferred,
             rows: rows_to_compute,
             retries: task_retries.saturating_add(
-                counter(names::CLIENT_RETRIES).get().saturating_sub(retries_before),
+                self.client_retries.get().saturating_sub(retries_before),
             ),
-            hedges: counter(names::PROXY_HEDGED_GETS).get().saturating_sub(hedges_before),
+            hedges: self.hedged_gets.get().saturating_sub(hedges_before),
             degradations,
             splits_pruned: discovery.pruned as u64,
             layer_us,

@@ -24,7 +24,7 @@
 
 use bytes::Bytes;
 use scoop_common::rng::XorShift64;
-use scoop_common::telemetry::{self, names};
+use scoop_common::telemetry::{self, names, ScopedCounter};
 use scoop_common::zonestats::{ObjectStats, StatsCache};
 use scoop_common::{stream, ByteStream, Result, RetryPolicy, ScoopError};
 use scoop_compute::connector::{ObjectInfo, PushdownBody, StorageConnector, SPLIT_SLACK};
@@ -35,7 +35,6 @@ use scoop_storlets::api::{InvocationContext, Storlet};
 use scoop_storlets::filters::csv::CsvFilterStorlet;
 use scoop_storlets::middleware::{encode_params, headers};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where pushdown filters execute (the staging-control contribution).
@@ -51,45 +50,28 @@ pub enum RunOn {
 
 /// The connector. A *location* maps to a Swift container.
 ///
-/// Wire accounting is double-entry: per-connector atomics back the exact
-/// accessors the experiments assert on, while registry counters
-/// (`scoop_connector_*_total`) aggregate the same events process-wide for
-/// [`scoop_common::telemetry::snapshot`]. Both are registered at
-/// construction so a snapshot lists them even before any traffic.
+/// Wire accounting is one [`ScopedCounter`] per fact: each event moves the
+/// per-connector value behind the accessor the experiments assert on and
+/// its registry metric (`scoop_connector_*_total`) in the same call. The
+/// handles are taken at construction, so a snapshot lists the metrics even
+/// before any traffic.
 pub struct SwiftConnector {
     client: SwiftClient,
     run_on: RunOn,
     reads: ReadLedger,
-    fallbacks: Arc<AtomicU64>,
-    skipped: Arc<AtomicU64>,
-    fallbacks_global: telemetry::Counter,
-    skipped_global: telemetry::Counter,
+    fallbacks: ScopedCounter,
+    skipped: ScopedCounter,
     /// Decoded zone maps per listed `(location, object, etag)`.
     zone_stats: StatsCache<(String, String, String)>,
 }
 
-/// The two ledgers a plain read writes to as it runs — bytes delivered and
-/// mid-stream resumes, each a per-connector atomic plus its registry
-/// mirror. A [`ResumingStream`] carries a clone, because it outlives the
-/// call that opened it.
+/// The two counters a plain read writes to as it runs — bytes delivered
+/// and mid-stream resumes. A [`ResumingStream`] carries a clone, because it
+/// outlives the call that opened it.
 #[derive(Clone)]
 struct ReadLedger {
-    transferred: Arc<AtomicU64>,
-    transferred_global: telemetry::Counter,
-    resumes: Arc<AtomicU64>,
-    resumes_global: telemetry::Counter,
-}
-
-impl ReadLedger {
-    fn delivered(&self, bytes: usize) {
-        self.transferred.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.transferred_global.add(bytes as u64);
-    }
-
-    fn resumed(&self) {
-        self.resumes.fetch_add(1, Ordering::Relaxed);
-        self.resumes_global.inc();
-    }
+    transferred: Arc<ScopedCounter>,
+    resumes: Arc<ScopedCounter>,
 }
 
 impl SwiftConnector {
@@ -110,26 +92,21 @@ impl SwiftConnector {
             client,
             run_on,
             reads: ReadLedger {
-                transferred: Arc::new(AtomicU64::new(0)),
-                transferred_global: telemetry::counter(names::CONNECTOR_BYTES_TRANSFERRED),
-                resumes: Arc::new(AtomicU64::new(0)),
-                resumes_global: telemetry::counter(names::CONNECTOR_STREAM_RESUMES),
+                transferred: Arc::new(ScopedCounter::new(names::CONNECTOR_BYTES_TRANSFERRED)),
+                resumes: Arc::new(ScopedCounter::new(names::CONNECTOR_STREAM_RESUMES)),
             },
-            fallbacks: Arc::new(AtomicU64::new(0)),
-            skipped: Arc::new(AtomicU64::new(0)),
-            fallbacks_global: telemetry::counter(names::CONNECTOR_PUSHDOWN_FALLBACKS),
-            skipped_global: telemetry::counter(names::CONNECTOR_BYTES_SKIPPED),
+            fallbacks: ScopedCounter::new(names::CONNECTOR_PUSHDOWN_FALLBACKS),
+            skipped: ScopedCounter::new(names::CONNECTOR_BYTES_SKIPPED),
             zone_stats: StatsCache::default(),
         })
     }
 
-    /// Wrap a stream so consumed bytes land in both ledgers: the
-    /// per-connector counter and the process-wide registry mirror.
+    /// Wrap a stream so every byte it delivers is counted.
     fn count(&self, inner: ByteStream) -> ByteStream {
         let ledger = self.reads.clone();
         Box::new(inner.inspect(move |item| {
             if let Ok(chunk) = item {
-                ledger.delivered(chunk.len());
+                ledger.transferred.add(chunk.len() as u64);
             }
         }))
     }
@@ -142,7 +119,7 @@ impl SwiftConnector {
     /// Mid-stream resumes: plain reads re-issued as ranged GETs from the
     /// last consumed byte after a retryable stream failure.
     pub fn stream_resumes(&self) -> u64 {
-        self.reads.resumes.load(Ordering::Relaxed)
+        self.reads.resumes.get()
     }
 
     /// Pushdown reads that the store shed for overload (`503` +
@@ -150,14 +127,14 @@ impl SwiftConnector {
     /// GETs of the split ([`PushdownBody::Plain`]); declined ones are not
     /// counted.
     pub fn pushdown_fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
+        self.fallbacks.get()
     }
 
     /// Object-store bytes that pushdown reads never had to touch because the
     /// store's block planner pruned them with zone maps (the sum of the
     /// `x-scoop-skipped-bytes` response headers).
     pub fn bytes_skipped(&self) -> u64 {
-        self.skipped.load(Ordering::Relaxed)
+        self.skipped.get()
     }
 
     /// Total recovery actions taken: request re-dispatches by the client
@@ -327,7 +304,7 @@ impl ResumingStream {
     fn back_off(&mut self) {
         std::thread::sleep(self.policy.backoff(self.failures, &mut self.rng));
         self.failures += 1;
-        self.ledger.resumed();
+        self.ledger.resumes.inc();
     }
 }
 
@@ -379,7 +356,7 @@ impl Iterator for ResumingStream {
             match inner.next() {
                 Some(Ok(chunk)) => {
                     self.offset += chunk.len() as u64;
-                    self.ledger.delivered(chunk.len());
+                    self.ledger.transferred.add(chunk.len() as u64);
                     // Progress resets the failure budget: a long object may
                     // legitimately hit more transient faults than one open.
                     self.failures = 0;
@@ -423,7 +400,7 @@ impl Drop for ResumingStream {
         }
         for chunk in self.inner.take().into_iter().flatten() {
             match chunk {
-                Ok(chunk) => self.ledger.delivered(chunk.len()),
+                Ok(chunk) => self.ledger.transferred.add(chunk.len() as u64),
                 Err(_) => return,
             }
         }
@@ -495,8 +472,7 @@ impl StorageConnector for SwiftConnector {
             // Overload shedding: the storlet engine refused the pushdown.
             // The split is read plain and selected compute-side — heavier on
             // the wire, but the query completes with identical results.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.fallbacks_global.inc();
+            self.fallbacks.inc();
             return plain();
         }
         if !resp.is_success() {
@@ -511,8 +487,7 @@ impl StorageConnector for SwiftConnector {
                 .get(scoop_common::headers::SKIPPED_BYTES)
                 .and_then(|v| v.parse::<u64>().ok())
             {
-                self.skipped.fetch_add(skipped, Ordering::Relaxed);
-                self.skipped_global.add(skipped);
+                self.skipped.add(skipped);
             }
             return Ok(PushdownBody::Filtered(self.count(resp.body)));
         }
@@ -546,7 +521,7 @@ impl StorageConnector for SwiftConnector {
             ))));
         }
         let data = resp.read_body()?;
-        self.reads.delivered(data.len());
+        self.reads.transferred.add(data.len() as u64);
         Ok(data)
     }
 
@@ -617,11 +592,11 @@ impl StorageConnector for SwiftConnector {
     }
 
     fn bytes_transferred(&self) -> u64 {
-        self.reads.transferred.load(Ordering::Relaxed)
+        self.reads.transferred.get()
     }
 
     fn reset_transfer_counter(&self) {
-        self.reads.transferred.store(0, Ordering::Relaxed);
+        self.reads.transferred.reset();
     }
 }
 

@@ -31,6 +31,7 @@ use crate::backend::{ObjectMeta, StorageBackend, StoredObject};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scoop_common::rng::XorShift64;
+use scoop_common::telemetry::{names, ScopedCounter};
 use scoop_common::{Result, ScoopError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -242,16 +243,38 @@ pub struct FaultStats {
     pub slow_node_delays: AtomicU64,
     /// Operations that passed through unharmed.
     pub clean_ops: AtomicU64,
-    /// Connections aborted mid-response (wire).
-    pub wire_rsts: AtomicU64,
-    /// Responses cut to a prefix followed by a stall (wire).
-    pub wire_partials: AtomicU64,
-    /// Requests read one byte at a time (wire).
-    pub wire_slowloris: AtomicU64,
-    /// Response frames corrupted (wire).
-    pub wire_garbage: AtomicU64,
-    /// Connections half-closed before the response (wire).
-    pub wire_half_closes: AtomicU64,
+    /// Wire faults by class; present only when the plan injects any, so a
+    /// storage-only plan registers no wire metric.
+    pub wire: Option<WireFaultStats>,
+}
+
+/// Injected wire faults by class, one [`ScopedCounter`] each: the
+/// injector's count and its `scoop_net_wire_faults_*_total` registry metric
+/// move in the same call.
+#[derive(Debug)]
+pub struct WireFaultStats {
+    /// Connections aborted mid-response.
+    pub rsts: ScopedCounter,
+    /// Responses cut to a prefix followed by a stall.
+    pub partials: ScopedCounter,
+    /// Requests read one byte at a time.
+    pub slowloris: ScopedCounter,
+    /// Response frames corrupted.
+    pub garbage: ScopedCounter,
+    /// Connections half-closed before the response.
+    pub half_closes: ScopedCounter,
+}
+
+impl Default for WireFaultStats {
+    fn default() -> Self {
+        WireFaultStats {
+            rsts: ScopedCounter::new(names::NET_WIRE_FAULTS_RST),
+            partials: ScopedCounter::new(names::NET_WIRE_FAULTS_PARTIAL),
+            slowloris: ScopedCounter::new(names::NET_WIRE_FAULTS_SLOWLORIS),
+            garbage: ScopedCounter::new(names::NET_WIRE_FAULTS_GARBAGE),
+            half_closes: ScopedCounter::new(names::NET_WIRE_FAULTS_HALF_CLOSE),
+        }
+    }
 }
 
 /// Point-in-time copy of [`FaultStats`].
@@ -344,13 +367,17 @@ impl FaultInjector {
     /// Build an injector from a plan.
     pub fn new(plan: FaultPlan) -> Arc<FaultInjector> {
         let rng = XorShift64::new(scoop_common::rng::derive_seed(plan.seed, "fault-injector"));
+        let stats = FaultStats {
+            wire: plan.wire.any().then(WireFaultStats::default),
+            ..FaultStats::default()
+        };
         Arc::new(FaultInjector {
             plan,
             rng: Mutex::new(rng),
             ops: AtomicU64::new(0),
             consecutive: Mutex::new(0),
             wire_consecutive: Mutex::new(0),
-            stats: FaultStats::default(),
+            stats,
         })
     }
 
@@ -361,6 +388,9 @@ impl FaultInjector {
 
     /// Counters snapshot.
     pub fn stats(&self) -> FaultStatsSnapshot {
+        let wire = |class: fn(&WireFaultStats) -> &ScopedCounter| {
+            self.stats.wire.as_ref().map_or(0, |w| class(w).get())
+        };
         FaultStatsSnapshot {
             errors: self.stats.errors.load(Ordering::Relaxed),
             truncations: self.stats.truncations.load(Ordering::Relaxed),
@@ -368,11 +398,11 @@ impl FaultInjector {
             down_rejections: self.stats.down_rejections.load(Ordering::Relaxed),
             slow_node_delays: self.stats.slow_node_delays.load(Ordering::Relaxed),
             clean_ops: self.stats.clean_ops.load(Ordering::Relaxed),
-            wire_rsts: self.stats.wire_rsts.load(Ordering::Relaxed),
-            wire_partials: self.stats.wire_partials.load(Ordering::Relaxed),
-            wire_slowloris: self.stats.wire_slowloris.load(Ordering::Relaxed),
-            wire_garbage: self.stats.wire_garbage.load(Ordering::Relaxed),
-            wire_half_closes: self.stats.wire_half_closes.load(Ordering::Relaxed),
+            wire_rsts: wire(|w| &w.rsts),
+            wire_partials: wire(|w| &w.partials),
+            wire_slowloris: wire(|w| &w.slowloris),
+            wire_garbage: wire(|w| &w.garbage),
+            wire_half_closes: wire(|w| &w.half_closes),
         }
     }
 
@@ -444,9 +474,7 @@ impl FaultInjector {
     /// delays but never fails, so — like stalls — it does not consume the
     /// consecutive budget.
     pub fn decide_wire(&self) -> WireFault {
-        if !self.plan.wire.any() {
-            return WireFault::None;
-        }
+        let Some(fired) = &self.stats.wire else { return WireFault::None };
         self.ops.fetch_add(1, Ordering::Relaxed);
         let mut consecutive = self.wire_consecutive.lock();
         if *consecutive >= self.plan.max_consecutive {
@@ -459,30 +487,30 @@ impl FaultInjector {
         let mut threshold = wire.rst_rate;
         if roll < threshold {
             *consecutive += 1;
-            self.stats.wire_rsts.fetch_add(1, Ordering::Relaxed);
+            fired.rsts.inc();
             return WireFault::Rst;
         }
         threshold += wire.partial_rate;
         if roll < threshold {
             *consecutive += 1;
-            self.stats.wire_partials.fetch_add(1, Ordering::Relaxed);
+            fired.partials.inc();
             return WireFault::Partial;
         }
         threshold += wire.slowloris_rate;
         if roll < threshold {
-            self.stats.wire_slowloris.fetch_add(1, Ordering::Relaxed);
+            fired.slowloris.inc();
             return WireFault::Slowloris;
         }
         threshold += wire.garbage_rate;
         if roll < threshold {
             *consecutive += 1;
-            self.stats.wire_garbage.fetch_add(1, Ordering::Relaxed);
+            fired.garbage.inc();
             return WireFault::Garbage;
         }
         threshold += wire.half_close_rate;
         if roll < threshold {
             *consecutive += 1;
-            self.stats.wire_half_closes.fetch_add(1, Ordering::Relaxed);
+            fired.half_closes.inc();
             return WireFault::HalfClose;
         }
         *consecutive = 0;

@@ -33,11 +33,10 @@ use crate::net::wire;
 use crate::request::{Headers, Method, Response};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scoop_common::telemetry::{self, names};
+use scoop_common::telemetry::{self, names, ScopedCounter, ScopedGauge};
 use scoop_common::{headers, ByteStream, Deadline, Result, ScoopError};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,13 +81,29 @@ pub struct PoolSnapshot {
     pub evictions: u64,
 }
 
-#[derive(Debug, Default)]
+/// The five facts [`PoolSnapshot`] reports, each a scoped handle: the
+/// per-pool value and its `scoop_net_pool_*` registry metric move in the
+/// same call. Shared with every [`Conn`], whose drop settles `open` and
+/// `in_flight`.
+#[derive(Debug)]
 struct PoolCounters {
-    open: AtomicI64,
-    in_flight: AtomicI64,
-    dials: AtomicU64,
-    reuses: AtomicU64,
-    evictions: AtomicU64,
+    open: ScopedGauge,
+    in_flight: ScopedGauge,
+    dials: ScopedCounter,
+    reuses: ScopedCounter,
+    evictions: ScopedCounter,
+}
+
+impl Default for PoolCounters {
+    fn default() -> Self {
+        PoolCounters {
+            open: ScopedGauge::new(names::NET_POOL_OPEN),
+            in_flight: ScopedGauge::new(names::NET_POOL_IN_FLIGHT),
+            dials: ScopedCounter::new(names::NET_POOL_DIALS),
+            reuses: ScopedCounter::new(names::NET_POOL_REUSES),
+            evictions: ScopedCounter::new(names::NET_POOL_EVICTIONS),
+        }
+    }
 }
 
 /// One pooled connection: buffered read half + write half of the same
@@ -110,11 +125,9 @@ struct Conn {
 
 impl Drop for Conn {
     fn drop(&mut self) {
-        self.counters.open.fetch_sub(1, Ordering::Relaxed);
-        telemetry::gauge(names::NET_POOL_OPEN).sub(1);
+        self.counters.open.sub(1);
         if self.in_flight {
-            self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-            telemetry::gauge(names::NET_POOL_IN_FLIGHT).sub(1);
+            self.counters.in_flight.sub(1);
         }
     }
 }
@@ -173,6 +186,11 @@ pub struct HttpPool {
     cfg: PoolConfig,
     idle: Mutex<Vec<Conn>>,
     counters: Arc<PoolCounters>,
+    /// Registry-only metrics: the idle level (the snapshot reads the idle
+    /// list itself), idle reaps, and the checkout wait.
+    idle_gauge: telemetry::Gauge,
+    idle_reaps: telemetry::Counter,
+    checkout_wait: telemetry::Histogram,
 }
 
 impl HttpPool {
@@ -183,6 +201,9 @@ impl HttpPool {
             cfg,
             idle: Mutex::new(Vec::new()),
             counters: Arc::new(PoolCounters::default()),
+            idle_gauge: telemetry::gauge(names::NET_POOL_IDLE),
+            idle_reaps: telemetry::counter(names::NET_POOL_IDLE_REAPS),
+            checkout_wait: telemetry::histogram(names::NET_POOL_CHECKOUT_WAIT_US),
         })
     }
 
@@ -194,12 +215,12 @@ impl HttpPool {
     /// Counters snapshot.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
-            open: self.counters.open.load(Ordering::Relaxed),
+            open: self.counters.open.get(),
             idle: self.idle.lock().len(),
-            in_flight: self.counters.in_flight.load(Ordering::Relaxed),
-            dials: self.counters.dials.load(Ordering::Relaxed),
-            reuses: self.counters.reuses.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
+            in_flight: self.counters.in_flight.get(),
+            dials: self.counters.dials.get(),
+            reuses: self.counters.reuses.get(),
+            evictions: self.counters.evictions.get(),
         }
     }
 
@@ -211,10 +232,9 @@ impl HttpPool {
         idle.retain(|c| c.idle_since.elapsed() < cutoff);
         let reaped = before - idle.len();
         if reaped > 0 {
-            self.counters.evictions.fetch_add(reaped as u64, Ordering::Relaxed);
-            telemetry::counter(names::NET_POOL_EVICTIONS).add(reaped as u64);
-            telemetry::counter(names::NET_POOL_IDLE_REAPS).add(reaped as u64);
-            telemetry::gauge(names::NET_POOL_IDLE).sub(reaped as i64);
+            self.counters.evictions.add(reaped as u64);
+            self.idle_reaps.add(reaped as u64);
+            self.idle_gauge.sub(reaped as i64);
         }
     }
 
@@ -224,20 +244,17 @@ impl HttpPool {
     fn checkout(&self) -> Result<Conn> {
         let started = Instant::now();
         let mut conn = self.checkout_inner()?;
-        telemetry::histogram(names::NET_POOL_CHECKOUT_WAIT_US)
-            .observe_us(started.elapsed().as_micros() as u64);
+        self.checkout_wait.observe_us(started.elapsed().as_micros() as u64);
         conn.in_flight = true;
-        self.counters.in_flight.fetch_add(1, Ordering::Relaxed);
-        telemetry::gauge(names::NET_POOL_IN_FLIGHT).add(1);
+        self.counters.in_flight.add(1);
         Ok(conn)
     }
 
     fn checkout_inner(&self) -> Result<Conn> {
         self.reap_idle();
         if let Some(mut conn) = self.idle.lock().pop() {
-            telemetry::gauge(names::NET_POOL_IDLE).sub(1);
-            self.counters.reuses.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::NET_POOL_REUSES).inc();
+            self.idle_gauge.sub(1);
+            self.counters.reuses.inc();
             conn.reused = true;
             return Ok(conn);
         }
@@ -253,10 +270,8 @@ impl HttpPool {
         stream.set_write_timeout(Some(self.cfg.io_timeout)).map_err(ScoopError::Io)?;
         stream.set_nodelay(true).map_err(ScoopError::Io)?;
         let write = stream.try_clone().map_err(ScoopError::Io)?;
-        self.counters.dials.fetch_add(1, Ordering::Relaxed);
-        self.counters.open.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter(names::NET_POOL_DIALS).inc();
-        telemetry::gauge(names::NET_POOL_OPEN).add(1);
+        self.counters.dials.inc();
+        self.counters.open.add(1);
         Ok(Conn {
             write,
             reader: wire::FrameReader::new(stream),
@@ -284,16 +299,14 @@ impl HttpPool {
         conn.idle_since = Instant::now();
         if conn.in_flight {
             conn.in_flight = false;
-            self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-            telemetry::gauge(names::NET_POOL_IN_FLIGHT).sub(1);
+            self.counters.in_flight.sub(1);
         }
         idle.push(conn);
-        telemetry::gauge(names::NET_POOL_IDLE).add(1);
+        self.idle_gauge.add(1);
     }
 
     fn evict(&self, conn: Conn) {
-        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter(names::NET_POOL_EVICTIONS).inc();
+        self.counters.evictions.inc();
         drop(conn);
     }
 

@@ -200,6 +200,11 @@ pub struct NetServer {
     router: Arc<Router>,
     fault: Option<Arc<FaultInjector>>,
     opts: NetOptions,
+    /// Request heads served, over every connection.
+    requests: telemetry::Counter,
+    /// Exchanges armed with a wire fault of any class (the injector counts
+    /// each class).
+    wire_faults: telemetry::Counter,
 }
 
 /// The queue accepted streams wait in until a worker takes them.
@@ -216,7 +221,13 @@ impl NetServer {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(ScoopError::Io)?;
         let addr = listener.local_addr().map_err(ScoopError::Io)?;
         let claims = Arc::new(WorkerClaims::new(opts.workers));
-        let server = Arc::new(NetServer { router, fault, opts });
+        let server = Arc::new(NetServer {
+            router,
+            fault,
+            opts,
+            requests: telemetry::counter(names::NET_SERVER_REQUESTS),
+            wire_faults: telemetry::counter(names::NET_WIRE_FAULTS),
+        });
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept = {
             let (claims, shutdown) = (claims.clone(), shutdown.clone());
@@ -304,8 +315,6 @@ impl NetServer {
 
     /// Serve one connection's keep-alive loop until close/fault/idle.
     fn handle_connection(&self, stream: TcpStream) {
-        let requests = telemetry::counter(names::NET_SERVER_REQUESTS);
-        let wire_faults = telemetry::counter(names::NET_WIRE_FAULTS);
         let Ok(write_half) = stream.try_clone() else { return };
         let mut write_half = WriteHalf { stream: write_half, window: self.opts.io_timeout };
         // The connection's response buffer: allocated now that it is live,
@@ -336,10 +345,7 @@ impl NetServer {
                 .map(|f| f.decide_wire())
                 .unwrap_or(WireFault::None);
             if fault != WireFault::None {
-                wire_faults.inc();
-                if let Some(name) = wire_fault_class_metric(fault) {
-                    telemetry::counter(name).inc();
-                }
+                self.wire_faults.inc();
             }
             let stall = self
                 .fault
@@ -363,7 +369,7 @@ impl NetServer {
                 Err(_) => break,    // malformed/timed out head: hang up
             };
             reader.inner_mut().disarm(self.opts.io_timeout);
-            requests.inc();
+            self.requests.inc();
 
             // An Err means the write side failed mid-response: hang up.
             let keep_alive = self
@@ -447,18 +453,6 @@ impl NetServer {
         };
         write_half.set_window(window.max(Duration::from_millis(1)));
         self.router.route(method, routed, headers_map, body, deadline)
-    }
-}
-
-/// The registry counter for one wire fault class (`None` fires nothing).
-fn wire_fault_class_metric(fault: WireFault) -> Option<&'static str> {
-    match fault {
-        WireFault::None => None,
-        WireFault::Rst => Some(names::NET_WIRE_FAULTS_RST),
-        WireFault::Partial => Some(names::NET_WIRE_FAULTS_PARTIAL),
-        WireFault::Slowloris => Some(names::NET_WIRE_FAULTS_SLOWLORIS),
-        WireFault::Garbage => Some(names::NET_WIRE_FAULTS_GARBAGE),
-        WireFault::HalfClose => Some(names::NET_WIRE_FAULTS_HALF_CLOSE),
     }
 }
 

@@ -20,7 +20,7 @@ use crate::request::{Headers, Method, Request, Response};
 use crate::ring::{DeviceId, Ring, RingBuilder};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use scoop_common::telemetry::{self, names};
+use scoop_common::telemetry::{self, names, ScopedCounter};
 use scoop_common::{headers, stream, Deadline, Result, RetryPolicy, ScoopError};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -479,13 +479,12 @@ pub struct SwiftClient {
     account: String,
     token: Option<String>,
     retry: RetryPolicy,
-    retries: Arc<AtomicU64>,
+    /// Re-dispatches, shared across clones; its registry metric is taken
+    /// at assembly, so a snapshot carries it before the first retry.
+    retries: Arc<ScopedCounter>,
     deadline: Arc<Mutex<Deadline>>,
     /// Trace ID stamped on every request (shared across clones).
     trace: Arc<Mutex<Option<String>>>,
-    /// Registry mirror of `retries` (registered at assembly so a snapshot
-    /// always carries the metric, even before the first retry).
-    retries_global: telemetry::Counter,
 }
 
 /// Process-wide upload counter: tokens must be unique across every client
@@ -511,10 +510,9 @@ impl SwiftClient {
             account: account.to_string(),
             token,
             retry: RetryPolicy::none(),
-            retries: Arc::new(AtomicU64::new(0)),
+            retries: Arc::new(ScopedCounter::new(names::CLIENT_RETRIES)),
             deadline: Arc::new(Mutex::new(Deadline::none())),
             trace: Arc::new(Mutex::new(None)),
-            retries_global: telemetry::counter(names::CLIENT_RETRIES),
             transport,
         }
     }
@@ -572,7 +570,7 @@ impl SwiftClient {
     /// Requests re-dispatched after a retryable failure, over this client's
     /// lifetime (shared across clones).
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.retries.get()
     }
 
     /// Set the time budget stamped on every subsequent request (shared
@@ -641,8 +639,7 @@ impl SwiftClient {
         let mut attempts = 0u32;
         let dispatch = || {
             if attempts > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                self.retries_global.inc();
+                self.retries.inc();
             }
             attempts += 1;
             match &self.transport {

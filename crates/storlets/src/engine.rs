@@ -9,10 +9,10 @@
 
 use crate::api::{InvocationContext, InvocationMetrics, Storlet};
 use parking_lot::RwLock;
-use scoop_common::telemetry::{self, names};
+use scoop_common::telemetry::{self, names, ScopedCounter};
 use scoop_common::{ByteStream, Result, ScoopError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Aggregated per-storlet counters.
@@ -46,10 +46,7 @@ struct AdmissionState {
     /// Pushdown requests whose output stream is still live.
     active: AtomicUsize,
     /// Pushdown requests refused for overload.
-    sheds: AtomicU64,
-    /// Registry mirror of `sheds` (registered at construction so snapshots
-    /// carry the metric even before the first shed).
-    sheds_global: telemetry::Counter,
+    sheds: ScopedCounter,
     /// Registry gauge mirroring `active` for limit-bounded invocations.
     active_global: telemetry::Gauge,
 }
@@ -59,8 +56,7 @@ impl Default for AdmissionState {
         AdmissionState {
             limits: RwLock::new(None),
             active: AtomicUsize::new(0),
-            sheds: AtomicU64::new(0),
-            sheds_global: telemetry::counter(names::STORLETS_ADMISSION_SHEDS),
+            sheds: ScopedCounter::new(names::STORLETS_ADMISSION_SHEDS),
             active_global: telemetry::gauge(names::STORLETS_ACTIVE),
         }
     }
@@ -120,36 +116,28 @@ impl Default for StorletGlobals {
     }
 }
 
-/// Counters for the block-range planner (store-side data skipping). Local
-/// atomics feed test assertions; the registry mirrors are registered at
-/// engine construction so snapshots always carry the metrics.
+/// Counters for the block-range planner (store-side data skipping), one
+/// [`ScopedCounter`] each: the per-engine value the accessors read and the
+/// `scoop_storlets_*_total` registry metric move in the same call. The
+/// handles are taken at engine construction, so snapshots always carry the
+/// metrics.
 #[derive(Debug)]
 pub struct SkipStats {
-    plans: AtomicU64,
-    fallbacks: AtomicU64,
-    blocks_pruned: AtomicU64,
-    blocks_scanned: AtomicU64,
-    bytes_skipped: AtomicU64,
-    plans_global: telemetry::Counter,
-    fallbacks_global: telemetry::Counter,
-    pruned_global: telemetry::Counter,
-    scanned_global: telemetry::Counter,
-    skipped_global: telemetry::Counter,
+    plans: ScopedCounter,
+    fallbacks: ScopedCounter,
+    blocks_pruned: ScopedCounter,
+    blocks_scanned: ScopedCounter,
+    bytes_skipped: ScopedCounter,
 }
 
 impl Default for SkipStats {
     fn default() -> Self {
         SkipStats {
-            plans: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            blocks_pruned: AtomicU64::new(0),
-            blocks_scanned: AtomicU64::new(0),
-            bytes_skipped: AtomicU64::new(0),
-            plans_global: telemetry::counter(names::STORLETS_SKIP_PLANS),
-            fallbacks_global: telemetry::counter(names::STORLETS_PLAN_FALLBACKS),
-            pruned_global: telemetry::counter(names::STORLETS_BLOCKS_PRUNED),
-            scanned_global: telemetry::counter(names::STORLETS_BLOCKS_SCANNED),
-            skipped_global: telemetry::counter(names::STORLETS_BYTES_SKIPPED),
+            plans: ScopedCounter::new(names::STORLETS_SKIP_PLANS),
+            fallbacks: ScopedCounter::new(names::STORLETS_PLAN_FALLBACKS),
+            blocks_pruned: ScopedCounter::new(names::STORLETS_BLOCKS_PRUNED),
+            blocks_scanned: ScopedCounter::new(names::STORLETS_BLOCKS_SCANNED),
+            bytes_skipped: ScopedCounter::new(names::STORLETS_BYTES_SKIPPED),
         }
     }
 }
@@ -157,46 +145,41 @@ impl Default for SkipStats {
 impl SkipStats {
     /// Record one GET served through a zone-map block plan.
     pub fn record_plan(&self, pruned: u64, scanned: u64, bytes_skipped: u64) {
-        self.plans.fetch_add(1, Ordering::Relaxed);
-        self.plans_global.inc();
-        self.blocks_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.pruned_global.add(pruned);
-        self.blocks_scanned.fetch_add(scanned, Ordering::Relaxed);
-        self.scanned_global.add(scanned);
-        self.bytes_skipped.fetch_add(bytes_skipped, Ordering::Relaxed);
-        self.skipped_global.add(bytes_skipped);
+        self.plans.inc();
+        self.blocks_pruned.add(pruned);
+        self.blocks_scanned.add(scanned);
+        self.bytes_skipped.add(bytes_skipped);
     }
 
     /// Record one GET that wanted a plan but fell back to a full scan
     /// (stats absent, stale, or undecodable).
     pub fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.fallbacks_global.inc();
+        self.fallbacks.inc();
     }
 
     /// GETs served via a block plan.
     pub fn plans(&self) -> u64 {
-        self.plans.load(Ordering::Relaxed)
+        self.plans.get()
     }
 
     /// GETs that fell back to a full scan.
     pub fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
+        self.fallbacks.get()
     }
 
     /// Blocks pruned by the planner.
     pub fn blocks_pruned(&self) -> u64 {
-        self.blocks_pruned.load(Ordering::Relaxed)
+        self.blocks_pruned.get()
     }
 
     /// Blocks scanned after planning.
     pub fn blocks_scanned(&self) -> u64 {
-        self.blocks_scanned.load(Ordering::Relaxed)
+        self.blocks_scanned.get()
     }
 
     /// Object bytes never read thanks to pruning.
     pub fn bytes_skipped(&self) -> u64 {
-        self.bytes_skipped.load(Ordering::Relaxed)
+        self.bytes_skipped.get()
     }
 }
 
@@ -250,8 +233,7 @@ impl StorletEngine {
         let mut current = self.admission.active.load(Ordering::Relaxed);
         loop {
             if current >= cap {
-                self.admission.sheds.fetch_add(1, Ordering::Relaxed);
-                self.admission.sheds_global.inc();
+                self.admission.sheds.inc();
                 return None;
             }
             match self.admission.active.compare_exchange(
@@ -271,7 +253,7 @@ impl StorletEngine {
 
     /// Pushdown requests shed for overload since startup.
     pub fn admission_sheds(&self) -> u64 {
-        self.admission.sheds.load(Ordering::Relaxed)
+        self.admission.sheds.get()
     }
 
     /// Pushdown requests currently holding an admission slot.

@@ -18,6 +18,7 @@ use scoop_core::{EtlSpec, ScoopConfig, ScoopContext};
 use scoop_csv::filter::filter_buffer;
 use scoop_csv::{Predicate, PushdownSpec, Value};
 use scoop_integration::Lcg;
+use scoop_objectstore::net::wire;
 use scoop_objectstore::request::ByteRange;
 use scoop_objectstore::{ObjectPath, Request};
 use scoop_storlets::middleware::{encode_params, headers};
@@ -230,11 +231,62 @@ fn store_scans(ctx: &ScoopContext, container: &str, spec: &PushdownSpec, start: 
     scanned.parse::<u64>().unwrap() > 0
 }
 
+/// Whether the TCP wire refuses the index HEAD of `container/obj.csv`: the
+/// head the store answers with, read in process and framed as the server
+/// frames it, outgrows the wire's head cap.
+fn head_exceeds_wire_cap(ctx: &ScoopContext, container: &str) -> bool {
+    let path = ObjectPath::new(&ctx.config().account, container, "obj.csv").unwrap();
+    let resp = ctx.cluster().handle(Request::head(path)).unwrap();
+    wire::encode_response_head(resp.status, &resp.headers).unwrap().len() > wire::MAX_HEAD_BYTES
+}
+
+/// Discovery keeps exactly the splits whose store-side plan has a range —
+/// or, over TCP with an index whose HEAD outgrows the wire's head cap, sees
+/// no index and keeps every split — and scanning only the kept splits
+/// returns the whole object's answer. Returns whether the head outgrew the
+/// cap.
+fn check_discovery(seed: u64, rows: usize, block: u64, chunk: u64) -> Result<bool, TestCaseError> {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let ctx = small_ctx();
+    let container = format!("disc{}", CASE.fetch_add(1, Ordering::Relaxed));
+    let mut gen = MeterDataset::new(&GeneratorConfig { seed, meters: 12, interval_minutes: 30, ..Default::default() });
+    let data = gen.csv_object(rows);
+    ctx.upload_csv(&container, vec![("obj.csv".to_string(), data.clone())], Some(&zoneindex(block))).unwrap();
+    let pred = meter_predicate(&mut Lcg(seed), &data, 2);
+    let spec = PushdownSpec { columns: None, predicate: Some(pred.clone()), has_header: true };
+    let oversized = head_exceeds_wire_cap(ctx, &container);
+    let no_index = oversized && ctx.client().is_tcp();
+
+    let conn = SwiftConnector::new(ctx.client().clone());
+    let rel = CsvRelation::open(conn.clone(), &container, None, true, Some(meter_schema()), true).unwrap();
+    let found = rel.partitions_for(chunk, Some(&pred)).unwrap();
+    let kept: Vec<(u64, u64)> = found.partitions.iter().map(|p| (p.start, p.end)).collect();
+    let all = rel.partitions(chunk).unwrap();
+    let want: Vec<(u64, u64)> = all
+        .iter()
+        .map(|p| (p.start, p.end))
+        .filter(|&(s, e)| no_index || store_scans(ctx, &container, &spec, s, e))
+        .collect();
+    prop_assert_eq!(&kept, &want, "{}", pred);
+    prop_assert_eq!(found.pruned + kept.len(), all.len());
+    prop_assert_eq!(found.unindexed_objects, usize::from(no_index));
+    for (i, p) in found.partitions.iter().enumerate() {
+        prop_assert_eq!(p.index, i);
+    }
+
+    let mut out = Vec::new();
+    for p in &found.partitions {
+        let body = conn.read_pushdown(&container, "obj.csv", p.start, Some(p.end), &spec, &schema()).unwrap();
+        out.extend_from_slice(&scoop_common::stream::collect(body).unwrap());
+    }
+    let (want, _) = filter_buffer(&spec, &schema(), &data, true).unwrap();
+    prop_assert_eq!(&out[..], &want[..], "{}", pred);
+    Ok(oversized)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Discovery keeps exactly the splits whose store-side plan has a range,
-    /// and scanning only those returns the whole object's answer.
     #[test]
     fn discovery_keeps_exactly_the_splits_the_store_scans(
         seed in any::<u64>(),
@@ -242,40 +294,16 @@ proptest! {
         block in prop_oneof![Just(256u64), Just(1024), Just(4096), Just(16384)],
         chunk in 700u64..24_000,
     ) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let ctx = small_ctx();
-        let container = format!("disc{}", CASE.fetch_add(1, Ordering::Relaxed));
-        let mut gen = MeterDataset::new(&GeneratorConfig { seed, meters: 12, interval_minutes: 30, ..Default::default() });
-        let data = gen.csv_object(rows);
-        ctx.upload_csv(&container, vec![("obj.csv".to_string(), data.clone())], Some(&zoneindex(block))).unwrap();
-        let pred = meter_predicate(&mut Lcg(seed), &data, 2);
-        let spec = PushdownSpec { columns: None, predicate: Some(pred.clone()), has_header: true };
-
-        let conn = SwiftConnector::new(ctx.client().clone());
-        let rel = CsvRelation::open(conn.clone(), &container, None, true, Some(meter_schema()), true).unwrap();
-        let found = rel.partitions_for(chunk, Some(&pred)).unwrap();
-        let kept: Vec<(u64, u64)> = found.partitions.iter().map(|p| (p.start, p.end)).collect();
-        let all = rel.partitions(chunk).unwrap();
-        let scanned: Vec<(u64, u64)> = all
-            .iter()
-            .map(|p| (p.start, p.end))
-            .filter(|&(s, e)| store_scans(ctx, &container, &spec, s, e))
-            .collect();
-        prop_assert_eq!(&kept, &scanned, "{}", pred);
-        prop_assert_eq!(found.pruned + kept.len(), all.len());
-        prop_assert_eq!(found.unindexed_objects, 0);
-        for (i, p) in found.partitions.iter().enumerate() {
-            prop_assert_eq!(p.index, i);
-        }
-
-        let mut out = Vec::new();
-        for p in &found.partitions {
-            let body = conn.read_pushdown(&container, "obj.csv", p.start, Some(p.end), &spec, &schema()).unwrap();
-            out.extend_from_slice(&scoop_common::stream::collect(body).unwrap());
-        }
-        let (want, _) = filter_buffer(&spec, &schema(), &data, true).unwrap();
-        prop_assert_eq!(&out[..], &want[..], "{}", pred);
+        check_discovery(seed, rows, block, chunk)?;
     }
+}
+
+/// A 1 193-row object at 256-byte blocks: its index HEAD outgrows the
+/// wire's head cap, so over TCP the discovery check's "no index" branch
+/// runs on every run, not only when a draw happens to land on one.
+#[test]
+fn discovery_of_an_index_past_the_head_cap() {
+    assert!(check_discovery(0, 1_193, 256, 4_096).unwrap(), "the head must outgrow the cap");
 }
 
 /// One deployment for the cut property, apart from the discovery
