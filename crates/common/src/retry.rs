@@ -50,12 +50,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Builder: set the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builder: set the backoff before the first retry.
     pub fn with_base_delay(mut self, delay: Duration) -> Self {
         self.base_delay = delay;

@@ -83,6 +83,29 @@ pub fn collect_sized(mut stream: ByteStream, expected_len: usize) -> Result<Byte
     Ok(Bytes::from(out))
 }
 
+/// The first `limit` bytes of a stream (all of it, if it ends first): the
+/// chunk that reaches `limit` is cut there, and nothing past it is pulled.
+pub fn take(mut inner: ByteStream, limit: u64) -> ByteStream {
+    let mut left = limit;
+    Box::new(std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let item = inner.next()?.map(|chunk| {
+            let chunk = match usize::try_from(left) {
+                Ok(cut) if cut < chunk.len() => chunk.slice(..cut),
+                _ => chunk,
+            };
+            left = left.saturating_sub(chunk.len() as u64);
+            chunk
+        });
+        if item.is_err() {
+            left = 0;
+        }
+        Some(item)
+    }))
+}
+
 /// Wrap a stream so that ending before `expected` bytes have been delivered
 /// becomes a retryable I/O error instead of a silent truncation.
 ///
@@ -190,6 +213,19 @@ mod tests {
         let mut s = enforce_length(chunked(payload(100), 10), 100);
         assert!(s.next().unwrap().is_ok());
         drop(s);
+    }
+
+    #[test]
+    fn take_cuts_at_the_limit_and_pulls_no_further() {
+        let pulled = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = pulled.clone();
+        let counted = Box::new(chunked(payload(10), 4).inspect(move |_| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }));
+        assert_eq!(collect(take(counted, 6)).unwrap(), payload(10).slice(..6));
+        assert_eq!(pulled.load(std::sync::atomic::Ordering::Relaxed), 2, "a third chunk was pulled");
+        assert_eq!(collect(take(chunked(payload(10), 4), 50)).unwrap(), payload(10));
+        assert!(collect(take(empty(), 0)).unwrap().is_empty());
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //!
 //! In the paper this seam is Hadoop's filesystem API with the Stocator driver
 //! underneath; here it is a small trait with the exact operations the data
-//! sources need: listing, (ranged) reads, pushdown reads, and point range
-//! fetches for the columnar footer/chunks. A pushdown read says which body it
-//! got ([`PushdownBody`]): the store's filtered records, or the split's raw
-//! bytes when the store did not filter. `scoop-connector` implements it
-//! over the Swift-like object store; [`MemoryConnector`] backs unit tests.
+//! sources need: listing, plain reads, and pushdown reads. Every plain byte
+//! comes from one required method, [`StorageConnector::read_bounded`]: the
+//! open-ended [`StorageConnector::read_from`] and the exact
+//! [`StorageConnector::fetch_range`] (the columnar footer/chunks, a CSV
+//! schema sniff) are that read, so they fail and recover as it does. A
+//! pushdown read says which body it got ([`PushdownBody`]): the store's
+//! filtered records, or the split's raw bytes when the store did not
+//! filter. `scoop-connector` implements it over the Swift-like object
+//! store; [`MemoryConnector`] backs unit tests.
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -45,19 +49,31 @@ pub trait StorageConnector: Send + Sync {
     /// List objects under a location (optionally by prefix).
     fn list(&self, location: &str, prefix: Option<&str>) -> Result<Vec<ObjectInfo>>;
 
-    /// Open a plain read of `[start, EOF)` of an object. The stream is lazy:
-    /// consumers that stop early must not pay for the tail.
-    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream>;
+    /// Open a plain read of an object from `start`, for a consumer that
+    /// expects to stop before offset `stop` (a split knows its end;
+    /// [`SPLIT_SLACK`] past it covers the record that straddles it;
+    /// `u64::MAX` is "no idea"). The stream is lazy — consumers that stop
+    /// early must not pay for the tail — and runs to the end of the object
+    /// for as long as it is pulled, past `stop` too: a connector whose
+    /// requests are better bounded asks the store for `[start, stop)` and
+    /// comes back for more only when pulled further.
+    fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream>;
 
-    /// [`StorageConnector::read_from`] for a consumer that expects to stop
-    /// before offset `stop` (a split knows its end; [`SPLIT_SLACK`] past it
-    /// covers the record that straddles it). Same stream, same laziness —
-    /// it keeps delivering past `stop` for as long as it is pulled — but a
-    /// connector whose requests are better bounded can ask the store for
-    /// `[start, stop)` and come back for more only when pulled further.
-    /// The default is the open-ended read.
-    fn read_bounded(&self, location: &str, object: &str, start: u64, _stop: u64) -> Result<ByteStream> {
-        self.read_from(location, object, start)
+    /// [`StorageConnector::read_bounded`] with no stop: `[start, EOF)`.
+    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
+        self.read_bounded(location, object, start, u64::MAX)
+    }
+
+    /// The bytes `[start, end)` of an object (columnar footer/chunks),
+    /// fewer when the object ends first: the bounded read, drained to
+    /// `end`. A body that arrives in one chunk is returned without a copy.
+    fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
+        let len = end.saturating_sub(start);
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
+        let body = stream::take(self.read_bounded(location, object, start, end)?, len);
+        stream::collect_sized(body, usize::try_from(len).unwrap_or(usize::MAX))
     }
 
     /// Open a pushdown read: the store applies `spec` to the (record-aligned)
@@ -73,9 +89,6 @@ pub trait StorageConnector: Send + Sync {
         spec: &PushdownSpec,
         file_schema: &[String],
     ) -> Result<PushdownBody>;
-
-    /// Fetch an exact byte range `[start, end)` (columnar footer/chunks).
-    fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes>;
 
     /// The zone maps stored with one listed version of an object (`etag`
     /// from its [`ObjectInfo`]), or `None` when it has none this reader can
@@ -197,14 +210,15 @@ impl StorageConnector for MemoryConnector {
             .collect())
     }
 
-    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
+    /// `[start, stop)` first, then the tail, so a consumer that stops at
+    /// `stop` is counted for exactly what it asked for.
+    fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream> {
         let data = self.get(location, object)?;
         let start = (start.min(data.len() as u64)) as usize;
-        let body = data.slice(start..);
-        Ok(count_consumed(
-            stream::chunked(body, stream::DEFAULT_CHUNK),
-            self.transferred.clone(),
-        ))
+        let stop = (stop.min(data.len() as u64) as usize).max(start);
+        let head = stream::chunked(data.slice(start..stop), stream::DEFAULT_CHUNK);
+        let tail = stream::chunked(data.slice(stop..), stream::DEFAULT_CHUNK);
+        Ok(count_consumed(Box::new(head.chain(tail)), self.transferred.clone()))
     }
 
     fn open_pushdown(
@@ -236,15 +250,6 @@ impl StorageConnector for MemoryConnector {
             stream::chunked(Bytes::from(filtered), stream::DEFAULT_CHUNK),
             self.transferred.clone(),
         )))
-    }
-
-    fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
-        let data = self.get(location, object)?;
-        let s = (start.min(data.len() as u64)) as usize;
-        let e = (end.min(data.len() as u64)) as usize;
-        let out = data.slice(s..e.max(s));
-        self.transferred.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
     }
 
     fn bytes_transferred(&self) -> u64 {
@@ -317,6 +322,7 @@ mod tests {
     fn fetch_range_clamps() {
         let c = conn();
         assert_eq!(c.fetch_range("meters", "a.csv", 0, 3).unwrap(), "vid");
+        assert_eq!(c.bytes_transferred(), 3, "only the range is counted");
         assert_eq!(
             c.fetch_range("meters", "a.csv", 1000, 2000).unwrap().len(),
             0

@@ -714,9 +714,9 @@ mod retry_tests {
             self.inner.list(location, prefix)
         }
 
-        fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
+        fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream> {
             self.trip()?;
-            self.inner.read_from(location, object, start)
+            self.inner.read_bounded(location, object, start, stop)
         }
 
         fn open_pushdown(

@@ -9,13 +9,16 @@
 //! [`SwiftConnector`] implements the compute framework's
 //! [`StorageConnector`] seam over a `SwiftCluster` client:
 //!
-//! * plain reads — ranged GETs, lazily consumed, bounded when the caller
-//!   knows where it will stop;
+//! * plain reads — one resumable ranged GET (`ResumingStream`), lazily
+//!   consumed, bounded when the caller knows where it will stop, resumed
+//!   from the last delivered byte and length-checked against the store's
+//!   `x-object-length`. The seam's exact range fetch (columnar
+//!   footers/chunks, the CSV schema sniff) is this read drained to its end;
 //! * pushdown reads — GETs tagged with `X-Run-Storlet: csvfilter`,
 //!   `X-Storlet-Parameters` (the serialized [`PushdownSpec`] + file schema)
 //!   and `X-Storlet-Range` (the record-aligned logical split); a split the
-//!   store sheds or declines comes back plain ([`PushdownBody::Plain`]);
-//! * point range fetches for columnar footers/chunks;
+//!   store sheds or declines comes back plain ([`PushdownBody::Plain`]),
+//!   through the same resumable read;
 //! * zone-map lookups for partition discovery — one HEAD per listed object
 //!   version, decoded once and kept in a bounded cache, "no index" included.
 //!
@@ -148,13 +151,16 @@ impl SwiftConnector {
     }
 
     /// Open a resumable plain read from `start`, bounded at `stop` when the
-    /// caller knows where it will stop. Every byte it delivers is counted.
+    /// caller knows where it will stop. It starts with `answered` when
+    /// given — the answer to a GET whose body begins at `start` — and
+    /// otherwise sends its own. Every byte it delivers is counted.
     fn read_plain(
         &self,
         location: &str,
         object: &str,
         start: u64,
         stop: Option<u64>,
+        answered: Option<Response>,
     ) -> Result<ByteStream> {
         let trace = self.client.trace();
         let _span = telemetry::span(
@@ -163,8 +169,47 @@ impl SwiftConnector {
             format!("read {location}/{object} from {start}"),
         );
         let path = self.path(location, object)?;
-        let stream = ResumingStream::open(&self.client, path, start, stop, self.reads.clone())?;
+        let mut stream = ResumingStream::new(&self.client, path, start, stop, self.reads.clone());
+        let resp = match answered {
+            Some(resp) => resp,
+            None => stream.get()?,
+        };
+        stream.accept(resp)?;
         Ok(Box::new(stream))
+    }
+
+    /// Send a storlet GET: `storlets` run with `params` at the configured
+    /// stage, over the inclusive storlet `range` when given. `Ok(None)` is
+    /// a request the store shed for overload (`503` +
+    /// `x-storlet-degraded`); any other failure status is an error.
+    fn storlet_get(
+        &self,
+        location: &str,
+        object: &str,
+        storlets: &str,
+        params: &HashMap<String, String>,
+        range: Option<ByteRange>,
+    ) -> Result<Option<Response>> {
+        let mut req = Request::get(self.path(location, object)?)
+            .with_header(headers::RUN_STORLET, storlets)
+            .with_header(headers::PARAMETERS, encode_params(params));
+        if self.run_on == RunOn::Proxy {
+            req = req.with_header(headers::RUN_ON, "proxy");
+        }
+        if let Some(range) = range {
+            req = req.with_header(headers::STORLET_RANGE, range.to_header());
+        }
+        let resp = self.client.request(req)?;
+        if resp.status == 503 && resp.headers.contains(headers::DEGRADED) {
+            return Ok(None);
+        }
+        if !resp.is_success() {
+            return Err(ScoopError::Io(std::io::Error::other(format!(
+                "storlet GET {location}/{object} failed with status {}",
+                resp.status
+            ))));
+        }
+        Ok(Some(resp))
     }
 
     /// [`StorageConnector::open_pushdown`] as filtered record text: a plain
@@ -211,6 +256,10 @@ fn csvfilter_params(spec: &PushdownSpec, file_schema: &[String]) -> HashMap<Stri
 /// store's `x-object-length` header: a stream that ends early surfaces a
 /// retryable error instead of silently passing short data to the query.
 ///
+/// The first GET is the caller's to send ([`ResumingStream::get`]) or to
+/// have sent already: a declined pushdown answers the split's raw bytes,
+/// and the stream [accepts](ResumingStream::accept) that body as its own.
+///
 /// With a `stop` offset the same stream asks for `[offset, stop)` instead of
 /// `[offset, EOF)`: the caller expects to be done by then, and a body read
 /// to its terminator returns its connection to the pool where an abandoned
@@ -237,14 +286,15 @@ struct ResumingStream {
 }
 
 impl ResumingStream {
-    fn open(
+    /// A read of `path` from `start`, with no GET sent yet.
+    fn new(
         client: &SwiftClient,
         path: ObjectPath,
         start: u64,
         stop: Option<u64>,
         ledger: ReadLedger,
-    ) -> Result<ResumingStream> {
-        let mut s = ResumingStream {
+    ) -> ResumingStream {
+        ResumingStream {
             client: client.clone(),
             path,
             offset: start,
@@ -256,20 +306,23 @@ impl ResumingStream {
             failures: 0,
             ledger,
             done: false,
-        };
-        s.inner = Some(s.issue()?);
-        Ok(s)
+        }
     }
 
-    /// GET from the current offset (to `stop`, when bounded), length-checked
-    /// against the whole-object size advertised by the store.
-    fn issue(&mut self) -> Result<ByteStream> {
+    /// Send the GET from the current offset (to `stop`, when bounded).
+    fn get(&self) -> Result<Response> {
         let mut req = Request::get(self.path.clone());
         if self.offset > 0 || self.stop.is_some() {
             let end = self.stop.map(|stop| stop.saturating_sub(1));
             req = req.with_range(ByteRange { start: self.offset, end });
         }
-        let resp = self.client.request(req)?;
+        self.client.request(req)
+    }
+
+    /// Take `resp`, the answer to a GET from the current offset, as the
+    /// body to read, length-checked against the whole-object size the
+    /// store advertises.
+    fn accept(&mut self, resp: Response) -> Result<()> {
         if !resp.is_success() {
             return Err(ScoopError::Io(std::io::Error::other(format!(
                 "GET {} failed with status {}",
@@ -277,22 +330,26 @@ impl ResumingStream {
             ))));
         }
         self.total = object_length(&resp);
-        match (self.total, self.stop) {
+        let body = match (self.total, self.stop) {
             // A short body (relative to the store's `x-object-length`)
             // errors instead of ending silently.
-            (Some(total), stop) => Ok(stream::enforce_length(
+            (Some(total), stop) => stream::enforce_length(
                 resp.body,
                 total.min(stop.unwrap_or(u64::MAX)).saturating_sub(self.offset),
-            )),
-            (None, None) => Ok(resp.body),
+            ),
+            (None, None) => resp.body,
             // Without the size, the end of a bounded body cannot be told
             // from the end of the object: refuse rather than truncate.
-            (None, Some(_)) => Err(ScoopError::Internal(format!(
-                "bounded GET {} answered without {}",
-                self.path,
-                scoop_common::headers::OBJECT_LENGTH
-            ))),
-        }
+            (None, Some(_)) => {
+                return Err(ScoopError::Internal(format!(
+                    "bounded GET {} answered without {}",
+                    self.path,
+                    scoop_common::headers::OBJECT_LENGTH
+                )))
+            }
+        };
+        self.inner = Some(body);
+        Ok(())
     }
 
     /// Whether a mid-stream failure still has resume budget.
@@ -322,15 +379,6 @@ fn body_start(resp: &Response) -> Option<u64> {
     range.strip_prefix("bytes ")?.split('-').next()?.parse().ok()
 }
 
-/// Wrap a GET response body so that a short body (relative to the store's
-/// `x-object-length`) errors instead of ending silently.
-fn checked_body(resp: Response, start: u64) -> ByteStream {
-    match object_length(&resp) {
-        Some(total) => stream::enforce_length(resp.body, total.saturating_sub(start)),
-        None => resp.body,
-    }
-}
-
 impl Iterator for ResumingStream {
     type Item = Result<Bytes>;
 
@@ -343,8 +391,8 @@ impl Iterator for ResumingStream {
                 // Re-open after a failure, or past the stop of a bounded
                 // read; dispatch errors count against the same resume
                 // budget as stream errors.
-                match self.issue() {
-                    Ok(s) => self.inner = Some(s),
+                match self.get().and_then(|resp| self.accept(resp)) {
+                    Ok(()) => {}
                     Err(e) if self.can_resume(&e) => self.back_off(),
                     Err(e) => {
                         self.done = true;
@@ -417,12 +465,8 @@ impl StorageConnector for SwiftConnector {
             .collect())
     }
 
-    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
-        self.read_plain(location, object, start, None)
-    }
-
     fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream> {
-        self.read_plain(location, object, start, Some(stop))
+        self.read_plain(location, object, start, (stop < u64::MAX).then_some(stop), None)
     }
 
     fn open_pushdown(
@@ -446,41 +490,24 @@ impl StorageConnector for SwiftConnector {
         if matches!(end_exclusive, Some(e) if e <= start) {
             return Ok(PushdownBody::Filtered(stream::empty()));
         }
-        let mut req = Request::get(self.path(location, object)?)
-            .with_header(headers::RUN_STORLET, "csvfilter")
-            .with_header(headers::PARAMETERS, encode_params(&csvfilter_params(spec, file_schema)));
-        if self.run_on == RunOn::Proxy {
-            req = req.with_header(headers::RUN_ON, "proxy");
-        }
         // The logical split [start, end_exclusive) travels as an inclusive
         // HTTP-style storlet range; the storlet owns records starting in
         // (start, end_exclusive].
-        let range = ByteRange {
-            start,
-            end: end_exclusive.map(|e| e.saturating_sub(1)),
-        };
-        if start != 0 || end_exclusive.is_some() {
-            req = req.with_header(headers::STORLET_RANGE, range.to_header());
-        }
-        let resp = self.client.request(req)?;
+        let range = (start != 0 || end_exclusive.is_some())
+            .then(|| ByteRange { start, end: end_exclusive.map(|e| e.saturating_sub(1)) });
+        let params = csvfilter_params(spec, file_schema);
         // A plain read of the split: resumable, bounded as a vanilla split's.
         let plain = || {
             let stop = end_exclusive.map(|end| end.saturating_add(SPLIT_SLACK));
-            self.read_plain(location, object, start, stop).map(PushdownBody::Plain)
+            self.read_plain(location, object, start, stop, None).map(PushdownBody::Plain)
         };
-        if resp.status == 503 && resp.headers.contains(headers::DEGRADED) {
+        let Some(resp) = self.storlet_get(location, object, "csvfilter", &params, range)? else {
             // Overload shedding: the storlet engine refused the pushdown.
             // The split is read plain and selected compute-side — heavier on
             // the wire, but the query completes with identical results.
             self.fallbacks.inc();
             return plain();
-        }
-        if !resp.is_success() {
-            return Err(ScoopError::Io(std::io::Error::other(format!(
-                "pushdown GET {location}/{object} failed with status {}",
-                resp.status
-            ))));
-        }
+        };
         if resp.headers.get(headers::INVOKED).is_some() {
             if let Some(skipped) = resp
                 .headers
@@ -492,37 +519,14 @@ impl StorageConnector for SwiftConnector {
             return Ok(PushdownBody::Filtered(self.count(resp.body)));
         }
         // The store declined the pushdown: the body is raw object bytes. A
-        // bronze-tier policy turns the split into a ranged GET from `start`;
-        // a store with no active layer ignores the split and answers the
+        // bronze-tier policy turns the split into an open-ended ranged GET
+        // from `start`, which a plain read takes up as its first answer; a
+        // store with no active layer ignores the split and answers the
         // whole object, which is dropped for a read that starts at `start`.
         if body_start(&resp) == Some(start) {
-            return Ok(PushdownBody::Plain(self.count(checked_body(resp, start))));
+            return self.read_plain(location, object, start, None, Some(resp)).map(PushdownBody::Plain);
         }
         plain()
-    }
-
-    fn fetch_range(&self, location: &str, object: &str, start: u64, end: u64) -> Result<Bytes> {
-        let Some(last) = end.checked_sub(1).filter(|&last| last >= start) else {
-            return Ok(Bytes::new());
-        };
-        let trace = self.client.trace();
-        let _span = telemetry::span(
-            trace.as_deref(),
-            telemetry::layers::CONNECTOR,
-            format!("fetch {location}/{object} [{start},{end})"),
-        );
-        let req = Request::get(self.path(location, object)?)
-            .with_range(ByteRange { start, end: Some(last) });
-        let resp = self.client.request(req)?;
-        if !resp.is_success() {
-            return Err(ScoopError::Io(std::io::Error::other(format!(
-                "ranged GET {location}/{object} failed with status {}",
-                resp.status
-            ))));
-        }
-        let data = resp.read_body()?;
-        self.reads.transferred.add(data.len() as u64);
-        Ok(data)
     }
 
     /// One HEAD per listed version, decoded once. A HEAD the store answers
@@ -561,26 +565,16 @@ impl StorageConnector for SwiftConnector {
             telemetry::layers::CONNECTOR,
             format!("storlet {storlets} on {location}/{object}"),
         );
-        let mut req = Request::get(self.path(location, object)?)
-            .with_header(headers::RUN_STORLET, storlets)
-            .with_header(headers::PARAMETERS, encode_params(params));
-        if self.run_on == RunOn::Proxy {
-            req = req.with_header(headers::RUN_ON, "proxy");
+        let range = range.map(|(start, end_exclusive)| ByteRange {
+            start,
+            end: Some(end_exclusive.saturating_sub(1)),
+        });
+        match self.storlet_get(location, object, storlets, params, range)? {
+            Some(resp) => Ok(self.count(resp.body)),
+            None => Err(ScoopError::Io(std::io::Error::other(format!(
+                "storlet GET {location}/{object} was shed for overload"
+            )))),
         }
-        if let Some((start, end_exclusive)) = range {
-            req = req.with_header(
-                headers::STORLET_RANGE,
-                ByteRange { start, end: Some(end_exclusive.saturating_sub(1)) }.to_header(),
-            );
-        }
-        let resp = self.client.request(req)?;
-        if !resp.is_success() {
-            return Err(ScoopError::Io(std::io::Error::other(format!(
-                "storlet GET {location}/{object} failed with status {}",
-                resp.status
-            ))));
-        }
-        Ok(self.count(resp.body))
     }
 
     fn set_deadline(&self, deadline: scoop_common::Deadline) {
@@ -831,7 +825,14 @@ mod tests {
         let cluster = cluster();
         let conn = SwiftConnector::new(cluster.anonymous_client("AUTH_gp"));
         assert_eq!(conn.fetch_range("meters", "jan.csv", 0, 3).unwrap(), "vid");
+        assert_eq!(conn.bytes_transferred(), 3, "only the range is counted");
         assert_eq!(conn.fetch_range("meters", "jan.csv", 5, 5).unwrap().len(), 0);
+        // A range past the end is clamped to it.
+        let whole = scoop_common::stream::collect(conn.read_from("meters", "jan.csv", 0).unwrap())
+            .unwrap();
+        let len = whole.len() as u64;
+        let tail = conn.fetch_range("meters", "jan.csv", len - 4, len + 100).unwrap();
+        assert_eq!(tail, whole.slice(whole.len() - 4..));
         assert!(conn.read_from("meters", "ghost.csv", 0).is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use scoop_common::{Result, ScoopError};
-use scoop_compute::{ExecutionMode, QueryOutcome, Session, TableFormat};
+use scoop_compute::{ExecutionMode, QueryOutcome, Session, StorageConnector, TableFormat};
 use scoop_connector::{RunOn, SwiftConnector};
 use scoop_csv::Schema;
 use scoop_objectstore::middleware::Pipeline;
@@ -216,8 +216,11 @@ impl ScoopContext {
         let mut schema = None;
         let mut csv_bytes = 0u64;
         let mut col_bytes = 0u64;
+        // Each object is read as a query reads it: resumed, length-checked.
+        let connector = SwiftConnector::new(self.client.clone());
         for obj in listing {
-            let data = self.client.get_object(container, &obj.name)?.read_body()?;
+            let body = connector.read_from(container, &obj.name, 0)?;
+            let data = scoop_common::stream::collect_sized(body, obj.size as usize)?;
             csv_bytes += data.len() as u64;
             let schema = match &schema {
                 Some(schema) => schema,

@@ -244,11 +244,6 @@ impl PushdownSpec {
         PushdownSpec::default()
     }
 
-    /// True when the spec neither projects nor filters.
-    pub fn is_passthrough(&self) -> bool {
-        self.columns.is_none() && self.predicate.is_none()
-    }
-
     /// Columns the filter must *read* (projected + referenced by predicate).
     pub fn required_columns(&self) -> Option<BTreeSet<String>> {
         let cols = self.columns.as_ref()?;

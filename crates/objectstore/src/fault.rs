@@ -180,12 +180,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: set the consecutive-fault cap.
-    pub fn with_max_consecutive(mut self, cap: u32) -> Self {
-        self.max_consecutive = cap;
-        self
-    }
-
     /// Builder: delay every read served by `node` by `delay`.
     pub fn with_slow_node(mut self, node: u32, delay: Duration) -> Self {
         self.slow_nodes.push(SlowNode { node, delay });

@@ -466,6 +466,14 @@ impl HttpPool {
     }
 }
 
+impl Drop for HttpPool {
+    /// The idle connections close with the pool: settle the idle level
+    /// they held (each one's own drop settles `open`).
+    fn drop(&mut self) {
+        self.idle_gauge.sub(self.idle.get_mut().len() as i64);
+    }
+}
+
 /// How an exchange failed: before any response byte was believed, or after.
 enum Exchange {
     /// No response head parsed — safe to re-send idempotent requests.

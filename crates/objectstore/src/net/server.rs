@@ -58,7 +58,7 @@ use loom::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tunables of the TCP front end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NetOptions {
     /// At most this many worker threads; each owns one live connection at
     /// a time. Workers start as connections arrive, so a server with two

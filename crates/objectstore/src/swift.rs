@@ -115,9 +115,10 @@ pub struct SwiftCluster {
     auth: Arc<AuthService>,
     fault_injector: Option<Arc<FaultInjector>>,
     health: Option<Arc<NodeHealth>>,
-    /// Lazily-started TCP front end (one per cluster, shared by every
-    /// TCP-transport client); shut down when the cluster drops.
-    net: Mutex<Option<Arc<NetHandle>>>,
+    /// Lazily-started TCP front ends, one per option set, each shared by
+    /// every TCP-transport client that asked for its options; shut down
+    /// when the cluster drops.
+    net: Mutex<HashMap<NetOptions, Arc<NetHandle>>>,
 }
 
 impl SwiftCluster {
@@ -189,33 +190,29 @@ impl SwiftCluster {
             auth,
             fault_injector,
             health,
-            net: Mutex::new(None),
+            net: Mutex::new(HashMap::new()),
         }))
     }
 
-    /// Start (or fetch) the cluster's TCP front end. Idempotent: the first
-    /// call binds a loopback listener in front of the proxies; later calls
-    /// (regardless of options) return the same handle.
+    /// Start (or fetch) the cluster's TCP front end for `opts`. Idempotent
+    /// per option set: the first call with given options binds a loopback
+    /// listener in front of the proxies; later calls with the same options
+    /// return the same handle, and different options get their own.
     pub fn serve_net(&self, opts: NetOptions) -> Result<Arc<NetHandle>> {
         // Double-checked so `NetServer::serve` (binds a listener, spawns
         // workers — it blocks) never runs while `net` is held. Two racing
         // first calls may both bind; the loser's handle drops and its
         // listener shuts down, which only costs a discarded ephemeral
         // port.
-        if let Some(h) = self.net.lock().as_ref() {
+        if let Some(h) = self.net.lock().get(&opts) {
             return Ok(h.clone());
         }
         let handle = Arc::new(NetServer::serve(
             self.router.clone(),
             self.fault_injector.clone(),
-            opts,
+            opts.clone(),
         )?);
-        let mut guard = self.net.lock();
-        if let Some(h) = guard.as_ref() {
-            return Ok(h.clone());
-        }
-        *guard = Some(handle.clone());
-        Ok(handle)
+        Ok(self.net.lock().entry(opts).or_insert(handle).clone())
     }
 
     /// The chaos injector, when the cluster was built with a fault plan.
@@ -287,11 +284,6 @@ impl SwiftCluster {
     /// The object ring.
     pub fn ring(&self) -> Arc<RwLock<Ring>> {
         self.ring.clone()
-    }
-
-    /// Object server by node id.
-    pub fn object_server(&self, node: u32) -> Option<Arc<ObjectServer>> {
-        self.servers.get(&node).cloned()
     }
 
     /// All object servers.
@@ -597,7 +589,7 @@ impl SwiftClient {
     /// synthetic timeout.
     pub fn request(&self, req: Request) -> Result<Response> {
         let target = wire::Target::Object(req.path);
-        self.exchange(req.method, &target, req.headers, req.body, req.deadline)
+        self.exchange(req.method, &target, req.headers, req.body, req.deadline, Ok)
     }
 
     /// Snapshot the client's deadline. The guard is scoped to this frame,
@@ -612,14 +604,18 @@ impl SwiftClient {
     /// auth token, the trace and the tighter of its own and the client's
     /// deadline, wrapped in one client span, retried under the client's
     /// policy, and only then handed to whichever transport is in force.
-    fn exchange(
+    /// `accept` takes each answer inside the retry loop, so a caller that
+    /// reads a body whole has a body cut mid-stream re-dispatched like a
+    /// failed exchange.
+    fn exchange<T>(
         &self,
         method: Method,
         target: &wire::Target,
         mut headers_map: Headers,
         body: Option<Bytes>,
         deadline: Deadline,
-    ) -> Result<Response> {
+        accept: impl Fn(Response) -> Result<T>,
+    ) -> Result<T> {
         if let Some(tok) = &self.token {
             headers_map.set(headers::AUTH_TOKEN, tok.clone());
         }
@@ -642,7 +638,7 @@ impl SwiftClient {
                 self.retries.inc();
             }
             attempts += 1;
-            match &self.transport {
+            let resp = match &self.transport {
                 Transport::InProcess => self.cluster.router.route(
                     method,
                     target.clone(),
@@ -653,25 +649,28 @@ impl SwiftClient {
                 Transport::Tcp(pool) => {
                     pool.send(method, target, &headers_map, body.as_ref(), deadline)
                 }
-            }
+            }?;
+            accept(resp)
         };
-        let (resp, _) = self.retry.run_with_deadline(deadline, "client dispatch", dispatch)?;
-        Ok(resp)
+        self.retry.run_with_deadline(deadline, "client dispatch", dispatch).map(|(answer, _)| answer)
     }
 
-    /// A bodyless exchange on a non-object target; anything but the
-    /// method's success status (`201` for PUT, else `200`) is an error.
+    /// A bodyless exchange on a non-object target, its answer read whole;
+    /// anything but the method's success status (`201` for PUT, else
+    /// `200`) is an error. Every such exchange is idempotent, so a body cut
+    /// mid-stream is re-dispatched.
     fn control(&self, method: Method, target: wire::Target, headers_map: Headers) -> Result<Bytes> {
-        let resp = self.exchange(method, &target, headers_map, None, Deadline::none())?;
         let expected = if method == Method::Put { 201 } else { 200 };
-        if resp.status != expected {
-            return Err(ScoopError::Internal(format!(
-                "{method:?} {} answered unexpected status {}",
-                wire::encode_target(&target),
-                resp.status
-            )));
-        }
-        resp.read_body()
+        self.exchange(method, &target, headers_map, None, Deadline::none(), |resp| {
+            if resp.status != expected {
+                return Err(ScoopError::Internal(format!(
+                    "{method:?} {} answered unexpected status {}",
+                    wire::encode_target(&target),
+                    resp.status
+                )));
+            }
+            resp.read_body()
+        })
     }
 
     fn container(&self, container: &str) -> wire::Target {
@@ -725,7 +724,7 @@ impl SwiftClient {
     /// exchange degrades to `503` rather than erroring: the snapshot is
     /// best-effort operational data.
     pub fn info(&self) -> Response {
-        self.exchange(Method::Get, &wire::Target::Info, Headers::new(), None, Deadline::none())
+        self.exchange(Method::Get, &wire::Target::Info, Headers::new(), None, Deadline::none(), Ok)
             .unwrap_or_else(|_| Response::unavailable())
     }
 

@@ -73,6 +73,18 @@ pub fn to_expr(p: &Predicate, eq_as_like: bool) -> Expr {
     }
 }
 
+/// `base` perturbed by `SCOOP_CHAOS_SEED`, as the chaos suites mix it, so
+/// each leg of the CI seed matrix replays a different fault sequence.
+pub fn chaos_seed(base: u64) -> u64 {
+    match std::env::var("SCOOP_CHAOS_SEED") {
+        Ok(s) => {
+            let mix: u64 = s.parse().expect("SCOOP_CHAOS_SEED must be a u64");
+            base ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+        Err(_) => base,
+    }
+}
+
 /// A deployed system with `objects` uploaded CSV objects of `rows` readings
 /// each, under the `largemeter` container/table.
 pub fn deploy(

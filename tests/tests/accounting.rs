@@ -18,24 +18,13 @@ use scoop_compute::{Session, StorageConnector, TableFormat};
 use scoop_connector::SwiftConnector;
 use scoop_sql::ResultSet;
 use scoop_core::{ScoopConfig, ScoopContext};
+use scoop_integration::chaos_seed;
 use scoop_objectstore::{FaultPlan, ObjectPath, Request, SwiftClient, SwiftConfig};
 use scoop_storlets::middleware::{encode_params, headers};
 use scoop_workload::generator::meter_schema;
 use scoop_workload::{GeneratorConfig, MeterDataset};
 use std::collections::HashMap;
 use std::time::Duration;
-
-/// The chaos suites' seed mixer, so the CI seed matrix perturbs this
-/// test's fault sequence too.
-fn seed(base: u64) -> u64 {
-    match std::env::var("SCOOP_CHAOS_SEED") {
-        Ok(s) => {
-            let mix: u64 = s.parse().expect("SCOOP_CHAOS_SEED must be a u64");
-            base ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        }
-        Err(_) => base,
-    }
-}
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.get_counter(name).unwrap_or(0)
@@ -70,26 +59,16 @@ fn put(client: &SwiftClient, name: &str, data: Bytes, index: bool) {
     assert!(client.request(req).unwrap().is_success(), "PUT {name}");
 }
 
-/// Run `sql` and return its rows. A wire fault can fail a query outside
-/// its tasks (the schema read and the listing have no retry of their own),
-/// so a retryable failure is re-submitted; its traffic is counted all the
-/// same.
+/// Run `sql` and return its rows. Each query is submitted once: the
+/// listing and the schema read recover from wire faults as task reads do.
 fn run(session: &Session, sql: &str) -> ResultSet {
-    let mut failures = Vec::new();
-    while failures.len() < 5 {
-        match session.sql(sql) {
-            Ok(out) => return out.result,
-            Err(e) if e.is_retryable() => failures.push(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-    panic!("the query kept failing: {failures:?}");
+    session.sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).result
 }
 
 #[test]
 fn every_accessor_equals_the_delta_of_its_registry_metric() {
     let before = telemetry::snapshot();
-    let plan = FaultPlan::quiet(seed(0xACC0))
+    let plan = FaultPlan::quiet(chaos_seed(0xACC0))
         .with_error_rate(0.04)
         .with_truncate_rate(0.04)
         .with_wire_rst(0.02)
@@ -225,7 +204,7 @@ fn every_accessor_equals_the_delta_of_its_registry_metric() {
     // registry with it.
     drop((pushdown, vanilla, conn, client, ctx));
     let end = telemetry::snapshot();
-    for metric in [names::NET_POOL_OPEN, names::NET_POOL_IN_FLIGHT] {
+    for metric in [names::NET_POOL_OPEN, names::NET_POOL_IN_FLIGHT, names::NET_POOL_IDLE] {
         assert_eq!(gauge(&end, metric), gauge(&before, metric), "{metric} did not return");
     }
 }

@@ -224,8 +224,8 @@ impl StorageConnector for Rechunked {
         self.inner.list(location, prefix)
     }
 
-    fn read_from(&self, location: &str, object: &str, start: u64) -> Result<ByteStream> {
-        self.rechunk(self.inner.read_from(location, object, start)?)
+    fn read_bounded(&self, location: &str, object: &str, start: u64, stop: u64) -> Result<ByteStream> {
+        self.rechunk(self.inner.read_bounded(location, object, start, stop)?)
     }
 
     fn open_pushdown(

@@ -1,10 +1,20 @@
 //! Failure injection across the full stack: dead object servers during
-//! pushdown queries, replication repair, and policy-driven degradation.
+//! pushdown queries, replication repair, policy-driven degradation, and
+//! columnar reads through bodies the store or the wire cuts short.
 
-use scoop_common::telemetry;
-use scoop_compute::ExecutionMode;
-use scoop_integration::deploy;
+use bytes::Bytes;
+use scoop_columnar::ColumnarWriter;
+use scoop_common::{stream, telemetry, RetryPolicy};
+use scoop_compute::{ExecutionMode, MemoryConnector, Session, StorageConnector, TableFormat};
+use scoop_connector::SwiftConnector;
+use scoop_csv::CsvReader;
+use scoop_integration::{chaos_seed, deploy};
+use scoop_objectstore::{FaultPlan, SwiftCluster, SwiftConfig};
 use scoop_storlets::Tier;
+use scoop_workload::generator::meter_schema;
+use scoop_workload::{table1_queries, GeneratorConfig, MeterDataset};
+use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn pushdown_queries_survive_object_server_failures() {
@@ -106,4 +116,90 @@ fn storlet_failures_propagate_as_errors() {
     // csvfilter without its parameters fails the request, not the process.
     let req = Request::get(path).with_header(headers::RUN_STORLET, "csvfilter");
     assert!(ctx.client().request(req).is_err());
+}
+
+/// Two columnar objects of meter readings, converted from generated CSV.
+fn columnar_objects() -> Vec<(String, Bytes)> {
+    let meter = meter_schema();
+    let mut gen = MeterDataset::new(&GeneratorConfig {
+        meters: 40,
+        interval_minutes: 12 * 60,
+        ..Default::default()
+    });
+    (0..2)
+        .map(|i| {
+            let mut w = ColumnarWriter::with_row_group_rows(meter.clone(), 700);
+            let mut csv = CsvReader::new(stream::once(gen.csv_object(2_500)), meter.clone(), true);
+            while let Some(batch) = csv.next_batch().unwrap() {
+                w.write_batch(batch);
+            }
+            (format!("part-{i}.scol"), w.finish())
+        })
+        .collect()
+}
+
+fn columnar_session(conn: Arc<dyn StorageConnector>) -> Session {
+    let session = Session::new(conn, 2);
+    session.register_table("largemeter", "col", None, TableFormat::Columnar, None);
+    session
+}
+
+/// Every Table I query over a columnar table, read through a retrying
+/// client from a store under `plan`, returns what the clean read of the
+/// same objects returns. Footers and chunks are exact ranged reads, so a
+/// cut body must be resumed, not failed: rounds repeat until one was.
+fn columnar_table1_survives(plan: FaultPlan, tcp: bool) {
+    let objects = columnar_objects();
+    let clean = MemoryConnector::new();
+    for (name, data) in &objects {
+        clean.put("col", name, data.clone());
+    }
+    let clean = columnar_session(clean);
+    let want: Vec<_> = table1_queries()
+        .into_iter()
+        .map(|q| {
+            let out = clean.sql(&q.sql).unwrap_or_else(|e| panic!("{} clean: {e}", q.name));
+            (q, out.result)
+        })
+        .collect();
+
+    let cluster = SwiftCluster::new(SwiftConfig { fault_plan: Some(plan), ..SwiftConfig::default() })
+        .unwrap();
+    let mut client = cluster.anonymous_client("AUTH_gp").with_retry(RetryPolicy::default());
+    if tcp {
+        client = client.over_tcp().unwrap();
+    }
+    client.create_container("col").unwrap();
+    for (name, data) in &objects {
+        client.put_object("col", name, data.clone()).unwrap();
+    }
+    let conn = SwiftConnector::new(client);
+    let faulted = columnar_session(conn.clone());
+    for round in 0..10 {
+        for (q, want) in &want {
+            let got = faulted
+                .sql(&q.sql)
+                .unwrap_or_else(|e| panic!("{} round {round}: {e}", q.name));
+            assert!(want.approx_eq(&got.result, 1e-9), "{} round {round} differs", q.name);
+        }
+        if conn.stream_resumes() > 0 {
+            break;
+        }
+    }
+    assert!(cluster.fault_stats().total_faults() > 0, "no fault fired");
+    assert!(conn.stream_resumes() > 0, "no ranged read resumed");
+}
+
+#[test]
+fn columnar_queries_survive_truncated_bodies() {
+    columnar_table1_survives(FaultPlan::quiet(chaos_seed(0xC01)).with_truncate_rate(0.1), false);
+}
+
+#[test]
+fn columnar_queries_survive_cut_connections_over_tcp() {
+    let plan = FaultPlan::quiet(chaos_seed(0xC02))
+        .with_wire_rst(0.05)
+        .with_wire_partial(0.05, Duration::from_millis(2))
+        .with_wire_half_close(0.05);
+    columnar_table1_survives(plan, true);
 }
